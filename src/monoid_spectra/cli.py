@@ -22,7 +22,7 @@ from .modsys import (DeltaFamily, SystemSpace, check_family, check_id2,
                      check_idempotent, check_module_axioms, example16,
                      extract_finite_witness, falsify_finitary,
                      family_from_file, embedding_checks, iota, is_finitary,
-                     meet, meet_finite_witness, r_delta,
+                     meet, meet_finite_witness, r_delta, small_sample,
                      ultrafilter_limit_system, witness_pool)
 from .monoid import INF, ParseError, as_overmonoid, localize, monoid_from_file
 from .report import Check, SuiteReport
@@ -350,7 +350,7 @@ def suite_main2(H, family, bound, seed):
         members = rng.sample(overs, rng.randint(1, len(overs)))
         delta_fam = DeltaFamily(members, name="sample")
         r = r_delta(delta_fam, ctx)
-        A = frozenset(rng.sample(g_window, rng.randint(1, 3)))
+        A = small_sample(rng, g_window)
         pred = r.closure(A)
         hits = [g for g in g_window if pred(g)]
         if not hits:
@@ -409,7 +409,7 @@ def suite_prop2(H, bound, seed):
         attempts += 1
         tau = rng.sample(systems, rng.randint(1, len(systems)))
         wedge = meet(tau)
-        A = frozenset(rng.sample(g_window, rng.randint(1, 3)))
+        A = small_sample(rng, g_window)
         pred = wedge.closure(A)
         hits = [g for g in g_window if pred(g)]
         if not hits:
@@ -432,7 +432,7 @@ def suite_prop2(H, bound, seed):
     count = 0
     wedge = meet(systems)
     for _ in range(40):
-        A = frozenset(rng.sample(g_window, rng.randint(1, 3)))
+        A = small_sample(rng, g_window)
         pred = wedge.closure(A)
         count += 1
         for r in systems:

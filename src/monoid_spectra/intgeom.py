@@ -11,6 +11,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
+from .numsgp import cached_semigroup
+
 
 class UnsupportedRealization(Exception):
     """Raised when an operation is not available for the given carrier."""
@@ -166,31 +168,22 @@ def _pointed_reachable(pointed, target, bound_fn) -> bool:
     return go(tuple(target))
 
 
-def _contains_1d(gens, x: int) -> bool:
+def submonoid_1d(gens):
+    """Exact membership predicate of the submonoid of Z generated by `gens`.
+
+    The reduction runs once per generating set: with g their gcd, mixed signs
+    reach all of gZ, and one sign reaches +-g times a numerical semigroup."""
     gens = [g for g in gens if g != 0]
-    if x == 0:
-        return True
     if not gens:
-        return False
+        return lambda x: x == 0
     g_all = 0
     for g in gens:
         g_all = gcd(g_all, g)
-    if x % g_all != 0:
-        return False
-    pos = [g for g in gens if g > 0]
-    if pos and any(g < 0 for g in gens):
-        return True  # mixed signs with common divisor g_all reach all of g_all*Z
-    sign = 1 if pos else -1
-    vals = [abs(g) // g_all for g in gens]
-    t = sign * x // g_all
-    if t < 0:
-        return False
-    # numerical-semigroup style DP
-    reach = [False] * (t + 1)
-    reach[0] = True
-    for i in range(1, t + 1):
-        reach[i] = any(i >= v and reach[i - v] for v in vals)
-    return reach[t]
+    if min(gens) < 0 < max(gens):
+        return lambda x: x % g_all == 0
+    sign = 1 if gens[0] > 0 else -1
+    sgp = cached_semigroup(tuple(sorted({abs(g) // g_all for g in gens})))
+    return lambda x: x % g_all == 0 and sgp.contains(sign * x // g_all)
 
 
 @lru_cache(maxsize=None)
@@ -203,7 +196,7 @@ def monoid_contains(gens: tuple, x: tuple) -> bool:
     """
     dim = len(x)
     if dim == 1:
-        return _contains_1d([g[0] for g in gens], x[0])
+        return submonoid_1d([g[0] for g in gens])(x[0])
     if dim != 2:
         raise UnsupportedRealization(
             "exact affine monoid membership is implemented for dimension <= 2"

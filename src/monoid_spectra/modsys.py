@@ -10,7 +10,8 @@ import json
 import random
 
 from .fintop import FiniteSpace
-from .monoid import INF, Monoid, Overmonoid, ParseError, monoid_from_json, sort_key
+from .monoid import (INF, Monoid, Overmonoid, ParseError, is_int,
+                     monoid_from_json, sort_key)
 from .report import Check
 
 
@@ -38,6 +39,12 @@ class ModuleSystem:
 
     def __repr__(self):
         return f"ModuleSystem({self.name})"
+
+
+def small_sample(rng, pool):
+    """A random set of one to three elements of `pool`, never more than it
+    holds."""
+    return frozenset(rng.sample(pool, rng.randint(1, min(3, len(pool)))))
 
 
 def _nonzero(ctx, A):
@@ -594,8 +601,7 @@ def embedding_checks(overmonoids, ctx, bound: int = 4, seed: int = 0,
     # preimage law: 1 in A_{r_{{S}}} iff some a in A has a^{-1} in S
     witness = None
     count = 0
-    sets = [frozenset(rng.sample(window, rng.randint(1, 3)))
-            for _ in range(n_sets)]
+    sets = [small_sample(rng, window) for _ in range(n_sets)]
     for A in sets:
         count += 1
         for S, r in zip(overmonoids, systems):
@@ -649,8 +655,11 @@ def family_from_json(text: str):
         raise ParseError("family must be 'adjoin-ray'", field="family")
     base = data.get("base")
     if isinstance(base, str) and base.startswith("affine:"):
-        gens = [[int(c) for c in v.split(",")] for v in base[7:].split(";")]
-        H = Monoid.affine(gens)
+        try:
+            H = Monoid.affine([[int(c) for c in v.split(",")]
+                               for v in base[7:].split(";")])
+        except ValueError as e:
+            raise ParseError(f"bad affine shorthand: {e}", field="base") from e
     elif isinstance(base, dict):
         H = monoid_from_json(json.dumps(base))
         if H.kind != "affine":
@@ -660,12 +669,16 @@ def family_from_json(text: str):
                          field="base")
     ray = data.get("ray")
     if (not isinstance(ray, list) or len(ray) != H.dim
-            or not all(isinstance(c, int) for c in ray)):
+            or not all(map(is_int, ray))):
         raise ParseError(f"expected an integer vector of length {H.dim}",
                          field="ray")
     if data.get("scale") != "k":
         raise ParseError("scale must be 'k'", field="scale")
     ctx = H.context
+    # S_k adds neg + k*pos; two indices in the lattice put every index there
+    if not all(ctx.contains(_scaled_ray(ray, k)) for k in (1, 2)):
+        raise ParseError("the scaled rays must lie in the base's lattice",
+                         field="ray")
     base_over = Overmonoid(ctx, gens=H.generators, name="base")
 
     def member_fn(k):

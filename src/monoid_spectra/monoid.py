@@ -1,28 +1,22 @@
 """Monoids with an absorbing zero, their quotient groupoids, overmonoids,
 adjunction, localization and fraction predicates.
 
-Three realizations are supported:
-
-* ``numerical``  -- an additive submonoid of N with gcd-1 generators; the
-  quotient groupoid carrier is Z together with an absorbing element INF.
-* ``affine``     -- the submonoid of Z^d generated by integer vectors; the
-  carrier is the lattice they span, plus INF.
-* ``finite``     -- a finite commutative cancellative monoid given by its
-  Cayley table; off the zero it is a group, so it is its own groupoid.
-
-The library speaks multiplicatively (op, one, zero) even though the numerical
-and affine realizations are additive underneath: identity maps to 0 / the zero
-vector and the absorbing zero maps to INF.
+Each realization has its own carrier for the quotient groupoid G:
+``IntCarrier`` for numerical monoids, ``LatticeCarrier`` for affine ones and
+``FiniteCarrier`` for finite Cayley tables.  The library speaks
+multiplicatively (op, one, zero) even though the numerical and affine
+realizations are additive underneath: identity maps to 0 / the zero vector
+and the absorbing zero maps to INF.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from math import gcd
 
 from . import intgeom
-from .intgeom import UnsupportedRealization
-from .numsgp import NumericalSemigroup, cached_semigroup
+from .numsgp import cached_semigroup
 
 
 class _Inf:
@@ -42,7 +36,7 @@ class _Inf:
 INF = _Inf()
 
 
-class CarrierMismatch(Exception):
+class CarrierMismatch(ValueError):
     pass
 
 
@@ -59,6 +53,11 @@ class ParseError(Exception):
         super().__init__(message + suffix)
 
 
+def is_int(x) -> bool:
+    """The integer test of every boundary: bool is not an integer here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def sort_key(g):
     """Deterministic ordering: lexicographic on coordinates, INF last."""
     if g is INF:
@@ -69,139 +68,121 @@ def sort_key(g):
 
 
 class GroupoidContext:
-    """Carrier of the quotient groupoid G: a group with absorbing zero."""
+    """Carrier of the quotient groupoid G: a group with absorbing zero.
 
-    def __init__(self, kind, *, dim=None, lattice_basis=None, table=None,
-                 one=None, zero=None):
-        self.kind = kind
-        self.dim = dim
-        self.lattice_basis = lattice_basis
-        self.table = table
-        if kind == "finite":
-            self.one = one
-            self.zero = zero
-            n = len(table)
-            inv = {}
-            for a in range(n):
-                if a == zero:
-                    continue
-                for b in range(n):
-                    if table[a][b] == one:
-                        inv[a] = b
-                        break
-            self._inv = inv
-        elif kind == "int":
-            self.one = 0
-            self.zero = INF
-        elif kind == "lattice":
-            self.one = (0,) * dim
-            self.zero = INF
-        else:
-            raise ValueError(f"unknown context kind {kind!r}")
+    Each subclass is one realization.  ``contains`` is the validating
+    membership test; ``op`` and ``inv`` trust their arguments, which are
+    validated where they enter: parsing, the carrier, ``Monoid`` and
+    ``Overmonoid`` constructors, ``adjoin`` and ``fraction_ideal``."""
+
+    one = 0
+    zero = INF
 
     def contains(self, g) -> bool:
-        if self.kind == "int":
-            return g is INF or isinstance(g, int)
-        if self.kind == "lattice":
-            if g is INF:
-                return True
-            return (isinstance(g, tuple) and len(g) == self.dim
-                    and all(isinstance(c, int) for c in g)
-                    and intgeom.lattice_contains(self.lattice_basis, g))
-        return isinstance(g, int) and 0 <= g < len(self.table)
-
-    def _check(self, *els):
-        for g in els:
-            if not self.contains(g):
-                raise CarrierMismatch(f"{g!r} is not in this carrier")
+        raise NotImplementedError
 
     def op(self, a, b):
-        self._check(a, b)
-        if self.kind == "finite":
-            return self.table[a][b]
-        if a is INF or b is INF:
-            return INF
-        if self.kind == "int":
-            return a + b
-        return tuple(x + y for x, y in zip(a, b))
+        raise NotImplementedError
 
     def inv(self, a):
-        self._check(a)
-        if a == self.zero or a is INF:
-            raise ValueError("the absorbing zero has no inverse")
-        if self.kind == "finite":
-            return self._inv[a]
-        if self.kind == "int":
-            return -a
-        return tuple(-c for c in a)
+        raise NotImplementedError
 
     def window(self, bound: int) -> list:
         """Deterministic finite slice of the carrier used for enumeration;
         membership queries stay exact, only enumerations are windowed."""
-        if self.kind == "finite":
-            return list(range(len(self.table)))
-        if self.kind == "int":
-            return list(range(-bound, bound + 1)) + [INF]
-        pts = []
+        raise NotImplementedError
 
-        def boxes(prefix, d):
-            if d == self.dim:
-                pts.append(tuple(prefix))
-                return
-            for c in range(-bound, bound + 1):
-                boxes(prefix + [c], d + 1)
+    def submonoid(self, gens):
+        """Exact membership predicate of the submonoid generated by `gens`,
+        for nonzero elements already known to lie in the carrier."""
+        raise NotImplementedError
 
-        boxes([], 0)
-        out = [p for p in pts if intgeom.lattice_contains(self.lattice_basis, p)]
-        out.sort(key=sort_key)
-        return out + [INF]
+    def check(self, g):
+        if not self.contains(g):
+            raise CarrierMismatch(f"{g!r} is not in this carrier")
 
 
-class Monoid:
-    """One of the three finitely presented realizations of a commutative
-    cancellative monoid with identity and absorbing zero."""
+class IntCarrier(GroupoidContext):
+    """Z plus INF, the groupoid of a numerical monoid."""
 
-    def __init__(self, kind, *, generators=None, dim=None, table=None,
-                 one=None, zero=None):
-        self.kind = kind
-        if kind == "numerical":
-            self.sgp = cached_semigroup(tuple(sorted(set(generators))))
-            self.generators = tuple(self.sgp.generators)
-            self.context = GroupoidContext("int")
-        elif kind == "affine":
-            gens = tuple(tuple(int(c) for c in g) for g in generators)
-            if not gens:
-                raise ValueError("affine monoid needs at least one generator")
-            d = dim if dim is not None else len(gens[0])
-            if any(len(g) != d for g in gens):
-                raise ValueError("generator dimensions disagree")
-            self.dim = d
-            self.generators = gens
-            basis = intgeom.hnf_rows(gens)
-            self.context = GroupoidContext("lattice", dim=d, lattice_basis=basis)
-        elif kind == "finite":
-            self._validate_table(table, one, zero)
-            self.table = table
-            self.one_index = one
-            self.zero_index = zero
-            self.context = GroupoidContext("finite", table=table, one=one, zero=zero)
-            self.generators = tuple(i for i in range(len(table)))
-        else:
-            raise ValueError(f"unknown monoid kind {kind!r}")
+    def contains(self, g) -> bool:
+        return g is INF or is_int(g)
 
-    @staticmethod
-    def _validate_table(table, one, zero):
+    def op(self, a, b):
+        if a is INF or b is INF:
+            return INF
+        return a + b
+
+    def inv(self, a):
+        if a is INF:
+            raise ValueError("the absorbing zero has no inverse")
+        return -a
+
+    def window(self, bound: int) -> list:
+        return list(range(-bound, bound + 1)) + [INF]
+
+    def submonoid(self, gens):
+        return intgeom.submonoid_1d([g for g in gens if g is not INF])
+
+
+class LatticeCarrier(GroupoidContext):
+    """The sublattice of Z^dim spanned by `vectors` (kept as an echelon
+    basis), plus INF."""
+
+    def __init__(self, dim, vectors):
+        vectors = [tuple(v) for v in vectors]
+        if not is_int(dim) or dim < 1:
+            raise ValueError("lattice dimension must be a positive integer")
+        if any(len(v) != dim or not all(map(is_int, v)) for v in vectors):
+            raise ValueError(f"expected integer vectors of length {dim}")
+        self.dim = dim
+        self.basis = intgeom.hnf_rows(vectors)
+        self.one = (0,) * dim
+
+    def contains(self, g) -> bool:
+        if g is INF:
+            return True
+        return (isinstance(g, tuple) and len(g) == self.dim
+                and all(map(is_int, g))
+                and intgeom.lattice_contains(self.basis, g))
+
+    def op(self, a, b):
+        if a is INF or b is INF:
+            return INF
+        return tuple(x + y for x, y in zip(a, b))
+
+    def inv(self, a):
+        if a is INF:
+            raise ValueError("the absorbing zero has no inverse")
+        return tuple(-c for c in a)
+
+    def window(self, bound: int) -> list:
+        box = itertools.product(range(-bound, bound + 1), repeat=self.dim)
+        return [p for p in box
+                if intgeom.lattice_contains(self.basis, p)] + [INF]
+
+    def submonoid(self, gens):
+        gens = tuple(g for g in gens if g is not INF)
+        return lambda g: intgeom.monoid_contains(gens, g)
+
+
+class FiniteCarrier(GroupoidContext):
+    """A finite commutative cancellative monoid given by its Cayley table;
+    off the zero it is a group, so it is its own groupoid."""
+
+    def __init__(self, table, one, zero):
         n = len(table)
-        if any(len(row) != n for row in table):
-            raise ValueError("Cayley table must be square")
+        if any(len(row) != n or not all(is_int(v) and 0 <= v < n for v in row)
+               for row in table):
+            raise ValueError("Cayley table must be square with valid entries")
+        if not all(is_int(i) and 0 <= i < n for i in (one, zero)):
+            raise ValueError("identity and zero must be element indices")
         if one == zero:
             raise ValueError("identity and zero must differ")
         for a in range(n):
             for b in range(n):
                 if table[a][b] != table[b][a]:
                     raise ValueError(f"not commutative at ({a},{b})")
-        for a in range(n):
-            for b in range(n):
                 for c in range(n):
                     if table[table[a][b]][c] != table[a][table[b][c]]:
                         raise ValueError(f"not associative at ({a},{b},{c})")
@@ -210,42 +191,86 @@ class Monoid:
                 raise ValueError("declared identity is not neutral")
             if table[zero][a] != zero:
                 raise ValueError("declared zero is not absorbing")
-        for a in range(n):
-            if a == zero:
-                continue
-            seen = set()
-            for b in range(n):
-                v = table[a][b]
-                if v in seen:
-                    raise ValueError(f"not cancellative: row {a} repeats {v}")
-                seen.add(v)
+            if a != zero and len(set(table[a])) != n:
+                raise ValueError(f"not cancellative: row {a} repeats a value")
+        self.table = table
+        self.one = one
+        self.zero = zero
+        # a cancellative row is a permutation, so it holds the identity
+        self._inv = {a: row.index(one) for a, row in enumerate(table)
+                     if a != zero}
+
+    def contains(self, g) -> bool:
+        return is_int(g) and 0 <= g < len(self.table)
+
+    def op(self, a, b):
+        return self.table[a][b]
+
+    def inv(self, a):
+        if a == self.zero:
+            raise ValueError("the absorbing zero has no inverse")
+        return self._inv[a]
+
+    def window(self, bound: int) -> list:
+        return list(range(len(self.table)))
+
+    def submonoid(self, gens):
+        closure = {self.one, self.zero, *gens}
+        frontier = list(gens)
+        while frontier:
+            a = frontier.pop()
+            for b in list(closure):
+                c = self.table[a][b]
+                if c not in closure:
+                    closure.add(c)
+                    frontier.append(c)
+        return closure.__contains__
+
+
+class Monoid:
+    """One of the three finitely presented realizations of a commutative
+    cancellative monoid with identity and absorbing zero.  ``kind`` is the
+    realization's label; membership goes through the carrier."""
+
+    def __init__(self, kind, context, generators, args=None):
+        self.kind = kind
+        self.context = context
+        self.generators = tuple(generators)
+        for g in self.generators:
+            context.check(g)
+        self._member = context.submonoid(self.generators)
+        self._args = repr(self.generators) if args is None else args
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def numerical(cls, generators):
-        return cls("numerical", generators=generators)
+        H = cls("numerical", IntCarrier(), sorted(set(generators)))
+        H.sgp = cached_semigroup(H.generators)
+        return H
 
     @classmethod
     def affine(cls, generators, dim=None):
-        return cls("affine", generators=generators, dim=dim)
+        gens = tuple(tuple(g) for g in generators)
+        if not gens:
+            raise ValueError("affine monoid needs at least one generator")
+        d = len(gens[0]) if dim is None else dim
+        H = cls("affine", LatticeCarrier(d, gens), gens)
+        H.dim = d
+        return H
 
     @classmethod
     def finite(cls, table, one, zero):
-        return cls("finite", table=table, one=one, zero=zero)
+        n = len(table)
+        return cls("finite", FiniteCarrier(table, one, zero), range(n),
+                   args=f"(n={n})")
 
     @classmethod
     def cyclic_group_with_zero(cls, n):
         """Z/n with an absorbing zero adjoined; carrier indices 0..n, where
         index n is the absorbing zero and index 0 the identity."""
-        size = n + 1
-        table = [[0] * size for _ in range(size)]
-        for a in range(size):
-            for b in range(size):
-                if a == n or b == n:
-                    table[a][b] = n
-                else:
-                    table[a][b] = (a + b) % n
+        table = [[n if n in (a, b) else (a + b) % n for b in range(n + 1)]
+                 for a in range(n + 1)]
         return cls.finite(table, one=0, zero=n)
 
     # -- membership --------------------------------------------------------
@@ -253,13 +278,7 @@ class Monoid:
     def contains(self, g) -> bool:
         if not self.context.contains(g):
             return False
-        if g is INF:
-            return True
-        if self.kind == "numerical":
-            return isinstance(g, int) and g >= 0 and self.sgp.contains(g)
-        if self.kind == "affine":
-            return intgeom.monoid_contains(self.generators, g)
-        return True  # finite: H is the whole carrier
+        return g is INF or g == self.context.zero or self._member(g)
 
     def op(self, a, b):
         return self.context.op(a, b)
@@ -272,15 +291,8 @@ class Monoid:
     def zero(self):
         return self.context.zero
 
-    def elements_window(self, bound: int) -> list:
-        return [g for g in self.context.window(bound) if self.contains(g)]
-
     def __repr__(self):
-        if self.kind == "numerical":
-            return f"Monoid.numerical{self.generators}"
-        if self.kind == "affine":
-            return f"Monoid.affine{self.generators}"
-        return f"Monoid.finite(n={len(self.table)})"
+        return f"Monoid.{self.kind}{self._args}"
 
 
 def quotient_groupoid(H: Monoid) -> GroupoidContext:
@@ -293,17 +305,20 @@ def quotient_groupoid(H: Monoid) -> GroupoidContext:
 class Overmonoid:
     """Submonoid of G containing H, with exact decidable membership.
 
-    Backed either by a generator list (membership derived exactly) or by a
-    closed-form membership rule."""
+    Backed either by a generator list (membership derived exactly by the
+    carrier) or by a closed-form membership rule, which is only asked about
+    nonzero elements of G."""
 
     def __init__(self, context, gens=None, rule=None, name=""):
-        self.context = context
-        self.gens = tuple(gens) if gens is not None else None
-        self.rule = rule
-        self.name = name
         if gens is None and rule is None:
             raise ValueError("an overmonoid needs generators or a rule")
-        self._derived = None
+        self.context = context
+        self.gens = tuple(gens) if gens is not None else None
+        for g in self.gens or ():
+            context.check(g)
+        self.rule = rule
+        self.name = name
+        self._member = None
 
     def contains(self, g) -> bool:
         if not self.context.contains(g):
@@ -315,37 +330,9 @@ class Overmonoid:
         return self._derived_contains(g)
 
     def _derived_contains(self, g) -> bool:
-        ctx = self.context
-        if ctx.kind == "int":
-            info = self._derived
-            if info is None:
-                finite_gens = [x for x in self.gens if x is not INF and x != 0]
-                if any(x < 0 for x in finite_gens):
-                    info = ("all", None)
-                else:
-                    info = ("sgp", cached_semigroup(tuple(sorted(set(finite_gens)))))
-                self._derived = info
-            tag, sgp = info
-            if tag == "all":
-                return True
-            return g >= 0 and sgp.contains(g)
-        if ctx.kind == "lattice":
-            finite_gens = tuple(x for x in self.gens if x is not INF)
-            return intgeom.monoid_contains(finite_gens, g)
-        # finite: BFS closure of the generators
-        if self._derived is None:
-            closure = {ctx.one, ctx.zero}
-            frontier = [x for x in self.gens]
-            closure.update(frontier)
-            while frontier:
-                a = frontier.pop()
-                for b in list(closure):
-                    c = ctx.op(a, b)
-                    if c not in closure:
-                        closure.add(c)
-                        frontier.append(c)
-            self._derived = closure
-        return g in self._derived
+        if self._member is None:
+            self._member = self.context.submonoid(self.gens)
+        return self._member(g)
 
     def units_window(self, bound: int) -> list:
         ctx = self.context
@@ -361,26 +348,25 @@ class Overmonoid:
         """Nonunits form an ideal on the window (products checked when they
         stay inside the window)."""
         ctx = self.context
-        units = set(map(repr, self.units_window(bound)))
+        units = set(self.units_window(bound))
         members = [g for g in ctx.window(bound) if self.contains(g)]
-        window = set(map(repr, ctx.window(bound)))
         for n in members:
-            if repr(n) in units or n == ctx.one:
+            if n in units or n == ctx.one:
                 continue
             for h in members:
-                prod = ctx.op(n, h)
-                if repr(prod) in window and repr(prod) in units:
+                if ctx.op(n, h) in units:
                     return False
         return True
 
     def check_closed_window(self, bound: int) -> bool:
         ctx = self.context
-        members = [g for g in ctx.window(bound) if self.contains(g)]
-        window = set(map(repr, ctx.window(bound)))
+        window = ctx.window(bound)
+        inside = set(window)
+        members = [g for g in window if self.contains(g)]
         for a in members:
             for b in members:
                 c = ctx.op(a, b)
-                if repr(c) in window and not self.contains(c):
+                if c in inside and not self.contains(c):
                     return False
         return True
 
@@ -396,7 +382,7 @@ def adjoin(M: Overmonoid, x) -> Overmonoid:
     """Smallest submonoid of G containing M and x (generator-backed only)."""
     if M.gens is None:
         raise ValueError("adjoin needs a generator-backed overmonoid")
-    M.context._check(x)
+    M.context.check(x)
     if x is INF or x == M.context.zero:
         return M
     return Overmonoid(M.context, gens=M.gens + (x,), name=f"{M.name}[{x}]")
@@ -411,8 +397,7 @@ def localize(H: Monoid, P) -> Overmonoid:
     ctx = H.context
     extra = tuple(ctx.inv(g) for g in H.generators
                   if g != ctx.zero and g is not INF and not P.contains(g))
-    return Overmonoid(ctx, gens=tuple(H.generators) + extra,
-                      name=f"localization")
+    return Overmonoid(ctx, gens=H.generators + extra, name="localization")
 
 
 def fraction_ideal(H: Monoid, x):
@@ -420,7 +405,7 @@ def fraction_ideal(H: Monoid, x):
     ctx = H.context
     if x is INF or x == ctx.zero:
         raise ValueError("(H : x) is undefined for the absorbing zero")
-    ctx._check(x)
+    ctx.check(x)
 
     def member(h):
         if h is INF or h == ctx.zero:
@@ -432,6 +417,54 @@ def fraction_ideal(H: Monoid, x):
 
 # -- JSON description files ------------------------------------------------
 
+def _numerical_from(data):
+    gens = data.get("generators")
+    if (not isinstance(gens, list) or not gens
+            or not all(is_int(g) and g > 0 for g in gens)):
+        raise ParseError("expected a nonempty list of positive integers",
+                         field="generators")
+    if gcd(*gens) != 1:
+        raise ParseError("generators must have gcd 1", field="generators")
+    return Monoid.numerical(gens)
+
+
+def _affine_from(data):
+    dim = data.get("dim")
+    gens = data.get("generators")
+    if not is_int(dim) or dim < 1:
+        raise ParseError("expected a positive integer", field="dim")
+    if (not isinstance(gens, list) or not gens
+            or not all(isinstance(g, list) and len(g) == dim
+                       and all(map(is_int, g)) for g in gens)):
+        raise ParseError(f"expected a list of integer vectors of length {dim}",
+                         field="generators")
+    return Monoid.affine(gens, dim=dim)
+
+
+def _finite_from(data):
+    size = data.get("size")
+    table = data.get("table")
+    if not is_int(size) or size < 2:
+        raise ParseError("expected an integer >= 2", field="size")
+    if (not isinstance(table, list) or len(table) != size
+            or not all(isinstance(r, list) and len(r) == size
+                       and all(is_int(v) and 0 <= v < size for v in r)
+                       for r in table)):
+        raise ParseError(f"expected a {size}x{size} table of indices",
+                         field="table")
+    for name in ("one", "zero"):
+        if not is_int(data.get(name)) or not 0 <= data[name] < size:
+            raise ParseError("expected a valid element index", field=name)
+    try:
+        return Monoid.finite(table, one=data["one"], zero=data["zero"])
+    except ValueError as e:
+        raise ParseError(str(e), field="table") from e
+
+
+_FROM_JSON = {"numerical": _numerical_from, "affine": _affine_from,
+              "finite": _finite_from}
+
+
 def monoid_from_json(text: str) -> Monoid:
     try:
         data = json.loads(text)
@@ -440,50 +473,10 @@ def monoid_from_json(text: str) -> Monoid:
     if not isinstance(data, dict):
         raise ParseError("top-level value must be an object")
     kind = data.get("kind")
-    if kind == "numerical":
-        gens = data.get("generators")
-        if (not isinstance(gens, list) or not gens
-                or not all(isinstance(g, int) and g > 0 for g in gens)):
-            raise ParseError("expected a nonempty list of positive integers",
-                             field="generators")
-        g_all = 0
-        for g in gens:
-            g_all = gcd(g_all, g)
-        if g_all != 1:
-            raise ParseError("generators must have gcd 1", field="generators")
-        return Monoid.numerical(gens)
-    if kind == "affine":
-        dim = data.get("dim")
-        gens = data.get("generators")
-        if not isinstance(dim, int) or dim < 1:
-            raise ParseError("expected a positive integer", field="dim")
-        if (not isinstance(gens, list) or not gens
-                or not all(isinstance(g, list) and len(g) == dim
-                           and all(isinstance(c, int) for c in g) for g in gens)):
-            raise ParseError(f"expected a list of integer vectors of length {dim}",
-                             field="generators")
-        return Monoid.affine(gens, dim=dim)
-    if kind == "finite":
-        size = data.get("size")
-        table = data.get("table")
-        one = data.get("one")
-        zero = data.get("zero")
-        if not isinstance(size, int) or size < 2:
-            raise ParseError("expected an integer >= 2", field="size")
-        if (not isinstance(table, list) or len(table) != size
-                or not all(isinstance(r, list) and len(r) == size
-                           and all(isinstance(v, int) and 0 <= v < size for v in r)
-                           for r in table)):
-            raise ParseError(f"expected a {size}x{size} table of indices",
-                             field="table")
-        for name, idx in (("one", one), ("zero", zero)):
-            if not isinstance(idx, int) or not 0 <= idx < size:
-                raise ParseError("expected a valid element index", field=name)
-        try:
-            return Monoid.finite(table, one=one, zero=zero)
-        except ValueError as e:
-            raise ParseError(str(e), field="table") from e
-    raise ParseError("kind must be one of numerical|affine|finite", field="kind")
+    if not isinstance(kind, str) or kind not in _FROM_JSON:
+        raise ParseError("kind must be one of numerical|affine|finite",
+                         field="kind")
+    return _FROM_JSON[kind](data)
 
 
 def monoid_from_file(path) -> Monoid:

@@ -48,16 +48,14 @@ class ValuationDescriptor:
 
     def contains(self, g) -> bool:
         ctx = self.context
-        if not ctx.contains(g):
-            return False
-        if g is INF or g == ctx.zero:
-            return True
-        if self.tag == "trivial":
+        return ctx.contains(g) and (g is INF or g == ctx.zero or self._rule(g))
+
+    def _rule(self, g) -> bool:
+        """Membership of a nonzero element of G."""
+        if self.tag in ("trivial", "Z"):
             return True
         if self.tag == "N":
             return g >= 0
-        if self.tag == "Z":
-            return True
         w = self.weight
         s = dot(w, g)
         if s != 0:
@@ -68,7 +66,7 @@ class ValuationDescriptor:
         return _sign(dot(perp, g)) in (0, self.tiebreak)
 
     def to_overmonoid(self) -> Overmonoid:
-        return Overmonoid(self.context, rule=self.contains, name=repr(self))
+        return Overmonoid(self.context, rule=self._rule, name=repr(self))
 
     def sort_key(self):
         if self.tag == "trivial":

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -8,8 +9,41 @@ from monoid_spectra.cli import main
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
+# SHA-1 of the default text report; a speed-up or refactor must keep these
+REPORT_SHA1 = {
+    ("axioms", "n23"): "8b6765020e8e2aa2d587f74a5b46a1098f35e4f6",
+    ("spec", "n23"): "59ab23ec74b55d3d929e37053834bb4f90da0001",
+    ("ideals", "n23"): "93aabf3da6d62be831ade282eebe684268d81d6b",
+    ("zar", "n23"): "dc77dc2eccc090ddd2f36024b65fdead4edf18e1",
+    ("pruefer", "n23"): "e2a72ae6ae56bf59e2e101ba47d78e4c2e6082a8",
+    ("pronconst", "n23"): "03391e7bf85aaaa55670a5478885943a3073a2ac",
+    ("main1", "n23"): "7409a195485de6e4b0293e86b63dd599181d790f",
+    ("prop1", "n23"): "78dfcd07f03725328b769b47bffbfd168e01d6b5",
+    ("prop2", "n23"): "cafde56d0ca07c53873aafb5d93dd092af00d932",
+    ("corollaries", "n23"): "caff8471fe7c80583d014b2a3f81ab82573a4cb9",
+    ("axioms", "n2"): "343e3306ec3e56655b91d97bdff16e5cf7ddf29b",
+    ("spec", "n2"): "eb40a9fda562119151cc91788b491c26118fb632",
+    ("zar", "n2"): "9bcb5f87dda469ea43da292d98113b553231d648",
+    ("pruefer", "n2"): "5946a7036dfe1183eeb01f622ec9c0d54e7562ad",
+    ("main1", "n2"): "3f1104760ca7508f5d55e11d225e22da59414044",
+    ("prop1", "n2"): "84bb7b2139ccf1f069c50c6c9af8501df24a5750",
+    ("prop2", "n2"): "185bca8b28d62843dbdfd86105fd9e0dfba56bf1",
+    ("corollaries", "n2"): "5917fe1137fb198de49b378fd08be57d5eb08cce",
+    ("axioms", "c3z"): "d9fc47a4c8dc14af542a2a0bd7082ee10bbc8888",
+    ("spec", "c3z"): "dbff3f58aa94eeabdc7bef42c6c023e2661645a3",
+    ("ideals", "c3z"): "d688af77ddfe615642de007bc192a835b6166fb8",
+    ("pronconst", "c3z"): "62686d69b9c9011be6d6fce7cc99fb37f3e575a5",
+    ("main1", "c3z"): "eaca996a7f23cd70a34980ba32f9d5d9158f1fc1",
+    ("prop2", "c3z"): "cafde56d0ca07c53873aafb5d93dd092af00d932",
+}
+
+
 def data(name):
     return os.path.join(DATA, name)
+
+
+def sha1(text):
+    return hashlib.sha1(text.encode()).hexdigest()
 
 
 def run(capsys, *args):
@@ -32,6 +66,7 @@ def test_all_suites_pass_on_n23(capsys):
         code, out = run(capsys, "verify", "--suite", suite,
                         "--input", data("n23.json"))
         assert code == 0, (suite, out)
+        assert sha1(out) == REPORT_SHA1[suite, "n23"], suite
 
 
 def test_main2_with_family(capsys):
@@ -53,9 +88,29 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
     bad.write_text('{"kind": "numerical", "generators": [2, 4]}')
     code, _ = run(capsys, "verify", "--suite", "axioms", "--input", str(bad))
     assert code == 2
-    bad.write_text("{not json")
-    code, _ = run(capsys, "verify", "--suite", "axioms", "--input", str(bad))
-    assert code == 2
+    for text in ("{not json",
+                 '{"kind": "numerical", "generators": [true, 2]}',
+                 '{"kind": "finite", "size": 2, "table": [[0, 1], [1, 1]], '
+                 '"one": false, "zero": 1}'):
+        bad.write_text(text)
+        code, _ = run(capsys, "verify", "--suite", "axioms",
+                      "--input", str(bad))
+        assert code == 2, text
+    for base in ("affine:1,a;0,1", "affine:1,0;1"):
+        bad.write_text('{"family": "adjoin-ray", "base": "%s", '
+                       '"ray": [-1, 1], "scale": "k"}' % base)
+        code, _ = run(capsys, "verify", "--suite", "main2",
+                      "--family", str(bad))
+        assert code == 2, base
+
+
+def test_sampling_suites_run_on_a_two_element_window(capsys):
+    # Z/2 + 0 has two nonzero elements, fewer than the samples of up to three
+    for suite in ("prop1", "prop2", "main2"):
+        code, out = run(capsys, "verify", "--suite", suite,
+                        "--input", data("c2z.json"))
+        assert code in (0, 1), (suite, out)
+        assert "OVERALL" in out, suite
 
 
 def test_exit_code_3_on_unsupported_realization(capsys):
@@ -120,7 +175,9 @@ def test_suites_pass_on_affine_and_finite(capsys):
         code, out = run(capsys, "verify", "--suite", suite,
                         "--input", data("n2.json"))
         assert code == 0, (suite, out)
+        assert sha1(out) == REPORT_SHA1[suite, "n2"], suite
     for suite in ("axioms", "spec", "ideals", "pronconst", "main1", "prop2"):
         code, out = run(capsys, "verify", "--suite", suite,
                         "--input", data("c3z.json"))
         assert code == 0, (suite, out)
+        assert sha1(out) == REPORT_SHA1[suite, "c3z"], suite

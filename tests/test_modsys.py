@@ -196,6 +196,16 @@ def test_family_json_errors():
     with pytest.raises(ParseError):
         family_from_json('{"family": "adjoin-ray", '
                          '"base": "affine:1,0;0,1", "ray": [1], "scale": "k"}')
+    for base in ("affine:1,a;0,1", "affine:1,0;1"):
+        with pytest.raises(ParseError) as e:
+            family_from_json('{"family": "adjoin-ray", "base": "%s", '
+                             '"ray": [-1, 1], "scale": "k"}' % base)
+        assert e.value.field == "base"
+    # (1, 1) is outside the lattice of <(2, 0), (0, 2)>
+    with pytest.raises(ParseError) as e:
+        family_from_json('{"family": "adjoin-ray", "base": "affine:2,0;0,2", '
+                         '"ray": [1, 1], "scale": "k"}')
+    assert e.value.field == "ray"
 
 
 def test_falsify_finitary_produces_certificate():

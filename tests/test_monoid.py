@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from monoid_spectra.monoid import (INF, Monoid, Overmonoid, ParseError, adjoin,
+from monoid_spectra.monoid import (INF, IntCarrier, LatticeCarrier, Monoid,
+                                   Overmonoid, ParseError, adjoin,
                                    as_overmonoid, fraction_ideal, localize,
                                    monoid_from_json, quotient_groupoid)
 
@@ -14,6 +17,7 @@ def test_numerical_membership_and_ops():
     assert H.op(2, 3) == 5
     assert H.op(2, INF) is INF
     assert H.one == 0 and H.zero is INF
+    assert not H.contains(True) and not H.context.contains(True)
 
 
 def test_affine_membership():
@@ -27,6 +31,7 @@ def test_affine_membership():
     assert not H2.contains((1, 0))
     assert not H2.context.contains((1, 0))
     assert H2.context.contains((2, -4))
+    assert not H2.context.contains((True, 0))
 
 
 def test_finite_monoid_is_group_with_zero():
@@ -37,6 +42,7 @@ def test_finite_monoid_is_group_with_zero():
     assert H.context.inv(2) == 1
     with pytest.raises(ValueError):
         H.context.inv(3)
+    assert not H.context.contains(True)
 
 
 def test_table_validation():
@@ -66,6 +72,22 @@ def test_json_parse_errors_carry_fields():
     assert e.value.line is not None
     with pytest.raises(ParseError):
         monoid_from_json('{"kind": "affine", "dim": 0, "generators": []}')
+    # bool is not an integer at the boundary
+    for text, field in (
+            ('{"kind": "numerical", "generators": [true, 2]}', "generators"),
+            ('{"kind": "affine", "dim": true, "generators": [[1]]}', "dim"),
+            ('{"kind": "affine", "dim": 1, "generators": [[false]]}',
+             "generators"),
+            ('{"kind": "finite", "size": 2, "table": [[0, 1], [1, 1]], '
+             '"one": false, "zero": 1}', "one"),
+            ('{"kind": "finite", "size": 2, "table": [[0, true], [1, 1]], '
+             '"one": 0, "zero": 1}', "table"),
+            ('{"kind": "finite", "size": true, "table": [[0]], '
+             '"one": 0, "zero": 0}', "size"),
+            ('{"kind": ["numerical"]}', "kind")):
+        with pytest.raises(ParseError) as e:
+            monoid_from_json(text)
+        assert e.value.field == field, text
 
 
 def test_json_roundtrip():
@@ -143,3 +165,54 @@ def test_quotient_groupoid_is_shared_context():
     assert quotient_groupoid(H) is H.context
     G = quotient_groupoid(H)
     assert G.contains(-5) and G.contains(INF)
+
+
+def reachable(gens, radius):
+    """Sums of generators reachable from 0 by steps that stay in the box of
+    the given radius: the brute-force oracle for submonoid membership."""
+    start = (0,) * len(gens[0]) if gens else (0,)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        v = frontier.pop()
+        for g in gens:
+            w = tuple(a + b for a, b in zip(v, g))
+            if max(map(abs, w)) <= radius and w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return seen
+
+
+def test_int_overmonoid_fixed_cases():
+    ctx = IntCarrier()
+    forms = {(2, -4): lambda x: x % 2 == 0,
+             (2,): lambda x: x >= 0 and x % 2 == 0,
+             (-3,): lambda x: x <= 0 and x % 3 == 0}
+    for gens, form in forms.items():
+        M = Overmonoid(ctx, gens=gens)
+        for x in range(-12, 13):
+            assert M.contains(x) == form(x), (gens, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-6, 6), max_size=4))
+def test_int_submonoid_matches_bounded_closure(gens):
+    # a sum reaching |x| <= 20 can be reordered to stay within 6 of [0, x]
+    reach = reachable([(g,) for g in gens], 26)
+    member = IntCarrier().submonoid(gens)
+    for x in range(-20, 21):
+        assert member(x) == ((x,) in reach), (gens, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda d: st.lists(
+    st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=4)))
+def test_lattice_submonoid_matches_bounded_closure(gens):
+    # Steinitz lemma (constant <= dimension 2): a sum of vectors of sup-norm
+    # <= 2 that lands in the radius-3 box can be reordered so that every
+    # partial sum stays in the radius-9 box
+    reach = reachable(gens, 9)
+    ctx = LatticeCarrier(len(gens[0]), gens)
+    member = ctx.submonoid(gens)
+    for x in ctx.window(3)[:-1]:
+        assert member(x) == (x in reach), (gens, x)
