@@ -5,7 +5,7 @@ Zariski-type topologies they generate, with mechanical verification suites."""
 from .monoid import (INF, CarrierMismatch, Monoid, Overmonoid, ParseError,
                      adjoin, as_overmonoid, fraction_ideal, localize,
                      monoid_from_file, monoid_from_json, quotient_groupoid)
-from .intgeom import UnsupportedRealization
+from .errors import UnsupportedRealization
 from .idealsys import (IdealSystem, RIdeal, SpecPoint, check_ideal_axioms,
                        enumerate_ideals, enumerate_primes, s_system,
                        spec_subbasis)

@@ -2,7 +2,8 @@
 
 Each suite binds a named claim to executable checks over a monoid read from a
 JSON description file.  Exit codes: 0 all checks pass, 1 a check failed,
-2 input could not be parsed, 3 the realization is unsupported for the suite.
+2 input could not be parsed, 3 the realization is unsupported for the suite
+or the input is past a size guard.
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ import os
 import random
 import sys
 
+from .errors import UnsupportedRealization
 from .fintop import homeomorphic, poset_dot
 from .idealsys import (check_ideal_axioms, enumerate_ideals, enumerate_primes,
                        ideal_space_subbasis, o_set, is_prime, s_system,
                        signature_window, spec_subbasis,
                        ultrafilter_limit_ideal)
-from .intgeom import UnsupportedRealization
 from .modsys import (DeltaFamily, SystemSpace, check_family, check_id2,
                      check_idempotent, check_module_axioms, example16,
                      extract_finite_witness, falsify_finitary,

@@ -1,0 +1,6 @@
+"""Exceptions shared by the layers below the CLI."""
+
+
+class UnsupportedRealization(Exception):
+    """Raised when an operation is not available for the given carrier, or
+    its input is past a fixed size guard; the CLI exits with code 3."""

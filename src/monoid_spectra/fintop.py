@@ -90,9 +90,6 @@ class FiniteSpace:
         full = self.full_mask
         return {full ^ o for o in self.opens()}
 
-    def is_open(self, subset) -> bool:
-        return self._mask(subset) in self.opens()
-
     # -- separation and order ------------------------------------------------
 
     def profile(self, i) -> frozenset:

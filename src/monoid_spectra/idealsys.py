@@ -7,10 +7,14 @@ from __future__ import annotations
 import itertools
 import random
 
+from .errors import UnsupportedRealization
 from .fintop import FiniteSpace
-from .intgeom import UnsupportedRealization, cone_shape_2d, faces_2d
+from .intgeom import cone_shape_2d, faces_2d
 from .monoid import INF, Monoid, sort_key
 from .report import Check
+
+# Most ideals `enumerate_ideals` lists before it gives up.
+MAX_IDEALS = 10_000
 
 
 class IdealSystem:
@@ -92,12 +96,6 @@ class RIdeal:
         """Mutual generator membership; exact because closures are exact."""
         return (all(other.contains(g) for g in self.generators)
                 and all(self.contains(g) for g in other.generators))
-
-    def is_subset_window(self, other: "RIdeal", window) -> bool:
-        return all(other.contains(g) for g in window if self.contains(g))
-
-    def elements_window(self, window):
-        return [g for g in window if self.contains(g)]
 
     def __repr__(self):
         return f"RIdeal{self.generators}"
@@ -193,12 +191,6 @@ def spec_subbasis(H: Monoid, primes, bound: int = 10) -> FiniteSpace:
     return FiniteSpace(labels, subbasis, subbasis_names=names)
 
 
-def closed_set(primes, X) -> frozenset:
-    """V_r(X): indices of primes containing every element of X."""
-    return frozenset(i for i, p in enumerate(primes)
-                     if all(p.contains(x) for x in X))
-
-
 def signature_window(H: Monoid, bound: int):
     """Window on which distinct enumerated ideals provably differ: for
     numerical H an ideal with minimum <= bound is pinned down by its elements
@@ -211,12 +203,18 @@ def signature_window(H: Monoid, bound: int):
 
 
 def enumerate_ideals(H: Monoid, system: IdealSystem, bound: int):
-    """All s-ideals whose minimal nonabsorbing element is <= bound.
+    """All s-ideals whose minimal nonabsorbing element is <= bound, sorted
+    by generator tuple; `system` is the s-system of H.
 
-    Numerical kind: an ideal with minimum m is generated by its elements in
-    [m, m + Frobenius], so generator sets below bound + Frobenius suffice.
-    The improper ideal H (minimum = identity) and the zero ideal {0} are
-    included.  Affine kind is rejected (infinite antichains)."""
+    Numerical kind: an s-ideal is generated by its minimal elements under
+    x <= y iff y - x in S, which form an antichain for that order, and an
+    ideal with minimum m has them in [m, m + Frobenius].  So the antichains
+    of elements of S in [1, bound + Frobenius] whose least element is
+    <= bound are the generator tuples of these ideals, one each; they are
+    walked smallest element first, at a cost that follows the number of
+    ideals.  The improper ideal H (minimum = identity) and the zero ideal
+    {0} are included.  Raises UnsupportedRealization past MAX_IDEALS ideals,
+    and on affine kind (infinite antichains)."""
     r = system
     if H.kind == "finite":
         zero = RIdeal(r, ())
@@ -224,26 +222,23 @@ def enumerate_ideals(H: Monoid, system: IdealSystem, bound: int):
         return [zero, whole]
     if H.kind != "numerical":
         raise UnsupportedRealization("ideal enumeration needs numerical or finite kind")
-    frob = max(H.sgp.frobenius, 0)
-    universe = [n for n in H.sgp.elements_upto(bound + frob) if n > 0]
-    sig_window = signature_window(H, bound)
-    seen = {}
-    out = []
-
-    def add(ideal):
-        sig = frozenset(x for x in sig_window if ideal.contains(x))
-        key = (sig, ideal.contains(INF))
-        if key not in seen:
-            seen[key] = ideal
-            out.append(ideal)
-
-    add(RIdeal(r, ()))          # the zero ideal {0}
-    add(RIdeal(r, (H.one,)))    # the improper ideal H
-    for n in range(1, len(universe) + 1):
-        for comb in itertools.combinations(universe, n):
-            if min(comb) > bound:
-                continue
-            add(RIdeal(r, comb))
+    sgp = H.sgp
+    frob = max(sgp.frobenius, 0)
+    universe = [n for n in sgp.elements_upto(bound + frob) if n > 0]
+    out = [RIdeal(r, ()),        # the zero ideal {0}
+           RIdeal(r, (H.one,))]  # the improper ideal H
+    # an antichain with the index of its largest element in the universe
+    stack = [((n,), i) for i, n in enumerate(universe) if n <= bound]
+    while stack:
+        gens, i = stack.pop()
+        out.append(RIdeal(r, gens))
+        if len(out) > MAX_IDEALS:
+            raise UnsupportedRealization(
+                f"more than {MAX_IDEALS} ideals with minimum <= {bound}")
+        for j in range(i + 1, len(universe)):
+            y = universe[j]
+            if not any(sgp.contains(y - x) for x in gens):
+                stack.append((gens + (y,), j))
     out.sort(key=lambda I: tuple(sort_key(g) for g in I.generators))
     return out
 
@@ -281,8 +276,9 @@ def ultrafilter_limit_ideal(ideals, principal_at: RIdeal, window):
         u_y = [I for I in ideals if not I.contains(y)]
         return principal_at not in u_y  # principal ultrafilter evaluation
 
+    limit = [in_limit(y) for y in window]
     matches = [I for I in ideals
-               if all(in_limit(y) == I.contains(y) for y in window)]
+               if all(v == I.contains(y) for v, y in zip(limit, window))]
     if len(matches) != 1:
         raise AssertionError("limit ideal did not match a unique listed ideal")
     return matches[0]

@@ -11,11 +11,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
+from .errors import UnsupportedRealization
 from .numsgp import cached_semigroup
-
-
-class UnsupportedRealization(Exception):
-    """Raised when an operation is not available for the given carrier."""
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -186,7 +183,7 @@ def submonoid_1d(gens):
     return lambda x: x % g_all == 0 and sgp.contains(sign * x // g_all)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)
 def monoid_contains(gens: tuple, x: tuple) -> bool:
     """Exact membership of x in the submonoid of Z^d generated by `gens`.
 

@@ -1,10 +1,19 @@
 """Numerical semigroups: exact membership, gaps, Frobenius number, and
-enumeration of oversemigroups (finite, by gap-subset descent)."""
+enumeration of oversemigroups (finite, by a walk of the tree that adjoins
+special gaps, so its cost follows the number of oversemigroups)."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
+
+from .errors import UnsupportedRealization
+
+# Most entries of a reach table (one per integer up to the smallest times the
+# largest generator, plus one); every bundled input needs a few hundred.
+MAX_REACH = 100_000
+# Most oversemigroups `oversemigroups` lists before it gives up.
+MAX_OVERSEMIGROUPS = 10_000
 
 
 class NumericalSemigroup:
@@ -21,6 +30,11 @@ class NumericalSemigroup:
             raise ValueError("generators must have gcd 1")
         self.generators = tuple(gens)
         limit = gens[0] * gens[-1] + 1  # >= conductor
+        if limit + 1 > MAX_REACH:
+            raise UnsupportedRealization(
+                f"numerical semigroup too large: generators {gens[0]} and "
+                f"{gens[-1]} need a reach table of {limit + 1} entries, "
+                f"over the limit of {MAX_REACH}")
         reach = [False] * (limit + 1)
         reach[0] = True
         for i in range(1, limit + 1):
@@ -66,29 +80,39 @@ class NumericalSemigroup:
 
 
 def oversemigroups(sgp: NumericalSemigroup) -> list[NumericalSemigroup]:
-    """All numerical semigroups containing `sgp`, found by filling gap subsets
-    and keeping the closed ones.  Finite since the gap set is finite."""
-    gaps = sgp.gaps
-    if not gaps:
-        return [sgp]
+    """All numerical semigroups containing `sgp`, sorted by decreasing number
+    of gaps, then by gap tuple.
+
+    Walks the tree rooted at `sgp` in which the parent of T is T minus
+    m = min(T - sgp) (Rosales and Garcia-Sanchez, Numerical Semigroups,
+    2009).  Every element of T below m lies in `sgp`, so m is no sum of two
+    elements of T: it is a minimal generator and the parent is a semigroup.
+    The children of T adjoin one special gap g of T (2g and every g + t,
+    t in T nonzero, lie in T) below min(T - sgp), so each oversemigroup is
+    visited once.  Raises UnsupportedRealization past MAX_OVERSEMIGROUPS."""
     frob = sgp.frobenius
-    base = set(sgp.elements_upto(frob))
     out = []
-    for mask in range(1 << len(gaps)):
-        filled = {gaps[i] for i in range(len(gaps)) if mask >> i & 1}
-        elems = base | filled
-        small = sorted(e for e in elems if e > 0)
-        closed = all(
-            (a + b) > frob or (a + b) in elems for a in small for b in small if a <= b
-        )
-        if not closed:
-            continue
+    stack = [frozenset()]  # the gaps of `sgp` each node fills
+    while stack:
+        filled = stack.pop()
         out.append(NumericalSemigroup(sorted(set(sgp.generators) | filled)))
-    # dedupe (distinct masks give distinct gap sets, but be safe) and sort
-    uniq = sorted(set(out), key=lambda s: (-len(s.gaps), s.gaps))
-    return uniq
+        if len(out) > MAX_OVERSEMIGROUPS:
+            raise UnsupportedRealization(
+                f"{sgp} has more than {MAX_OVERSEMIGROUPS} oversemigroups")
+        members = {n for n in range(1, frob + 1)
+                   if n in filled or sgp.contains(n)}
+        top = min(filled, default=frob + 1)
+        for g in sgp.gaps:
+            if g >= top:
+                break
+            if ((2 * g > frob or 2 * g in members)
+                    and all(g + t > frob or g + t in members
+                            for t in members)):
+                stack.append(filled | {g})
+    out.sort(key=lambda s: (-len(s.gaps), s.gaps))
+    return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def cached_semigroup(generators: tuple) -> NumericalSemigroup:
     return NumericalSemigroup(generators)

@@ -8,9 +8,10 @@ from __future__ import annotations
 import itertools
 from math import gcd
 
+from .errors import UnsupportedRealization
 from .fintop import FiniteSpace, bipartite_dot, hasse_edges
 from .idealsys import enumerate_primes, s_system, spec_subbasis
-from .intgeom import UnsupportedRealization, dot
+from .intgeom import dot
 from .monoid import INF, Monoid, Overmonoid, fraction_ideal, localize, sort_key
 from .numsgp import oversemigroups
 from .report import Check

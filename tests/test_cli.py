@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import time
 
 import pytest
 
@@ -35,6 +36,11 @@ REPORT_SHA1 = {
     ("pronconst", "c3z"): "62686d69b9c9011be6d6fce7cc99fb37f3e575a5",
     ("main1", "c3z"): "eaca996a7f23cd70a34980ba32f9d5d9158f1fc1",
     ("prop2", "c3z"): "cafde56d0ca07c53873aafb5d93dd092af00d932",
+    # main1 and prop1 report their known window-limited FAILs (exit 1)
+    ("pronconst", "n469"): "2757b18ef50f41154acbf744344c066c80eaa204",
+    ("main1", "n579"): "8277bb57860d31ce9b97f300afc88b1b53acd54a",
+    ("prop1", "n71113"): "93cb8920cb49da67de84165164785497e4b44c22",
+    ("prop1", "n81113"): "8e31ddc3bf2675a54e528dcd8aa3da5899fc486b",
 }
 
 
@@ -122,6 +128,35 @@ def test_exit_code_3_on_unsupported_realization(capsys):
     code, _ = run(capsys, "verify", "--suite", "zar",
                   "--input", data("c3z.json"))
     assert code == 3
+
+
+def test_exit_code_3_past_the_semigroup_size_guard(tmp_path, capsys):
+    big = tmp_path / "big.json"
+    big.write_text('{"kind": "numerical", "generators": [1009, 1013]}')
+    code = main(["verify", "--suite", "spec", "--input", str(big)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("unsupported: numerical semigroup too large")
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_reports_on_larger_numerical_inputs(capsys):
+    for suite, name in (("pronconst", "n469"), ("main1", "n579"),
+                        ("prop1", "n71113"), ("prop1", "n81113")):
+        code, out = run(capsys, "verify", "--suite", suite,
+                        "--input", data(name + ".json"))
+        assert code in (0, 1), (suite, name, out)
+        assert sha1(out) == REPORT_SHA1[suite, name], (suite, name)
+
+
+def test_ideal_suites_finish_on_7_11_13(capsys):
+    # a generator-subset enumeration would try about 2^27 subsets here
+    for suite in ("ideals", "pronconst"):
+        start = time.perf_counter()
+        code, out = run(capsys, "verify", "--suite", suite,
+                        "--input", data("n71113.json"))
+        assert code == 0, (suite, out)
+        assert time.perf_counter() - start < 2.0, suite
 
 
 def test_json_report(capsys):

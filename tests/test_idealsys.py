@@ -1,7 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from monoid_spectra import idealsys
 from monoid_spectra.idealsys import (RIdeal, check_ideal_axioms,
                                      enumerate_ideals, enumerate_primes,
                                      finitary_of, ideal_space_subbasis,
@@ -9,7 +12,7 @@ from monoid_spectra.idealsys import (RIdeal, check_ideal_axioms,
                                      signature_window, spec_subbasis,
                                      ultrafilter_limit_ideal)
 from monoid_spectra.intgeom import UnsupportedRealization
-from monoid_spectra.monoid import INF, Monoid
+from monoid_spectra.monoid import INF, Monoid, sort_key
 
 
 def test_s_closure_matches_brute_force_numerical():
@@ -180,3 +183,67 @@ def test_ideal_space_separates_and_limits_are_principal():
     for I in ideals:
         lim = ultrafilter_limit_ideal(ideals, I, window)
         assert lim is I
+
+
+def brute_enumerate_ideals(H, r, bound):
+    """The reference enumerator for numerical H: every generator subset of
+    S cap [1, bound + Frobenius] with minimum <= bound, deduplicated by the
+    signature window, first hit kept."""
+    frob = max(H.sgp.frobenius, 0)
+    universe = [n for n in H.sgp.elements_upto(bound + frob) if n > 0]
+    sig_window = signature_window(H, bound)
+    seen = {}
+    out = []
+
+    def add(ideal):
+        sig = frozenset(x for x in sig_window if ideal.contains(x))
+        key = (sig, ideal.contains(INF))
+        if key not in seen:
+            seen[key] = ideal
+            out.append(ideal)
+
+    add(RIdeal(r, ()))
+    add(RIdeal(r, (H.one,)))
+    for n in range(1, len(universe) + 1):
+        for comb in itertools.combinations(universe, n):
+            if min(comb) > bound:
+                continue
+            add(RIdeal(r, comb))
+    out.sort(key=lambda I: tuple(sort_key(g) for g in I.generators))
+    return out
+
+
+def assert_matches_oracle(H, bound):
+    r = s_system(H)
+    assert ([repr(I) for I in enumerate_ideals(H, r, bound)]
+            == [repr(I) for I in brute_enumerate_ideals(H, r, bound)]), \
+        (H, bound)
+
+
+def numerical_monoids(max_conductor):
+    """Every numerical monoid with conductor <= max_conductor: a set of
+    elements below the conductor c plus the generators c, ..., 2c - 1."""
+    return st.integers(1, max_conductor).flatmap(lambda c: st.builds(
+        lambda below: Monoid.numerical(sorted(below) + list(range(c, 2 * c))),
+        st.sets(st.integers(1, c - 1) if c > 1 else st.nothing())))
+
+
+@settings(max_examples=60, deadline=None)
+@given(numerical_monoids(7), st.integers(0, 10))
+def test_enumerate_ideals_matches_subset_oracle(H, bound):
+    assert_matches_oracle(H, bound)
+
+
+def test_enumerate_ideals_of_larger_semigroups_match_the_oracle():
+    for gens, bound in [((4, 6, 9), 10), ((5, 7, 9), 6), ((3, 5, 7), 10)]:
+        assert_matches_oracle(Monoid.numerical(gens), bound)
+
+
+def test_enumerate_ideals_guard(monkeypatch):
+    H = Monoid.numerical([2, 3])
+    r = s_system(H)
+    count = len(enumerate_ideals(H, r, bound=6))
+    monkeypatch.setattr(idealsys, "MAX_IDEALS", count)
+    assert len(enumerate_ideals(H, r, bound=6)) == count
+    with pytest.raises(UnsupportedRealization):
+        enumerate_ideals(H, r, bound=7)

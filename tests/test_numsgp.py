@@ -1,7 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from monoid_spectra import numsgp
+from monoid_spectra.errors import UnsupportedRealization
 from monoid_spectra.numsgp import NumericalSemigroup, oversemigroups
 
 
@@ -108,3 +112,56 @@ def test_oversemigroup_count_matches_gap_subset_filter():
                    for a in pos for b in pos if a <= b):
                 count += 1
     assert count == len(oversemigroups(s))
+
+
+def brute_oversemigroups(sgp):
+    """The reference enumerator: fill every subset of the gap set and keep
+    the additively closed fills (2^gaps masks)."""
+    gaps = sgp.gaps
+    if not gaps:
+        return [sgp]
+    frob = sgp.frobenius
+    base = set(sgp.elements_upto(frob))
+    out = []
+    for mask in range(1 << len(gaps)):
+        filled = {gaps[i] for i in range(len(gaps)) if mask >> i & 1}
+        elems = base | filled
+        small = sorted(e for e in elems if e > 0)
+        closed = all(
+            (a + b) > frob or (a + b) in elems for a in small for b in small if a <= b
+        )
+        if not closed:
+            continue
+        out.append(NumericalSemigroup(sorted(set(sgp.generators) | filled)))
+    return sorted(set(out), key=lambda s: (-len(s.gaps), s.gaps))
+
+
+def small_semigroups(max_conductor):
+    """Every numerical semigroup with conductor <= max_conductor: a set of
+    elements below the conductor c plus the generators c, ..., 2c - 1."""
+    return st.integers(1, max_conductor).flatmap(lambda c: st.builds(
+        lambda below: NumericalSemigroup(sorted(below) + list(range(c, 2 * c))),
+        st.sets(st.integers(1, c - 1) if c > 1 else st.nothing())))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_semigroups(13))
+def test_oversemigroups_match_gap_subset_oracle(s):
+    assert ([repr(t) for t in oversemigroups(s)]
+            == [repr(t) for t in brute_oversemigroups(s)])
+
+
+def test_oversemigroups_of_larger_semigroups_match_the_oracle():
+    for gens in [(4, 6, 9), (5, 7, 9), (6, 7, 8, 9, 10), (7, 11, 13)]:
+        s = NumericalSemigroup(gens)
+        assert ([repr(t) for t in oversemigroups(s)]
+                == [repr(t) for t in brute_oversemigroups(s)]), gens
+
+
+def test_size_guards(monkeypatch):
+    with pytest.raises(UnsupportedRealization):
+        NumericalSemigroup((1009, 1013))
+    monkeypatch.setattr(numsgp, "MAX_OVERSEMIGROUPS", 3)
+    assert len(oversemigroups(NumericalSemigroup((3, 4, 5)))) == 3
+    with pytest.raises(UnsupportedRealization):
+        oversemigroups(NumericalSemigroup((3, 5)))  # has 5
