@@ -24,7 +24,7 @@ from .modsys import (DeltaFamily, SystemSpace, check_family, check_id2,
                      extract_finite_witness, falsify_finitary,
                      family_from_file, embedding_checks, iota, is_finitary,
                      meet, meet_finite_witness, r_delta, small_sample,
-                     ultrafilter_limit_system, witness_pool)
+                     ultrafilter_limit_systems, witness_pool)
 from .monoid import INF, ParseError, as_overmonoid, localize, monoid_from_file
 from .report import Check, SuiteReport
 from .valuation import (b_complement_law, delta, delta_dot, delta_laws,
@@ -321,8 +321,7 @@ def suite_main1(H, bound, seed):
     probes = [(rng.choice(pool), rng.choice(g_window)) for _ in range(200)]
     witness = None
     count = 0
-    for i, r in enumerate(systems):
-        limit = ultrafilter_limit_system(systems, i)
+    for r, limit in zip(systems, ultrafilter_limit_systems(systems)):
         for S, g in probes:
             count += 1
             if limit.member(S, g) != r.member(S, g):

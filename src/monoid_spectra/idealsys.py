@@ -4,38 +4,28 @@ non-primality witness sets O_{a,b} and principal-ultrafilter limit ideals."""
 
 from __future__ import annotations
 
-import itertools
 import random
 
 from .errors import UnsupportedRealization
 from .fintop import FiniteSpace
-from .intgeom import cone_shape_2d, faces_2d
+from .intgeom import faces_2d
+from .modsys import ModuleSystem, _sample_subsets, _verdicts, _Window
 from .monoid import INF, Monoid, sort_key
-from .report import Check
 
 # Most ideals `enumerate_ideals` lists before it gives up.
 MAX_IDEALS = 10_000
 
 
-class IdealSystem:
-    """Closure operator on subsets of H given by an oracle on finite subsets.
+class IdealSystem(ModuleSystem):
+    """Closure operator on subsets of H given by an oracle on finite subsets:
+    a module system on the groupoid of H that carries H.
 
     ``closure(X)`` takes a frozenset of elements of H and returns an exact
     membership predicate for X_r."""
 
-    def __init__(self, name, H: Monoid, closure, *, finitary=True,
-                 laws_verified=False):
-        self.name = name
+    def __init__(self, name, H: Monoid, closure):
+        super().__init__(name, H.context, closure)
         self.H = H
-        self._closure = closure
-        self.finitary = finitary
-        self.laws_verified = laws_verified
-
-    def closure(self, X):
-        return self._closure(frozenset(X))
-
-    def member(self, X, g) -> bool:
-        return self.closure(X)(g)
 
 
 def s_system(H: Monoid) -> IdealSystem:
@@ -60,25 +50,7 @@ def s_system(H: Monoid) -> IdealSystem:
 
         return member
 
-    return IdealSystem("s", H, closure, finitary=True, laws_verified=True)
-
-
-def finitary_of(r: IdealSystem) -> IdealSystem:
-    """The finitary companion: closure of finite X is the union of closures of
-    its subsets (idempotent on already-finitary systems)."""
-
-    def closure(X):
-        xs = tuple(sorted(X, key=sort_key))
-        subsets = [frozenset(c) for n in range(len(xs) + 1)
-                   for c in itertools.combinations(xs, n)]
-        preds = [r.closure(E) for E in subsets]
-
-        def member(g):
-            return any(p(g) for p in preds)
-
-        return member
-
-    return IdealSystem(f"{r.name}_fin", r.H, closure, finitary=True)
+    return IdealSystem("s", H, closure)
 
 
 class RIdeal:
@@ -292,21 +264,13 @@ def check_ideal_axioms(r: IdealSystem, H: Monoid, bound: int = 10,
     """Per-axiom verdicts for Id1-Id4 with counterexamples on failure.
 
     Exhaustive over all subsets of the window universe up to
-    ``max_subset_size`` when that universe has at most 12 elements, sampled
+    ``max_subset_size`` when that universe has at most 13 elements, sampled
     (seeded) otherwise."""
     ctx = H.context
     universe = [g for g in ctx.window(bound) if H.contains(g)]
-    exhaustive = len(universe) <= 13
-    if exhaustive:
-        subsets = [frozenset(c) for n in range(max_subset_size + 1)
-                   for c in itertools.combinations(universe, n)]
-    else:
-        rng = random.Random(seed)
-        subsets = [frozenset()]
-        for _ in range(sample_budget):
-            n = rng.randint(1, max_subset_size)
-            subsets.append(frozenset(rng.sample(universe, min(n, len(universe)))))
-        subsets = list(dict.fromkeys(subsets))
+    subsets, exhaustive = _sample_subsets(
+        universe, exhaustive_limit=13, max_subset_size=max_subset_size,
+        sample_budget=sample_budget, seed=seed)
     if exhaustive:
         id2_subsets, id3_subsets = subsets, subsets
         id3_scalars, id3_points = universe, universe
@@ -317,83 +281,22 @@ def check_ideal_axioms(r: IdealSystem, H: Monoid, bound: int = 10,
         id3_subsets = subsets[:40]
         id3_scalars = rng.sample(universe, min(12, len(universe)))
         id3_points = rng.sample(universe, min(40, len(universe)))
-    checks = []
+    w = _Window(r, universe)
 
-    # Id1: X u {0} subset of X_r
-    witness = None
-    count = 0
-    for X in subsets:
-        pred = r.closure(X)
-        count += 1
-        for g in list(X) + [ctx.zero]:
-            if not pred(g):
-                witness = {"X": sorted(map(repr, X)), "g": repr(g)}
-                break
-        if witness:
-            break
-    checks.append(Check("Id1", witness is None, witness=witness,
-                        exhaustive=exhaustive, n=count))
+    # Id2: X subset of Y_r implies X_r subset of Y_r
+    id2 = ((w.mask(X), w.mask(Y), (("X", X), ("Y", Y)))
+           for X in id2_subsets for Y in id2_subsets
+           if not w.of(X) & ~w.mask(Y))
 
-    # Id2: X subset of Y_r implies X_r subset of Y_r (inclusion on the window)
-    witness = None
-    count = 0
-    for X in id2_subsets:
-        x_pred = None
-        for Y in id2_subsets:
-            y_pred = r.closure(Y)
-            if not all(y_pred(x) for x in X):
-                continue
-            count += 1
-            if x_pred is None:
-                x_pred = r.closure(X)
-            bad = next((g for g in universe
-                        if x_pred(g) and not y_pred(g)), None)
-            if bad is not None:
-                witness = {"X": sorted(map(repr, X)), "Y": sorted(map(repr, Y)),
-                           "g": repr(bad)}
-                break
-        if witness:
-            break
-    checks.append(Check("Id2", witness is None, witness=witness,
-                        exhaustive=exhaustive, n=count))
+    def id4():
+        """Id4: cH subset of {c}_r."""
+        for n, c in enumerate(universe, 1):
+            member = w.reader(frozenset([c]))
+            h = next((h for h in universe if not member(ctx.op(c, h))), None)
+            if h is not None:
+                return n, {"c": repr(c), "h": repr(h)}
+        return len(universe), None
 
-    # Id3: c*X_r == (cX)_r pointwise on the window.  X_r always contains 0,
-    # so 0*X_r = {0}; for nonzero c multiplication is invertible in G.
-    witness = None
-    count = 0
-    for X in id3_subsets:
-        pred = r.closure(X)
-        for c in id3_scalars:
-            count += 1
-            c_zero = (c is INF or c == ctx.zero)
-            rhs_pred = r.closure(frozenset(ctx.op(c, x) for x in X))
-            for g in id3_points:
-                if c_zero:
-                    lhs = (g is INF or g == ctx.zero)
-                else:
-                    lhs = pred(ctx.op(ctx.inv(c), g))
-                if lhs != rhs_pred(g):
-                    witness = {"X": sorted(map(repr, X)), "c": repr(c), "g": repr(g)}
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    checks.append(Check("Id3", witness is None, witness=witness,
-                        exhaustive=exhaustive, n=count))
-
-    # Id4: cH subset of {c}_r on the window
-    witness = None
-    count = 0
-    for c in universe:
-        pred = r.closure(frozenset([c]))
-        count += 1
-        for h in universe:
-            if not pred(ctx.op(c, h)):
-                witness = {"c": repr(c), "h": repr(h)}
-                break
-        if witness:
-            break
-    checks.append(Check("Id4", witness is None, witness=witness,
-                        exhaustive=exhaustive, n=count))
-    return checks
+    return _verdicts([("Id1", w.id1(subsets, "X")), ("Id2", w.escape(id2)),
+                      ("Id3", w.id3(id3_subsets, id3_scalars, id3_points, "X")),
+                      ("Id4", id4())], exhaustive)

@@ -23,12 +23,11 @@ class ModuleSystem:
     the finitariness falsifier can reach the symbolic description."""
 
     def __init__(self, name, context, closure, *, finitary=None,
-                 idempotent=None, family=None):
+                 family=None):
         self.name = name
         self.context = context
         self._closure = closure
         self.finitary = finitary
-        self.idempotent = idempotent
         self.family = family
 
     def closure(self, A):
@@ -38,7 +37,7 @@ class ModuleSystem:
         return self.closure(A)(g)
 
     def __repr__(self):
-        return f"ModuleSystem({self.name})"
+        return f"{type(self).__name__}({self.name})"
 
 
 def small_sample(rng, pool):
@@ -71,8 +70,7 @@ def example16(H: Monoid) -> ModuleSystem:
 
         return member
 
-    return ModuleSystem("example16", ctx, closure, finitary=True,
-                        idempotent=False)
+    return ModuleSystem("example16", ctx, closure, finitary=True)
 
 
 class DeltaFamily:
@@ -149,8 +147,8 @@ def r_delta(delta: DeltaFamily, ctx, truncate=None) -> ModuleSystem:
         return member
 
     name = f"r_{delta.name}" + ("" if exact else f"|k<={len(mems)}")
-    return ModuleSystem(name, ctx, closure, idempotent=True,
-                        finitary=delta.finite or None, family=delta)
+    return ModuleSystem(name, ctx, closure, finitary=delta.finite or None,
+                        family=delta)
 
 
 def iota(S: Overmonoid, name=None) -> ModuleSystem:
@@ -186,8 +184,7 @@ def phi(r: ModuleSystem) -> ModuleSystem:
 
     def closure(A):
         xs = tuple(sorted(A, key=sort_key))
-        preds = [r.closure(frozenset(c)) for n in range(len(xs) + 1)
-                 for c in itertools.combinations(xs, n)]
+        preds = [r.closure(E) for E in _subsets(xs, range(len(xs) + 1))]
 
         def member(g):
             return any(p(g) for p in preds)
@@ -199,18 +196,116 @@ def phi(r: ModuleSystem) -> ModuleSystem:
 
 # -- axiom checking ----------------------------------------------------------
 
+def _subsets(xs, sizes):
+    return [frozenset(c) for n in sizes for c in itertools.combinations(xs, n)]
+
+
 def _sample_subsets(universe, *, exhaustive_limit=12, max_subset_size=3,
                     sample_budget=300, seed=0):
+    """All subsets of up to `max_subset_size` points of a universe of at most
+    `exhaustive_limit` points; otherwise the empty set and `sample_budget`
+    seeded draws, without repeats."""
     if len(universe) <= exhaustive_limit:
-        subs = [frozenset(c) for n in range(max_subset_size + 1)
-                for c in itertools.combinations(universe, n)]
-        return subs, True
+        return _subsets(universe, range(max_subset_size + 1)), True
     rng = random.Random(seed)
     subs = [frozenset()]
     for _ in range(sample_budget):
         n = rng.randint(1, max_subset_size)
         subs.append(frozenset(rng.sample(universe, min(n, len(universe)))))
     return list(dict.fromkeys(subs)), False
+
+
+def _names(A):
+    return sorted(map(repr, A))
+
+
+class _Window:
+    """The closures of one system on a window, each read once as an int
+    bitmask (bit i <-> universe[i]), as in ``fintop.FiniteSpace``.  The masks
+    live as long as one checker call; points that leave the window go through
+    the exact predicate."""
+
+    def __init__(self, r, universe):
+        self.r = r
+        self.universe = universe
+        self.bit = {g: 1 << i for i, g in enumerate(universe)}
+        self._masks, self._sets = {}, {}
+
+    def mask(self, A):
+        """A_r on the window."""
+        m = self._masks.get(A)
+        if m is None:
+            pred = self.r.closure(A)
+            m = self._masks[A] = sum(b for g, b in self.bit.items() if pred(g))
+        return m
+
+    def of(self, X):
+        """The window set X itself."""
+        m = self._sets.get(X)
+        if m is None:
+            m = self._sets[X] = sum(self.bit[g] for g in X)
+        return m
+
+    def reader(self, A):
+        """Exact membership in A_r: window points from the mask, other points
+        through the predicate, remembered while A is scanned."""
+        m, bit, pred, off = self.mask(A), self.bit, self.r.closure(A), {}
+
+        def member(g):
+            b = bit.get(g)
+            if b is not None:
+                return m & b != 0
+            if g not in off:
+                off[g] = pred(g)
+            return off[g]
+
+        return member
+
+    def escape(self, pairs):
+        """The inclusion scan: the first of the (inner, outer, named sets)
+        with a window point of `inner` outside `outer`, that point being the
+        first in window order.  Returns (pairs scanned, witness or None)."""
+        n = 0
+        for n, (inner, outer, named) in enumerate(pairs, 1):
+            bad = inner & ~outer
+            if bad:
+                g = self.universe[(bad & -bad).bit_length() - 1]
+                return n, {**{k: _names(A) for k, A in named}, "g": repr(g)}
+        return n, None
+
+    def id1(self, subsets, key):
+        """Id1: A u {0} inside A_r."""
+        zero = self.r.context.zero
+        for n, A in enumerate(subsets, 1):
+            m = self.mask(A)
+            g = next((g for g in [*A, zero] if not m & self.bit[g]), None)
+            if g is not None:
+                return n, {key: _names(A), "g": repr(g)}
+        return len(subsets), None
+
+    def id3(self, subsets, scalars, points, key):
+        """Id3: c A_r = (cA)_r at the points, with the left side read
+        literally: {0} for c = 0, otherwise c^{-1} g in A_r."""
+        ctx = self.r.context
+        n = 0
+        for A in subsets:
+            member = self.reader(A)
+            for c in scalars:
+                n += 1
+                rhs = self.r.closure(frozenset(ctx.op(c, a) for a in A))
+                c_inv = None if c == ctx.zero else ctx.inv(c)
+                for g in points:
+                    lhs = (g == ctx.zero if c_inv is None
+                           else member(ctx.op(c_inv, g)))
+                    if lhs != rhs(g):
+                        return n, {key: _names(A), "c": repr(c), "g": repr(g)}
+        return n, None
+
+
+def _verdicts(scans, exhaustive):
+    return [Check(name, witness is None, witness=witness,
+                  exhaustive=exhaustive, n=n)
+            for name, (n, witness) in scans]
 
 
 def check_module_axioms(r: ModuleSystem, H, bound: int = 4,
@@ -220,133 +315,60 @@ def check_module_axioms(r: ModuleSystem, H, bound: int = 4,
     G-window (not only H), since module systems act on the groupoid."""
     ctx = r.context
     universe = ctx.window(bound)
-    h_members = [g for g in universe if H.contains(g)
-                 and g is not INF and g != ctx.zero]
-    nonzero = [g for g in universe if g is not INF and g != ctx.zero]
+    nonzero = [g for g in universe if g != ctx.zero]
+    h_members = [g for g in nonzero if H.contains(g)]
     subsets, exhaustive = _sample_subsets(
         universe, max_subset_size=max_subset_size,
         sample_budget=sample_budget, seed=seed)
     if exhaustive:
-        id3_subsets, id3_scalars, id3_points = subsets, nonzero, universe
-        m4_scalars = h_members
+        id3_subsets, scalars, points, m4_scalars = (subsets, nonzero, universe,
+                                                    h_members)
     else:
         # cap the cubic Id3 scan and the M4 translator set on big windows
         rng = random.Random(seed + 1)
+
+        def pick(pool, k):
+            return sorted(rng.sample(pool, min(k, len(pool))), key=sort_key)
+
         id3_subsets = subsets[:40]
-        id3_scalars = sorted(rng.sample(nonzero, min(12, len(nonzero))),
-                             key=sort_key)
-        id3_points = sorted(rng.sample(universe, min(40, len(universe))),
-                            key=sort_key)
-        m4_scalars = sorted(rng.sample(h_members, min(12, len(h_members))),
-                            key=sort_key) if h_members else []
-    checks = []
+        scalars, points = pick(nonzero, 12), pick(universe, 40)
+        m4_scalars = pick(h_members, 12)
+    w = _Window(r, universe)
 
-    # Id1: A u {0} subset of A_r
-    witness = None
-    count = 0
-    for A in subsets:
-        pred = r.closure(A)
-        count += 1
-        for g in list(A) + [ctx.zero]:
-            if not pred(g):
-                witness = {"A": sorted(map(repr, A)), "g": repr(g)}
-                break
-        if witness:
-            break
-    checks.append(Check("Id1", witness is None, witness=witness,
-                        exhaustive=exhaustive, n=count))
+    # M2: A subset of B implies A_r subset of B_r
+    m2 = ((w.mask(A), w.mask(B), (("A", A), ("B", B)))
+          for A in subsets for B in subsets if A < B)
 
-    # M2: A subset of B implies A_r subset of B_r on the window
-    witness = None
-    count = 0
-    for A in subsets:
-        pred_a = r.closure(A)
-        for B in subsets:
-            if not A <= B or A == B:
-                continue
-            count += 1
-            pred_b = r.closure(B)
-            bad = next((g for g in universe if pred_a(g) and not pred_b(g)), None)
-            if bad is not None:
-                witness = {"A": sorted(map(repr, A)), "B": sorted(map(repr, B)),
-                           "g": repr(bad)}
-                break
-        if witness:
-            break
-    checks.append(Check("M2", witness is None, witness=witness,
-                        exhaustive=exhaustive, n=count))
+    def m4():
+        """M4: H A_r = A_r; the inclusion A_r subset of H A_r is free."""
+        for n, A in enumerate(subsets, 1):
+            member = w.reader(A)
+            for g in filter(member, points):
+                h = next((h for h in m4_scalars
+                          if not member(ctx.op(h, g))), None)
+                if h is not None:
+                    return n, {"A": _names(A), "h": repr(h), "g": repr(g)}
+        return len(subsets), None
 
-    # Id3: c A_r = (cA)_r for nonzero c; multiplication by c is invertible
-    witness = None
-    count = 0
-    for A in id3_subsets:
-        pred = r.closure(A)
-        for c in id3_scalars:
-            count += 1
-            rhs = r.closure(frozenset(ctx.op(c, a) for a in A))
-            for g in id3_points:
-                lhs = (g is INF or g == ctx.zero) or pred(ctx.op(ctx.inv(c), g))
-                if lhs != rhs(g):
-                    witness = {"A": sorted(map(repr, A)), "c": repr(c),
-                               "g": repr(g)}
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    checks.append(Check("Id3", witness is None, witness=witness,
-                        exhaustive=exhaustive, n=count))
-
-    # M4: H A_r = A_r; the inclusion A_r subset of H A_r is free since 1 in H
-    witness = None
-    count = 0
-    for A in subsets:
-        pred = r.closure(A)
-        count += 1
-        for g in (universe if exhaustive else id3_points):
-            if not pred(g):
-                continue
-            for h in m4_scalars:
-                if not pred(ctx.op(h, g)):
-                    witness = {"A": sorted(map(repr, A)), "h": repr(h),
-                               "g": repr(g)}
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    checks.append(Check("M4", witness is None, witness=witness,
-                        exhaustive=exhaustive, n=count))
-    return checks
+    return _verdicts([("Id1", w.id1(subsets, "A")), ("M2", w.escape(m2)),
+                      ("Id3", w.id3(id3_subsets, scalars, points, "A")),
+                      ("M4", m4())], exhaustive)
 
 
 def check_id2(r: ModuleSystem, bound: int = 4, sample_budget: int = 200,
               seed: int = 0, max_subset_size: int = 2):
     """Id2: A subset of B_r implies A_r subset of B_r.  Returns the verdict
     with a counterexample when it fails."""
-    ctx = r.context
-    universe = ctx.window(bound)
+    universe = r.context.window(bound)
     subsets, exhaustive = _sample_subsets(
         universe, max_subset_size=max_subset_size,
         sample_budget=sample_budget, seed=seed)
-    witness = None
-    count = 0
-    for B in subsets:
-        pred_b = r.closure(B)
-        for A in subsets:
-            if not all(pred_b(a) for a in A):
-                continue
-            count += 1
-            pred_a = r.closure(A)
-            bad = next((g for g in universe if pred_a(g) and not pred_b(g)), None)
-            if bad is not None:
-                witness = {"A": sorted(map(repr, A)), "B": sorted(map(repr, B)),
-                           "g": repr(bad)}
-                break
-        if witness:
-            break
+    w = _Window(r, universe)
+    n, witness = w.escape((w.mask(A), w.mask(B), (("A", A), ("B", B)))
+                          for B in subsets for A in subsets
+                          if not w.of(A) & ~w.mask(B))
     return Check("Id2", witness is None, witness=witness,
-                 exhaustive=exhaustive, n=count)
+                 exhaustive=exhaustive, n=n)
 
 
 def check_idempotent(r: ModuleSystem, bound: int = 4, sample_budget: int = 200,
@@ -355,24 +377,21 @@ def check_idempotent(r: ModuleSystem, bound: int = 4, sample_budget: int = 200,
     subset of A_r, so its closure sits inside (A_r)_r; any point of it outside
     A_r is an honest counterexample, and agreement on all samples is reported
     as a bounded pass."""
-    ctx = r.context
-    universe = ctx.window(bound)
-    subsets, exhaustive = _sample_subsets(
+    universe = r.context.window(bound)
+    subsets, _ = _sample_subsets(
         universe, max_subset_size=max_subset_size,
         sample_budget=sample_budget, seed=seed)
-    witness = None
-    count = 0
-    for A in subsets:
-        pred = r.closure(A)
-        slice_ = frozenset(g for g in universe if pred(g))
-        pred2 = r.closure(slice_)
-        count += 1
-        bad = next((g for g in universe if pred2(g) and not pred(g)), None)
-        if bad is not None:
-            witness = {"A": sorted(map(repr, A)), "g": repr(bad)}
-            break
+    w = _Window(r, universe)
+
+    def pairs():
+        for A in subsets:
+            m = w.mask(A)
+            slice_ = frozenset(g for g in universe if m & w.bit[g])
+            yield w.mask(slice_), m, (("A", A),)
+
+    n, witness = w.escape(pairs())
     return Check("idempotent", witness is None, witness=witness,
-                 exhaustive=False, n=count, bound=bound,
+                 exhaustive=False, n=n, bound=bound,
                  detail="window slice approximation")
 
 
@@ -385,23 +404,25 @@ def is_finitary(r: ModuleSystem, bound: int = 4, sample_budget: int = 200,
     universe = ctx.window(bound)
     subsets, _ = _sample_subsets(universe, sample_budget=sample_budget,
                                  seed=seed)
-    fin = phi(r)
-    count = 0
-    for A in subsets:
-        pred = r.closure(A)
-        pred_f = fin.closure(A)
-        count += 1
-        bad = next((g for g in universe if pred(g) != pred_f(g)), None)
-        if bad is not None:
-            return Check("finitary", False,
-                         witness={"A": sorted(map(repr, A)), "g": repr(bad)},
-                         exhaustive=False, n=count, bound=bound)
+    w = _Window(r, universe)
+
+    def pairs():
+        for A in subsets:
+            phi_mask = 0  # phi(r) on A: the union over the subsets of A
+            for E in _subsets(A, range(len(A) + 1)):
+                phi_mask |= w.mask(E)
+            yield phi_mask, w.mask(A), (("A", A),)
+
+    n, witness = w.escape(pairs())
+    if witness is not None:
+        return Check("finitary", False, witness=witness, exhaustive=False,
+                     n=n, bound=bound)
     if r.family is not None and not r.family.finite:
         found = falsify_finitary(r.family, ctx, kmax)
         if found is not None:
             return Check("finitary", False, witness=found,
-                         exhaustive=False, n=count, bound=kmax)
-    return Check("finitary", True, exhaustive=False, n=count, bound=bound)
+                         exhaustive=False, n=n, bound=kmax)
+    return Check("finitary", True, exhaustive=False, n=n, bound=bound)
 
 
 # -- the system space --------------------------------------------------------
@@ -421,14 +442,12 @@ def witness_pool(ctx, bound: int = 4, seed: int = 0, n_random: int = 100,
     size <= 2 plus seeded random subsets of size <= max_random."""
     window = ctx.window(bound)
     if not include_zero:
-        window = [g for g in window if g is not INF and g != ctx.zero]
-    pool = [frozenset(c) for n in (1, 2)
-            for c in itertools.combinations(window, n)]
-    rng = random.Random(seed)
-    for _ in range(n_random):
-        n = rng.randint(1, max_random)
-        pool.append(frozenset(rng.sample(window, min(n, len(window)))))
-    return list(dict.fromkeys(pool))
+        window = [g for g in window if g != ctx.zero]
+    # an exhaustive limit of -1 draws on every window, however small
+    drawn, _ = _sample_subsets(window, exhaustive_limit=-1,
+                               max_subset_size=max_random,
+                               sample_budget=n_random, seed=seed)
+    return list(dict.fromkeys(_subsets(window, (1, 2)) + drawn[1:]))
 
 
 class SystemSpace:
@@ -465,20 +484,28 @@ class SystemSpace:
         return out
 
 
-def ultrafilter_limit_system(systems, principal_index: int) -> ModuleSystem:
-    """S -> {g : U_{S,g} in the ultrafilter}, evaluated literally over the
-    carrier for the principal ultrafilter at the given member."""
+def ultrafilter_limit_systems(systems) -> list:
+    """For each member of a finite carrier, S -> {g : U_{S,g} in the
+    ultrafilter} at the principal ultrafilter of that member, evaluated
+    literally.  Each U_{S,g} is evaluated over the carrier once and shared by
+    all the limits, for as long as they live."""
     systems = list(systems)
-    r0 = systems[principal_index]
+    large = {}
 
-    def closure(A):
-        def member(g):
-            large = [i for i, r in enumerate(systems) if r.member(A, g)]
-            return principal_index in large
+    def u(A, g):
+        if (A, g) not in large:
+            large[A, g] = frozenset(i for i, r in enumerate(systems)
+                                    if r.member(A, g))
+        return large[A, g]
 
-        return member
+    return [ModuleSystem(f"limit@{r.name}", r.context,
+                         lambda A, i=i: lambda g: i in u(A, g))
+            for i, r in enumerate(systems)]
 
-    return ModuleSystem(f"limit@{r0.name}", r0.context, closure)
+
+def ultrafilter_limit_system(systems, principal_index: int) -> ModuleSystem:
+    """The limit system at the principal ultrafilter of one member."""
+    return ultrafilter_limit_systems(systems)[principal_index]
 
 
 # -- finite witnesses and the finitariness falsifier -------------------------
@@ -542,14 +569,8 @@ def meet_finite_witness(systems, A, x):
     for r in systems:
         if r.finitary is False:
             raise ValueError(f"{r.name} is not finitary")
-        found = None
-        for n in range(len(xs) + 1):
-            for comb in itertools.combinations(xs, n):
-                if r.member(frozenset(comb), x):
-                    found = comb
-                    break
-            if found is not None:
-                break
+        found = next((E for E in _subsets(xs, range(len(xs) + 1))
+                      if r.member(E, x)), None)
         if found is None:
             raise ValueError("x is not in the closure of A")
         union.update(found)
@@ -586,15 +607,14 @@ def embedding_checks(overmonoids, ctx, bound: int = 4, seed: int = 0,
                         exhaustive=False, n=count, bound=bound))
 
     witness = None
-    if witness is None:
-        reprs = []
-        for r in systems:
-            pred = r.closure(frozenset([ctx.one]))
-            reprs.append(frozenset(g for g in window if pred(g)))
-        if len(set(reprs)) != len(reprs):
-            i = next(i for i in range(len(reprs)) for j in range(i)
-                     if reprs[i] == reprs[j])
-            witness = {"S": repr(overmonoids[i])}
+    reprs = []
+    for r in systems:
+        pred = r.closure(frozenset([ctx.one]))
+        reprs.append(frozenset(g for g in window if pred(g)))
+    if len(set(reprs)) != len(reprs):
+        i = next(i for i in range(len(reprs)) for j in range(i)
+                 if reprs[i] == reprs[j])
+        witness = {"S": repr(overmonoids[i])}
     checks.append(Check("iota-injective", witness is None, witness=witness,
                         exhaustive=False, n=len(systems), bound=bound))
 
@@ -699,38 +719,28 @@ def check_family(delta: DeltaFamily, ctx, bound: int = 4, kmax: int = 6):
     """Pointwise recheck of a parameterized family's declarations: members
     decrease along the index and the declared limit sits inside every
     member."""
-    checks = []
     if delta.finite:
-        return checks
+        return []
     window = [g for g in ctx.window(bound) if g is not INF]
-    witness = None
-    count = 0
-    if delta.monotone == "decreasing":
-        for k in range(1, kmax):
-            S_k, S_next = delta.member(k), delta.member(k + 1)
-            for g in window:
-                count += 1
-                if S_next.contains(g) and not S_k.contains(g):
-                    witness = {"k": k, "g": repr(g)}
-                    break
-            if witness:
-                break
-        checks.append(Check("family-decreasing", witness is None,
-                            witness=witness, exhaustive=False, n=count,
-                            bound=bound))
-    if delta.limit is not None:
-        witness = None
+
+    def inside(name, pairs):
+        """Each (k, inner, outer) has inner inside outer on the window."""
         count = 0
-        for k in range(1, kmax + 1):
-            S_k = delta.member(k)
+        for k, inner, outer in pairs:
             for g in window:
                 count += 1
-                if delta.limit.contains(g) and not S_k.contains(g):
-                    witness = {"k": k, "g": repr(g)}
-                    break
-            if witness:
-                break
-        checks.append(Check("family-limit-lower-bound", witness is None,
-                            witness=witness, exhaustive=False, n=count,
-                            bound=bound))
+                if inner.contains(g) and not outer.contains(g):
+                    return Check(name, False, witness={"k": k, "g": repr(g)},
+                                 exhaustive=False, n=count, bound=bound)
+        return Check(name, True, exhaustive=False, n=count, bound=bound)
+
+    checks = []
+    if delta.monotone == "decreasing":
+        checks.append(inside("family-decreasing",
+                             ((k, delta.member(k + 1), delta.member(k))
+                              for k in range(1, kmax))))
+    if delta.limit is not None:
+        checks.append(inside("family-limit-lower-bound",
+                             ((k, delta.limit, delta.member(k))
+                              for k in range(1, kmax + 1))))
     return checks

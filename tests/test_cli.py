@@ -43,6 +43,22 @@ REPORT_SHA1 = {
     ("prop1", "n81113"): "8e31ddc3bf2675a54e528dcd8aa3da5899fc486b",
 }
 
+# SHA-1 of the JSON report, which also carries the counts and the exhaustive
+# flag of FAIL verdicts that the text report leaves out
+REPORT_JSON_SHA1 = {
+    ("axioms", "n23"): "5776fe879d8f9f63fe5242a389ee498807d8da25",
+    ("main1", "n23"): "d6d93af7e10241b7ea395559ce146900b0cefffd",
+    ("corollaries", "n23"): "191899bb4041bacf7a07caf28e830d2684eefb9a",
+    ("axioms", "n2"): "b971616291872bd9322a55c8fafd6ed509ea0b25",
+    ("main1", "n2"): "65e8a9b9420ff5ab02b30c28fb0889a7fafe3472",
+    ("corollaries", "n2"): "23ab5f5271337a36768ebaaa14389571a04bffa0",
+    ("axioms", "c3z"): "61bf8fb44f6a5f91fbdd29c4acaa541b32706eeb",
+    ("main1", "c3z"): "8abe4583072cc853435cb4618161e8a88f29fe70",
+    ("corollaries", "c3z"): "f82b44078d89958bca9c59c3a1d77b8cbb5d3a8f",
+    # the known window-limited FAIL (exit 1)
+    ("main1", "n579"): "e9c6624679ab4994e48b93ad950bdcc9dc1a9924",
+}
+
 
 def data(name):
     return os.path.join(DATA, name)
@@ -147,6 +163,14 @@ def test_reports_on_larger_numerical_inputs(capsys):
                         "--input", data(name + ".json"))
         assert code in (0, 1), (suite, name, out)
         assert sha1(out) == REPORT_SHA1[suite, name], (suite, name)
+
+
+def test_json_reports(capsys):
+    for (suite, name), digest in REPORT_JSON_SHA1.items():
+        code, out = run(capsys, "verify", "--suite", suite,
+                        "--input", data(name + ".json"), "--json")
+        assert code == (1 if name == "n579" else 0), (suite, name)
+        assert sha1(out) == digest, (suite, name)
 
 
 def test_ideal_suites_finish_on_7_11_13(capsys):

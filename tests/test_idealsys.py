@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from monoid_spectra import idealsys
 from monoid_spectra.idealsys import (RIdeal, check_ideal_axioms,
                                      enumerate_ideals, enumerate_primes,
-                                     finitary_of, ideal_space_subbasis,
+                                     ideal_space_subbasis,
                                      is_prime, o_set, s_system,
                                      signature_window, spec_subbasis,
                                      ultrafilter_limit_ideal)
 from monoid_spectra.intgeom import UnsupportedRealization
+from monoid_spectra.modsys import phi
 from monoid_spectra.monoid import INF, Monoid, sort_key
 
 
@@ -72,7 +73,7 @@ def test_axioms_catch_a_broken_system():
 def test_finitary_companion_agrees_on_finite_sets():
     H = Monoid.numerical([2, 3])
     r = s_system(H)
-    rf = finitary_of(r)
+    rf = phi(r)
     for X in [frozenset(), frozenset({2}), frozenset({2, 3})]:
         p, q = r.closure(X), rf.closure(X)
         for g in list(range(0, 12)) + [INF]:
