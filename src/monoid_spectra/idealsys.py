@@ -9,7 +9,8 @@ import random
 from .errors import UnsupportedRealization
 from .fintop import FiniteSpace
 from .intgeom import faces_2d
-from .modsys import ModuleSystem, _sample_subsets, _verdicts, _Window
+from .modsys import (ModuleSystem, _nonzero, _sample_subsets, _verdicts,
+                     _Window)
 from .monoid import INF, Monoid, sort_key
 
 # Most ideals `enumerate_ideals` lists before it gives up.
@@ -34,17 +35,15 @@ def s_system(H: Monoid) -> IdealSystem:
     zero = ctx.zero
 
     def closure(X):
-        xs = tuple(sorted(X, key=sort_key))
+        inverses = [ctx.inv(x) for x in _nonzero(ctx, X)]
 
         def member(g):
+            if not ctx.contains(g):
+                return False
             if g is INF or g == zero:
                 return True
-            if not xs:
-                return False
-            for x in xs:
-                if x is INF or x == zero:
-                    continue
-                if H.contains(ctx.op(ctx.inv(x), g)):
+            for b in inverses:
+                if H.has(ctx.op(b, g)):
                     return True
             return False
 

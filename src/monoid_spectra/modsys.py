@@ -18,9 +18,11 @@ from .report import Check
 class ModuleSystem:
     """Closure operator A -> A_r on finite subsets of G.
 
-    ``closure(A)`` takes a frozenset and returns an exact membership predicate
-    for A_r.  ``family`` is set when the system arose from a Delta family, so
-    the finitariness falsifier can reach the symbolic description."""
+    ``closure(A)`` takes a finite subset of G, checked here (CarrierMismatch
+    otherwise), and returns an exact membership predicate for A_r, which
+    answers False off the carrier.  ``family`` is set when the system arose
+    from a Delta family, so the finitariness falsifier can reach the symbolic
+    description."""
 
     def __init__(self, name, context, closure, *, finitary=None,
                  family=None):
@@ -31,7 +33,10 @@ class ModuleSystem:
         self.family = family
 
     def closure(self, A):
-        return self._closure(frozenset(A))
+        A = frozenset(A)
+        for a in A:
+            self.context.check(a)
+        return self._closure(A)
 
     def member(self, A, g) -> bool:
         return self.closure(A)(g)
@@ -59,14 +64,14 @@ def example16(H: Monoid) -> ModuleSystem:
 
     def closure(A):
         has_zero = any(a is INF or a == zero for a in A)
-        xs = _nonzero(ctx, A)
+        inverses = [ctx.inv(a) for a in _nonzero(ctx, A)]
 
         def member(g):
-            if has_zero:
-                return ctx.contains(g)
-            if g is INF or g == zero:
+            if not ctx.contains(g):
+                return False
+            if has_zero or g is INF or g == zero:
                 return True
-            return any(H.contains(ctx.op(ctx.inv(a), g)) for a in xs)
+            return any(H.has(ctx.op(b, g)) for b in inverses)
 
         return member
 
@@ -134,14 +139,16 @@ def r_delta(delta: DeltaFamily, ctx, truncate=None) -> ModuleSystem:
     zero = ctx.zero
 
     def closure(A):
-        xs = _nonzero(ctx, A)
+        inverses = [ctx.inv(a) for a in _nonzero(ctx, A)]
 
         def member(g):
+            if not ctx.contains(g):
+                return False
             if g is INF or g == zero:
                 return True
-            if not xs:
+            if not inverses:
                 return False
-            return all(any(S.contains(ctx.op(ctx.inv(a), g)) for a in xs)
+            return all(any(S.has(ctx.op(b, g)) for b in inverses)
                        for S in mems)
 
         return member
@@ -457,30 +464,38 @@ class SystemSpace:
     def __init__(self, systems, pool):
         self.systems = list(systems)
         self.pool = list(pool)
+        self._profiles = None
+
+    def profiles(self) -> list:
+        """For each system, the pool sets S with the system in U_S as an int
+        bitmask (bit k <-> pool[k]), each membership evaluated once."""
+        if self._profiles is None:
+            self._profiles = [
+                sum(1 << k for k, S in enumerate(self.pool)
+                    if subbasis_membership(r, S))
+                for r in self.systems]
+        return self._profiles
 
     def space(self) -> FiniteSpace:
         labels = [r.name for r in self.systems]
+        profiles = self.profiles()
         subbasis = []
         names = []
-        for S in self.pool:
+        for k, S in enumerate(self.pool):
             subbasis.append(frozenset(
-                i for i, r in enumerate(self.systems)
-                if subbasis_membership(r, S)))
+                i for i, p in enumerate(profiles) if p >> k & 1))
             names.append("U_" + "{" + ",".join(map(repr, sorted(S, key=sort_key))) + "}")
         return FiniteSpace(labels, subbasis, subbasis_names=names)
 
     def t0_witnesses(self):
-        """For each pair of carrier systems, some pool set S with exactly one
-        of them in U_S; None marks an undistinguished pair."""
+        """For each pair of carrier systems, the first pool set S with exactly
+        one of them in U_S; None marks an undistinguished pair."""
+        profiles = self.profiles()
         out = {}
         for i, j in itertools.combinations(range(len(self.systems)), 2):
-            found = None
-            for S in self.pool:
-                if (subbasis_membership(self.systems[i], S)
-                        != subbasis_membership(self.systems[j], S)):
-                    found = S
-                    break
-            out[(i, j)] = found
+            diff = profiles[i] ^ profiles[j]
+            out[(i, j)] = (self.pool[(diff & -diff).bit_length() - 1]
+                           if diff else None)
         return out
 
 
@@ -515,10 +530,12 @@ def extract_finite_witness(delta: DeltaFamily, ctx, A, x):
     x in aS; the picks form an F with x in F_{r_Delta} and |F| <= |Delta|."""
     if not delta.finite:
         raise ValueError("finite witness extraction needs a finite family")
+    for g in (x, *A):
+        ctx.check(g)
     xs = _nonzero(ctx, A)
     picks = []
     for S in delta.members:
-        a = next((a for a in xs if S.contains(ctx.op(ctx.inv(a), x))), None)
+        a = next((a for a in xs if S.has(ctx.op(ctx.inv(a), x))), None)
         if a is None:
             raise ValueError("x is not in the closure of A")
         picks.append(a)

@@ -73,7 +73,8 @@ class GroupoidContext:
     Each subclass is one realization.  ``contains`` is the validating
     membership test; ``op`` and ``inv`` trust their arguments, which are
     validated where they enter: parsing, the carrier, ``Monoid`` and
-    ``Overmonoid`` constructors, ``adjoin`` and ``fraction_ideal``."""
+    ``Overmonoid`` constructors, ``adjoin``, ``fraction_ideal`` and the
+    closures of ``modsys``/``idealsys``."""
 
     one = 0
     zero = INF
@@ -125,9 +126,14 @@ class IntCarrier(GroupoidContext):
         return intgeom.submonoid_1d([g for g in gens if g is not INF])
 
 
+# Most HNF answers one lattice carrier remembers, as for intgeom.monoid_contains
+MAX_LATTICE_MEMO = 1 << 16
+
+
 class LatticeCarrier(GroupoidContext):
     """The sublattice of Z^dim spanned by `vectors` (kept as an echelon
-    basis), plus INF."""
+    basis), plus INF.  The HNF answers for integer vectors of length dim are
+    memoized, up to MAX_LATTICE_MEMO of them."""
 
     def __init__(self, dim, vectors):
         vectors = [tuple(v) for v in vectors]
@@ -138,13 +144,22 @@ class LatticeCarrier(GroupoidContext):
         self.dim = dim
         self.basis = intgeom.hnf_rows(vectors)
         self.one = (0,) * dim
+        self._memo = {}
 
     def contains(self, g) -> bool:
         if g is INF:
             return True
+        # the structural test comes first: (True, 0) == (1, 0) as dict keys
         return (isinstance(g, tuple) and len(g) == self.dim
-                and all(map(is_int, g))
-                and intgeom.lattice_contains(self.basis, g))
+                and all(map(is_int, g)) and self._in_lattice(g))
+
+    def _in_lattice(self, v) -> bool:
+        hit = self._memo.get(v)
+        if hit is None:
+            hit = intgeom.lattice_contains(self.basis, v)
+            if len(self._memo) < MAX_LATTICE_MEMO:
+                self._memo[v] = hit
+        return hit
 
     def op(self, a, b):
         if a is INF or b is INF:
@@ -158,8 +173,7 @@ class LatticeCarrier(GroupoidContext):
 
     def window(self, bound: int) -> list:
         box = itertools.product(range(-bound, bound + 1), repeat=self.dim)
-        return [p for p in box
-                if intgeom.lattice_contains(self.basis, p)] + [INF]
+        return [p for p in box if self._in_lattice(p)] + [INF]
 
     def submonoid(self, gens):
         gens = tuple(g for g in gens if g is not INF)
@@ -276,8 +290,10 @@ class Monoid:
     # -- membership --------------------------------------------------------
 
     def contains(self, g) -> bool:
-        if not self.context.contains(g):
-            return False
+        return self.context.contains(g) and self.has(g)
+
+    def has(self, g) -> bool:
+        """Membership of an element already known to lie in the carrier."""
         return g is INF or g == self.context.zero or self._member(g)
 
     def op(self, a, b):
@@ -321,8 +337,10 @@ class Overmonoid:
         self._member = None
 
     def contains(self, g) -> bool:
-        if not self.context.contains(g):
-            return False
+        return self.context.contains(g) and self.has(g)
+
+    def has(self, g) -> bool:
+        """Membership of an element already known to lie in the carrier."""
         if g is INF or g == self.context.zero:
             return True
         if self.rule is not None:
@@ -340,7 +358,7 @@ class Overmonoid:
         for g in ctx.window(bound):
             if g is INF or g == ctx.zero:
                 continue
-            if self.contains(g) and self.contains(ctx.inv(g)):
+            if self.has(g) and self.has(ctx.inv(g)):
                 out.append(g)
         return out
 
@@ -349,7 +367,7 @@ class Overmonoid:
         stay inside the window)."""
         ctx = self.context
         units = set(self.units_window(bound))
-        members = [g for g in ctx.window(bound) if self.contains(g)]
+        members = [g for g in ctx.window(bound) if self.has(g)]
         for n in members:
             if n in units or n == ctx.one:
                 continue
@@ -362,11 +380,11 @@ class Overmonoid:
         ctx = self.context
         window = ctx.window(bound)
         inside = set(window)
-        members = [g for g in window if self.contains(g)]
+        members = [g for g in window if self.has(g)]
         for a in members:
             for b in members:
                 c = ctx.op(a, b)
-                if c in inside and not self.contains(c):
+                if c in inside and not self.has(c):
                     return False
         return True
 
@@ -410,7 +428,7 @@ def fraction_ideal(H: Monoid, x):
     def member(h):
         if h is INF or h == ctx.zero:
             return True
-        return H.contains(h) and H.contains(ctx.op(h, x))
+        return H.contains(h) and H.has(ctx.op(h, x))
 
     return member
 

@@ -2,9 +2,11 @@ import hashlib
 import json
 import os
 import time
+from collections import Counter
 
 import pytest
 
+from monoid_spectra import cli, intgeom, modsys
 from monoid_spectra.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -240,3 +242,46 @@ def test_suites_pass_on_affine_and_finite(capsys):
                         "--input", data("c3z.json"))
         assert code == 0, (suite, out)
         assert sha1(out) == REPORT_SHA1[suite, "c3z"], suite
+
+
+# Call-count guards for the boundary validation: deterministic, no timing.
+
+def test_lattice_check_runs_once_per_point_and_carrier(capsys, monkeypatch):
+    calls = Counter()
+    bases = {}  # keeps every counted basis alive, so no id is reused
+    real = intgeom.lattice_contains
+
+    def counting(basis, v):
+        bases[id(basis)] = basis
+        calls[id(basis), tuple(v)] += 1
+        return real(basis, v)
+
+    monkeypatch.setattr(intgeom, "lattice_contains", counting)
+    code, out = run(capsys, "verify", "--suite", "prop2",
+                    "--input", data("n2.json"))
+    assert code == 0
+    assert sha1(out) == REPORT_SHA1["prop2", "n2"]
+    assert calls and max(calls.values()) == 1
+
+
+def test_system_space_evaluates_each_membership_once(capsys, monkeypatch):
+    calls = []
+    sizes = []
+    real = modsys.subbasis_membership
+
+    def counting(r, S, g=None):
+        calls.append(1)
+        return real(r, S, g)
+
+    class Recording(modsys.SystemSpace):
+        def __init__(self, systems, pool):
+            super().__init__(systems, pool)
+            sizes.append(len(self.systems) * len(self.pool))
+
+    monkeypatch.setattr(modsys, "subbasis_membership", counting)
+    monkeypatch.setattr(cli, "SystemSpace", Recording)
+    code, out = run(capsys, "verify", "--suite", "main1",
+                    "--input", data("n579.json"))
+    assert code == 1  # the known window-limited FAIL
+    assert sha1(out) == REPORT_SHA1["main1", "n579"]
+    assert sizes and 0 < len(calls) <= sum(sizes)

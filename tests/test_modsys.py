@@ -10,7 +10,9 @@ from monoid_spectra.modsys import (DeltaFamily, SystemSpace, check_family,
                                    meet_finite_witness, phi, r_delta,
                                    subbasis_membership,
                                    ultrafilter_limit_system, witness_pool)
-from monoid_spectra.monoid import INF, Monoid, Overmonoid, ParseError
+from monoid_spectra.idealsys import s_system
+from monoid_spectra.monoid import (INF, CarrierMismatch, Monoid, Overmonoid,
+                                   ParseError, as_overmonoid)
 
 
 def n23():
@@ -235,3 +237,77 @@ def test_embedding_checks_pass():
     checks = embedding_checks([overmonoid_N(H), overmonoid_Z(H)], H.context,
                               bound=4)
     assert all(c.ok for c in checks), [(c.name, c.witness) for c in checks]
+
+
+def test_iota_on_the_plane_rejects_points_off_the_carrier():
+    # the lattice op zips, so without the boundary checks these points
+    # would be truncated onto the plane and answered True
+    S = as_overmonoid(Monoid.affine([(1, 0), (0, 1)]))
+    r = iota(S)
+    assert not r.member({(0, 0)}, (0, 5, -7))
+    assert not r.member({(0, 0)}, (True, 0))
+    with pytest.raises(CarrierMismatch):
+        r.member({(0, 0, 1)}, (0, 0))
+
+
+# (monoid, points off its carrier, an element of the carrier that lies in
+# the closure of {1}); the affine monoid spans the even lattice
+OFF_CARRIER = [
+    (Monoid.numerical([2, 3]), [True, (2,), 2.0, "2", None], 2),
+    (Monoid.affine([(2, 0), (0, 2)]),
+     [(1, 0), (True, 0), (2,), (2, 0, 0), [2, 0], (2.0, 0), 2], (2, 2)),
+    (Monoid.cyclic_group_with_zero(3), [4, -1, True, (1,), 1.0], 1),
+]
+
+
+def closure_systems(H):
+    ctx = H.context
+    S = as_overmonoid(H)
+    G = Overmonoid(ctx, gens=H.generators + tuple(
+        ctx.inv(g) for g in H.generators if g is not INF and g != ctx.zero),
+        name="G")
+    return [s_system(H), example16(H), iota(S),
+            r_delta(DeltaFamily([S, G], name="SG"), ctx),
+            meet([iota(S), example16(H)]), phi(iota(S))]
+
+
+@pytest.mark.parametrize("H, off, inside", OFF_CARRIER,
+                         ids=["int", "lattice", "finite"])
+def test_closures_validate_a_and_g_at_their_boundary(H, off, inside):
+    ctx = H.context
+    hashable = [a for a in off if not isinstance(a, list)]
+    for r in closure_systems(H):
+        for A in (frozenset({ctx.one}), frozenset({ctx.one, ctx.zero})):
+            pred = r.closure(A)
+            assert pred(inside) and pred(ctx.zero), (r, A)
+            for g in off:
+                assert pred(g) is False, (r, A, g)
+        for a in hashable:
+            with pytest.raises(CarrierMismatch):
+                r.closure({a})
+            with pytest.raises(CarrierMismatch):
+                r.member({ctx.one, a}, ctx.one)
+    delta = DeltaFamily([as_overmonoid(H)])
+    for a in hashable:
+        with pytest.raises(CarrierMismatch):
+            extract_finite_witness(delta, ctx, {ctx.one}, a)
+        with pytest.raises(CarrierMismatch):
+            extract_finite_witness(delta, ctx, {ctx.one, a}, ctx.one)
+
+
+def test_t0_witnesses_are_the_first_separating_pool_sets():
+    H = n23()
+    systems = [iota(overmonoid_N(H)), iota(overmonoid_Z(H)), example16(H),
+               iota(overmonoid_N(H))]  # the last pair is not separated
+    pool = witness_pool(H.context, bound=4, include_zero=True)
+    ss = SystemSpace(systems, pool)
+    for (i, j), found in ss.t0_witnesses().items():
+        first = next((S for S in pool
+                      if subbasis_membership(systems[i], S)
+                      != subbasis_membership(systems[j], S)), None)
+        assert found == first, (i, j)
+    assert ss.t0_witnesses()[0, 3] is None
+    sp = ss.space()
+    for S, U in zip(pool, sp.subbasis):
+        assert U == {i for i, r in enumerate(systems)
+                     if subbasis_membership(r, S)}, S

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monoid_spectra import monoid
+from monoid_spectra.intgeom import hnf_rows, lattice_contains
 from monoid_spectra.monoid import (INF, IntCarrier, LatticeCarrier, Monoid,
                                    Overmonoid, ParseError, adjoin,
                                    as_overmonoid, fraction_ideal, localize,
@@ -216,3 +218,58 @@ def test_lattice_submonoid_matches_bounded_closure(gens):
     member = ctx.submonoid(gens)
     for x in ctx.window(3)[:-1]:
         assert member(x) == (x in reach), (gens, x)
+
+
+def test_lattice_memo_comes_after_the_structural_test():
+    ctx = LatticeCarrier(2, [(1, 0), (0, 1)])
+    assert ctx.contains((1, 0))
+    assert (1, 0) in ctx._memo  # (True, 0) has the same hash and compares equal
+    for g in ((True, 0), (1,), (1, 0, 0), [1, 0], (1.0, 0)):
+        assert not ctx.contains(g), g
+
+
+def test_lattice_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(monoid, "MAX_LATTICE_MEMO", 5)
+    ctx = LatticeCarrier(2, [(2, 0), (1, 3)])
+    box = [(x, y) for x in range(-4, 5) for y in range(-4, 5)]
+    for _ in range(2):
+        for v in box:
+            assert ctx.contains(v) == lattice_contains(ctx.basis, v), v
+            assert len(ctx._memo) <= 5
+    assert ctx.window(4) == [v for v in box
+                             if lattice_contains(ctx.basis, v)] + [INF]
+    assert len(ctx._memo) <= 5
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda d: st.tuples(
+    st.lists(st.tuples(*[st.integers(-4, 4)] * d), min_size=1, max_size=3),
+    st.lists(st.tuples(*[st.integers(-9, 9)] * d), max_size=30))))
+def test_memoized_lattice_contains_matches_a_fresh_hnf(case):
+    gens, points = case
+    ctx = LatticeCarrier(len(gens[0]), gens)
+    for v in points + points:  # the second pass reads the memo
+        assert ctx.contains(v) == lattice_contains(hnf_rows(gens), v), v
+
+
+MONOIDS = st.one_of(
+    st.lists(st.integers(2, 9), min_size=1, max_size=3).map(
+        lambda gens: Monoid.numerical(gens + [max(gens) + 1])),  # gcd 1
+    st.integers(1, 2).flatmap(lambda d: st.lists(
+        st.tuples(*[st.integers(-2, 2)] * d), min_size=1,
+        max_size=3)).map(Monoid.affine),
+    st.integers(1, 5).map(Monoid.cyclic_group_with_zero))
+
+
+@settings(max_examples=100, deadline=None)
+@given(MONOIDS, st.randoms())
+def test_has_agrees_with_contains_on_the_carrier(H, rnd):
+    ctx = H.context
+    units = [g for g in H.generators if g is not INF and g != ctx.zero]
+    overs = [as_overmonoid(H),
+             Overmonoid(ctx, gens=H.generators + tuple(
+                 ctx.inv(g) for g in rnd.sample(units, len(units) // 2))),
+             Overmonoid(ctx, rule=lambda g: hash(g) % 3 != 0)]
+    for M in [H] + overs:
+        for g in ctx.window(3):
+            assert M.has(g) == M.contains(g), (M, g)
