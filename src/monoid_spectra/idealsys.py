@@ -9,8 +9,8 @@ import random
 from .errors import UnsupportedRealization
 from .fintop import FiniteSpace
 from .intgeom import faces_2d
-from .modsys import (ModuleSystem, _nonzero, _sample_subsets, _verdicts,
-                     _Window)
+from .modsys import (ModuleSystem, _nonzero, _sample_subsets, _shift_or,
+                     _verdicts, _Window, _with_span)
 from .monoid import INF, Monoid, sort_key
 
 # Most ideals `enumerate_ideals` lists before it gives up.
@@ -35,7 +35,8 @@ def s_system(H: Monoid) -> IdealSystem:
     zero = ctx.zero
 
     def closure(X):
-        inverses = [ctx.inv(x) for x in _nonzero(ctx, X)]
+        xs = _nonzero(ctx, X)
+        inverses = [ctx.inv(x) for x in xs]
 
         def member(g):
             if not ctx.contains(g):
@@ -47,7 +48,8 @@ def s_system(H: Monoid) -> IdealSystem:
                     return True
             return False
 
-        return member
+        return _with_span(ctx, member,
+                         lambda lo, hi: _shift_or([H], xs, lo, hi))
 
     return IdealSystem("s", H, closure)
 

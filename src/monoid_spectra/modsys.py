@@ -10,7 +10,7 @@ import json
 import random
 
 from .fintop import FiniteSpace
-from .monoid import (INF, Monoid, Overmonoid, ParseError, is_int,
+from .monoid import (INF, IntCarrier, Monoid, Overmonoid, ParseError, is_int,
                      monoid_from_json, sort_key)
 from .report import Check
 
@@ -56,6 +56,32 @@ def _nonzero(ctx, A):
                         key=sort_key))
 
 
+def _shift_or(members, xs, lo, hi):
+    """The g in lo..hi with g - a in every member S for some a in xs (sorted
+    integers), as an int with bit j for lo + j: the AND over S of the OR over
+    a of S's membership mask shifted by a."""
+    if not xs:
+        return 0
+    amin, amax = xs[0], xs[-1]
+    out = (1 << (hi - lo + 1)) - 1
+    for S in members:
+        m = S.span_mask(lo - amax, hi - amin)
+        any_a = 0
+        for a in xs:
+            any_a |= m >> (amax - a)
+        out &= any_a
+    return out
+
+
+def _with_span(ctx, member, span):
+    """Attach `span(lo, hi)`, the closure on the integers lo..hi as an int
+    bitmask, to an int-carrier closure predicate; other carriers read their
+    closures point by point."""
+    if isinstance(ctx, IntCarrier):
+        member.span = span
+    return member
+
+
 def example16(H: Monoid) -> ModuleSystem:
     """A_r = G when 0 is in A, otherwise AH with 0 adjoined.  Satisfies Id1,
     M2, Id3 and M4 but not Id2."""
@@ -64,7 +90,8 @@ def example16(H: Monoid) -> ModuleSystem:
 
     def closure(A):
         has_zero = any(a is INF or a == zero for a in A)
-        inverses = [ctx.inv(a) for a in _nonzero(ctx, A)]
+        xs = _nonzero(ctx, A)
+        inverses = [ctx.inv(a) for a in xs]
 
         def member(g):
             if not ctx.contains(g):
@@ -73,7 +100,12 @@ def example16(H: Monoid) -> ModuleSystem:
                 return True
             return any(H.has(ctx.op(b, g)) for b in inverses)
 
-        return member
+        def span(lo, hi):
+            if has_zero:
+                return (1 << (hi - lo + 1)) - 1
+            return _shift_or([H], xs, lo, hi)
+
+        return _with_span(ctx, member, span)
 
     return ModuleSystem("example16", ctx, closure, finitary=True)
 
@@ -139,7 +171,8 @@ def r_delta(delta: DeltaFamily, ctx, truncate=None) -> ModuleSystem:
     zero = ctx.zero
 
     def closure(A):
-        inverses = [ctx.inv(a) for a in _nonzero(ctx, A)]
+        xs = _nonzero(ctx, A)
+        inverses = [ctx.inv(a) for a in xs]
 
         def member(g):
             if not ctx.contains(g):
@@ -151,7 +184,8 @@ def r_delta(delta: DeltaFamily, ctx, truncate=None) -> ModuleSystem:
             return all(any(S.has(ctx.op(b, g)) for b in inverses)
                        for S in mems)
 
-        return member
+        return _with_span(ctx, member,
+                         lambda lo, hi: _shift_or(mems, xs, lo, hi))
 
     name = f"r_{delta.name}" + ("" if exact else f"|k<={len(mems)}")
     return ModuleSystem(name, ctx, closure, finitary=delta.finite or None,
@@ -230,20 +264,61 @@ class _Window:
     """The closures of one system on a window, each read once as an int
     bitmask (bit i <-> universe[i]), as in ``fintop.FiniteSpace``.  The masks
     live as long as one checker call; points that leave the window go through
-    the exact predicate."""
+    the exact predicate.
+
+    A closure with a ``span`` (int carrier) is read over the integer hull
+    lo..hi of the window in one piece, and Id3 and M4 compare such spans as
+    integers; a span bit j stands for the point lo + j.  Only a difference
+    sends them back to the point loop, which finds the same witness."""
 
     def __init__(self, r, universe):
         self.r = r
         self.universe = universe
         self.bit = {g: 1 << i for i, g in enumerate(universe)}
-        self._masks, self._sets = {}, {}
+        self._preds, self._masks, self._sets = {}, {}, {}
+        ints = [g for g in universe if g is not INF]
+        self.hull = None
+        if isinstance(r.context, IntCarrier) and ints:
+            lo = min(ints)
+            self.hull = lo, max(ints)
+            # the window's int points as (span bit, window bit); None when
+            # the two agree, as on a window lo..hi followed by INF
+            bits = [(g - lo, self.bit[g]) for g in ints]
+            self._gather = (None if all(b == 1 << j for j, b in bits)
+                            else bits)
+
+    def pred(self, A):
+        """The exact predicate of A_r."""
+        p = self._preds.get(A)
+        if p is None:
+            p = self._preds[A] = self.r.closure(A)
+        return p
+
+    def span(self, A):
+        """A_r's ``span``, or None for a closure read point by point."""
+        return getattr(self.pred(A), "span", None) if self.hull else None
+
+    def in_hull(self, points):
+        """The int points among `points` as a span mask (0 off the int
+        carrier)."""
+        if not self.hull:
+            return 0
+        return sum(1 << (g - self.hull[0]) for g in points if g is not INF)
 
     def mask(self, A):
         """A_r on the window."""
         m = self._masks.get(A)
         if m is None:
-            pred = self.r.closure(A)
-            m = self._masks[A] = sum(b for g, b in self.bit.items() if pred(g))
+            pred, span = self.pred(A), self.span(A)
+            if span is None:
+                m = sum(b for g, b in self.bit.items() if pred(g))
+            else:
+                m = s = span(*self.hull)
+                if self._gather is not None:
+                    m = sum(b for j, b in self._gather if s >> j & 1)
+                if INF in self.bit and pred(INF):
+                    m |= self.bit[INF]
+            self._masks[A] = m
         return m
 
     def of(self, X):
@@ -256,7 +331,7 @@ class _Window:
     def reader(self, A):
         """Exact membership in A_r: window points from the mask, other points
         through the predicate, remembered while A is scanned."""
-        m, bit, pred, off = self.mask(A), self.bit, self.r.closure(A), {}
+        m, bit, pred, off = self.mask(A), self.bit, self.pred(A), {}
 
         def member(g):
             b = bit.get(g)
@@ -292,14 +367,29 @@ class _Window:
 
     def id3(self, subsets, scalars, points, key):
         """Id3: c A_r = (cA)_r at the points, with the left side read
-        literally: {0} for c = 0, otherwise c^{-1} g in A_r."""
+        literally: {0} for c = 0, otherwise c^{-1} g in A_r.  With spans, a
+        nonzero c is one XOR of c A_r against (cA)_r on the hull."""
         ctx = self.r.context
+        span_pts, at_inf = self.in_hull(points), INF in points
+        lo, hi = self.hull or (0, 0)
         n = 0
         for A in subsets:
             member = self.reader(A)
+            span = self.span(A)
             for c in scalars:
                 n += 1
-                rhs = self.r.closure(frozenset(ctx.op(c, a) for a in A))
+                cA = frozenset(ctx.op(c, a) for a in A)
+                if span is None:
+                    rhs = self.r.closure(cA)
+                else:
+                    rhs_span = self.span(cA)
+                    if (c is not INF and rhs_span is not None
+                            and not (span(lo - c, hi - c) ^ rhs_span(lo, hi))
+                            & span_pts
+                            and not (at_inf and member(INF)
+                                     != self.pred(cA)(INF))):
+                        continue
+                    rhs = self.reader(cA)
                 c_inv = None if c == ctx.zero else ctx.inv(c)
                 for g in points:
                     lhs = (g == ctx.zero if c_inv is None
@@ -307,6 +397,28 @@ class _Window:
                     if lhs != rhs(g):
                         return n, {key: _names(A), "c": repr(c), "g": repr(g)}
         return n, None
+
+    def m4(self, subsets, translators, points):
+        """M4: H A_r = A_r; the inclusion A_r subset of H A_r is free.  With a
+        span, A passes when no translator h moves a point of A_r at the
+        points out of A_r (INF stays put)."""
+        ctx = self.r.context
+        span_pts = self.in_hull(points)
+        lo, hi = self.hull or (0, 0)
+        for n, A in enumerate(subsets, 1):
+            member = self.reader(A)
+            span = self.span(A)
+            if span is not None:
+                inside = span(lo, hi) & span_pts
+                if not any(inside & ~span(lo + h, hi + h)
+                           for h in translators):
+                    continue
+            for g in filter(member, points):
+                h = next((h for h in translators
+                          if not member(ctx.op(h, g))), None)
+                if h is not None:
+                    return n, {"A": _names(A), "h": repr(h), "g": repr(g)}
+        return len(subsets), None
 
 
 def _verdicts(scans, exhaustive):
@@ -345,21 +457,9 @@ def check_module_axioms(r: ModuleSystem, H, bound: int = 4,
     # M2: A subset of B implies A_r subset of B_r
     m2 = ((w.mask(A), w.mask(B), (("A", A), ("B", B)))
           for A in subsets for B in subsets if A < B)
-
-    def m4():
-        """M4: H A_r = A_r; the inclusion A_r subset of H A_r is free."""
-        for n, A in enumerate(subsets, 1):
-            member = w.reader(A)
-            for g in filter(member, points):
-                h = next((h for h in m4_scalars
-                          if not member(ctx.op(h, g))), None)
-                if h is not None:
-                    return n, {"A": _names(A), "h": repr(h), "g": repr(g)}
-        return len(subsets), None
-
     return _verdicts([("Id1", w.id1(subsets, "A")), ("M2", w.escape(m2)),
                       ("Id3", w.id3(id3_subsets, scalars, points, "A")),
-                      ("M4", m4())], exhaustive)
+                      ("M4", w.m4(subsets, m4_scalars, points))], exhaustive)
 
 
 def check_id2(r: ModuleSystem, bound: int = 4, sample_budget: int = 200,
@@ -516,11 +616,6 @@ def ultrafilter_limit_systems(systems) -> list:
     return [ModuleSystem(f"limit@{r.name}", r.context,
                          lambda A, i=i: lambda g: i in u(A, g))
             for i, r in enumerate(systems)]
-
-
-def ultrafilter_limit_system(systems, principal_index: int) -> ModuleSystem:
-    """The limit system at the principal ultrafilter of one member."""
-    return ultrafilter_limit_systems(systems)[principal_index]
 
 
 # -- finite witnesses and the finitariness falsifier -------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from math import gcd
 
 from . import intgeom
@@ -164,12 +165,12 @@ class LatticeCarrier(GroupoidContext):
     def op(self, a, b):
         if a is INF or b is INF:
             return INF
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(operator.add, a, b))
 
     def inv(self, a):
         if a is INF:
             raise ValueError("the absorbing zero has no inverse")
-        return tuple(-c for c in a)
+        return tuple(map(operator.neg, a))
 
     def window(self, bound: int) -> list:
         box = itertools.product(range(-bound, bound + 1), repeat=self.dim)
@@ -241,7 +242,30 @@ class FiniteCarrier(GroupoidContext):
         return closure.__contains__
 
 
-class Monoid:
+class _Span:
+    """Membership on a range of integers as one int bitmask, for monoids and
+    overmonoids on the int carrier.  Each object keeps one mask, grown to the
+    union of the ranges asked for (and 0), so its size follows the widest
+    range any caller reads."""
+
+    _span = (0, -1, 0)  # lo, hi and the mask of the range read so far
+
+    def span_mask(self, lo, hi):
+        """The members among lo..hi: bit j is set when lo + j is one."""
+        m_lo, m_hi, bits = self._span
+        if lo < m_lo or hi > m_hi:
+            new_lo, new_hi = min(lo, m_lo), max(hi, m_hi)
+            bits <<= m_lo - new_lo
+            for g in itertools.chain(range(new_lo, m_lo),
+                                     range(m_hi + 1, new_hi + 1)):
+                if self.has(g):
+                    bits |= 1 << (g - new_lo)
+            m_lo, m_hi = new_lo, new_hi
+            self._span = m_lo, m_hi, bits
+        return bits >> (lo - m_lo) & ((1 << (hi - lo + 1)) - 1)
+
+
+class Monoid(_Span):
     """One of the three finitely presented realizations of a commutative
     cancellative monoid with identity and absorbing zero.  ``kind`` is the
     realization's label; membership goes through the carrier."""
@@ -318,7 +342,7 @@ def quotient_groupoid(H: Monoid) -> GroupoidContext:
     return H.context
 
 
-class Overmonoid:
+class Overmonoid(_Span):
     """Submonoid of G containing H, with exact decidable membership.
 
     Backed either by a generator list (membership derived exactly by the

@@ -21,7 +21,7 @@ from monoid_spectra.modsys import (DeltaFamily, check_id2,
                                    extract_finite_witness, falsify_finitary,
                                    family_from_json, iota, is_finitary, meet,
                                    meet_finite_witness, r_delta,
-                                   ultrafilter_limit_system, witness_pool)
+                                   ultrafilter_limit_systems, witness_pool)
 from monoid_spectra.monoid import INF, Monoid, Overmonoid, localize
 from monoid_spectra.valuation import (delta, delta_laws,
                                       enumerate_overmonoids, enumerate_zar,
@@ -212,8 +212,9 @@ def test_7_module_system_constructions():
     # principal ultrafilter limits reproduce the base system on 200+ probes
     pool = witness_pool(ctx, bound=4, include_zero=True)
     probes = 0
+    limits = ultrafilter_limit_systems(systems)
     for idx, r in enumerate(systems):
-        lim = ultrafilter_limit_system(systems, idx)
+        lim = limits[idx]
         for A in pool[:25]:
             for g in (0, 1, 2, 5, -1, INF):
                 assert lim.member(A, g) == r.member(A, g), (r.name, A, g)
