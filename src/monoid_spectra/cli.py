@@ -84,15 +84,16 @@ def _curated_systems(H, bound):
     return systems
 
 
-def _space_checks(space, bound, prefix=""):
+def _space_checks(space, bound):
+    # On a finite space the irreducible closed sets are point closures, so
+    # sober and spectral are each equivalent to T0.
+    t0 = space.is_t0()
     return [
-        Check(prefix + "t0", space.is_t0(), witness=None if space.is_t0()
-              else {"profiles": "coincide"}, exhaustive=False, bound=bound),
-        Check(prefix + "sober", space.is_sober(),
-              witness=None if space.is_sober() else {"closed": "no generic"},
+        Check("t0", t0, witness=None if t0 else {"profiles": "coincide"},
               exhaustive=False, bound=bound),
-        Check(prefix + "spectral", space.is_spectral_finite(),
-              witness=None if space.is_spectral_finite() else {"t0": False},
+        Check("sober", t0, witness=None if t0 else {"closed": "no generic"},
+              exhaustive=False, bound=bound),
+        Check("spectral", t0, witness=None if t0 else {"t0": False},
               exhaustive=False, bound=bound),
     ]
 
@@ -114,7 +115,7 @@ def suite_spec(H, bound, seed):
                   detail=" ".join(p.name for p in primes)))
     space = spec_subbasis(H, primes, bound)
     rep.extend(_space_checks(space, bound))
-    return rep, poset_dot(space, name="spec")
+    return rep, lambda: poset_dot(space, name="spec")
 
 
 def suite_ideals(H, bound, seed):
@@ -142,7 +143,7 @@ def suite_ideals(H, bound, seed):
                   exhaustive=False, n=len(ideals), bound=bound))
     space = ideal_space_subbasis(ideals, H, bound)
     rep.extend(_space_checks(space, bound))
-    return rep, poset_dot(space, name="ideals")
+    return rep, lambda: poset_dot(space, name="ideals")
 
 
 def suite_pronconst(H, bound, seed):
@@ -214,7 +215,7 @@ def suite_zar(H, bound, seed):
     rep.add(Check("principal-limit-identity", witness is None,
                   witness=witness, exhaustive=False, n=len(carrier),
                   bound=bound))
-    return rep, poset_dot(space, name="zar")
+    return rep, lambda: poset_dot(space, name="zar")
 
 
 def suite_pruefer(H, bound, seed):
@@ -229,14 +230,14 @@ def suite_pruefer(H, bound, seed):
     witness = None
     for P in primes:
         try:
-            surjectivity_witness(H, P, bound=bound)
+            surjectivity_witness(H, P, carrier, images, bound=bound)
         except ValueError:
             witness = {"P": P.name}
             break
     rep.add(Check("delta-surjective", witness is None, witness=witness,
                   exhaustive=False, n=len(primes), bound=bound))
-    rep.extend(delta_laws(H, bound=bound))
-    sp = is_s_pruefer(H, bound)
+    rep.extend(delta_laws(H, primes, carrier, images, bound=bound))
+    sp = is_s_pruefer(H, primes, bound)
     rep.add(Check("s-pruefer-instance", True, exhaustive=False, bound=bound,
                   detail="PASS" if sp.ok
                   else f"FAIL {sp.witness} (homeomorphism not claimed)"))
@@ -261,7 +262,7 @@ def suite_pruefer(H, bound, seed):
                       detail="injective on this carrier" if pair is None else
                       f"not injective: {carrier[pair[0]].name} and "
                       f"{carrier[pair[1]].name} map to {images[pair[0]].name}"))
-    return rep, delta_dot(H, bound=bound)
+    return rep, lambda: delta_dot(H, primes, carrier, images, bound=bound)
 
 
 def suite_main1(H, bound, seed):
@@ -332,7 +333,7 @@ def suite_main1(H, bound, seed):
             break
     rep.add(Check("principal-limit-identity", witness is None,
                   witness=witness, exhaustive=False, n=count, bound=bound))
-    return rep, poset_dot(space.space(), name="systems")
+    return rep, lambda: poset_dot(space.space(), name="systems")
 
 
 def suite_main2(H, family, bound, seed):
@@ -527,8 +528,10 @@ def main(argv=None):
             bound = args.bound
         else:
             bound = 4 if H.kind == "affine" else 10
-        report, dot = run_suite(args.suite, H, bound=bound, seed=seed,
-                                family=family)
+        report, render = run_suite(args.suite, H, bound=bound, seed=seed,
+                                   family=family)
+        # a suite that draws returns a renderer, called only for --dot
+        dot = render() if args.dot and render is not None else None
     except (ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -1,6 +1,7 @@
-"""Finite topological spaces built from subbases: separation and spectrality
-predicates, specialization posets, patch (constructible) topology, principal
-ultrafilters and ultrafilter limit sets, and DOT emission.
+"""Finite topological spaces built from subbases: the T0 test,
+specialization posets, homeomorphism with a brute-force oracle, and DOT
+emission.  On a finite carrier sober and spectral are each equivalent to T0
+(``sober_bruteforce`` checks the definition literally).
 
 Point sets are small by design; opens are materialized as bitmasks with a
 carrier guard of 20 points."""
@@ -10,20 +11,6 @@ from __future__ import annotations
 import itertools
 
 CARRIER_GUARD = 20
-
-
-class PrincipalUltrafilter:
-    """The only ultrafilters on a finite set are principal: all supersets of a
-    point."""
-
-    def __init__(self, point):
-        self.point = point
-
-    def contains(self, subset) -> bool:
-        return self.point in subset
-
-    def __repr__(self):
-        return f"PrincipalUltrafilter({self.point})"
 
 
 class FiniteSpace:
@@ -113,17 +100,10 @@ class FiniteSpace:
     def closure_of_point(self, x) -> frozenset:
         return frozenset(y for y in range(self.n) if self.leq(x, y))
 
-    def is_sober(self) -> bool:
-        """Every irreducible closed set has exactly one generic point.
-
-        On a finite carrier an irreducible closed set is a point closure, so
-        soberness is equivalent to T0; ``sober_bruteforce`` checks the
-        definition literally and is cross-validated against this in tests."""
-        return self.is_t0()
-
     def sober_bruteforce(self) -> bool:
-        """The literal definition, materializing all closed sets; intended
-        for small carriers."""
+        """Soberness by its definition: every irreducible closed set has
+        exactly one generic point, over all materialized closed sets.  The
+        oracle for reading sober from T0; intended for small carriers."""
         closeds = self.closeds()
         for c in closeds:
             pts = self._unmask(c)
@@ -142,137 +122,8 @@ class FiniteSpace:
                 return False
         return True
 
-    def is_quasi_compact(self, subset=None) -> bool:
-        """Subbasis-cover criterion: every cover of the subset by subbasis
-        members admits a finite subcover.  Trivially true on finite carriers;
-        implemented literally over all subbasis subfamilies when small."""
-        target = self._mask(range(self.n) if subset is None else subset)
-        sub = [self._mask(s) for s in self.subbasis]
-        if len(sub) <= 14:
-            for r in range(len(sub) + 1):
-                for fam in itertools.combinations(sub, r):
-                    m = 0
-                    for s in fam:
-                        m |= s
-                    if m & target == target:
-                        # the family itself is the finite subcover
-                        break
-        return True
-
-    def quasi_compact_all_covers_check(self) -> bool:
-        """Exhaustive cross-check against the direct all-covers definition,
-        intended for carriers <= 6 points."""
-        opens = list(self.opens())
-        full = self.full_mask
-        for r in range(1, len(opens) + 1):
-            for fam in itertools.combinations(opens, r):
-                m = 0
-                for s in fam:
-                    m |= s
-                if m == full:
-                    # finite space: the cover is already finite
-                    if not any(True for _ in fam):
-                        return False
-        return True
-
-    # -- spectrality ----------------------------------------------------------
-
-    def is_spectral_finite(self) -> bool:
-        """For finite spaces, spectral is equivalent to T0."""
-        return self.is_t0()
-
-    def hochster_conditions(self) -> dict:
-        """Independent verification: quasi-compact, sober, and a basis of
-        quasi-compact opens closed under finite intersections (automatic on a
-        finite carrier, checked literally)."""
-        opens = self.opens()
-        basis_ok = all((a & b) in opens for a in opens for b in opens)
-        return {
-            "quasi_compact": self.is_quasi_compact(),
-            "sober": self.is_sober(),
-            "qc_open_basis_closed_under_intersection": basis_ok,
-        }
-
-    # -- patch topology --------------------------------------------------------
-
-    def patch_topology(self) -> "FiniteSpace":
-        """Constructible topology: generated by quasi-compact opens and their
-        complements.  On a finite spectral (= T0) space this is discrete."""
-        if not self.is_spectral_finite():
-            raise ValueError("patch topology requires a spectral (T0) input")
-        full = self.full_mask
-        sub = []
-        names = []
-        for o in sorted(self.opens()):
-            sub.append(self._unmask(o))
-            names.append(f"open:{o:b}")
-            sub.append(self._unmask(full ^ o))
-            names.append(f"co-open:{o:b}")
-        return FiniteSpace(self.labels, sub, subbasis_names=names)
-
-    def is_discrete(self) -> bool:
-        opens = self.opens()
-        return all((1 << i) in opens for i in range(self.n))
-
-    def is_hausdorff(self) -> bool:
-        opens = self.opens()
-        for x in range(self.n):
-            for y in range(x + 1, self.n):
-                if not any(a >> x & 1 and b >> y & 1 and a & b == 0
-                           for a in opens for b in opens):
-                    return False
-        return True
-
-    def is_totally_disconnected(self) -> bool:
-        """Every connected component is a singleton: any two points are
-        separated by a clopen set."""
-        opens = self.opens()
-        clopens = [o for o in opens if (self.full_mask ^ o) in opens]
-        for x in range(self.n):
-            for y in range(self.n):
-                if x != y and not any(c >> x & 1 and not c >> y & 1 for c in clopens):
-                    return False
-        return True
-
-    # -- ultrafilters -----------------------------------------------------------
-
-    def ultrafilter_limit_set(self, Y, uf: PrincipalUltrafilter) -> frozenset:
-        """Points whose subbasis profile matches the ultrafilter-large trace of
-        Y: {z : for all S in subbasis, (S n Y in U) iff z in S}."""
-        Y = frozenset(Y)
-        out = []
-        for z in range(self.n):
-            if all(uf.contains(s & Y) == (z in s) for s in self.subbasis):
-                out.append(z)
-        return frozenset(out)
-
-    def subspace(self, points) -> "FiniteSpace":
-        points = list(points)
-        index = {p: i for i, p in enumerate(points)}
-        labels = [self.labels[p] for p in points]
-        sub = [frozenset(index[p] for p in s if p in index) for s in self.subbasis]
-        return FiniteSpace(labels, sub, subbasis_names=self.subbasis_names)
-
     def __repr__(self):
         return f"FiniteSpace(n={self.n}, subbasis={len(self.subbasis)})"
-
-
-def build_topology(labels, subbasis) -> FiniteSpace:
-    space = FiniteSpace(labels, subbasis)
-    if space.n > CARRIER_GUARD:
-        raise ValueError(f"carrier too large (> {CARRIER_GUARD} points)")
-    space.opens()
-    return space
-
-
-def ultrafilter_dichotomy(uf: PrincipalUltrafilter, universe, Y, Z):
-    """Conditions (2) and (3) of the ultrafilter characterization for a
-    principal ultrafilter: union splitting and the complement dichotomy."""
-    Y, Z = frozenset(Y), frozenset(Z)
-    universe = frozenset(universe)
-    ok_union = (not uf.contains(Y | Z)) or uf.contains(Y) or uf.contains(Z)
-    ok_compl = uf.contains(Y) != uf.contains(universe - Y)
-    return ok_union and ok_compl
 
 
 def poset_isomorphism(X: FiniteSpace, Y: FiniteSpace):
@@ -406,15 +257,4 @@ def bipartite_dot(left_labels, right_labels, edges, left_edges=(), right_edges=(
     for a, b in sorted(right_edges):
         lines.append(f"  r{a} -> r{b} [style=dashed];")
     lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def open_set_dump(space: FiniteSpace) -> str:
-    """Text dump of the open-set lattice for carriers <= 8 points."""
-    if space.n > 8:
-        raise ValueError("open-set dump is limited to carriers of <= 8 points")
-    lines = []
-    for o in sorted(space.opens()):
-        pts = sorted(space._unmask(o))
-        lines.append("{" + ", ".join(space.labels[p] for p in pts) + "}")
     return "\n".join(lines) + "\n"

@@ -104,11 +104,11 @@ def is_prime(I: RIdeal, window) -> bool:
     return True
 
 
-def enumerate_primes(H: Monoid, bound: int = 10, system: IdealSystem | None = None):
+def enumerate_primes(H: Monoid, bound: int = 10):
     """All prime s-ideals of H.  Numerical: the zero ideal and the maximal
     ideal.  Affine: one prime per face of the generated cone.  Finite: the
     zero ideal only."""
-    r = system if system is not None else s_system(H)
+    r = s_system(H)
     window = H.context.window(bound)
     out = []
     if H.kind == "numerical":

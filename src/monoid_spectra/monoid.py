@@ -335,13 +335,6 @@ class Monoid(_Span):
         return f"Monoid.{self.kind}{self._args}"
 
 
-def quotient_groupoid(H: Monoid) -> GroupoidContext:
-    """Carrier of fractions/differences of H.  Numerical monoids give Z plus
-    INF, affine monoids the lattice spanned by their generators plus INF, and
-    finite monoids are already groupoids."""
-    return H.context
-
-
 class Overmonoid(_Span):
     """Submonoid of G containing H, with exact decidable membership.
 
@@ -397,18 +390,6 @@ class Overmonoid(_Span):
                 continue
             for h in members:
                 if ctx.op(n, h) in units:
-                    return False
-        return True
-
-    def check_closed_window(self, bound: int) -> bool:
-        ctx = self.context
-        window = ctx.window(bound)
-        inside = set(window)
-        members = [g for g in window if self.has(g)]
-        for a in members:
-            for b in members:
-                c = ctx.op(a, b)
-                if c in inside and not self.has(c):
                     return False
         return True
 

@@ -1,20 +1,26 @@
 """Valuation overmonoids of the quotient groupoid, the overmonoid and
 valuation carriers with their subbasis topologies, the domination map onto
-prime ideals and its laws, the domination order, and a localization-based
-Pruefer test."""
+prime ideals and its laws, and a localization-based Pruefer test.
+
+The domination functions take the enumerated primes, the Zar carrier (as
+overmonoids) and the image of each carrier member under ``delta``, built once
+by the caller."""
 
 from __future__ import annotations
 
-import itertools
 from math import gcd
 
 from .errors import UnsupportedRealization
 from .fintop import FiniteSpace, bipartite_dot, hasse_edges
-from .idealsys import enumerate_primes, s_system, spec_subbasis
+from .idealsys import spec_subbasis
 from .intgeom import dot
-from .monoid import INF, Monoid, Overmonoid, fraction_ideal, localize, sort_key
+from .monoid import INF, Monoid, Overmonoid, fraction_ideal, localize
 from .numsgp import oversemigroups
 from .report import Check
+
+
+# largest absolute coordinate of the weights in the affine Zar carrier
+ZAR_HEIGHT = 2
 
 
 def _sign(v: int) -> int:
@@ -99,10 +105,10 @@ def is_valuation(S: Overmonoid, bound: int = 6) -> Check:
                  exhaustive=False, n=count, bound=bound)
 
 
-def _primitive_weights(height: int):
+def _primitive_weights():
     out = []
-    for a in range(-height, height + 1):
-        for b in range(-height, height + 1):
+    for a in range(-ZAR_HEIGHT, ZAR_HEIGHT + 1):
+        for b in range(-ZAR_HEIGHT, ZAR_HEIGHT + 1):
             if (a, b) != (0, 0) and gcd(abs(a), abs(b)) == 1:
                 out.append((a, b))
     return out
@@ -124,12 +130,12 @@ def enumerate_overmonoids(H: Monoid):
     return out
 
 
-def enumerate_zar(H: Monoid, height: int = 2, bound: int = 6):
+def enumerate_zar(H: Monoid, bound: int = 6):
     """Zar(G|H): valuation descriptors whose monoid contains H.
 
     Numerical: N when H has no negative elements, and Z (the trivial
-    valuation of the carrier).  Affine d = 2: all primitive weights up to the
-    given height, all tiebreaks, filtered by generator containment and
+    valuation of the carrier).  Affine d = 2: all primitive weights up to
+    ZAR_HEIGHT, all tiebreaks, filtered by generator containment and
     deduplicated by their window profile, plus the trivial valuation.
     Irrational-ray valuations lie outside this carrier."""
     ctx = H.context
@@ -142,7 +148,7 @@ def enumerate_zar(H: Monoid, height: int = 2, bound: int = 6):
     out = []
     profiles = set()
     cands = [ValuationDescriptor(ctx, "weight", weight=w, tiebreak=t)
-             for w in _primitive_weights(height) for t in (-1, 0, 1)]
+             for w in _primitive_weights() for t in (-1, 0, 1)]
     cands.sort(key=lambda v: v.sort_key())
     cands.append(ValuationDescriptor(ctx, "trivial"))
     for v in cands:
@@ -209,11 +215,9 @@ def maximal_ideal(V: Overmonoid, bound: int = 6):
     return member
 
 
-def delta(H: Monoid, V: Overmonoid, primes=None, bound: int = 6):
+def delta(H: Monoid, V: Overmonoid, primes, bound: int = 6):
     """The domination map V -> m_V intersect H, matched against the
     enumerated primes by pointwise agreement on the window."""
-    if primes is None:
-        primes = enumerate_primes(H, bound)
     m = maximal_ideal(V, bound)
     window = [g for g in H.context.window(bound) if H.contains(g)]
     matches = [P for P in primes
@@ -224,14 +228,11 @@ def delta(H: Monoid, V: Overmonoid, primes=None, bound: int = 6):
     return matches[0]
 
 
-def delta_laws(H: Monoid, height: int = 2, bound: int = 6):
+def delta_laws(H: Monoid, primes, zar, images, bound: int = 6):
     """For every nonzero window element x: the preimage law
     delta^{-1}(D(x)) = B(x^{-1}) and the image law
     delta(B(x)) = spec minus V((H : x)), over the enumerated carriers."""
     ctx = H.context
-    primes = enumerate_primes(H, bound)
-    zar = [v.to_overmonoid() for v in enumerate_zar(H, height, bound)]
-    images = [delta(H, V, primes, bound) for V in zar]
     idx = {id(P): i for i, P in enumerate(primes)}
     h_window = [g for g in ctx.window(bound) if H.contains(g)
                 and g is not INF and g != ctx.zero]
@@ -274,7 +275,7 @@ def delta_laws(H: Monoid, height: int = 2, bound: int = 6):
     checks.append(Check("delta-image-law-lower", lower_witness is None,
                         witness=lower_witness, exhaustive=False, n=count,
                         bound=bound))
-    if is_s_pruefer(H, bound).ok:
+    if is_s_pruefer(H, primes, bound).ok:
         checks.append(Check("delta-image-law", eq_witness is None,
                             witness=eq_witness, exhaustive=False, n=count,
                             bound=bound))
@@ -287,65 +288,25 @@ def delta_laws(H: Monoid, height: int = 2, bound: int = 6):
     return checks
 
 
-def dominates(H1: Overmonoid, H2: Overmonoid, bound: int = 6) -> bool:
-    """H1 <=_d H2: inclusion plus H1 intersect m_{H2} = m_{H1}, on the
-    window.  Both inputs must be local."""
-    ctx = H1.context
-    m1 = maximal_ideal(H1, bound)
-    m2 = maximal_ideal(H2, bound)
-    for g in ctx.window(bound):
-        if H1.contains(g) and not H2.contains(g):
-            return False
-        if (H1.contains(g) and m2(g)) != m1(g):
-            return False
-    return True
-
-
-def valuation_maximality(V: Overmonoid, candidates, bound: int = 6) -> Check:
-    """No strictly larger local candidate dominates V."""
-    ctx = V.context
-    window = ctx.window(bound)
-    witness = None
-    count = 0
-    for W in candidates:
-        if not W.is_local_window(bound):
-            continue
-        larger = (all(W.contains(g) for g in window if V.contains(g))
-                  and any(W.contains(g) and not V.contains(g) for g in window))
-        if not larger:
-            continue
-        count += 1
-        if dominates(V, W, bound):
-            witness = {"V": V.name, "W": W.name}
-            break
-    return Check(f"maximal[{V.name}]", witness is None, witness=witness,
-                 exhaustive=False, n=count, bound=bound)
-
-
-def surjectivity_witness(H: Monoid, P, height: int = 2, bound: int = 6):
-    """A descriptor V with delta(V) = P and H minus P = H intersect V-units,
-    from the enumerated Zar carrier."""
+def surjectivity_witness(H: Monoid, P, zar, images, bound: int = 6):
+    """A member V of the Zar carrier with delta(V) = P and H minus P =
+    H intersect V-units."""
     ctx = H.context
-    primes = enumerate_primes(H, bound)
     h_window = [g for g in ctx.window(bound) if H.contains(g)]
-    for v in enumerate_zar(H, height, bound):
-        V = v.to_overmonoid()
-        image = delta(H, V, primes, bound)
+    for V, image in zip(zar, images):
         if not image.ideal.equals(P.ideal):
             continue
         ok = all((not P.contains(g)) ==
                  (V.contains(g) and V.contains(ctx.inv(g)))
                  for g in h_window if g is not INF and g != ctx.zero)
         if ok:
-            return v
-    raise ValueError(f"no enumerated valuation dominates {P}; "
-                     f"raise the enumeration height")
+            return V
+    raise ValueError(f"no member of the Zar carrier maps onto {P}")
 
 
-def is_s_pruefer(H: Monoid, bound: int = 6) -> Check:
+def is_s_pruefer(H: Monoid, primes, bound: int = 6) -> Check:
     """Every localization at a prime s-ideal is a valuation monoid
     (windowed)."""
-    primes = enumerate_primes(H, bound)
     witness = None
     count = 0
     for P in primes:
@@ -379,12 +340,10 @@ def ultrafilter_limit_valuation(carrier, principal_index: int, ctx,
     return carrier[matches[0]]
 
 
-def delta_dot(H: Monoid, height: int = 2, bound: int = 6, name="delta") -> str:
+def delta_dot(H: Monoid, primes, zar, images, bound: int = 6,
+              name="delta") -> str:
     """Bipartite DOT drawing of the domination correspondence with
     specialization edges inside each side."""
-    primes = enumerate_primes(H, bound)
-    zar = [v.to_overmonoid() for v in enumerate_zar(H, height, bound)]
-    images = [delta(H, V, primes, bound) for V in zar]
     idx = {id(P): i for i, P in enumerate(primes)}
     edges = [(i, idx[id(images[i])]) for i in range(len(zar))]
     zar_space = overmonoid_space(zar, H.context, bound)

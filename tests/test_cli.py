@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from monoid_spectra import cli, intgeom, modsys
+from monoid_spectra import cli, idealsys, intgeom, modsys, valuation
 from monoid_spectra.cli import main
 from monoid_spectra.monoid import Monoid, Overmonoid
 
@@ -44,6 +44,9 @@ REPORT_SHA1 = {
     ("main1", "n579"): "8277bb57860d31ce9b97f300afc88b1b53acd54a",
     ("prop1", "n71113"): "93cb8920cb49da67de84165164785497e4b44c22",
     ("prop1", "n81113"): "8e31ddc3bf2675a54e528dcd8aa3da5899fc486b",
+    # N x Z, the s-Pruefer instance: delta is a homeomorphism
+    ("zar", "nxz"): "73d83dee59471952515f3afa23c4fdbd6f676965",
+    ("pruefer", "nxz"): "fdd7abf82fbfe7357eec4b800b9f5f04b39d9282",
 }
 
 # SHA-1 of the JSON report, which also carries the counts and the exhaustive
@@ -65,6 +68,25 @@ REPORT_JSON_SHA1 = {
     ("corollaries", "n579"): "bb2eb173ef7cffab0041244f2d5fc684fafab739",
     # the known window-limited FAIL (exit 1)
     ("main1", "n579"): "e9c6624679ab4994e48b93ad950bdcc9dc1a9924",
+    ("zar", "nxz"): "135daf9255d15b9ffb6358a42d8921350e5d657a",
+    ("pruefer", "nxz"): "f4c00350f254182fce9c54f2fe836c9394ce99f3",
+}
+
+# SHA-1 of the --dot drawing of every suite that draws one, on each input
+# the suite supports
+DOT_SHA1 = {
+    ("spec", "n23"): "accc435e906c689c2ab4b87a095579cae1dc25fa",
+    ("spec", "n2"): "bb9c5631ab64cf9295f382be9f3d98d8a8ba1f39",
+    ("spec", "c3z"): "ea55766c71ddbe2fb5ed992c1da8da668a3863e6",
+    ("ideals", "n23"): "8584fef662d3774c568ecdb3cc9e2ff9eaca1fe9",
+    ("ideals", "c3z"): "cc524715625d4805ae2cd89a795dc23ba998dac5",
+    ("zar", "n23"): "66a24b4fb6d823235f8a264b5aa4fc4e21d1fb5f",
+    ("zar", "n2"): "986930734dcefce61a6e120301a3ae8aecfaa912",
+    ("pruefer", "n23"): "ab0948a0d40e8751bfb4057eebf71bca3767f9f4",
+    ("pruefer", "n2"): "05ae6694143597949d98e6119cad6fd078b9cf0e",
+    ("main1", "n23"): "aa1757a732697bbaa64aaf7677b14d8ab47c0011",
+    ("main1", "n2"): "fb7cffc6f7f103d6315ecdd9ae8b34595aab0016",
+    ("main1", "c3z"): "9e5fc3e960439bdd2d365040d560058c550abce9",
 }
 
 
@@ -171,6 +193,24 @@ def test_reports_on_larger_numerical_inputs(capsys):
                         "--input", data(name + ".json"))
         assert code in (0, 1), (suite, name, out)
         assert sha1(out) == REPORT_SHA1[suite, name], (suite, name)
+
+
+def test_reports_on_the_pruefer_instance(capsys):
+    for suite in ("zar", "pruefer"):
+        code, out = run(capsys, "verify", "--suite", suite,
+                        "--input", data("nxz.json"))
+        assert code == 0, (suite, out)
+        assert sha1(out) == REPORT_SHA1[suite, "nxz"], suite
+
+
+def test_dot_drawings(tmp_path, capsys):
+    for (suite, name), digest in DOT_SHA1.items():
+        path = tmp_path / f"{suite}-{name}.dot"
+        code, out = run(capsys, "verify", "--suite", suite,
+                        "--input", data(name + ".json"), "--dot", str(path))
+        assert code == 0, (suite, name)
+        assert sha1(out) == REPORT_SHA1[suite, name], (suite, name)
+        assert sha1(path.read_text()) == digest, (suite, name)
 
 
 def test_json_reports(capsys):
@@ -308,3 +348,24 @@ def test_main1_reads_int_closures_by_span(capsys, monkeypatch):
     assert code == 1  # the known window-limited FAIL
     assert sha1(out) == REPORT_SHA1["main1", "n579"]
     assert 0 < len(calls) <= 60_000
+
+
+def test_pruefer_builds_its_domination_data_once(capsys, monkeypatch):
+    # rebuilt by every helper, this was 9, 7 and 62 calls
+    calls = Counter()
+    for module, attr in ((idealsys, "enumerate_primes"),
+                         (valuation, "enumerate_zar"), (valuation, "delta")):
+        real = getattr(module, attr)
+
+        def counting(*args, real=real, attr=attr, **kwargs):
+            calls[attr] += 1
+            return real(*args, **kwargs)
+
+        for mod in (cli, idealsys, valuation):
+            if getattr(mod, attr, None) is real:
+                monkeypatch.setattr(mod, attr, counting)
+    code, out = run(capsys, "verify", "--suite", "pruefer",
+                    "--input", data("n2.json"))
+    assert code == 0
+    assert sha1(out) == REPORT_SHA1["pruefer", "n2"]
+    assert calls == {"enumerate_primes": 1, "enumerate_zar": 1, "delta": 14}

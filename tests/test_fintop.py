@@ -3,11 +3,9 @@ import random
 
 import pytest
 
-from monoid_spectra.fintop import (FiniteSpace, PrincipalUltrafilter,
-                                   all_topologies, brute_force_homeomorphic,
-                                   build_topology, hasse_edges, homeomorphic,
-                                   open_set_dump, poset_dot,
-                                   ultrafilter_dichotomy)
+from monoid_spectra.fintop import (FiniteSpace, all_topologies,
+                                   brute_force_homeomorphic, hasse_edges,
+                                   homeomorphic, poset_dot)
 
 
 def sierpinski():
@@ -22,16 +20,14 @@ def discrete(n):
 
 def test_sierpinski_basics():
     s = sierpinski()
-    assert s.is_t0() and s.is_sober() and s.is_spectral_finite()
+    assert s.is_t0() and s.sober_bruteforce()
     assert s.opens() == {0b00, 0b10, 0b11}
     assert s.leq(1, 0)  # closure of the generic point is everything
     assert not s.leq(0, 1)
-    assert not s.is_hausdorff()
 
 
 def test_discrete_space():
     d = discrete(3)
-    assert d.is_discrete() and d.is_hausdorff() and d.is_totally_disconnected()
     assert len(d.opens()) == 8
     assert hasse_edges(d) == []
 
@@ -56,16 +52,17 @@ def test_carrier_guard():
     with pytest.raises(ValueError):
         FiniteSpace([str(i) for i in range(n)],
                     [frozenset({i}) for i in range(n)]).opens()
-    build_topology(["a", "b"], [frozenset({0})])
 
+
+# On a finite space sober (and so spectral) is read from T0; these two tests
+# check that reading against the definition.
 
 def test_sober_agrees_with_bruteforce_on_all_3_point_topologies():
     spaces = all_topologies(3)
     assert len(spaces) == 29
     for sp in spaces:
-        assert sp.is_sober() == sp.sober_bruteforce(), sorted(sp.opens())
-    assert sum(sp.is_sober() for sp in spaces) == sum(
-        sp.is_t0() for sp in spaces)
+        assert sp.is_t0() == sp.sober_bruteforce(), sorted(sp.opens())
+    assert sum(sp.is_t0() for sp in spaces) == 19
 
 
 def test_sober_agrees_with_bruteforce_on_random_small_spaces():
@@ -75,30 +72,7 @@ def test_sober_agrees_with_bruteforce_on_random_small_spaces():
         sub = [frozenset(i for i in range(n) if rng.random() < 0.5)
                for _ in range(rng.randint(1, 5))]
         sp = FiniteSpace([str(i) for i in range(n)], sub)
-        assert sp.is_sober() == sp.sober_bruteforce(), sorted(sp.opens())
-
-
-def test_quasi_compactness():
-    for sp in [sierpinski(), discrete(4)]:
-        assert sp.is_quasi_compact()
-        assert sp.quasi_compact_all_covers_check()
-
-
-def test_hochster_conditions_on_t0_space():
-    hc = sierpinski().hochster_conditions()
-    assert all(hc.values())
-
-
-def test_patch_topology_is_discrete_on_finite_t0():
-    for sp in [sierpinski(), discrete(3),
-               FiniteSpace(["a", "b", "c"],
-                           [frozenset({0}), frozenset({0, 1})])]:
-        patch = sp.patch_topology()
-        assert patch.is_discrete()
-        assert patch.is_hausdorff() and patch.is_totally_disconnected()
-    indiscrete = FiniteSpace(["a", "b"], [])
-    with pytest.raises(ValueError):
-        indiscrete.patch_topology()
+        assert sp.is_t0() == sp.sober_bruteforce(), sorted(sp.opens())
 
 
 def test_homeomorphic_agrees_with_bruteforce_on_all_3_point_topologies():
@@ -137,38 +111,6 @@ def test_homeomorphic_requires_t0():
         homeomorphic(indiscrete, sierpinski())
 
 
-def test_ultrafilter_dichotomy_and_limits():
-    universe = range(4)
-    uf = PrincipalUltrafilter(2)
-    subsets = [frozenset(c) for r in range(5)
-               for c in itertools.combinations(universe, r)]
-    for Y in subsets:
-        for Z in subsets:
-            assert ultrafilter_dichotomy(uf, universe, Y, Z)
-    # in a discrete space the limit set at the principal ultrafilter on z is {z}
-    d = discrete(4)
-    assert d.ultrafilter_limit_set(range(4), uf) == frozenset({2})
-    # in Sierpinski space, the ultrafilter at the generic point converges to
-    # both points (the closed point has the smaller profile)
-    s = sierpinski()
-    assert s.ultrafilter_limit_set({0, 1}, PrincipalUltrafilter(1)) == \
-        frozenset({1})
-
-
-def test_subspace():
-    sp = FiniteSpace(["a", "b", "c"], [frozenset({0, 1}), frozenset({1, 2})])
-    sub = sp.subspace([0, 1])
-    assert sub.labels == ["a", "b"]
-    assert sub.opens() == FiniteSpace(["a", "b"],
-                                      [frozenset({0, 1}),
-                                       frozenset({1})]).opens()
-
-
 def test_dot_and_dump_emission():
-    s = sierpinski()
-    dot = poset_dot(s)
+    dot = poset_dot(sierpinski())
     assert dot.startswith("digraph") and "->" in dot
-    dump = open_set_dump(s)
-    assert "{generic, closed}" in dump or "{closed, generic}" in dump
-    with pytest.raises(ValueError):
-        open_set_dump(discrete(9))

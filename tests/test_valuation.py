@@ -3,13 +3,24 @@ import pytest
 from monoid_spectra.idealsys import enumerate_primes
 from monoid_spectra.monoid import INF, Monoid, Overmonoid
 from monoid_spectra.valuation import (ValuationDescriptor, b_complement_law,
-                                      delta, delta_dot, delta_laws, dominates,
+                                      delta, delta_dot, delta_laws,
                                       enumerate_overmonoids, enumerate_zar,
                                       is_s_pruefer, is_valuation,
                                       maximal_ideal, overmonoid_space,
                                       surjectivity_witness,
-                                      ultrafilter_limit_valuation,
-                                      valuation_maximality)
+                                      ultrafilter_limit_valuation)
+
+
+def domination(H, bound):
+    """The primes, the Zar carrier and the delta image of each member."""
+    primes = enumerate_primes(H, bound)
+    zar = [v.to_overmonoid() for v in enumerate_zar(H, bound=bound)]
+    return primes, zar, [delta(H, V, primes, bound) for V in zar]
+
+
+def laws(H, bound):
+    return {c.name: c for c in delta_laws(H, *domination(H, bound),
+                                          bound=bound)}
 
 
 def lex_contains(g, w, t):
@@ -86,7 +97,7 @@ def test_enumerate_zar_numerical_and_affine():
     zn = enumerate_zar(Hn)
     assert [v.tag for v in zn] == ["N", "Z"]
     Ha = Monoid.affine([[1, 0], [0, 1]])
-    za = enumerate_zar(Ha, height=2, bound=6)
+    za = enumerate_zar(Ha, bound=6)
     assert len(za) == 14
     assert any(v.tag == "trivial" for v in za)
     # all contain the generators
@@ -115,7 +126,7 @@ def test_maximal_ideal_and_delta_numerical():
 def test_delta_images_affine():
     H = Monoid.affine([[1, 0], [0, 1]])
     primes = enumerate_primes(H, bound=4)
-    zar = enumerate_zar(H, height=2, bound=4)
+    zar = enumerate_zar(H, bound=4)
     images = {repr(v): delta(H, v.to_overmonoid(), primes, bound=4).name
               for v in zar}
     assert images["V(trivial)"] == "P_zero"
@@ -131,7 +142,7 @@ def test_delta_images_affine():
 
 def test_delta_laws_numerical_nonpruefer():
     H = Monoid.numerical([2, 3])
-    checks = {c.name: c for c in delta_laws(H, bound=6)}
+    checks = laws(H, 6)
     assert checks["delta-preimage-law"].ok
     assert checks["delta-image-law-lower"].ok
     # the equality is reported informationally with the failure point
@@ -141,48 +152,30 @@ def test_delta_laws_numerical_nonpruefer():
 
 def test_delta_laws_pruefer_instance():
     H = Monoid.affine([[1, 0], [0, 1], [0, -1]])
-    assert is_s_pruefer(H, bound=4).ok
-    checks = {c.name: c for c in delta_laws(H, bound=4)}
+    assert is_s_pruefer(H, enumerate_primes(H, 4), bound=4).ok
+    checks = laws(H, 4)
     assert all(c.ok for c in checks.values())
     assert checks["delta-image-law"].witness is None
 
 
 def test_pruefer_verdicts():
-    assert not is_s_pruefer(Monoid.numerical([2, 3]), bound=6).ok
-    assert not is_s_pruefer(Monoid.affine([[1, 0], [0, 1]]), bound=4).ok
-    assert is_s_pruefer(Monoid.numerical([1]), bound=6).ok
-
-
-def test_dominates():
-    H = Monoid.numerical([2, 3])
-    ctx = H.context
-    N = Overmonoid(ctx, rule=lambda g: g >= 0, name="N")
-    Z = Overmonoid(ctx, gens=(1, -1), name="Z")
-    assert dominates(N, N, bound=6)
-    # Z's maximal ideal is {0_G} alone (everything is a unit), so N's maximal
-    # ideal does not pull back correctly: N does not dominate Z
-    assert not dominates(N, Z, bound=6)
-    assert dominates(Z, Z, bound=6)
-
-
-def test_valuation_maximality():
-    H = Monoid.numerical([2, 3])
-    ctx = H.context
-    N = Overmonoid(ctx, rule=lambda g: g >= 0, name="N")
-    Z = Overmonoid(ctx, gens=(1, -1), name="Z")
-    assert valuation_maximality(N, [N, Z], bound=6).ok
+    for H, bound, ok in ((Monoid.numerical([2, 3]), 6, False),
+                         (Monoid.affine([[1, 0], [0, 1]]), 4, False),
+                         (Monoid.numerical([1]), 6, True)):
+        assert is_s_pruefer(H, enumerate_primes(H, bound), bound).ok == ok
 
 
 def test_surjectivity_witness():
     H = Monoid.affine([[1, 0], [0, 1]])
-    for P in enumerate_primes(H, bound=4):
-        v = surjectivity_witness(H, P, height=2, bound=4)
-        assert delta(H, v.to_overmonoid(), bound=4).ideal.equals(P.ideal)
+    primes, zar, images = domination(H, 4)
+    for P in primes:
+        V = surjectivity_witness(H, P, zar, images, bound=4)
+        assert delta(H, V, primes, bound=4).ideal.equals(P.ideal)
 
 
 def test_b_complement_law_and_space():
     H = Monoid.affine([[1, 0], [0, 1]])
-    zar = [v.to_overmonoid() for v in enumerate_zar(H, height=2, bound=4)]
+    zar = [v.to_overmonoid() for v in enumerate_zar(H, bound=4)]
     assert b_complement_law(zar, H.context, bound=4).ok
     space = overmonoid_space(zar, H.context, bound=4)
     assert space.is_t0()
@@ -198,6 +191,6 @@ def test_ultrafilter_limit_valuation_is_principal():
 
 def test_delta_dot_emission():
     H = Monoid.numerical([2, 3])
-    dot = delta_dot(H, bound=6)
+    dot = delta_dot(H, *domination(H, 6), bound=6)
     assert dot.startswith("digraph")
     assert "l0 -> r" in dot
