@@ -17,8 +17,7 @@ from .errors import UnsupportedRealization
 from .fintop import homeomorphic, poset_dot
 from .idealsys import (check_ideal_axioms, enumerate_ideals, enumerate_primes,
                        ideal_space_subbasis, o_set, is_prime, s_system,
-                       signature_window, spec_subbasis,
-                       ultrafilter_limit_ideal)
+                       spec_subbasis)
 from .modsys import (DeltaFamily, SystemSpace, check_family, check_id2,
                      check_idempotent, check_module_axioms, example16,
                      extract_finite_witness, falsify_finitary,
@@ -29,8 +28,7 @@ from .monoid import INF, ParseError, as_overmonoid, localize, monoid_from_file
 from .report import Check, SuiteReport
 from .valuation import (b_complement_law, delta, delta_dot, delta_laws,
                         enumerate_overmonoids, enumerate_zar, is_s_pruefer,
-                        is_valuation, overmonoid_space, surjectivity_witness,
-                        ultrafilter_limit_valuation)
+                        is_valuation, overmonoid_space, surjectivity_witness)
 
 SUITES = ("axioms", "spec", "ideals", "zar", "pruefer", "pronconst",
           "main1", "main2", "prop1", "prop2", "corollaries")
@@ -96,6 +94,18 @@ def _space_checks(space, bound):
         Check("spectral", t0, witness=None if t0 else {"t0": False},
               exhaustive=False, bound=bound),
     ]
+
+
+def _principal_limit_check(space, key, bound):
+    # Finocchiaro's limit X_S(U) of the principal ultrafilter at a point is
+    # the set of points sharing its profile, which should be the point alone.
+    i = next((i for i in range(space.n) if space.principal_limit(i) != [i]),
+             None)
+    return Check("principal-limit-identity", i is None,
+                 witness=None if i is None else
+                 {key: space.labels[i],
+                  "limit": [space.labels[x] for x in space.principal_limit(i)]},
+                 exhaustive=False, n=space.n, bound=bound)
 
 
 # -- suites -------------------------------------------------------------------
@@ -174,18 +184,11 @@ def suite_pronconst(H, bound, seed):
     rep.add(Check("prime-iff-no-O", witness is None, witness=witness,
                   exhaustive=False, n=len(ideals), bound=2 * bound,
                   detail="flagged: " + "; ".join(flagged)))
-    small = [g for g in signature_window(H, bound) if H.contains(g)]
-    witness = None
-    for I in ideals:
-        if ultrafilter_limit_ideal(ideals, I, small) is not I:
-            witness = {"I": repr(I)}
-            break
-    rep.add(Check("principal-limit-identity", witness is None,
-                  witness=witness, exhaustive=False, n=len(ideals),
-                  bound=bound))
     space = ideal_space_subbasis(ideals, H, bound)
-    rep.add(Check("ideal-space-t0", space.is_t0(),
-                  witness=None if space.is_t0() else {"profiles": "coincide"},
+    rep.add(_principal_limit_check(space, "I", bound))
+    t0 = space.is_t0()
+    rep.add(Check("ideal-space-t0", t0,
+                  witness=None if t0 else {"profiles": "coincide"},
                   exhaustive=False, n=space.n, bound=bound))
     return rep, None
 
@@ -198,23 +201,14 @@ def suite_zar(H, bound, seed):
                   n=len(carrier), bound=bound,
                   detail=" ".join(V.name for V in carrier)))
     for V in carrier:
-        rep.add(Check(f"contains-H[{V.name}]",
-                      all(V.contains(g) for g in H.generators),
-                      witness={"V": V.name}
-                      if not all(V.contains(g) for g in H.generators) else None,
-                      exhaustive=True))
+        ok = all(V.contains(g) for g in H.generators)
+        rep.add(Check(f"contains-H[{V.name}]", ok,
+                      witness=None if ok else {"V": V.name}, exhaustive=True))
         rep.add(is_valuation(V, bound))
     rep.add(b_complement_law(carrier, H.context, bound))
     space = overmonoid_space(carrier, H.context, bound)
     rep.extend(_space_checks(space, bound))
-    witness = None
-    for i, V in enumerate(carrier):
-        if ultrafilter_limit_valuation(carrier, i, H.context, bound) is not V:
-            witness = {"V": V.name}
-            break
-    rep.add(Check("principal-limit-identity", witness is None,
-                  witness=witness, exhaustive=False, n=len(carrier),
-                  bound=bound))
+    rep.add(_principal_limit_check(space, "V", bound))
     return rep, lambda: poset_dot(space, name="zar")
 
 

@@ -1,7 +1,8 @@
 """Finite topological spaces built from subbases: the T0 test,
-specialization posets, homeomorphism with a brute-force oracle, and DOT
-emission.  On a finite carrier sober and spectral are each equivalent to T0
-(``sober_bruteforce`` checks the definition literally).
+specialization posets, principal ultrafilter limits, homeomorphism with a
+brute-force oracle, and DOT emission.  On a finite carrier sober and
+spectral are each equivalent to T0 (``sober_bruteforce`` checks the
+definition literally).
 
 Point sets are small by design; opens are materialized as bitmasks with a
 carrier guard of 20 points."""
@@ -14,16 +15,22 @@ CARRIER_GUARD = 20
 
 
 class FiniteSpace:
-    """A finite point set with a subbasis of opens (stored as index sets)."""
+    """A finite point set with a subbasis of opens (stored as index sets).
 
-    def __init__(self, labels, subbasis, subbasis_names=None):
+    Each point's profile, the int with bit k set when the point lies in
+    subbasis open k, is computed once; separation, the specialization order
+    and principal limits are all read from the profiles."""
+
+    def __init__(self, labels, subbasis):
         self.labels = list(labels)
         self.n = len(self.labels)
         self.subbasis = [frozenset(s) for s in subbasis]
-        self.subbasis_names = subbasis_names
-        for s in self.subbasis:
+        self.profiles = [0] * self.n
+        for k, s in enumerate(self.subbasis):
             if any(not 0 <= i < self.n for i in s):
                 raise ValueError("subbasis set outside the point set")
+            for i in s:
+                self.profiles[i] |= 1 << k
         self._opens = None
 
     # -- masks --------------------------------------------------------------
@@ -79,19 +86,28 @@ class FiniteSpace:
 
     # -- separation and order ------------------------------------------------
 
-    def profile(self, i) -> frozenset:
-        return frozenset(k for k, s in enumerate(self.subbasis) if i in s)
-
     def is_t0(self) -> bool:
         """Distinguishability by opens equals distinguishability by subbasis
         members, so no materialization is needed."""
-        profiles = [self.profile(i) for i in range(self.n)]
-        return len(set(profiles)) == self.n
+        return len(set(self.profiles)) == self.n
+
+    def separating_open(self, x, y):
+        """Index of the first subbasis open holding exactly one of x and y,
+        or None when their profiles coincide."""
+        diff = self.profiles[x] ^ self.profiles[y]
+        return (diff & -diff).bit_length() - 1 if diff else None
 
     def leq(self, x, y) -> bool:
         """Specialization: x <= y iff y lies in the closure of {x}, i.e. every
         subbasis open containing y contains x."""
-        return self.profile(y) <= self.profile(x)
+        return not self.profiles[y] & ~self.profiles[x]
+
+    def principal_limit(self, i) -> list:
+        """X_S(U) for the principal ultrafilter U at point i (Finocchiaro):
+        the points x with x in S iff i in S for every subbasis open S, that
+        is the points sharing i's profile.  [i] exactly when i is separated
+        from every other point."""
+        return [x for x in range(self.n) if self.profiles[x] == self.profiles[i]]
 
     def specialization_poset(self):
         """Relation matrix of the closure order (a preorder; a poset iff T0)."""
@@ -124,6 +140,13 @@ class FiniteSpace:
 
     def __repr__(self):
         return f"FiniteSpace(n={self.n}, subbasis={len(self.subbasis)})"
+
+
+def subbasis_space(labels, points, opens, inside) -> FiniteSpace:
+    """The space on `points` whose k-th subbasis open is the set of points p
+    with inside(p, opens[k]); each membership is evaluated once."""
+    return FiniteSpace(labels, [frozenset(i for i, p in enumerate(points)
+                                          if inside(p, o)) for o in opens])
 
 
 def poset_isomorphism(X: FiniteSpace, Y: FiniteSpace):

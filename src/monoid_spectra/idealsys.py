@@ -1,13 +1,13 @@
 """Ideal systems on a monoid H: the closure axioms, the s-system, finitary
-closure, r-ideals, prime r-ideals, spectrum/ideal-space subbases, the
-non-primality witness sets O_{a,b} and principal-ultrafilter limit ideals."""
+closure, r-ideals, prime r-ideals, spectrum/ideal-space subbases and the
+non-primality witness sets O_{a,b}."""
 
 from __future__ import annotations
 
 import random
 
 from .errors import UnsupportedRealization
-from .fintop import FiniteSpace
+from .fintop import FiniteSpace, subbasis_space
 from .intgeom import faces_2d
 from .modsys import (ModuleSystem, _nonzero, _sample_subsets, _shift_or,
                      _verdicts, _Window, _with_span)
@@ -75,11 +75,10 @@ class RIdeal:
 
 
 class SpecPoint:
-    """A prime r-ideal together with the window its certificate was scanned on."""
+    """A named prime r-ideal."""
 
-    def __init__(self, ideal: RIdeal, window_bound: int, name=""):
+    def __init__(self, ideal: RIdeal, name=""):
         self.ideal = ideal
-        self.window_bound = window_bound
         self.name = name
 
     def contains(self, g):
@@ -112,8 +111,8 @@ def enumerate_primes(H: Monoid, bound: int = 10):
     window = H.context.window(bound)
     out = []
     if H.kind == "numerical":
-        out.append(SpecPoint(RIdeal(r, ()), bound, name="P_zero"))
-        out.append(SpecPoint(RIdeal(r, H.generators), bound, name="P_max"))
+        out.append(SpecPoint(RIdeal(r, ()), name="P_zero"))
+        out.append(SpecPoint(RIdeal(r, H.generators), name="P_max"))
     elif H.kind == "affine":
         if H.dim > 2:
             raise UnsupportedRealization("prime enumeration needs dimension <= 2")
@@ -134,9 +133,9 @@ def enumerate_primes(H: Monoid, bound: int = 10):
             name = "P_zero" if not outside else (
                 "P_max" if len(outside) == len(set(H.generators)) else
                 f"P_face{sorted(face)}")
-            out.append(SpecPoint(ideal, bound, name=name))
+            out.append(SpecPoint(ideal, name=name))
     elif H.kind == "finite":
-        out.append(SpecPoint(RIdeal(r, ()), bound, name="P_zero"))
+        out.append(SpecPoint(RIdeal(r, ()), name="P_zero"))
     else:
         raise UnsupportedRealization(H.kind)
     for p in out:
@@ -154,14 +153,8 @@ def enumerate_primes(H: Monoid, bound: int = 10):
 def spec_subbasis(H: Monoid, primes, bound: int = 10) -> FiniteSpace:
     """The Zariski space on primes with subbasis the principal opens D_r(f)."""
     window = [g for g in H.context.window(bound) if H.contains(g)]
-    labels = [p.name or repr(p.ideal) for p in primes]
-    subbasis = []
-    names = []
-    for f in window:
-        subbasis.append(frozenset(i for i, p in enumerate(primes)
-                                  if not p.contains(f)))
-        names.append(f"D({f})")
-    return FiniteSpace(labels, subbasis, subbasis_names=names)
+    return subbasis_space([p.name or repr(p.ideal) for p in primes], primes,
+                          window, lambda p, f: not p.contains(f))
 
 
 def signature_window(H: Monoid, bound: int):
@@ -220,14 +213,8 @@ def ideal_space_subbasis(ideals, H: Monoid, bound: int = 10) -> FiniteSpace:
     """The space on a finite ideal list with subbasis U_r(x) = {I : x not in I},
     with x running over the signature window so listed ideals separate."""
     window = [g for g in signature_window(H, bound) if H.contains(g)]
-    labels = [repr(I) for I in ideals]
-    subbasis = []
-    names = []
-    for x in window:
-        subbasis.append(frozenset(i for i, I in enumerate(ideals)
-                                  if not I.contains(x)))
-        names.append(f"U({x})")
-    return FiniteSpace(labels, subbasis, subbasis_names=names)
+    return subbasis_space([repr(I) for I in ideals], ideals, window,
+                          lambda I, x: not I.contains(x))
 
 
 def o_set(a, b, ideals, H: Monoid):
@@ -236,25 +223,6 @@ def o_set(a, b, ideals, H: Monoid):
     ab = H.op(a, b)
     return [I for I in ideals
             if not I.contains(a) and not I.contains(b) and I.contains(ab)]
-
-
-def ultrafilter_limit_ideal(ideals, principal_at: RIdeal, window):
-    """The limit ideal {y : U_r(y) not in the ultrafilter}; at the principal
-    ultrafilter generated by a listed ideal this is that ideal itself.
-
-    Evaluated literally through the subbasis sets, then matched back into the
-    ideal list by pointwise agreement on the window."""
-
-    def in_limit(y):
-        u_y = [I for I in ideals if not I.contains(y)]
-        return principal_at not in u_y  # principal ultrafilter evaluation
-
-    limit = [in_limit(y) for y in window]
-    matches = [I for I in ideals
-               if all(v == I.contains(y) for v, y in zip(limit, window))]
-    if len(matches) != 1:
-        raise AssertionError("limit ideal did not match a unique listed ideal")
-    return matches[0]
 
 
 # -- axiom checking ---------------------------------------------------------

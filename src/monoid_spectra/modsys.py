@@ -9,7 +9,7 @@ import itertools
 import json
 import random
 
-from .fintop import FiniteSpace
+from .fintop import FiniteSpace, subbasis_space
 from .monoid import (INF, IntCarrier, Monoid, Overmonoid, ParseError, is_int,
                      monoid_from_json, sort_key)
 from .report import Check
@@ -564,38 +564,25 @@ class SystemSpace:
     def __init__(self, systems, pool):
         self.systems = list(systems)
         self.pool = list(pool)
-        self._profiles = None
-
-    def profiles(self) -> list:
-        """For each system, the pool sets S with the system in U_S as an int
-        bitmask (bit k <-> pool[k]), each membership evaluated once."""
-        if self._profiles is None:
-            self._profiles = [
-                sum(1 << k for k, S in enumerate(self.pool)
-                    if subbasis_membership(r, S))
-                for r in self.systems]
-        return self._profiles
+        self._space = None
 
     def space(self) -> FiniteSpace:
-        labels = [r.name for r in self.systems]
-        profiles = self.profiles()
-        subbasis = []
-        names = []
-        for k, S in enumerate(self.pool):
-            subbasis.append(frozenset(
-                i for i, p in enumerate(profiles) if p >> k & 1))
-            names.append("U_" + "{" + ",".join(map(repr, sorted(S, key=sort_key))) + "}")
-        return FiniteSpace(labels, subbasis, subbasis_names=names)
+        """The space on the systems with subbasis U_S, S over the pool; each
+        membership is evaluated once, on the first call."""
+        if self._space is None:
+            self._space = subbasis_space([r.name for r in self.systems],
+                                         self.systems, self.pool,
+                                         subbasis_membership)
+        return self._space
 
     def t0_witnesses(self):
         """For each pair of carrier systems, the first pool set S with exactly
         one of them in U_S; None marks an undistinguished pair."""
-        profiles = self.profiles()
+        space = self.space()
         out = {}
-        for i, j in itertools.combinations(range(len(self.systems)), 2):
-            diff = profiles[i] ^ profiles[j]
-            out[(i, j)] = (self.pool[(diff & -diff).bit_length() - 1]
-                           if diff else None)
+        for i, j in itertools.combinations(range(space.n), 2):
+            k = space.separating_open(i, j)
+            out[i, j] = None if k is None else self.pool[k]
         return out
 
 

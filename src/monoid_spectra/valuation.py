@@ -11,7 +11,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import UnsupportedRealization
-from .fintop import FiniteSpace, bipartite_dot, hasse_edges
+from .fintop import FiniteSpace, bipartite_dot, hasse_edges, subbasis_space
 from .idealsys import spec_subbasis
 from .intgeom import dot
 from .monoid import INF, Monoid, Overmonoid, fraction_ideal, localize
@@ -172,11 +172,8 @@ def u_subbasis(carrier, x):
 def overmonoid_space(carrier, ctx, bound: int = 6) -> FiniteSpace:
     """R(G|H) (or Zar) with the subbasis U(x) over the window; for valuation
     carriers U(x) and B(x) = Zar(G|H[x]) agree pointwise."""
-    window = [g for g in ctx.window(bound)]
-    labels = [S.name or repr(S) for S in carrier]
-    subbasis = [u_subbasis(carrier, x) for x in window]
-    names = [f"U({x})" for x in window]
-    return FiniteSpace(labels, subbasis, subbasis_names=names)
+    return subbasis_space([S.name or repr(S) for S in carrier], carrier,
+                          ctx.window(bound), lambda S, x: S.contains(x))
 
 
 def b_complement_law(carrier, ctx, bound: int = 6) -> Check:
@@ -319,25 +316,6 @@ def is_s_pruefer(H: Monoid, primes, bound: int = 6) -> Check:
             break
     return Check("s-pruefer", witness is None, witness=witness,
                  exhaustive=False, n=count, bound=bound)
-
-
-def ultrafilter_limit_valuation(carrier, principal_index: int, ctx,
-                                bound: int = 10):
-    """H_U = {x : B(x) in the ultrafilter}, evaluated literally over the
-    carrier; at a principal ultrafilter it is the carrier member itself,
-    matched back by pointwise agreement on the window."""
-
-    def member(x):
-        large = u_subbasis(carrier, x)
-        return principal_index in large
-
-    limit = Overmonoid(ctx, rule=member, name="limit")
-    window = ctx.window(bound)
-    matches = [i for i, S in enumerate(carrier)
-               if all(S.contains(x) == limit.contains(x) for x in window)]
-    if len(matches) != 1:
-        raise AssertionError("limit valuation did not match a unique member")
-    return carrier[matches[0]]
 
 
 def delta_dot(H: Monoid, primes, zar, images, bound: int = 6,

@@ -12,8 +12,7 @@ from monoid_spectra.fintop import (all_topologies, brute_force_homeomorphic,
 from monoid_spectra.idealsys import (check_ideal_axioms, enumerate_ideals,
                                      enumerate_primes, ideal_space_subbasis,
                                      is_prime, o_set, s_system,
-                                     signature_window, spec_subbasis,
-                                     ultrafilter_limit_ideal)
+                                     spec_subbasis)
 from monoid_spectra.modsys import (DeltaFamily, check_id2,
                                    check_idempotent, check_module_axioms,
                                    embedding_checks, example16,
@@ -25,8 +24,7 @@ from monoid_spectra.monoid import INF, Monoid, Overmonoid, localize
 from monoid_spectra.valuation import (delta, delta_laws,
                                       enumerate_overmonoids, enumerate_zar,
                                       is_s_pruefer, overmonoid_space,
-                                      surjectivity_witness,
-                                      ultrafilter_limit_valuation)
+                                      surjectivity_witness)
 
 
 class budget:
@@ -93,9 +91,10 @@ def test_3_valuation_carrier_of_2_3():
         carrier = [v.to_overmonoid() for v in zar]
         space = overmonoid_space(carrier, H.context, bound=6)
         assert space.is_t0()
-        for i, S in enumerate(carrier):
-            assert ultrafilter_limit_valuation(carrier, i, H.context,
-                                               bound=10) is S
+        # each valuation is its own unique principal limit
+        limits = overmonoid_space(carrier, H.context, bound=10)
+        assert [limits.principal_limit(i) for i in range(len(carrier))] == \
+            [[i] for i in range(len(carrier))]
 
 
 def test_4_domination_positive_and_negative_instances():
@@ -194,10 +193,10 @@ def test_6_prime_iff_no_obstruction_set():
                         for I in flagged}
         assert descriptions == {frozenset(), frozenset({2, 3, 4, 5, 6, 7})}
         # principal ultrafilter limits are the identity and the space is T0
-        sig = [g for g in signature_window(H, 10) if H.contains(g)]
-        for I in ideals:
-            assert ultrafilter_limit_ideal(ideals, I, sig) is I
-        assert ideal_space_subbasis(ideals, H, bound=10).is_t0()
+        space = ideal_space_subbasis(ideals, H, bound=10)
+        assert [space.principal_limit(i) for i in range(len(ideals))] == \
+            [[i] for i in range(len(ideals))]
+        assert space.is_t0()
 
 
 def test_7_module_system_constructions():

@@ -369,3 +369,37 @@ def test_pruefer_builds_its_domination_data_once(capsys, monkeypatch):
     assert code == 0
     assert sha1(out) == REPORT_SHA1["pruefer", "n2"]
     assert calls == {"enumerate_primes": 1, "enumerate_zar": 1, "delta": 14}
+
+
+def count_calls(monkeypatch, cls, attr):
+    calls = []
+    real = getattr(cls, attr)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cls, attr, counting)
+    return calls
+
+
+def test_pronconst_reads_principal_limits_from_the_ideal_space(
+        capsys, monkeypatch):
+    # rebuilding each limit ideal point by point made 116 161 calls here
+    calls = count_calls(monkeypatch, idealsys.RIdeal, "contains")
+    code, out = run(capsys, "verify", "--suite", "pronconst",
+                    "--input", data("n469.json"))
+    assert code == 0
+    assert sha1(out) == REPORT_SHA1["pronconst", "n469"]
+    assert 0 < len(calls) <= 25_000
+
+
+def test_zar_reads_principal_limits_from_the_valuation_space(
+        capsys, monkeypatch):
+    # rebuilding each limit valuation point by point made 53 714 calls here
+    calls = count_calls(monkeypatch, Overmonoid, "contains")
+    code, out = run(capsys, "verify", "--suite", "zar",
+                    "--input", data("n2.json"))
+    assert code == 0
+    assert sha1(out) == REPORT_SHA1["zar", "n2"]
+    assert 0 < len(calls) <= 6_000

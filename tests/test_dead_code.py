@@ -1,5 +1,6 @@
 """Every public function, class and method of the library is used somewhere
-in the library or the benchmark, besides its own definition.
+in the library or the benchmark, besides its own definition, and every
+attribute the library sets on ``self`` is read there.
 
 References are matched by name: a bare name, an attribute, an export from
 the package's ``__init__`` or a string naming the attribute (as the
@@ -20,6 +21,12 @@ ALLOWED = {
     "all_topologies",
     "brute_force_homeomorphic",
     "Monoid.cyclic_group_with_zero",
+}
+
+# attributes set on self that only the tests read: public values
+READ_BY_TESTS = {
+    "ParseError.field",
+    "NumericalSemigroup.conductor",
 }
 
 
@@ -77,3 +84,30 @@ def test_every_public_name_is_used():
             if not outside and qualified not in ALLOWED:
                 unused.append(f"{os.path.basename(path)}:{qualified}")
     assert not unused, unused
+
+
+def self_assignments(tree):
+    """(Class.attr, attr) of every ``self.<attr> = ...`` inside a class."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Attribute) and \
+                    isinstance(node.ctx, ast.Store) and \
+                    isinstance(node.value, ast.Name) and \
+                    node.value.id == "self":
+                yield f"{cls.name}.{node.attr}", node.attr
+
+
+def test_no_write_only_attribute():
+    files = list(python_files(PACKAGE, os.path.join(ROOT, "bench")))
+    trees = {path: ast.parse(open(path, encoding="utf-8").read())
+             for path in files}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    write_only = sorted({qualified for path in python_files(PACKAGE)
+                         for qualified, attr in self_assignments(trees[path])
+                         if attr not in read
+                         and qualified not in READ_BY_TESTS})
+    assert not write_only, write_only

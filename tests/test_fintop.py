@@ -3,9 +3,12 @@ import random
 
 import pytest
 
+from monoid_spectra.cli import _principal_limit_check
 from monoid_spectra.fintop import (FiniteSpace, all_topologies,
                                    brute_force_homeomorphic, hasse_edges,
-                                   homeomorphic, poset_dot)
+                                   homeomorphic, poset_dot, subbasis_space)
+from monoid_spectra.monoid import Monoid
+from monoid_spectra.valuation import enumerate_zar, overmonoid_space
 
 
 def sierpinski():
@@ -114,3 +117,60 @@ def test_homeomorphic_requires_t0():
 def test_dot_and_dump_emission():
     dot = poset_dot(sierpinski())
     assert dot.startswith("digraph") and "->" in dot
+
+
+def small_spaces():
+    """Every topology on 3 points and 60 seeded random spaces of 4 or 5."""
+    rng = random.Random(13)
+    spaces = list(all_topologies(3))
+    for _ in range(60):
+        n = rng.randint(4, 5)
+        sub = [frozenset(i for i in range(n) if rng.random() < 0.5)
+               for _ in range(rng.randint(0, 5))]
+        spaces.append(FiniteSpace([str(i) for i in range(n)], sub))
+    return spaces
+
+
+def test_profile_reads_agree_with_opens_and_subbasis():
+    for sp in small_spaces():
+        opens = sp.opens()
+        for x in range(sp.n):
+            # the closure of {x}: points every open around which holds x
+            closure = {y for y in range(sp.n)
+                       if all(o >> x & 1 for o in opens if o >> y & 1)}
+            assert {y for y in range(sp.n) if sp.leq(x, y)} == closure
+            limit = [y for y in range(sp.n)
+                     if all((y in S) == (x in S) for S in sp.subbasis)]
+            assert sp.principal_limit(x) == limit
+            for y in range(sp.n):
+                k = sp.separating_open(x, y)
+                assert (k is None) == (limit.count(y) == 1)
+                if k is not None:
+                    assert (x in sp.subbasis[k]) != (y in sp.subbasis[k])
+                    assert all((x in S) == (y in S) for S in sp.subbasis[:k])
+
+
+def test_subbasis_space_evaluates_each_membership_once():
+    calls = []
+
+    def inside(p, o):
+        calls.append((p, o))
+        return p % o == 0
+
+    sp = subbasis_space(["2", "3", "6"], [2, 3, 6], [2, 3], inside)
+    assert sorted(calls) == sorted((p, o) for p in (2, 3, 6) for o in (2, 3))
+    assert sp.subbasis == [{0, 2}, {1, 2}]
+    assert sp.profiles == [0b01, 0b10, 0b11]
+
+
+def test_shared_profile_fails_the_principal_limit_check():
+    H = Monoid.numerical([2, 3])
+    N, Z = [v.to_overmonoid() for v in enumerate_zar(H)]
+    ok = _principal_limit_check(overmonoid_space([N, Z], H.context), "V", 6)
+    assert ok.ok and ok.n == 2
+    # a duplicated carrier member shares its profile with the original
+    space = overmonoid_space([N, Z, N], H.context)
+    assert space.principal_limit(0) == [0, 2]
+    check = _principal_limit_check(space, "V", 6)
+    assert not check.ok
+    assert check.witness == {"V": N.name, "limit": [N.name, N.name]}

@@ -9,8 +9,7 @@ from monoid_spectra.idealsys import (RIdeal, check_ideal_axioms,
                                      enumerate_ideals, enumerate_primes,
                                      ideal_space_subbasis,
                                      is_prime, o_set, s_system,
-                                     signature_window, spec_subbasis,
-                                     ultrafilter_limit_ideal)
+                                     signature_window, spec_subbasis)
 from monoid_spectra.intgeom import UnsupportedRealization
 from monoid_spectra.modsys import phi
 from monoid_spectra.monoid import INF, Monoid, sort_key
@@ -180,10 +179,10 @@ def test_ideal_space_separates_and_limits_are_principal():
     ideals = enumerate_ideals(H, r, bound=6)
     space = ideal_space_subbasis(ideals, H, bound=6)
     assert space.is_t0()
-    window = [g for g in signature_window(H, 6) if H.contains(g)]
-    for I in ideals:
-        lim = ultrafilter_limit_ideal(ideals, I, window)
-        assert lim is I
+    assert space.labels == [repr(I) for I in ideals]
+    # each ideal is its own unique principal limit
+    for i in range(len(ideals)):
+        assert space.principal_limit(i) == [i]
 
 
 def brute_enumerate_ideals(H, r, bound):

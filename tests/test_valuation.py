@@ -7,8 +7,7 @@ from monoid_spectra.valuation import (ValuationDescriptor, b_complement_law,
                                       enumerate_overmonoids, enumerate_zar,
                                       is_s_pruefer, is_valuation,
                                       maximal_ideal, overmonoid_space,
-                                      surjectivity_witness,
-                                      ultrafilter_limit_valuation)
+                                      surjectivity_witness)
 
 
 def domination(H, bound):
@@ -184,9 +183,10 @@ def test_b_complement_law_and_space():
 def test_ultrafilter_limit_valuation_is_principal():
     H = Monoid.numerical([2, 3])
     carrier = enumerate_overmonoids(H)
-    for i, S in enumerate(carrier):
-        assert ultrafilter_limit_valuation(carrier, i, H.context,
-                                           bound=10) is S
+    space = overmonoid_space(carrier, H.context, bound=10)
+    # each overmonoid is its own unique principal limit
+    for i in range(len(carrier)):
+        assert space.principal_limit(i) == [i]
 
 
 def test_delta_dot_emission():
