@@ -6,7 +6,7 @@ from .monoid import (INF, CarrierMismatch, Monoid, Overmonoid, ParseError,
                      adjoin, as_overmonoid, fraction_ideal, localize,
                      monoid_from_file, monoid_from_json)
 from .errors import UnsupportedRealization
-from .idealsys import (IdealSystem, RIdeal, SpecPoint, check_ideal_axioms,
+from .idealsys import (IdealSystem, RIdeal, check_ideal_axioms,
                        enumerate_ideals, enumerate_primes, s_system,
                        spec_subbasis)
 from .modsys import (DeltaFamily, ModuleSystem, SystemSpace, example16,

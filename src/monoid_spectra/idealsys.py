@@ -9,8 +9,8 @@ import random
 from .errors import UnsupportedRealization
 from .fintop import FiniteSpace, subbasis_space
 from .intgeom import faces_2d
-from .modsys import (ModuleSystem, _nonzero, _sample_subsets, _shift_or,
-                     _verdicts, _Window, _with_span)
+from .modsys import (ModuleSystem, _sample_subsets, _verdicts, _Window,
+                     product_closure)
 from .monoid import INF, Monoid, sort_key
 
 # Most ideals `enumerate_ideals` lists before it gives up.
@@ -30,36 +30,19 @@ class IdealSystem(ModuleSystem):
 
 
 def s_system(H: Monoid) -> IdealSystem:
-    """The s-system: X_s = XH for nonempty X and {0} for X = empty set."""
-    ctx = H.context
-    zero = ctx.zero
-
-    def closure(X):
-        xs = _nonzero(ctx, X)
-        inverses = [ctx.inv(x) for x in xs]
-
-        def member(g):
-            if not ctx.contains(g):
-                return False
-            if g is INF or g == zero:
-                return True
-            for b in inverses:
-                if H.has(ctx.op(b, g)):
-                    return True
-            return False
-
-        return _with_span(ctx, member,
-                         lambda lo, hi: _shift_or([H], xs, lo, hi))
-
-    return IdealSystem("s", H, closure)
+    """The s-system: X_s = XH for nonempty X and {0} for X = empty set, the
+    product closure of {H}."""
+    return IdealSystem("s", H, product_closure(H.context, [H]))
 
 
 class RIdeal:
-    """An r-ideal given by a finite generator list; membership is exact."""
+    """An r-ideal given by a finite generator list; membership is exact.
+    Primes from ``enumerate_primes`` carry a ``name``."""
 
-    def __init__(self, system: IdealSystem, generators):
+    def __init__(self, system: IdealSystem, generators, name=""):
         self.system = system
         self.generators = tuple(sorted(set(generators), key=sort_key))
+        self.name = name
         self._member = system.closure(self.generators)
 
     def contains(self, g) -> bool:
@@ -72,20 +55,6 @@ class RIdeal:
 
     def __repr__(self):
         return f"RIdeal{self.generators}"
-
-
-class SpecPoint:
-    """A named prime r-ideal."""
-
-    def __init__(self, ideal: RIdeal, name=""):
-        self.ideal = ideal
-        self.name = name
-
-    def contains(self, g):
-        return self.ideal.contains(g)
-
-    def __repr__(self):
-        return f"SpecPoint({self.name or self.ideal})"
 
 
 def is_prime(I: RIdeal, window) -> bool:
@@ -111,8 +80,8 @@ def enumerate_primes(H: Monoid, bound: int = 10):
     window = H.context.window(bound)
     out = []
     if H.kind == "numerical":
-        out.append(SpecPoint(RIdeal(r, ()), name="P_zero"))
-        out.append(SpecPoint(RIdeal(r, H.generators), name="P_max"))
+        out.append(RIdeal(r, (), name="P_zero"))
+        out.append(RIdeal(r, H.generators, name="P_max"))
     elif H.kind == "affine":
         if H.dim > 2:
             raise UnsupportedRealization("prime enumeration needs dimension <= 2")
@@ -129,31 +98,30 @@ def enumerate_primes(H: Monoid, bound: int = 10):
                 outside = tuple(g for g in H.generators if g not in gens)
             else:
                 outside = tuple(g for g in H.generators if g not in face)
-            ideal = RIdeal(r, outside)
             name = "P_zero" if not outside else (
                 "P_max" if len(outside) == len(set(H.generators)) else
                 f"P_face{sorted(face)}")
-            out.append(SpecPoint(ideal, name=name))
+            out.append(RIdeal(r, outside, name=name))
     elif H.kind == "finite":
-        out.append(SpecPoint(RIdeal(r, ()), name="P_zero"))
+        out.append(RIdeal(r, (), name="P_zero"))
     else:
         raise UnsupportedRealization(H.kind)
     for p in out:
-        if not is_prime(p.ideal, window):
+        if not is_prime(p, window):
             raise AssertionError(f"enumerated ideal {p} failed the prime recheck")
     # dedupe (a face may coincide with another at degenerate cones)
     uniq = []
     for p in out:
-        if not any(p.ideal.equals(q.ideal) for q in uniq):
+        if not any(p.equals(q) for q in uniq):
             uniq.append(p)
-    uniq.sort(key=lambda p: tuple(sort_key(g) for g in p.ideal.generators))
+    uniq.sort(key=lambda p: tuple(sort_key(g) for g in p.generators))
     return uniq
 
 
 def spec_subbasis(H: Monoid, primes, bound: int = 10) -> FiniteSpace:
     """The Zariski space on primes with subbasis the principal opens D_r(f)."""
     window = [g for g in H.context.window(bound) if H.contains(g)]
-    return subbasis_space([p.name or repr(p.ideal) for p in primes], primes,
+    return subbasis_space([p.name or repr(p) for p in primes], primes,
                           window, lambda p, f: not p.contains(f))
 
 

@@ -60,52 +60,60 @@ def _shift_or(members, xs, lo, hi):
     """The g in lo..hi with g - a in every member S for some a in xs (sorted
     integers), as an int with bit j for lo + j: the AND over S of the OR over
     a of S's membership mask shifted by a."""
-    if not xs:
-        return 0
-    amin, amax = xs[0], xs[-1]
     out = (1 << (hi - lo + 1)) - 1
     for S in members:
-        m = S.span_mask(lo - amax, hi - amin)
         any_a = 0
-        for a in xs:
-            any_a |= m >> (amax - a)
+        if xs:
+            m = S.span_mask(lo - xs[-1], hi - xs[0])
+            for a in xs:
+                any_a |= m >> (xs[-1] - a)
         out &= any_a
     return out
 
 
-def _with_span(ctx, member, span):
-    """Attach `span(lo, hi)`, the closure on the integers lo..hi as an int
-    bitmask, to an int-carrier closure predicate; other carriers read their
-    closures point by point."""
-    if isinstance(ctx, IntCarrier):
-        member.span = span
-    return member
-
-
-def example16(H: Monoid) -> ModuleSystem:
-    """A_r = G when 0 is in A, otherwise AH with 0 adjoined.  Satisfies Id1,
-    M2, Id3 and M4 but not Id2."""
-    ctx = H.context
+def product_closure(ctx, members):
+    """The closure A -> intersection over S in `members` of SA, with 0: g is
+    in it iff for every S some nonzero a in A has a^{-1} g in S.  Exact for
+    finite A and a finite list; an empty list gives all of G.  On the int
+    carrier each predicate carries ``span(lo, hi)``, the closure on the
+    integers lo..hi as an int bitmask."""
     zero = ctx.zero
+    spans = isinstance(ctx, IntCarrier)
 
     def closure(A):
-        has_zero = any(a is INF or a == zero for a in A)
         xs = _nonzero(ctx, A)
         inverses = [ctx.inv(a) for a in xs]
 
         def member(g):
             if not ctx.contains(g):
                 return False
-            if has_zero or g is INF or g == zero:
+            if g is INF or g == zero:
                 return True
-            return any(H.has(ctx.op(b, g)) for b in inverses)
+            for S in members:
+                for b in inverses:
+                    if S.has(ctx.op(b, g)):
+                        break
+                else:
+                    return False
+            return True
 
-        def span(lo, hi):
-            if has_zero:
-                return (1 << (hi - lo + 1)) - 1
-            return _shift_or([H], xs, lo, hi)
+        if spans:
+            member.span = lambda lo, hi: _shift_or(members, xs, lo, hi)
+        return member
 
-        return _with_span(ctx, member, span)
+    return closure
+
+
+def example16(H: Monoid) -> ModuleSystem:
+    """A_r = G when 0 is in A, otherwise AH with 0 adjoined.  Satisfies Id1,
+    M2, Id3 and M4 but not Id2."""
+    ctx = H.context
+    whole, product = product_closure(ctx, []), product_closure(ctx, [H])
+
+    def closure(A):
+        if any(a is INF or a == ctx.zero for a in A):
+            return whole(A)
+        return product(A)
 
     return ModuleSystem("example16", ctx, closure, finitary=True)
 
@@ -168,28 +176,9 @@ def r_delta(delta: DeltaFamily, ctx, truncate=None) -> ModuleSystem:
             raise ValueError("parameterized family needs a truncation or a limit")
         mems = delta.truncated(k)
         exact = False
-    zero = ctx.zero
-
-    def closure(A):
-        xs = _nonzero(ctx, A)
-        inverses = [ctx.inv(a) for a in xs]
-
-        def member(g):
-            if not ctx.contains(g):
-                return False
-            if g is INF or g == zero:
-                return True
-            if not inverses:
-                return False
-            return all(any(S.has(ctx.op(b, g)) for b in inverses)
-                       for S in mems)
-
-        return _with_span(ctx, member,
-                         lambda lo, hi: _shift_or(mems, xs, lo, hi))
-
     name = f"r_{delta.name}" + ("" if exact else f"|k<={len(mems)}")
-    return ModuleSystem(name, ctx, closure, finitary=delta.finite or None,
-                        family=delta)
+    return ModuleSystem(name, ctx, product_closure(ctx, mems),
+                        finitary=delta.finite or None, family=delta)
 
 
 def iota(S: Overmonoid, name=None) -> ModuleSystem:

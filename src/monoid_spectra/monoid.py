@@ -242,13 +242,36 @@ class FiniteCarrier(GroupoidContext):
         return closure.__contains__
 
 
-class _Span:
-    """Membership on a range of integers as one int bitmask, for monoids and
-    overmonoids on the int carrier.  Each object keeps one mask, grown to the
-    union of the ranges asked for (and 0), so its size follows the widest
-    range any caller reads."""
+class Overmonoid:
+    """Submonoid of G containing H, with exact decidable membership.
+
+    Backed either by a generator list (membership derived exactly by the
+    carrier) or by a closed-form membership rule, which is only asked about
+    nonzero elements of G; the predicate is fixed here, once.  On the int
+    carrier ``span_mask`` reads membership on a range of integers as one int
+    bitmask; each object keeps one mask, grown to the union of the ranges
+    asked for (and 0), so its size follows the widest range any caller
+    reads."""
 
     _span = (0, -1, 0)  # lo, hi and the mask of the range read so far
+
+    def __init__(self, context, gens=None, rule=None, name=""):
+        if gens is None and rule is None:
+            raise ValueError("an overmonoid needs generators or a rule")
+        self.context = context
+        self.gens = tuple(gens) if gens is not None else None
+        for g in self.gens or ():
+            context.check(g)
+        self.name = name
+        self._member = rule if rule is not None else context.submonoid(
+            self.gens)
+
+    def contains(self, g) -> bool:
+        return self.context.contains(g) and self.has(g)
+
+    def has(self, g) -> bool:
+        """Membership of an element already known to lie in the carrier."""
+        return g is INF or g == self.context.zero or bool(self._member(g))
 
     def span_mask(self, lo, hi):
         """The members among lo..hi: bit j is set when lo + j is one."""
@@ -264,19 +287,44 @@ class _Span:
             self._span = m_lo, m_hi, bits
         return bits >> (lo - m_lo) & ((1 << (hi - lo + 1)) - 1)
 
+    def units_window(self, bound: int) -> list:
+        ctx = self.context
+        out = []
+        for g in ctx.window(bound):
+            if g is INF or g == ctx.zero:
+                continue
+            if self.has(g) and self.has(ctx.inv(g)):
+                out.append(g)
+        return out
 
-class Monoid(_Span):
+    def is_local_window(self, bound: int) -> bool:
+        """Nonunits form an ideal on the window (products checked when they
+        stay inside the window)."""
+        ctx = self.context
+        units = set(self.units_window(bound))
+        members = [g for g in ctx.window(bound) if self.has(g)]
+        for n in members:
+            if n in units or n == ctx.one:
+                continue
+            for h in members:
+                if ctx.op(n, h) in units:
+                    return False
+        return True
+
+    def __repr__(self):
+        return f"Overmonoid({self.name or self.gens})"
+
+
+class Monoid(Overmonoid):
     """One of the three finitely presented realizations of a commutative
-    cancellative monoid with identity and absorbing zero.  ``kind`` is the
-    realization's label; membership goes through the carrier."""
+    cancellative monoid with identity and absorbing zero: the smallest
+    overmonoid of its groupoid.  ``kind`` is the realization's label;
+    membership goes through the carrier."""
 
     def __init__(self, kind, context, generators, args=None):
+        super().__init__(context, gens=generators)
         self.kind = kind
-        self.context = context
-        self.generators = tuple(generators)
-        for g in self.generators:
-            context.check(g)
-        self._member = context.submonoid(self.generators)
+        self.generators = self.gens
         self._args = repr(self.generators) if args is None else args
 
     # -- constructors ------------------------------------------------------
@@ -311,15 +359,6 @@ class Monoid(_Span):
                  for a in range(n + 1)]
         return cls.finite(table, one=0, zero=n)
 
-    # -- membership --------------------------------------------------------
-
-    def contains(self, g) -> bool:
-        return self.context.contains(g) and self.has(g)
-
-    def has(self, g) -> bool:
-        """Membership of an element already known to lie in the carrier."""
-        return g is INF or g == self.context.zero or self._member(g)
-
     def op(self, a, b):
         return self.context.op(a, b)
 
@@ -333,68 +372,6 @@ class Monoid(_Span):
 
     def __repr__(self):
         return f"Monoid.{self.kind}{self._args}"
-
-
-class Overmonoid(_Span):
-    """Submonoid of G containing H, with exact decidable membership.
-
-    Backed either by a generator list (membership derived exactly by the
-    carrier) or by a closed-form membership rule, which is only asked about
-    nonzero elements of G."""
-
-    def __init__(self, context, gens=None, rule=None, name=""):
-        if gens is None and rule is None:
-            raise ValueError("an overmonoid needs generators or a rule")
-        self.context = context
-        self.gens = tuple(gens) if gens is not None else None
-        for g in self.gens or ():
-            context.check(g)
-        self.rule = rule
-        self.name = name
-        self._member = None
-
-    def contains(self, g) -> bool:
-        return self.context.contains(g) and self.has(g)
-
-    def has(self, g) -> bool:
-        """Membership of an element already known to lie in the carrier."""
-        if g is INF or g == self.context.zero:
-            return True
-        if self.rule is not None:
-            return bool(self.rule(g))
-        return self._derived_contains(g)
-
-    def _derived_contains(self, g) -> bool:
-        if self._member is None:
-            self._member = self.context.submonoid(self.gens)
-        return self._member(g)
-
-    def units_window(self, bound: int) -> list:
-        ctx = self.context
-        out = []
-        for g in ctx.window(bound):
-            if g is INF or g == ctx.zero:
-                continue
-            if self.has(g) and self.has(ctx.inv(g)):
-                out.append(g)
-        return out
-
-    def is_local_window(self, bound: int) -> bool:
-        """Nonunits form an ideal on the window (products checked when they
-        stay inside the window)."""
-        ctx = self.context
-        units = set(self.units_window(bound))
-        members = [g for g in ctx.window(bound) if self.has(g)]
-        for n in members:
-            if n in units or n == ctx.one:
-                continue
-            for h in members:
-                if ctx.op(n, h) in units:
-                    return False
-        return True
-
-    def __repr__(self):
-        return f"Overmonoid({self.name or self.gens})"
 
 
 def as_overmonoid(H: Monoid, name="H") -> Overmonoid:

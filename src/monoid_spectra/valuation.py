@@ -2,9 +2,9 @@
 valuation carriers with their subbasis topologies, the domination map onto
 prime ideals and its laws, and a localization-based Pruefer test.
 
-The domination functions take the enumerated primes, the Zar carrier (as
-overmonoids) and the image of each carrier member under ``delta``, built once
-by the caller."""
+The domination functions take the enumerated primes, the Zar carrier (its
+members are overmonoids), the image of each member under ``delta`` and the
+carrier's space, all built once by the caller."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from math import gcd
 
 from .errors import UnsupportedRealization
 from .fintop import FiniteSpace, bipartite_dot, hasse_edges, subbasis_space
-from .idealsys import spec_subbasis
 from .intgeom import dot
 from .monoid import INF, Monoid, Overmonoid, fraction_ideal, localize
 from .numsgp import oversemigroups
@@ -27,8 +26,9 @@ def _sign(v: int) -> int:
     return (v > 0) - (v < 0)
 
 
-class ValuationDescriptor:
-    """Finite description of a valuation submonoid of G.
+class ValuationDescriptor(Overmonoid):
+    """Finite description of a valuation submonoid of G, as a rule-backed
+    overmonoid.
 
     Over Z (numerical carriers) the only options are N and Z themselves.  Over
     a rank-2 lattice a descriptor is a primitive integer weight w together
@@ -38,7 +38,6 @@ class ValuationDescriptor:
     descriptor is all of G."""
 
     def __init__(self, context, tag, weight=None, tiebreak=None):
-        self.context = context
         self.tag = tag
         self.weight = tuple(weight) if weight is not None else None
         self.tiebreak = tiebreak
@@ -52,10 +51,7 @@ class ValuationDescriptor:
                 raise ValueError("tiebreak must be -1, 0 or +1")
         elif tag not in ("N", "Z", "trivial"):
             raise ValueError(f"unknown descriptor tag {tag!r}")
-
-    def contains(self, g) -> bool:
-        ctx = self.context
-        return ctx.contains(g) and (g is INF or g == ctx.zero or self._rule(g))
+        super().__init__(context, rule=self._rule, name=repr(self))
 
     def _rule(self, g) -> bool:
         """Membership of a nonzero element of G."""
@@ -71,9 +67,6 @@ class ValuationDescriptor:
             return True
         perp = (-w[1], w[0])
         return _sign(dot(perp, g)) in (0, self.tiebreak)
-
-    def to_overmonoid(self) -> Overmonoid:
-        return Overmonoid(self.context, rule=self._rule, name=repr(self))
 
     def sort_key(self):
         if self.tag == "trivial":
@@ -131,7 +124,7 @@ def enumerate_overmonoids(H: Monoid):
 
 
 def enumerate_zar(H: Monoid, bound: int = 6):
-    """Zar(G|H): valuation descriptors whose monoid contains H.
+    """Zar(G|H): the valuation descriptors (overmonoids) that contain H.
 
     Numerical: N when H has no negative elements, and Z (the trivial
     valuation of the carrier).  Affine d = 2: all primitive weights up to
@@ -164,11 +157,6 @@ def enumerate_zar(H: Monoid, bound: int = 6):
 
 # -- subbases and carriers ----------------------------------------------------
 
-def u_subbasis(carrier, x):
-    """U(x) over a list of overmonoids: indices of members containing x."""
-    return frozenset(i for i, S in enumerate(carrier) if S.contains(x))
-
-
 def overmonoid_space(carrier, ctx, bound: int = 6) -> FiniteSpace:
     """R(G|H) (or Zar) with the subbasis U(x) over the window; for valuation
     carriers U(x) and B(x) = Zar(G|H[x]) agree pointwise."""
@@ -176,20 +164,30 @@ def overmonoid_space(carrier, ctx, bound: int = 6) -> FiniteSpace:
                           ctx.window(bound), lambda S, x: S.contains(x))
 
 
-def b_complement_law(carrier, ctx, bound: int = 6) -> Check:
-    """On a valuation carrier, Zar minus B(x) sits inside B(x^{-1})."""
+def _subbasis_at(space, ctx, bound):
+    """x -> U(x), read from a space that ``overmonoid_space`` built on
+    ctx.window(bound); that window is closed under inversion."""
+    window = ctx.window(bound)
+    if len(window) != len(space.subbasis):
+        raise ValueError("the space was built on another window")
+    return dict(zip(window, space.subbasis))
+
+
+def b_complement_law(space, ctx, bound: int = 6) -> Check:
+    """On a valuation carrier, Zar minus B(x) sits inside B(x^{-1}); U(x) and
+    U(x^{-1}) are read from the carrier's space."""
+    U = _subbasis_at(space, ctx, bound)
     witness = None
     count = 0
     for x in ctx.window(bound):
         if x is INF or x == ctx.zero:
             continue
         count += 1
-        bx = u_subbasis(carrier, x)
-        bxi = u_subbasis(carrier, ctx.inv(x))
-        outside = set(range(len(carrier))) - bx
+        bxi = U[ctx.inv(x)]
+        outside = set(range(space.n)) - U[x]
         if not outside <= bxi:
             i = next(iter(outside - bxi))
-            witness = {"x": repr(x), "V": carrier[i].name}
+            witness = {"x": repr(x), "V": space.labels[i]}
             break
     return Check("B-complement", witness is None, witness=witness,
                  exhaustive=False, n=count, bound=bound)
@@ -225,11 +223,13 @@ def delta(H: Monoid, V: Overmonoid, primes, bound: int = 6):
     return matches[0]
 
 
-def delta_laws(H: Monoid, primes, zar, images, bound: int = 6):
+def delta_laws(H: Monoid, primes, images, zar_space, bound: int = 6):
     """For every nonzero window element x: the preimage law
     delta^{-1}(D(x)) = B(x^{-1}) and the image law
-    delta(B(x)) = spec minus V((H : x)), over the enumerated carriers."""
+    delta(B(x)) = spec minus V((H : x)), over the enumerated carriers; B(x)
+    is read from the Zar carrier's space."""
     ctx = H.context
+    U = _subbasis_at(zar_space, ctx, bound)
     idx = {id(P): i for i, P in enumerate(primes)}
     h_window = [g for g in ctx.window(bound) if H.contains(g)
                 and g is not INF and g != ctx.zero]
@@ -239,9 +239,8 @@ def delta_laws(H: Monoid, primes, zar, images, bound: int = 6):
     count = 0
     for x in h_window:
         count += 1
-        pre = frozenset(i for i, V in enumerate(zar)
-                        if not images[i].contains(x))
-        bxi = u_subbasis(zar, ctx.inv(x))
+        pre = frozenset(i for i, P in enumerate(images) if not P.contains(x))
+        bxi = U[ctx.inv(x)]
         if pre != bxi:
             witness = {"x": repr(x), "preimage": sorted(pre),
                        "B": sorted(bxi)}
@@ -259,7 +258,7 @@ def delta_laws(H: Monoid, primes, zar, images, bound: int = 6):
         count += 1
         frac = fraction_ideal(H, x)
         frac_window = [h for h in h_window if frac(h)]
-        left = frozenset(idx[id(images[i])] for i in u_subbasis(zar, x))
+        left = frozenset(idx[id(images[i])] for i in U[x])
         right = frozenset(j for j, P in enumerate(primes)
                           if any(not P.contains(h) for h in frac_window))
         if lower_witness is None and not right <= left:
@@ -291,7 +290,7 @@ def surjectivity_witness(H: Monoid, P, zar, images, bound: int = 6):
     ctx = H.context
     h_window = [g for g in ctx.window(bound) if H.contains(g)]
     for V, image in zip(zar, images):
-        if not image.ideal.equals(P.ideal):
+        if not image.equals(P):
             continue
         ok = all((not P.contains(g)) ==
                  (V.contains(g) and V.contains(ctx.inv(g)))
@@ -307,7 +306,7 @@ def is_s_pruefer(H: Monoid, primes, bound: int = 6) -> Check:
     witness = None
     count = 0
     for P in primes:
-        loc = localize(H, P.ideal)
+        loc = localize(H, P)
         count += 1
         c = is_valuation(loc, bound)
         if not c.ok:
@@ -318,17 +317,11 @@ def is_s_pruefer(H: Monoid, primes, bound: int = 6) -> Check:
                  exhaustive=False, n=count, bound=bound)
 
 
-def delta_dot(H: Monoid, primes, zar, images, bound: int = 6,
-              name="delta") -> str:
+def delta_dot(primes, images, zar_space, spec_space, name="delta") -> str:
     """Bipartite DOT drawing of the domination correspondence with
     specialization edges inside each side."""
     idx = {id(P): i for i, P in enumerate(primes)}
-    edges = [(i, idx[id(images[i])]) for i in range(len(zar))]
-    zar_space = overmonoid_space(zar, H.context, bound)
-    spec = spec_subbasis(H, primes, bound)
-    return bipartite_dot([V.name for V in zar],
-                         [P.name for P in primes],
-                         edges,
+    edges = [(i, idx[id(P)]) for i, P in enumerate(images)]
+    return bipartite_dot(zar_space.labels, spec_space.labels, edges,
                          left_edges=hasse_edges(zar_space),
-                         right_edges=hasse_edges(spec),
-                         name=name)
+                         right_edges=hasse_edges(spec_space), name=name)

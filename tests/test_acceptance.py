@@ -88,13 +88,13 @@ def test_3_valuation_carrier_of_2_3():
         H = Monoid.numerical([2, 3])
         zar = enumerate_zar(H)
         assert [v.tag for v in zar] == ["N", "Z"]
-        carrier = [v.to_overmonoid() for v in zar]
-        space = overmonoid_space(carrier, H.context, bound=6)
+        assert all(isinstance(v, Overmonoid) for v in zar)
+        space = overmonoid_space(zar, H.context, bound=6)
         assert space.is_t0()
         # each valuation is its own unique principal limit
-        limits = overmonoid_space(carrier, H.context, bound=10)
-        assert [limits.principal_limit(i) for i in range(len(carrier))] == \
-            [[i] for i in range(len(carrier))]
+        limits = overmonoid_space(zar, H.context, bound=10)
+        assert [limits.principal_limit(i) for i in range(len(zar))] == \
+            [[i] for i in range(len(zar))]
 
 
 def test_4_domination_positive_and_negative_instances():
@@ -103,7 +103,7 @@ def test_4_domination_positive_and_negative_instances():
     H = Monoid.affine([[1, 0], [0, 1], [0, -1]])
     primes = enumerate_primes(H, bound=4)
     assert is_s_pruefer(H, primes, bound=4).ok
-    zar = [v.to_overmonoid() for v in enumerate_zar(H, bound=4)]
+    zar = enumerate_zar(H, bound=4)
     images = [delta(H, V, primes, bound=4) for V in zar]
     assert len(zar) == len(primes)
     assert len({id(P) for P in images}) == len(primes)
@@ -116,15 +116,15 @@ def test_4_domination_positive_and_negative_instances():
     H2 = Monoid.affine([[1, 0], [0, 1]])
     primes2 = enumerate_primes(H2, bound=4)
     assert not is_s_pruefer(H2, primes2, bound=4).ok
-    carrier2 = [v.to_overmonoid() for v in enumerate_zar(H2, bound=4)]
+    carrier2 = enumerate_zar(H2, bound=4)
     images2 = [delta(H2, V, primes2, bound=4) for V in carrier2]
     for P in primes2:
         V = surjectivity_witness(H2, P, carrier2, images2, bound=4)
         assert delta(H2, V, primes2, bound=4) is P
     zar2 = enumerate_zar(H2, bound=4)
     by_repr = {repr(v): v for v in zar2}
-    a = by_repr["V(w=(0, 1),t=-1)"].to_overmonoid()
-    b = by_repr["V(w=(1, 0),t=+1)"].to_overmonoid()
+    a = by_repr["V(w=(0, 1),t=-1)"]
+    b = by_repr["V(w=(1, 0),t=+1)"]
     pa = delta(H2, a, primes2, bound=4)
     pb = delta(H2, b, primes2, bound=4)
     assert pa is pb and pa.name == "P_max"
@@ -134,9 +134,10 @@ def laws(H, bound):
     """delta_laws of H over its primes and Zar carrier, as the pruefer suite
     builds them."""
     primes = enumerate_primes(H, bound)
-    zar = [v.to_overmonoid() for v in enumerate_zar(H, bound=bound)]
+    zar = enumerate_zar(H, bound=bound)
     images = [delta(H, V, primes, bound) for V in zar]
-    return {c.name: c for c in delta_laws(H, primes, zar, images,
+    space = overmonoid_space(zar, H.context, bound)
+    return {c.name: c for c in delta_laws(H, primes, images, space,
                                           bound=bound)}
 
 
@@ -159,7 +160,7 @@ def test_5_delta_laws():
         # the documented equality failure on the non-Pruefer carrier
         H = Monoid.numerical([2, 3])
         primes = enumerate_primes(H, bound=6)
-        zar = [v.to_overmonoid() for v in enumerate_zar(H)]
+        zar = enumerate_zar(H)
         images = [delta(H, V, primes, bound=6) for V in zar]
         in_b1 = [i for i, V in enumerate(zar) if V.contains(1)]
         left = {images[i].name for i in in_b1}
@@ -271,11 +272,11 @@ def test_9_intersection_systems_finitary_and_idempotent():
     with budget(5):
         H = Monoid.affine([[1, 0], [0, 1]])
         ctx = H.context
-        locs = [localize(H, P.ideal) for P in enumerate_primes(H, bound=4)
-                if not P.ideal.contains(H.one)]
+        locs = [localize(H, P) for P in enumerate_primes(H, bound=4)
+                if not P.contains(H.one)]
         assert len(locs) == 4
         r_loc = r_delta(DeltaFamily(locs, name="locs"), ctx)
-        zar = [v.to_overmonoid() for v in enumerate_zar(H, bound=4)]
+        zar = enumerate_zar(H, bound=4)
         r_zar = r_delta(DeltaFamily(zar, name="zar"), ctx)
         for r in (r_loc, r_zar):
             fin = is_finitary(r, bound=3, sample_budget=40)

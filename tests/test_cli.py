@@ -350,11 +350,15 @@ def test_main1_reads_int_closures_by_span(capsys, monkeypatch):
     assert 0 < len(calls) <= 60_000
 
 
-def test_pruefer_builds_its_domination_data_once(capsys, monkeypatch):
-    # rebuilt by every helper, this was 9, 7 and 62 calls
+def test_pruefer_builds_its_domination_data_once(capsys, monkeypatch,
+                                                 tmp_path):
+    # rebuilt by every helper, this was 9, 7 and 62 calls on n2; with --dot
+    # the s-Pruefer nxz built each space twice
     calls = Counter()
     for module, attr in ((idealsys, "enumerate_primes"),
-                         (valuation, "enumerate_zar"), (valuation, "delta")):
+                         (valuation, "enumerate_zar"), (valuation, "delta"),
+                         (valuation, "overmonoid_space"),
+                         (idealsys, "spec_subbasis")):
         real = getattr(module, attr)
 
         def counting(*args, real=real, attr=attr, **kwargs):
@@ -364,11 +368,15 @@ def test_pruefer_builds_its_domination_data_once(capsys, monkeypatch):
         for mod in (cli, idealsys, valuation):
             if getattr(mod, attr, None) is real:
                 monkeypatch.setattr(mod, attr, counting)
-    code, out = run(capsys, "verify", "--suite", "pruefer",
-                    "--input", data("n2.json"))
-    assert code == 0
-    assert sha1(out) == REPORT_SHA1["pruefer", "n2"]
-    assert calls == {"enumerate_primes": 1, "enumerate_zar": 1, "delta": 14}
+    for name, n_delta in (("n2", 14), ("nxz", 2)):
+        calls.clear()
+        code, out = run(capsys, "verify", "--suite", "pruefer", "--input",
+                        data(name + ".json"), "--dot", str(tmp_path / "d"))
+        assert code == 0
+        assert sha1(out) == REPORT_SHA1["pruefer", name]
+        assert calls == {"enumerate_primes": 1, "enumerate_zar": 1,
+                         "delta": n_delta, "overmonoid_space": 1,
+                         "spec_subbasis": 1}, name
 
 
 def count_calls(monkeypatch, cls, attr):

@@ -165,7 +165,7 @@ def test_subbasis_space_evaluates_each_membership_once():
 
 def test_shared_profile_fails_the_principal_limit_check():
     H = Monoid.numerical([2, 3])
-    N, Z = [v.to_overmonoid() for v in enumerate_zar(H)]
+    N, Z = enumerate_zar(H)
     ok = _principal_limit_check(overmonoid_space([N, Z], H.context), "V", 6)
     assert ok.ok and ok.n == 2
     # a duplicated carrier member shares its profile with the original

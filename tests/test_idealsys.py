@@ -95,19 +95,20 @@ def test_enumerated_primes_match_windowed_primality_oracle():
     r = s_system(H)
     primes = enumerate_primes(H, bound=10)
     assert sorted(p.name for p in primes) == ["P_max", "P_zero"]
+    assert all(isinstance(p, RIdeal) for p in primes)
     window = H.context.window(10)
     ideals = enumerate_ideals(H, r, bound=6)
     sig = signature_window(H, 6)
     for I in ideals:
         oracle = brute_prime_window(I, H, window)
         assert is_prime(I, window) == oracle, I
-        listed = any(p.ideal.equals(I) for p in primes)
+        listed = any(p.equals(I) for p in primes)
         if oracle:
             assert listed, (I, "prime but not enumerated")
         # non-primes on the real window may still look prime on a small one;
         # enumerated primes must be genuinely prime
     for p in primes:
-        assert brute_prime_window(p.ideal, H, window)
+        assert brute_prime_window(p, H, window)
 
 
 def test_affine_primes_one_per_face():
@@ -116,6 +117,7 @@ def test_affine_primes_one_per_face():
     names = sorted(p.name for p in primes)
     assert "P_max" in names and "P_zero" in names
     assert len(primes) == 4  # zero, two facets, maximal
+    assert all(isinstance(p, RIdeal) for p in primes)
     half = Monoid.affine([[1, 0], [-1, 0], [0, 1]])
     primes2 = enumerate_primes(half, bound=4)
     assert len(primes2) == 2
@@ -125,6 +127,7 @@ def test_finite_primes():
     H = Monoid.cyclic_group_with_zero(3)
     primes = enumerate_primes(H, bound=3)
     assert len(primes) == 1 and primes[0].name == "P_zero"
+    assert isinstance(primes[0], RIdeal)
     # the only prime is {zero}
     assert primes[0].contains(H.zero)
     assert not primes[0].contains(1)

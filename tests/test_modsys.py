@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monoid_spectra.modsys import (DeltaFamily, SystemSpace, check_family,
                                    check_id2, check_module_axioms,
@@ -13,6 +15,7 @@ from monoid_spectra.modsys import (DeltaFamily, SystemSpace, check_family,
 from monoid_spectra.idealsys import s_system
 from monoid_spectra.monoid import (INF, CarrierMismatch, Monoid, Overmonoid,
                                    ParseError, as_overmonoid)
+from test_monoid import MONOIDS
 
 
 def n23():
@@ -312,3 +315,22 @@ def test_t0_witnesses_are_the_first_separating_pool_sets():
     for S, U in zip(pool, sp.subbasis):
         assert U == {i for i, r in enumerate(systems)
                      if subbasis_membership(r, S)}, S
+
+
+@settings(max_examples=100, deadline=None)
+@given(MONOIDS, st.data())
+def test_s_and_example16_are_the_product_closure_of_H(H, data):
+    # s = iota(H) on every realization; example16 is that closure without
+    # the zero in A, and all of G with it
+    ctx = H.context
+    window = ctx.window(3)
+    nonzero = [g for g in window if g is not INF and g != ctx.zero]
+    A = data.draw(st.sets(st.sampled_from(nonzero), max_size=4)
+                  if nonzero else st.just(set()))
+    s, i, e16 = s_system(H), iota(as_overmonoid(H)), example16(H)
+    for X in (frozenset(A), frozenset(A) | {ctx.zero}):
+        ps, pi, pe = s.closure(X), i.closure(X), e16.closure(X)
+        for g in [*window, INF, 0.5]:  # 0.5 is off every carrier
+            assert ps(g) == pi(g), (X, g)
+            assert pe(g) == (ctx.contains(g) if ctx.zero in X else ps(g)), \
+                (X, g)

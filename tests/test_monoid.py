@@ -268,6 +268,7 @@ MONOIDS = st.one_of(
 @settings(max_examples=100, deadline=None)
 @given(MONOIDS, st.randoms())
 def test_has_agrees_with_contains_on_the_carrier(H, rnd):
+    assert isinstance(H, Overmonoid)  # H is its own smallest overmonoid
     ctx = H.context
     units = [g for g in H.generators if g is not INF and g != ctx.zero]
     overs = [as_overmonoid(H),
