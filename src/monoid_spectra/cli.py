@@ -24,7 +24,7 @@ from .modsys import (DeltaFamily, SystemSpace, check_family, check_id2,
                      family_from_file, embedding_checks, iota, is_finitary,
                      meet, meet_finite_witness, r_delta, small_sample,
                      ultrafilter_limit_systems, witness_pool)
-from .monoid import INF, ParseError, as_overmonoid, localize, monoid_from_file
+from .monoid import ParseError, as_overmonoid, localize, monoid_from_file
 from .report import Check, SuiteReport
 from .valuation import (b_complement_law, delta, delta_dot, delta_laws,
                         enumerate_overmonoids, enumerate_zar, is_s_pruefer,
@@ -96,6 +96,26 @@ def _space_checks(space, bound):
     ]
 
 
+def _trials(name, trial, quota, attempts, bound):
+    """Draw until `quota` trials have passed, a trial fails or `attempts`
+    draws are made.  trial() returns None when its draw has nothing to test,
+    {} on a pass and a witness otherwise; n counts the passes."""
+    done = 0
+    for _ in range(attempts):
+        outcome = trial()
+        if outcome:
+            return Check(name, False, witness=outcome, exhaustive=False,
+                         n=done, bound=bound)
+        if outcome is not None:
+            done += 1
+            if done == quota:
+                return Check(name, True, exhaustive=False, n=done,
+                             bound=bound)
+    return Check(name, False, witness={"instances": done,
+                                       "attempts": attempts},
+                 exhaustive=False, n=done, bound=bound)
+
+
 def _principal_limit_check(space, key, bound):
     # Finocchiaro's limit X_S(U) of the principal ultrafilter at a point is
     # the set of points sharing its profile, which should be the point alone.
@@ -136,19 +156,10 @@ def suite_ideals(H, bound, seed):
                   n=len(ideals), bound=bound))
     ctx = H.context
     window = [g for g in ctx.window(bound) if H.contains(g)]
-    witness = None
-    for I in ideals:
-        for g in window:
-            if not I.contains(g):
-                continue
-            for h in H.generators:
-                if not I.contains(ctx.op(g, h)):
-                    witness = {"I": repr(I), "g": repr(g), "h": repr(h)}
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    witness = next(({"I": repr(I), "g": repr(g), "h": repr(h)}
+                    for I in ideals for g in window if I.contains(g)
+                    for h in H.generators if not I.contains(ctx.op(g, h))),
+                   None)
     rep.add(Check("ideals-absorb-action", witness is None, witness=witness,
                   exhaustive=False, n=len(ideals), bound=bound))
     space = ideal_space_subbasis(ideals, H, bound)
@@ -162,13 +173,9 @@ def suite_pronconst(H, bound, seed):
     ideals = enumerate_ideals(H, r, bound)
     ctx = H.context
     window = [g for g in ctx.window(2 * bound) if H.contains(g)]
-    pairs = [(a, b) for a in window for b in window
-             if a is not INF and a != ctx.zero
-             and b is not INF and b != ctx.zero]
-    in_some_o = set()
-    for a, b in pairs:
-        for I in o_set(a, b, ideals, H):
-            in_some_o.add(id(I))
+    nonzero = [g for g in ctx.nonzero_window(2 * bound) if H.contains(g)]
+    in_some_o = {id(I) for a in nonzero for b in nonzero
+                 for I in o_set(a, b, ideals, H)}
     witness = None
     flagged = []
     for I in ideals:
@@ -222,17 +229,18 @@ def suite_pruefer(H, bound, seed):
                   bound=bound,
                   detail="; ".join(f"{V.name}->{P.name}"
                                    for V, P in zip(carrier, images))))
-    witness = None
-    for P in primes:
+
+    def onto(P):
         try:
-            surjectivity_witness(H, P, carrier, images, bound=bound)
+            return surjectivity_witness(H, P, carrier, images, bound=bound)
         except ValueError:
-            witness = {"P": P.name}
-            break
+            return None
+
+    witness = next(({"P": P.name} for P in primes if onto(P) is None), None)
     rep.add(Check("delta-surjective", witness is None, witness=witness,
                   exhaustive=False, n=len(primes), bound=bound))
-    rep.extend(delta_laws(H, primes, images, zar_space, bound=bound))
     sp = is_s_pruefer(H, primes, bound)
+    rep.extend(delta_laws(H, primes, images, zar_space, sp.ok, bound=bound))
     rep.add(Check("s-pruefer-instance", True, exhaustive=False, bound=bound,
                   detail="PASS" if sp.ok
                   else f"FAIL {sp.witness} (homeomorphism not claimed)"))
@@ -311,21 +319,13 @@ def suite_main1(H, bound, seed):
                   exhaustive=False, n=len(pairs), bound=min(bound, 4)))
 
     rng = random.Random(seed)
-    g_window = [g for g in window if g is not INF and g != ctx.zero]
+    g_window = ctx.nonzero_window(bound)
     probes = [(rng.choice(pool), rng.choice(g_window)) for _ in range(200)]
-    witness = None
-    count = 0
-    for r, limit in zip(systems, ultrafilter_limit_systems(systems)):
-        for S, g in probes:
-            count += 1
-            if limit.member(S, g) != r.member(S, g):
-                witness = {"r": r.name, "S": sorted(map(repr, S)),
-                           "g": repr(g)}
-                break
-        if witness:
-            break
-    rep.add(Check("principal-limit-identity", witness is None,
-                  witness=witness, exhaustive=False, n=count, bound=bound))
+    rep.add(Check.scan("principal-limit-identity", (
+        {"r": r.name, "S": sorted(map(repr, S)), "g": repr(g)}
+        if limit.member(S, g) != r.member(S, g) else None
+        for r, limit in zip(systems, ultrafilter_limit_systems(systems))
+        for S, g in probes), bound=bound))
     return rep, lambda: poset_dot(space.space(), name="systems")
 
 
@@ -334,13 +334,9 @@ def suite_main2(H, family, bound, seed):
     ctx = H.context
     overs = _curated_overmonoids(H, bound)
     rng = random.Random(seed)
-    g_window = [g for g in ctx.window(min(bound, 4))
-                if g is not INF and g != ctx.zero]
-    witness = None
-    done = 0
-    attempts = 0
-    while done < 100 and attempts < 2000 and witness is None:
-        attempts += 1
+    g_window = ctx.nonzero_window(min(bound, 4))
+
+    def trial():
         members = rng.sample(overs, rng.randint(1, len(overs)))
         delta_fam = DeltaFamily(members, name="sample")
         r = r_delta(delta_fam, ctx)
@@ -348,19 +344,15 @@ def suite_main2(H, family, bound, seed):
         pred = r.closure(A)
         hits = [g for g in g_window if pred(g)]
         if not hits:
-            continue
+            return None
         x = rng.choice(hits)
         F = extract_finite_witness(delta_fam, ctx, A, x)
         if len(F) > len(members) or not r.member(F, x):
-            witness = {"A": sorted(map(repr, A)), "x": repr(x),
-                       "F": sorted(map(repr, F))}
-            break
-        done += 1
-    ok = witness is None and done >= 100
-    if not ok and witness is None:
-        witness = {"instances": done, "attempts": attempts}
-    rep.add(Check("finite-witness-extraction", ok, witness=witness,
-                  exhaustive=False, n=done, bound=bound))
+            return {"A": sorted(map(repr, A)), "x": repr(x),
+                    "F": sorted(map(repr, F))}
+        return {}
+
+    rep.add(_trials("finite-witness-extraction", trial, 100, 2000, bound))
     if family is not None:
         base, delta_fam = family
         fam_ctx = base.context
@@ -394,52 +386,40 @@ def suite_prop2(H, bound, seed):
     overs = _curated_overmonoids(H, bound)
     systems = [iota(S) for S in overs]
     rng = random.Random(seed)
-    g_window = [g for g in ctx.window(min(bound, 4))
-                if g is not INF and g != ctx.zero]
-    witness = None
-    done = 0
-    attempts = 0
-    while done < 50 and attempts < 1000 and witness is None:
-        attempts += 1
+    g_window = ctx.nonzero_window(min(bound, 4))
+
+    def trial():
         tau = rng.sample(systems, rng.randint(1, len(systems)))
         wedge = meet(tau)
         A = small_sample(rng, g_window)
         pred = wedge.closure(A)
         hits = [g for g in g_window if pred(g)]
         if not hits:
-            continue
+            return None
         x = rng.choice(hits)
         E = meet_finite_witness(tau, A, x)
         if not (E <= A and wedge.member(E, x)):
-            witness = {"A": sorted(map(repr, A)), "x": repr(x),
-                       "E": sorted(map(repr, E))}
-            break
-        done += 1
-    ok = witness is None and done >= 50
-    if not ok and witness is None:
-        witness = {"instances": done, "attempts": attempts}
-    rep.add(Check("meet-finite-witness", ok, witness=witness,
-                  exhaustive=False, n=done, bound=bound))
+            return {"A": sorted(map(repr, A)), "x": repr(x),
+                    "E": sorted(map(repr, E))}
+        return {}
+
+    rep.add(_trials("meet-finite-witness", trial, 50, 1000, bound))
 
     # lower bound law: the meet closure sits inside every member closure
-    witness = None
-    count = 0
     wedge = meet(systems)
-    for _ in range(40):
-        A = small_sample(rng, g_window)
+
+    def outside(A):
+        """A point of the meet closure of A outside a member closure."""
         pred = wedge.closure(A)
-        count += 1
         for r in systems:
             pr = r.closure(A)
-            bad = next((g for g in g_window if pred(g) and not pr(g)), None)
-            if bad is not None:
-                witness = {"A": sorted(map(repr, A)), "r": r.name,
-                           "g": repr(bad)}
-                break
-        if witness:
-            break
-    rep.add(Check("meet-lower-bound", witness is None, witness=witness,
-                  exhaustive=False, n=count, bound=bound))
+            g = next((g for g in g_window if pred(g) and not pr(g)), None)
+            if g is not None:
+                return {"A": sorted(map(repr, A)), "r": r.name, "g": repr(g)}
+        return None
+
+    samples = (small_sample(rng, g_window) for _ in range(40))
+    rep.add(Check.scan("meet-lower-bound", map(outside, samples), bound=bound))
     return rep, None
 
 

@@ -226,14 +226,13 @@ def check_ideal_axioms(r: IdealSystem, H: Monoid, bound: int = 10,
            if not w.of(X) & ~w.mask(Y))
 
     def id4():
-        """Id4: cH subset of {c}_r."""
-        for n, c in enumerate(universe, 1):
+        """Id4: cH subset of {c}_r, one outcome per c."""
+        for c in universe:
             member = w.reader(frozenset([c]))
-            h = next((h for h in universe if not member(ctx.op(c, h))), None)
-            if h is not None:
-                return n, {"c": repr(c), "h": repr(h)}
-        return len(universe), None
+            yield next(({"c": repr(c), "h": repr(h)} for h in universe
+                        if not member(ctx.op(c, h))), None)
 
-    return _verdicts([("Id1", w.id1(subsets, "X")), ("Id2", w.escape(id2)),
+    return _verdicts([("Id1", w.id1(subsets, "X")),
+                      ("Id2", map(w.escape, id2)),
                       ("Id3", w.id3(id3_subsets, id3_scalars, id3_points, "X")),
                       ("Id4", id4())], exhaustive)

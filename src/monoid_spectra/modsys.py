@@ -24,12 +24,10 @@ class ModuleSystem:
     from a Delta family, so the finitariness falsifier can reach the symbolic
     description."""
 
-    def __init__(self, name, context, closure, *, finitary=None,
-                 family=None):
+    def __init__(self, name, context, closure, *, family=None):
         self.name = name
         self.context = context
         self._closure = closure
-        self.finitary = finitary
         self.family = family
 
     def closure(self, A):
@@ -115,31 +113,29 @@ def example16(H: Monoid) -> ModuleSystem:
             return whole(A)
         return product(A)
 
-    return ModuleSystem("example16", ctx, closure, finitary=True)
+    return ModuleSystem("example16", ctx, closure)
 
 
 class DeltaFamily:
     """Either a finite list of overmonoids or a parameterized family k -> S_k.
 
-    A parameterized family carries a truncation default ``kmax``, an optional
-    monotonicity declaration ("decreasing" means S_1 >= S_2 >= ...) and an
-    optional limit overmonoid equal to the intersection of all members; the
+    A parameterized family is decreasing (S_1 >= S_2 >= ...) and carries its
+    limit, the overmonoid equal to the intersection of all members; both
     declarations are trusted for evaluation but rechecked pointwise by
     ``check_family``."""
 
-    def __init__(self, members=None, *, member_fn=None, kmax=None,
-                 monotone=None, limit=None, name="Delta"):
+    def __init__(self, members=None, *, member_fn=None, limit=None,
+                 name="Delta"):
         self.members = list(members) if members is not None else None
         self.member_fn = member_fn
-        self.kmax = kmax
-        self.monotone = monotone
         self.limit = limit
         self.name = name
         if self.members is not None:
             if not self.members:
                 raise ValueError("a Delta family must be nonempty")
-        elif member_fn is None:
-            raise ValueError("a Delta family needs members or a member rule")
+        elif member_fn is None or limit is None:
+            raise ValueError("a Delta family needs members, or a member rule "
+                             "and its limit")
 
     @property
     def finite(self):
@@ -151,8 +147,6 @@ class DeltaFamily:
         return self.member_fn(k)
 
     def truncated(self, k) -> list:
-        if self.finite:
-            return list(self.members)
         return [self.member_fn(i) for i in range(1, k + 1)]
 
 
@@ -160,32 +154,25 @@ def r_delta(delta: DeltaFamily, ctx, truncate=None) -> ModuleSystem:
     """The system A -> intersection over S in Delta of SA.
 
     For finite A and finite Delta this is exact: g is in A_r iff for every S
-    some nonzero a in A has a^{-1} g in S.  A parameterized decreasing family
-    with a declared limit L = intersection of the S_k is also exact, since a
-    witness a for S_k works for every smaller index, so a single a must land
-    in L.  Otherwise evaluation is truncated at ``truncate`` (or the family's
-    kmax) and the resulting system is only a bounded upper approximation."""
-    exact = True
+    some nonzero a in A has a^{-1} g in S.  A parameterized family, decreasing
+    with limit L = intersection of the S_k, is also exact, since a witness a
+    for S_k works for every smaller index, so a single a must land in L.  With
+    ``truncate`` a parameterized family is cut at its first members instead,
+    and the resulting system is only a bounded upper approximation."""
+    name = f"r_{delta.name}"
     if delta.finite:
-        mems = delta.truncated(0)
-    elif truncate is None and delta.monotone == "decreasing" and delta.limit is not None:
-        mems = [delta.limit]
+        mems = delta.members
+    elif truncate is not None:
+        mems = delta.truncated(truncate)
+        name += f"|k<={truncate}"
     else:
-        k = truncate if truncate is not None else delta.kmax
-        if k is None:
-            raise ValueError("parameterized family needs a truncation or a limit")
-        mems = delta.truncated(k)
-        exact = False
-    name = f"r_{delta.name}" + ("" if exact else f"|k<={len(mems)}")
-    return ModuleSystem(name, ctx, product_closure(ctx, mems),
-                        finitary=delta.finite or None, family=delta)
+        mems = [delta.limit]
+    return ModuleSystem(name, ctx, product_closure(ctx, mems), family=delta)
 
 
 def iota(S: Overmonoid, name=None) -> ModuleSystem:
     """The system of the singleton family {S}: A -> SA (with 0)."""
-    r = r_delta(DeltaFamily([S], name=name or (S.name or "S")), S.context)
-    r.finitary = True
-    return r
+    return r_delta(DeltaFamily([S], name=name or (S.name or "S")), S.context)
 
 
 def meet(systems) -> ModuleSystem:
@@ -221,7 +208,7 @@ def phi(r: ModuleSystem) -> ModuleSystem:
 
         return member
 
-    return ModuleSystem(f"phi({r.name})", r.context, closure, finitary=True)
+    return ModuleSystem(f"phi({r.name})", r.context, closure)
 
 
 # -- axiom checking ----------------------------------------------------------
@@ -332,41 +319,37 @@ class _Window:
 
         return member
 
-    def escape(self, pairs):
-        """The inclusion scan: the first of the (inner, outer, named sets)
-        with a window point of `inner` outside `outer`, that point being the
-        first in window order.  Returns (pairs scanned, witness or None)."""
-        n = 0
-        for n, (inner, outer, named) in enumerate(pairs, 1):
-            bad = inner & ~outer
-            if bad:
-                g = self.universe[(bad & -bad).bit_length() - 1]
-                return n, {**{k: _names(A) for k, A in named}, "g": repr(g)}
-        return n, None
+    def escape(self, item):
+        """The inclusion test of one (inner, outer, named sets): a window
+        point of `inner` outside `outer`, the first in window order, or
+        None."""
+        inner, outer, named = item
+        bad = inner & ~outer
+        if bad:
+            g = self.universe[(bad & -bad).bit_length() - 1]
+            return {**{k: _names(A) for k, A in named}, "g": repr(g)}
+        return None
 
     def id1(self, subsets, key):
-        """Id1: A u {0} inside A_r."""
+        """Id1: A u {0} inside A_r, one outcome per A."""
         zero = self.r.context.zero
-        for n, A in enumerate(subsets, 1):
+        for A in subsets:
             m = self.mask(A)
-            g = next((g for g in [*A, zero] if not m & self.bit[g]), None)
-            if g is not None:
-                return n, {key: _names(A), "g": repr(g)}
-        return len(subsets), None
+            yield next(({key: _names(A), "g": repr(g)} for g in [*A, zero]
+                        if not m & self.bit[g]), None)
 
     def id3(self, subsets, scalars, points, key):
-        """Id3: c A_r = (cA)_r at the points, with the left side read
-        literally: {0} for c = 0, otherwise c^{-1} g in A_r.  With spans, a
-        nonzero c is one XOR of c A_r against (cA)_r on the hull."""
+        """Id3: c A_r = (cA)_r at the points, one outcome per (A, c), with the
+        left side read literally: {0} for c = 0, otherwise c^{-1} g in A_r.
+        With spans, a nonzero c is one XOR of c A_r against (cA)_r on the
+        hull."""
         ctx = self.r.context
         span_pts, at_inf = self.in_hull(points), INF in points
         lo, hi = self.hull or (0, 0)
-        n = 0
         for A in subsets:
             member = self.reader(A)
             span = self.span(A)
             for c in scalars:
-                n += 1
                 cA = frozenset(ctx.op(c, a) for a in A)
                 if span is None:
                     rhs = self.r.closure(cA)
@@ -377,43 +360,40 @@ class _Window:
                             & span_pts
                             and not (at_inf and member(INF)
                                      != self.pred(cA)(INF))):
+                        yield None
                         continue
                     rhs = self.reader(cA)
                 c_inv = None if c == ctx.zero else ctx.inv(c)
-                for g in points:
-                    lhs = (g == ctx.zero if c_inv is None
-                           else member(ctx.op(c_inv, g)))
-                    if lhs != rhs(g):
-                        return n, {key: _names(A), "c": repr(c), "g": repr(g)}
-        return n, None
+                yield next(({key: _names(A), "c": repr(c), "g": repr(g)}
+                            for g in points
+                            if (g == ctx.zero if c_inv is None
+                                else member(ctx.op(c_inv, g))) != rhs(g)),
+                           None)
 
     def m4(self, subsets, translators, points):
-        """M4: H A_r = A_r; the inclusion A_r subset of H A_r is free.  With a
-        span, A passes when no translator h moves a point of A_r at the
-        points out of A_r (INF stays put)."""
+        """M4: H A_r = A_r, one outcome per A; the inclusion A_r subset of
+        H A_r is free.  With a span, A passes when no translator h moves a
+        point of A_r at the points out of A_r (INF stays put)."""
         ctx = self.r.context
         span_pts = self.in_hull(points)
         lo, hi = self.hull or (0, 0)
-        for n, A in enumerate(subsets, 1):
+        for A in subsets:
             member = self.reader(A)
             span = self.span(A)
             if span is not None:
                 inside = span(lo, hi) & span_pts
                 if not any(inside & ~span(lo + h, hi + h)
                            for h in translators):
+                    yield None
                     continue
-            for g in filter(member, points):
-                h = next((h for h in translators
-                          if not member(ctx.op(h, g))), None)
-                if h is not None:
-                    return n, {"A": _names(A), "h": repr(h), "g": repr(g)}
-        return len(subsets), None
+            yield next(({"A": _names(A), "h": repr(h), "g": repr(g)}
+                        for g in filter(member, points) for h in translators
+                        if not member(ctx.op(h, g))), None)
 
 
 def _verdicts(scans, exhaustive):
-    return [Check(name, witness is None, witness=witness,
-                  exhaustive=exhaustive, n=n)
-            for name, (n, witness) in scans]
+    return [Check.scan(name, outcomes, exhaustive=exhaustive)
+            for name, outcomes in scans]
 
 
 def check_module_axioms(r: ModuleSystem, H, bound: int = 4,
@@ -446,7 +426,8 @@ def check_module_axioms(r: ModuleSystem, H, bound: int = 4,
     # M2: A subset of B implies A_r subset of B_r
     m2 = ((w.mask(A), w.mask(B), (("A", A), ("B", B)))
           for A in subsets for B in subsets if A < B)
-    return _verdicts([("Id1", w.id1(subsets, "A")), ("M2", w.escape(m2)),
+    return _verdicts([("Id1", w.id1(subsets, "A")),
+                      ("M2", map(w.escape, m2)),
                       ("Id3", w.id3(id3_subsets, scalars, points, "A")),
                       ("M4", w.m4(subsets, m4_scalars, points))], exhaustive)
 
@@ -460,11 +441,11 @@ def check_id2(r: ModuleSystem, bound: int = 4, sample_budget: int = 200,
         universe, max_subset_size=max_subset_size,
         sample_budget=sample_budget, seed=seed)
     w = _Window(r, universe)
-    n, witness = w.escape((w.mask(A), w.mask(B), (("A", A), ("B", B)))
-                          for B in subsets for A in subsets
-                          if not w.of(A) & ~w.mask(B))
-    return Check("Id2", witness is None, witness=witness,
-                 exhaustive=exhaustive, n=n)
+    return Check.scan("Id2", map(w.escape,
+                                 ((w.mask(A), w.mask(B), (("A", A), ("B", B)))
+                                  for B in subsets for A in subsets
+                                  if not w.of(A) & ~w.mask(B))),
+                      exhaustive=exhaustive)
 
 
 def check_idempotent(r: ModuleSystem, bound: int = 4, sample_budget: int = 200,
@@ -485,10 +466,8 @@ def check_idempotent(r: ModuleSystem, bound: int = 4, sample_budget: int = 200,
             slice_ = frozenset(g for g in universe if m & w.bit[g])
             yield w.mask(slice_), m, (("A", A),)
 
-    n, witness = w.escape(pairs())
-    return Check("idempotent", witness is None, witness=witness,
-                 exhaustive=False, n=n, bound=bound,
-                 detail="window slice approximation")
+    return Check.scan("idempotent", map(w.escape, pairs()), bound=bound,
+                      detail="window slice approximation")
 
 
 def is_finitary(r: ModuleSystem, bound: int = 4, sample_budget: int = 200,
@@ -509,16 +488,13 @@ def is_finitary(r: ModuleSystem, bound: int = 4, sample_budget: int = 200,
                 phi_mask |= w.mask(E)
             yield phi_mask, w.mask(A), (("A", A),)
 
-    n, witness = w.escape(pairs())
-    if witness is not None:
-        return Check("finitary", False, witness=witness, exhaustive=False,
-                     n=n, bound=bound)
-    if r.family is not None and not r.family.finite:
+    check = Check.scan("finitary", map(w.escape, pairs()), bound=bound)
+    if check.ok and r.family is not None and not r.family.finite:
         found = falsify_finitary(r.family, ctx, kmax)
         if found is not None:
             return Check("finitary", False, witness=found,
-                         exhaustive=False, n=n, bound=kmax)
-    return Check("finitary", True, exhaustive=False, n=n, bound=bound)
+                         exhaustive=False, n=check.n, bound=kmax)
+    return check
 
 
 # -- the system space --------------------------------------------------------
@@ -624,7 +600,7 @@ def falsify_finitary(delta: DeltaFamily, ctx, kmax: int = 6, bound: int = 6):
     or None when no certificate exists up to kmax."""
     if delta.finite:
         return None
-    window = [g for g in ctx.window(bound) if g is not INF and g != ctx.zero]
+    window = ctx.nonzero_window(bound)
     members = [delta.member(k) for k in range(1, kmax + 1)]
     xs = []
     for k in range(1, kmax + 1):
@@ -655,8 +631,6 @@ def meet_finite_witness(systems, A, x):
     xs = tuple(sorted(A, key=sort_key))
     union = set()
     for r in systems:
-        if r.finitary is False:
-            raise ValueError(f"{r.name} is not finitary")
         found = next((E for E in _subsets(xs, range(len(xs) + 1))
                       if r.member(E, x)), None)
         if found is None:
@@ -677,67 +651,43 @@ def embedding_checks(overmonoids, ctx, bound: int = 4, seed: int = 0,
     for U(x)."""
     overmonoids = list(overmonoids)
     systems = [iota(S) for S in overmonoids]
-    window = [g for g in ctx.window(bound) if g is not INF and g != ctx.zero]
+    window = ctx.nonzero_window(bound)
     rng = random.Random(seed)
-    checks = []
 
     # injectivity: the closure of the identity is S itself
-    witness = None
-    count = 0
-    for S, r in zip(overmonoids, systems):
-        pred = r.closure(frozenset([ctx.one]))
-        count += 1
-        bad = next((g for g in window if pred(g) != S.contains(g)), None)
-        if bad is not None:
-            witness = {"S": repr(S), "g": repr(bad)}
-            break
-    checks.append(Check("iota-recovers-S", witness is None, witness=witness,
-                        exhaustive=False, n=count, bound=bound))
-
-    witness = None
-    reprs = []
+    ones = []  # each closure of {1} on the window
     for r in systems:
         pred = r.closure(frozenset([ctx.one]))
-        reprs.append(frozenset(g for g in window if pred(g)))
-    if len(set(reprs)) != len(reprs):
-        i = next(i for i in range(len(reprs)) for j in range(i)
-                 if reprs[i] == reprs[j])
+        ones.append(frozenset(g for g in window if pred(g)))
+    checks = [Check.scan("iota-recovers-S", (
+        next(({"S": repr(S), "g": repr(g)} for g in window
+              if (g in one) != S.contains(g)), None)
+        for S, one in zip(overmonoids, ones)), bound=bound)]
+
+    witness = None
+    if len(set(ones)) != len(ones):
+        i = next(i for i in range(len(ones)) for j in range(i)
+                 if ones[i] == ones[j])
         witness = {"S": repr(overmonoids[i])}
     checks.append(Check("iota-injective", witness is None, witness=witness,
                         exhaustive=False, n=len(systems), bound=bound))
 
     # preimage law: 1 in A_{r_{{S}}} iff some a in A has a^{-1} in S
-    witness = None
-    count = 0
     sets = [small_sample(rng, window) for _ in range(n_sets)]
-    for A in sets:
-        count += 1
-        for S, r in zip(overmonoids, systems):
-            left = subbasis_membership(r, A)
-            right = any(S.contains(ctx.inv(a)) for a in A)
-            if left != right:
-                witness = {"A": sorted(map(repr, A)), "S": repr(S)}
-                break
-        if witness:
-            break
-    checks.append(Check("preimage-law", witness is None, witness=witness,
-                        exhaustive=False, n=count, bound=bound))
+    checks.append(Check.scan("preimage-law", (
+        next(({"A": sorted(map(repr, A)), "S": repr(S)}
+              for S, r in zip(overmonoids, systems)
+              if subbasis_membership(r, A)
+              != any(S.contains(ctx.inv(a)) for a in A)), None)
+        for A in sets), bound=bound))
 
     # image law: S contains x iff 1 in ({x^{-1}})_{r_{{S}}}
-    witness = None
-    count = 0
-    for x in window:
-        count += 1
-        for S, r in zip(overmonoids, systems):
-            left = S.contains(x)
-            right = subbasis_membership(r, frozenset([ctx.inv(x)]))
-            if left != right:
-                witness = {"x": repr(x), "S": repr(S)}
-                break
-        if witness:
-            break
-    checks.append(Check("image-law", witness is None, witness=witness,
-                        exhaustive=False, n=count, bound=bound))
+    checks.append(Check.scan("image-law", (
+        next(({"x": repr(x), "S": repr(S)}
+              for S, r in zip(overmonoids, systems)
+              if S.contains(x)
+              != subbasis_membership(r, frozenset([ctx.inv(x)]))), None)
+        for x in window), bound=bound))
     return checks
 
 
@@ -793,8 +743,8 @@ def family_from_json(text: str):
         return Overmonoid(ctx, gens=H.generators + (_scaled_ray(ray, k),),
                           name=f"S_{k}")
 
-    delta = DeltaFamily(member_fn=member_fn, kmax=6, monotone="decreasing",
-                        limit=base_over, name="adjoin-ray")
+    delta = DeltaFamily(member_fn=member_fn, limit=base_over,
+                        name="adjoin-ray")
     return H, delta
 
 
@@ -812,23 +762,17 @@ def check_family(delta: DeltaFamily, ctx, bound: int = 4, kmax: int = 6):
     window = [g for g in ctx.window(bound) if g is not INF]
 
     def inside(name, pairs):
-        """Each (k, inner, outer) has inner inside outer on the window."""
-        count = 0
-        for k, inner, outer in pairs:
-            for g in window:
-                count += 1
-                if inner.contains(g) and not outer.contains(g):
-                    return Check(name, False, witness={"k": k, "g": repr(g)},
-                                 exhaustive=False, n=count, bound=bound)
-        return Check(name, True, exhaustive=False, n=count, bound=bound)
+        """Each (k, inner, outer) has inner inside outer on the window; one
+        outcome per (k, g)."""
+        return Check.scan(name, ({"k": k, "g": repr(g)}
+                                 if inner.contains(g) and not outer.contains(g)
+                                 else None
+                                 for k, inner, outer in pairs for g in window),
+                          bound=bound)
 
-    checks = []
-    if delta.monotone == "decreasing":
-        checks.append(inside("family-decreasing",
-                             ((k, delta.member(k + 1), delta.member(k))
-                              for k in range(1, kmax))))
-    if delta.limit is not None:
-        checks.append(inside("family-limit-lower-bound",
-                             ((k, delta.limit, delta.member(k))
-                              for k in range(1, kmax + 1))))
-    return checks
+    return [inside("family-decreasing",
+                   ((k, delta.member(k + 1), delta.member(k))
+                    for k in range(1, kmax))),
+            inside("family-limit-lower-bound",
+                   ((k, delta.limit, delta.member(k))
+                    for k in range(1, kmax + 1)))]

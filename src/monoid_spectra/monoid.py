@@ -94,6 +94,10 @@ class GroupoidContext:
         membership queries stay exact, only enumerations are windowed."""
         raise NotImplementedError
 
+    def nonzero_window(self, bound: int) -> list:
+        """The window without the absorbing zero."""
+        return [g for g in self.window(bound) if g != self.zero]
+
     def submonoid(self, gens):
         """Exact membership predicate of the submonoid generated by `gens`,
         for nonzero elements already known to lie in the carrier."""
@@ -289,13 +293,8 @@ class Overmonoid:
 
     def units_window(self, bound: int) -> list:
         ctx = self.context
-        out = []
-        for g in ctx.window(bound):
-            if g is INF or g == ctx.zero:
-                continue
-            if self.has(g) and self.has(ctx.inv(g)):
-                out.append(g)
-        return out
+        return [g for g in ctx.nonzero_window(bound)
+                if self.has(g) and self.has(ctx.inv(g))]
 
     def is_local_window(self, bound: int) -> bool:
         """Nonunits form an ideal on the window (products checked when they

@@ -34,6 +34,19 @@ class Check:
         if self.verdict == BOUNDED_PASS and bound is None and n is None:
             raise ValueError(f"BOUNDED-PASS verdict for {name} requires its bound")
 
+    @classmethod
+    def scan(cls, name, outcomes, *, exhaustive=False, **kw):
+        """The first counterexample among `outcomes`, one entry per item
+        tested: None when the item passes, its witness otherwise.  The stream
+        is not advanced past the first witness, and n counts the items read;
+        ``bound`` and ``detail`` pass through."""
+        n = 0
+        for n, witness in enumerate(outcomes, 1):
+            if witness is not None:
+                return cls(name, False, witness=witness,
+                           exhaustive=exhaustive, n=n, **kw)
+        return cls(name, True, exhaustive=exhaustive, n=n, **kw)
+
     @property
     def ok(self):
         return self.verdict != FAIL

@@ -85,17 +85,10 @@ class ValuationDescriptor(Overmonoid):
 def is_valuation(S: Overmonoid, bound: int = 6) -> Check:
     """x in S or x^{-1} in S for every nonzero window element."""
     ctx = S.context
-    witness = None
-    count = 0
-    for x in ctx.window(bound):
-        if x is INF or x == ctx.zero:
-            continue
-        count += 1
-        if not S.contains(x) and not S.contains(ctx.inv(x)):
-            witness = {"x": repr(x)}
-            break
-    return Check(f"valuation[{S.name}]", witness is None, witness=witness,
-                 exhaustive=False, n=count, bound=bound)
+    return Check.scan(f"valuation[{S.name}]",
+                      (None if S.contains(x) or S.contains(ctx.inv(x))
+                       else {"x": repr(x)} for x in ctx.nonzero_window(bound)),
+                      bound=bound)
 
 
 def _primitive_weights():
@@ -177,20 +170,14 @@ def b_complement_law(space, ctx, bound: int = 6) -> Check:
     """On a valuation carrier, Zar minus B(x) sits inside B(x^{-1}); U(x) and
     U(x^{-1}) are read from the carrier's space."""
     U = _subbasis_at(space, ctx, bound)
-    witness = None
-    count = 0
-    for x in ctx.window(bound):
-        if x is INF or x == ctx.zero:
-            continue
-        count += 1
-        bxi = U[ctx.inv(x)]
-        outside = set(range(space.n)) - U[x]
-        if not outside <= bxi:
-            i = next(iter(outside - bxi))
-            witness = {"x": repr(x), "V": space.labels[i]}
-            break
-    return Check("B-complement", witness is None, witness=witness,
-                 exhaustive=False, n=count, bound=bound)
+
+    def outcome(x):
+        missed = set(range(space.n)) - U[x] - U[ctx.inv(x)]
+        return ({"x": repr(x), "V": space.labels[next(iter(missed))]}
+                if missed else None)
+
+    return Check.scan("B-complement", map(outcome, ctx.nonzero_window(bound)),
+                      bound=bound)
 
 
 # -- the domination map --------------------------------------------------------
@@ -223,30 +210,26 @@ def delta(H: Monoid, V: Overmonoid, primes, bound: int = 6):
     return matches[0]
 
 
-def delta_laws(H: Monoid, primes, images, zar_space, bound: int = 6):
+def delta_laws(H: Monoid, primes, images, zar_space, pruefer,
+               bound: int = 6):
     """For every nonzero window element x: the preimage law
     delta^{-1}(D(x)) = B(x^{-1}) and the image law
     delta(B(x)) = spec minus V((H : x)), over the enumerated carriers; B(x)
-    is read from the Zar carrier's space."""
+    is read from the Zar carrier's space.  `pruefer` is the caller's s-Pruefer
+    verdict, under which the image law is claimed as an equality."""
     ctx = H.context
     U = _subbasis_at(zar_space, ctx, bound)
     idx = {id(P): i for i, P in enumerate(primes)}
-    h_window = [g for g in ctx.window(bound) if H.contains(g)
-                and g is not INF and g != ctx.zero]
-    checks = []
+    h_window = [g for g in ctx.nonzero_window(bound) if H.contains(g)]
 
-    witness = None
-    count = 0
-    for x in h_window:
-        count += 1
+    def preimage(x):
         pre = frozenset(i for i, P in enumerate(images) if not P.contains(x))
         bxi = U[ctx.inv(x)]
-        if pre != bxi:
-            witness = {"x": repr(x), "preimage": sorted(pre),
-                       "B": sorted(bxi)}
-            break
-    checks.append(Check("delta-preimage-law", witness is None, witness=witness,
-                        exhaustive=False, n=count, bound=bound))
+        return (None if pre == bxi else
+                {"x": repr(x), "preimage": sorted(pre), "B": sorted(bxi)})
+
+    checks = [Check.scan("delta-preimage-law", map(preimage, h_window),
+                         bound=bound)]
 
     # image law: the containment "spec minus V((H:x)) inside delta(B(x))" is
     # unconditional; the reverse containment (so the equality) holds when the
@@ -254,7 +237,7 @@ def delta_laws(H: Monoid, primes, images, zar_space, bound: int = 6):
     lower_witness = None
     eq_witness = None
     count = 0
-    for x in [g for g in ctx.window(bound) if g is not INF and g != ctx.zero]:
+    for x in ctx.nonzero_window(bound):
         count += 1
         frac = fraction_ideal(H, x)
         frac_window = [h for h in h_window if frac(h)]
@@ -271,7 +254,7 @@ def delta_laws(H: Monoid, primes, images, zar_space, bound: int = 6):
     checks.append(Check("delta-image-law-lower", lower_witness is None,
                         witness=lower_witness, exhaustive=False, n=count,
                         bound=bound))
-    if is_s_pruefer(H, primes, bound).ok:
+    if pruefer:
         checks.append(Check("delta-image-law", eq_witness is None,
                             witness=eq_witness, exhaustive=False, n=count,
                             bound=bound))
@@ -288,13 +271,13 @@ def surjectivity_witness(H: Monoid, P, zar, images, bound: int = 6):
     """A member V of the Zar carrier with delta(V) = P and H minus P =
     H intersect V-units."""
     ctx = H.context
-    h_window = [g for g in ctx.window(bound) if H.contains(g)]
+    h_window = [g for g in ctx.nonzero_window(bound) if H.contains(g)]
     for V, image in zip(zar, images):
         if not image.equals(P):
             continue
         ok = all((not P.contains(g)) ==
                  (V.contains(g) and V.contains(ctx.inv(g)))
-                 for g in h_window if g is not INF and g != ctx.zero)
+                 for g in h_window)
         if ok:
             return V
     raise ValueError(f"no member of the Zar carrier maps onto {P}")
@@ -303,18 +286,12 @@ def surjectivity_witness(H: Monoid, P, zar, images, bound: int = 6):
 def is_s_pruefer(H: Monoid, primes, bound: int = 6) -> Check:
     """Every localization at a prime s-ideal is a valuation monoid
     (windowed)."""
-    witness = None
-    count = 0
-    for P in primes:
-        loc = localize(H, P)
-        count += 1
-        c = is_valuation(loc, bound)
-        if not c.ok:
-            witness = dict(c.witness)
-            witness["P"] = P.name
-            break
-    return Check("s-pruefer", witness is None, witness=witness,
-                 exhaustive=False, n=count, bound=bound)
+
+    def outcome(P):
+        c = is_valuation(localize(H, P), bound)
+        return None if c.ok else {**c.witness, "P": P.name}
+
+    return Check.scan("s-pruefer", map(outcome, primes), bound=bound)
 
 
 def delta_dot(primes, images, zar_space, spec_space, name="delta") -> str:

@@ -138,6 +138,7 @@ def laws(H, bound):
     images = [delta(H, V, primes, bound) for V in zar]
     space = overmonoid_space(zar, H.context, bound)
     return {c.name: c for c in delta_laws(H, primes, images, space,
+                                          is_s_pruefer(H, primes, bound).ok,
                                           bound=bound)}
 
 

@@ -350,15 +350,36 @@ def test_main1_reads_int_closures_by_span(capsys, monkeypatch):
     assert 0 < len(calls) <= 60_000
 
 
+def scripted(*outcomes):
+    """A trial that returns the given outcomes in turn; one more draw raises
+    StopIteration."""
+    it = iter(outcomes)
+    return lambda: next(it)
+
+
+def test_trials_stop_at_the_quota_at_a_witness_or_out_of_attempts():
+    # draws with nothing to test (None) count as attempts, not as passes
+    c = cli._trials("t", scripted(None, {}, None, {}, {}), 3, 10, 4)
+    assert (c.verdict, c.n, c.witness, c.bound) == ("BOUNDED-PASS", 3, None, 4)
+    c = cli._trials("t", scripted({}, None, {"x": "1"}), 3, 10, 4)
+    assert (c.verdict, c.n, c.witness) == ("FAIL", 1, {"x": "1"})
+    c = cli._trials("t", scripted(None, {}, None), 3, 3, 4)
+    assert (c.verdict, c.n, c.witness) == (
+        "FAIL", 1, {"instances": 1, "attempts": 3})
+    assert not c.exhaustive
+
+
 def test_pruefer_builds_its_domination_data_once(capsys, monkeypatch,
                                                  tmp_path):
     # rebuilt by every helper, this was 9, 7 and 62 calls on n2; with --dot
-    # the s-Pruefer nxz built each space twice
+    # the s-Pruefer nxz built each space twice; delta_laws made a second
+    # is_s_pruefer call
     calls = Counter()
     for module, attr in ((idealsys, "enumerate_primes"),
                          (valuation, "enumerate_zar"), (valuation, "delta"),
                          (valuation, "overmonoid_space"),
-                         (idealsys, "spec_subbasis")):
+                         (idealsys, "spec_subbasis"),
+                         (valuation, "is_s_pruefer")):
         real = getattr(module, attr)
 
         def counting(*args, real=real, attr=attr, **kwargs):
@@ -376,7 +397,7 @@ def test_pruefer_builds_its_domination_data_once(capsys, monkeypatch,
         assert sha1(out) == REPORT_SHA1["pruefer", name]
         assert calls == {"enumerate_primes": 1, "enumerate_zar": 1,
                          "delta": n_delta, "overmonoid_space": 1,
-                         "spec_subbasis": 1}, name
+                         "spec_subbasis": 1, "is_s_pruefer": 1}, name
 
 
 def count_calls(monkeypatch, cls, attr):

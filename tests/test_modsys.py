@@ -236,6 +236,18 @@ def test_exact_limit_evaluation_for_decreasing_family():
     assert pred((2, 3)) and not pred((0, 1))
 
 
+def test_a_delta_family_needs_members_or_a_rule_with_its_limit():
+    H, delta = adjoin_ray_family()
+    with pytest.raises(ValueError):
+        DeltaFamily([])
+    with pytest.raises(ValueError):
+        DeltaFamily(member_fn=delta.member_fn)
+    with pytest.raises(ValueError):
+        DeltaFamily(limit=delta.limit)
+    assert DeltaFamily(member_fn=delta.member_fn, limit=delta.limit).member(
+        2).contains((-1, 2))
+
+
 def test_embedding_checks_pass():
     H = n23()
     checks = embedding_checks([overmonoid_N(H), overmonoid_Z(H)], H.context,

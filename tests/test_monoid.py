@@ -278,3 +278,9 @@ def test_has_agrees_with_contains_on_the_carrier(H, rnd):
     for M in [H] + overs:
         for g in ctx.window(3):
             assert M.has(g) == M.contains(g), (M, g)
+    # the window holds the zero once; nonzero_window is the rest, INF never
+    window = ctx.window(3)
+    nonzero = ctx.nonzero_window(3)
+    assert nonzero == [g for g in window if g is not INF and g != ctx.zero]
+    assert len(nonzero) == len(window) - 1
+    assert all(g is not INF for g in nonzero)

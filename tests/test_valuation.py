@@ -21,6 +21,7 @@ def laws(H, bound):
     primes, zar, images = domination(H, bound)
     space = overmonoid_space(zar, H.context, bound)
     return {c.name: c for c in delta_laws(H, primes, images, space,
+                                          is_s_pruefer(H, primes, bound).ok,
                                           bound=bound)}
 
 
