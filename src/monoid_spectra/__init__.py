@@ -10,7 +10,7 @@ from .idealsys import (IdealSystem, RIdeal, check_ideal_axioms,
                        enumerate_ideals, enumerate_primes, s_system,
                        spec_subbasis)
 from .modsys import (DeltaFamily, ModuleSystem, SystemSpace, example16,
-                     family_from_file, iota, meet, phi, r_delta)
+                     family_from_file, iota, meet, r_delta)
 from .valuation import (ValuationDescriptor, delta, enumerate_overmonoids,
                         enumerate_zar, is_s_pruefer, is_valuation)
 from .fintop import FiniteSpace

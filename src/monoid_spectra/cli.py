@@ -23,9 +23,9 @@ from .modsys import (DeltaFamily, SystemSpace, check_family, check_id2,
                      extract_finite_witness, falsify_finitary,
                      family_from_file, embedding_checks, iota, is_finitary,
                      meet, meet_finite_witness, r_delta, small_sample,
-                     ultrafilter_limit_systems, witness_pool)
+                     witness_pool)
 from .monoid import ParseError, as_overmonoid, localize, monoid_from_file
-from .report import Check, SuiteReport
+from .report import INFO, Check, SuiteReport
 from .valuation import (b_complement_law, delta, delta_dot, delta_laws,
                         enumerate_overmonoids, enumerate_zar, is_s_pruefer,
                         is_valuation, overmonoid_space, surjectivity_witness)
@@ -35,22 +35,22 @@ SUITES = ("axioms", "spec", "ideals", "zar", "pruefer", "pronconst",
 
 CLAIMS = {
     "axioms": "the s-system satisfies the closure axioms Id1-Id4",
-    "spec": "prime s-ideals form a T0, sober, spectral-at-finite-scale space",
+    "spec": "prime s-ideals form a T0 (so sober and spectral) finite space",
     "ideals": "bounded s-ideals are closed under the monoid action and "
               "separated by the U(x) subbasis",
-    "zar": "the valuation carrier is T0 and spectral at finite scale, and "
-           "principal ultrafilter limits fix its points",
+    "zar": "the valuation carrier is T0 (so spectral) at finite scale, and "
+           "its members are valuation monoids",
     "pruefer": "the domination map is continuous and surjective, and a "
                "homeomorphism on instances whose localizations are valuations",
     "pronconst": "an s-ideal is prime exactly when it avoids every O_{a,b}, "
-                 "and principal ultrafilter limits fix ideals",
-    "main1": "module systems satisfy Id1/M2/Id3/M4, the system carrier is "
-             "T0 under U_S, and principal ultrafilter limits fix systems",
+                 "and the ideal space is T0",
+    "main1": "module systems satisfy Id1/M2/Id3/M4, example16 breaks Id2, "
+             "and the system carrier is T0 under U_S",
     "main2": "intersection systems of finite families are finitary with "
              "extractable witnesses; parameterized families can fail "
              "finitariness with a certificate",
-    "prop1": "the overmonoid carrier embeds into the system carrier "
-             "compatibly with both subbases",
+    "prop1": "the overmonoid carrier embeds injectively into the system "
+             "carrier",
     "prop2": "meets of finitary systems are finitary with combined finite "
              "witnesses",
     "corollaries": "intersection systems are idempotent and finitary on "
@@ -82,18 +82,13 @@ def _curated_systems(H, bound):
     return systems
 
 
-def _space_checks(space, bound):
+def _t0_check(space, bound):
     # On a finite space the irreducible closed sets are point closures, so
     # sober and spectral are each equivalent to T0.
     t0 = space.is_t0()
-    return [
-        Check("t0", t0, witness=None if t0 else {"profiles": "coincide"},
-              exhaustive=False, bound=bound),
-        Check("sober", t0, witness=None if t0 else {"closed": "no generic"},
-              exhaustive=False, bound=bound),
-        Check("spectral", t0, witness=None if t0 else {"t0": False},
-              exhaustive=False, bound=bound),
-    ]
+    return Check("t0", t0, witness=None if t0 else {"profiles": "coincide"},
+                 exhaustive=False, n=space.n, bound=bound,
+                 detail="on a finite space sober and spectral each equal T0")
 
 
 def _trials(name, trial, quota, attempts, bound):
@@ -116,18 +111,6 @@ def _trials(name, trial, quota, attempts, bound):
                  exhaustive=False, n=done, bound=bound)
 
 
-def _principal_limit_check(space, key, bound):
-    # Finocchiaro's limit X_S(U) of the principal ultrafilter at a point is
-    # the set of points sharing its profile, which should be the point alone.
-    i = next((i for i in range(space.n) if space.principal_limit(i) != [i]),
-             None)
-    return Check("principal-limit-identity", i is None,
-                 witness=None if i is None else
-                 {key: space.labels[i],
-                  "limit": [space.labels[x] for x in space.principal_limit(i)]},
-                 exhaustive=False, n=space.n, bound=bound)
-
-
 # -- suites -------------------------------------------------------------------
 
 def suite_axioms(H, bound, seed):
@@ -140,11 +123,10 @@ def suite_axioms(H, bound, seed):
 def suite_spec(H, bound, seed):
     rep = SuiteReport("spec", CLAIMS["spec"], seed=seed, bound=bound)
     primes = enumerate_primes(H, bound)
-    rep.add(Check("primes-enumerated", True, exhaustive=False,
-                  n=len(primes), bound=bound,
+    rep.add(Check("primes-enumerated", INFO, n=len(primes), bound=bound,
                   detail=" ".join(p.name for p in primes)))
     space = spec_subbasis(H, primes, bound)
-    rep.extend(_space_checks(space, bound))
+    rep.add(_t0_check(space, bound))
     return rep, lambda: poset_dot(space, name="spec")
 
 
@@ -152,8 +134,7 @@ def suite_ideals(H, bound, seed):
     rep = SuiteReport("ideals", CLAIMS["ideals"], seed=seed, bound=bound)
     r = s_system(H)
     ideals = enumerate_ideals(H, r, bound)
-    rep.add(Check("ideals-enumerated", True, exhaustive=False,
-                  n=len(ideals), bound=bound))
+    rep.add(Check("ideals-enumerated", INFO, n=len(ideals), bound=bound))
     ctx = H.context
     window = [g for g in ctx.window(bound) if H.contains(g)]
     witness = next(({"I": repr(I), "g": repr(g), "h": repr(h)}
@@ -163,7 +144,7 @@ def suite_ideals(H, bound, seed):
     rep.add(Check("ideals-absorb-action", witness is None, witness=witness,
                   exhaustive=False, n=len(ideals), bound=bound))
     space = ideal_space_subbasis(ideals, H, bound)
-    rep.extend(_space_checks(space, bound))
+    rep.add(_t0_check(space, bound))
     return rep, lambda: poset_dot(space, name="ideals")
 
 
@@ -191,30 +172,19 @@ def suite_pronconst(H, bound, seed):
     rep.add(Check("prime-iff-no-O", witness is None, witness=witness,
                   exhaustive=False, n=len(ideals), bound=2 * bound,
                   detail="flagged: " + "; ".join(flagged)))
-    space = ideal_space_subbasis(ideals, H, bound)
-    rep.add(_principal_limit_check(space, "I", bound))
-    t0 = space.is_t0()
-    rep.add(Check("ideal-space-t0", t0,
-                  witness=None if t0 else {"profiles": "coincide"},
-                  exhaustive=False, n=space.n, bound=bound))
+    rep.add(_t0_check(ideal_space_subbasis(ideals, H, bound), bound))
     return rep, None
 
 
 def suite_zar(H, bound, seed):
     rep = SuiteReport("zar", CLAIMS["zar"], seed=seed, bound=bound)
     carrier = enumerate_zar(H, bound=bound)
-    rep.add(Check("zar-enumerated", True, exhaustive=False,
-                  n=len(carrier), bound=bound,
+    rep.add(Check("zar-enumerated", INFO, n=len(carrier), bound=bound,
                   detail=" ".join(V.name for V in carrier)))
-    for V in carrier:
-        ok = all(V.contains(g) for g in H.generators)
-        rep.add(Check(f"contains-H[{V.name}]", ok,
-                      witness=None if ok else {"V": V.name}, exhaustive=True))
-        rep.add(is_valuation(V, bound))
+    rep.extend(is_valuation(V, bound) for V in carrier)
     space = overmonoid_space(carrier, H.context, bound)
     rep.add(b_complement_law(space, H.context, bound))
-    rep.extend(_space_checks(space, bound))
-    rep.add(_principal_limit_check(space, "V", bound))
+    rep.add(_t0_check(space, bound))
     return rep, lambda: poset_dot(space, name="zar")
 
 
@@ -225,8 +195,7 @@ def suite_pruefer(H, bound, seed):
     images = [delta(H, V, primes, bound) for V in carrier]
     zar_space = overmonoid_space(carrier, H.context, bound)
     spec_space = spec_subbasis(H, primes, bound)
-    rep.add(Check("delta-total", True, exhaustive=False, n=len(carrier),
-                  bound=bound,
+    rep.add(Check("delta-total", INFO, n=len(carrier), bound=bound,
                   detail="; ".join(f"{V.name}->{P.name}"
                                    for V, P in zip(carrier, images))))
 
@@ -241,9 +210,9 @@ def suite_pruefer(H, bound, seed):
                   exhaustive=False, n=len(primes), bound=bound))
     sp = is_s_pruefer(H, primes, bound)
     rep.extend(delta_laws(H, primes, images, zar_space, sp.ok, bound=bound))
-    rep.add(Check("s-pruefer-instance", True, exhaustive=False, bound=bound,
-                  detail="PASS" if sp.ok
-                  else f"FAIL {sp.witness} (homeomorphism not claimed)"))
+    rep.add(Check("s-pruefer-instance", INFO, bound=bound,
+                  detail="s-Pruefer" if sp.ok else f"not s-Pruefer at "
+                  f"{sp.witness} (homeomorphism not claimed)"))
     if sp.ok:
         injective = len({id(P) for P in images}) == len(images)
         rep.add(Check("delta-injective", injective,
@@ -258,8 +227,8 @@ def suite_pruefer(H, bound, seed):
         pair = next(((i, j) for i in range(len(images))
                      for j in range(i + 1, len(images))
                      if images[i] is images[j]), None)
-        rep.add(Check("delta-injectivity-instance", True,
-                      exhaustive=False, n=len(carrier), bound=bound,
+        rep.add(Check("delta-injectivity-instance", INFO, n=len(carrier),
+                      bound=bound,
                       detail="injective on this carrier" if pair is None else
                       f"not injective: {carrier[pair[0]].name} and "
                       f"{carrier[pair[1]].name} map to {images[pair[0]].name}"))
@@ -317,15 +286,6 @@ def suite_main1(H, bound, seed):
                   {"pair": f"{systems[missing[0][0]].name},"
                            f"{systems[missing[0][1]].name}"},
                   exhaustive=False, n=len(pairs), bound=min(bound, 4)))
-
-    rng = random.Random(seed)
-    g_window = ctx.nonzero_window(bound)
-    probes = [(rng.choice(pool), rng.choice(g_window)) for _ in range(200)]
-    rep.add(Check.scan("principal-limit-identity", (
-        {"r": r.name, "S": sorted(map(repr, S)), "g": repr(g)}
-        if limit.member(S, g) != r.member(S, g) else None
-        for r, limit in zip(systems, ultrafilter_limit_systems(systems))
-        for S, g in probes), bound=bound))
     return rep, lambda: poset_dot(space.space(), name="systems")
 
 
@@ -360,8 +320,7 @@ def suite_main2(H, family, bound, seed):
                    prefix="FAMILY")
         found = falsify_finitary(delta_fam, fam_ctx, kmax=6,
                                  bound=max(bound, 6))
-        rep.add(Check("non-finitary-certificate", True, exhaustive=False,
-                      bound=6,
+        rep.add(Check("non-finitary-certificate", INFO, bound=6,
                       detail=f"witness {found}" if found is not None
                       else "none up to index 6"))
     else:
@@ -375,8 +334,7 @@ def suite_main2(H, family, bound, seed):
 def suite_prop1(H, bound, seed):
     rep = SuiteReport("prop1", CLAIMS["prop1"], seed=seed, bound=bound)
     overs = _curated_overmonoids(H, bound)
-    rep.extend(embedding_checks(overs, H.context, bound=min(bound, 4),
-                                seed=seed))
+    rep.add(embedding_checks(overs, H.context, bound=min(bound, 4)))
     return rep, None
 
 
@@ -404,22 +362,6 @@ def suite_prop2(H, bound, seed):
         return {}
 
     rep.add(_trials("meet-finite-witness", trial, 50, 1000, bound))
-
-    # lower bound law: the meet closure sits inside every member closure
-    wedge = meet(systems)
-
-    def outside(A):
-        """A point of the meet closure of A outside a member closure."""
-        pred = wedge.closure(A)
-        for r in systems:
-            pr = r.closure(A)
-            g = next((g for g in g_window if pred(g) and not pr(g)), None)
-            if g is not None:
-                return {"A": sorted(map(repr, A)), "r": r.name, "g": repr(g)}
-        return None
-
-    samples = (small_sample(rng, g_window) for _ in range(40))
-    rep.add(Check.scan("meet-lower-bound", map(outside, samples), bound=bound))
     return rep, None
 
 

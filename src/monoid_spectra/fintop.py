@@ -1,8 +1,7 @@
 """Finite topological spaces built from subbases: the T0 test,
-specialization posets, principal ultrafilter limits, homeomorphism with a
-brute-force oracle, and DOT emission.  On a finite carrier sober and
-spectral are each equivalent to T0 (``sober_bruteforce`` checks the
-definition literally).
+specialization posets, homeomorphism with a brute-force oracle, and DOT
+emission.  On a finite carrier sober and spectral are each equivalent to T0
+(``sober_bruteforce`` checks the definition literally).
 
 Point sets are small by design; opens are materialized as bitmasks with a
 carrier guard of 20 points."""
@@ -18,8 +17,8 @@ class FiniteSpace:
     """A finite point set with a subbasis of opens (stored as index sets).
 
     Each point's profile, the int with bit k set when the point lies in
-    subbasis open k, is computed once; separation, the specialization order
-    and principal limits are all read from the profiles."""
+    subbasis open k, is computed once; separation and the specialization
+    order are read from the profiles."""
 
     def __init__(self, labels, subbasis):
         self.labels = list(labels)
@@ -101,13 +100,6 @@ class FiniteSpace:
         """Specialization: x <= y iff y lies in the closure of {x}, i.e. every
         subbasis open containing y contains x."""
         return not self.profiles[y] & ~self.profiles[x]
-
-    def principal_limit(self, i) -> list:
-        """X_S(U) for the principal ultrafilter U at point i (Finocchiaro):
-        the points x with x in S iff i in S for every subbasis open S, that
-        is the points sharing i's profile.  [i] exactly when i is separated
-        from every other point."""
-        return [x for x in range(self.n) if self.profiles[x] == self.profiles[i]]
 
     def specialization_poset(self):
         """Relation matrix of the closure order (a preorder; a poset iff T0)."""

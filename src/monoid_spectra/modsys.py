@@ -1,7 +1,7 @@
 """Module systems on the quotient groupoid G: closure oracles on finite
 subsets of G, the product-with-overmonoid-intersection construction, meets,
-the finitary map, subbasis membership for the system space, finite-witness
-extraction and a falsifier for finitariness of parameterized families."""
+subbasis membership for the system space, finite-witness extraction and a
+falsifier for finitariness of parameterized families."""
 
 from __future__ import annotations
 
@@ -20,15 +20,12 @@ class ModuleSystem:
 
     ``closure(A)`` takes a finite subset of G, checked here (CarrierMismatch
     otherwise), and returns an exact membership predicate for A_r, which
-    answers False off the carrier.  ``family`` is set when the system arose
-    from a Delta family, so the finitariness falsifier can reach the symbolic
-    description."""
+    answers False off the carrier."""
 
-    def __init__(self, name, context, closure, *, family=None):
+    def __init__(self, name, context, closure):
         self.name = name
         self.context = context
         self._closure = closure
-        self.family = family
 
     def closure(self, A):
         A = frozenset(A)
@@ -167,7 +164,7 @@ def r_delta(delta: DeltaFamily, ctx, truncate=None) -> ModuleSystem:
         name += f"|k<={truncate}"
     else:
         mems = [delta.limit]
-    return ModuleSystem(name, ctx, product_closure(ctx, mems), family=delta)
+    return ModuleSystem(name, ctx, product_closure(ctx, mems))
 
 
 def iota(S: Overmonoid, name=None) -> ModuleSystem:
@@ -193,22 +190,6 @@ def meet(systems) -> ModuleSystem:
 
     name = "^".join(r.name for r in systems)
     return ModuleSystem(f"meet({name})", ctx, closure)
-
-
-def phi(r: ModuleSystem) -> ModuleSystem:
-    """Finitary interior: closure of A is the union of closures of the finite
-    subsets of A.  Idempotent, and the identity exactly on finitary systems."""
-
-    def closure(A):
-        xs = tuple(sorted(A, key=sort_key))
-        preds = [r.closure(E) for E in _subsets(xs, range(len(xs) + 1))]
-
-        def member(g):
-            return any(p(g) for p in preds)
-
-        return member
-
-    return ModuleSystem(f"phi({r.name})", r.context, closure)
 
 
 # -- axiom checking ----------------------------------------------------------
@@ -471,30 +452,22 @@ def check_idempotent(r: ModuleSystem, bound: int = 4, sample_budget: int = 200,
 
 
 def is_finitary(r: ModuleSystem, bound: int = 4, sample_budget: int = 200,
-                seed: int = 0, kmax: int = 6) -> Check:
-    """Bounded finitariness verdict: r agrees with phi(r) on sampled finite
-    sets, and no symbolic counterexample exists in an attached parameterized
-    family up to index kmax."""
-    ctx = r.context
-    universe = ctx.window(bound)
+                seed: int = 0) -> Check:
+    """Bounded finitariness verdict: on sampled finite sets A, A_r is the
+    union of the closures of the subsets of A."""
+    universe = r.context.window(bound)
     subsets, _ = _sample_subsets(universe, sample_budget=sample_budget,
                                  seed=seed)
     w = _Window(r, universe)
 
     def pairs():
         for A in subsets:
-            phi_mask = 0  # phi(r) on A: the union over the subsets of A
+            union = 0  # the closures of the subsets of A
             for E in _subsets(A, range(len(A) + 1)):
-                phi_mask |= w.mask(E)
-            yield phi_mask, w.mask(A), (("A", A),)
+                union |= w.mask(E)
+            yield union, w.mask(A), (("A", A),)
 
-    check = Check.scan("finitary", map(w.escape, pairs()), bound=bound)
-    if check.ok and r.family is not None and not r.family.finite:
-        found = falsify_finitary(r.family, ctx, kmax)
-        if found is not None:
-            return Check("finitary", False, witness=found,
-                         exhaustive=False, n=check.n, bound=kmax)
-    return check
+    return Check.scan("finitary", map(w.escape, pairs()), bound=bound)
 
 
 # -- the system space --------------------------------------------------------
@@ -549,25 +522,6 @@ class SystemSpace:
             k = space.separating_open(i, j)
             out[i, j] = None if k is None else self.pool[k]
         return out
-
-
-def ultrafilter_limit_systems(systems) -> list:
-    """For each member of a finite carrier, S -> {g : U_{S,g} in the
-    ultrafilter} at the principal ultrafilter of that member, evaluated
-    literally.  Each U_{S,g} is evaluated over the carrier once and shared by
-    all the limits, for as long as they live."""
-    systems = list(systems)
-    large = {}
-
-    def u(A, g):
-        if (A, g) not in large:
-            large[A, g] = frozenset(i for i, r in enumerate(systems)
-                                    if r.member(A, g))
-        return large[A, g]
-
-    return [ModuleSystem(f"limit@{r.name}", r.context,
-                         lambda A, i=i: lambda g: i in u(A, g))
-            for i, r in enumerate(systems)]
 
 
 # -- finite witnesses and the finitariness falsifier -------------------------
@@ -644,51 +598,20 @@ def meet_finite_witness(systems, A, x):
 
 # -- the overmonoid embedding ------------------------------------------------
 
-def embedding_checks(overmonoids, ctx, bound: int = 4, seed: int = 0,
-                     n_sets: int = 40):
-    """The map S -> r_{{S}} on a finite overmonoid carrier: injectivity (the
-    closure of {1} recovers S), the preimage law for U_A, and the image law
-    for U(x)."""
-    overmonoids = list(overmonoids)
-    systems = [iota(S) for S in overmonoids]
+def embedding_checks(overmonoids, ctx, bound: int = 4) -> Check:
+    """Injectivity of the map S -> r_{{S}} on a finite overmonoid carrier:
+    the closures of {1} on the window, which recover each S there, are
+    pairwise distinct."""
     window = ctx.nonzero_window(bound)
-    rng = random.Random(seed)
-
-    # injectivity: the closure of the identity is S itself
     ones = []  # each closure of {1} on the window
-    for r in systems:
-        pred = r.closure(frozenset([ctx.one]))
+    for S in overmonoids:
+        pred = iota(S).closure(frozenset([ctx.one]))
         ones.append(frozenset(g for g in window if pred(g)))
-    checks = [Check.scan("iota-recovers-S", (
-        next(({"S": repr(S), "g": repr(g)} for g in window
-              if (g in one) != S.contains(g)), None)
-        for S, one in zip(overmonoids, ones)), bound=bound)]
-
-    witness = None
-    if len(set(ones)) != len(ones):
-        i = next(i for i in range(len(ones)) for j in range(i)
-                 if ones[i] == ones[j])
-        witness = {"S": repr(overmonoids[i])}
-    checks.append(Check("iota-injective", witness is None, witness=witness,
-                        exhaustive=False, n=len(systems), bound=bound))
-
-    # preimage law: 1 in A_{r_{{S}}} iff some a in A has a^{-1} in S
-    sets = [small_sample(rng, window) for _ in range(n_sets)]
-    checks.append(Check.scan("preimage-law", (
-        next(({"A": sorted(map(repr, A)), "S": repr(S)}
-              for S, r in zip(overmonoids, systems)
-              if subbasis_membership(r, A)
-              != any(S.contains(ctx.inv(a)) for a in A)), None)
-        for A in sets), bound=bound))
-
-    # image law: S contains x iff 1 in ({x^{-1}})_{r_{{S}}}
-    checks.append(Check.scan("image-law", (
-        next(({"x": repr(x), "S": repr(S)}
-              for S, r in zip(overmonoids, systems)
-              if S.contains(x)
-              != subbasis_membership(r, frozenset([ctx.inv(x)]))), None)
-        for x in window), bound=bound))
-    return checks
+    i = next((i for i in range(len(ones)) for j in range(i)
+              if ones[i] == ones[j]), None)
+    return Check("iota-injective", i is None,
+                 witness=None if i is None else {"S": repr(overmonoids[i])},
+                 exhaustive=False, n=len(ones), bound=bound)
 
 
 # -- family description files ------------------------------------------------

@@ -9,11 +9,13 @@ import json
 PASS = "PASS"
 FAIL = "FAIL"
 BOUNDED_PASS = "BOUNDED-PASS"
+INFO = "INFO"
 
 
 class Check:
-    """One verdict.  A FAIL always carries a concrete witness; a BOUNDED-PASS
-    always carries the bound it was verified at."""
+    """One verdict, or with ``ok=INFO`` a recorded fact that is no verdict.
+    A FAIL always carries a concrete witness; a BOUNDED-PASS always carries
+    the bound it was verified at."""
 
     def __init__(self, name, ok, *, witness=None, exhaustive=True, n=None,
                  bound=None, detail=""):
@@ -22,8 +24,10 @@ class Check:
             self.verdict = PASS if exhaustive else BOUNDED_PASS
         elif ok is False:
             self.verdict = FAIL
+        elif ok == INFO:
+            self.verdict, exhaustive = INFO, None  # a fact is not a verdict
         else:
-            self.verdict = ok  # explicit verdict string
+            raise ValueError(f"{name}: ok must be True, False or INFO")
         self.witness = witness
         self.exhaustive = exhaustive
         self.n = n
@@ -55,7 +59,8 @@ class Check:
         bits = [prefix, self.name, self.verdict]
         quals = []
         if self.verdict != FAIL:
-            quals.append("exhaustive" if self.exhaustive else "bounded")
+            if self.verdict != INFO:
+                quals.append("exhaustive" if self.exhaustive else "bounded")
             if self.n is not None:
                 quals.append(f"n={self.n}")
             if self.bound is not None:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from monoid_spectra.cli import _principal_limit_check
+from monoid_spectra.cli import _t0_check
 from monoid_spectra.fintop import (FiniteSpace, all_topologies,
                                    brute_force_homeomorphic, hasse_edges,
                                    homeomorphic, poset_dot, subbasis_space)
@@ -139,12 +139,11 @@ def test_profile_reads_agree_with_opens_and_subbasis():
             closure = {y for y in range(sp.n)
                        if all(o >> x & 1 for o in opens if o >> y & 1)}
             assert {y for y in range(sp.n) if sp.leq(x, y)} == closure
-            limit = [y for y in range(sp.n)
-                     if all((y in S) == (x in S) for S in sp.subbasis)]
-            assert sp.principal_limit(x) == limit
+            same = {y for y in range(sp.n)
+                    if all((y in S) == (x in S) for S in sp.subbasis)}
             for y in range(sp.n):
                 k = sp.separating_open(x, y)
-                assert (k is None) == (limit.count(y) == 1)
+                assert (k is None) == (y in same)
                 if k is not None:
                     assert (x in sp.subbasis[k]) != (y in sp.subbasis[k])
                     assert all((x in S) == (y in S) for S in sp.subbasis[:k])
@@ -163,14 +162,13 @@ def test_subbasis_space_evaluates_each_membership_once():
     assert sp.profiles == [0b01, 0b10, 0b11]
 
 
-def test_shared_profile_fails_the_principal_limit_check():
+def test_shared_profile_fails_the_t0_check():
     H = Monoid.numerical([2, 3])
     N, Z = enumerate_zar(H)
-    ok = _principal_limit_check(overmonoid_space([N, Z], H.context), "V", 6)
+    ok = _t0_check(overmonoid_space([N, Z], H.context), 6)
     assert ok.ok and ok.n == 2
-    # a duplicated carrier member shares its profile with the original
-    space = overmonoid_space([N, Z, N], H.context)
-    assert space.principal_limit(0) == [0, 2]
-    check = _principal_limit_check(space, "V", 6)
-    assert not check.ok
-    assert check.witness == {"V": N.name, "limit": [N.name, N.name]}
+    # a duplicated carrier member shares its profile with the original, so
+    # its principal limit holds both copies
+    check = _t0_check(overmonoid_space([N, Z, N], H.context), 6)
+    assert (check.name, check.ok, check.n) == ("t0", False, 3)
+    assert check.witness == {"profiles": "coincide"}

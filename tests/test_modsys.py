@@ -9,13 +9,13 @@ from monoid_spectra.modsys import (DeltaFamily, SystemSpace, check_family,
                                    embedding_checks, example16,
                                    extract_finite_witness, falsify_finitary,
                                    family_from_json, iota, meet,
-                                   meet_finite_witness, phi, r_delta,
-                                   subbasis_membership,
-                                   ultrafilter_limit_systems, witness_pool)
+                                   meet_finite_witness, product_closure,
+                                   r_delta, subbasis_membership, witness_pool)
 from monoid_spectra.idealsys import s_system
-from monoid_spectra.monoid import (INF, CarrierMismatch, Monoid, Overmonoid,
-                                   ParseError, as_overmonoid)
-from test_monoid import MONOIDS
+from monoid_spectra.monoid import (INF, CarrierMismatch, FiniteCarrier,
+                                   IntCarrier, Monoid, Overmonoid, ParseError,
+                                   as_overmonoid)
+from test_monoid import MONOIDS, reachable
 
 
 def n23():
@@ -128,19 +128,6 @@ def test_extract_finite_witness():
         extract_finite_witness(delta, ctx, frozenset({5}), 6)  # 1 not in Z+5? 6-5=1 not in N
 
 
-def test_phi_is_identity_on_finitary_and_idempotent():
-    H = n23()
-    r = iota(overmonoid_N(H))
-    f = phi(r)
-    for A in [frozenset(), frozenset({2}), frozenset({2, 3})]:
-        p, q = r.closure(A), f.closure(A)
-        for g in list(range(0, 10)) + [INF]:
-            assert p(g) == q(g), (A, g)
-    ff = phi(f)
-    for A in [frozenset({2, 3})]:
-        assert all(f.closure(A)(g) == ff.closure(A)(g) for g in range(0, 10))
-
-
 def test_subbasis_membership_both_readings():
     H = n23()
     r = iota(overmonoid_Z(H))
@@ -159,18 +146,6 @@ def test_system_space_t0_and_witnesses():
     assert sp.is_t0()
     wits = ss.t0_witnesses()
     assert all(S is not None for S in wits.values())
-
-
-def test_ultrafilter_limit_system_is_identity_at_principal():
-    H = n23()
-    systems = [iota(overmonoid_N(H)), iota(overmonoid_Z(H)), example16(H)]
-    pool = witness_pool(H.context, bound=4)
-    limits = ultrafilter_limit_systems(systems)
-    for idx, r in enumerate(systems):
-        lim = limits[idx]
-        for A in pool[:30]:
-            for g in list(range(-4, 9)) + [INF]:
-                assert lim.member(A, g) == r.member(A, g), (idx, A, g)
 
 
 def adjoin_ray_family():
@@ -250,9 +225,11 @@ def test_a_delta_family_needs_members_or_a_rule_with_its_limit():
 
 def test_embedding_checks_pass():
     H = n23()
-    checks = embedding_checks([overmonoid_N(H), overmonoid_Z(H)], H.context,
-                              bound=4)
-    assert all(c.ok for c in checks), [(c.name, c.witness) for c in checks]
+    N, Z = overmonoid_N(H), overmonoid_Z(H)
+    check = embedding_checks([N, Z], H.context, bound=4)
+    assert (check.name, check.ok, check.n) == ("iota-injective", True, 2)
+    check = embedding_checks([N, Z, overmonoid_N(H)], H.context, bound=4)
+    assert not check.ok and check.witness == {"S": repr(N)}
 
 
 def test_iota_on_the_plane_rejects_points_off_the_carrier():
@@ -276,15 +253,20 @@ OFF_CARRIER = [
 ]
 
 
+def group_of(H):
+    """H with the inverses of its nonzero generators adjoined."""
+    ctx = H.context
+    return Overmonoid(ctx, gens=H.generators + tuple(
+        ctx.inv(g) for g in H.generators if g is not INF and g != ctx.zero),
+        name="G")
+
+
 def closure_systems(H):
     ctx = H.context
     S = as_overmonoid(H)
-    G = Overmonoid(ctx, gens=H.generators + tuple(
-        ctx.inv(g) for g in H.generators if g is not INF and g != ctx.zero),
-        name="G")
     return [s_system(H), example16(H), iota(S),
-            r_delta(DeltaFamily([S, G], name="SG"), ctx),
-            meet([iota(S), example16(H)]), phi(iota(S))]
+            r_delta(DeltaFamily([S, group_of(H)], name="SG"), ctx),
+            meet([iota(S), example16(H)])]
 
 
 @pytest.mark.parametrize("H, off, inside", OFF_CARRIER,
@@ -346,3 +328,47 @@ def test_s_and_example16_are_the_product_closure_of_H(H, data):
             assert ps(g) == pi(g), (X, g)
             assert pe(g) == (ctx.contains(g) if ctx.zero in X else ps(g)), \
                 (X, g)
+
+
+def bounded_members(S, ctx):
+    """The members s of S with a s = g for some a, g in ``ctx.window(3)``,
+    and possibly more, enumerated without asking S: the generator sums of
+    ``test_monoid.reachable`` on the int and lattice carriers, a
+    breadth-first search of the Cayley table on the finite one."""
+    gens = [g for g in S.gens if g is not INF and g != ctx.zero]
+    if isinstance(ctx, FiniteCarrier):
+        seen, frontier = {ctx.one}, [ctx.one]
+        while frontier:
+            v = frontier.pop()
+            for w in (ctx.op(v, g) for g in gens):
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+        return seen
+    if isinstance(ctx, IntCarrier):
+        return {v for (v,) in reachable([(g,) for g in gens],
+                                        6 + max(map(abs, gens)))}
+    # Steinitz lemma (constant <= the dimension): a sum of generators of
+    # sup-norm <= M that lands in the radius-6 box reorders so that every
+    # partial sum stays in the box of radius 6 + dim * M
+    M = max(abs(c) for g in gens for c in g)
+    return reachable(gens, 6 + ctx.dim * M)
+
+
+@settings(max_examples=100, deadline=None)
+@given(MONOIDS, st.data())
+def test_product_closure_matches_a_bounded_enumeration_of_its_members(H, data):
+    # g is in A_r iff g is the zero or every member S has a nonzero a in A
+    # and an s in S with a s = g; the empty list closes A to all of G
+    ctx = H.context
+    members = data.draw(st.lists(
+        st.sampled_from([H, as_overmonoid(H), group_of(H)]), max_size=2))
+    window = ctx.window(3)
+    A = frozenset(data.draw(st.sets(st.sampled_from(window), max_size=3)))
+    nonzero = [a for a in A if a is not INF and a != ctx.zero]
+    products = [{ctx.op(a, s) for a in nonzero
+                 for s in bounded_members(S, ctx)} for S in members]
+    pred = product_closure(ctx, members)(A)
+    for g in window:
+        expected = g == ctx.zero or all(g in P for P in products)
+        assert pred(g) == expected, (members, A, g)

@@ -1,14 +1,19 @@
-"""Print one SHA-1 per CLI run, as sorted JSON, to compare two checkouts.
+"""Print one record per CLI run, as sorted JSON, to compare two checkouts.
 
 Runs ``cli.main`` in this process on every suite x every monoid input in
 ``tests/data`` x {default bound, 1, 2, 3} x {text, --json}, each with
 ``--dot``, plus ``main2 --family adjoin-ray.json`` on the same bounds and
-formats.  Each hash covers stdout, stderr, the exit code (or the exception a
-run raised) and the DOT file.  A refactor that keeps every report
-byte-identical gives the same output before and after:
+formats.  A run's record is ``[sha1, status, fails]``: the SHA-1 over
+stdout, stderr, the exit code (or the exception the run raised) and the DOT
+file; that exit code or exception; and the sorted names of the report's FAIL
+lines.  A refactor that keeps every report byte-identical gives the same
+output before and after:
 
     python3 tools/report_hashes.py > after.json
     diff before.json after.json
+
+A change that rewrites reports on purpose but moves no verdict differs only
+in the first entry of each record.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 
@@ -28,6 +34,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from monoid_spectra import cli  # noqa: E402
 
 BOUNDS = (None, 1, 2, 3)
+FAIL_LINE = re.compile(r"^\S+ (\S+) FAIL\b", re.M)
 
 
 def monoid_inputs():
@@ -51,8 +58,20 @@ def runs():
         "--suite", "main2", "--family", os.path.join(DATA, "adjoin-ray.json")]
 
 
-def digest(argv, dot_path):
-    """SHA-1 over what one run leaves: output, exit status and DOT file."""
+def fail_names(out, as_json):
+    """Sorted names of the FAIL lines of one report, text or JSON."""
+    if not as_json:
+        return sorted(FAIL_LINE.findall(out))
+    try:
+        checks = json.loads(out)["checks"]
+    except ValueError:  # no report was printed
+        return []
+    return sorted(c["name"] for c in checks if c["verdict"] == "FAIL")
+
+
+def record(argv, dot_path):
+    """What one run leaves, as [SHA-1 over output, exit status and DOT file,
+    exit status, FAIL names]."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -66,11 +85,12 @@ def digest(argv, dot_path):
     except FileNotFoundError:
         dot = None
     blob = json.dumps([out.getvalue(), err.getvalue(), status, dot])
-    return hashlib.sha1(blob.encode()).hexdigest()
+    return [hashlib.sha1(blob.encode()).hexdigest(), status,
+            fail_names(out.getvalue(), "--json" in argv)]
 
 
 def main():
-    hashes = {}
+    records = {}
     with tempfile.TemporaryDirectory() as tmp:
         dot_path = os.path.join(tmp, "out.dot")
         for label, argv in runs():
@@ -79,8 +99,8 @@ def main():
                 for fmt in ("text", "json"):
                     key = f"{label} bound={bound or 'default'} {fmt}"
                     flags = ["--json"] if fmt == "json" else []
-                    hashes[key] = digest(argv + extra + flags, dot_path)
-    json.dump(hashes, sys.stdout, indent=1, sort_keys=True)
+                    records[key] = record(argv + extra + flags, dot_path)
+    json.dump(records, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
 
 
