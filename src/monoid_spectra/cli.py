@@ -18,9 +18,9 @@ from .fintop import homeomorphic, poset_dot
 from .idealsys import (check_ideal_axioms, enumerate_ideals, enumerate_primes,
                        ideal_space_subbasis, o_set, is_prime, s_system,
                        spec_subbasis)
-from .modsys import (DeltaFamily, SystemSpace, check_family, check_id2,
-                     check_idempotent, check_module_axioms, example16,
-                     extract_finite_witness, falsify_finitary,
+from .modsys import (FAMILY_DEPTH, DeltaFamily, SystemSpace, check_family,
+                     check_id2, check_idempotent, check_module_axioms,
+                     example16, extract_finite_witness, falsify_finitary,
                      family_from_file, embedding_checks, iota, is_finitary,
                      meet, meet_finite_witness, r_delta, small_sample,
                      witness_pool)
@@ -59,19 +59,17 @@ CLAIMS = {
 
 
 def _curated_overmonoids(H, bound):
-    """Finite overmonoid carrier: all overmonoids for numerical H, the
-    localizations at the enumerated primes otherwise."""
+    """Finite overmonoid carrier: all overmonoids for numerical H, otherwise
+    H and its localizations at the enumerated primes.  Distinct primes have
+    distinct localizations, and H_P = H exactly when H holds the generators
+    of H_P."""
     if H.kind == "numerical":
         return enumerate_overmonoids(H)
-    out = [as_overmonoid(H, name="H")]
+    out = [as_overmonoid(H)]
     for P in enumerate_primes(H, bound):
-        if P.contains(H.one):
-            continue
         loc = localize(H, P)
-        loc.name = f"H_{P.name}"
-        if not any(all(loc.contains(g) == S.contains(g)
-                       for g in H.context.window(bound))
-                   for S in out):
+        if not all(H.contains(g) for g in loc.gens):
+            loc.name = f"H_{P.name}"
             out.append(loc)
     return out
 
@@ -125,7 +123,7 @@ def suite_spec(H, bound, seed):
     primes = enumerate_primes(H, bound)
     rep.add(Check("primes-enumerated", INFO, n=len(primes), bound=bound,
                   detail=" ".join(p.name for p in primes)))
-    space = spec_subbasis(H, primes, bound)
+    space = spec_subbasis(H, primes)
     rep.add(_t0_check(space, bound))
     return rep, lambda: poset_dot(space, name="spec")
 
@@ -143,7 +141,7 @@ def suite_ideals(H, bound, seed):
                    None)
     rep.add(Check("ideals-absorb-action", witness is None, witness=witness,
                   exhaustive=False, n=len(ideals), bound=bound))
-    space = ideal_space_subbasis(ideals, H, bound)
+    space = ideal_space_subbasis(ideals)
     rep.add(_t0_check(space, bound))
     return rep, lambda: poset_dot(space, name="ideals")
 
@@ -172,7 +170,7 @@ def suite_pronconst(H, bound, seed):
     rep.add(Check("prime-iff-no-O", witness is None, witness=witness,
                   exhaustive=False, n=len(ideals), bound=2 * bound,
                   detail="flagged: " + "; ".join(flagged)))
-    rep.add(_t0_check(ideal_space_subbasis(ideals, H, bound), bound))
+    rep.add(_t0_check(ideal_space_subbasis(ideals), bound))
     return rep, None
 
 
@@ -194,18 +192,12 @@ def suite_pruefer(H, bound, seed):
     carrier = enumerate_zar(H, bound=bound)
     images = [delta(H, V, primes, bound) for V in carrier]
     zar_space = overmonoid_space(carrier, H.context, bound)
-    spec_space = spec_subbasis(H, primes, bound)
+    spec_space = spec_subbasis(H, primes)
     rep.add(Check("delta-total", INFO, n=len(carrier), bound=bound,
                   detail="; ".join(f"{V.name}->{P.name}"
                                    for V, P in zip(carrier, images))))
-
-    def onto(P):
-        try:
-            return surjectivity_witness(H, P, carrier, images, bound=bound)
-        except ValueError:
-            return None
-
-    witness = next(({"P": P.name} for P in primes if onto(P) is None), None)
+    witness = next(({"P": P.name} for P in primes if surjectivity_witness(
+        H, P, carrier, images, bound=bound) is None), None)
     rep.add(Check("delta-surjective", witness is None, witness=witness,
                   exhaustive=False, n=len(primes), bound=bound))
     sp = is_s_pruefer(H, primes, bound)
@@ -213,10 +205,12 @@ def suite_pruefer(H, bound, seed):
     rep.add(Check("s-pruefer-instance", INFO, bound=bound,
                   detail="s-Pruefer" if sp.ok else f"not s-Pruefer at "
                   f"{sp.witness} (homeomorphism not claimed)"))
+    pair = next(((i, j) for i in range(len(images))
+                 for j in range(i + 1, len(images))
+                 if images[i] is images[j]), None)
     if sp.ok:
-        injective = len({id(P) for P in images}) == len(images)
-        rep.add(Check("delta-injective", injective,
-                      witness=None if injective else {"images": "collide"},
+        rep.add(Check("delta-injective", pair is None,
+                      witness=None if pair is None else {"images": "collide"},
                       exhaustive=False, n=len(carrier), bound=bound))
         iso = homeomorphic(zar_space, spec_space)
         rep.add(Check("delta-homeomorphism", iso is not None,
@@ -224,9 +218,6 @@ def suite_pruefer(H, bound, seed):
                       else {"posets": "not isomorphic"},
                       exhaustive=False, n=zar_space.n, bound=bound))
     else:
-        pair = next(((i, j) for i in range(len(images))
-                     for j in range(i + 1, len(images))
-                     if images[i] is images[j]), None)
         rep.add(Check("delta-injectivity-instance", INFO, n=len(carrier),
                       bound=bound,
                       detail="injective on this carrier" if pair is None else
@@ -276,8 +267,7 @@ def suite_main1(H, bound, seed):
                       detail="H fills G on the window, so the Id2 gap is "
                              "vacuous here"))
 
-    pool = witness_pool(ctx, bound=min(bound, 4), seed=seed,
-                        include_zero=True)
+    pool = witness_pool(ctx, bound=min(bound, 4), seed=seed)
     space = SystemSpace(systems, pool)
     pairs = space.t0_witnesses()
     missing = [k for k, v in pairs.items() if v is None]
@@ -318,11 +308,10 @@ def suite_main2(H, family, bound, seed):
         fam_ctx = base.context
         rep.extend(check_family(delta_fam, fam_ctx, bound=min(bound, 4)),
                    prefix="FAMILY")
-        found = falsify_finitary(delta_fam, fam_ctx, kmax=6,
-                                 bound=max(bound, 6))
-        rep.add(Check("non-finitary-certificate", INFO, bound=6,
+        found = falsify_finitary(delta_fam, fam_ctx, bound=max(bound, 6))
+        rep.add(Check("non-finitary-certificate", INFO, bound=FAMILY_DEPTH,
                       detail=f"witness {found}" if found is not None
-                      else "none up to index 6"))
+                      else f"none up to index {FAMILY_DEPTH}"))
     else:
         fin = is_finitary(r_delta(DeltaFamily(overs, name="carrier"), ctx),
                           bound=min(bound, 3), sample_budget=40, seed=seed)

@@ -256,8 +256,8 @@ def poset_dot(space: FiniteSpace, name="poset") -> str:
     return "\n".join(lines) + "\n"
 
 
-def bipartite_dot(left_labels, right_labels, edges, left_edges=(), right_edges=(),
-                  name="correspondence") -> str:
+def bipartite_dot(left_labels, right_labels, edges, left_edges, right_edges,
+                  name) -> str:
     """Bipartite digraph (e.g. the domination correspondence) with
     specialization edges inside each side."""
     lines = [f"digraph {name} {{"]

@@ -11,7 +11,7 @@ from .fintop import FiniteSpace, subbasis_space
 from .intgeom import faces_2d
 from .modsys import (ModuleSystem, _sample_subsets, _verdicts, _Window,
                      product_closure)
-from .monoid import INF, Monoid, sort_key
+from .monoid import Monoid, sort_key
 
 # Most ideals `enumerate_ideals` lists before it gives up.
 MAX_IDEALS = 10_000
@@ -73,39 +73,30 @@ def is_prime(I: RIdeal, window) -> bool:
 
 
 def enumerate_primes(H: Monoid, bound: int = 10):
-    """All prime s-ideals of H.  Numerical: the zero ideal and the maximal
-    ideal.  Affine: one prime per face of the generated cone.  Finite: the
-    zero ideal only."""
-    r = s_system(H)
-    window = H.context.window(bound)
-    out = []
-    if H.kind == "numerical":
-        out.append(RIdeal(r, (), name="P_zero"))
-        out.append(RIdeal(r, H.generators, name="P_max"))
-    elif H.kind == "affine":
-        if H.dim > 2:
-            raise UnsupportedRealization("prime enumeration needs dimension <= 2")
-        gens2 = H.generators if H.dim == 2 else tuple((g[0], 0) for g in H.generators)
-        if H.dim == 1:
-            faces = [frozenset(gens2), frozenset()] if all(
-                g[0] >= 0 for g in gens2) else [frozenset(gens2)]
-        else:
-            faces = faces_2d(gens2)
-        back = {(g[0], 0): g for g in H.generators} if H.dim == 1 else None
-        for face in faces:
-            if H.dim == 1:
-                gens = tuple(back[f] for f in face) if face else ()
-                outside = tuple(g for g in H.generators if g not in gens)
-            else:
-                outside = tuple(g for g in H.generators if g not in face)
-            name = "P_zero" if not outside else (
-                "P_max" if len(outside) == len(set(H.generators)) else
-                f"P_face{sorted(face)}")
-            out.append(RIdeal(r, outside, name=name))
-    elif H.kind == "finite":
-        out.append(RIdeal(r, (), name="P_zero"))
+    """All prime s-ideals of H.  A prime is generated by the generators it
+    contains, and the generators outside it span a face of the cone of H's
+    generators, so there is one prime per face.  Numerical and dim-1
+    generators g enter the cone as the points (g, 0): a ray has the faces
+    {all, none} and a line only {all}.  A finite H has the one face of all
+    its generators.  Each prime is rechecked on the window."""
+    if H.kind == "affine" and H.dim > 2:
+        raise UnsupportedRealization("prime enumeration needs dimension <= 2")
+    if H.kind == "finite":
+        points = {g: g for g in H.generators}
+        faces = [frozenset(points.values())]
     else:
-        raise UnsupportedRealization(H.kind)
+        points = {g: (g, 0) if H.kind == "numerical" else
+                  (g[0], 0) if H.dim == 1 else g for g in H.generators}
+        faces = faces_2d(points.values())
+    r = s_system(H)
+    out = []
+    for face in faces:
+        outside = tuple(g for g, p in points.items() if p not in face)
+        name = "P_zero" if not outside else (
+            "P_max" if len(outside) == len(points) else
+            f"P_face{sorted(face)}")
+        out.append(RIdeal(r, outside, name=name))
+    window = H.context.window(bound)
     for p in out:
         if not is_prime(p, window):
             raise AssertionError(f"enumerated ideal {p} failed the prime recheck")
@@ -118,22 +109,12 @@ def enumerate_primes(H: Monoid, bound: int = 10):
     return uniq
 
 
-def spec_subbasis(H: Monoid, primes, bound: int = 10) -> FiniteSpace:
-    """The Zariski space on primes with subbasis the principal opens D_r(f)."""
-    window = [g for g in H.context.window(bound) if H.contains(g)]
+def spec_subbasis(H: Monoid, primes) -> FiniteSpace:
+    """The Zariski space on primes with subbasis the principal opens D_r(g),
+    g over H's generators.  These generate the whole topology, because
+    D(g1...gk) is the intersection of the D(gi)."""
     return subbasis_space([p.name or repr(p) for p in primes], primes,
-                          window, lambda p, f: not p.contains(f))
-
-
-def signature_window(H: Monoid, bound: int):
-    """Window on which distinct enumerated ideals provably differ: for
-    numerical H an ideal with minimum <= bound is pinned down by its elements
-    up to bound + 2 * Frobenius + max generator."""
-    if H.kind == "numerical":
-        frob = max(H.sgp.frobenius, 0)
-        ext = bound + 2 * frob + max(H.generators) + 2
-        return [n for n in H.sgp.elements_upto(ext)] + [INF]
-    return H.context.window(bound)
+                          H.generators, lambda p, g: not p.contains(g))
 
 
 def enumerate_ideals(H: Monoid, system: IdealSystem, bound: int):
@@ -177,11 +158,13 @@ def enumerate_ideals(H: Monoid, system: IdealSystem, bound: int):
     return out
 
 
-def ideal_space_subbasis(ideals, H: Monoid, bound: int = 10) -> FiniteSpace:
+def ideal_space_subbasis(ideals) -> FiniteSpace:
     """The space on a finite ideal list with subbasis U_r(x) = {I : x not in I},
-    with x running over the signature window so listed ideals separate."""
-    window = [g for g in signature_window(H, bound) if H.contains(g)]
-    return subbasis_space([repr(I) for I in ideals], ideals, window,
+    x over the generators of the listed ideals.  I is inside J exactly when
+    J holds I's generators, so these opens give the specialization order,
+    which determines a finite space."""
+    xs = list(dict.fromkeys(g for I in ideals for g in I.generators))
+    return subbasis_space([repr(I) for I in ideals], ideals, xs,
                           lambda I, x: not I.contains(x))
 
 
@@ -196,18 +179,16 @@ def o_set(a, b, ideals, H: Monoid):
 # -- axiom checking ---------------------------------------------------------
 
 def check_ideal_axioms(r: IdealSystem, H: Monoid, bound: int = 10,
-                       sample_budget: int = 500, seed: int = 0,
-                       max_subset_size: int = 3):
+                       seed: int = 0):
     """Per-axiom verdicts for Id1-Id4 with counterexamples on failure.
 
-    Exhaustive over all subsets of the window universe up to
-    ``max_subset_size`` when that universe has at most 13 elements, sampled
-    (seeded) otherwise."""
+    Exhaustive over all subsets of up to 3 points of the window universe
+    when that universe has at most 13 elements, 500 seeded draws
+    otherwise."""
     ctx = H.context
     universe = [g for g in ctx.window(bound) if H.contains(g)]
     subsets, exhaustive = _sample_subsets(
-        universe, exhaustive_limit=13, max_subset_size=max_subset_size,
-        sample_budget=sample_budget, seed=seed)
+        universe, exhaustive_limit=13, sample_budget=500, seed=seed)
     if exhaustive:
         id2_subsets, id3_subsets = subsets, subsets
         id3_scalars, id3_points = universe, universe

@@ -14,6 +14,10 @@ from .monoid import (INF, IntCarrier, Monoid, Overmonoid, ParseError, is_int,
                      monoid_from_json, sort_key)
 from .report import Check
 
+# The members of a parameterized family that ``check_family`` rechecks and
+# ``falsify_finitary`` searches: indices 1..FAMILY_DEPTH.
+FAMILY_DEPTH = 6
+
 
 class ModuleSystem:
     """Closure operator A -> A_r on finite subsets of G.
@@ -143,33 +147,21 @@ class DeltaFamily:
             return self.members[k]
         return self.member_fn(k)
 
-    def truncated(self, k) -> list:
-        return [self.member_fn(i) for i in range(1, k + 1)]
 
-
-def r_delta(delta: DeltaFamily, ctx, truncate=None) -> ModuleSystem:
+def r_delta(delta: DeltaFamily, ctx) -> ModuleSystem:
     """The system A -> intersection over S in Delta of SA.
 
     For finite A and finite Delta this is exact: g is in A_r iff for every S
     some nonzero a in A has a^{-1} g in S.  A parameterized family, decreasing
     with limit L = intersection of the S_k, is also exact, since a witness a
-    for S_k works for every smaller index, so a single a must land in L.  With
-    ``truncate`` a parameterized family is cut at its first members instead,
-    and the resulting system is only a bounded upper approximation."""
-    name = f"r_{delta.name}"
-    if delta.finite:
-        mems = delta.members
-    elif truncate is not None:
-        mems = delta.truncated(truncate)
-        name += f"|k<={truncate}"
-    else:
-        mems = [delta.limit]
-    return ModuleSystem(name, ctx, product_closure(ctx, mems))
+    for S_k works for every smaller index, so a single a must land in L."""
+    mems = delta.members if delta.finite else [delta.limit]
+    return ModuleSystem(f"r_{delta.name}", ctx, product_closure(ctx, mems))
 
 
-def iota(S: Overmonoid, name=None) -> ModuleSystem:
+def iota(S: Overmonoid) -> ModuleSystem:
     """The system of the singleton family {S}: A -> SA (with 0)."""
-    return r_delta(DeltaFamily([S], name=name or (S.name or "S")), S.context)
+    return r_delta(DeltaFamily([S], name=S.name or "S"), S.context)
 
 
 def meet(systems) -> ModuleSystem:
@@ -377,18 +369,16 @@ def _verdicts(scans, exhaustive):
             for name, outcomes in scans]
 
 
-def check_module_axioms(r: ModuleSystem, H, bound: int = 4,
-                        sample_budget: int = 300, seed: int = 0,
-                        max_subset_size: int = 3):
+def check_module_axioms(r: ModuleSystem, H, bound: int = 4, seed: int = 0):
     """Id1 / M2 / Id3 / M4 verdicts on windowed data.  Subsets range over the
-    G-window (not only H), since module systems act on the groupoid."""
+    G-window (not only H), since module systems act on the groupoid: all
+    subsets of up to 3 points of a window of at most 12, 300 seeded draws
+    otherwise."""
     ctx = r.context
     universe = ctx.window(bound)
     nonzero = [g for g in universe if g != ctx.zero]
     h_members = [g for g in nonzero if H.contains(g)]
-    subsets, exhaustive = _sample_subsets(
-        universe, max_subset_size=max_subset_size,
-        sample_budget=sample_budget, seed=seed)
+    subsets, exhaustive = _sample_subsets(universe, seed=seed)
     if exhaustive:
         id3_subsets, scalars, points, m4_scalars = (subsets, nonzero, universe,
                                                     h_members)
@@ -414,13 +404,12 @@ def check_module_axioms(r: ModuleSystem, H, bound: int = 4,
 
 
 def check_id2(r: ModuleSystem, bound: int = 4, sample_budget: int = 200,
-              seed: int = 0, max_subset_size: int = 2):
-    """Id2: A subset of B_r implies A_r subset of B_r.  Returns the verdict
-    with a counterexample when it fails."""
+              seed: int = 0):
+    """Id2: A subset of B_r implies A_r subset of B_r, over subsets of up to
+    2 points.  Returns the verdict with a counterexample when it fails."""
     universe = r.context.window(bound)
     subsets, exhaustive = _sample_subsets(
-        universe, max_subset_size=max_subset_size,
-        sample_budget=sample_budget, seed=seed)
+        universe, max_subset_size=2, sample_budget=sample_budget, seed=seed)
     w = _Window(r, universe)
     return Check.scan("Id2", map(w.escape,
                                  ((w.mask(A), w.mask(B), (("A", A), ("B", B)))
@@ -430,15 +419,14 @@ def check_id2(r: ModuleSystem, bound: int = 4, sample_budget: int = 200,
 
 
 def check_idempotent(r: ModuleSystem, bound: int = 4, sample_budget: int = 200,
-                     seed: int = 0, max_subset_size: int = 2):
-    """(A_r)_r = A_r tested through the window slice of A_r.  The slice is a
-    subset of A_r, so its closure sits inside (A_r)_r; any point of it outside
-    A_r is an honest counterexample, and agreement on all samples is reported
-    as a bounded pass."""
+                     seed: int = 0):
+    """(A_r)_r = A_r tested through the window slice of A_r, over subsets of
+    up to 2 points.  The slice is a subset of A_r, so its closure sits inside
+    (A_r)_r; any point of it outside A_r is an honest counterexample, and
+    agreement on all samples is reported as a bounded pass."""
     universe = r.context.window(bound)
-    subsets, _ = _sample_subsets(
-        universe, max_subset_size=max_subset_size,
-        sample_budget=sample_budget, seed=seed)
+    subsets, _ = _sample_subsets(universe, max_subset_size=2,
+                                 sample_budget=sample_budget, seed=seed)
     w = _Window(r, universe)
 
     def pairs():
@@ -472,26 +460,21 @@ def is_finitary(r: ModuleSystem, bound: int = 4, sample_budget: int = 200,
 
 # -- the system space --------------------------------------------------------
 
-def subbasis_membership(r: ModuleSystem, S, g=None) -> bool:
-    """r in U_S iff 1 in S_r; the variant U_{S,g} asks g in S_r instead."""
+def subbasis_membership(r: ModuleSystem, S) -> bool:
+    """r in U_S iff 1 in S_r."""
     S = frozenset(S)
     if not S:
         raise ValueError("U_S is defined for nonempty S only")
-    target = r.context.one if g is None else g
-    return r.member(S, target)
+    return r.member(S, r.context.one)
 
 
-def witness_pool(ctx, bound: int = 4, seed: int = 0, n_random: int = 100,
-                 max_random: int = 4, include_zero: bool = False):
-    """Deterministic pool of finite subsets of the G-window: all subsets of
-    size <= 2 plus seeded random subsets of size <= max_random."""
+def witness_pool(ctx, bound: int = 4, seed: int = 0):
+    """Deterministic pool of finite subsets of the G-window, zero included:
+    all subsets of size <= 2 plus 100 seeded random subsets of size <= 4."""
     window = ctx.window(bound)
-    if not include_zero:
-        window = [g for g in window if g != ctx.zero]
     # an exhaustive limit of -1 draws on every window, however small
-    drawn, _ = _sample_subsets(window, exhaustive_limit=-1,
-                               max_subset_size=max_random,
-                               sample_budget=n_random, seed=seed)
+    drawn, _ = _sample_subsets(window, exhaustive_limit=-1, max_subset_size=4,
+                               sample_budget=100, seed=seed)
     return list(dict.fromkeys(_subsets(window, (1, 2)) + drawn[1:]))
 
 
@@ -546,18 +529,19 @@ def extract_finite_witness(delta: DeltaFamily, ctx, A, x):
     return F
 
 
-def falsify_finitary(delta: DeltaFamily, ctx, kmax: int = 6, bound: int = 6):
+def falsify_finitary(delta: DeltaFamily, ctx, bound: int = 6):
     """Search for the non-finitariness certificate of a parameterized family:
-    elements x_k in S_k missed by every earlier member.  On success the set
-    A = {x_k^{-1}} has the identity in its closure over indices <= kmax while
-    no finite part over indices <= kmax - 1 does; returns the witness record,
-    or None when no certificate exists up to kmax."""
+    elements x_k in S_k missed by every later member, for k up to
+    FAMILY_DEPTH.  On success the set A = {x_k^{-1}} has the identity in its
+    closure over those members while the part without the last x_k does not;
+    returns the witness record, or None when no certificate exists up to
+    that index."""
     if delta.finite:
         return None
     window = ctx.nonzero_window(bound)
-    members = [delta.member(k) for k in range(1, kmax + 1)]
+    members = [delta.member(k) for k in range(1, FAMILY_DEPTH + 1)]
     xs = []
-    for k in range(1, kmax + 1):
+    for k in range(1, FAMILY_DEPTH + 1):
         S_k = members[k - 1]
         later = members[k:]
         x = next((g for g in window
@@ -568,14 +552,14 @@ def falsify_finitary(delta: DeltaFamily, ctx, kmax: int = 6, bound: int = 6):
         xs.append(x)
     A = frozenset(ctx.inv(x) for x in xs)
     target = ctx.one
-    truncated = r_delta(delta, ctx, truncate=kmax)
-    if not truncated.member(A, target):
+    truncated = product_closure(ctx, members)
+    if not truncated(A)(target):
         return None
-    F = frozenset(ctx.inv(x) for x in xs[:kmax - 1])
-    if truncated.member(F, target):
+    F = frozenset(ctx.inv(x) for x in xs[:-1])
+    if truncated(F)(target):
         return None
     return {"A": sorted(map(repr, A)), "target": repr(target),
-            "separating_index": kmax}
+            "separating_index": FAMILY_DEPTH}
 
 
 def meet_finite_witness(systems, A, x):
@@ -600,15 +584,20 @@ def meet_finite_witness(systems, A, x):
 
 def embedding_checks(overmonoids, ctx, bound: int = 4) -> Check:
     """Injectivity of the map S -> r_{{S}} on a finite overmonoid carrier:
-    the closures of {1} on the window, which recover each S there, are
-    pairwise distinct."""
-    window = ctx.nonzero_window(bound)
-    ones = []  # each closure of {1} on the window
+    the closures of {1}, which are the S themselves, are pairwise distinct
+    on the window and the generators of every generator-backed member.  Two
+    distinct generator-backed overmonoids differ at a generator of one of
+    them, so on such carriers the check is exact."""
+    points = list(dict.fromkeys([*ctx.nonzero_window(bound),
+                                 *(g for S in overmonoids
+                                   for g in S.gens or ())]))
+    ones = []  # each closure of {1} on those points
     for S in overmonoids:
         pred = iota(S).closure(frozenset([ctx.one]))
-        ones.append(frozenset(g for g in window if pred(g)))
-    i = next((i for i in range(len(ones)) for j in range(i)
-              if ones[i] == ones[j]), None)
+        ones.append(frozenset(g for g in points if pred(g)))
+    first = {}  # each closure of {1} -> the first index with it
+    i = next((i for i, one in enumerate(ones)
+              if first.setdefault(one, i) != i), None)
     return Check("iota-injective", i is None,
                  witness=None if i is None else {"S": repr(overmonoids[i])},
                  exhaustive=False, n=len(ones), bound=bound)
@@ -676,10 +665,10 @@ def family_from_file(path):
         return family_from_json(fh.read())
 
 
-def check_family(delta: DeltaFamily, ctx, bound: int = 4, kmax: int = 6):
-    """Pointwise recheck of a parameterized family's declarations: members
-    decrease along the index and the declared limit sits inside every
-    member."""
+def check_family(delta: DeltaFamily, ctx, bound: int = 4):
+    """Pointwise recheck of a parameterized family's declarations on its
+    first FAMILY_DEPTH members: members decrease along the index and the
+    declared limit sits inside every member."""
     if delta.finite:
         return []
     window = [g for g in ctx.window(bound) if g is not INF]
@@ -695,7 +684,7 @@ def check_family(delta: DeltaFamily, ctx, bound: int = 4, kmax: int = 6):
 
     return [inside("family-decreasing",
                    ((k, delta.member(k + 1), delta.member(k))
-                    for k in range(1, kmax))),
+                    for k in range(1, FAMILY_DEPTH))),
             inside("family-limit-lower-bound",
                    ((k, delta.limit, delta.member(k))
-                    for k in range(1, kmax + 1)))]
+                    for k in range(1, FAMILY_DEPTH + 1)))]

@@ -373,8 +373,8 @@ class Monoid(Overmonoid):
         return f"Monoid.{self.kind}{self._args}"
 
 
-def as_overmonoid(H: Monoid, name="H") -> Overmonoid:
-    return Overmonoid(H.context, gens=H.generators, name=name)
+def as_overmonoid(H: Monoid) -> Overmonoid:
+    return Overmonoid(H.context, gens=H.generators, name="H")
 
 
 def adjoin(M: Overmonoid, x) -> Overmonoid:

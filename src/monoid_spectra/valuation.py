@@ -268,18 +268,15 @@ def delta_laws(H: Monoid, primes, images, zar_space, pruefer,
 
 def surjectivity_witness(H: Monoid, P, zar, images, bound: int = 6):
     """A member V of the Zar carrier with delta(V) = P and H minus P =
-    H intersect V-units."""
+    H intersect V-units, or None.  P is one of the primes that ``delta``
+    matched the images against, so an image equals P when it is P."""
     ctx = H.context
     h_window = [g for g in ctx.nonzero_window(bound) if H.contains(g)]
-    for V, image in zip(zar, images):
-        if not image.equals(P):
-            continue
-        ok = all((not P.contains(g)) ==
-                 (V.contains(g) and V.contains(ctx.inv(g)))
-                 for g in h_window)
-        if ok:
-            return V
-    raise ValueError(f"no member of the Zar carrier maps onto {P}")
+    return next((V for V, image in zip(zar, images)
+                 if image is P and all(
+                     (not P.contains(g)) ==
+                     (V.contains(g) and V.contains(ctx.inv(g)))
+                     for g in h_window)), None)
 
 
 def is_s_pruefer(H: Monoid, primes, bound: int = 6) -> Check:
@@ -293,11 +290,11 @@ def is_s_pruefer(H: Monoid, primes, bound: int = 6) -> Check:
     return Check.scan("s-pruefer", map(outcome, primes), bound=bound)
 
 
-def delta_dot(primes, images, zar_space, spec_space, name="delta") -> str:
+def delta_dot(primes, images, zar_space, spec_space) -> str:
     """Bipartite DOT drawing of the domination correspondence with
     specialization edges inside each side."""
     idx = {id(P): i for i, P in enumerate(primes)}
     edges = [(i, idx[id(P)]) for i, P in enumerate(images)]
     return bipartite_dot(zar_space.labels, spec_space.labels, edges,
                          left_edges=hasse_edges(zar_space),
-                         right_edges=hasse_edges(spec_space), name=name)
+                         right_edges=hasse_edges(spec_space), name="delta")

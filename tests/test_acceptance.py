@@ -57,7 +57,7 @@ def test_2_prime_enumeration_and_oracle():
         H = Monoid.numerical([2, 3])
         primes = enumerate_primes(H, bound=10)
         assert sorted(p.name for p in primes) == ["P_max", "P_zero"]
-        space = spec_subbasis(H, primes, bound=10)
+        space = spec_subbasis(H, primes)
         i0 = space.labels.index("P_zero")
         i1 = space.labels.index("P_max")
         assert space.leq(i0, i1) and not space.leq(i1, i0)  # a chain
@@ -74,7 +74,7 @@ def test_2_prime_enumeration_and_oracle():
         H2 = Monoid.affine([[1, 0], [0, 1]])
         primes2 = enumerate_primes(H2, bound=4)
         assert len(primes2) == 4
-        sp2 = spec_subbasis(H2, primes2, bound=4)
+        sp2 = spec_subbasis(H2, primes2)
         # diamond: zero below both facets, both facets below maximal
         rel = sp2.specialization_poset()
         below_counts = sorted(sum(rel[x][y] for x in range(4))
@@ -105,7 +105,7 @@ def test_4_domination_positive_and_negative_instances():
     assert len(zar) == len(primes)
     assert len({id(P) for P in images}) == len(primes)
     zs = overmonoid_space(zar, H.context, bound=4)
-    ss = spec_subbasis(H, primes, bound=4)
+    ss = spec_subbasis(H, primes)
     assert homeomorphic(zs, ss) is not None
 
     # negative: N^2 is not Pruefer; delta stays surjective but identifies the
@@ -192,7 +192,7 @@ def test_6_prime_iff_no_obstruction_set():
                         for I in flagged}
         assert descriptions == {frozenset(), frozenset({2, 3, 4, 5, 6, 7})}
         # the space is T0, so principal ultrafilter limits are the identity
-        assert ideal_space_subbasis(ideals, H, bound=10).is_t0()
+        assert ideal_space_subbasis(ideals).is_t0()
 
 
 def test_7_module_system_constructions():
@@ -247,7 +247,7 @@ def test_8_finite_witness_extraction_and_falsifier():
                 '"generators": [[1, 0], [0, 1]]}, '
                 '"ray": [-1, 1], "scale": "k"}')
         H2, fam = family_from_json(text)
-        wit = falsify_finitary(fam, H2.context, kmax=6, bound=6)
+        wit = falsify_finitary(fam, H2.context, bound=6)
         assert wit is not None and wit["separating_index"] == 6
         assert wit["target"] == repr(H2.context.one)
 

@@ -39,11 +39,12 @@ REPORT_SHA1 = {
     ("pronconst", "c3z"): "8347ce3107fddab89ce1b6cc77a1b1e27bc61a84",
     ("main1", "c3z"): "d4ca679a67e134305788bd65144a506d6d2084ac",
     ("prop2", "c3z"): "619aea429a552e562a656cdd009cf5ca72eb99f9",
-    # main1 and prop1 report their known window-limited FAILs (exit 1)
+    # main1 reports its known window-limited FAIL (exit 1)
     ("pronconst", "n469"): "1824a04d67ea251363bfa9e54d84cd189f70773c",
     ("main1", "n579"): "d83dfdb91e912e95e1e3f8a740d6b7144ff66f12",
-    ("prop1", "n71113"): "c8f9b96063b86b0e5c461b5076a72ba330620052",
-    ("prop1", "n81113"): "4dc0d2399a89d434d3c9dd2b89fce41ca02a13fb",
+    # prop1 separates the oversemigroups at their generators
+    ("prop1", "n71113"): "c92e07c097960b76ad089caab22836bcf665a69f",
+    ("prop1", "n81113"): "b7ab14af63f57b8135d652b8b0761bea1e28681b",
     # N x Z, the s-Pruefer instance: delta is a homeomorphism
     ("zar", "nxz"): "958c7ab88dddb5a94835422ad3d03eb6bfb2778b",
     ("pruefer", "nxz"): "a29370efc9a1c1c1cc37b494c23a0ad92e4d9793",
@@ -195,6 +196,27 @@ def test_reports_on_larger_numerical_inputs(capsys):
         assert sha1(out) == REPORT_SHA1[suite, name], (suite, name)
 
 
+def test_spec_and_prop1_separate_numerical_inputs_at_every_bound(capsys):
+    # primes and overmonoids are told apart by their generators, so no bound
+    # can make spec's t0 or prop1's iota-injective FAIL
+    numerical = []
+    for name in sorted(os.listdir(DATA)):
+        with open(data(name), encoding="utf-8") as fh:
+            if json.load(fh).get("kind") == "numerical":
+                numerical.append(name)
+    assert numerical
+    for name in numerical:
+        for bound in (None, 1, 2, 3):
+            extra = [] if bound is None else ["--bound", str(bound)]
+            for suite, check in (("spec", "t0"), ("prop1", "iota-injective")):
+                code, out = run(capsys, "verify", "--suite", suite, "--input",
+                                data(name), "--json", *extra)
+                verdicts = {c["name"]: c["verdict"]
+                            for c in json.loads(out)["checks"]}
+                assert verdicts[check] != "FAIL", (name, bound, suite)
+                assert code == 0, (name, bound, suite)
+
+
 def test_reports_on_the_pruefer_instance(capsys):
     for suite in ("zar", "pruefer"):
         code, out = run(capsys, "verify", "--suite", suite,
@@ -316,9 +338,9 @@ def test_system_space_evaluates_each_membership_once(capsys, monkeypatch):
     sizes = []
     real = modsys.subbasis_membership
 
-    def counting(r, S, g=None):
+    def counting(r, S):
         calls.append(1)
-        return real(r, S, g)
+        return real(r, S)
 
     class Recording(modsys.SystemSpace):
         def __init__(self, systems, pool):

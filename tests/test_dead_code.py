@@ -23,6 +23,12 @@ ALLOWED = {
     "Monoid.cyclic_group_with_zero",
 }
 
+# defaulted parameters that only the tests give a second value
+VARIED_BY_TESTS = {
+    "modsys.py:check_idempotent(sample_budget)",
+    "modsys.py:is_finitary(sample_budget)",
+}
+
 # attributes set on self that only the tests read: public values
 READ_BY_TESTS = {
     "ParseError.field",
@@ -111,3 +117,64 @@ def test_no_write_only_attribute():
                          if attr not in read
                          and qualified not in READ_BY_TESTS})
     assert not write_only, write_only
+
+
+def defaulted_parameters(tree):
+    """(function name, parameter, position or None, default node) of every
+    defaulted parameter of a public module-level function; keyword-only
+    parameters have no position."""
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for i, (arg, default) in enumerate(zip(positional[first:],
+                                               args.defaults)):
+            yield node.name, arg.arg, first + i, default
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield node.name, arg.arg, None, default
+
+
+def passed_value(call, param, position, default):
+    """What a call gives `param`: the source of a literal (its default's when
+    the call leaves it out), or None for a value only known at run time,
+    which a starred argument may also be."""
+    if any(k.arg is None for k in call.keywords) or \
+            any(isinstance(a, ast.Starred) for a in call.args):
+        return None
+    value = next((k.value for k in call.keywords if k.arg == param), None)
+    if value is None and position is not None and len(call.args) > position:
+        value = call.args[position]
+    if value is None:
+        value = default
+    return ast.dump(value) if isinstance(value, ast.Constant) else None
+
+
+def test_every_defaulted_parameter_takes_two_values():
+    """A defaulted parameter of a public function is an option only when the
+    calls in the library or the benchmark give it a second value, by keyword
+    or by position; a run-time value counts as a second one."""
+    files = list(python_files(PACKAGE, os.path.join(ROOT, "bench")))
+    trees = {path: ast.parse(open(path, encoding="utf-8").read())
+             for path in files}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name) else
+                        func.attr if isinstance(func, ast.Attribute) else None)
+                calls.setdefault(name, []).append(node)
+    fixed = []
+    for path in python_files(PACKAGE):
+        for name, param, position, default in \
+                defaulted_parameters(trees[path]):
+            values = {passed_value(call, param, position, default)
+                      for call in calls.get(name, ())}
+            label = f"{os.path.basename(path)}:{name}({param})"
+            if len(values) < 2 and None not in values and \
+                    label not in VARIED_BY_TESTS:
+                fixed.append(label)
+    assert not fixed, fixed

@@ -1,4 +1,6 @@
 import itertools
+import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,9 @@ from monoid_spectra.idealsys import (RIdeal, check_ideal_axioms,
                                      enumerate_ideals, enumerate_primes,
                                      ideal_space_subbasis,
                                      is_prime, o_set, s_system,
-                                     signature_window, spec_subbasis)
+                                     spec_subbasis)
 from monoid_spectra.intgeom import UnsupportedRealization
-from monoid_spectra.monoid import INF, Monoid, sort_key
+from monoid_spectra.monoid import INF, Monoid, monoid_from_file, sort_key
 
 
 def test_s_closure_matches_brute_force_numerical():
@@ -87,7 +89,6 @@ def test_enumerated_primes_match_windowed_primality_oracle():
     assert all(isinstance(p, RIdeal) for p in primes)
     window = H.context.window(10)
     ideals = enumerate_ideals(H, r, bound=6)
-    sig = signature_window(H, 6)
     for I in ideals:
         oracle = brute_prime_window(I, H, window)
         assert is_prime(I, window) == oracle, I
@@ -100,6 +101,46 @@ def test_enumerated_primes_match_windowed_primality_oracle():
         assert brute_prime_window(p, H, window)
 
 
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def data_monoids():
+    """The monoids of tests/data (the files that carry "kind")."""
+    for name in sorted(os.listdir(DATA)):
+        with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+            if "kind" in json.load(fh):
+                yield pytest.param(monoid_from_file(os.path.join(DATA, name)),
+                                   id=name)
+
+
+def generator_subset_primes(H, window):
+    """The distinct primes among the (gens minus F) H, F over the subsets of
+    H's generators, by `is_prime` on the window: every prime is generated by
+    the generators it contains."""
+    r = s_system(H)
+    found = []
+    for k in range(len(H.generators) + 1):
+        for F in itertools.combinations(H.generators, k):
+            I = RIdeal(r, [g for g in H.generators if g not in F])
+            if is_prime(I, window) and not any(I.equals(J) for J in found):
+                found.append(I)
+    return found
+
+
+@pytest.mark.parametrize("H", [
+    *data_monoids(),
+    pytest.param(Monoid.affine([[2], [3]]), id="dim1-2,3"),
+    pytest.param(Monoid.affine([[-2], [-3]]), id="dim1--2,-3"),
+    pytest.param(Monoid.affine([[2], [-3]]), id="dim1-2,-3")])
+def test_enumerate_primes_matches_the_generator_subset_oracle(H):
+    small = H.kind == "affine" and H.dim == 2
+    primes = enumerate_primes(H, bound=4 if small else 10)
+    found = generator_subset_primes(H, H.context.window(6 if small else 60))
+    assert len(primes) == len(found), (primes, found)
+    assert all(any(p.equals(q) for q in found) for p in primes), \
+        (primes, found)
+
+
 def test_affine_primes_one_per_face():
     H = Monoid.affine([[1, 0], [0, 1]])
     primes = enumerate_primes(H, bound=4)
@@ -110,6 +151,11 @@ def test_affine_primes_one_per_face():
     half = Monoid.affine([[1, 0], [-1, 0], [0, 1]])
     primes2 = enumerate_primes(half, bound=4)
     assert len(primes2) == 2
+    # dim 1: a ray has the zero and the maximal ideal, a line only the zero
+    for gens, names in (([[-2], [-3]], ["P_max", "P_zero"]),
+                        ([[2], [-3]], ["P_zero"])):
+        assert sorted(p.name for p in enumerate_primes(Monoid.affine(gens))) \
+            == names, gens
 
 
 def test_finite_primes():
@@ -126,10 +172,8 @@ def test_enumerate_ideals_distinct_and_bounded():
     H = Monoid.numerical([2, 3])
     r = s_system(H)
     ideals = enumerate_ideals(H, r, bound=6)
-    sig = signature_window(H, 6)
-    # pairwise distinct on the signature window
-    profiles = [frozenset(x for x in sig if I.contains(x)) for I in ideals]
-    assert len(set(profiles)) == len(profiles)
+    # pairwise distinct
+    assert not any(I.equals(J) for I, J in itertools.combinations(ideals, 2))
     # the zero ideal and the improper ideal are present
     assert any(not any(I.contains(n) for n in range(0, 20)) for I in ideals)
     assert any(I.contains(0) for I in ideals)
@@ -156,7 +200,7 @@ def test_o_sets_avoid_primes():
 def test_spec_subbasis_is_t0_sierpinski():
     H = Monoid.numerical([2, 3])
     primes = enumerate_primes(H, bound=10)
-    space = spec_subbasis(H, primes, bound=10)
+    space = spec_subbasis(H, primes)
     assert space.is_t0()
     # P_zero specializes to nothing above it except via closure of P_zero
     i_zero = space.labels.index("P_zero")
@@ -169,11 +213,20 @@ def test_ideal_space_separates_and_limits_are_principal():
     H = Monoid.numerical([2, 3])
     r = s_system(H)
     ideals = enumerate_ideals(H, r, bound=6)
-    space = ideal_space_subbasis(ideals, H, bound=6)
+    space = ideal_space_subbasis(ideals)
     # each ideal is its own unique principal limit: no other point shares
     # its profile
     assert space.is_t0()
     assert space.labels == [repr(I) for I in ideals]
+
+
+def signature_window(H, bound):
+    """Window on which distinct s-ideals of a numerical H with minimum <=
+    bound differ: such an ideal is pinned down by its elements up to
+    bound + 2 * Frobenius + max generator."""
+    frob = max(H.sgp.frobenius, 0)
+    ext = bound + 2 * frob + max(H.generators) + 2
+    return list(H.sgp.elements_upto(ext)) + [INF]
 
 
 def brute_enumerate_ideals(H, r, bound):

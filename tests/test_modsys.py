@@ -128,11 +128,11 @@ def test_extract_finite_witness():
         extract_finite_witness(delta, ctx, frozenset({5}), 6)  # 1 not in Z+5? 6-5=1 not in N
 
 
-def test_subbasis_membership_both_readings():
+def test_subbasis_membership_asks_for_the_identity():
     H = n23()
     r = iota(overmonoid_Z(H))
     assert subbasis_membership(r, frozenset({-2}))  # 1 in (-2)Z
-    assert subbasis_membership(r, frozenset({2}), g=5)
+    assert not subbasis_membership(iota(overmonoid_N(H)), frozenset({2}))
     with pytest.raises(ValueError):
         subbasis_membership(r, frozenset())
 
@@ -140,7 +140,7 @@ def test_subbasis_membership_both_readings():
 def test_system_space_t0_and_witnesses():
     H = n23()
     systems = [iota(overmonoid_N(H)), iota(overmonoid_Z(H)), example16(H)]
-    pool = witness_pool(H.context, bound=4, include_zero=True)
+    pool = witness_pool(H.context, bound=4)
     ss = SystemSpace(systems, pool)
     sp = ss.space()
     assert sp.is_t0()
@@ -165,7 +165,7 @@ def test_family_from_json_and_members():
     assert S2.contains((-1, 2)) and not S2.contains((-1, 1))
     # decreasing: S2 inside S1
     assert S1.contains((-1, 2))
-    checks = check_family(delta, H.context, bound=3, kmax=4)
+    checks = check_family(delta, H.context, bound=3)
     assert all(c.ok for c in checks), [(c.name, c.witness) for c in checks]
 
 
@@ -191,12 +191,12 @@ def test_family_json_errors():
 
 def test_falsify_finitary_produces_certificate():
     H, delta = adjoin_ray_family()
-    wit = falsify_finitary(delta, H.context, kmax=6, bound=6)
+    wit = falsify_finitary(delta, H.context, bound=6)
     assert wit is not None
     assert wit["separating_index"] == 6
-    # certificate semantics: the full truncation catches the target but the
-    # one-shorter finite part does not
-    r_full = r_delta(delta, H.context, truncate=6)
+    # certificate semantics: the first six members catch the target
+    r_full = r_delta(DeltaFamily([delta.member(k) for k in range(1, 7)]),
+                     H.context)
     A = frozenset(eval(a) for a in wit["A"])
     assert r_full.member(A, H.context.one)
 
@@ -297,7 +297,7 @@ def test_t0_witnesses_are_the_first_separating_pool_sets():
     H = n23()
     systems = [iota(overmonoid_N(H)), iota(overmonoid_Z(H)), example16(H),
                iota(overmonoid_N(H))]  # the last pair is not separated
-    pool = witness_pool(H.context, bound=4, include_zero=True)
+    pool = witness_pool(H.context, bound=4)
     ss = SystemSpace(systems, pool)
     for (i, j), found in ss.t0_witnesses().items():
         first = next((S for S in pool

@@ -194,6 +194,6 @@ def test_delta_dot_emission():
     H = Monoid.numerical([2, 3])
     primes, zar, images = domination(H, 6)
     dot = delta_dot(primes, images, overmonoid_space(zar, H.context, 6),
-                    spec_subbasis(H, primes, 6))
+                    spec_subbasis(H, primes))
     assert dot.startswith("digraph")
     assert "l0 -> r" in dot
