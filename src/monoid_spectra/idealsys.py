@@ -59,16 +59,20 @@ class RIdeal:
 
 def is_prime(I: RIdeal, window) -> bool:
     """No a, b outside I (within the window) multiply into I.  The improper
-    ideal is rejected."""
+    ideal is rejected.  Every carrier is commutative, so each unordered pair
+    is taken once, and I is asked about each distinct product once."""
     H = I.system.H
     if I.contains(H.one):
         return False
-    members = [g for g in window if H.contains(g)]
-    outside = [g for g in members if not I.contains(g)]
-    for a in outside:
-        for b in outside:
-            if I.contains(H.op(a, b)):
-                return False
+    outside = [g for g in window if H.contains(g) and not I.contains(g)]
+    asked = set()
+    for i, a in enumerate(outside):
+        for b in outside[i:]:
+            ab = H.op(a, b)
+            if ab not in asked:
+                if I.contains(ab):
+                    return False
+                asked.add(ab)
     return True
 
 
@@ -78,7 +82,9 @@ def enumerate_primes(H: Monoid, bound: int = 10):
     generators, so there is one prime per face.  Numerical and dim-1
     generators g enter the cone as the points (g, 0): a ray has the faces
     {all, none} and a line only {all}.  A finite H has the one face of all
-    its generators.  Each prime is rechecked on the window."""
+    its generators.  Each prime is rechecked on the window by `is_prime`,
+    which asks the prime about each distinct product of two window points
+    outside it once."""
     if H.kind == "affine" and H.dim > 2:
         raise UnsupportedRealization("prime enumeration needs dimension <= 2")
     if H.kind == "finite":

@@ -137,34 +137,6 @@ def _positive_functional_2d(gens) -> tuple[int, int]:
     return (wr[0] - wl[0], wr[1] - wl[1])
 
 
-def _pointed_reachable(pointed, target, bound_fn) -> bool:
-    """DFS with memo: is target a nonnegative integer combination of `pointed`?
-
-    bound_fn(v) must be a nonnegative integer strictly decreased by subtracting
-    any generator; values reaching < 0 are pruned.
-    """
-    seen: dict[tuple, bool] = {}
-
-    def go(v) -> bool:
-        if all(c == 0 for c in v):
-            return True
-        if v in seen:
-            return seen[v]
-        seen[v] = False  # cycle guard; bound strictly decreases anyway
-        ok = False
-        b = bound_fn(v)
-        if b > 0:
-            for g in pointed:
-                w = tuple(a - c for a, c in zip(v, g))
-                if bound_fn(w) >= 0 and go(w):
-                    ok = True
-                    break
-        seen[v] = ok
-        return ok
-
-    return go(tuple(target))
-
-
 def submonoid_1d(gens):
     """Exact membership predicate of the submonoid of Z generated by `gens`.
 
@@ -183,33 +155,34 @@ def submonoid_1d(gens):
     return lambda x: x % g_all == 0 and sgp.contains(sign * x // g_all)
 
 
-@lru_cache(maxsize=1 << 16)
-def monoid_contains(gens: tuple, x: tuple) -> bool:
-    """Exact membership of x in the submonoid of Z^d generated by `gens`.
+# Most generating sets whose analysis `submonoid_2d` keeps, and most points
+# one generating set's reachability memo holds; a full memo is cleared.
+MAX_SUBMONOIDS = 1 << 10
+MAX_REACH_MEMO = 1 << 16
 
-    Complete for d <= 2: invertible generators (those whose negative lies in
-    the rational cone) are split off as a sublattice, the remaining generators
-    span a pointed cone in the quotient, and a bounded search decides the rest.
-    """
-    dim = len(x)
-    if dim == 1:
-        return submonoid_1d([g[0] for g in gens])(x[0])
-    if dim != 2:
-        raise UnsupportedRealization(
-            "exact affine monoid membership is implemented for dimension <= 2"
-        )
-    if x == (0, 0):
-        return True
-    glist = [tuple(g) for g in gens if tuple(g) != (0, 0)]
+
+@lru_cache(maxsize=MAX_SUBMONOIDS)
+def submonoid_2d(gens: tuple):
+    """Exact membership predicate of the submonoid of Z^2 generated by `gens`.
+
+    The analysis runs once per generating set: invertible generators (those
+    whose negative lies in the rational cone) are split off as a sublattice,
+    the remaining generators span a pointed cone in the quotient, and a
+    bounded search decides the rest.  Rank 2 leaves a finite quotient, whose
+    reachable cosets are listed once.  Rank 1 leaves one line, and only the
+    search over the pointed generators runs per query.  Rank 0 is a search
+    down a positive functional w, with one reachability memo shared by all
+    queries: each step strictly decreases w.v, so an entry is exact whoever
+    wrote it."""
+    glist = [g for g in gens if g != (0, 0)]
     if not glist:
-        return False
+        return lambda x: x == (0, 0)
     invertible = [g for g in glist if cone_contains_2d(glist, neg(g))]
     inv_set = set(invertible)
     pointed = [g for g in glist if g not in inv_set]
     basis = hnf_rows(invertible)
-    rank = len(basis)
 
-    if rank == 2:
+    if len(basis) == 2:
         # finite quotient: BFS over cosets reachable from 0 by pointed gens
         r0, r1 = basis
         a, c = r0[0], r1[1]
@@ -217,10 +190,7 @@ def monoid_contains(gens: tuple, x: tuple) -> bool:
         def reduce(v):
             v0, v1 = v
             q = v0 // a
-            v0 -= q * r0[0]
-            v1 -= q * r0[1]
-            v1 %= c
-            return (v0, v1)
+            return (v0 - q * a, (v1 - q * r0[1]) % c)
 
         start = reduce((0, 0))
         frontier = [start]
@@ -232,48 +202,78 @@ def monoid_contains(gens: tuple, x: tuple) -> bool:
                 if nxt not in seen:
                     seen.add(nxt)
                     frontier.append(nxt)
-        return reduce(x) in seen
+        return lambda x: reduce(x) in seen
 
-    if rank == 1:
+    if len(basis) == 1:
         row = tuple(basis[0])
-        f = lambda v: cross(row, v)
-        fvals = [f(g) for g in pointed]
+        j = 0 if row[0] != 0 else 1
+        fvals = [cross(row, g) for g in pointed]
         # pointedness of the quotient cone guarantees a common nonzero sign
         sign = 1 if all(fv > 0 for fv in fvals) else -1
         fvals = [sign * fv for fv in fvals]
-        target = sign * f(x)
-        if target < 0:
-            return False
 
-        def in_line(v):
-            if cross(row, v) != 0:
+        def member(x):
+            # enumerate coefficient vectors with weighted sum == sign * f(x)
+            def search(i, rem, acc):
+                if i == len(pointed):
+                    v = (x[0] - acc[0], x[1] - acc[1])
+                    return (rem == 0 and cross(row, v) == 0
+                            and v[j] % row[j] == 0)
+                fv, g = fvals[i], pointed[i]
+                k = 0
+                while k * fv <= rem:
+                    if search(i + 1, rem - k * fv,
+                              (acc[0] + k * g[0], acc[1] + k * g[1])):
+                        return True
+                    k += 1
                 return False
-            j = 0 if row[0] != 0 else 1
-            return v[j] % row[j] == 0
 
-        # enumerate coefficient vectors with weighted sum == target
-        def search(i, rem, acc):
-            if i == len(pointed):
-                if rem != 0:
-                    return False
-                return in_line((x[0] - acc[0], x[1] - acc[1]))
-            fv = fvals[i]
-            g = pointed[i]
-            k = 0
-            while k * fv <= rem:
-                if search(i + 1, rem - k * fv, (acc[0] + k * g[0], acc[1] + k * g[1])):
-                    return True
-                k += 1
-            return False
+            target = sign * cross(row, x)
+            return target >= 0 and search(0, target, (0, 0))
 
-        return search(0, target, (0, 0))
+        return member
 
     # rank 0: the whole generating set spans a pointed cone
     w = _positive_functional_2d(pointed)
-    wx = dot(w, x)
-    if wx < 0:
-        return False
-    return _pointed_reachable(pointed, x, lambda v: dot(w, v))
+    memo: dict[tuple, bool] = {}
+
+    def reach(v) -> bool:
+        """Is v a sum of pointed generators?  The caller knows w.v >= 0."""
+        if v == (0, 0):
+            return True
+        hit = memo.get(v)
+        if hit is None:
+            hit = False
+            if dot(w, v) > 0:
+                for g in pointed:
+                    u = (v[0] - g[0], v[1] - g[1])
+                    if dot(w, u) >= 0 and reach(u):
+                        hit = True
+                        break
+            if len(memo) >= MAX_REACH_MEMO:
+                memo.clear()
+            memo[v] = hit
+        return hit
+
+    return lambda x: dot(w, x) >= 0 and reach(x)
+
+
+@lru_cache(maxsize=1 << 16)
+def monoid_contains(gens: tuple, x: tuple) -> bool:
+    """Exact membership of x in the submonoid of Z^d generated by `gens`.
+
+    Complete for d <= 2.  This is the cached entry point: a miss asks the
+    predicate `submonoid_1d` or `submonoid_2d` built for `gens`, and the
+    analysis of `gens` is done once, by `submonoid_2d`'s cache, not once
+    per point."""
+    dim = len(x)
+    if dim == 1:
+        return submonoid_1d([g[0] for g in gens])(x[0])
+    if dim != 2:
+        raise UnsupportedRealization(
+            "exact affine monoid membership is implemented for dimension <= 2"
+        )
+    return submonoid_2d(gens)(x)
 
 
 def cone_shape_2d(gens) -> str:

@@ -131,7 +131,8 @@ class IntCarrier(GroupoidContext):
         return intgeom.submonoid_1d([g for g in gens if g is not INF])
 
 
-# Most HNF answers one lattice carrier remembers, as for intgeom.monoid_contains
+# Most HNF answers one lattice carrier remembers; a full memo keeps the
+# answers it has and computes the rest
 MAX_LATTICE_MEMO = 1 << 16
 
 

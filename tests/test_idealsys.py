@@ -70,13 +70,16 @@ def test_axioms_catch_a_broken_system():
     assert by_name["Id1"].witness is not None
 
 
-def brute_prime_window(I, H, window):
-    members = [g for g in window if H.contains(g)]
+def all_pairs_is_prime(I, window):
+    """`is_prime` as the literal loop over every ordered pair of window
+    points outside I."""
+    H = I.system.H
     if I.contains(H.one):
         return False
-    for a in members:
-        for b in members:
-            if not I.contains(a) and not I.contains(b) and I.contains(H.op(a, b)):
+    outside = [g for g in window if H.contains(g) and not I.contains(g)]
+    for a in outside:
+        for b in outside:
+            if I.contains(H.op(a, b)):
                 return False
     return True
 
@@ -90,7 +93,7 @@ def test_enumerated_primes_match_windowed_primality_oracle():
     window = H.context.window(10)
     ideals = enumerate_ideals(H, r, bound=6)
     for I in ideals:
-        oracle = brute_prime_window(I, H, window)
+        oracle = all_pairs_is_prime(I, window)
         assert is_prime(I, window) == oracle, I
         listed = any(p.equals(I) for p in primes)
         if oracle:
@@ -98,7 +101,7 @@ def test_enumerated_primes_match_windowed_primality_oracle():
         # non-primes on the real window may still look prime on a small one;
         # enumerated primes must be genuinely prime
     for p in primes:
-        assert brute_prime_window(p, H, window)
+        assert all_pairs_is_prime(p, window)
 
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -139,6 +142,31 @@ def test_enumerate_primes_matches_the_generator_subset_oracle(H):
     assert len(primes) == len(found), (primes, found)
     assert all(any(p.equals(q) for q in found) for p in primes), \
         (primes, found)
+
+
+def prime_recheck_cases(H):
+    """(ideal, window) pairs: every listed ideal of a numerical or finite H at
+    bound 6 on windows 10 and 20, and (gens minus F) H for every subset F of
+    H's generators, on window 4 for an affine H."""
+    r = s_system(H)
+    subset_ideals = [RIdeal(r, [g for g in H.generators if g not in F])
+                     for k in range(len(H.generators) + 1)
+                     for F in itertools.combinations(H.generators, k)]
+    if H.kind == "affine":
+        return [(I, H.context.window(4)) for I in subset_ideals]
+    ideals = enumerate_ideals(H, r, bound=6)
+    if H.kind == "finite":
+        ideals += subset_ideals
+    return [(I, H.context.window(w)) for w in (10, 20) for I in ideals]
+
+
+@pytest.mark.parametrize("H", list(data_monoids()))
+def test_is_prime_matches_the_all_pairs_loop(H):
+    cases = prime_recheck_cases(H)
+    verdicts = [is_prime(I, window) for I, window in cases]
+    assert verdicts == [all_pairs_is_prime(I, window) for I, window in cases]
+    if H.kind != "affine":
+        assert True in verdicts and False in verdicts
 
 
 def test_affine_primes_one_per_face():

@@ -1,10 +1,15 @@
 import itertools
+import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from monoid_spectra import intgeom
 from monoid_spectra.intgeom import (cone_contains_2d, cone_shape_2d, faces_2d,
                                     hnf_rows, lattice_contains,
-                                    monoid_contains)
+                                    monoid_contains, neg)
 
 
 def brute_lattice_contains(gens, v):
@@ -124,25 +129,119 @@ def test_monoid_membership_against_closed_forms():
             assert monoid_contains(gens, v) == form(*v), (gens, v)
 
 
+def reachable_2d(gens, radius):
+    """Sums of generators reachable from 0 by steps that stay in the box of
+    the given radius."""
+    seen = {(0, 0)}
+    frontier = [(0, 0)]
+    while frontier:
+        v = frontier.pop()
+        for g in gens:
+            w = (v[0] + g[0], v[1] + g[1])
+            if max(abs(w[0]), abs(w[1])) <= radius and w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return seen
+
+
 def test_monoid_membership_against_bounded_reachability():
     # pointed generating sets: membership within a box equals reachability by
     # generator sums that stay in a padded box
     cases = [((1, 0), (0, 1)), ((2, 0), (0, 2), (1, 1)), ((1, 2), (2, 1))]
-    pad = 14
     for gens in cases:
-        reach = {(0, 0)}
-        frontier = [(0, 0)]
-        while frontier:
-            p = frontier.pop()
-            for g in gens:
-                q = (p[0] + g[0], p[1] + g[1])
-                if abs(q[0]) <= pad and abs(q[1]) <= pad and q not in reach:
-                    reach.add(q)
-                    frontier.append(q)
+        reach = reachable_2d(gens, 14)
         for a in range(-6, 7):
             for b in range(-6, 7):
                 assert monoid_contains(gens, (a, b)) == ((a, b) in reach), \
                     (gens, a, b)
+
+
+def invertible_rank(gens):
+    """Rank of the lattice of the generators whose negative is in the cone."""
+    glist = [g for g in gens if g != (0, 0)]
+    return len(hnf_rows([g for g in glist if cone_contains_2d(glist, neg(g))]))
+
+
+BOX4 = [(a, b) for a in range(-4, 5) for b in range(-4, 5)]
+
+
+def test_compiled_membership_matches_reachability():
+    """Generating sets of 1-4 vectors of sup-norm <= 2, and their mirror
+    images -gens, which put the pointed generators of a rank-1 set on the
+    other side of its line, asked on the radius-4 box.  When g1 + ... + gk
+    = x lands there, the Steinitz lemma (constant d = 2 in any norm) applied
+    to the zero-sum vectors gi - x/k, of norm <= 2 + 4/k, orders them so
+    that every partial sum is within 4 + 8/k of its point on the segment
+    [0, x], so inside the radius-12 box for k >= 2: reachability inside that
+    box is exact.  Each set is asked in a shuffled order and again through
+    a permuted generator tuple, so no answer may depend on which query
+    filled the shared memo."""
+    ranks = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                    min_size=1, max_size=4), st.randoms())
+    def check(gens, rnd):
+        for gens in (tuple(gens), tuple(map(neg, gens))):
+            ranks.add(invertible_rank(gens))
+            reach = reachable_2d(gens, 12)
+            for order in (gens, tuple(rnd.sample(gens, len(gens)))):
+                points = rnd.sample(BOX4, len(BOX4))
+                assert {x: monoid_contains(order, x) for x in points} == \
+                    {x: x in reach for x in points}, order
+
+    check()
+    assert ranks == {0, 1, 2}
+
+
+def reach_memos(pred):
+    """The dicts a compiled predicate closes over, directly or through the
+    functions it closes over."""
+    memos, seen, todo = [], set(), [pred]
+    while todo:
+        fn = todo.pop()
+        if id(fn) in seen:
+            continue
+        seen.add(id(fn))
+        for cell in fn.__closure__ or ():
+            value = cell.cell_contents
+            if isinstance(value, dict):
+                memos.append(value)
+            elif callable(value) and hasattr(value, "__closure__"):
+                todo.append(value)
+    return memos
+
+
+def test_bounded_caches_stay_exact(monkeypatch):
+    """With a 2-set compile cache and an 8-point reachability memo, answers
+    stay exact and no memo holds more than 8 points."""
+    assert intgeom.submonoid_2d.cache_info().maxsize == intgeom.MAX_SUBMONOIDS
+    compiled = []
+    build = intgeom.submonoid_2d.__wrapped__
+
+    def recording(gens):
+        compiled.append(build(gens))
+        return compiled[-1]
+
+    monkeypatch.setattr(intgeom, "MAX_REACH_MEMO", 8)
+    monkeypatch.setattr(intgeom, "submonoid_2d", lru_cache(maxsize=2)(recording))
+    cases = [((1, 2), (2, 1)), ((2, 0), (0, 2), (1, 1)), ((1, 1), (1, -1)),
+             ((1, 0), (0, 1), (0, -1)), ((2, -1), (-1, 2), (-1, -1))]
+    rnd = random.Random(0)
+    try:
+        for _ in range(2):
+            monoid_contains.cache_clear()
+            for gens in cases:
+                reach = reachable_2d(gens, 12)
+                for x in rnd.sample(BOX4, len(BOX4)):
+                    assert monoid_contains(gens, x) == (x in reach), (gens, x)
+                    assert all(len(m) <= 8 for p in compiled
+                               for m in reach_memos(p))
+        # each set went out of the 2-set cache and was compiled again
+        assert len(compiled) == 2 * len(cases)
+        assert any(reach_memos(p) for p in compiled)
+    finally:
+        monoid_contains.cache_clear()
 
 
 def test_cone_shapes():
