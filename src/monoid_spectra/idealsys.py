@@ -1,6 +1,5 @@
 """Ideal systems on a monoid H: the closure axioms, the s-system, finitary
-closure, r-ideals, prime r-ideals, spectrum/ideal-space subbases and the
-non-primality witness sets O_{a,b}."""
+closure, r-ideals, prime r-ideals and the spectrum/ideal-space subbases."""
 
 from __future__ import annotations
 
@@ -172,14 +171,6 @@ def ideal_space_subbasis(ideals) -> FiniteSpace:
     xs = list(dict.fromkeys(g for I in ideals for g in I.generators))
     return subbasis_space([repr(I) for I in ideals], ideals, xs,
                           lambda I, x: not I.contains(x))
-
-
-def o_set(a, b, ideals, H: Monoid):
-    """O_{a,b}: ideals avoiding a and b but containing ab; primes never lie in
-    any O_{a,b}."""
-    ab = H.op(a, b)
-    return [I for I in ideals
-            if not I.contains(a) and not I.contains(b) and I.contains(ab)]
 
 
 # -- axiom checking ---------------------------------------------------------

@@ -468,19 +468,19 @@ def subbasis_membership(r: ModuleSystem, S) -> bool:
     return r.member(S, r.context.one)
 
 
-def witness_pool(ctx, bound: int = 4, seed: int = 0):
-    """Deterministic pool of finite subsets of the G-window, zero included:
-    all subsets of size <= 2 plus 100 seeded random subsets of size <= 4."""
-    window = ctx.window(bound)
-    # an exhaustive limit of -1 draws on every window, however small
-    drawn, _ = _sample_subsets(window, exhaustive_limit=-1, max_subset_size=4,
-                               sample_budget=100, seed=seed)
-    return list(dict.fromkeys(_subsets(window, (1, 2)) + drawn[1:]))
+def separating_points(ctx, overmonoids, bound: int = 4):
+    """The nonzero window, then the nonzero generators of every member, each
+    point once.  Two distinct generator-backed overmonoids differ at a
+    generator of one of them, so these points tell such members apart, and
+    order them by inclusion, exactly."""
+    return list(dict.fromkeys([*ctx.nonzero_window(bound),
+                               *(g for S in overmonoids for g in S.gens or ()
+                                 if g != ctx.zero)]))
 
 
 class SystemSpace:
-    """A curated finite carrier of module systems with the subbasis U_S
-    evaluated over a witness pool of finite subsets."""
+    """A finite carrier of module systems with the subbasis U_S evaluated
+    over a pool of nonempty finite subsets S of G."""
 
     def __init__(self, systems, pool):
         self.systems = list(systems)
@@ -585,12 +585,9 @@ def meet_finite_witness(systems, A, x):
 def embedding_checks(overmonoids, ctx, bound: int = 4) -> Check:
     """Injectivity of the map S -> r_{{S}} on a finite overmonoid carrier:
     the closures of {1}, which are the S themselves, are pairwise distinct
-    on the window and the generators of every generator-backed member.  Two
-    distinct generator-backed overmonoids differ at a generator of one of
-    them, so on such carriers the check is exact."""
-    points = list(dict.fromkeys([*ctx.nonzero_window(bound),
-                                 *(g for S in overmonoids
-                                   for g in S.gens or ())]))
+    at the ``separating_points``, so on a generator-backed carrier the check
+    is exact."""
+    points = separating_points(ctx, overmonoids, bound)
     ones = []  # each closure of {1} on those points
     for S in overmonoids:
         pred = iota(S).closure(frozenset([ctx.one]))

@@ -19,8 +19,8 @@ REPORT_SHA1 = {
     ("spec", "n23"): "aacc70ea37c69d9b3f5a57b390d7047c0fd221b8",
     ("ideals", "n23"): "ef3c095b7588c40b872143e00b739b71e5d75620",
     ("zar", "n23"): "5a6fb094a3831ad72dbab3a7a50ee4a37a235a7b",
-    ("pruefer", "n23"): "7247238ca1b8080802e5830de6f4ac3335f94620",
-    ("pronconst", "n23"): "4fd544ca94e861a22d8b45dd69e6aac8f020361d",
+    ("pruefer", "n23"): "d489949e8e68892caecab799b43d0e3f22c2afe4",
+    ("pronconst", "n23"): "50b9f5a1aac706aaa07847e228754ffe1315df21",
     ("main1", "n23"): "98017e91837a2223b5b4592191395100ab1816ed",
     ("prop1", "n23"): "f65e7a3363d968f3cbc0e821ba9fedd1d60a5e74",
     ("prop2", "n23"): "619aea429a552e562a656cdd009cf5ca72eb99f9",
@@ -28,7 +28,7 @@ REPORT_SHA1 = {
     ("axioms", "n2"): "343e3306ec3e56655b91d97bdff16e5cf7ddf29b",
     ("spec", "n2"): "09db7413787ea8bc8002524388258e41a42611ff",
     ("zar", "n2"): "a423ef903ef9552661c165e61140fa839d1b6aa7",
-    ("pruefer", "n2"): "cca663b278da4f69c11fb48e2d4b896fd09d1e8c",
+    ("pruefer", "n2"): "e6f18eddc4b3353d41e5f914602f76284468f1da",
     ("main1", "n2"): "ad97b58cf1f681c47d298f31403f40eee638af08",
     ("prop1", "n2"): "617a47eaca11c8d0130a5ddb22574deb55677d12",
     ("prop2", "n2"): "8b06f5122c5aaa8bd1aa32a07bbd701b8b7196a6",
@@ -36,18 +36,19 @@ REPORT_SHA1 = {
     ("axioms", "c3z"): "d9fc47a4c8dc14af542a2a0bd7082ee10bbc8888",
     ("spec", "c3z"): "26a996bf5684b5394ae042d21362b6a209a57634",
     ("ideals", "c3z"): "1659a291d83e9658885a610a09732a4ff2272ab5",
-    ("pronconst", "c3z"): "8347ce3107fddab89ce1b6cc77a1b1e27bc61a84",
+    ("pronconst", "c3z"): "2022f581d13d12c6650e8783b6f1c67cd1bd597b",
     ("main1", "c3z"): "d4ca679a67e134305788bd65144a506d6d2084ac",
     ("prop2", "c3z"): "619aea429a552e562a656cdd009cf5ca72eb99f9",
-    # main1 reports its known window-limited FAIL (exit 1)
-    ("pronconst", "n469"): "1824a04d67ea251363bfa9e54d84cd189f70773c",
-    ("main1", "n579"): "d83dfdb91e912e95e1e3f8a740d6b7144ff66f12",
+    # larger numerical inputs; main1 separates its systems at the
+    # oversemigroups' generators
+    ("pronconst", "n469"): "71311a1750d85c98edc6b4f7cff0860109bc9d46",
+    ("main1", "n579"): "481524ed4d166c49983d87c7b8ad3df05b213f95",
     # prop1 separates the oversemigroups at their generators
     ("prop1", "n71113"): "c92e07c097960b76ad089caab22836bcf665a69f",
     ("prop1", "n81113"): "b7ab14af63f57b8135d652b8b0761bea1e28681b",
     # N x Z, the s-Pruefer instance: delta is a homeomorphism
     ("zar", "nxz"): "958c7ab88dddb5a94835422ad3d03eb6bfb2778b",
-    ("pruefer", "nxz"): "a29370efc9a1c1c1cc37b494c23a0ad92e4d9793",
+    ("pruefer", "nxz"): "cdd6d04dfe0e85d2868033622a69f3172bd833ec",
 }
 
 # SHA-1 of the JSON report, which also carries the counts and the exhaustive
@@ -67,10 +68,10 @@ REPORT_JSON_SHA1 = {
     ("axioms", "n469"): "155d9bd168b79454a362b1153c0edf02b02e3b31",
     ("axioms", "n579"): "b2eaeffc17aa827917807004284616f325590d56",
     ("corollaries", "n579"): "bb2eb173ef7cffab0041244f2d5fc684fafab739",
-    # the known window-limited FAIL (exit 1)
-    ("main1", "n579"): "1fc9f9bf4494ead5663d7b8318d8b2f7051bfeac",
+    # main1 separates its systems at the oversemigroups' generators
+    ("main1", "n579"): "d61e00a246e954d47d8678aae0b6eb17af59f06e",
     ("zar", "nxz"): "104adddee2ec4c0f6dc2f78e1f612ca03175350d",
-    ("pruefer", "nxz"): "0ba5eb3ad77e75ffe20ad4e7f244e81367031b57",
+    ("pruefer", "nxz"): "3392605061670ba86a7587113cd1dda6bd2b9f54",
 }
 
 # SHA-1 of the --dot drawing of every suite that draws one, on each input
@@ -192,13 +193,15 @@ def test_reports_on_larger_numerical_inputs(capsys):
                         ("prop1", "n71113"), ("prop1", "n81113")):
         code, out = run(capsys, "verify", "--suite", suite,
                         "--input", data(name + ".json"))
-        assert code in (0, 1), (suite, name, out)
+        assert code == 0, (suite, name, out)
         assert sha1(out) == REPORT_SHA1[suite, name], (suite, name)
 
 
 def test_spec_and_prop1_separate_numerical_inputs_at_every_bound(capsys):
     # primes and overmonoids are told apart by their generators, so no bound
-    # can make spec's t0 or prop1's iota-injective FAIL
+    # can make spec's t0, prop1's iota-injective or main1's
+    # system-carrier-t0 FAIL; main1 at the default bound takes seconds on
+    # the larger inputs and is left to tools/report_hashes.py
     numerical = []
     for name in sorted(os.listdir(DATA)):
         with open(data(name), encoding="utf-8") as fh:
@@ -208,7 +211,10 @@ def test_spec_and_prop1_separate_numerical_inputs_at_every_bound(capsys):
     for name in numerical:
         for bound in (None, 1, 2, 3):
             extra = [] if bound is None else ["--bound", str(bound)]
-            for suite, check in (("spec", "t0"), ("prop1", "iota-injective")):
+            checks = [("spec", "t0"), ("prop1", "iota-injective")]
+            if bound is not None:
+                checks.append(("main1", "system-carrier-t0"))
+            for suite, check in checks:
                 code, out = run(capsys, "verify", "--suite", suite, "--input",
                                 data(name), "--json", *extra)
                 verdicts = {c["name"]: c["verdict"]
@@ -239,8 +245,7 @@ def test_json_reports(capsys):
     for (suite, name), digest in REPORT_JSON_SHA1.items():
         code, out = run(capsys, "verify", "--suite", suite,
                         "--input", data(name + ".json"), "--json")
-        assert code == (1 if suite == "main1" and name == "n579" else 0), (
-            suite, name)
+        assert code == 0, (suite, name)
         assert sha1(out) == digest, (suite, name)
 
 
@@ -351,7 +356,7 @@ def test_system_space_evaluates_each_membership_once(capsys, monkeypatch):
     monkeypatch.setattr(cli, "SystemSpace", Recording)
     code, out = run(capsys, "verify", "--suite", "main1",
                     "--input", data("n579.json"))
-    assert code == 1  # the known window-limited FAIL
+    assert code == 0
     assert sha1(out) == REPORT_SHA1["main1", "n579"]
     assert sizes and 0 < len(calls) <= sum(sizes)
 
@@ -367,7 +372,7 @@ def test_main1_reads_int_closures_by_span(capsys, monkeypatch):
         monkeypatch.setattr(cls, "has", counting)
     code, out = run(capsys, "verify", "--suite", "main1",
                     "--input", data("n579.json"))
-    assert code == 1  # the known window-limited FAIL
+    assert code == 0
     assert sha1(out) == REPORT_SHA1["main1", "n579"]
     assert 0 < len(calls) <= 60_000
 

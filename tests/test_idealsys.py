@@ -10,10 +10,17 @@ from monoid_spectra import idealsys
 from monoid_spectra.idealsys import (RIdeal, check_ideal_axioms,
                                      enumerate_ideals, enumerate_primes,
                                      ideal_space_subbasis,
-                                     is_prime, o_set, s_system,
-                                     spec_subbasis)
+                                     is_prime, s_system, spec_subbasis)
 from monoid_spectra.intgeom import UnsupportedRealization
 from monoid_spectra.monoid import INF, Monoid, monoid_from_file, sort_key
+
+
+def o_set(a, b, ideals, H):
+    """O_{a,b}: the ideals that avoid a and b but contain ab; no prime lies
+    in any O_{a,b}."""
+    ab = H.op(a, b)
+    return [I for I in ideals
+            if not I.contains(a) and not I.contains(b) and I.contains(ab)]
 
 
 def test_s_closure_matches_brute_force_numerical():

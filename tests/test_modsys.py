@@ -1,21 +1,26 @@
 import itertools
+import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monoid_spectra import cli
 from monoid_spectra.modsys import (DeltaFamily, SystemSpace, check_family,
                                    check_id2, check_module_axioms,
                                    embedding_checks, example16,
                                    extract_finite_witness, falsify_finitary,
                                    family_from_json, iota, meet,
                                    meet_finite_witness, product_closure,
-                                   r_delta, subbasis_membership, witness_pool)
+                                   r_delta, separating_points,
+                                   subbasis_membership)
 from monoid_spectra.idealsys import s_system
 from monoid_spectra.monoid import (INF, CarrierMismatch, FiniteCarrier,
                                    IntCarrier, Monoid, Overmonoid, ParseError,
-                                   as_overmonoid)
+                                   as_overmonoid, monoid_from_file)
 from test_monoid import MONOIDS, reachable
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def n23():
@@ -28,6 +33,12 @@ def overmonoid_N(H):
 
 def overmonoid_Z(H):
     return Overmonoid(H.context, gens=(1, -1), name="Z")
+
+
+def singleton_pool(ctx, overs, bound):
+    """main1's pool: {0}, then {x^-1} at every separating point x."""
+    return [frozenset([ctx.zero])] + [
+        frozenset([ctx.inv(x)]) for x in separating_points(ctx, overs, bound)]
 
 
 def test_example16_values():
@@ -139,13 +150,42 @@ def test_subbasis_membership_asks_for_the_identity():
 
 def test_system_space_t0_and_witnesses():
     H = n23()
-    systems = [iota(overmonoid_N(H)), iota(overmonoid_Z(H)), example16(H)]
-    pool = witness_pool(H.context, bound=4)
+    overs = [overmonoid_N(H), overmonoid_Z(H)]
+    systems = [*map(iota, overs), example16(H)]
+    pool = singleton_pool(H.context, overs, 4)
     ss = SystemSpace(systems, pool)
     sp = ss.space()
     assert sp.is_t0()
     wits = ss.t0_witnesses()
     assert all(S is not None for S in wits.values())
+    assert wits[0, 1] == frozenset([4])  # -4 is in Z, not in N
+    assert wits[0, 2] == frozenset([INF])  # {0}: example16 alone
+
+
+def test_separating_points_are_the_window_then_the_generators():
+    H = n23()
+    overs = [overmonoid_N(H), overmonoid_Z(H)]
+    assert separating_points(H.context, overs, 1) == [-1, 0, 1, 2, 3]
+    # a rule-backed member adds no points
+    rule = Overmonoid(H.context, rule=lambda g: g >= 0, name="N")
+    assert separating_points(H.context, [rule], 2) == [-2, -1, 0, 1, 2]
+
+
+@pytest.mark.parametrize("name", ["n23", "c3z", "nxz"])
+def test_singleton_opens_give_the_literal_system_topology(name):
+    # U_A is the union of the U_{a}, a in A, on main1's carrier, so adding
+    # every U_A with |A| <= 2 on the window changes neither T0 nor the order
+    H = monoid_from_file(os.path.join(DATA, name + ".json"))
+    ctx = H.context
+    overs = cli._curated_overmonoids(H, 2)
+    systems = [*map(iota, overs), example16(H)]
+    pool = singleton_pool(ctx, overs, 2)
+    literal = pool + [A for n in (1, 2)
+                      for A in map(frozenset,
+                                   itertools.combinations(ctx.window(2), n))]
+    singles, full = (SystemSpace(systems, p).space() for p in (pool, literal))
+    assert singles.is_t0() == full.is_t0()
+    assert singles.specialization_poset() == full.specialization_poset()
 
 
 def adjoin_ray_family():
@@ -295,9 +335,10 @@ def test_closures_validate_a_and_g_at_their_boundary(H, off, inside):
 
 def test_t0_witnesses_are_the_first_separating_pool_sets():
     H = n23()
-    systems = [iota(overmonoid_N(H)), iota(overmonoid_Z(H)), example16(H),
+    overs = [overmonoid_N(H), overmonoid_Z(H)]
+    systems = [*map(iota, overs), example16(H),
                iota(overmonoid_N(H))]  # the last pair is not separated
-    pool = witness_pool(H.context, bound=4)
+    pool = singleton_pool(H.context, overs, 4)
     ss = SystemSpace(systems, pool)
     for (i, j), found in ss.t0_witnesses().items():
         first = next((S for S in pool
