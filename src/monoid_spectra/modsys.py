@@ -468,7 +468,7 @@ def subbasis_membership(r: ModuleSystem, S) -> bool:
     return r.member(S, r.context.one)
 
 
-def separating_points(ctx, overmonoids, bound: int = 4):
+def separating_points(ctx, overmonoids, bound: int):
     """The nonzero window, then the nonzero generators of every member, each
     point once.  Two distinct generator-backed overmonoids differ at a
     generator of one of them, so these points tell such members apart, and
