@@ -2,8 +2,8 @@
 
 Each suite binds a named claim to executable checks over a monoid read from a
 JSON description file.  Exit codes: 0 all checks pass, 1 a check failed,
-2 input could not be parsed, 3 the realization is unsupported for the suite
-or the input is past a size guard.
+2 input could not be parsed or an output file could not be written, 3 the
+realization is unsupported for the suite or the input is past a size guard.
 """
 
 from __future__ import annotations
@@ -170,40 +170,38 @@ def suite_pruefer(H, bound, seed):
     rep = SuiteReport("pruefer", CLAIMS["pruefer"], seed=seed, bound=bound)
     primes = enumerate_primes(H, bound)
     carrier = enumerate_zar(H, bound=bound)
-    images = [delta(H, V, primes, bound) for V in carrier]
+    f = [delta(H, V, primes, bound) for V in carrier]
     zar_space = overmonoid_space(carrier, H.context, bound)
     spec_space = spec_subbasis(H, primes)
     rep.add(Check("delta-total", INFO, n=len(carrier), bound=bound,
-                  detail="; ".join(f"{V.name}->{P.name}"
-                                   for V, P in zip(carrier, images))))
-    witness = next(({"P": P.name} for P in primes
-                    if not any(image is P for image in images)), None)
+                  detail="; ".join(f"{V.name}->{primes[j].name}"
+                                   for V, j in zip(carrier, f))))
+    witness = next(({"P": P.name} for j, P in enumerate(primes)
+                    if j not in f), None)
     rep.add(Check("delta-surjective", witness is None, witness=witness,
                   exhaustive=False, n=len(primes), bound=bound))
     sp = is_s_pruefer(H, primes, bound)
-    rep.extend(delta_laws(H, primes, images, zar_space, sp.ok, bound=bound))
+    rep.extend(delta_laws(H, primes, f, zar_space, sp.ok, bound=bound))
     rep.add(Check("s-pruefer-instance", INFO, bound=bound,
                   detail="s-Pruefer" if sp.ok else f"not s-Pruefer at "
                   f"{sp.witness} (homeomorphism not claimed)"))
-    pair = next(((i, j) for i in range(len(images))
-                 for j in range(i + 1, len(images))
-                 if images[i] is images[j]), None)
+    pair = next(((i, j) for i in range(len(f)) for j in range(i + 1, len(f))
+                 if f[i] == f[j]), None)
     if sp.ok:
         rep.add(Check("delta-injective", pair is None,
                       witness=None if pair is None else {"images": "collide"},
                       exhaustive=False, n=len(carrier), bound=bound))
-        iso = homeomorphic(zar_space, spec_space)
-        rep.add(Check("delta-homeomorphism", iso is not None,
-                      witness=None if iso is not None
-                      else {"posets": "not isomorphic"},
+        bad = homeomorphic(zar_space, spec_space, f)
+        rep.add(Check("delta-homeomorphism", bad is None, witness=bad,
                       exhaustive=False, n=zar_space.n, bound=bound))
     else:
         rep.add(Check("delta-injectivity-instance", INFO, n=len(carrier),
                       bound=bound,
                       detail="injective on this carrier" if pair is None else
                       f"not injective: {carrier[pair[0]].name} and "
-                      f"{carrier[pair[1]].name} map to {images[pair[0]].name}"))
-    return rep, lambda: delta_dot(primes, images, zar_space, spec_space)
+                      f"{carrier[pair[1]].name} map to "
+                      f"{primes[f[pair[0]]].name}"))
+    return rep, lambda: delta_dot(f, zar_space, spec_space)
 
 
 def suite_main1(H, bound, seed):
@@ -397,8 +395,13 @@ def main(argv=None):
                    help="emit the report as JSON")
     args = parser.parse_args(argv)
 
-    seed = args.seed if args.seed is not None else int(
-        os.environ.get("MONOID_SPECTRA_SEED", "0"))
+    try:
+        seed = args.seed if args.seed is not None else int(
+            os.environ.get("MONOID_SPECTRA_SEED", "0"))
+    except ValueError:
+        print("error: MONOID_SPECTRA_SEED must be an integer",
+              file=sys.stderr)
+        return 2
     family = None
     try:
         if args.family:
@@ -422,21 +425,20 @@ def main(argv=None):
                                    family=family)
         # a suite that draws returns a renderer, called only for --dot
         dot = render() if args.dot and render is not None else None
+        body = report.json() if args.json else report.text()
+        sys.stdout.write(body)
+        if args.report:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(body)
+        if args.dot:
+            with open(args.dot, "w", encoding="utf-8") as fh:
+                fh.write(dot if dot is not None else "digraph empty {\n}\n")
     except (ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except UnsupportedRealization as e:
         print(f"unsupported: {e}", file=sys.stderr)
         return 3
-
-    body = report.json() if args.json else report.text()
-    sys.stdout.write(body)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(body)
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot if dot is not None else "digraph empty {\n}\n")
     return 0 if report.ok else 1
 
 

@@ -1,7 +1,8 @@
 """Finite topological spaces built from subbases: the T0 test,
-specialization posets, homeomorphism with a brute-force oracle, and DOT
-emission.  On a finite carrier sober and spectral are each equivalent to T0
-(``sober_bruteforce`` checks the definition literally).
+specialization posets, the homeomorphism test of a given map with a
+brute-force oracle, and DOT emission.  On a finite carrier sober and
+spectral are each equivalent to T0 (``sober_bruteforce`` checks the
+definition literally).
 
 Point sets are small by design; opens are materialized as bitmasks with a
 carrier guard of 20 points."""
@@ -141,74 +142,34 @@ def subbasis_space(labels, points, opens, inside) -> FiniteSpace:
                                           if inside(p, o)) for o in opens])
 
 
-def poset_isomorphism(X: FiniteSpace, Y: FiniteSpace):
-    """An order isomorphism of the specialization posets, or None.  Finite T0
-    spaces are determined by these posets, so this decides homeomorphism."""
-    if X.n != Y.n:
-        return None
-    lx = X.specialization_poset()
-    ly = Y.specialization_poset()
+def homeomorphic(X: FiniteSpace, Y: FiniteSpace, f):
+    """Why the map sending point i of X to point f[i] of Y is not a
+    homeomorphism, or None when it is.  A finite topology is fixed by its
+    specialization preorder (Alexandrov), so f is one exactly when it is a
+    bijection and X.leq(i, j) == Y.leq(f[i], f[j]) for all i, j.  The
+    witness is the first repeated image, else the first point of Y missed,
+    else the first pair (i, j) whose order f does not keep."""
+    seen = set()
+    for j in f:
+        if j in seen:
+            return {"repeated": Y.labels[j]}
+        seen.add(j)
+    missed = next((j for j in range(Y.n) if j not in seen), None)
+    if missed is not None:
+        return {"missing": Y.labels[missed]}
+    pair = next(((i, j) for i in range(X.n) for j in range(X.n)
+                 if X.leq(i, j) != Y.leq(f[i], f[j])), None)
+    return None if pair is None else {
+        "pair": f"{X.labels[pair[0]]},{X.labels[pair[1]]}"}
 
-    def degrees(rel, i):
-        below = sum(1 for j in range(len(rel)) if rel[j][i])
-        above = sum(1 for j in range(len(rel)) if rel[i][j])
-        return (below, above)
 
-    dx = [degrees(lx, i) for i in range(X.n)]
-    dy = [degrees(ly, i) for i in range(Y.n)]
-    if sorted(dx) != sorted(dy):
-        return None
-    candidates = [[j for j in range(Y.n) if dy[j] == dx[i]] for i in range(X.n)]
-
-    assignment = [None] * X.n
-    used = [False] * Y.n
-
-    def backtrack(i):
-        if i == X.n:
-            return True
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            ok = True
-            for k in range(i):
-                if lx[i][k] != ly[j][assignment[k]] or lx[k][i] != ly[assignment[k]][j]:
-                    ok = False
-                    break
-            if ok:
-                assignment[i] = j
-                used[j] = True
-                if backtrack(i + 1):
-                    return True
-                used[j] = False
-                assignment[i] = None
+def brute_force_homeomorphic(X: FiniteSpace, Y: FiniteSpace, f) -> bool:
+    """Independent oracle: f is a bijection that carries the opens of X
+    onto the opens of Y."""
+    if sorted(f) != list(range(Y.n)):
         return False
-
-    if backtrack(0):
-        return list(assignment)
-    return None
-
-
-def homeomorphic(X: FiniteSpace, Y: FiniteSpace):
-    """Homeomorphism verdict with witness map for finite T0 spaces."""
-    if not (X.is_t0() and Y.is_t0()):
-        raise ValueError("homeomorphism check requires T0 inputs")
-    return poset_isomorphism(X, Y)
-
-
-def brute_force_homeomorphic(X: FiniteSpace, Y: FiniteSpace):
-    """Independent oracle: search all bijections for one that is continuous
-    and open in both directions."""
-    if X.n != Y.n:
-        return None
-    ox = X.opens()
-    oy = Y.opens()
-    if len(ox) != len(oy):
-        return None
-    for perm in itertools.permutations(range(Y.n)):
-        fwd = {frozenset(perm[i] for i in X._unmask(o)) for o in ox}
-        if all(Y._mask(s) in oy for s in fwd) and len(fwd) == len(oy):
-            return list(perm)
-    return None
+    images = {Y._mask(f[i] for i in X._unmask(o)) for o in X.opens()}
+    return images == Y.opens()
 
 
 def all_topologies(n: int):

@@ -86,12 +86,14 @@ def enumerate_primes(H: Monoid, bound: int = 10):
     outside it once."""
     if H.kind == "affine" and H.dim > 2:
         raise UnsupportedRealization("prime enumeration needs dimension <= 2")
+    # the identity lies on every face, so it is outside no prime
+    gens = [g for g in H.generators if g != H.one]
     if H.kind == "finite":
-        points = {g: g for g in H.generators}
+        points = {g: g for g in gens}
         faces = [frozenset(points.values())]
     else:
         points = {g: (g, 0) if H.kind == "numerical" else
-                  (g[0], 0) if H.dim == 1 else g for g in H.generators}
+                  (g[0], 0) if H.dim == 1 else g for g in gens}
         faces = faces_2d(points.values())
     r = s_system(H)
     out = []

@@ -3,8 +3,9 @@ valuation carriers with their subbasis topologies, the domination map onto
 prime ideals and its laws, and a localization-based Pruefer test.
 
 The domination functions take the enumerated primes, the Zar carrier (its
-members are overmonoids), the image of each member under ``delta`` and the
-carrier's space, all built once by the caller."""
+members are overmonoids), the domination map as the list f of prime indices,
+f[i] = delta(carrier[i]), and the carrier's space, all built once by the
+caller."""
 
 from __future__ import annotations
 
@@ -197,12 +198,12 @@ def maximal_ideal(V: Overmonoid, bound: int = 6):
     return member
 
 
-def delta(H: Monoid, V: Overmonoid, primes, bound: int = 6):
-    """The domination map V -> m_V intersect H, matched against the
-    enumerated primes by pointwise agreement on the window."""
+def delta(H: Monoid, V: Overmonoid, primes, bound: int = 6) -> int:
+    """The domination map V -> m_V intersect H, as the index of the one
+    enumerated prime that agrees with it pointwise on the window."""
     m = maximal_ideal(V, bound)
     window = [g for g in H.context.window(bound) if H.contains(g)]
-    matches = [P for P in primes
+    matches = [j for j, P in enumerate(primes)
                if all((H.contains(g) and m(g)) == P.contains(g) for g in window)]
     if len(matches) != 1:
         raise ValueError(
@@ -210,8 +211,7 @@ def delta(H: Monoid, V: Overmonoid, primes, bound: int = 6):
     return matches[0]
 
 
-def delta_laws(H: Monoid, primes, images, zar_space, pruefer,
-               bound: int = 6):
+def delta_laws(H: Monoid, primes, f, zar_space, pruefer, bound: int = 6):
     """For every nonzero window element x, the image law
     delta(B(x)) = spec minus V((H : x)) over the enumerated carriers; B(x)
     is read from the Zar carrier's space.  `pruefer` is the caller's s-Pruefer
@@ -223,7 +223,6 @@ def delta_laws(H: Monoid, primes, images, zar_space, pruefer,
     V."""
     ctx = H.context
     U = _subbasis_at(zar_space, ctx, bound)
-    idx = {id(P): i for i, P in enumerate(primes)}
     h_window = [g for g in ctx.nonzero_window(bound) if H.contains(g)]
 
     # image law: the containment "spec minus V((H:x)) inside delta(B(x))" is
@@ -236,7 +235,7 @@ def delta_laws(H: Monoid, primes, images, zar_space, pruefer,
         count += 1
         frac = fraction_ideal(H, x)
         frac_window = [h for h in h_window if frac(h)]
-        left = frozenset(idx[id(images[i])] for i in U[x])
+        left = frozenset(f[i] for i in U[x])
         right = frozenset(j for j, P in enumerate(primes)
                           if any(not P.contains(h) for h in frac_window))
         if lower_witness is None and not right <= left:
@@ -272,11 +271,9 @@ def is_s_pruefer(H: Monoid, primes, bound: int = 6) -> Check:
     return Check.scan("s-pruefer", map(outcome, primes), bound=bound)
 
 
-def delta_dot(primes, images, zar_space, spec_space) -> str:
+def delta_dot(f, zar_space, spec_space) -> str:
     """Bipartite DOT drawing of the domination correspondence with
     specialization edges inside each side."""
-    idx = {id(P): i for i, P in enumerate(primes)}
-    edges = [(i, idx[id(P)]) for i, P in enumerate(images)]
-    return bipartite_dot(zar_space.labels, spec_space.labels, edges,
+    return bipartite_dot(zar_space.labels, spec_space.labels, enumerate(f),
                          left_edges=hasse_edges(zar_space),
                          right_edges=hasse_edges(spec_space), name="delta")

@@ -188,6 +188,36 @@ def test_exit_code_3_past_the_semigroup_size_guard(tmp_path, capsys):
     assert "Traceback" not in captured.err + captured.out
 
 
+def test_exit_code_2_on_a_seed_that_is_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("MONOID_SPECTRA_SEED", "abc")
+    code = main(["verify", "--suite", "spec", "--input", data("n23.json")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: MONOID_SPECTRA_SEED")
+
+
+@pytest.mark.parametrize("flag", ["--report", "--dot"])
+def test_exit_code_2_on_an_unwritable_output_path(tmp_path, capsys, flag):
+    code = main(["verify", "--suite", "spec", "--input", data("n23.json"),
+                 flag, str(tmp_path / "missing" / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_identity_generators_are_outside_no_prime(tmp_path, capsys):
+    # the identity lies on every face of the cone
+    path = tmp_path / "h.json"
+    path.write_text('{"kind": "affine", "dim": 2, '
+                    '"generators": [[0, 0], [1, 0], [0, 1]]}')
+    code, out = run(capsys, "verify", "--suite", "spec", "--input", str(path))
+    assert code == 0
+    assert out == run(capsys, "verify", "--suite", "spec",
+                      "--input", data("n2.json"))[1]
+    path.write_text('{"kind": "affine", "dim": 1, "generators": [[0]]}')
+    code, out = run(capsys, "verify", "--suite", "spec", "--input", str(path))
+    assert code == 0
+    assert "primes-enumerated INFO (n=1, bound=4) -- P_zero" in out
+
+
 def test_reports_on_larger_numerical_inputs(capsys):
     for suite, name in (("pronconst", "n469"), ("main1", "n579"),
                         ("prop1", "n71113"), ("prop1", "n81113")):

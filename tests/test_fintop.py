@@ -79,17 +79,14 @@ def test_sober_agrees_with_bruteforce_on_random_small_spaces():
 
 
 def test_homeomorphic_agrees_with_bruteforce_on_all_3_point_topologies():
-    spaces = [sp for sp in all_topologies(3) if sp.is_t0()]
-    for a, b in itertools.combinations_with_replacement(spaces, 2):
-        fast = homeomorphic(a, b)
-        slow = brute_force_homeomorphic(a, b)
-        assert (fast is None) == (slow is None), (sorted(a.opens()),
-                                                 sorted(b.opens()))
-        if fast is not None:
-            # the returned map really is a homeomorphism
-            mapped = {frozenset(fast[i] for i in a._unmask(o))
-                      for o in a.opens()}
-            assert {b._mask(s) for s in mapped} == b.opens()
+    # T0 or not, and every map of 3 points to 3 points, the non-bijections
+    # included
+    spaces = all_topologies(3)
+    for a, b in itertools.product(spaces, repeat=2):
+        for f in itertools.product(range(3), repeat=3):
+            assert (homeomorphic(a, b, f) is None) == \
+                brute_force_homeomorphic(a, b, f), (sorted(a.opens()),
+                                                    sorted(b.opens()), f)
 
 
 def test_homeomorphic_agrees_with_bruteforce_on_random_spaces():
@@ -99,19 +96,30 @@ def test_homeomorphic_agrees_with_bruteforce_on_random_spaces():
         n = rng.randint(4, 5)
         sub = [frozenset(i for i in range(n) if rng.random() < 0.5)
                for _ in range(rng.randint(1, 4))]
-        sp = FiniteSpace([str(i) for i in range(n)], sub)
-        if sp.is_t0():
-            spaces.append(sp)
-    assert len(spaces) >= 3
-    for a, b in itertools.combinations_with_replacement(spaces, 2):
-        assert (homeomorphic(a, b) is None) == \
-            (brute_force_homeomorphic(a, b) is None)
+        spaces.append(FiniteSpace([str(i) for i in range(n)], sub))
+    for a, b in itertools.product(spaces, repeat=2):
+        if a.n != b.n:
+            continue
+        maps = list(itertools.permutations(range(a.n)))
+        maps += [[rng.randrange(a.n) for _ in range(a.n)] for _ in range(20)]
+        for f in maps:
+            assert (homeomorphic(a, b, f) is None) == \
+                brute_force_homeomorphic(a, b, f), (a.subbasis, b.subbasis, f)
 
 
-def test_homeomorphic_requires_t0():
+def test_homeomorphic_checks_the_given_map():
+    s = sierpinski()
+    assert homeomorphic(s, s, [0, 1]) is None
+    # the spaces are homeomorphic, but swapping the points is not a
+    # homeomorphism: the open point would go to the closed one
+    assert homeomorphic(s, s, [1, 0]) == {"pair": "generic,closed"}
+    assert not brute_force_homeomorphic(s, s, [1, 0])
+    assert homeomorphic(s, s, [1, 1]) == {"repeated": "closed"}
+    assert homeomorphic(s, discrete(3), [2, 0]) == {"missing": "1"}
+    # non-T0 spaces are fixed by their preorder too
     indiscrete = FiniteSpace(["a", "b"], [])
-    with pytest.raises(ValueError):
-        homeomorphic(indiscrete, sierpinski())
+    assert homeomorphic(indiscrete, indiscrete, [1, 0]) is None
+    assert homeomorphic(indiscrete, s, [0, 1]) == {"pair": "a,b"}
 
 
 def test_dot_and_dump_emission():

@@ -3,10 +3,11 @@
 Runs ``cli.main`` in this process on every suite x every monoid input in
 ``tests/data`` x {default bound, 1, 2, 3} x {text, --json}, each with
 ``--dot``, plus ``main2 --family adjoin-ray.json`` on the same bounds and
-formats.  A run's record is ``[sha1, status, fails]``: the SHA-1 over
-stdout, stderr, the exit code (or the exception the run raised) and the DOT
-file; that exit code or exception; and the sorted names of the report's FAIL
-lines.  A refactor that keeps every report byte-identical gives the same
+formats; and every job of the benchmark's seed-0 sweep plan, read from
+``bench/workloads.py``, in text format with ``--seed 0`` and ``--dot``.  A
+run's record is ``[sha1, status, fails]``: the SHA-1 over stdout, stderr,
+the exit code (or the exception the run raised) and the DOT file; that exit
+code or exception; and the sorted names of the report's FAIL lines.  A refactor that keeps every report byte-identical gives the same
 output before and after:
 
     python3 tools/report_hashes.py > after.json
@@ -24,11 +25,13 @@ import io
 import json
 import os
 import re
+import runpy
 import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(ROOT, "tests", "data")
+WORKLOADS = os.path.join(ROOT, "bench", "workloads.py")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from monoid_spectra import cli  # noqa: E402
@@ -56,6 +59,25 @@ def runs():
                                        os.path.join(DATA, name)]
     yield "main2 --family adjoin-ray.json", [
         "--suite", "main2", "--family", os.path.join(DATA, "adjoin-ray.json")]
+
+
+def sweep_runs(tmp):
+    """(label, argv) of every job of the seed-0 sweep plan, its inputs
+    written to `tmp`."""
+    plan = runpy.run_path(WORKLOADS)["plan"]("sweep", 0)
+    for key, desc in plan["inputs"].items():
+        with open(os.path.join(tmp, f"{key}.json"), "w",
+                  encoding="utf-8") as fh:
+            json.dump(desc, fh)
+    for jb in plan["jobs"]:
+        label = (f"sweep seed=0 {jb['suite']} {jb['input']} "
+                 f"bound={jb['bound'] or 'default'}")
+        argv = ["--suite", jb["suite"], "--input",
+                os.path.join(tmp, f"{jb['input']}.json"),
+                "--seed", str(plan["cli_seed"])]
+        if jb["bound"] is not None:
+            argv += ["--bound", str(jb["bound"])]
+        yield label, argv
 
 
 def fail_names(out, as_json):
@@ -100,6 +122,8 @@ def main():
                     key = f"{label} bound={bound or 'default'} {fmt}"
                     flags = ["--json"] if fmt == "json" else []
                     records[key] = record(argv + extra + flags, dot_path)
+        for label, argv in sweep_runs(tmp):
+            records[label] = record(argv, dot_path)
     json.dump(records, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
 
