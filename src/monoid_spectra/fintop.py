@@ -1,17 +1,11 @@
 """Finite topological spaces built from subbases: the T0 test,
-specialization posets, the homeomorphism test of a given map with a
-brute-force oracle, and DOT emission.  On a finite carrier sober and
-spectral are each equivalent to T0 (``sober_bruteforce`` checks the
-definition literally).
+specialization posets, the homeomorphism test of a given map, and DOT
+emission.  On a finite carrier sober and spectral are each equivalent to T0.
 
-Point sets are small by design; opens are materialized as bitmasks with a
-carrier guard of 20 points."""
+Every question is read from the points' subbasis profiles; no open set is
+ever materialized."""
 
 from __future__ import annotations
-
-import itertools
-
-CARRIER_GUARD = 20
 
 
 class FiniteSpace:
@@ -31,58 +25,6 @@ class FiniteSpace:
                 raise ValueError("subbasis set outside the point set")
             for i in s:
                 self.profiles[i] |= 1 << k
-        self._opens = None
-
-    # -- masks --------------------------------------------------------------
-
-    def _mask(self, s) -> int:
-        m = 0
-        for i in s:
-            m |= 1 << i
-        return m
-
-    def _unmask(self, m) -> frozenset:
-        return frozenset(i for i in range(self.n) if m >> i & 1)
-
-    @property
-    def full_mask(self):
-        return (1 << self.n) - 1
-
-    def opens(self) -> set[int]:
-        """All open sets (bitmasks): closure of the subbasis under finite
-        intersection and arbitrary union, with the empty and full sets."""
-        if self._opens is not None:
-            return self._opens
-        if self.n > CARRIER_GUARD:
-            raise ValueError(f"carrier too large to materialize (> {CARRIER_GUARD})")
-        basis = {self.full_mask}
-        basis.update(self._mask(s) for s in self.subbasis)
-        # close under pairwise intersection
-        changed = True
-        while changed:
-            changed = False
-            for a, b in itertools.combinations(list(basis), 2):
-                c = a & b
-                if c not in basis:
-                    basis.add(c)
-                    changed = True
-        # close under pairwise union
-        opens = set(basis)
-        opens.add(0)
-        changed = True
-        while changed:
-            changed = False
-            for a, b in itertools.combinations(list(opens), 2):
-                c = a | b
-                if c not in opens:
-                    opens.add(c)
-                    changed = True
-        self._opens = opens
-        return opens
-
-    def closeds(self) -> set[int]:
-        full = self.full_mask
-        return {full ^ o for o in self.opens()}
 
     # -- separation and order ------------------------------------------------
 
@@ -105,31 +47,6 @@ class FiniteSpace:
     def specialization_poset(self):
         """Relation matrix of the closure order (a preorder; a poset iff T0)."""
         return [[self.leq(x, y) for y in range(self.n)] for x in range(self.n)]
-
-    def closure_of_point(self, x) -> frozenset:
-        return frozenset(y for y in range(self.n) if self.leq(x, y))
-
-    def sober_bruteforce(self) -> bool:
-        """Soberness by its definition: every irreducible closed set has
-        exactly one generic point, over all materialized closed sets.  The
-        oracle for reading sober from T0; intended for small carriers."""
-        closeds = self.closeds()
-        for c in closeds:
-            pts = self._unmask(c)
-            if not pts:
-                continue
-            proper = [d for d in closeds if d & c == d and d != c]
-            irreducible = True
-            for a, b in itertools.combinations_with_replacement(proper, 2):
-                if a | b == c:
-                    irreducible = False
-                    break
-            if not irreducible:
-                continue
-            generics = [x for x in pts if self._mask(self.closure_of_point(x)) == c]
-            if len(generics) != 1:
-                return False
-        return True
 
     def __repr__(self):
         return f"FiniteSpace(n={self.n}, subbasis={len(self.subbasis)})"
@@ -161,33 +78,6 @@ def homeomorphic(X: FiniteSpace, Y: FiniteSpace, f):
                  if X.leq(i, j) != Y.leq(f[i], f[j])), None)
     return None if pair is None else {
         "pair": f"{X.labels[pair[0]]},{X.labels[pair[1]]}"}
-
-
-def brute_force_homeomorphic(X: FiniteSpace, Y: FiniteSpace, f) -> bool:
-    """Independent oracle: f is a bijection that carries the opens of X
-    onto the opens of Y."""
-    if sorted(f) != list(range(Y.n)):
-        return False
-    images = {Y._mask(f[i] for i in X._unmask(o)) for o in X.opens()}
-    return images == Y.opens()
-
-
-def all_topologies(n: int):
-    """Every topology on n points, generated from all possible subbases.
-    Intended for n <= 3 (exhaustive cross-validation)."""
-    universe = list(range(n))
-    all_subsets = [frozenset(c) for r in range(n + 1)
-                   for c in itertools.combinations(universe, r)]
-    seen = set()
-    spaces = []
-    for r in range(len(all_subsets) + 1):
-        for sub in itertools.combinations(all_subsets, r):
-            space = FiniteSpace([str(i) for i in universe], sub)
-            key = frozenset(space.opens())
-            if key not in seen:
-                seen.add(key)
-                spaces.append(space)
-    return spaces
 
 
 # -- DOT emission -------------------------------------------------------------

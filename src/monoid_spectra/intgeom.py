@@ -3,7 +3,10 @@ the plane, and exact membership in finitely generated submonoids of Z^d.
 
 Everything here is pure integer arithmetic; no floating point is involved, so
 every membership answer is exact.  Cone/monoid machinery is implemented for
-dimension <= 2, which covers every supported affine realization.
+dimension <= 2, which covers every supported affine realization.  A planar
+cone is analysed in one place, `_cone_2d`: the invertible/pointed split of
+its generators and, when it is pointed, its extreme rays.  `faces_2d` reads
+the faces off that analysis, and `submonoid_2d` its one membership walk.
 """
 
 from __future__ import annotations
@@ -71,18 +74,23 @@ def hnf_rows(vectors) -> list[list[int]]:
     return basis
 
 
-def lattice_contains(basis: list[list[int]], v) -> bool:
-    """Exact membership of integer vector v in the lattice with echelon basis."""
+def _residue(basis: list[list[int]], v) -> tuple:
+    """The representative of v modulo the lattice with echelon basis whose
+    entry at each pivot column lies in [0, pivot): equal for two vectors
+    exactly when they differ by a lattice vector, and zero on the lattice."""
     vec = list(v)
     n = len(vec)
     for row in basis:
         j = next(k for k in range(n) if row[k] != 0)
-        if vec[j] % row[j] != 0:
-            return False
         q = vec[j] // row[j]
         for k in range(j, n):
             vec[k] -= q * row[k]
-    return all(c == 0 for c in vec)
+    return tuple(vec)
+
+
+def lattice_contains(basis: list[list[int]], v) -> bool:
+    """Exact membership of integer vector v in the lattice with echelon basis."""
+    return not any(_residue(basis, v))
 
 
 def cross(u, v) -> int:
@@ -123,18 +131,21 @@ def cone_contains_2d(gens, x) -> bool:
     return False
 
 
-def _positive_functional_2d(gens) -> tuple[int, int]:
-    """Integer w with dot(w, g) > 0 for every g in a pointed generating set."""
-    # single-ray case
-    first = gens[0]
-    if all(cross(first, g) == 0 and dot(first, g) > 0 for g in gens):
-        return first
-    # angular extremes: all other generators on one fixed side
-    u_r = next(g for g in gens if all(cross(g, h) >= 0 for h in gens))
-    u_l = next(g for g in gens if all(cross(g, h) <= 0 for h in gens))
-    rot = lambda u: (-u[1], u[0])
-    wr, wl = rot(u_r), rot(u_l)
-    return (wr[0] - wl[0], wr[1] - wl[1])
+def _cone_2d(gens):
+    """The one analysis of a planar cone: its nonzero generators split into
+    the invertible ones, whose negatives lie in the cone and which span its
+    largest linear subspace, and the pointed rest.  With no invertible
+    generator it also returns the extreme rays (u_r, u_l), the first
+    generators with every generator on their left, and on their right."""
+    glist = [tuple(g) for g in gens if any(g)]
+    invertible = [g for g in glist if cone_contains_2d(glist, neg(g))]
+    pointed = [g for g in glist if g not in invertible]
+    rays = None
+    if pointed and not invertible:
+        rays = tuple(next(g for g in pointed
+                          if all(side * cross(g, h) >= 0 for h in pointed))
+                     for side in (1, -1))
+    return invertible, pointed, rays
 
 
 def submonoid_1d(gens):
@@ -163,99 +174,60 @@ MAX_REACH_MEMO = 1 << 16
 
 @lru_cache(maxsize=MAX_SUBMONOIDS)
 def submonoid_2d(gens: tuple):
-    """Exact membership predicate of the submonoid of Z^2 generated by `gens`.
+    """Exact membership predicate of the submonoid H of Z^2 generated by `gens`.
 
-    The analysis runs once per generating set: invertible generators (those
-    whose negative lies in the rational cone) are split off as a sublattice,
-    the remaining generators span a pointed cone in the quotient, and a
-    bounded search decides the rest.  Rank 2 leaves a finite quotient, whose
-    reachable cosets are listed once.  Rank 1 leaves one line, and only the
-    search over the pointed generators runs per query.  Rank 0 is a search
-    down a positive functional w, with one reachability memo shared by all
-    queries: each step strictly decreases w.v, so an entry is exact whoever
-    wrote it."""
-    glist = [g for g in gens if g != (0, 0)]
-    if not glist:
-        return lambda x: x == (0, 0)
-    invertible = [g for g in glist if cone_contains_2d(glist, neg(g))]
-    inv_set = set(invertible)
-    pointed = [g for g in glist if g not in inv_set]
+    The analysis runs once per generating set.  The invertible generators
+    span H's group of units L, and a point is first reduced modulo L to its
+    HNF residue.  A walk then subtracts pointed generators down a functional
+    w that vanishes on L and is positive on them: w comes from the extreme
+    rays when L = 0, and is perpendicular to L's row when L has rank 1.
+    When L has rank 2 the cone is the plane, every generator is invertible
+    and H = L.  One reachability memo is shared by all queries: each step
+    strictly decreases w.v, so an entry is exact whoever wrote it."""
+    invertible, pointed, rays = _cone_2d(gens)
     basis = hnf_rows(invertible)
-
-    if len(basis) == 2:
-        # finite quotient: BFS over cosets reachable from 0 by pointed gens
-        r0, r1 = basis
-        a, c = r0[0], r1[1]
-
-        def reduce(v):
-            v0, v1 = v
-            q = v0 // a
-            return (v0 - q * a, (v1 - q * r0[1]) % c)
-
-        start = reduce((0, 0))
-        frontier = [start]
-        seen = {start}
-        while frontier:
-            cur = frontier.pop()
-            for g in pointed:
-                nxt = reduce((cur[0] + g[0], cur[1] + g[1]))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return lambda x: reduce(x) in seen
-
-    if len(basis) == 1:
-        row = tuple(basis[0])
-        j = 0 if row[0] != 0 else 1
-        fvals = [cross(row, g) for g in pointed]
-        # pointedness of the quotient cone guarantees a common nonzero sign
-        sign = 1 if all(fv > 0 for fv in fvals) else -1
-        fvals = [sign * fv for fv in fvals]
-
-        def member(x):
-            # enumerate coefficient vectors with weighted sum == sign * f(x)
-            def search(i, rem, acc):
-                if i == len(pointed):
-                    v = (x[0] - acc[0], x[1] - acc[1])
-                    return (rem == 0 and cross(row, v) == 0
-                            and v[j] % row[j] == 0)
-                fv, g = fvals[i], pointed[i]
-                k = 0
-                while k * fv <= rem:
-                    if search(i + 1, rem - k * fv,
-                              (acc[0] + k * g[0], acc[1] + k * g[1])):
-                        return True
-                    k += 1
-                return False
-
-            target = sign * cross(row, x)
-            return target >= 0 and search(0, target, (0, 0))
-
-        return member
-
-    # rank 0: the whole generating set spans a pointed cone
-    w = _positive_functional_2d(pointed)
+    if not pointed:
+        return lambda x: lattice_contains(basis, x)
+    if basis:  # rank 1: perpendicular to L's row, on the pointed side
+        r0, r1 = basis[0]
+        w0, w1 = (-r1, r0) if cross(basis[0], pointed[0]) > 0 else (r1, -r0)
+    else:  # rank 0: between the extreme rays, or along the only ray
+        u_r, u_l = rays
+        w0, w1 = u_r if cross(u_r, u_l) == 0 else (
+            u_l[1] - u_r[1], u_r[0] - u_l[0])
     memo: dict[tuple, bool] = {}
 
-    def reach(v) -> bool:
-        """Is v a sum of pointed generators?  The caller knows w.v >= 0."""
-        if v == (0, 0):
-            return True
-        hit = memo.get(v)
-        if hit is None:
-            hit = False
-            if dot(w, v) > 0:
-                for g in pointed:
-                    u = (v[0] - g[0], v[1] - g[1])
-                    if dot(w, u) >= 0 and reach(u):
-                        hit = True
-                        break
-            if len(memo) >= MAX_REACH_MEMO:
-                memo.clear()
-            memo[v] = hit
-        return hit
+    def remember(v, hit):
+        if len(memo) >= MAX_REACH_MEMO:
+            memo.clear()
+        memo[v] = hit
 
-    return lambda x: dot(w, x) >= 0 and reach(x)
+    def member(x) -> bool:
+        """Is x in L + N*pointed?  A depth-first walk on an explicit path of
+        (point, its untried steps): a point that reaches 0 puts True on the
+        whole path, and a point whose every step fails is False."""
+        path, u = [], x
+        while True:
+            if basis:
+                u = _residue(basis, u)
+            if u == (0, 0):
+                hit = True
+            else:
+                hit = memo.get(u) if w0 * u[0] + w1 * u[1] > 0 else False
+            if hit:
+                for v, _ in path:
+                    remember(v, True)
+                return True
+            if hit is None:
+                path.append((u, iter(pointed)))
+            while path and (g := next(path[-1][1], None)) is None:
+                remember(path.pop()[0], False)
+            if not path:
+                return False
+            v = path[-1][0]
+            u = (v[0] - g[0], v[1] - g[1])
+
+    return member
 
 
 @lru_cache(maxsize=1 << 16)
@@ -276,51 +248,18 @@ def monoid_contains(gens: tuple, x: tuple) -> bool:
     return submonoid_2d(gens)(x)
 
 
-def cone_shape_2d(gens) -> str:
-    """Classify the rational cone of `gens`: zero|ray|sector|halfplane|plane."""
-    glist = [tuple(g) for g in gens if tuple(g) != (0, 0)]
-    if not glist:
-        return "zero"
-    first = glist[0]
-    if all(cross(first, g) == 0 for g in glist):
-        if all(dot(first, g) > 0 for g in glist):
-            return "ray"
-        return "line"
-    has_line = any(cone_contains_2d(glist, neg(g)) for g in glist)
-    if not has_line:
-        return "sector"
-    # halfplane iff some direction's negative is excluded
-    probe = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1)]
-    if all(cone_contains_2d(glist, p) for p in probe):
-        return "plane"
-    return "halfplane"
-
-
 def faces_2d(gens) -> list[frozenset]:
     """Faces of the cone of `gens`, each given as the frozenset of generators
-    lying on the face.  The cone itself is the face containing all generators.
-    """
-    glist = [tuple(g) for g in gens if tuple(g) != (0, 0)]
-    shape = cone_shape_2d(glist)
-    allg = frozenset(glist)
-    if shape == "zero":
+    lying on the face, the cone itself first.  A cone with no pointed
+    generator is a linear subspace, its only face; a half plane has one
+    proper face, the line of its invertible generators; a pointed cone has
+    its extreme rays and the origin, a ray just the origin."""
+    invertible, pointed, rays = _cone_2d(gens)
+    allg = frozenset(invertible + pointed)
+    if not pointed:
         return [allg]
-    if shape == "ray":
-        return [allg, frozenset()]
-    if shape == "line":
-        return [allg]
-    if shape == "plane":
-        return [allg]
-    if shape == "halfplane":
-        # unique proper face: the boundary line (generators with negatives in cone)
-        boundary = frozenset(g for g in glist if cone_contains_2d(glist, neg(g)))
-        return [allg, boundary]
-    # sector: cone, two extreme rays, origin
-    u_r = next(g for g in glist if all(cross(g, h) >= 0 for h in glist))
-    u_l = next(g for g in glist if all(cross(g, h) <= 0 for h in glist))
-    ray_r = frozenset(g for g in glist if cross(u_r, g) == 0)
-    ray_l = frozenset(g for g in glist if cross(u_l, g) == 0)
-    faces = [allg, ray_r, ray_l, frozenset()]
-    if ray_r == ray_l:  # degenerate (should not happen for a true sector)
-        faces = [allg, ray_r, frozenset()]
-    return faces
+    if invertible:
+        return [allg, frozenset(invertible)]
+    faces = [allg] + [frozenset(g for g in pointed if cross(u, g) == 0)
+                      for u in rays] + [frozenset()]
+    return list(dict.fromkeys(faces))

@@ -351,14 +351,6 @@ class Monoid(Overmonoid):
         return cls("finite", FiniteCarrier(table, one, zero), range(n),
                    args=f"(n={n})")
 
-    @classmethod
-    def cyclic_group_with_zero(cls, n):
-        """Z/n with an absorbing zero adjoined; carrier indices 0..n, where
-        index n is the absorbing zero and index 0 the identity."""
-        table = [[n if n in (a, b) else (a + b) % n for b in range(n + 1)]
-                 for a in range(n + 1)]
-        return cls.finite(table, one=0, zero=n)
-
     def op(self, a, b):
         return self.context.op(a, b)
 

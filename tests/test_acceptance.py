@@ -7,8 +7,7 @@ import time
 
 import pytest
 
-from monoid_spectra.fintop import (all_topologies, brute_force_homeomorphic,
-                                   FiniteSpace, homeomorphic)
+from monoid_spectra.fintop import FiniteSpace, homeomorphic
 from monoid_spectra.idealsys import (check_ideal_axioms, enumerate_ideals,
                                      enumerate_primes, ideal_space_subbasis,
                                      is_prime, s_system, spec_subbasis)
@@ -22,6 +21,7 @@ from monoid_spectra.monoid import Monoid, Overmonoid, localize
 from monoid_spectra.valuation import (delta, delta_laws,
                                       enumerate_overmonoids, enumerate_zar,
                                       is_s_pruefer, overmonoid_space)
+from oracles import all_topologies, brute_force_homeomorphic
 from test_idealsys import o_set
 
 

@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monoid_spectra import intgeom
-from monoid_spectra.intgeom import (cone_contains_2d, cone_shape_2d, faces_2d,
-                                    hnf_rows, lattice_contains,
-                                    monoid_contains, neg)
+from monoid_spectra.intgeom import (cone_contains_2d, faces_2d, hnf_rows,
+                                    lattice_contains, monoid_contains, neg)
 
 
 def brute_lattice_contains(gens, v):
@@ -175,7 +174,10 @@ def test_compiled_membership_matches_reachability():
     [0, x], so inside the radius-12 box for k >= 2: reachability inside that
     box is exact.  Each set is asked in a shuffled order and again through
     a permuted generator tuple, so no answer may depend on which query
-    filled the shared memo."""
+    filled the shared memo.  On every set whose invertible generators span
+    rank 2 it also checks the lemma that leaves `submonoid_2d` no coset
+    search: their cone is then the plane, so every generator is
+    invertible."""
     ranks = set()
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -184,6 +186,8 @@ def test_compiled_membership_matches_reachability():
     def check(gens, rnd):
         for gens in (tuple(gens), tuple(map(neg, gens))):
             ranks.add(invertible_rank(gens))
+            if invertible_rank(gens) == 2:
+                assert all(cone_contains_2d(gens, neg(g)) for g in gens), gens
             reach = reachable_2d(gens, 12)
             for order in (gens, tuple(rnd.sample(gens, len(gens)))):
                 points = rnd.sample(BOX4, len(BOX4))
@@ -192,6 +196,16 @@ def test_compiled_membership_matches_reachability():
 
     check()
     assert ranks == {0, 1, 2}
+
+
+def test_far_points_need_no_recursion():
+    """The walk keeps its path on an explicit stack, so a point thousands of
+    steps from 0 is decided at rank 0 and at rank 1."""
+    monoid_contains.cache_clear()
+    intgeom.submonoid_2d.cache_clear()
+    assert monoid_contains(((1, 0), (0, 1)), (900, 900))
+    assert monoid_contains(((1, 0), (0, 1), (0, -1)), (2500, 7))
+    assert not monoid_contains(((2, 0), (0, 1), (0, -1)), (2501, 7))
 
 
 def reach_memos(pred):
@@ -245,12 +259,27 @@ def test_bounded_caches_stay_exact(monkeypatch):
 
 
 def test_cone_shapes():
-    assert cone_shape_2d(((1, 0), (0, 1))) == "sector"
-    assert cone_shape_2d(((1, 0), (0, 1), (-1, 1))) == "sector"
-    assert cone_shape_2d(((1, 0), (-1, 0), (0, 1))) == "halfplane"
-    assert cone_shape_2d(((1, 0), (-1, 0))) == "line"
-    assert cone_shape_2d(((1, 2), (2, 1), (-1, -1))) == "plane"
-    assert cone_shape_2d(((2, 1),)) == "ray"
+    """Each shape of planar cone has its full face list, in the order that
+    `enumerate_primes` names primes in: it keeps the first of two equal
+    primes."""
+    F = frozenset
+    shapes = {
+        # sectors: the cone, the two extreme rays, the origin
+        ((1, 0), (0, 1)): [F({(1, 0), (0, 1)}), F({(1, 0)}), F({(0, 1)}), F()],
+        ((1, 0), (0, 1), (-1, 1)): [F({(1, 0), (0, 1), (-1, 1)}), F({(1, 0)}),
+                                    F({(-1, 1)}), F()],
+        # a half plane and its boundary line
+        ((1, 0), (-1, 0), (0, 1)): [F({(1, 0), (-1, 0), (0, 1)}),
+                                    F({(1, 0), (-1, 0)})],
+        # a line and the plane are their only face
+        ((1, 0), (-1, 0)): [F({(1, 0), (-1, 0)})],
+        ((1, 2), (2, 1), (-1, -1)): [F({(1, 2), (2, 1), (-1, -1)})],
+        # a ray and the origin
+        ((2, 1),): [F({(2, 1)}), F()],
+    }
+    for gens, faces in shapes.items():
+        assert faces_2d(gens) == faces, gens
+        assert faces_2d([list(g) for g in gens]) == faces, gens
 
 
 def test_faces_of_quadrant():
