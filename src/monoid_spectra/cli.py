@@ -20,10 +20,10 @@ from .idealsys import (check_ideal_axioms, enumerate_ideals, enumerate_primes,
                        spec_subbasis)
 from .modsys import (FAMILY_DEPTH, DeltaFamily, SystemSpace, check_family,
                      check_id2, check_idempotent, check_module_axioms,
-                     example16, extract_finite_witness, falsify_finitary,
-                     family_from_file, embedding_checks, iota, is_finitary,
-                     meet, meet_finite_witness, r_delta, separating_points,
-                     small_sample)
+                     closure_points, example16, extract_finite_witness,
+                     falsify_finitary, family_from_file, embedding_checks,
+                     iota, is_finitary, meet, meet_finite_witness, r_delta,
+                     separating_points, small_sample)
 from .monoid import ParseError, as_overmonoid, localize, monoid_from_file
 from .report import INFO, Check, SuiteReport
 from .valuation import (b_complement_law, delta, delta_dot, delta_laws,
@@ -276,8 +276,7 @@ def suite_main2(H, family, bound, seed):
         delta_fam = DeltaFamily(members, name="sample")
         r = r_delta(delta_fam, ctx)
         A = small_sample(rng, g_window)
-        pred = r.closure(A)
-        hits = [g for g in g_window if pred(g)]
+        hits = closure_points(r, A, g_window)
         if not hits:
             return None
         x = rng.choice(hits)
@@ -324,8 +323,7 @@ def suite_prop2(H, bound, seed):
         tau = rng.sample(systems, rng.randint(1, len(systems)))
         wedge = meet(tau)
         A = small_sample(rng, g_window)
-        pred = wedge.closure(A)
-        hits = [g for g in g_window if pred(g)]
+        hits = closure_points(wedge, A, g_window)
         if not hits:
             return None
         x = rng.choice(hits)

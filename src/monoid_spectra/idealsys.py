@@ -23,15 +23,15 @@ class IdealSystem(ModuleSystem):
     ``closure(X)`` takes a frozenset of elements of H and returns an exact
     membership predicate for X_r."""
 
-    def __init__(self, name, H: Monoid, closure):
-        super().__init__(name, H.context, closure)
+    def __init__(self, name, H: Monoid, closure, mask=None):
+        super().__init__(name, H.context, closure, mask)
         self.H = H
 
 
 def s_system(H: Monoid) -> IdealSystem:
     """The s-system: X_s = XH for nonempty X and {0} for X = empty set, the
     product closure of {H}."""
-    return IdealSystem("s", H, product_closure(H.context, [H]))
+    return IdealSystem("s", H, *product_closure(H.context, [H]))
 
 
 class RIdeal:
@@ -198,7 +198,8 @@ def check_ideal_axioms(r: IdealSystem, H: Monoid, bound: int = 10,
         id3_subsets = subsets[:40]
         id3_scalars = rng.sample(universe, min(12, len(universe)))
         id3_points = rng.sample(universe, min(40, len(universe)))
-    w = _Window(r, universe)
+    w = _Window(r, universe,
+                [ctx.inv(c) for c in id3_scalars if c != ctx.zero])
 
     # Id2: X subset of Y_r implies X_r subset of Y_r
     id2 = ((w.mask(X), w.mask(Y), (("X", X), ("Y", Y)))

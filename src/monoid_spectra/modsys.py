@@ -5,15 +5,15 @@ falsifier for finitariness of parameterized families."""
 
 from __future__ import annotations
 
+import functools
 import itertools
-import json
 import random
 
 from .fintop import FiniteSpace, subbasis_space
-from .monoid import (INF, IntCarrier, Monoid, Overmonoid, ParseError, is_int,
-                     monoid_from_json, sort_key)
+# family_from_file lives beside the monoid readers and is also read from here
+from .monoid import (INF, Box, DeltaFamily, Monoid, Overmonoid, _copy,
+                     family_from_file, sort_key)
 from .report import Check
-
 # The members of a parameterized family that ``check_family`` rechecks and
 # ``falsify_finitary`` searches: indices 1..FAMILY_DEPTH.
 FAMILY_DEPTH = 6
@@ -24,18 +24,31 @@ class ModuleSystem:
 
     ``closure(A)`` takes a finite subset of G, checked here (CarrierMismatch
     otherwise), and returns an exact membership predicate for A_r, which
-    answers False off the carrier."""
+    answers False off the carrier.  On a carrier with boxes, ``mask(A)``
+    returns A_r's box reader, for a system given a `mask` function: it maps
+    a ``Box`` to A_r on it and INF as one int in the box's layout, or to
+    None past the mask cap."""
 
-    def __init__(self, name, context, closure):
+    def __init__(self, name, context, closure, mask=None):
         self.name = name
         self.context = context
         self._closure = closure
+        self._mask = mask
 
-    def closure(self, A):
+    def _checked(self, A):
         A = frozenset(A)
         for a in A:
             self.context.check(a)
-        return self._closure(A)
+        return A
+
+    def closure(self, A):
+        return self._closure(self._checked(A))
+
+    def mask(self, A):
+        """A_r's box reader, or None for a system read point by point."""
+        if self._mask is None or not self.context.layout:
+            return None
+        return self._mask(self._checked(A))
 
     def member(self, A, g) -> bool:
         return self.closure(A)(g)
@@ -55,29 +68,41 @@ def _nonzero(ctx, A):
                         key=sort_key))
 
 
-def _shift_or(members, xs, lo, hi):
-    """The g in lo..hi with g - a in every member S for some a in xs (sorted
-    integers), as an int with bit j for lo + j: the AND over S of the OR over
-    a of S's membership mask shifted by a."""
-    out = (1 << (hi - lo + 1)) - 1
+def _shift_or(members, cells, box):
+    """A_r on the box for the product closure of `members`, in the box's
+    layout, or None past the mask cap, where `cells` are the cells of A's
+    nonzero points: the AND over S of the OR over a of S's mask shifted by
+    a.  Each S is read once, on the box moved back by the hull of A, where
+    each a is a fixed shift.  No members give every lattice cell.  INF is
+    always in A_r."""
+    inf = 1 << box.bit(INF)
+    if not members:
+        return sum(1 << i for i, g in box.cells() if g is not None) | inf
+    if not cells:
+        return inf
+    rows, cols = zip(*cells)
+    top, right = max(rows), max(cols)
+    back = Box(box.ctx, box.x0 - top, box.y0 - right,
+               box.rows + top - min(rows), box.cols + right - min(cols))
+    shifts = [(top - x) * back.stride + right - y for x, y in cells]
+    out = -1
     for S in members:
+        m = S.span_mask(back)
+        if m is None:
+            return None
         any_a = 0
-        if xs:
-            m = S.span_mask(lo - xs[-1], hi - xs[0])
-            for a in xs:
-                any_a |= m >> (xs[-1] - a)
+        for k in shifts:
+            any_a |= m >> k
         out &= any_a
-    return out
+    return _copy(out, 0, back.stride, box.rows, box.cols, box.stride) | inf
 
 
 def product_closure(ctx, members):
     """The closure A -> intersection over S in `members` of SA, with 0: g is
     in it iff for every S some nonzero a in A has a^{-1} g in S.  Exact for
-    finite A and a finite list; an empty list gives all of G.  On the int
-    carrier each predicate carries ``span(lo, hi)``, the closure on the
-    integers lo..hi as an int bitmask."""
+    finite A and a finite list; an empty list gives all of G.  Returns the
+    closure and its box readers, as ``ModuleSystem`` takes them."""
     zero = ctx.zero
-    spans = isinstance(ctx, IntCarrier)
 
     def closure(A):
         xs = _nonzero(ctx, A)
@@ -96,11 +121,14 @@ def product_closure(ctx, members):
                     return False
             return True
 
-        if spans:
-            member.span = lambda lo, hi: _shift_or(members, xs, lo, hi)
         return member
 
-    return closure
+    def mask(A):
+        # the zero of a carrier with boxes is INF, which has no cell
+        cells = [ctx._xy(a) for a in A if a is not INF]
+        return lambda box: _shift_or(members, cells, box)
+
+    return closure, mask
 
 
 def example16(H: Monoid) -> ModuleSystem:
@@ -109,43 +137,11 @@ def example16(H: Monoid) -> ModuleSystem:
     ctx = H.context
     whole, product = product_closure(ctx, []), product_closure(ctx, [H])
 
-    def closure(A):
-        if any(a is INF or a == ctx.zero for a in A):
-            return whole(A)
-        return product(A)
+    def pick(A):
+        return whole if any(a is INF or a == ctx.zero for a in A) else product
 
-    return ModuleSystem("example16", ctx, closure)
-
-
-class DeltaFamily:
-    """Either a finite list of overmonoids or a parameterized family k -> S_k.
-
-    A parameterized family is decreasing (S_1 >= S_2 >= ...) and carries its
-    limit, the overmonoid equal to the intersection of all members; both
-    declarations are trusted for evaluation but rechecked pointwise by
-    ``check_family``."""
-
-    def __init__(self, members=None, *, member_fn=None, limit=None,
-                 name="Delta"):
-        self.members = list(members) if members is not None else None
-        self.member_fn = member_fn
-        self.limit = limit
-        self.name = name
-        if self.members is not None:
-            if not self.members:
-                raise ValueError("a Delta family must be nonempty")
-        elif member_fn is None or limit is None:
-            raise ValueError("a Delta family needs members, or a member rule "
-                             "and its limit")
-
-    @property
-    def finite(self):
-        return self.members is not None
-
-    def member(self, k) -> Overmonoid:
-        if self.finite:
-            return self.members[k]
-        return self.member_fn(k)
+    return ModuleSystem("example16", ctx, lambda A: pick(A)[0](A),
+                        lambda A: pick(A)[1](A))
 
 
 def r_delta(delta: DeltaFamily, ctx) -> ModuleSystem:
@@ -156,7 +152,7 @@ def r_delta(delta: DeltaFamily, ctx) -> ModuleSystem:
     with limit L = intersection of the S_k, is also exact, since a witness a
     for S_k works for every smaller index, so a single a must land in L."""
     mems = delta.members if delta.finite else [delta.limit]
-    return ModuleSystem(f"r_{delta.name}", ctx, product_closure(ctx, mems))
+    return ModuleSystem(f"r_{delta.name}", ctx, *product_closure(ctx, mems))
 
 
 def iota(S: Overmonoid) -> ModuleSystem:
@@ -165,8 +161,8 @@ def iota(S: Overmonoid) -> ModuleSystem:
 
 
 def meet(systems) -> ModuleSystem:
-    """Pointwise intersection of closures; the infimum for the coarser-than
-    order."""
+    """Pointwise intersection of closures, with the AND of their masks; the
+    infimum for the coarser-than order."""
     systems = list(systems)
     if not systems:
         raise ValueError("meet of an empty list")
@@ -180,8 +176,19 @@ def meet(systems) -> ModuleSystem:
 
         return member
 
+    def mask(A):
+        readers = [r.mask(A) for r in systems]
+        if None in readers:
+            return None
+
+        def read(box):
+            ms = [f(box) for f in readers]
+            return None if None in ms else functools.reduce(int.__and__, ms)
+
+        return read
+
     name = "^".join(r.name for r in systems)
-    return ModuleSystem(f"meet({name})", ctx, closure)
+    return ModuleSystem(f"meet({name})", ctx, closure, mask)
 
 
 # -- axiom checking ----------------------------------------------------------
@@ -215,25 +222,34 @@ class _Window:
     live as long as one checker call; points that leave the window go through
     the exact predicate.
 
-    A closure with a ``span`` (int carrier) is read over the integer hull
-    lo..hi of the window in one piece, and Id3 and M4 compare such spans as
-    integers; a span bit j stands for the point lo + j.  Only a difference
-    sends them back to the point loop, which finds the same witness."""
+    Where the carrier has a ``Box`` layout and the system masks, a closure is
+    read on the window's box in one piece, and Id3 and M4 compare such box
+    masks as integers.  Only a difference sends them back to the point
+    loop, which finds the same witness."""
 
-    def __init__(self, r, universe):
+    def __init__(self, r, universe, moves=()):
         self.r = r
         self.universe = universe
         self.bit = {g: 1 << i for i, g in enumerate(universe)}
-        self._preds, self._masks, self._sets = {}, {}, {}
-        ints = [g for g in universe if g is not INF]
-        self.hull = None
-        if isinstance(r.context, IntCarrier) and ints:
-            lo = min(ints)
-            self.hull = lo, max(ints)
-            # the window's int points as (span bit, window bit); None when
-            # the two agree, as on a window lo..hi followed by INF
-            bits = [(g - lo, self.bit[g]) for g in ints]
-            self._gather = (None if all(b == 1 << j for j, b in bits)
+        self._preds, self._masks, self._sets, self._reads = {}, {}, {}, {}
+        self.box = b = r.context.box(universe)
+        if b:
+            # the box around b and b moved by each of `moves`: each A_r is
+            # read on it once, and the window's box takes its stride, so a
+            # read is one shift
+            xs, ys = zip((0, 0), *map(b.ctx._xy, moves))
+            self.reach = reach = Box(b.ctx, b.x0 + min(xs), b.y0 + min(ys),
+                                     b.rows + max(xs) - min(xs),
+                                     b.cols + max(ys) - min(ys))
+            self.box = b = Box(b.ctx, b.x0, b.y0, b.rows, b.cols, reach.stride)
+            self._start = (b.x0 - reach.x0) * b.stride + b.y0 - reach.y0
+            self._cells = sum(((1 << b.cols) - 1) << i * b.stride
+                              for i in range(b.rows))
+            self._infs = reach.bit(INF), b.bit(INF)
+            # the window's points as (box bit, window bit); None when the
+            # two agree, as on a full window of the line followed by INF
+            bits = [(b.bit(g), m) for g, m in self.bit.items()]
+            self._gather = (None if all(m == 1 << j for j, m in bits)
                             else bits)
 
     def pred(self, A):
@@ -243,30 +259,42 @@ class _Window:
             p = self._preds[A] = self.r.closure(A)
         return p
 
-    def span(self, A):
-        """A_r's ``span``, or None for a closure read point by point."""
-        return getattr(self.pred(A), "span", None) if self.hull else None
+    def read(self, A, by=None):
+        """A_r on the window's box moved by `by`, one of the window's moves,
+        with A_r's INF bit (c INF = INF), in the box's layout; None where
+        A_r is read point by point: without a box or a mask, and past the
+        mask cap."""
+        if self.box is None:
+            return None
+        if A not in self._reads:
+            f = self.r.mask(A)
+            self._reads[A] = f and f(self.reach)
+        bits = self._reads[A]
+        if bits is None:
+            return None
+        start = self._start
+        if by is not None:
+            x, y = self.box.ctx._xy(by)
+            start += x * self.box.stride + y
+        inf, box_inf = self._infs
+        return bits >> start & self._cells | (bits >> inf & 1) << box_inf
 
-    def in_hull(self, points):
-        """The int points among `points` as a span mask (0 off the int
-        carrier)."""
-        if not self.hull:
-            return 0
-        return sum(1 << (g - self.hull[0]) for g in points if g is not INF)
+    def in_box(self, points):
+        """The points as a box mask (0 without a box)."""
+        return sum(1 << self.box.bit(g) for g in points) if self.box else 0
 
     def mask(self, A):
         """A_r on the window."""
         m = self._masks.get(A)
         if m is None:
-            pred, span = self.pred(A), self.span(A)
-            if span is None:
+            s = self.read(A)
+            if s is None:
+                pred = self.pred(A)
                 m = sum(b for g, b in self.bit.items() if pred(g))
+            elif self._gather is None:
+                m = s & (1 << len(self.universe)) - 1
             else:
-                m = s = span(*self.hull)
-                if self._gather is not None:
-                    m = sum(b for j, b in self._gather if s >> j & 1)
-                if INF in self.bit and pred(INF):
-                    m |= self.bit[INF]
+                m = sum(b for j, b in self._gather if s >> j & 1)
             self._masks[A] = m
         return m
 
@@ -280,14 +308,14 @@ class _Window:
     def reader(self, A):
         """Exact membership in A_r: window points from the mask, other points
         through the predicate, remembered while A is scanned."""
-        m, bit, pred, off = self.mask(A), self.bit, self.pred(A), {}
+        m, bit, off = self.mask(A), self.bit, {}
 
         def member(g):
             b = bit.get(g)
             if b is not None:
                 return m & b != 0
             if g not in off:
-                off[g] = pred(g)
+                off[g] = self.pred(A)(g)
             return off[g]
 
         return member
@@ -314,29 +342,24 @@ class _Window:
     def id3(self, subsets, scalars, points, key):
         """Id3: c A_r = (cA)_r at the points, one outcome per (A, c), with the
         left side read literally: {0} for c = 0, otherwise c^{-1} g in A_r.
-        With spans, a nonzero c is one XOR of c A_r against (cA)_r on the
-        hull."""
+        With box masks, a nonzero c is one XOR of A_r on the box moved by
+        c^{-1} against (cA)_r on the box."""
         ctx = self.r.context
-        span_pts, at_inf = self.in_hull(points), INF in points
-        lo, hi = self.hull or (0, 0)
+        box_pts = self.in_box(points)
         for A in subsets:
             member = self.reader(A)
-            span = self.span(A)
             for c in scalars:
                 cA = frozenset(ctx.op(c, a) for a in A)
-                if span is None:
+                c_inv = None if c == ctx.zero else ctx.inv(c)
+                lhs = None if c_inv is None else self.read(A, c_inv)
+                if lhs is None:
                     rhs = self.r.closure(cA)
                 else:
-                    rhs_span = self.span(cA)
-                    if (c is not INF and rhs_span is not None
-                            and not (span(lo - c, hi - c) ^ rhs_span(lo, hi))
-                            & span_pts
-                            and not (at_inf and member(INF)
-                                     != self.pred(cA)(INF))):
+                    rhs = self.read(cA)
+                    if rhs is not None and not (lhs ^ rhs) & box_pts:
                         yield None
                         continue
                     rhs = self.reader(cA)
-                c_inv = None if c == ctx.zero else ctx.inv(c)
                 yield next(({key: _names(A), "c": repr(c), "g": repr(g)}
                             for g in points
                             if (g == ctx.zero if c_inv is None
@@ -345,23 +368,32 @@ class _Window:
 
     def m4(self, subsets, translators, points):
         """M4: H A_r = A_r, one outcome per A; the inclusion A_r subset of
-        H A_r is free.  With a span, A passes when no translator h moves a
-        point of A_r at the points out of A_r (INF stays put)."""
+        H A_r is free.  With box masks, A passes when no translator h moves
+        a point of A_r at the points out of A_r (INF stays put)."""
         ctx = self.r.context
-        span_pts = self.in_hull(points)
-        lo, hi = self.hull or (0, 0)
+        box_pts = self.in_box(points)
         for A in subsets:
             member = self.reader(A)
-            span = self.span(A)
-            if span is not None:
-                inside = span(lo, hi) & span_pts
-                if not any(inside & ~span(lo + h, hi + h)
-                           for h in translators):
-                    yield None
-                    continue
+            inside = self.read(A)
+            if inside is not None and not any(
+                    inside & box_pts & ~self.read(A, h) for h in translators):
+                yield None
+                continue
             yield next(({"A": _names(A), "h": repr(h), "g": repr(g)}
                         for g in filter(member, points) for h in translators
                         if not member(ctx.op(h, g))), None)
+
+
+def closure_points(r: ModuleSystem, A, points):
+    """The points of `points` in A_r, in order: one box mask where the system
+    has them, the predicate elsewhere."""
+    box = r.context.box(points)
+    f = box and r.mask(A)
+    m = f and f(box)
+    if m is None:
+        pred = r.closure(A)
+        return [g for g in points if pred(g)]
+    return [g for g in points if m >> box.bit(g) & 1]
 
 
 def _verdicts(scans, exhaustive):
@@ -392,7 +424,7 @@ def check_module_axioms(r: ModuleSystem, H, bound: int = 4, seed: int = 0):
         id3_subsets = subsets[:40]
         scalars, points = pick(nonzero, 12), pick(universe, 40)
         m4_scalars = pick(h_members, 12)
-    w = _Window(r, universe)
+    w = _Window(r, universe, [*(ctx.inv(c) for c in scalars), *m4_scalars])
 
     # M2: A subset of B implies A_r subset of B_r
     m2 = ((w.mask(A), w.mask(B), (("A", A), ("B", B)))
@@ -552,7 +584,7 @@ def falsify_finitary(delta: DeltaFamily, ctx, bound: int = 6):
         xs.append(x)
     A = frozenset(ctx.inv(x) for x in xs)
     target = ctx.one
-    truncated = product_closure(ctx, members)
+    truncated, _ = product_closure(ctx, members)
     if not truncated(A)(target):
         return None
     F = frozenset(ctx.inv(x) for x in xs[:-1])
@@ -598,68 +630,6 @@ def embedding_checks(overmonoids, ctx, bound: int = 4) -> Check:
     return Check("iota-injective", i is None,
                  witness=None if i is None else {"S": repr(overmonoids[i])},
                  exhaustive=False, n=len(ones), bound=bound)
-
-
-# -- family description files ------------------------------------------------
-
-def _scaled_ray(ray, k):
-    """Index-k generator of an adjoin-ray family: the negative part of the ray
-    stays fixed and the positive part is scaled by k."""
-    return tuple(c if c < 0 else k * c for c in ray)
-
-
-def family_from_json(text: str):
-    """Parse a family description: {"family": "adjoin-ray", "base": ...,
-    "ray": [...], "scale": "k"}.  The base is a monoid object or an
-    "affine:x,y;x,y" shorthand.  Returns (base monoid, DeltaFamily)."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e.msg}", line=e.lineno) from e
-    if not isinstance(data, dict):
-        raise ParseError("top-level value must be an object")
-    if data.get("family") != "adjoin-ray":
-        raise ParseError("family must be 'adjoin-ray'", field="family")
-    base = data.get("base")
-    if isinstance(base, str) and base.startswith("affine:"):
-        try:
-            H = Monoid.affine([[int(c) for c in v.split(",")]
-                               for v in base[7:].split(";")])
-        except ValueError as e:
-            raise ParseError(f"bad affine shorthand: {e}", field="base") from e
-    elif isinstance(base, dict):
-        H = monoid_from_json(json.dumps(base))
-        if H.kind != "affine":
-            raise ParseError("base must be an affine monoid", field="base")
-    else:
-        raise ParseError("expected a monoid object or affine shorthand",
-                         field="base")
-    ray = data.get("ray")
-    if (not isinstance(ray, list) or len(ray) != H.dim
-            or not all(map(is_int, ray))):
-        raise ParseError(f"expected an integer vector of length {H.dim}",
-                         field="ray")
-    if data.get("scale") != "k":
-        raise ParseError("scale must be 'k'", field="scale")
-    ctx = H.context
-    # S_k adds neg + k*pos; two indices in the lattice put every index there
-    if not all(ctx.contains(_scaled_ray(ray, k)) for k in (1, 2)):
-        raise ParseError("the scaled rays must lie in the base's lattice",
-                         field="ray")
-    base_over = Overmonoid(ctx, gens=H.generators, name="base")
-
-    def member_fn(k):
-        return Overmonoid(ctx, gens=H.generators + (_scaled_ray(ray, k),),
-                          name=f"S_{k}")
-
-    delta = DeltaFamily(member_fn=member_fn, limit=base_over,
-                        name="adjoin-ray")
-    return H, delta
-
-
-def family_from_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return family_from_json(fh.read())
 
 
 def check_family(delta: DeltaFamily, ctx, bound: int = 4):

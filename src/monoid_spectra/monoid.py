@@ -79,6 +79,9 @@ class GroupoidContext:
 
     one = 0
     zero = INF
+    # whether the carrier has boxes; one that has defines _xy(g), the cell
+    # (x, y) of a point, and _at(x, y), the point at a cell or None off it
+    layout = False
 
     def contains(self, g) -> bool:
         raise NotImplementedError
@@ -103,6 +106,16 @@ class GroupoidContext:
         for nonzero elements already known to lie in the carrier."""
         raise NotImplementedError
 
+    def box(self, points):
+        """The smallest ``Box`` around the points among `points` other than
+        INF, or None: on a carrier without the layout, and for no point."""
+        cells = self.layout and [self._xy(g) for g in points if g is not INF]
+        if not cells:
+            return None
+        xs, ys = zip(*cells)
+        return Box(self, min(xs), min(ys), max(xs) - min(xs) + 1,
+                   max(ys) - min(ys) + 1)
+
     def check(self, g):
         if not self.contains(g):
             raise CarrierMismatch(f"{g!r} is not in this carrier")
@@ -110,6 +123,8 @@ class GroupoidContext:
 
 class IntCarrier(GroupoidContext):
     """Z plus INF, the groupoid of a numerical monoid."""
+
+    layout = True
 
     def contains(self, g) -> bool:
         return g is INF or is_int(g)
@@ -129,6 +144,12 @@ class IntCarrier(GroupoidContext):
 
     def submonoid(self, gens):
         return intgeom.submonoid_1d([g for g in gens if g is not INF])
+
+    def _xy(self, g):
+        return 0, g
+
+    def _at(self, x, y):
+        return y
 
 
 # Most HNF answers one lattice carrier remembers; a full memo keeps the
@@ -150,6 +171,7 @@ class LatticeCarrier(GroupoidContext):
         self.dim = dim
         self.basis = intgeom.hnf_rows(vectors)
         self.one = (0,) * dim
+        self.layout = dim <= 2
         self._memo = {}
 
     def contains(self, g) -> bool:
@@ -184,6 +206,71 @@ class LatticeCarrier(GroupoidContext):
     def submonoid(self, gens):
         gens = tuple(g for g in gens if g is not INF)
         return lambda g: intgeom.monoid_contains(gens, g)
+
+    def _xy(self, g):
+        return (0, g[0]) if self.dim == 1 else g
+
+    def _at(self, x, y):
+        p = (y,) if self.dim == 1 else (x, y)
+        return p if self._in_lattice(p) else None
+
+
+# Most cells one overmonoid's mask may hold; a larger box reads pointwise
+MAX_SPAN_BITS = 1 << 12
+
+
+def _copy(bits, start, stride, rows, cols, new_stride):
+    """`rows` rows of `cols` bits, `stride` apart from bit `start` on, packed
+    `new_stride` apart from bit 0."""
+    row, out = (1 << cols) - 1, 0
+    if rows == 1:
+        return bits >> start & row
+    for i in range(rows):
+        out |= (bits >> (start + i * stride) & row) << i * new_stride
+    return out
+
+
+class Box:
+    """The one bit layout of the additive carriers: a rectangle of cells
+    (x, y), row x after row x, with cell (x, y) at bit
+    (x - x0) * stride + (y - y0).  An integer g and a vector (g,) are the
+    cell (0, g), a plane vector is its own cell, and the absorbing zero INF
+    takes the bit after the last cell.  A stride past `cols` leaves unused
+    bits at the end of each row, so moving a box by a vector is one fixed
+    shift that never carries a row into the next."""
+
+    __slots__ = ("ctx", "x0", "y0", "rows", "cols", "stride")
+
+    def __init__(self, ctx, x0, y0, rows, cols, stride=None):
+        self.ctx, self.x0, self.y0 = ctx, x0, y0
+        self.rows, self.cols = rows, cols
+        self.stride = cols if stride is None else stride
+
+    def bit(self, g):
+        """The bit of INF or of a carrier point inside the box."""
+        if g is INF:
+            return (self.rows - 1) * self.stride + self.cols
+        x, y = self.ctx._xy(g)
+        return (x - self.x0) * self.stride + y - self.y0
+
+    def hull(self, other):
+        """The smallest box around both, in its own layout."""
+        x0, y0 = min(self.x0, other.x0), min(self.y0, other.y0)
+        return Box(self.ctx, x0, y0,
+                   max(self.x0 + self.rows, other.x0 + other.rows) - x0,
+                   max(self.y0 + self.cols, other.y0 + other.cols) - y0)
+
+    def cells(self, skip=None):
+        """(bit, carrier point) of every cell outside the box `skip`; the
+        point is None at a cell off the carrier's lattice."""
+        at = self.ctx._at
+        for i in range(self.rows):
+            x = self.x0 + i
+            inside = skip is not None and skip.x0 <= x < skip.x0 + skip.rows
+            for j in range(self.cols):
+                y = self.y0 + j
+                if not (inside and skip.y0 <= y < skip.y0 + skip.cols):
+                    yield i * self.stride + j, at(x, y)
 
 
 class FiniteCarrier(GroupoidContext):
@@ -252,13 +339,13 @@ class Overmonoid:
 
     Backed either by a generator list (membership derived exactly by the
     carrier) or by a closed-form membership rule, which is only asked about
-    nonzero elements of G; the predicate is fixed here, once.  On the int
-    carrier ``span_mask`` reads membership on a range of integers as one int
-    bitmask; each object keeps one mask, grown to the union of the ranges
-    asked for (and 0), so its size follows the widest range any caller
-    reads."""
+    nonzero elements of G; the predicate is fixed here, once.  On a carrier
+    with boxes ``span_mask`` reads membership on a ``Box`` as one int
+    bitmask; each object keeps one mask, grown to the hull of the boxes
+    asked for, and reads a box whose hull would pass MAX_SPAN_BITS cells
+    pointwise."""
 
-    _span = (0, -1, 0)  # lo, hi and the mask of the range read so far
+    _span = None  # the box read so far and its mask
 
     def __init__(self, context, gens=None, rule=None, name=""):
         if gens is None and rule is None:
@@ -278,19 +365,26 @@ class Overmonoid:
         """Membership of an element already known to lie in the carrier."""
         return g is INF or g == self.context.zero or bool(self._member(g))
 
-    def span_mask(self, lo, hi):
-        """The members among lo..hi: bit j is set when lo + j is one."""
-        m_lo, m_hi, bits = self._span
-        if lo < m_lo or hi > m_hi:
-            new_lo, new_hi = min(lo, m_lo), max(hi, m_hi)
-            bits <<= m_lo - new_lo
-            for g in itertools.chain(range(new_lo, m_lo),
-                                     range(m_hi + 1, new_hi + 1)):
-                if self.has(g):
-                    bits |= 1 << (g - new_lo)
-            m_lo, m_hi = new_lo, new_hi
-            self._span = m_lo, m_hi, bits
-        return bits >> (lo - m_lo) & ((1 << (hi - lo + 1)) - 1)
+    def span_mask(self, box):
+        """The members on `box`, in its layout, or None past the cap; a
+        cell off the lattice is no member, and each member is asked once."""
+        c, bits = self._span or (None, 0)
+        if not (c and c.x0 <= box.x0 and c.y0 <= box.y0
+                and box.x0 + box.rows <= c.x0 + c.rows
+                and box.y0 + box.cols <= c.y0 + c.cols):
+            new = (c or box).hull(box)
+            if new.rows * new.cols > MAX_SPAN_BITS:
+                return None
+            if c:  # the cells read so far, in the new layout
+                at = (c.x0 - new.x0) * new.stride + c.y0 - new.y0
+                bits = _copy(bits, 0, c.stride, c.rows, c.cols,
+                             new.stride) << at
+            for i, g in new.cells(skip=c):
+                if g is not None and self.has(g):
+                    bits |= 1 << i
+            self._span = c, bits = new, bits
+        return _copy(bits, (box.x0 - c.x0) * c.stride + box.y0 - c.y0,
+                     c.stride, box.rows, box.cols, box.stride)
 
     def units_window(self, bound: int) -> list:
         ctx = self.context
@@ -407,7 +501,38 @@ def fraction_ideal(H: Monoid, x):
     return member
 
 
-# -- JSON description files ------------------------------------------------
+class DeltaFamily:
+    """Either a finite list of overmonoids or a parameterized family k -> S_k.
+
+    A parameterized family is decreasing (S_1 >= S_2 >= ...) and carries its
+    limit, the overmonoid equal to the intersection of all members; both
+    declarations are trusted for evaluation but rechecked pointwise by
+    ``modsys.check_family``."""
+
+    def __init__(self, members=None, *, member_fn=None, limit=None,
+                 name="Delta"):
+        self.members = list(members) if members is not None else None
+        self.member_fn = member_fn
+        self.limit = limit
+        self.name = name
+        if self.members is not None:
+            if not self.members:
+                raise ValueError("a Delta family must be nonempty")
+        elif member_fn is None or limit is None:
+            raise ValueError("a Delta family needs members, or a member rule "
+                             "and its limit")
+
+    @property
+    def finite(self):
+        return self.members is not None
+
+    def member(self, k) -> Overmonoid:
+        if self.finite:
+            return self.members[k]
+        return self.member_fn(k)
+
+
+# -- JSON description files: monoids and families ---------------------------
 
 def _numerical_from(data):
     gens = data.get("generators")
@@ -474,3 +599,63 @@ def monoid_from_json(text: str) -> Monoid:
 def monoid_from_file(path) -> Monoid:
     with open(path, "r", encoding="utf-8") as fh:
         return monoid_from_json(fh.read())
+
+
+def _scaled_ray(ray, k):
+    """Index-k generator of an adjoin-ray family: the negative part of the ray
+    stays fixed and the positive part is scaled by k."""
+    return tuple(c if c < 0 else k * c for c in ray)
+
+
+def family_from_json(text: str):
+    """Parse a family description: {"family": "adjoin-ray", "base": ...,
+    "ray": [...], "scale": "k"}.  The base is a monoid object or an
+    "affine:x,y;x,y" shorthand.  Returns (base monoid, DeltaFamily)."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid JSON: {e.msg}", line=e.lineno) from e
+    if not isinstance(data, dict):
+        raise ParseError("top-level value must be an object")
+    if data.get("family") != "adjoin-ray":
+        raise ParseError("family must be 'adjoin-ray'", field="family")
+    base = data.get("base")
+    if isinstance(base, str) and base.startswith("affine:"):
+        try:
+            H = Monoid.affine([[int(c) for c in v.split(",")]
+                               for v in base[7:].split(";")])
+        except ValueError as e:
+            raise ParseError(f"bad affine shorthand: {e}", field="base") from e
+    elif isinstance(base, dict):
+        H = monoid_from_json(json.dumps(base))
+        if H.kind != "affine":
+            raise ParseError("base must be an affine monoid", field="base")
+    else:
+        raise ParseError("expected a monoid object or affine shorthand",
+                         field="base")
+    ray = data.get("ray")
+    if (not isinstance(ray, list) or len(ray) != H.dim
+            or not all(map(is_int, ray))):
+        raise ParseError(f"expected an integer vector of length {H.dim}",
+                         field="ray")
+    if data.get("scale") != "k":
+        raise ParseError("scale must be 'k'", field="scale")
+    ctx = H.context
+    # S_k adds neg + k*pos; two indices in the lattice put every index there
+    if not all(ctx.contains(_scaled_ray(ray, k)) for k in (1, 2)):
+        raise ParseError("the scaled rays must lie in the base's lattice",
+                         field="ray")
+    base_over = Overmonoid(ctx, gens=H.generators, name="base")
+
+    def member_fn(k):
+        return Overmonoid(ctx, gens=H.generators + (_scaled_ray(ray, k),),
+                          name=f"S_{k}")
+
+    delta = DeltaFamily(member_fn=member_fn, limit=base_over,
+                        name="adjoin-ray")
+    return H, delta
+
+
+def family_from_file(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return family_from_json(fh.read())

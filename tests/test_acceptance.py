@@ -15,9 +15,10 @@ from monoid_spectra.modsys import (DeltaFamily, check_id2,
                                    check_idempotent, check_module_axioms,
                                    embedding_checks, example16,
                                    extract_finite_witness, falsify_finitary,
-                                   family_from_json, iota, is_finitary, meet,
+                                   iota, is_finitary, meet,
                                    meet_finite_witness, r_delta)
-from monoid_spectra.monoid import Monoid, Overmonoid, localize
+from monoid_spectra.monoid import (Monoid, Overmonoid, family_from_json,
+                                   localize)
 from monoid_spectra.valuation import (delta, delta_laws,
                                       enumerate_overmonoids, enumerate_zar,
                                       is_s_pruefer, overmonoid_space)
