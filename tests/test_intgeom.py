@@ -280,3 +280,20 @@ def test_cone_shapes():
     for gens, faces in shapes.items():
         assert faces_2d(gens) == faces, gens
         assert faces_2d([list(g) for g in gens]) == faces, gens
+
+
+def test_faces_of_quadrant():
+    faces = faces_2d(((1, 0), (0, 1)))
+    as_sets = {frozenset(f) for f in faces}
+    assert as_sets == {
+        frozenset({(1, 0), (0, 1)}),
+        frozenset({(1, 0)}),
+        frozenset({(0, 1)}),
+        frozenset(),
+    }
+
+
+def test_faces_of_halfplane():
+    faces = faces_2d(((1, 0), (-1, 0), (0, 1)))
+    assert len(faces) == 2  # the whole cone and its boundary line face
+    assert frozenset({(1, 0), (-1, 0)}) in {frozenset(f) for f in faces}
