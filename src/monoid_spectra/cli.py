@@ -9,6 +9,7 @@ realization is unsupported for the suite or the input is past a size guard.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -209,8 +210,8 @@ def suite_main1(H, bound, seed):
     ctx = H.context
     overs = _curated_overmonoids(H, bound)
     systems = [*map(iota, overs), example16(H)]
-    for r in systems:
-        checks = check_module_axioms(r, H, bound=bound, seed=seed)
+    for r, checks in zip(systems, check_module_axioms(systems, H,
+                                                      bound=bound, seed=seed)):
         for c in checks:
             c.name = f"{r.name}:{c.name}"
         rep.extend(checks, prefix="AXIOM")
@@ -376,7 +377,10 @@ def run_suite(suite, H, *, bound, seed, family=None):
     return fn(H, bound, seed)
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The command line parser, built on the first ``main`` call and kept
+    for the process: building it costs several times a parse."""
     parser = argparse.ArgumentParser(
         prog="monoid-spectra",
         description="verification suites for monoid spectra")
@@ -391,7 +395,11 @@ def main(argv=None):
     v.add_argument("--dot", help="write a DOT drawing to this path")
     v.add_argument("--json", action="store_true",
                    help="emit the report as JSON")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
 
     try:
         seed = args.seed if args.seed is not None else int(

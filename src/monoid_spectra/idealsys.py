@@ -8,9 +8,9 @@ import random
 from .errors import UnsupportedRealization
 from .fintop import FiniteSpace, subbasis_space
 from .intgeom import faces_2d
-from .modsys import (ModuleSystem, _sample_subsets, _verdicts, _Window,
-                     product_closure)
+from .modsys import ModuleSystem, product_closure
 from .monoid import Monoid, sort_key
+from .window import _sample_subsets, _verdicts, _Window
 
 # Most ideals `enumerate_ideals` lists before it gives up.
 MAX_IDEALS = 10_000
@@ -198,8 +198,8 @@ def check_ideal_axioms(r: IdealSystem, H: Monoid, bound: int = 10,
         id3_subsets = subsets[:40]
         id3_scalars = rng.sample(universe, min(12, len(universe)))
         id3_points = rng.sample(universe, min(40, len(universe)))
-    w = _Window(r, universe,
-                [ctx.inv(c) for c in id3_scalars if c != ctx.zero])
+    w = _Window(ctx, universe,
+                [ctx.inv(c) for c in id3_scalars if c != ctx.zero]).on(r)
 
     # Id2: X subset of Y_r implies X_r subset of Y_r
     id2 = ((w.mask(X), w.mask(Y), (("X", X), ("Y", Y)))

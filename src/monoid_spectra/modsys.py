@@ -11,9 +11,10 @@ import random
 
 from .fintop import FiniteSpace, subbasis_space
 # family_from_file lives beside the monoid readers and is also read from here
-from .monoid import (INF, Box, DeltaFamily, Monoid, Overmonoid, _copy,
-                     family_from_file, sort_key)
+from .monoid import (INF, Box, CarrierMismatch, DeltaFamily, Monoid,
+                     Overmonoid, _copy, family_from_file, sort_key)
 from .report import Check
+from .window import _sample_subsets, _subsets, _verdicts, _Window
 # The members of a parameterized family that ``check_family`` rechecks and
 # ``falsify_finitary`` searches: indices 1..FAMILY_DEPTH.
 FAMILY_DEPTH = 6
@@ -193,197 +194,6 @@ def meet(systems) -> ModuleSystem:
 
 # -- axiom checking ----------------------------------------------------------
 
-def _subsets(xs, sizes):
-    return [frozenset(c) for n in sizes for c in itertools.combinations(xs, n)]
-
-
-def _sample_subsets(universe, *, exhaustive_limit=12, max_subset_size=3,
-                    sample_budget=300, seed=0):
-    """All subsets of up to `max_subset_size` points of a universe of at most
-    `exhaustive_limit` points; otherwise the empty set and `sample_budget`
-    seeded draws, without repeats."""
-    if len(universe) <= exhaustive_limit:
-        return _subsets(universe, range(max_subset_size + 1)), True
-    rng = random.Random(seed)
-    subs = [frozenset()]
-    for _ in range(sample_budget):
-        n = rng.randint(1, max_subset_size)
-        subs.append(frozenset(rng.sample(universe, min(n, len(universe)))))
-    return list(dict.fromkeys(subs)), False
-
-
-def _names(A):
-    return sorted(map(repr, A))
-
-
-class _Window:
-    """The closures of one system on a window, each read once as an int
-    bitmask (bit i <-> universe[i]), as in ``fintop.FiniteSpace``.  The masks
-    live as long as one checker call; points that leave the window go through
-    the exact predicate.
-
-    Where the carrier has a ``Box`` layout and the system masks, a closure is
-    read on the window's box in one piece, and Id3 and M4 compare such box
-    masks as integers.  Only a difference sends them back to the point
-    loop, which finds the same witness."""
-
-    def __init__(self, r, universe, moves=()):
-        self.r = r
-        self.universe = universe
-        self.bit = {g: 1 << i for i, g in enumerate(universe)}
-        self._preds, self._masks, self._sets, self._reads = {}, {}, {}, {}
-        self.box = b = r.context.box(universe)
-        if b:
-            # the box around b and b moved by each of `moves`: each A_r is
-            # read on it once, and the window's box takes its stride, so a
-            # read is one shift
-            xs, ys = zip((0, 0), *map(b.ctx._xy, moves))
-            self.reach = reach = Box(b.ctx, b.x0 + min(xs), b.y0 + min(ys),
-                                     b.rows + max(xs) - min(xs),
-                                     b.cols + max(ys) - min(ys))
-            self.box = b = Box(b.ctx, b.x0, b.y0, b.rows, b.cols, reach.stride)
-            self._start = (b.x0 - reach.x0) * b.stride + b.y0 - reach.y0
-            self._cells = sum(((1 << b.cols) - 1) << i * b.stride
-                              for i in range(b.rows))
-            self._infs = reach.bit(INF), b.bit(INF)
-            # the window's points as (box bit, window bit); None when the
-            # two agree, as on a full window of the line followed by INF
-            bits = [(b.bit(g), m) for g, m in self.bit.items()]
-            self._gather = (None if all(m == 1 << j for j, m in bits)
-                            else bits)
-
-    def pred(self, A):
-        """The exact predicate of A_r."""
-        p = self._preds.get(A)
-        if p is None:
-            p = self._preds[A] = self.r.closure(A)
-        return p
-
-    def read(self, A, by=None):
-        """A_r on the window's box moved by `by`, one of the window's moves,
-        with A_r's INF bit (c INF = INF), in the box's layout; None where
-        A_r is read point by point: without a box or a mask, and past the
-        mask cap."""
-        if self.box is None:
-            return None
-        if A not in self._reads:
-            f = self.r.mask(A)
-            self._reads[A] = f and f(self.reach)
-        bits = self._reads[A]
-        if bits is None:
-            return None
-        start = self._start
-        if by is not None:
-            x, y = self.box.ctx._xy(by)
-            start += x * self.box.stride + y
-        inf, box_inf = self._infs
-        return bits >> start & self._cells | (bits >> inf & 1) << box_inf
-
-    def in_box(self, points):
-        """The points as a box mask (0 without a box)."""
-        return sum(1 << self.box.bit(g) for g in points) if self.box else 0
-
-    def mask(self, A):
-        """A_r on the window."""
-        m = self._masks.get(A)
-        if m is None:
-            s = self.read(A)
-            if s is None:
-                pred = self.pred(A)
-                m = sum(b for g, b in self.bit.items() if pred(g))
-            elif self._gather is None:
-                m = s & (1 << len(self.universe)) - 1
-            else:
-                m = sum(b for j, b in self._gather if s >> j & 1)
-            self._masks[A] = m
-        return m
-
-    def of(self, X):
-        """The window set X itself."""
-        m = self._sets.get(X)
-        if m is None:
-            m = self._sets[X] = sum(self.bit[g] for g in X)
-        return m
-
-    def reader(self, A):
-        """Exact membership in A_r: window points from the mask, other points
-        through the predicate, remembered while A is scanned."""
-        m, bit, off = self.mask(A), self.bit, {}
-
-        def member(g):
-            b = bit.get(g)
-            if b is not None:
-                return m & b != 0
-            if g not in off:
-                off[g] = self.pred(A)(g)
-            return off[g]
-
-        return member
-
-    def escape(self, item):
-        """The inclusion test of one (inner, outer, named sets): a window
-        point of `inner` outside `outer`, the first in window order, or
-        None."""
-        inner, outer, named = item
-        bad = inner & ~outer
-        if bad:
-            g = self.universe[(bad & -bad).bit_length() - 1]
-            return {**{k: _names(A) for k, A in named}, "g": repr(g)}
-        return None
-
-    def id1(self, subsets, key):
-        """Id1: A u {0} inside A_r, one outcome per A."""
-        zero = self.r.context.zero
-        for A in subsets:
-            m = self.mask(A)
-            yield next(({key: _names(A), "g": repr(g)} for g in [*A, zero]
-                        if not m & self.bit[g]), None)
-
-    def id3(self, subsets, scalars, points, key):
-        """Id3: c A_r = (cA)_r at the points, one outcome per (A, c), with the
-        left side read literally: {0} for c = 0, otherwise c^{-1} g in A_r.
-        With box masks, a nonzero c is one XOR of A_r on the box moved by
-        c^{-1} against (cA)_r on the box."""
-        ctx = self.r.context
-        box_pts = self.in_box(points)
-        for A in subsets:
-            member = self.reader(A)
-            for c in scalars:
-                cA = frozenset(ctx.op(c, a) for a in A)
-                c_inv = None if c == ctx.zero else ctx.inv(c)
-                lhs = None if c_inv is None else self.read(A, c_inv)
-                if lhs is None:
-                    rhs = self.r.closure(cA)
-                else:
-                    rhs = self.read(cA)
-                    if rhs is not None and not (lhs ^ rhs) & box_pts:
-                        yield None
-                        continue
-                    rhs = self.reader(cA)
-                yield next(({key: _names(A), "c": repr(c), "g": repr(g)}
-                            for g in points
-                            if (g == ctx.zero if c_inv is None
-                                else member(ctx.op(c_inv, g))) != rhs(g)),
-                           None)
-
-    def m4(self, subsets, translators, points):
-        """M4: H A_r = A_r, one outcome per A; the inclusion A_r subset of
-        H A_r is free.  With box masks, A passes when no translator h moves
-        a point of A_r at the points out of A_r (INF stays put)."""
-        ctx = self.r.context
-        box_pts = self.in_box(points)
-        for A in subsets:
-            member = self.reader(A)
-            inside = self.read(A)
-            if inside is not None and not any(
-                    inside & box_pts & ~self.read(A, h) for h in translators):
-                yield None
-                continue
-            yield next(({"A": _names(A), "h": repr(h), "g": repr(g)}
-                        for g in filter(member, points) for h in translators
-                        if not member(ctx.op(h, g))), None)
-
-
 def closure_points(r: ModuleSystem, A, points):
     """The points of `points` in A_r, in order: one box mask where the system
     has them, the predicate elsewhere."""
@@ -396,17 +206,22 @@ def closure_points(r: ModuleSystem, A, points):
     return [g for g in points if m >> box.bit(g) & 1]
 
 
-def _verdicts(scans, exhaustive):
-    return [Check.scan(name, outcomes, exhaustive=exhaustive)
-            for name, outcomes in scans]
+def check_module_axioms(systems, H, bound: int = 4, seed: int = 0):
+    """Id1 / M2 / Id3 / M4 verdicts on windowed data, one list of verdicts
+    per system of `systems`.  Subsets range over the G-window (not only H),
+    since module systems act on the groupoid: all subsets of up to 3 points
+    of a window of at most 12, 300 seeded draws otherwise.
 
-
-def check_module_axioms(r: ModuleSystem, H, bound: int = 4, seed: int = 0):
-    """Id1 / M2 / Id3 / M4 verdicts on windowed data.  Subsets range over the
-    G-window (not only H), since module systems act on the groupoid: all
-    subsets of up to 3 points of a window of at most 12, 300 seeded draws
-    otherwise."""
-    ctx = r.context
+    Input is validated here, at the boundary: every system must live on H's
+    carrier (CarrierMismatch otherwise), and the window's points are checked
+    on it once.  What no system changes is planned once per call and
+    dropped on return: the subset draw, the comparable M2 pairs, the Id3
+    scalars, points and images cA, the M4 translators, and the box every
+    mask is read on.  Window sets and their images reach each system's mask
+    unchecked; its exact predicates still come from ``closure``."""
+    ctx = H.context
+    if any(r.context is not ctx for r in systems):
+        raise CarrierMismatch("a module system off H's carrier")
     universe = ctx.window(bound)
     nonzero = [g for g in universe if g != ctx.zero]
     h_members = [g for g in nonzero if H.contains(g)]
@@ -424,15 +239,19 @@ def check_module_axioms(r: ModuleSystem, H, bound: int = 4, seed: int = 0):
         id3_subsets = subsets[:40]
         scalars, points = pick(nonzero, 12), pick(universe, 40)
         m4_scalars = pick(h_members, 12)
-    w = _Window(r, universe, [*(ctx.inv(c) for c in scalars), *m4_scalars])
-
+    plan = _Window(ctx, universe, [*map(ctx.inv, scalars), *m4_scalars])
     # M2: A subset of B implies A_r subset of B_r
-    m2 = ((w.mask(A), w.mask(B), (("A", A), ("B", B)))
-          for A in subsets for B in subsets if A < B)
-    return _verdicts([("Id1", w.id1(subsets, "A")),
-                      ("M2", map(w.escape, m2)),
-                      ("Id3", w.id3(id3_subsets, scalars, points, "A")),
-                      ("M4", w.m4(subsets, m4_scalars, points))], exhaustive)
+    pairs = [(A, B) for A in subsets for B in subsets if A < B]
+
+    def verdicts(w):
+        m2 = ((w.mask(A), w.mask(B), (("A", A), ("B", B))) for A, B in pairs)
+        return _verdicts([("Id1", w.id1(subsets, "A")),
+                          ("M2", map(w.escape, m2)),
+                          ("Id3", w.id3(id3_subsets, scalars, points, "A")),
+                          ("M4", w.m4(subsets, m4_scalars, points))],
+                         exhaustive)
+
+    return [verdicts(plan.on(r)) for r in systems]
 
 
 def check_id2(r: ModuleSystem, bound: int = 4, sample_budget: int = 200,
@@ -442,7 +261,7 @@ def check_id2(r: ModuleSystem, bound: int = 4, sample_budget: int = 200,
     universe = r.context.window(bound)
     subsets, exhaustive = _sample_subsets(
         universe, max_subset_size=2, sample_budget=sample_budget, seed=seed)
-    w = _Window(r, universe)
+    w = _Window(r.context, universe).on(r)
     return Check.scan("Id2", map(w.escape,
                                  ((w.mask(A), w.mask(B), (("A", A), ("B", B)))
                                   for B in subsets for A in subsets
@@ -459,7 +278,7 @@ def check_idempotent(r: ModuleSystem, bound: int = 4, sample_budget: int = 200,
     universe = r.context.window(bound)
     subsets, _ = _sample_subsets(universe, max_subset_size=2,
                                  sample_budget=sample_budget, seed=seed)
-    w = _Window(r, universe)
+    w = _Window(r.context, universe).on(r)
 
     def pairs():
         for A in subsets:
@@ -478,7 +297,7 @@ def is_finitary(r: ModuleSystem, bound: int = 4, sample_budget: int = 200,
     universe = r.context.window(bound)
     subsets, _ = _sample_subsets(universe, sample_budget=sample_budget,
                                  seed=seed)
-    w = _Window(r, universe)
+    w = _Window(r.context, universe).on(r)
 
     def pairs():
         for A in subsets:

@@ -199,7 +199,7 @@ def test_7_module_system_constructions():
     systems = [iota(N), iota(Z), r_delta(DeltaFamily([N, Z], name="NZ"), ctx),
                example16(H)]
     for r in systems:
-        checks = check_module_axioms(r, H, bound=4)
+        checks = check_module_axioms([r], H, bound=4)[0]
         assert all(c.ok for c in checks), \
             (r.name, [(c.name, c.witness) for c in checks])
     # the one construction designed to break Id2 does, with the closure of

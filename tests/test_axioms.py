@@ -43,7 +43,7 @@ def depends_on_size(X):
 def test_checks_of_broken_closures_are_pinned(closure, bound):
     r = IdealSystem(closure.__name__, H, closure)
     checks = (check_ideal_axioms(r, H, bound=bound)
-              + check_module_axioms(r, H, bound=bound)
+              + check_module_axioms([r], H, bound=bound)[0]
               + [check_id2(r, bound=bound), check_idempotent(r, bound=bound),
                  is_finitary(r, bound=bound)])
     assert ([c.to_dict() for c in checks]

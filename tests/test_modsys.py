@@ -62,7 +62,7 @@ def test_example16_values():
 def test_example16_satisfies_all_but_id2():
     H = n23()
     r = example16(H)
-    checks = check_module_axioms(r, H, bound=4)
+    checks = check_module_axioms([r], H, bound=4)[0]
     assert all(c.ok for c in checks), [(c.name, c.witness) for c in checks]
     id2 = check_id2(r, bound=4)
     assert not id2.ok
@@ -110,7 +110,7 @@ def test_iota_and_module_axioms():
     H = n23()
     for S in (overmonoid_N(H), overmonoid_Z(H)):
         r = iota(S)
-        checks = check_module_axioms(r, H, bound=4)
+        checks = check_module_axioms([r], H, bound=4)[0]
         assert all(c.ok for c in checks), [(c.name, c.witness) for c in checks]
 
 
@@ -333,6 +333,48 @@ def test_closures_validate_a_and_g_at_their_boundary(H, off, inside):
             extract_finite_witness(delta, ctx, {ctx.one}, a)
         with pytest.raises(CarrierMismatch):
             extract_finite_witness(delta, ctx, {ctx.one, a}, ctx.one)
+
+
+def axiom_systems(H, bound):
+    """main1's systems, the s-system, and iota of a monoid that misses H,
+    on which M4 fails."""
+    thin = Overmonoid(H.context, gens=H.generators[-1:], name="thin")
+    return [s_system(H), *map(iota, cli._curated_overmonoids(H, bound)),
+            example16(H), iota(thin)]
+
+
+@pytest.mark.parametrize("name, bound", [("n23", 4), ("c3z", 4), ("n2", 4),
+                                         ("nxz", 4), ("n579", 10)])
+def test_one_plan_gives_each_system_its_own_verdicts(name, bound):
+    # n579 at bound 10 has a window of 22 points: the sampled path
+    H = monoid_from_file(os.path.join(DATA, name + ".json"))
+    systems = axiom_systems(H, bound)
+
+    def lines(rs, seed):
+        return [[c.to_dict() for c in checks] for checks in
+                check_module_axioms(rs, H, bound=bound, seed=seed)]
+
+    alone = {seed: [line for r in systems for line in lines([r], seed)]
+             for seed in (0, 1)}
+    # seed 1 first: nothing of one call reaches the next
+    assert lines(systems, 1) == alone[1]
+    assert lines(systems, 0) == alone[0]
+    assert any(not c["verdict"].endswith("PASS") for c in alone[0][-1])
+
+
+def test_module_checks_refuse_systems_off_h_carrier():
+    H = n23()
+    other = Monoid.numerical([2, 3])
+    plane = Monoid.affine([(1, 0), (0, 1)])
+    for stray in (iota(as_overmonoid(other)), example16(plane)):
+        with pytest.raises(CarrierMismatch):
+            check_module_axioms([iota(overmonoid_N(H)), stray], H)
+    # the plan checks the window; the closures still check their A
+    for K, a in ((H, 2.0), (plane, (1, 0, 0))):
+        r = iota(as_overmonoid(K))
+        for read in (r.closure, r.mask):
+            with pytest.raises(CarrierMismatch):
+                read({K.context.one, a})
 
 
 def test_t0_witnesses_are_the_first_separating_pool_sets():

@@ -221,7 +221,7 @@ def broken(H):
 def same_checks(r, H, bound):
     """The checkers give the same lines with masks and point by point."""
     def lines(r):
-        checks = check_module_axioms(r, H, bound=bound) + [
+        checks = check_module_axioms([r], H, bound=bound)[0] + [
             check_id2(r, bound=bound), check_idempotent(r, bound=bound),
             is_finitary(r, bound=bound)]
         if isinstance(r, IdealSystem):
@@ -245,10 +245,12 @@ def test_checkers_agree_with_spans_hidden(name, bound):
     systems = ideal_systems + [
         example16(H), iota(thin),
         r_delta(DeltaFamily(overs[1:3] + overs[-1:]), H.context)]
-    for r in systems:
-        assert ([c.to_dict() for c in check_module_axioms(r, H, bound=bound)]
-                == [c.to_dict() for c in
-                    check_module_axioms(hidden(r), H, bound=bound)]), r
+    masked = check_module_axioms(systems, H, bound=bound)
+    pointwise = check_module_axioms(list(map(hidden, systems)), H,
+                                    bound=bound)
+    for r, checks, expected in zip(systems, masked, pointwise):
+        assert ([c.to_dict() for c in checks]
+                == [c.to_dict() for c in expected]), r
     for r in ideal_systems:
         assert ([c.to_dict() for c in check_ideal_axioms(r, H, bound=bound)]
                 == [c.to_dict() for c in
@@ -295,8 +297,8 @@ def test_passing_systems_never_reach_the_point_loops(monkeypatch):
         for r in (s_system(H), iota(overs[-1]), iota(overs[1])):
             readers.clear()
             reads.clear()
-            checks = {c.name: c for c in check_module_axioms(r, H,
-                                                              bound=bound)}
+            checks = {c.name: c for c in check_module_axioms(
+                [r], H, bound=bound)[0]}
             assert all(c.ok and c.exhaustive for c in checks.values())
             assert len(readers) == 2 * checks["M4"].n
             assert reads == []
