@@ -21,7 +21,7 @@ from .idealsys import (check_ideal_axioms, enumerate_ideals, enumerate_primes,
                        spec_subbasis)
 from .modsys import (FAMILY_DEPTH, DeltaFamily, SystemSpace, check_family,
                      check_id2, check_idempotent, check_module_axioms,
-                     closure_points, example16, extract_finite_witness,
+                     example16, extract_finite_witness,
                      falsify_finitary, family_from_file, embedding_checks,
                      iota, is_finitary, meet, meet_finite_witness, r_delta,
                      separating_points, small_sample)
@@ -30,6 +30,7 @@ from .report import INFO, Check, SuiteReport
 from .valuation import (b_complement_law, delta, delta_dot, delta_laws,
                         enumerate_overmonoids, enumerate_zar, is_s_pruefer,
                         is_valuation, overmonoid_space)
+from .window import _Window
 
 SUITES = ("axioms", "spec", "ideals", "zar", "pruefer", "pronconst",
           "main1", "main2", "prop1", "prop2", "corollaries")
@@ -102,6 +103,13 @@ def _trials(name, trial, quota, attempts, bound):
     return Check(name, False, witness={"instances": done,
                                        "attempts": attempts},
                  exhaustive=False, n=done, bound=bound)
+
+
+def _hits(w, r, A):
+    """The points of the window `w` in A_r, in window order, from one mask
+    read; the trials draw A from the window, checked there once."""
+    m = w.on(r).mask(A)
+    return [g for i, g in enumerate(w.universe) if m >> i & 1]
 
 
 # -- suites -------------------------------------------------------------------
@@ -271,13 +279,14 @@ def suite_main2(H, family, bound, seed):
     overs = _curated_overmonoids(H, bound)
     rng = random.Random(seed)
     g_window = ctx.nonzero_window(min(bound, 4))
+    w = _Window(ctx, g_window)
 
     def trial():
         members = rng.sample(overs, rng.randint(1, len(overs)))
         delta_fam = DeltaFamily(members, name="sample")
         r = r_delta(delta_fam, ctx)
         A = small_sample(rng, g_window)
-        hits = closure_points(r, A, g_window)
+        hits = _hits(w, r, A)
         if not hits:
             return None
         x = rng.choice(hits)
@@ -319,12 +328,13 @@ def suite_prop2(H, bound, seed):
     systems = [iota(S) for S in overs]
     rng = random.Random(seed)
     g_window = ctx.nonzero_window(min(bound, 4))
+    w = _Window(ctx, g_window)
 
     def trial():
         tau = rng.sample(systems, rng.randint(1, len(systems)))
         wedge = meet(tau)
         A = small_sample(rng, g_window)
-        hits = closure_points(wedge, A, g_window)
+        hits = _hits(w, wedge, A)
         if not hits:
             return None
         x = rng.choice(hits)

@@ -46,10 +46,12 @@ class ModuleSystem:
         return self._closure(self._checked(A))
 
     def mask(self, A):
-        """A_r's box reader, or None for a system read point by point."""
+        """A_r's box reader, or None for a system read point by point; A is
+        checked first, on every carrier."""
+        A = self._checked(A)
         if self._mask is None or not self.context.layout:
             return None
-        return self._mask(self._checked(A))
+        return self._mask(A)
 
     def member(self, A, g) -> bool:
         return self.closure(A)(g)
@@ -193,18 +195,6 @@ def meet(systems) -> ModuleSystem:
 
 
 # -- axiom checking ----------------------------------------------------------
-
-def closure_points(r: ModuleSystem, A, points):
-    """The points of `points` in A_r, in order: one box mask where the system
-    has them, the predicate elsewhere."""
-    box = r.context.box(points)
-    f = box and r.mask(A)
-    m = f and f(box)
-    if m is None:
-        pred = r.closure(A)
-        return [g for g in points if pred(g)]
-    return [g for g in points if m >> box.bit(g) & 1]
-
 
 def check_module_axioms(systems, H, bound: int = 4, seed: int = 0):
     """Id1 / M2 / Id3 / M4 verdicts on windowed data, one list of verdicts

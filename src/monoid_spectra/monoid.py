@@ -386,24 +386,10 @@ class Overmonoid:
         return _copy(bits, (box.x0 - c.x0) * c.stride + box.y0 - c.y0,
                      c.stride, box.rows, box.cols, box.stride)
 
-    def units_window(self, bound: int) -> list:
-        ctx = self.context
+    def units_window(self, bound: int, has=None) -> list:
+        ctx, has = self.context, has or self.has
         return [g for g in ctx.nonzero_window(bound)
-                if self.has(g) and self.has(ctx.inv(g))]
-
-    def is_local_window(self, bound: int) -> bool:
-        """Nonunits form an ideal on the window (products checked when they
-        stay inside the window)."""
-        ctx = self.context
-        units = set(self.units_window(bound))
-        members = [g for g in ctx.window(bound) if self.has(g)]
-        for n in members:
-            if n in units or n == ctx.one:
-                continue
-            for h in members:
-                if ctx.op(n, h) in units:
-                    return False
-        return True
+                if has(g) and has(ctx.inv(g))]
 
     def __repr__(self):
         return f"Overmonoid({self.name or self.gens})"

@@ -5,7 +5,10 @@ prime ideals and its laws, and a localization-based Pruefer test.
 The domination functions take the enumerated primes, the Zar carrier (its
 members are overmonoids), the domination map as the list f of prime indices,
 f[i] = delta(carrier[i]), and the carrier's space, all built once by the
-caller."""
+caller.  Each reads its points once per call, as local data dropped on
+return: ``delta`` asks V and H about each window point once and each prime
+about each point of H's window at most once, and ``delta_laws`` asks each
+prime about each point of H's window once and H about each h x once."""
 
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from math import gcd
 from .errors import UnsupportedRealization
 from .fintop import FiniteSpace, bipartite_dot, hasse_edges, subbasis_space
 from .intgeom import dot
-from .monoid import INF, Monoid, Overmonoid, fraction_ideal, localize
+from .monoid import INF, Monoid, Overmonoid, localize
 from .numsgp import oversemigroups
 from .report import INFO, Check
 
@@ -183,16 +186,39 @@ def b_complement_law(space, ctx, bound: int = 6) -> Check:
 
 # -- the domination map --------------------------------------------------------
 
+def _read_window(V: Overmonoid, bound: int):
+    """V's members on the nonzero window and its units there.  V is asked
+    about each point once; the window is closed under inversion, so the
+    units are read from the member set."""
+    members = frozenset(filter(V.has, V.context.nonzero_window(bound)))
+    return members, frozenset(V.units_window(bound, members.__contains__))
+
+
+def is_local_window(V: Overmonoid, bound: int = 6, read=None) -> bool:
+    """Nonunits form an ideal on the window, products checked when they stay
+    inside it: no nonunit n and member h with n h a unit u, that is, no
+    nonunit n and unit u with u n^{-1} a member.  `read` is V's
+    ``_read_window`` when the caller has it."""
+    ctx = V.context
+    members, units = read or _read_window(V, bound)
+    return not any(ctx.op(u, ctx.inv(n)) in members
+                   for n in members - units for u in units)
+
+
 def maximal_ideal(V: Overmonoid, bound: int = 6):
     """m_V = V minus its units, as an exact predicate; V must be local on the
-    window."""
+    window.  V's members on the window are answered from its window read,
+    other points ask V."""
     ctx = V.context
-    if not V.is_local_window(bound):
+    read = members, units = _read_window(V, bound)
+    if not is_local_window(V, bound, read):
         raise ValueError(f"{V.name or V!r} is not local on the window")
 
     def member(g):
         if g is INF or g == ctx.zero:
             return True
+        if ctx.contains(g) and g in members:
+            return g not in units
         return V.contains(g) and not V.contains(ctx.inv(g))
 
     return member
@@ -200,11 +226,14 @@ def maximal_ideal(V: Overmonoid, bound: int = 6):
 
 def delta(H: Monoid, V: Overmonoid, primes, bound: int = 6) -> int:
     """The domination map V -> m_V intersect H, as the index of the one
-    enumerated prime that agrees with it pointwise on the window."""
+    enumerated prime that agrees with it pointwise on the window.  V and H
+    are asked about each window point once (V holds H, so m_V answers H's
+    points from V's window read), and each prime about each point of H's
+    window at most once: a prime stops at its first disagreement."""
     m = maximal_ideal(V, bound)
-    window = [g for g in H.context.window(bound) if H.contains(g)]
+    image = [(g, m(g)) for g in H.context.window(bound) if H.has(g)]
     matches = [j for j, P in enumerate(primes)
-               if all((H.contains(g) and m(g)) == P.contains(g) for g in window)]
+               if all(P.contains(g) == inside for g, inside in image)]
     if len(matches) != 1:
         raise ValueError(
             f"domination image of {V.name} matched {len(matches)} primes")
@@ -215,7 +244,10 @@ def delta_laws(H: Monoid, primes, f, zar_space, pruefer, bound: int = 6):
     """For every nonzero window element x, the image law
     delta(B(x)) = spec minus V((H : x)) over the enumerated carriers; B(x)
     is read from the Zar carrier's space.  `pruefer` is the caller's s-Pruefer
-    verdict, under which the image law is claimed as an equality.
+    verdict, under which the image law is claimed as an equality.  Each
+    prime's part of H's window is read once, each h x in H once per x, and
+    the primes outside V((H : x)) are those whose part misses a point of
+    (H : x) there.
 
     The preimage law delta^{-1}(D(x)) = B(x^{-1}) needs no check: ``delta``
     accepts V only when m_V and the image agree on the window's part of H,
@@ -223,7 +255,8 @@ def delta_laws(H: Monoid, primes, f, zar_space, pruefer, bound: int = 6):
     V."""
     ctx = H.context
     U = _subbasis_at(zar_space, ctx, bound)
-    h_window = [g for g in ctx.nonzero_window(bound) if H.contains(g)]
+    h_window = [g for g in ctx.nonzero_window(bound) if H.has(g)]
+    inside = [frozenset(filter(P.contains, h_window)) for P in primes]
 
     # image law: the containment "spec minus V((H:x)) inside delta(B(x))" is
     # unconditional; the reverse containment (so the equality) holds when the
@@ -233,11 +266,10 @@ def delta_laws(H: Monoid, primes, f, zar_space, pruefer, bound: int = 6):
     count = 0
     for x in ctx.nonzero_window(bound):
         count += 1
-        frac = fraction_ideal(H, x)
-        frac_window = [h for h in h_window if frac(h)]
+        frac = frozenset(h for h in h_window if H.has(ctx.op(h, x)))
         left = frozenset(f[i] for i in U[x])
-        right = frozenset(j for j, P in enumerate(primes)
-                          if any(not P.contains(h) for h in frac_window))
+        right = frozenset(j for j, part in enumerate(inside)
+                          if not frac <= part)
         if lower_witness is None and not right <= left:
             lower_witness = {"x": repr(x), "missing": sorted(right - left)}
         if eq_witness is None and left != right:

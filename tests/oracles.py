@@ -1,6 +1,7 @@
 """Brute-force oracles that only the tests use: the opens of a finite space
 materialized as bitmasks, soberness and homeomorphism by their definitions,
-every topology on a few points, and a small finite monoid built by hand.
+every topology on a few points, a small finite monoid built by hand, and the
+domination map and its image law asked point by point.
 
 Open sets are ints, bit i set when point i lies in the set; materializing
 them is exponential, so a space may have at most ``CARRIER_GUARD`` points."""
@@ -9,7 +10,8 @@ import itertools
 from functools import lru_cache
 
 from monoid_spectra.fintop import FiniteSpace
-from monoid_spectra.monoid import Monoid
+from monoid_spectra.monoid import INF, Monoid, fraction_ideal
+from monoid_spectra.report import INFO, Check
 
 CARRIER_GUARD = 20
 
@@ -117,3 +119,79 @@ def cyclic_group_with_zero(n) -> Monoid:
     table = [[n if n in (a, b) else (a + b) % n for b in range(n + 1)]
              for a in range(n + 1)]
     return Monoid.finite(table, one=0, zero=n)
+
+
+# -- the domination map, point by point ---------------------------------------
+
+def is_local_pointwise(V, bound) -> bool:
+    """Nonunits form an ideal on the window: every product of a nonunit and
+    a member, both on the window, is asked whether it is a unit."""
+    ctx = V.context
+    units = set(V.units_window(bound))
+    members = [g for g in ctx.window(bound) if V.has(g)]
+    for n in members:
+        if n in units or n == ctx.one:
+            continue
+        for h in members:
+            if ctx.op(n, h) in units:
+                return False
+    return True
+
+
+def delta_pointwise(H, V, primes, bound) -> int:
+    """The index of the one prime that agrees with m_V on the window's part
+    of H, asking H, V and every prime about every point, per prime."""
+    ctx = V.context
+    if not is_local_pointwise(V, bound):
+        raise ValueError(f"{V.name or V!r} is not local on the window")
+
+    def m(g):
+        if g is INF or g == ctx.zero:
+            return True
+        return V.contains(g) and not V.contains(ctx.inv(g))
+
+    window = [g for g in ctx.window(bound) if H.contains(g)]
+    matches = [j for j, P in enumerate(primes)
+               if all((H.contains(g) and m(g)) == P.contains(g)
+                      for g in window)]
+    if len(matches) != 1:
+        raise ValueError(
+            f"domination image of {V.name} matched {len(matches)} primes")
+    return matches[0]
+
+
+def image_law_pointwise(H, primes, f, zar_space, pruefer, bound):
+    """The checks of ``valuation.delta_laws``, rebuilding (H : x) and asking
+    every prime about its points once per x."""
+    ctx = H.context
+    U = dict(zip(ctx.window(bound), zar_space.subbasis))
+    h_window = [g for g in ctx.nonzero_window(bound) if H.contains(g)]
+    lower_witness = eq_witness = None
+    count = 0
+    for x in ctx.nonzero_window(bound):
+        count += 1
+        frac = fraction_ideal(H, x)
+        frac_window = [h for h in h_window if frac(h)]
+        left = frozenset(f[i] for i in U[x])
+        right = frozenset(j for j, P in enumerate(primes)
+                          if any(not P.contains(h) for h in frac_window))
+        if lower_witness is None and not right <= left:
+            lower_witness = {"x": repr(x), "missing": sorted(right - left)}
+        if eq_witness is None and left != right:
+            eq_witness = {"x": repr(x), "image": sorted(left),
+                          "complement": sorted(right)}
+        if lower_witness is not None and eq_witness is not None:
+            break
+    checks = [Check("delta-image-law-lower", lower_witness is None,
+                    witness=lower_witness, exhaustive=False, n=count,
+                    bound=bound)]
+    if pruefer:
+        checks.append(Check("delta-image-law", eq_witness is None,
+                            witness=eq_witness, exhaustive=False, n=count,
+                            bound=bound))
+    else:
+        checks.append(Check("delta-image-law", INFO, n=count, bound=bound,
+                            detail="equality holds on Pruefer instances; here "
+                            + ("it also holds pointwise" if eq_witness is None
+                               else f"it fails at {eq_witness['x']}")))
+    return checks

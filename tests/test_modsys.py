@@ -369,12 +369,15 @@ def test_module_checks_refuse_systems_off_h_carrier():
     for stray in (iota(as_overmonoid(other)), example16(plane)):
         with pytest.raises(CarrierMismatch):
             check_module_axioms([iota(overmonoid_N(H)), stray], H)
-    # the plan checks the window; the closures still check their A
-    for K, a in ((H, 2.0), (plane, (1, 0, 0))):
-        r = iota(as_overmonoid(K))
-        for read in (r.closure, r.mask):
-            with pytest.raises(CarrierMismatch):
-                read({K.context.one, a})
+    # the plan checks the window; the closures and masks still check their
+    # A, also on a carrier without boxes, where a mask answers None
+    c3z = monoid_from_file(os.path.join(DATA, "c3z.json"))
+    for K, a in ((H, 2.0), (plane, (1, 0, 0)), (c3z, 99)):
+        for r in (iota(as_overmonoid(K)), example16(K)):
+            for read in (r.closure, r.mask):
+                with pytest.raises(CarrierMismatch):
+                    read({K.context.one, a})
+    assert example16(c3z).mask({1, 2}) is None
 
 
 def test_t0_witnesses_are_the_first_separating_pool_sets():

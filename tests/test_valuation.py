@@ -1,12 +1,22 @@
+import importlib.util
+import json
+import os
+
 import pytest
 
 from monoid_spectra.idealsys import enumerate_primes, spec_subbasis
-from monoid_spectra.monoid import INF, Monoid, Overmonoid
+from monoid_spectra.monoid import (INF, Monoid, Overmonoid, localize,
+                                   monoid_from_file)
 from monoid_spectra.valuation import (ValuationDescriptor, b_complement_law,
                                       delta, delta_dot, delta_laws,
                                       enumerate_overmonoids, enumerate_zar,
-                                      is_s_pruefer, is_valuation,
-                                      maximal_ideal, overmonoid_space)
+                                      is_local_window, is_s_pruefer,
+                                      is_valuation, maximal_ideal,
+                                      overmonoid_space)
+from oracles import delta_pointwise, image_law_pointwise, is_local_pointwise
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DATA = os.path.join(ROOT, "tests", "data")
 
 
 def domination(H, bound):
@@ -209,3 +219,92 @@ def test_delta_dot_emission():
                     spec_subbasis(H, primes))
     assert dot.startswith("digraph")
     assert "l0 -> r" in dot
+
+
+def additive_inputs():
+    """(name, monoid) of every numerical and affine tests/data input, then
+    the benchmark's sweep pool of affine monoids, read from
+    bench/workloads.py."""
+    out = []
+    for name in sorted(os.listdir(DATA)):
+        path = os.path.join(DATA, name)
+        with open(path, encoding="utf-8") as fh:
+            if json.load(fh).get("kind") in ("numerical", "affine"):
+                out.append((name, monoid_from_file(path)))
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", os.path.join(ROOT, "bench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    pool = workloads.affine_pool(workloads.SWEEP_AFFINE)
+    assert len(pool) == 20
+    out += [(f"pool{k}", Monoid.affine(gens)) for k, gens in enumerate(pool)]
+    return out
+
+
+def outcome(fn, *args):
+    """fn(*args), or the text of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+def test_domination_reads_agree_with_the_pointwise_oracle():
+    # the window reads give the pointwise code's locality verdicts, f list,
+    # image-law checks and small-bound ValueError, on every additive input
+    raised = set()
+    for name, H in additive_inputs():
+        for bound in (1, 2, 3, 4):
+            primes = enumerate_primes(H, bound)
+            zar = enumerate_zar(H, bound=bound)
+            for V in zar:
+                assert is_local_window(V, bound) == is_local_pointwise(
+                    V, bound), (name, bound, V)
+            f = [outcome(delta, H, V, primes, bound) for V in zar]
+            assert f == [outcome(delta_pointwise, H, V, primes, bound)
+                         for V in zar], (name, bound)
+            errors = [v for v in f if isinstance(v, str)]
+            raised.update(errors)
+            if errors:
+                continue
+            space = overmonoid_space(zar, H.context, bound)
+            pruefer = is_s_pruefer(H, primes, bound).ok
+            assert ([c.to_dict() for c in
+                     delta_laws(H, primes, f, space, pruefer, bound)]
+                    == [c.to_dict() for c in image_law_pointwise(
+                        H, primes, f, space, pruefer, bound)]), (name, bound)
+    assert "ValueError: domination image of V(N) matched 2 primes" in raised
+
+
+def not_a_monoid(ctx, members, name):
+    """A rule-backed set that need not be closed under the operation."""
+    return Overmonoid(ctx, rule=members.__contains__, name=name)
+
+
+def test_locality_reads_agree_on_sets_that_are_not_monoids():
+    # a submonoid is always local, so only a rule that is no monoid can
+    # fail: 1 * 2 = 3 is a unit while 1 is not
+    line = Monoid.numerical([2, 3]).context
+    plane = Monoid.affine([[1, 0], [0, 1]]).context
+    cases = [(not_a_monoid(line, {0, 1, 2, 3, -3}, "1+2"), False),
+             (not_a_monoid(line, {0, 1, 2, 3}, "no units"), True),
+             (not_a_monoid(plane, {(0, 0), (1, 0), (0, 1), (1, 1), (-1, -1)},
+                           "(1,0)+(0,1)"), False)]
+    H = Monoid.affine([[1, 0], [0, 1]])
+    cases += [(S, True) for S in (H, localize(H, enumerate_primes(H, 4)[1]))]
+    for S, local in cases:
+        for bound in (1, 2, 3, 4):
+            assert is_local_window(S, bound) == is_local_pointwise(S, bound)
+        assert is_local_window(S, 4) == local, S.name
+    with pytest.raises(ValueError, match="not local on the window"):
+        maximal_ideal(cases[0][0], bound=4)
+
+
+def test_maximal_ideal_is_exact_off_the_window_and_the_carrier():
+    H = Monoid.numerical([2, 3])
+    m = maximal_ideal(next(v for v in enumerate_zar(H) if v.tag == "N"),
+                      bound=2)
+    # 1 and 2 from the window read, 5 and -5 from the valuation itself; a
+    # bool is no point of the carrier, although True == 1
+    assert [m(g) for g in (1, 2, 5, 0, -5, True, 1.0)] == [
+        True, True, True, False, False, False, False]
