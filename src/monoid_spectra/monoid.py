@@ -386,11 +386,6 @@ class Overmonoid:
         return _copy(bits, (box.x0 - c.x0) * c.stride + box.y0 - c.y0,
                      c.stride, box.rows, box.cols, box.stride)
 
-    def units_window(self, bound: int, has=None) -> list:
-        ctx, has = self.context, has or self.has
-        return [g for g in ctx.nonzero_window(bound)
-                if has(g) and has(ctx.inv(g))]
-
     def __repr__(self):
         return f"Overmonoid({self.name or self.gens})"
 

@@ -186,21 +186,20 @@ def b_complement_law(space, ctx, bound: int = 6) -> Check:
 
 # -- the domination map --------------------------------------------------------
 
-def _read_window(V: Overmonoid, bound: int):
+def read_window(V: Overmonoid, bound: int):
     """V's members on the nonzero window and its units there.  V is asked
     about each point once; the window is closed under inversion, so the
-    units are read from the member set."""
-    members = frozenset(filter(V.has, V.context.nonzero_window(bound)))
-    return members, frozenset(V.units_window(bound, members.__contains__))
+    units are the members whose inverse is a member."""
+    ctx = V.context
+    members = frozenset(filter(V.has, ctx.nonzero_window(bound)))
+    return members, frozenset(g for g in members if ctx.inv(g) in members)
 
 
-def is_local_window(V: Overmonoid, bound: int = 6, read=None) -> bool:
+def is_local_window(ctx, members, units) -> bool:
     """Nonunits form an ideal on the window, products checked when they stay
     inside it: no nonunit n and member h with n h a unit u, that is, no
-    nonunit n and unit u with u n^{-1} a member.  `read` is V's
-    ``_read_window`` when the caller has it."""
-    ctx = V.context
-    members, units = read or _read_window(V, bound)
+    nonunit n and unit u with u n^{-1} a member.  `members` and `units` are
+    a ``read_window`` of an overmonoid on `ctx`."""
     return not any(ctx.op(u, ctx.inv(n)) in members
                    for n in members - units for u in units)
 
@@ -210,8 +209,8 @@ def maximal_ideal(V: Overmonoid, bound: int = 6):
     window.  V's members on the window are answered from its window read,
     other points ask V."""
     ctx = V.context
-    read = members, units = _read_window(V, bound)
-    if not is_local_window(V, bound, read):
+    members, units = read_window(V, bound)
+    if not is_local_window(ctx, members, units):
         raise ValueError(f"{V.name or V!r} is not local on the window")
 
     def member(g):

@@ -127,7 +127,8 @@ def is_local_pointwise(V, bound) -> bool:
     """Nonunits form an ideal on the window: every product of a nonunit and
     a member, both on the window, is asked whether it is a unit."""
     ctx = V.context
-    units = set(V.units_window(bound))
+    units = {g for g in ctx.nonzero_window(bound)
+             if V.has(g) and V.has(ctx.inv(g))}
     members = [g for g in ctx.window(bound) if V.has(g)]
     for n in members:
         if n in units or n == ctx.one:

@@ -12,7 +12,7 @@ from monoid_spectra.valuation import (ValuationDescriptor, b_complement_law,
                                       enumerate_overmonoids, enumerate_zar,
                                       is_local_window, is_s_pruefer,
                                       is_valuation, maximal_ideal,
-                                      overmonoid_space)
+                                      overmonoid_space, read_window)
 from oracles import delta_pointwise, image_law_pointwise, is_local_pointwise
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -249,6 +249,11 @@ def outcome(fn, *args):
         return f"ValueError: {e}"
 
 
+def local(V, bound):
+    """The locality verdict on V's window read."""
+    return is_local_window(V.context, *read_window(V, bound))
+
+
 def test_domination_reads_agree_with_the_pointwise_oracle():
     # the window reads give the pointwise code's locality verdicts, f list,
     # image-law checks and small-bound ValueError, on every additive input
@@ -258,7 +263,7 @@ def test_domination_reads_agree_with_the_pointwise_oracle():
             primes = enumerate_primes(H, bound)
             zar = enumerate_zar(H, bound=bound)
             for V in zar:
-                assert is_local_window(V, bound) == is_local_pointwise(
+                assert local(V, bound) == is_local_pointwise(
                     V, bound), (name, bound, V)
             f = [outcome(delta, H, V, primes, bound) for V in zar]
             assert f == [outcome(delta_pointwise, H, V, primes, bound)
@@ -292,10 +297,10 @@ def test_locality_reads_agree_on_sets_that_are_not_monoids():
                            "(1,0)+(0,1)"), False)]
     H = Monoid.affine([[1, 0], [0, 1]])
     cases += [(S, True) for S in (H, localize(H, enumerate_primes(H, 4)[1]))]
-    for S, local in cases:
+    for S, expected in cases:
         for bound in (1, 2, 3, 4):
-            assert is_local_window(S, bound) == is_local_pointwise(S, bound)
-        assert is_local_window(S, 4) == local, S.name
+            assert local(S, bound) == is_local_pointwise(S, bound)
+        assert local(S, 4) == expected, S.name
     with pytest.raises(ValueError, match="not local on the window"):
         maximal_ideal(cases[0][0], bound=4)
 
