@@ -1,7 +1,7 @@
 """Module systems on the quotient groupoid G: closure oracles on finite
 subsets of G, the product-with-overmonoid-intersection construction, meets,
-subbasis membership for the system space, finite-witness extraction and a
-falsifier for finitariness of parameterized families."""
+subbasis membership for the system space, and a falsifier for finitariness
+of parameterized families."""
 
 from __future__ import annotations
 
@@ -58,12 +58,6 @@ class ModuleSystem:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.name})"
-
-
-def small_sample(rng, pool):
-    """A random set of one to three elements of `pool`, never more than it
-    holds."""
-    return frozenset(rng.sample(pool, rng.randint(1, min(3, len(pool)))))
 
 
 def _nonzero(ctx, A):
@@ -348,27 +342,7 @@ class SystemSpace:
         return out
 
 
-# -- finite witnesses and the finitariness falsifier -------------------------
-
-def extract_finite_witness(delta: DeltaFamily, ctx, A, x):
-    """For x in A_{r_Delta} (finite Delta), pick for each S some a in A with
-    x in aS; the picks form an F with x in F_{r_Delta} and |F| <= |Delta|."""
-    if not delta.finite:
-        raise ValueError("finite witness extraction needs a finite family")
-    for g in (x, *A):
-        ctx.check(g)
-    xs = _nonzero(ctx, A)
-    picks = []
-    for S in delta.members:
-        a = next((a for a in xs if S.has(ctx.op(ctx.inv(a), x))), None)
-        if a is None:
-            raise ValueError("x is not in the closure of A")
-        picks.append(a)
-    F = frozenset(picks)
-    if not r_delta(delta, ctx).member(F, x):
-        raise AssertionError("extracted witness failed the recheck")
-    return F
-
+# -- the finitariness falsifier ----------------------------------------------
 
 def falsify_finitary(delta: DeltaFamily, ctx, bound: int = 6):
     """Search for the non-finitariness certificate of a parameterized family:
@@ -401,24 +375,6 @@ def falsify_finitary(delta: DeltaFamily, ctx, bound: int = 6):
         return None
     return {"A": sorted(map(repr, A)), "target": repr(target),
             "separating_index": FAMILY_DEPTH}
-
-
-def meet_finite_witness(systems, A, x):
-    """For finitary systems r_i and x in A_{meet}, a finite E as the union of
-    per-system finite witnesses E^{(r_i)} found by size-ordered search."""
-    systems = list(systems)
-    xs = tuple(sorted(A, key=sort_key))
-    union = set()
-    for r in systems:
-        found = next((E for E in _subsets(xs, range(len(xs) + 1))
-                      if r.member(E, x)), None)
-        if found is None:
-            raise ValueError("x is not in the closure of A")
-        union.update(found)
-    E = frozenset(union)
-    if not meet(systems).member(E, x):
-        raise AssertionError("combined witness failed the recheck")
-    return E
 
 
 # -- the overmonoid embedding ------------------------------------------------

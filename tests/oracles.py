@@ -1,7 +1,8 @@
 """Brute-force oracles that only the tests use: the opens of a finite space
 materialized as bitmasks, soberness and homeomorphism by their definitions,
-every topology on a few points, a small finite monoid built by hand, and the
-domination map and its image law asked point by point.
+every topology on a few points, a small finite monoid built by hand, the
+domination map and its image law asked point by point, and the finite
+witnesses of intersection systems and of meets.
 
 Open sets are ints, bit i set when point i lies in the set; materializing
 them is exponential, so a space may have at most ``CARRIER_GUARD`` points."""
@@ -10,8 +11,10 @@ import itertools
 from functools import lru_cache
 
 from monoid_spectra.fintop import FiniteSpace
-from monoid_spectra.monoid import INF, Monoid, fraction_ideal
+from monoid_spectra.modsys import _nonzero, meet, r_delta
+from monoid_spectra.monoid import INF, Monoid, fraction_ideal, sort_key
 from monoid_spectra.report import INFO, Check
+from monoid_spectra.window import _subsets
 
 CARRIER_GUARD = 20
 
@@ -196,3 +199,43 @@ def image_law_pointwise(H, primes, f, zar_space, pruefer, bound):
                             + ("it also holds pointwise" if eq_witness is None
                                else f"it fails at {eq_witness['x']}")))
     return checks
+
+
+# -- finite witnesses ---------------------------------------------------------
+
+def extract_finite_witness(delta, ctx, A, x):
+    """For x in A_{r_Delta} (finite Delta), pick for each S some a in A with
+    x in aS; the picks form an F with x in F_{r_Delta} and |F| <= |Delta|."""
+    if not delta.finite:
+        raise ValueError("finite witness extraction needs a finite family")
+    for g in (x, *A):
+        ctx.check(g)
+    xs = _nonzero(ctx, A)
+    picks = []
+    for S in delta.members:
+        a = next((a for a in xs if S.has(ctx.op(ctx.inv(a), x))), None)
+        if a is None:
+            raise ValueError("x is not in the closure of A")
+        picks.append(a)
+    F = frozenset(picks)
+    if not r_delta(delta, ctx).member(F, x):
+        raise AssertionError("extracted witness failed the recheck")
+    return F
+
+
+def meet_finite_witness(systems, A, x):
+    """For finitary systems r_i and x in A_{meet}, a finite E as the union of
+    per-system finite witnesses E^{(r_i)} found by size-ordered search."""
+    systems = list(systems)
+    xs = tuple(sorted(A, key=sort_key))
+    union = set()
+    for r in systems:
+        found = next((E for E in _subsets(xs, range(len(xs) + 1))
+                      if r.member(E, x)), None)
+        if found is None:
+            raise ValueError("x is not in the closure of A")
+        union.update(found)
+    E = frozenset(union)
+    if not meet(systems).member(E, x):
+        raise AssertionError("combined witness failed the recheck")
+    return E

@@ -14,15 +14,15 @@ from monoid_spectra.idealsys import (check_ideal_axioms, enumerate_ideals,
 from monoid_spectra.modsys import (DeltaFamily, check_id2,
                                    check_idempotent, check_module_axioms,
                                    embedding_checks, example16,
-                                   extract_finite_witness, falsify_finitary,
-                                   iota, is_finitary, meet,
-                                   meet_finite_witness, r_delta)
+                                   falsify_finitary, iota, is_finitary, meet,
+                                   r_delta)
 from monoid_spectra.monoid import (Monoid, Overmonoid, family_from_json,
                                    localize)
 from monoid_spectra.valuation import (delta, delta_laws,
                                       enumerate_overmonoids, enumerate_zar,
                                       is_s_pruefer, overmonoid_space)
-from oracles import all_topologies, brute_force_homeomorphic
+from oracles import (all_topologies, brute_force_homeomorphic,
+                     extract_finite_witness, meet_finite_witness)
 from test_idealsys import o_set
 
 

@@ -9,17 +9,16 @@ from monoid_spectra import cli
 from monoid_spectra.modsys import (DeltaFamily, SystemSpace, check_family,
                                    check_id2, check_module_axioms,
                                    embedding_checks, example16,
-                                   extract_finite_witness, falsify_finitary,
-                                   iota, meet, meet_finite_witness,
-                                   product_closure,
-                                   r_delta, separating_points,
-                                   subbasis_membership)
+                                   falsify_finitary, iota, meet,
+                                   product_closure, r_delta,
+                                   separating_points, subbasis_membership)
 from monoid_spectra.idealsys import s_system
 from monoid_spectra.monoid import (INF, CarrierMismatch, FiniteCarrier,
                                    IntCarrier, Monoid, Overmonoid, ParseError,
                                    as_overmonoid, family_from_json,
                                    monoid_from_file)
-from oracles import cyclic_group_with_zero
+from oracles import (cyclic_group_with_zero, extract_finite_witness,
+                     meet_finite_witness)
 from test_monoid import MONOIDS, reachable
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
