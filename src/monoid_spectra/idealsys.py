@@ -3,14 +3,12 @@ closure, r-ideals, prime r-ideals and the spectrum/ideal-space subbases."""
 
 from __future__ import annotations
 
-import random
-
 from .errors import UnsupportedRealization
 from .fintop import FiniteSpace, subbasis_space
 from .intgeom import faces_2d
 from .modsys import ModuleSystem, product_closure
 from .monoid import Monoid, sort_key
-from .window import _sample_subsets, _verdicts, _Window
+from .window import _Draw, _plan
 
 # Most ideals `enumerate_ideals` lists before it gives up.
 MAX_IDEALS = 10_000
@@ -183,37 +181,12 @@ def check_ideal_axioms(r: IdealSystem, H: Monoid, bound: int = 10,
 
     Exhaustive over all subsets of up to 3 points of the window universe
     when that universe has at most 13 elements, 500 seeded draws
-    otherwise."""
-    ctx = H.context
-    universe = [g for g in ctx.window(bound) if H.contains(g)]
-    subsets, exhaustive = _sample_subsets(
-        universe, exhaustive_limit=13, sample_budget=500, seed=seed)
-    if exhaustive:
-        id2_subsets, id3_subsets = subsets, subsets
-        id3_scalars, id3_points = universe, universe
-    else:
-        # cap the quadratic and cubic scans on big windows
-        rng = random.Random(seed + 1)
-        id2_subsets = subsets[:60]
-        id3_subsets = subsets[:40]
-        id3_scalars = rng.sample(universe, min(12, len(universe)))
-        id3_points = rng.sample(universe, min(40, len(universe)))
-    w = _Window(ctx, universe,
-                [ctx.inv(c) for c in id3_scalars if c != ctx.zero]).on(r)
-
-    # Id2: X subset of Y_r implies X_r subset of Y_r
-    id2 = ((w.mask(X), w.mask(Y), (("X", X), ("Y", Y)))
-           for X in id2_subsets for Y in id2_subsets
-           if not w.of(X) & ~w.mask(Y))
-
-    def id4():
-        """Id4: cH subset of {c}_r, one outcome per c."""
-        for c in universe:
-            member = w.reader(frozenset([c]))
-            yield next(({"c": repr(c), "h": repr(h)} for h in universe
-                        if not member(ctx.op(c, h))), None)
-
-    return _verdicts([("Id1", w.id1(subsets, "X")),
-                      ("Id2", map(w.escape, id2)),
-                      ("Id3", w.id3(id3_subsets, id3_scalars, id3_points, "X")),
-                      ("Id4", id4())], exhaustive)
+    otherwise, of which Id2 scans the first 60: the module axioms' plan
+    on H's members, with Id4 in place of M2 and M4."""
+    universe = [g for g in H.context.window(bound) if H.contains(g)]
+    draw = _Draw(universe, budget=500, limit=13, seed=seed)
+    w = _plan(H.context, universe, draw, universe).on(r)
+    S = draw.head(60)
+    return w.verdicts([("Id1", w.id1("X")),
+                       ("Id2", w.id2(((X, Y) for X in S for Y in S), "XY")),
+                       ("Id3", w.id3("X")), ("Id4", w.id4())])

@@ -7,14 +7,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 
 from .fintop import FiniteSpace, subbasis_space
 # family_from_file lives beside the monoid readers and is also read from here
 from .monoid import (INF, Box, CarrierMismatch, DeltaFamily, Monoid,
                      Overmonoid, _copy, family_from_file, sort_key)
 from .report import Check
-from .window import _sample_subsets, _subsets, _verdicts, _Window
+from .window import _Draw, _plan
 # The members of a parameterized family that ``check_family`` rechecks and
 # ``falsify_finitary`` searches: indices 1..FAMILY_DEPTH.
 FAMILY_DEPTH = 6
@@ -208,34 +207,13 @@ def check_module_axioms(systems, H, bound: int = 4, seed: int = 0):
         raise CarrierMismatch("a module system off H's carrier")
     universe = ctx.window(bound)
     nonzero = [g for g in universe if g != ctx.zero]
-    h_members = [g for g in nonzero if H.contains(g)]
-    subsets, exhaustive = _sample_subsets(universe, seed=seed)
-    if exhaustive:
-        id3_subsets, scalars, points, m4_scalars = (subsets, nonzero, universe,
-                                                    h_members)
-    else:
-        # cap the cubic Id3 scan and the M4 translator set on big windows
-        rng = random.Random(seed + 1)
-
-        def pick(pool, k):
-            return sorted(rng.sample(pool, min(k, len(pool))), key=sort_key)
-
-        id3_subsets = subsets[:40]
-        scalars, points = pick(nonzero, 12), pick(universe, 40)
-        m4_scalars = pick(h_members, 12)
-    plan = _Window(ctx, universe, [*map(ctx.inv, scalars), *m4_scalars])
-    # M2: A subset of B implies A_r subset of B_r
-    pairs = [(A, B) for A in subsets for B in subsets if A < B]
-
-    def verdicts(w):
-        m2 = ((w.mask(A), w.mask(B), (("A", A), ("B", B))) for A, B in pairs)
-        return _verdicts([("Id1", w.id1(subsets, "A")),
-                          ("M2", map(w.escape, m2)),
-                          ("Id3", w.id3(id3_subsets, scalars, points, "A")),
-                          ("M4", w.m4(subsets, m4_scalars, points))],
-                         exhaustive)
-
-    return [verdicts(plan.on(r)) for r in systems]
+    draw = _Draw(universe, seed=seed)
+    plan = _plan(ctx, universe, draw, nonzero,
+                 [g for g in nonzero if H.contains(g)])
+    pairs = [(A, B) for A in draw.subsets for B in draw.subsets if A < B]
+    return [w.verdicts([("Id1", w.id1("A")), ("M2", w.m2(pairs)),
+                        ("Id3", w.id3("A")), ("M4", w.m4())])
+            for w in map(plan.on, systems)]
 
 
 def check_id2(r: ModuleSystem, bound: int = 4, sample_budget: int = 200,
@@ -243,14 +221,11 @@ def check_id2(r: ModuleSystem, bound: int = 4, sample_budget: int = 200,
     """Id2: A subset of B_r implies A_r subset of B_r, over subsets of up to
     2 points.  Returns the verdict with a counterexample when it fails."""
     universe = r.context.window(bound)
-    subsets, exhaustive = _sample_subsets(
-        universe, max_subset_size=2, sample_budget=sample_budget, seed=seed)
-    w = _Window(r.context, universe).on(r)
-    return Check.scan("Id2", map(w.escape,
-                                 ((w.mask(A), w.mask(B), (("A", A), ("B", B)))
-                                  for B in subsets for A in subsets
-                                  if not w.of(A) & ~w.mask(B))),
-                      exhaustive=exhaustive)
+    draw = _Draw(universe, size=2, budget=sample_budget, seed=seed)
+    w = _plan(r.context, universe, draw).on(r)
+    S = draw.subsets
+    return Check.scan("Id2", w.id2(((A, B) for B in S for A in S), "AB"),
+                      exhaustive=draw.exhaustive)
 
 
 def check_idempotent(r: ModuleSystem, bound: int = 4, sample_budget: int = 200,
@@ -260,37 +235,22 @@ def check_idempotent(r: ModuleSystem, bound: int = 4, sample_budget: int = 200,
     (A_r)_r; any point of it outside A_r is an honest counterexample, and
     agreement on all samples is reported as a bounded pass."""
     universe = r.context.window(bound)
-    subsets, _ = _sample_subsets(universe, max_subset_size=2,
-                                 sample_budget=sample_budget, seed=seed)
-    w = _Window(r.context, universe).on(r)
-
-    def pairs():
-        for A in subsets:
-            m = w.mask(A)
-            slice_ = frozenset(g for g in universe if m & w.bit[g])
-            yield w.mask(slice_), m, (("A", A),)
-
-    return Check.scan("idempotent", map(w.escape, pairs()), bound=bound,
+    draw = _Draw(universe, size=2, budget=sample_budget, seed=seed)
+    return Check.scan("idempotent", _plan(r.context, universe, draw).on(r)
+                      .idempotent(), bound=bound,
                       detail="window slice approximation")
 
 
 def is_finitary(r: ModuleSystem, bound: int = 4, sample_budget: int = 200,
                 seed: int = 0) -> Check:
-    """Bounded finitariness verdict: on sampled finite sets A, A_r is the
-    union of the closures of the subsets of A."""
+    """The bounded ``finitary`` verdict on sampled finite sets A: the closure
+    of every subset of A lies inside A_r, which is M2 over A's subsets.  The
+    converse, A_r inside the union of those closures, is free, as A is one
+    of them; so this is no test of finitariness on an infinite A."""
     universe = r.context.window(bound)
-    subsets, _ = _sample_subsets(universe, sample_budget=sample_budget,
-                                 seed=seed)
-    w = _Window(r.context, universe).on(r)
-
-    def pairs():
-        for A in subsets:
-            union = 0  # the closures of the subsets of A
-            for E in _subsets(A, range(len(A) + 1)):
-                union |= w.mask(E)
-            yield union, w.mask(A), (("A", A),)
-
-    return Check.scan("finitary", map(w.escape, pairs()), bound=bound)
+    draw = _Draw(universe, budget=sample_budget, seed=seed)
+    return Check.scan("finitary", _plan(r.context, universe, draw).on(r)
+                      .finitary(), bound=bound)
 
 
 # -- the system space --------------------------------------------------------

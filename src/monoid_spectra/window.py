@@ -1,13 +1,13 @@
 """The scan window of the closure-axiom checkers of ``idealsys`` and
-``modsys``: seeded subset draws, and the window on which each closure is
-read once as an int bitmask and the axioms are scanned."""
+``modsys``: one seeded subset draw, and the window on which each closure is
+read once as an int bitmask and every axiom is scanned."""
 
 from __future__ import annotations
 
 import itertools
 import random
 
-from .monoid import INF, Box
+from .monoid import INF, Box, sort_key
 from .report import Check
 
 
@@ -15,19 +15,43 @@ def _subsets(xs, sizes):
     return [frozenset(c) for n in sizes for c in itertools.combinations(xs, n)]
 
 
-def _sample_subsets(universe, *, exhaustive_limit=12, max_subset_size=3,
-                    sample_budget=300, seed=0):
-    """All subsets of up to `max_subset_size` points of a universe of at most
-    `exhaustive_limit` points; otherwise the empty set and `sample_budget`
-    seeded draws, without repeats."""
-    if len(universe) <= exhaustive_limit:
-        return _subsets(universe, range(max_subset_size + 1)), True
-    rng = random.Random(seed)
-    subs = [frozenset()]
-    for _ in range(sample_budget):
-        n = rng.randint(1, max_subset_size)
-        subs.append(frozenset(rng.sample(universe, min(n, len(universe)))))
-    return list(dict.fromkeys(subs)), False
+class _Draw:
+    """The subsets a check scans: all subsets of up to `size` points of a
+    universe of at most `limit` points, a full draw; otherwise the empty
+    set and `budget` seeded draws, without repeats.  A draw that is not full
+    caps the scans with ``head`` and ``pick``; on a full one both return
+    their input whole."""
+
+    def __init__(self, universe, *, size=3, budget=300, limit=12, seed=0):
+        self.exhaustive = len(universe) <= limit
+        if self.exhaustive:
+            self.subsets = _subsets(universe, range(size + 1))
+        else:  # a drawn universe has more points than any subset
+            rng = random.Random(seed)
+            self.subsets = list(dict.fromkeys([frozenset(), *(
+                frozenset(rng.sample(universe, rng.randint(1, size)))
+                for _ in range(budget))]))
+        # the picks' own stream: the subsets do not depend on the picks
+        self._picks = random.Random(seed + 1)
+
+    def head(self, k):
+        """The first k subsets."""
+        return self.subsets if self.exhaustive else self.subsets[:k]
+
+    def pick(self, pool, k):
+        """k seeded points of the pool, in ``sort_key`` order."""
+        if self.exhaustive:
+            return pool
+        return sorted(self._picks.sample(pool, min(k, len(pool))),
+                      key=sort_key)
+
+
+def _plan(ctx, universe, draw, scalars=(), translators=()):
+    """The window of a check: `draw`'s subsets of `universe`, and up to 12
+    Id3 scalars from `scalars`, 40 points of the universe for Id3 and M4 and
+    12 M4 translators from `translators`, picked in that order."""
+    return _Window(ctx, universe, draw, draw.pick(scalars, 12),
+                   draw.pick(universe, 40), draw.pick(translators, 12))
 
 
 def _names(A):
@@ -45,12 +69,18 @@ class _Window:
     Where the carrier has a ``Box`` layout and the system masks, a closure is
     read on the window's box in one piece, and Id3 and M4 compare such box
     masks as integers.  Only a difference sends them back to the point
-    loop, which finds the same witness."""
+    loop, which finds the same witness.  The window's moves are the inverses
+    of its nonzero Id3 scalars and its M4 translators."""
 
-    def __init__(self, ctx, universe, moves=()):
+    def __init__(self, ctx, universe, draw=None, scalars=(), points=(),
+                 translators=()):
         for g in universe:
             ctx.check(g)
-        self.ctx, self.universe = ctx, universe
+        self.ctx, self.universe, self.draw = ctx, universe, draw
+        self.scalars, self.points = scalars, points
+        self.translators = translators
+        moves = [*(ctx.inv(c) for c in scalars if c != ctx.zero),
+                 *translators]
         self.bit = {g: 1 << i for i, g in enumerate(universe)}
         self._sets, self._images = {}, {}
         self.box = b = ctx.box(universe)
@@ -71,6 +101,7 @@ class _Window:
             self._cells = sum(((1 << b.cols) - 1) << i * b.stride
                               for i in range(b.rows))
             self._infs = reach.bit(INF), b.bit(INF)
+            self._box_points = sum(1 << b.bit(g) for g in points)
             # the window's points as (box bit, window bit); None when the
             # two agree, as on a full window of the line followed by INF
             bits = [(b.bit(g), m) for g, m in self.bit.items()]
@@ -105,10 +136,6 @@ class _Window:
         inf, box_inf = self._infs
         return (bits >> self._starts[by] & self._cells
                 | (bits >> inf & 1) << box_inf)
-
-    def in_box(self, points):
-        """The points as a box mask (0 without a box)."""
-        return sum(1 << self.box.bit(g) for g in points) if self.box else 0
 
     def mask(self, A):
         """A_r on the window."""
@@ -158,24 +185,41 @@ class _Window:
             return {**{k: _names(A) for k, A in named}, "g": repr(g)}
         return None
 
-    def id1(self, subsets, key):
+    def verdicts(self, scans):
+        """One verdict per (name, outcomes), exhaustive on a full draw."""
+        return [Check.scan(name, outcomes, exhaustive=self.draw.exhaustive)
+                for name, outcomes in scans]
+
+    def id1(self, key):
         """Id1: A u {0} inside A_r, one outcome per A."""
         zero = self.ctx.zero
-        for A in subsets:
+        for A in self.draw.subsets:
             m = self.mask(A)
             yield next(({key: _names(A), "g": repr(g)} for g in [*A, zero]
                         if not m & self.bit[g]), None)
 
-    def id3(self, subsets, scalars, points, key):
-        """Id3: c A_r = (cA)_r at the points, one outcome per (A, c), with the
-        left side read literally: {0} for c = 0, otherwise c^{-1} g in A_r.
-        With box masks, a nonzero c is one XOR of A_r on the box moved by
-        c^{-1} against (cA)_r on the box.  The window forms each cA once."""
+    def m2(self, pairs, keys="AB"):
+        """M2: X_r inside Y_r, one outcome per (X, Y) of `pairs`, which for
+        M2 have X inside Y; `keys` name X and Y."""
+        x, y = keys
+        return map(self.escape, ((self.mask(X), self.mask(Y), ((x, X), (y, Y)))
+                                 for X, Y in pairs))
+
+    def id2(self, pairs, keys):
+        """Id2: M2 over the (X, Y) of `pairs` with X inside Y_r."""
+        return self.m2(((X, Y) for X, Y in pairs
+                        if not self.of(X) & ~self.mask(Y)), keys)
+
+    def id3(self, key):
+        """Id3: c A_r = (cA)_r at the points, one outcome per (A, c), A over
+        the first 40 subsets, with the left side read literally: {0} for
+        c = 0, otherwise c^{-1} g in A_r.  With box masks, a nonzero c is
+        one XOR of A_r on the box moved by c^{-1} against (cA)_r on the box.
+        The window forms each cA once."""
         ctx, images = self.ctx, self._images
-        box_pts = self.in_box(points)
         inverses = [(c, None if c == ctx.zero else ctx.inv(c))
-                    for c in scalars]
-        for A in subsets:
+                    for c in self.scalars]
+        for A in self.draw.head(40):
             member = self.reader(A)
             for c, c_inv in inverses:
                 cA = images.get((A, c))
@@ -186,34 +230,55 @@ class _Window:
                     rhs = self.r.closure(cA)
                 else:
                     rhs = self.read(cA)
-                    if rhs is not None and not (lhs ^ rhs) & box_pts:
+                    if rhs is not None and not (lhs ^ rhs) & self._box_points:
                         yield None
                         continue
                     rhs = self.reader(cA)
                 yield next(({key: _names(A), "c": repr(c), "g": repr(g)}
-                            for g in points
+                            for g in self.points
                             if (g == ctx.zero if c_inv is None
                                 else member(ctx.op(c_inv, g))) != rhs(g)),
                            None)
 
-    def m4(self, subsets, translators, points):
+    def id4(self):
+        """Id4: cH inside {c}_r, one outcome per c; H is the universe."""
+        for c in self.universe:
+            member = self.reader(frozenset([c]))
+            yield next(({"c": repr(c), "h": repr(h)} for h in self.universe
+                        if not member(self.ctx.op(c, h))), None)
+
+    def m4(self):
         """M4: H A_r = A_r, one outcome per A; the inclusion A_r subset of
         H A_r is free.  With box masks, A passes when no translator h moves
         a point of A_r at the points out of A_r (INF stays put)."""
-        ctx = self.ctx
-        box_pts = self.in_box(points)
-        for A in subsets:
+        ctx, points, translators = self.ctx, self.points, self.translators
+        for A in self.draw.subsets:
             member = self.reader(A)
             inside = self.read(A)
             if inside is not None and not any(
-                    inside & box_pts & ~self.read(A, h) for h in translators):
+                    inside & self._box_points & ~self.read(A, h)
+                    for h in translators):
                 yield None
                 continue
             yield next(({"A": _names(A), "h": repr(h), "g": repr(g)}
                         for g in filter(member, points) for h in translators
                         if not member(ctx.op(h, g))), None)
 
+    def idempotent(self):
+        """(A_r)_r = A_r through the window slice of A_r, one outcome per A:
+        the slice's closure sits inside (A_r)_r, so a point of it outside
+        A_r is an honest counterexample."""
+        for A in self.draw.subsets:
+            m = self.mask(A)
+            slice_ = frozenset(g for g in self.universe if m & self.bit[g])
+            yield self.escape((self.mask(slice_), m, (("A", A),)))
 
-def _verdicts(scans, exhaustive):
-    return [Check.scan(name, outcomes, exhaustive=exhaustive)
-            for name, outcomes in scans]
+    def finitary(self):
+        """The closures of A's subsets inside A_r, one outcome per A: M2 over
+        A's subsets.  A_r lies in their union for free, as A is one of
+        them."""
+        for A in self.draw.subsets:
+            union = 0
+            for E in _subsets(A, range(len(A) + 1)):
+                union |= self.mask(E)
+            yield self.escape((union, self.mask(A), (("A", A),)))

@@ -1,5 +1,6 @@
 """The ideal and module axiom checkers on closures that break the axioms: every
-verdict, witness, count and bound is pinned, FAIL and PASS alike."""
+verdict, witness, count and bound is pinned, FAIL and PASS alike, on full
+draws and on drawn ones; and the draw the checkers share."""
 
 import json
 import os
@@ -10,6 +11,7 @@ from monoid_spectra.idealsys import IdealSystem, check_ideal_axioms, s_system
 from monoid_spectra.modsys import (check_id2, check_idempotent,
                                    check_module_axioms, is_finitary)
 from monoid_spectra.monoid import INF, Monoid
+from monoid_spectra.window import _Draw, _subsets
 
 H = Monoid.numerical([2, 3])
 S = s_system(H)
@@ -37,7 +39,9 @@ def depends_on_size(X):
     return lambda g: g == n or p(g)
 
 
-@pytest.mark.parametrize("bound", [4, 6, 12])
+# bound 16 puts 17 points of H and 34 of G in the windows, so every checker
+# draws there
+@pytest.mark.parametrize("bound", [4, 6, 12, 16])
 @pytest.mark.parametrize("closure", [drops_zero, shifts_by_one,
                                      depends_on_size])
 def test_checks_of_broken_closures_are_pinned(closure, bound):
@@ -55,3 +59,23 @@ def test_every_module_verdict_fails_somewhere():
               if c["verdict"] == "FAIL"}
     assert {"Id1", "Id2", "Id3", "Id4", "M2", "M4", "idempotent",
             "finitary"} <= failed
+
+
+def test_a_draw_is_full_up_to_its_limit():
+    points = list(range(13))
+    full = _Draw(points[:12], limit=12)
+    assert full.exhaustive
+    assert full.subsets == _subsets(points[:12], range(4))
+    assert full.head(5) == full.subsets
+    assert full.pick(points, 2) is points
+    drawn = [_Draw(points, size=2, budget=50, limit=12, seed=7)
+             for _ in range(2)]
+    assert not drawn[0].exhaustive
+    assert drawn[0].subsets[0] == frozenset()
+    assert all(len(A) <= 2 for A in drawn[0].subsets)
+    assert drawn[0].head(5) == drawn[0].subsets[:5]
+    picks = drawn[0].pick(points, 4)
+    assert picks == sorted(set(picks)) and len(picks) == 4
+    drawn[1].pick(points[::-1], 9)
+    # the picks have their own stream, so the subsets ignore them
+    assert drawn[0].subsets == drawn[1].subsets

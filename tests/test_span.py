@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monoid_spectra import modsys, monoid
+from monoid_spectra import monoid, window
 from monoid_spectra.idealsys import (IdealSystem, check_ideal_axioms,
                                      enumerate_primes, s_system)
 from monoid_spectra.modsys import (DeltaFamily, ModuleSystem, check_id2,
@@ -278,7 +278,7 @@ def test_passing_systems_never_reach_the_point_loops(monkeypatch):
     integers and in the plane: no reader is asked about a point, and
     neither scan opens a reader for any set but the A it scans."""
     readers, reads = [], []
-    real = modsys._Window.reader
+    real = window._Window.reader
 
     def counting(self, A):
         readers.append(A)
@@ -290,7 +290,7 @@ def test_passing_systems_never_reach_the_point_loops(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(modsys._Window, "reader", counting)
+    monkeypatch.setattr(window._Window, "reader", counting)
     for H, bound in ((Monoid.numerical([2, 3]), 4),
                      (Monoid.affine([[1, 0], [0, 1]]), 1)):
         overs = build(H)[1]

@@ -3,8 +3,11 @@
 Runs ``cli.main`` in this process on every suite x every monoid input in
 ``tests/data`` x {default bound, 1, 2, 3} x {text, --json}, each with
 ``--dot``, plus ``main2 --family adjoin-ray.json`` on the same bounds and
-formats; and every job of the benchmark's seed-0 sweep plan, read from
-``bench/workloads.py``, in text format with ``--seed 0`` and ``--dot``.  A
+formats; main1, axioms, pruefer and corollaries on n2 and nxz at bounds
+8, 10 and 12, in both formats, where the checkers draw from large windows
+and overmonoid masks pass the ``MAX_SPAN_BITS`` cap; and every job of the
+benchmark's seed-0 sweep plan, read from ``bench/workloads.py``, in text
+format with ``--seed 0`` and ``--dot``.  A
 run's record is ``[sha1, status, fails]``: the SHA-1 over stdout, stderr,
 the exit code (or the exception the run raised) and the DOT file; that exit
 code or exception; and the sorted names of the report's FAIL lines.  A refactor that keeps every report byte-identical gives the same
@@ -37,6 +40,9 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from monoid_spectra import cli  # noqa: E402
 
 BOUNDS = (None, 1, 2, 3)
+# Large-bound runs: (suites, inputs, bounds).
+LARGE = (("main1", "axioms", "pruefer", "corollaries"),
+         ("n2.json", "nxz.json"), (8, 10, 12))
 FAIL_LINE = re.compile(r"^\S+ (\S+) FAIL\b", re.M)
 
 
@@ -52,13 +58,19 @@ def monoid_inputs():
 
 
 def runs():
-    """(label, argv) of every run, without --dot."""
+    """(label, argv, bounds) of every run, without --dot or a bound."""
     for name in monoid_inputs():
         for suite in cli.SUITES:
             yield suite + " " + name, ["--suite", suite, "--input",
-                                       os.path.join(DATA, name)]
+                                       os.path.join(DATA, name)], BOUNDS
     yield "main2 --family adjoin-ray.json", [
-        "--suite", "main2", "--family", os.path.join(DATA, "adjoin-ray.json")]
+        "--suite", "main2", "--family",
+        os.path.join(DATA, "adjoin-ray.json")], BOUNDS
+    suites, names, bounds = LARGE
+    for name in names:
+        for suite in suites:
+            yield suite + " " + name, ["--suite", suite, "--input",
+                                       os.path.join(DATA, name)], bounds
 
 
 def sweep_runs(tmp):
@@ -115,8 +127,8 @@ def main():
     records = {}
     with tempfile.TemporaryDirectory() as tmp:
         dot_path = os.path.join(tmp, "out.dot")
-        for label, argv in runs():
-            for bound in BOUNDS:
+        for label, argv, bounds in runs():
+            for bound in bounds:
                 extra = [] if bound is None else ["--bound", str(bound)]
                 for fmt in ("text", "json"):
                     key = f"{label} bound={bound or 'default'} {fmt}"
