@@ -5,12 +5,11 @@ of parameterized families."""
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 from .fintop import FiniteSpace, subbasis_space
 # family_from_file lives beside the monoid readers and is also read from here
-from .monoid import (INF, Box, CarrierMismatch, DeltaFamily, Monoid,
+from .monoid import (INF, CarrierMismatch, DeltaFamily, Monoid,
                      Overmonoid, _copy, family_from_file, sort_key)
 from .report import Check
 from .window import _Draw, _plan
@@ -27,7 +26,8 @@ class ModuleSystem:
     answers False off the carrier.  On a carrier with boxes, ``mask(A)``
     returns A_r's box reader, for a system given a `mask` function: it maps
     a ``Box`` to A_r on it and INF as one int in the box's layout, or to
-    None past the mask cap."""
+    None past the mask cap; a product closure's reader (``_Product``) also
+    names its members, so a ``window._Window`` plans it."""
 
     def __init__(self, name, context, closure, mask=None):
         self.name = name
@@ -64,33 +64,41 @@ def _nonzero(ctx, A):
                         key=sort_key))
 
 
-def _shift_or(members, cells, box):
-    """A_r on the box for the product closure of `members`, in the box's
-    layout, or None past the mask cap, where `cells` are the cells of A's
-    nonzero points: the AND over S of the OR over a of S's mask shifted by
-    a.  Each S is read once, on the box moved back by the hull of A, where
-    each a is a fixed shift.  No members give every lattice cell.  INF is
-    always in A_r."""
-    inf = 1 << box.bit(INF)
-    if not members:
-        return sum(1 << i for i, g in box.cells() if g is not None) | inf
-    if not cells:
-        return inf
-    rows, cols = zip(*cells)
-    top, right = max(rows), max(cols)
-    back = Box(box.ctx, box.x0 - top, box.y0 - right,
-               box.rows + top - min(rows), box.cols + right - min(cols))
-    shifts = [(top - x) * back.stride + right - y for x, y in cells]
-    out = -1
-    for S in members:
-        m = S.span_mask(back)
-        if m is None:
-            return None
-        any_a = 0
-        for k in shifts:
-            any_a |= m >> k
-        out &= any_a
-    return _copy(out, 0, back.stride, box.rows, box.cols, box.stride) | inf
+class _Product:
+    """A_r of a product closure on a box: the AND over S in `members` of
+    the OR over A's nonzero points a of S's mask shifted by a, and INF; no
+    members give every lattice cell.  A call reads each S on the box moved
+    back by A's hull, None past the mask cap; a ``window._Window`` reads
+    many sets on one such box by ``read``."""
+
+    def __init__(self, members, A):
+        self.members, self.A = members, A
+
+    def __call__(self, box):
+        inf = 1 << box.bit(INF)
+        if not self.members:
+            return sum(1 << i for i, g in box.cells() if g is not None) | inf
+        hull = box.ctx.box(self.A)
+        if hull is None:
+            return inf
+        back = box.behind(hull)
+        out = self.read((S.span_mask(back) for S in self.members),
+                        box.shifts(back, self.A))
+        return None if out is None else _copy(
+            out, 0, back.stride, box.rows, box.cols, box.stride) | inf
+
+    @staticmethod
+    def read(masks, shifts):
+        """AND over `masks` of ORs of their shifts; None at a None mask."""
+        out = -1
+        for m in masks:
+            if m is None:
+                return None
+            any_a = 0
+            for k in shifts:
+                any_a |= m >> k
+            out &= any_a
+        return out
 
 
 def product_closure(ctx, members):
@@ -120,9 +128,7 @@ def product_closure(ctx, members):
         return member
 
     def mask(A):
-        # the zero of a carrier with boxes is INF, which has no cell
-        cells = [ctx._xy(a) for a in A if a is not INF]
-        return lambda box: _shift_or(members, cells, box)
+        return _Product(members, A)
 
     return closure, mask
 
@@ -157,8 +163,9 @@ def iota(S: Overmonoid) -> ModuleSystem:
 
 
 def meet(systems) -> ModuleSystem:
-    """Pointwise intersection of closures, with the AND of their masks; the
-    infimum for the coarser-than order."""
+    """Pointwise intersection of closures; the infimum for the coarser-than
+    order.  A meet of product closures is the product closure of all their
+    members, and is read as one; any other meet is read point by point."""
     systems = list(systems)
     if not systems:
         raise ValueError("meet of an empty list")
@@ -174,14 +181,9 @@ def meet(systems) -> ModuleSystem:
 
     def mask(A):
         readers = [r.mask(A) for r in systems]
-        if None in readers:
-            return None
-
-        def read(box):
-            ms = [f(box) for f in readers]
-            return None if None in ms else functools.reduce(int.__and__, ms)
-
-        return read
+        if all(isinstance(f, _Product) for f in readers):
+            return _Product([S for f in readers for S in f.members], A)
+        return None
 
     name = "^".join(r.name for r in systems)
     return ModuleSystem(f"meet({name})", ctx, closure, mask)
@@ -199,9 +201,10 @@ def check_module_axioms(systems, H, bound: int = 4, seed: int = 0):
     carrier (CarrierMismatch otherwise), and the window's points are checked
     on it once.  What no system changes is planned once per call and
     dropped on return: the subset draw, the comparable M2 pairs, the Id3
-    scalars, points and images cA, the M4 translators, and the box every
-    mask is read on.  Window sets and their images reach each system's mask
-    unchecked; its exact predicates still come from ``closure``."""
+    scalars, points and images cA, the M4 translators, the boxes masks are
+    read on, each set's shifts and each overmonoid's mask (``_Window``).
+    Window sets and their images reach each system's mask unchecked; its
+    exact predicates still come from ``closure``."""
     ctx = H.context
     if any(r.context is not ctx for r in systems):
         raise CarrierMismatch("a module system off H's carrier")

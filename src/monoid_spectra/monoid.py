@@ -110,11 +110,7 @@ class GroupoidContext:
         """The smallest ``Box`` around the points among `points` other than
         INF, or None: on a carrier without the layout, and for no point."""
         cells = self.layout and [self._xy(g) for g in points if g is not INF]
-        if not cells:
-            return None
-        xs, ys = zip(*cells)
-        return Box(self, min(xs), min(ys), max(xs) - min(xs) + 1,
-                   max(ys) - min(ys) + 1)
+        return Box(self, 0, 0, 1, 1).spread(cells) if cells else None
 
     def check(self, g):
         if not self.contains(g):
@@ -260,6 +256,27 @@ class Box:
                    max(self.x0 + self.rows, other.x0 + other.rows) - x0,
                    max(self.y0 + self.cols, other.y0 + other.cols) - y0)
 
+    def spread(self, cells):
+        """The smallest box around this box moved by each of `cells`."""
+        xs, ys = zip(*cells)
+        return Box(self.ctx, self.x0 + min(xs), self.y0 + min(ys),
+                   self.rows + max(xs) - min(xs),
+                   self.cols + max(ys) - min(ys))
+
+    def behind(self, hull):
+        """This box moved back by every cell of the box `hull`."""
+        return self.spread([(-hull.x0, -hull.y0), (1 - hull.x0 - hull.rows,
+                                                   1 - hull.y0 - hull.cols)])
+
+    def shifts(self, back, points):
+        """Per point a but INF, the right shift moving a mask on the box
+        `back` by a onto this box; None unless `back` holds the moved box."""
+        at = [(self.x0 - x - back.x0, self.y0 - y - back.y0) for x, y in
+              (self.ctx._xy(a) for a in points if a is not INF)]
+        return [i * back.stride + j for i, j in at] if all(
+            0 <= i <= back.rows - self.rows
+            and 0 <= j <= back.cols - self.cols for i, j in at) else None
+
     def cells(self, skip=None):
         """(bit, carrier point) of every cell outside the box `skip`; the
         point is None at a cell off the carrier's lattice."""
@@ -337,13 +354,13 @@ class FiniteCarrier(GroupoidContext):
 class Overmonoid:
     """Submonoid of G containing H, with exact decidable membership.
 
-    Backed either by a generator list (membership derived exactly by the
-    carrier) or by a closed-form membership rule, which is only asked about
-    nonzero elements of G; the predicate is fixed here, once.  On a carrier
-    with boxes ``span_mask`` reads membership on a ``Box`` as one int
-    bitmask; each object keeps one mask, grown to the hull of the boxes
-    asked for, and reads a box whose hull would pass MAX_SPAN_BITS cells
-    pointwise."""
+    Backed by a generator list (membership derived exactly by the carrier)
+    or a closed-form membership rule, only asked about nonzero elements of
+    G, or both, the rule then deciding the generators' monoid; the
+    predicate is fixed here, once.  On a carrier with boxes ``span_mask``
+    reads membership on a ``Box`` as one int bitmask; each object keeps one
+    mask, grown to the hull of the boxes asked for, and reads a box whose
+    hull would pass MAX_SPAN_BITS cells pointwise."""
 
     _span = None  # the box read so far and its mask
 

@@ -17,9 +17,10 @@ MAX_OVERSEMIGROUPS = 10_000
 
 
 class NumericalSemigroup:
-    """Additive submonoid of N generated by positive integers with gcd 1."""
+    """Additive submonoid of N generated by positive integers with gcd 1,
+    its gaps read from a reach table or given, trusted, as `gaps`."""
 
-    def __init__(self, generators):
+    def __init__(self, generators, gaps=None):
         gens = sorted(set(int(g) for g in generators))
         if not gens or any(g <= 0 for g in gens):
             raise ValueError("generators must be positive integers")
@@ -29,29 +30,25 @@ class NumericalSemigroup:
         if g_all != 1:
             raise ValueError("generators must have gcd 1")
         self.generators = tuple(gens)
-        limit = gens[0] * gens[-1] + 1  # >= conductor
-        if limit + 1 > MAX_REACH:
-            raise UnsupportedRealization(
-                f"numerical semigroup too large: generators {gens[0]} and "
-                f"{gens[-1]} need a reach table of {limit + 1} entries, "
-                f"over the limit of {MAX_REACH}")
-        reach = [False] * (limit + 1)
-        reach[0] = True
-        for i in range(1, limit + 1):
-            reach[i] = any(i >= g and reach[i - g] for g in gens)
-        self._reach = reach
-        self._limit = limit
-        gaps = [n for n in range(1, limit + 1) if not reach[n]]
+        if gaps is None:
+            limit = gens[0] * gens[-1] + 1  # >= conductor
+            if limit + 1 > MAX_REACH:
+                raise UnsupportedRealization(
+                    f"numerical semigroup too large: generators {gens[0]} "
+                    f"and {gens[-1]} need a reach table of {limit + 1} "
+                    f"entries, over the limit of {MAX_REACH}")
+            reach = [False] * (limit + 1)
+            reach[0] = True
+            for i in range(1, limit + 1):
+                reach[i] = any(i >= g and reach[i - g] for g in gens)
+            gaps = [n for n in range(1, limit + 1) if not reach[n]]
         self.gaps = tuple(gaps)
         self.frobenius = gaps[-1] if gaps else -1
         self.conductor = self.frobenius + 1
+        self._gaps = frozenset(gaps)
 
     def contains(self, n: int) -> bool:
-        if n < 0:
-            return False
-        if n > self._limit:
-            return True
-        return self._reach[n]
+        return n >= self.conductor or n >= 0 and n not in self._gaps
 
     def elements_upto(self, bound: int) -> list[int]:
         return [n for n in range(bound + 1) if self.contains(n)]
@@ -89,24 +86,26 @@ def oversemigroups(sgp: NumericalSemigroup) -> list[NumericalSemigroup]:
     elements of T: it is a minimal generator and the parent is a semigroup.
     The children of T adjoin one special gap g of T (2g and every g + t,
     t in T nonzero, lie in T) below min(T - sgp), so each oversemigroup is
-    visited once.  Raises UnsupportedRealization past MAX_OVERSEMIGROUPS."""
+    visited once, and built from the gaps the walk holds.  Raises
+    UnsupportedRealization past MAX_OVERSEMIGROUPS."""
     frob = sgp.frobenius
     out = []
     stack = [frozenset()]  # the gaps of `sgp` each node fills
     while stack:
         filled = stack.pop()
-        out.append(NumericalSemigroup(sorted(set(sgp.generators) | filled)))
+        node = NumericalSemigroup(set(sgp.generators) | filled, [
+            g for g in sgp.gaps if g not in filled])
+        out.append(node)
         if len(out) > MAX_OVERSEMIGROUPS:
             raise UnsupportedRealization(
                 f"{sgp} has more than {MAX_OVERSEMIGROUPS} oversemigroups")
-        members = {n for n in range(1, frob + 1)
-                   if n in filled or sgp.contains(n)}
+        members = [n for n in range(1, frob + 1) if node.contains(n)]
         top = min(filled, default=frob + 1)
         for g in sgp.gaps:
             if g >= top:
                 break
-            if ((2 * g > frob or 2 * g in members)
-                    and all(g + t > frob or g + t in members
+            if ((2 * g > frob or node.contains(2 * g))
+                    and all(g + t > frob or node.contains(g + t)
                             for t in members)):
                 stack.append(filled | {g})
     out.sort(key=lambda s: (-len(s.gaps), s.gaps))

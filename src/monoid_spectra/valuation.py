@@ -115,7 +115,7 @@ def enumerate_overmonoids(H: Monoid):
     for sgp in oversemigroups(H.sgp):
         gens = sgp.minimal_generators()
         name = "<" + ",".join(map(str, gens)) + ">"
-        out.append(Overmonoid(ctx, gens=gens, name=name))
+        out.append(Overmonoid(ctx, gens=gens, rule=sgp.contains, name=name))
     out.append(Overmonoid(ctx, gens=(1, -1), name="Z"))
     return out
 

@@ -4,9 +4,11 @@ read once as an int bitmask and every axiom is scanned."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
+from . import monoid
 from .monoid import INF, Box, sort_key
 from .report import Check
 
@@ -70,7 +72,12 @@ class _Window:
     read on the window's box in one piece, and Id3 and M4 compare such box
     masks as integers.  Only a difference sends them back to the point
     loop, which finds the same witness.  The window's moves are the inverses
-    of its nonzero Id3 scalars and its M4 translators."""
+    of its nonzero Id3 scalars and its M4 translators.
+
+    Planned once per window: the wide box (the box and its moves, moved
+    back by the hull of the subsets and Id3 images), each set's shifts and
+    each overmonoid's mask there; a product closure's A_r is one AND of
+    shifted ORs, or past the cap there, a read on A's own box."""
 
     def __init__(self, ctx, universe, draw=None, scalars=(), points=(),
                  translators=()):
@@ -86,13 +93,17 @@ class _Window:
         self.box = b = ctx.box(universe)
         if b:
             # the box around b and b moved by each of `moves`: each A_r is
-            # read on it once, and the window's box takes its stride, so a
-            # read is one shift
+            # read on it once, with the wide box's stride below the cap,
+            # and the window's box takes its stride, so a read is one shift
             cells = [ctx._xy(g) for g in moves]
-            xs, ys = zip((0, 0), *cells)
-            self.reach = reach = Box(ctx, b.x0 + min(xs), b.y0 + min(ys),
-                                     b.rows + max(xs) - min(xs),
-                                     b.cols + max(ys) - min(ys))
+            self.reach = reach = b.spread([(0, 0), *cells])
+            h = b.spread([(0, 0), *(ctx._xy(c) for c in scalars
+                                    if c != ctx.zero)])
+            wide = reach.behind(h)
+            if wide.rows * wide.cols <= monoid.MAX_SPAN_BITS:
+                reach.stride = wide.stride
+            self._span = functools.cache(lambda S: S.span_mask(wide))
+            self._shifts = functools.cache(lambda A: reach.shifts(wide, A))
             self.box = b = Box(ctx, b.x0, b.y0, b.rows, b.cols, reach.stride)
             # where the box, and the box moved by each move, starts in reach
             start = (b.x0 - reach.x0) * b.stride + b.y0 - reach.y0
@@ -129,13 +140,23 @@ class _Window:
             return None
         if A not in self._reads:
             f = self.r._mask and self.r._mask(A)
-            self._reads[A] = f and f(self.reach)
+            bits = f and self._planned(A, f)
+            self._reads[A] = f(self.reach) if f and bits is None else bits
         bits = self._reads[A]
         if bits is None:
             return None
         inf, box_inf = self._infs
         return (bits >> self._starts[by] & self._cells
                 | (bits >> inf & 1) << box_inf)
+
+    def _planned(self, A, f):
+        """A_r on reach as one ``read`` of a product closure's member masks
+        on the wide box; None for other readers, off the box, past the cap."""
+        shifts = getattr(f, "members", None) and self._shifts(A)
+        if not shifts:
+            return None
+        bits = f.read(map(self._span, f.members), shifts)
+        return None if bits is None else bits | 1 << self._infs[0]
 
     def mask(self, A):
         """A_r on the window."""

@@ -27,7 +27,6 @@ VARIED_BY_TESTS = {
 # attributes set on self that only the tests read: public values
 READ_BY_TESTS = {
     "ParseError.field",
-    "NumericalSemigroup.conductor",
 }
 
 

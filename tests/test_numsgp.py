@@ -1,12 +1,18 @@
 import itertools
+import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monoid_spectra import numsgp
+from monoid_spectra import intgeom, numsgp
 from monoid_spectra.errors import UnsupportedRealization
+from monoid_spectra.monoid import Monoid, monoid_from_file
 from monoid_spectra.numsgp import NumericalSemigroup, oversemigroups
+from monoid_spectra.valuation import enumerate_overmonoids
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+NUMERICAL = ["n23", "n345", "n469", "n579", "n71113", "n81113"]
 
 
 def brute_members(gens, bound):
@@ -165,3 +171,35 @@ def test_size_guards(monkeypatch):
     assert len(oversemigroups(NumericalSemigroup((3, 4, 5)))) == 3
     with pytest.raises(UnsupportedRealization):
         oversemigroups(NumericalSemigroup((3, 5)))  # has 5
+
+
+def agrees_with_the_reach_table(sgp):
+    """Each oversemigroup, built by the walk from its gaps, is the semigroup
+    the reach table gives for its generators; each enumerated overmonoid's
+    rule is the carrier's submonoid test for its generators."""
+    for node in oversemigroups(sgp):
+        table = NumericalSemigroup(node.generators)
+        assert (node.gaps, node.frobenius, node.conductor,
+                node.minimal_generators()) == (
+            table.gaps, table.frobenius, table.conductor,
+            table.minimal_generators()), node
+        span = range(-1, node.frobenius + node.generators[0] + 2)
+        assert ([node.contains(n) for n in span]
+                == [table.contains(n) for n in span]), node
+    F = sgp.frobenius
+    for S in enumerate_overmonoids(Monoid.numerical(sgp.generators)):
+        member = intgeom.submonoid_1d(S.gens)
+        assert ([S.has(n) for n in range(-2 * F - 2, 2 * F + 3)]
+                == [bool(member(n)) for n in range(-2 * F - 2, 2 * F + 3)]), S
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_semigroups(13))
+def test_gap_built_oversemigroups_match_the_reach_table(s):
+    agrees_with_the_reach_table(s)
+
+
+@pytest.mark.parametrize("name", NUMERICAL)
+def test_gap_built_oversemigroups_of_the_inputs_match_the_reach_table(name):
+    agrees_with_the_reach_table(
+        monoid_from_file(os.path.join(DATA, name + ".json")).sgp)

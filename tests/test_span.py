@@ -302,3 +302,91 @@ def test_passing_systems_never_reach_the_point_loops(monkeypatch):
             assert all(c.ok and c.exhaustive for c in checks.values())
             assert len(readers) == 2 * checks["M4"].n
             assert reads == []
+
+
+def on_cells(box):
+    """The bits of the box's cells and of INF, in its layout."""
+    return pointwise(lambda g: True, box)
+
+
+def plan_systems(H, overs):
+    """iota, a 3-member r_delta, a meet, example16 and the s-system."""
+    return [iota(overs[1]), r_delta(DeltaFamily(overs[:3]), H.context),
+            meet([iota(S) for S in overs[1:3]]), example16(H), s_system(H)]
+
+
+LATTICES = {"n2": [[1, 0], [0, 1]], "nxz": [[1, 0], [0, 1], [0, -1]],
+            "index2": [[1, 1], [1, -1]]}
+
+
+def plan_carrier(name):
+    """A fresh monoid with its overmonoids, and the bound it is read at."""
+    if name in LATTICES:
+        return build(Monoid.affine(LATTICES[name])) + (1,)
+    return build(monoid_from_file(os.path.join(DATA, name + ".json"))) + (6,)
+
+
+@pytest.mark.parametrize("name", NUMERICAL + list(LATTICES))
+def test_plan_reads_agree_with_set_reads_and_the_predicate(name,
+                                                           monkeypatch):
+    """Every set a plan reads: the plan's read on the wide box, the
+    system's read on the set's own box and the exact predicate agree on
+    the reach box.  Then with the wide box past the mask cap, where the
+    sets fall back to their own boxes, and with both past it, where they
+    are read point by point: the same verdicts."""
+    real_planned, real_span = window._Window._planned, Overmonoid.span_mask
+    log, areas = [], []
+
+    def checked(self, A, f):
+        bits = real_planned(self, A, f)
+        if f.members and self.ctx.box(A):  # a product with points
+            box, own = self.reach, f(self.reach)
+            exact = pointwise(self.r.closure(A), box)
+            assert bits is None or bits & on_cells(box) == exact
+            assert own is None or own == exact
+            log.append((bits is not None, own is not None))
+        return bits
+
+    def span(self, box):
+        areas.append(box.rows * box.cols)
+        return real_span(self, box)
+
+    monkeypatch.setattr(window._Window, "_planned", checked)
+    monkeypatch.setattr(Overmonoid, "span_mask", span)
+    verdicts = {}
+    for cap in (None, "wide", 1):
+        if cap == "wide":  # one cell below the widest box, the plan's
+            monkeypatch.setattr(monoid, "MAX_SPAN_BITS", max(areas) - 1)
+        elif cap:
+            monkeypatch.setattr(monoid, "MAX_SPAN_BITS", cap)
+        log.clear()
+        H, overs, bound = plan_carrier(name)
+        verdicts[cap] = [[c.to_dict() for c in checks] for checks in
+                         check_module_axioms(plan_systems(H, overs), H,
+                                             bound=bound)]
+        planned, own = zip(*log)
+        if cap is None:
+            assert all(planned)
+        elif cap == "wide":
+            assert not any(planned) and any(own)
+        else:
+            assert not any(planned) and not any(own)
+    assert verdicts[None] == verdicts["wide"] == verdicts[1]
+
+
+def test_a_plan_reads_each_member_once():
+    """main1's systems on <5,7,9> at bound 10: each overmonoid's mask is
+    read once per plan, not once per set."""
+    H = monoid_from_file(os.path.join(DATA, "n579.json"))
+    systems = [*map(iota, enumerate_overmonoids(H)), example16(H)]
+    reads = []
+    real = Overmonoid.span_mask
+
+    def counted(self, box):
+        reads.append(self)
+        return real(self, box)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Overmonoid, "span_mask", counted)
+        check_module_axioms(systems, H, bound=10)
+    assert len(reads) == len(set(reads)) == len(systems)

@@ -5,7 +5,9 @@ Runs ``cli.main`` in this process on every suite x every monoid input in
 ``--dot``, plus ``main2 --family adjoin-ray.json`` on the same bounds and
 formats; main1, axioms, pruefer and corollaries on n2 and nxz at bounds
 8, 10 and 12, in both formats, where the checkers draw from large windows
-and overmonoid masks pass the ``MAX_SPAN_BITS`` cap; and every job of the
+and overmonoid masks pass the ``MAX_SPAN_BITS`` cap; main1, axioms and
+corollaries on n579 and n71113 at bounds 20 and 40, in both formats, where
+the integer carrier's windows are large; and every job of the
 benchmark's seed-0 sweep plan, read from ``bench/workloads.py``, in text
 format with ``--seed 0`` and ``--dot``.  A
 run's record is ``[sha1, status, fails]``: the SHA-1 over stdout, stderr,
@@ -41,8 +43,10 @@ from monoid_spectra import cli  # noqa: E402
 
 BOUNDS = (None, 1, 2, 3)
 # Large-bound runs: (suites, inputs, bounds).
-LARGE = (("main1", "axioms", "pruefer", "corollaries"),
-         ("n2.json", "nxz.json"), (8, 10, 12))
+LARGE = ((("main1", "axioms", "pruefer", "corollaries"),
+          ("n2.json", "nxz.json"), (8, 10, 12)),
+         (("main1", "axioms", "corollaries"),
+          ("n579.json", "n71113.json"), (20, 40)))
 FAIL_LINE = re.compile(r"^\S+ (\S+) FAIL\b", re.M)
 
 
@@ -66,11 +70,11 @@ def runs():
     yield "main2 --family adjoin-ray.json", [
         "--suite", "main2", "--family",
         os.path.join(DATA, "adjoin-ray.json")], BOUNDS
-    suites, names, bounds = LARGE
-    for name in names:
-        for suite in suites:
-            yield suite + " " + name, ["--suite", suite, "--input",
-                                       os.path.join(DATA, name)], bounds
+    for suites, names, bounds in LARGE:
+        for name in names:
+            for suite in suites:
+                yield suite + " " + name, ["--suite", suite, "--input",
+                                           os.path.join(DATA, name)], bounds
 
 
 def sweep_runs(tmp):
