@@ -10,9 +10,9 @@ import itertools
 from .fintop import FiniteSpace, subbasis_space
 # family_from_file lives beside the monoid readers and is also read from here
 from .monoid import (INF, CarrierMismatch, DeltaFamily, Monoid,
-                     Overmonoid, _copy, family_from_file, sort_key)
+                     Overmonoid, family_from_file, sort_key)
 from .report import Check
-from .window import _Draw, _plan
+from .window import _Draw, _Product, _plan
 # The members of a parameterized family that ``check_family`` rechecks and
 # ``falsify_finitary`` searches: indices 1..FAMILY_DEPTH.
 FAMILY_DEPTH = 6
@@ -26,8 +26,8 @@ class ModuleSystem:
     answers False off the carrier.  On a carrier with boxes, ``mask(A)``
     returns A_r's box reader, for a system given a `mask` function: it maps
     a ``Box`` to A_r on it and INF as one int in the box's layout, or to
-    None past the mask cap; a product closure's reader (``_Product``) also
-    names its members, so a ``window._Window`` plans it."""
+    None past the mask cap; a product closure's reader (``window._Product``)
+    also names its members, so a ``window._Window`` plans it."""
 
     def __init__(self, name, context, closure, mask=None):
         self.name = name
@@ -62,43 +62,6 @@ class ModuleSystem:
 def _nonzero(ctx, A):
     return tuple(sorted((a for a in A if a is not INF and a != ctx.zero),
                         key=sort_key))
-
-
-class _Product:
-    """A_r of a product closure on a box: the AND over S in `members` of
-    the OR over A's nonzero points a of S's mask shifted by a, and INF; no
-    members give every lattice cell.  A call reads each S on the box moved
-    back by A's hull, None past the mask cap; a ``window._Window`` reads
-    many sets on one such box by ``read``."""
-
-    def __init__(self, members, A):
-        self.members, self.A = members, A
-
-    def __call__(self, box):
-        inf = 1 << box.bit(INF)
-        if not self.members:
-            return sum(1 << i for i, g in box.cells() if g is not None) | inf
-        hull = box.ctx.box(self.A)
-        if hull is None:
-            return inf
-        back = box.behind(hull)
-        out = self.read((S.span_mask(back) for S in self.members),
-                        box.shifts(back, self.A))
-        return None if out is None else _copy(
-            out, 0, back.stride, box.rows, box.cols, box.stride) | inf
-
-    @staticmethod
-    def read(masks, shifts):
-        """AND over `masks` of ORs of their shifts; None at a None mask."""
-        out = -1
-        for m in masks:
-            if m is None:
-                return None
-            any_a = 0
-            for k in shifts:
-                any_a |= m >> k
-            out &= any_a
-        return out
 
 
 def product_closure(ctx, members):

@@ -30,13 +30,13 @@ class NumericalSemigroup:
         if g_all != 1:
             raise ValueError("generators must have gcd 1")
         self.generators = tuple(gens)
+        limit = gens[0] * gens[-1] + 1  # >= conductor
+        if limit + 1 > MAX_REACH:
+            raise UnsupportedRealization(
+                f"numerical semigroup too large: generators {gens[0]} and "
+                f"{gens[-1]} need a reach table of {limit + 1} entries, "
+                f"over the limit of {MAX_REACH}")
         if gaps is None:
-            limit = gens[0] * gens[-1] + 1  # >= conductor
-            if limit + 1 > MAX_REACH:
-                raise UnsupportedRealization(
-                    f"numerical semigroup too large: generators {gens[0]} "
-                    f"and {gens[-1]} need a reach table of {limit + 1} "
-                    f"entries, over the limit of {MAX_REACH}")
             reach = [False] * (limit + 1)
             reach[0] = True
             for i in range(1, limit + 1):

@@ -9,12 +9,49 @@ import itertools
 import random
 
 from . import monoid
-from .monoid import INF, Box, sort_key
+from .monoid import INF, Box, _copy, sort_key
 from .report import Check
 
 
 def _subsets(xs, sizes):
     return [frozenset(c) for n in sizes for c in itertools.combinations(xs, n)]
+
+
+class _Product:
+    """A_r of a product closure on a box: the AND over S in `members` of
+    the OR over A's nonzero points a of S's mask shifted by a, and INF; no
+    members give every lattice cell.  A call reads each S on the box moved
+    back by A's hull, None past the mask cap; a ``_Window`` reads many
+    sets on one such box by ``read``."""
+
+    def __init__(self, members, A):
+        self.members, self.A = members, A
+
+    def __call__(self, box):
+        inf = 1 << box.bit(INF)
+        if not self.members:
+            return sum(1 << i for i, g in box.cells() if g is not None) | inf
+        hull = box.ctx.box(self.A)
+        if hull is None:
+            return inf
+        back = box.behind(hull)
+        out = self.read((S.span_mask(back) for S in self.members),
+                        box.shifts(back, self.A))
+        return None if out is None else _copy(
+            out, 0, back.stride, box.rows, box.cols, box.stride) | inf
+
+    @staticmethod
+    def read(masks, shifts):
+        """AND over `masks` of ORs of their shifts; None at a None mask."""
+        out = -1
+        for m in masks:
+            if m is None:
+                return None
+            any_a = 0
+            for k in shifts:
+                any_a |= m >> k
+            out &= any_a
+        return out
 
 
 class _Draw:
@@ -152,7 +189,7 @@ class _Window:
     def _planned(self, A, f):
         """A_r on reach as one ``read`` of a product closure's member masks
         on the wide box; None for other readers, off the box, past the cap."""
-        shifts = getattr(f, "members", None) and self._shifts(A)
+        shifts = isinstance(f, _Product) and self._shifts(A)
         if not shifts:
             return None
         bits = f.read(map(self._span, f.members), shifts)

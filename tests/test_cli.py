@@ -193,6 +193,18 @@ def test_exit_code_3_past_the_semigroup_size_guard(tmp_path, capsys):
     assert "Traceback" not in captured.err + captured.out
 
 
+def test_exit_code_3_when_an_oversemigroup_passes_the_size_guard(
+        tmp_path, capsys):
+    # <300,301> fits the reach table, its oversemigroup with 89699 does not
+    big = tmp_path / "big.json"
+    big.write_text('{"kind": "numerical", "generators": [300, 301]}')
+    code = main(["verify", "--suite", "prop1", "--input", str(big)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith(
+        "unsupported: numerical semigroup too large: generators 300 and 89699")
+
+
 def test_exit_code_2_on_a_seed_that_is_not_an_integer(capsys, monkeypatch):
     monkeypatch.setenv("MONOID_SPECTRA_SEED", "abc")
     code = main(["verify", "--suite", "spec", "--input", data("n23.json")])

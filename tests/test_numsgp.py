@@ -173,6 +173,15 @@ def test_size_guards(monkeypatch):
         oversemigroups(NumericalSemigroup((3, 5)))  # has 5
 
 
+def test_oversemigroups_refuse_a_node_past_the_reach_guard():
+    # <47,48> fits the reach table; its first child, with 2161 adjoined,
+    # does not, and is refused before the walk goes on
+    with pytest.raises(UnsupportedRealization,
+                       match="numerical semigroup too large: generators 47 "
+                             "and 2161"):
+        oversemigroups(NumericalSemigroup((47, 48)))
+
+
 def agrees_with_the_reach_table(sgp):
     """Each oversemigroup, built by the walk from its gaps, is the semigroup
     the reach table gives for its generators; each enumerated overmonoid's
