@@ -21,8 +21,8 @@ class IdealSystem(ModuleSystem):
     ``closure(X)`` takes a frozenset of elements of H and returns an exact
     membership predicate for X_r."""
 
-    def __init__(self, name, H: Monoid, closure, mask=None):
-        super().__init__(name, H.context, closure, mask)
+    def __init__(self, name, H: Monoid, closure, members=None):
+        super().__init__(name, H.context, closure, members)
         self.H = H
 
 
@@ -144,7 +144,8 @@ def enumerate_ideals(H: Monoid, system: IdealSystem, bound: int):
         raise UnsupportedRealization("ideal enumeration needs numerical or finite kind")
     sgp = H.sgp
     frob = max(sgp.frobenius, 0)
-    universe = [n for n in sgp.elements_upto(bound + frob) if n > 0]
+    universe = [n for n in H.context.nonzero_window(bound + frob)
+                if n > 0 and sgp.contains(n)]
     out = [RIdeal(r, ()),        # the zero ideal {0}
            RIdeal(r, (H.one,))]  # the improper ideal H
     # an antichain with the index of its largest element in the universe

@@ -12,10 +12,15 @@ from .fintop import FiniteSpace, subbasis_space
 from .monoid import (INF, CarrierMismatch, DeltaFamily, Monoid,
                      Overmonoid, family_from_file, sort_key)
 from .report import Check
-from .window import _Draw, _Product, _plan
+from .window import _Draw, _plan
 # The members of a parameterized family that ``check_family`` rechecks and
 # ``falsify_finitary`` searches: indices 1..FAMILY_DEPTH.
 FAMILY_DEPTH = 6
+
+
+def _pointwise(A):
+    """The members of a system read point by point: none."""
+    return None
 
 
 class ModuleSystem:
@@ -23,34 +28,23 @@ class ModuleSystem:
 
     ``closure(A)`` takes a finite subset of G, checked here (CarrierMismatch
     otherwise), and returns an exact membership predicate for A_r, which
-    answers False off the carrier.  On a carrier with boxes, ``mask(A)``
-    returns A_r's box reader, for a system given a `mask` function: it maps
-    a ``Box`` to A_r on it and INF as one int in the box's layout, or to
-    None past the mask cap; a product closure's reader (``window._Product``)
-    also names its members, so a ``window._Window`` plans it."""
+    answers False off the carrier.  ``members(A)``, for a system given a
+    `members` function, lists the overmonoids whose product closure is A_r,
+    so a ``window._Window`` reads A_r from their masks; it is None for a
+    system read point by point, and trusts A, as the window's sets are
+    checked once, where the window is built."""
 
-    def __init__(self, name, context, closure, mask=None):
+    def __init__(self, name, context, closure, members=None):
         self.name = name
         self.context = context
         self._closure = closure
-        self._mask = mask
+        self.members = members or _pointwise
 
-    def _checked(self, A):
+    def closure(self, A):
         A = frozenset(A)
         for a in A:
             self.context.check(a)
-        return A
-
-    def closure(self, A):
-        return self._closure(self._checked(A))
-
-    def mask(self, A):
-        """A_r's box reader, or None for a system read point by point; A is
-        checked first, on every carrier."""
-        A = self._checked(A)
-        if self._mask is None or not self.context.layout:
-            return None
-        return self._mask(A)
+        return self._closure(A)
 
     def member(self, A, g) -> bool:
         return self.closure(A)(g)
@@ -68,7 +62,7 @@ def product_closure(ctx, members):
     """The closure A -> intersection over S in `members` of SA, with 0: g is
     in it iff for every S some nonzero a in A has a^{-1} g in S.  Exact for
     finite A and a finite list; an empty list gives all of G.  Returns the
-    closure and its box readers, as ``ModuleSystem`` takes them."""
+    closure and its members function, as ``ModuleSystem`` takes them."""
     zero = ctx.zero
 
     def closure(A):
@@ -90,15 +84,13 @@ def product_closure(ctx, members):
 
         return member
 
-    def mask(A):
-        return _Product(members, A)
-
-    return closure, mask
+    return closure, lambda A: members
 
 
 def example16(H: Monoid) -> ModuleSystem:
     """A_r = G when 0 is in A, otherwise AH with 0 adjoined.  Satisfies Id1,
-    M2, Id3 and M4 but not Id2."""
+    M2, Id3 and M4 but not Id2.  Both are product closures: of no member,
+    and of [H]."""
     ctx = H.context
     whole, product = product_closure(ctx, []), product_closure(ctx, [H])
 
@@ -128,7 +120,8 @@ def iota(S: Overmonoid) -> ModuleSystem:
 def meet(systems) -> ModuleSystem:
     """Pointwise intersection of closures; the infimum for the coarser-than
     order.  A meet of product closures is the product closure of all their
-    members, and is read as one; any other meet is read point by point."""
+    members; a meet with a system read point by point is read point by
+    point."""
     systems = list(systems)
     if not systems:
         raise ValueError("meet of an empty list")
@@ -142,14 +135,14 @@ def meet(systems) -> ModuleSystem:
 
         return member
 
-    def mask(A):
-        readers = [r.mask(A) for r in systems]
-        if all(isinstance(f, _Product) for f in readers):
-            return _Product([S for f in readers for S in f.members], A)
-        return None
+    def members(A):
+        lists = [r.members(A) for r in systems]
+        if any(m is None for m in lists):
+            return None
+        return [S for m in lists for S in m]
 
     name = "^".join(r.name for r in systems)
-    return ModuleSystem(f"meet({name})", ctx, closure, mask)
+    return ModuleSystem(f"meet({name})", ctx, closure, members)
 
 
 # -- axiom checking ----------------------------------------------------------
@@ -165,9 +158,9 @@ def check_module_axioms(systems, H, bound: int = 4, seed: int = 0):
     on it once.  What no system changes is planned once per call and
     dropped on return: the subset draw, the comparable M2 pairs, the Id3
     scalars, points and images cA, the M4 translators, the boxes masks are
-    read on, each set's shifts and each overmonoid's mask (``_Window``).
-    Window sets and their images reach each system's mask unchecked; its
-    exact predicates still come from ``closure``."""
+    read on, each set's shifts and each member's mask (``_Window``).
+    Window sets and their images reach each system's ``members``
+    unchecked; its exact predicates still come from ``closure``."""
     ctx = H.context
     if any(r.context is not ctx for r in systems):
         raise CarrierMismatch("a module system off H's carrier")

@@ -17,7 +17,12 @@ import operator
 from math import gcd
 
 from . import intgeom
+from .errors import UnsupportedRealization
 from .numsgp import cached_semigroup
+
+# Most points a window may hold: a larger bound is refused, before any point
+# is built
+MAX_WINDOW = 1 << 12
 
 
 class _Inf:
@@ -79,6 +84,8 @@ class GroupoidContext:
 
     one = 0
     zero = INF
+    # a window of bound b holds up to (2b + 1)^dim points
+    dim = 1
     # whether the carrier has boxes; one that has defines _xy(g), the cell
     # (x, y) of a point, and _at(x, y), the point at a cell or None off it
     layout = False
@@ -94,7 +101,15 @@ class GroupoidContext:
 
     def window(self, bound: int) -> list:
         """Deterministic finite slice of the carrier used for enumeration;
-        membership queries stay exact, only enumerations are windowed."""
+        membership queries stay exact, only enumerations are windowed.  A
+        bound whose box passes MAX_WINDOW points raises
+        UnsupportedRealization."""
+        if (2 * bound + 1) ** self.dim > MAX_WINDOW:
+            raise UnsupportedRealization(
+                f"the window of bound {bound} passes {MAX_WINDOW} points")
+        return self._window(bound)
+
+    def _window(self, bound: int) -> list:
         raise NotImplementedError
 
     def nonzero_window(self, bound: int) -> list:
@@ -135,7 +150,7 @@ class IntCarrier(GroupoidContext):
             raise ValueError("the absorbing zero has no inverse")
         return -a
 
-    def window(self, bound: int) -> list:
+    def _window(self, bound: int) -> list:
         return list(range(-bound, bound + 1)) + [INF]
 
     def submonoid(self, gens):
@@ -195,7 +210,7 @@ class LatticeCarrier(GroupoidContext):
             raise ValueError("the absorbing zero has no inverse")
         return tuple(map(operator.neg, a))
 
-    def window(self, bound: int) -> list:
+    def _window(self, bound: int) -> list:
         box = itertools.product(range(-bound, bound + 1), repeat=self.dim)
         return [p for p in box if self._in_lattice(p)] + [INF]
 
@@ -211,19 +226,10 @@ class LatticeCarrier(GroupoidContext):
         return p if self._in_lattice(p) else None
 
 
-# Most cells one overmonoid's mask may hold; a larger box reads pointwise
-MAX_SPAN_BITS = 1 << 12
-
-
-def _copy(bits, start, stride, rows, cols, new_stride):
-    """`rows` rows of `cols` bits, `stride` apart from bit `start` on, packed
-    `new_stride` apart from bit 0."""
-    row, out = (1 << cols) - 1, 0
-    if rows == 1:
-        return bits >> start & row
-    for i in range(rows):
-        out |= (bits >> (start + i * stride) & row) << i * new_stride
-    return out
+# Most cells one overmonoid's mask may hold, as many rule answers as
+# MAX_LATTICE_MEMO and the membership caches keep; a larger box reads
+# pointwise
+MAX_SPAN_BITS = 1 << 16
 
 
 class Box:
@@ -249,13 +255,6 @@ class Box:
         x, y = self.ctx._xy(g)
         return (x - self.x0) * self.stride + y - self.y0
 
-    def hull(self, other):
-        """The smallest box around both, in its own layout."""
-        x0, y0 = min(self.x0, other.x0), min(self.y0, other.y0)
-        return Box(self.ctx, x0, y0,
-                   max(self.x0 + self.rows, other.x0 + other.rows) - x0,
-                   max(self.y0 + self.cols, other.y0 + other.cols) - y0)
-
     def spread(self, cells):
         """The smallest box around this box moved by each of `cells`."""
         xs, ys = zip(*cells)
@@ -277,22 +276,20 @@ class Box:
             0 <= i <= back.rows - self.rows
             and 0 <= j <= back.cols - self.cols for i, j in at) else None
 
-    def cells(self, skip=None):
-        """(bit, carrier point) of every cell outside the box `skip`; the
-        point is None at a cell off the carrier's lattice."""
+    def cells(self):
+        """(bit, carrier point) of every cell; the point is None at a cell
+        off the carrier's lattice."""
         at = self.ctx._at
         for i in range(self.rows):
-            x = self.x0 + i
-            inside = skip is not None and skip.x0 <= x < skip.x0 + skip.rows
             for j in range(self.cols):
-                y = self.y0 + j
-                if not (inside and skip.y0 <= y < skip.y0 + skip.cols):
-                    yield i * self.stride + j, at(x, y)
+                yield i * self.stride + j, at(self.x0 + i, self.y0 + j)
 
 
 class FiniteCarrier(GroupoidContext):
     """A finite commutative cancellative monoid given by its Cayley table;
     off the zero it is a group, so it is its own groupoid."""
+
+    dim = 0  # the window is the whole table, at every bound
 
     def __init__(self, table, one, zero):
         n = len(table)
@@ -335,7 +332,7 @@ class FiniteCarrier(GroupoidContext):
             raise ValueError("the absorbing zero has no inverse")
         return self._inv[a]
 
-    def window(self, bound: int) -> list:
+    def _window(self, bound: int) -> list:
         return list(range(len(self.table)))
 
     def submonoid(self, gens):
@@ -358,11 +355,9 @@ class Overmonoid:
     or a closed-form membership rule, only asked about nonzero elements of
     G, or both, the rule then deciding the generators' monoid; the
     predicate is fixed here, once.  On a carrier with boxes ``span_mask``
-    reads membership on a ``Box`` as one int bitmask; each object keeps one
-    mask, grown to the hull of the boxes asked for, and reads a box whose
-    hull would pass MAX_SPAN_BITS cells pointwise."""
-
-    _span = None  # the box read so far and its mask
+    reads membership on a ``Box`` as one int bitmask; the object keeps no
+    mask, and a ``window._Window`` keeps each one it reads for the
+    window."""
 
     def __init__(self, context, gens=None, rule=None, name=""):
         if gens is None and rule is None:
@@ -383,25 +378,16 @@ class Overmonoid:
         return g is INF or g == self.context.zero or bool(self._member(g))
 
     def span_mask(self, box):
-        """The members on `box`, in its layout, or None past the cap; a
-        cell off the lattice is no member, and each member is asked once."""
-        c, bits = self._span or (None, 0)
-        if not (c and c.x0 <= box.x0 and c.y0 <= box.y0
-                and box.x0 + box.rows <= c.x0 + c.rows
-                and box.y0 + box.cols <= c.y0 + c.cols):
-            new = (c or box).hull(box)
-            if new.rows * new.cols > MAX_SPAN_BITS:
-                return None
-            if c:  # the cells read so far, in the new layout
-                at = (c.x0 - new.x0) * new.stride + c.y0 - new.y0
-                bits = _copy(bits, 0, c.stride, c.rows, c.cols,
-                             new.stride) << at
-            for i, g in new.cells(skip=c):
-                if g is not None and self.has(g):
-                    bits |= 1 << i
-            self._span = c, bits = new, bits
-        return _copy(bits, (box.x0 - c.x0) * c.stride + box.y0 - c.y0,
-                     c.stride, box.rows, box.cols, box.stride)
+        """The members on `box`, in its layout, or None past MAX_SPAN_BITS
+        cells; a cell off the lattice is no member, and each cell is asked
+        once."""
+        if box.rows * box.cols > MAX_SPAN_BITS:
+            return None
+        bits = 0
+        for i, g in box.cells():
+            if g is not None and self.has(g):
+                bits |= 1 << i
+        return bits
 
     def __repr__(self):
         return f"Overmonoid({self.name or self.gens})"

@@ -9,7 +9,7 @@ import itertools
 import random
 
 from . import monoid
-from .monoid import INF, Box, _copy, sort_key
+from .monoid import INF, Box, sort_key
 from .report import Check
 
 
@@ -17,41 +17,17 @@ def _subsets(xs, sizes):
     return [frozenset(c) for n in sizes for c in itertools.combinations(xs, n)]
 
 
-class _Product:
-    """A_r of a product closure on a box: the AND over S in `members` of
-    the OR over A's nonzero points a of S's mask shifted by a, and INF; no
-    members give every lattice cell.  A call reads each S on the box moved
-    back by A's hull, None past the mask cap; a ``_Window`` reads many
-    sets on one such box by ``read``."""
-
-    def __init__(self, members, A):
-        self.members, self.A = members, A
-
-    def __call__(self, box):
-        inf = 1 << box.bit(INF)
-        if not self.members:
-            return sum(1 << i for i, g in box.cells() if g is not None) | inf
-        hull = box.ctx.box(self.A)
-        if hull is None:
-            return inf
-        back = box.behind(hull)
-        out = self.read((S.span_mask(back) for S in self.members),
-                        box.shifts(back, self.A))
-        return None if out is None else _copy(
-            out, 0, back.stride, box.rows, box.cols, box.stride) | inf
-
-    @staticmethod
-    def read(masks, shifts):
-        """AND over `masks` of ORs of their shifts; None at a None mask."""
-        out = -1
-        for m in masks:
-            if m is None:
-                return None
-            any_a = 0
-            for k in shifts:
-                any_a |= m >> k
-            out &= any_a
-        return out
+def _and_of_ors(masks, shifts):
+    """A product closure's A_r on a box: the AND over its members' `masks`
+    of the OR of each mask shifted by A's `shifts`; every bit for no
+    members, no bit for no shifts."""
+    out = -1
+    for m in masks:
+        any_a = 0
+        for k in shifts:
+            any_a |= m >> k
+        out &= any_a
+    return out
 
 
 class _Draw:
@@ -105,16 +81,17 @@ class _Window:
     the masks unchecked; points that leave the window go through the exact
     predicate, which checks them.
 
-    Where the carrier has a ``Box`` layout and the system masks, a closure is
-    read on the window's box in one piece, and Id3 and M4 compare such box
-    masks as integers.  Only a difference sends them back to the point
-    loop, which finds the same witness.  The window's moves are the inverses
-    of its nonzero Id3 scalars and its M4 translators.
+    Where the carrier has a ``Box`` layout and the system names its members,
+    a closure is read on the window's box in one piece, and Id3 and M4
+    compare such box masks as integers.  Only a difference sends them back
+    to the point loop, which finds the same witness.  The window's moves are
+    the inverses of its nonzero Id3 scalars and its M4 translators.
 
-    Planned once per window: the wide box (the box and its moves, moved
-    back by the hull of the subsets and Id3 images), each set's shifts and
-    each overmonoid's mask there; a product closure's A_r is one AND of
-    shifted ORs, or past the cap there, a read on A's own box."""
+    Planned once per window, and dropped with it: the wide box (the box and
+    its moves, moved back by the hull of the subsets and Id3 images), each
+    set's shifts and each member's mask there.  A product closure's A_r is
+    one AND over its members of the OR of A's shifts.  Past MAX_SPAN_BITS
+    cells on the wide box, every closure is read point by point."""
 
     def __init__(self, ctx, universe, draw=None, scalars=(), points=(),
                  translators=()):
@@ -130,15 +107,17 @@ class _Window:
         self.box = b = ctx.box(universe)
         if b:
             # the box around b and b moved by each of `moves`: each A_r is
-            # read on it once, with the wide box's stride below the cap,
-            # and the window's box takes its stride, so a read is one shift
+            # read on it once, with the wide box's stride, and the window's
+            # box takes that stride too, so a read is one shift
             cells = [ctx._xy(g) for g in moves]
-            self.reach = reach = b.spread([(0, 0), *cells])
+            reach = b.spread([(0, 0), *cells])
             h = b.spread([(0, 0), *(ctx._xy(c) for c in scalars
                                     if c != ctx.zero)])
             wide = reach.behind(h)
-            if wide.rows * wide.cols <= monoid.MAX_SPAN_BITS:
-                reach.stride = wide.stride
+            if wide.rows * wide.cols > monoid.MAX_SPAN_BITS:
+                self.box = None  # every closure is read point by point
+                return
+            reach.stride = wide.stride
             self._span = functools.cache(lambda S: S.span_mask(wide))
             self._shifts = functools.cache(lambda A: reach.shifts(wide, A))
             self.box = b = Box(ctx, b.x0, b.y0, b.rows, b.cols, reach.stride)
@@ -170,15 +149,14 @@ class _Window:
 
     def read(self, A, by=None):
         """A_r on the window's box moved by `by`, one of the window's moves,
-        with A_r's INF bit (c INF = INF), in the box's layout; None where
-        A_r is read point by point: without a box or a mask, and past the
-        mask cap."""
+        with A_r's INF bit (c INF = INF), in the box's layout; bits at cells
+        off the lattice are unspecified.  None where A_r is read point by
+        point: without a box, for a system that names no members, and for a
+        set off the wide box."""
         if self.box is None:
             return None
         if A not in self._reads:
-            f = self.r._mask and self.r._mask(A)
-            bits = f and self._planned(A, f)
-            self._reads[A] = f(self.reach) if f and bits is None else bits
+            self._reads[A] = self._planned(A)
         bits = self._reads[A]
         if bits is None:
             return None
@@ -186,14 +164,15 @@ class _Window:
         return (bits >> self._starts[by] & self._cells
                 | (bits >> inf & 1) << box_inf)
 
-    def _planned(self, A, f):
-        """A_r on reach as one ``read`` of a product closure's member masks
-        on the wide box; None for other readers, off the box, past the cap."""
-        shifts = isinstance(f, _Product) and self._shifts(A)
-        if not shifts:
+    def _planned(self, A):
+        """A_r on reach as one ``_and_of_ors`` of the members' masks on the
+        wide box, or None."""
+        members = self.r.members(A)
+        shifts = None if members is None else self._shifts(A)
+        if shifts is None:
             return None
-        bits = f.read(map(self._span, f.members), shifts)
-        return None if bits is None else bits | 1 << self._infs[0]
+        return (_and_of_ors(map(self._span, members), shifts)
+                | 1 << self._infs[0])
 
     def mask(self, A):
         """A_r on the window."""

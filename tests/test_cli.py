@@ -12,7 +12,8 @@ from monoid_spectra import cli, idealsys, intgeom, modsys, valuation
 from monoid_spectra.cli import main
 from monoid_spectra.modsys import (DeltaFamily, example16, iota, meet,
                                    r_delta)
-from monoid_spectra.monoid import Monoid, Overmonoid, monoid_from_file
+from monoid_spectra.monoid import (MAX_WINDOW, IntCarrier, LatticeCarrier,
+                                   Monoid, Overmonoid, monoid_from_file)
 from monoid_spectra.window import _Window
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -205,6 +206,28 @@ def test_exit_code_3_when_an_oversemigroup_passes_the_size_guard(
         "unsupported: numerical semigroup too large: generators 300 and 89699")
 
 
+@pytest.mark.parametrize("name", ["n23", "n2"])
+def test_exit_code_3_past_the_window_guard(name, capsys, monkeypatch):
+    # a bound whose window passes MAX_WINDOW points is refused before any
+    # point is built; a suite that clips the bound finishes
+    built = []
+    for ctx in (IntCarrier, LatticeCarrier):
+        def counted(self, bound, real=ctx._window):
+            built.append((2 * bound + 1) ** self.dim)
+            return real(self, bound)
+
+        monkeypatch.setattr(ctx, "_window", counted)
+    for suite in cli.SUITES:
+        code = main(["verify", "--suite", suite, "--input",
+                     data(name + ".json"), "--bound", "1000000000"])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 3), suite
+        assert code != 3 or err.startswith("unsupported: "), suite
+        if suite in ("prop1", "prop2") and name == "n23":
+            assert code == 0
+    assert all(n <= MAX_WINDOW for n in built)
+
+
 def test_exit_code_2_on_a_seed_that_is_not_an_integer(capsys, monkeypatch):
     monkeypatch.setenv("MONOID_SPECTRA_SEED", "abc")
     code = main(["verify", "--suite", "spec", "--input", data("n23.json")])
@@ -289,9 +312,9 @@ def test_main2_and_prop2_report_at_more_seeds(capsys):
 
 
 def test_window_masks_are_the_window_points_of_the_closure():
-    # a window reads A_r from the system's box mask where the carrier has
-    # one (meet's is the AND of its systems' masks); the exact predicate
-    # gives the same points
+    # a window reads A_r from its members' box masks where the carrier has
+    # boxes (a meet's members are all its systems' members); the exact
+    # predicate gives the same points
     for name in ("n2", "nxz", "n23", "c3z"):
         H = monoid_from_file(data(name + ".json"))
         ctx = H.context

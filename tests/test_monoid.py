@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monoid_spectra import monoid
+from monoid_spectra.errors import UnsupportedRealization
 from monoid_spectra.intgeom import hnf_rows, lattice_contains
 from monoid_spectra.monoid import (INF, IntCarrier, LatticeCarrier, Monoid,
                                    Overmonoid, ParseError, adjoin,
@@ -286,3 +287,14 @@ def test_has_agrees_with_contains_on_the_carrier(H, rnd):
     assert nonzero == [g for g in window if g is not INF and g != ctx.zero]
     assert len(nonzero) == len(window) - 1
     assert all(g is not INF for g in nonzero)
+
+
+def test_a_window_past_max_window_points_is_refused():
+    """(2 bound + 1)^dim points at most; a finite window has every bound."""
+    line, plane = IntCarrier(), LatticeCarrier(2, [(1, 0), (0, 1)])
+    assert len(line.window(2047)) == 4095 + 1  # and INF
+    assert len(plane.window(31)) == 63 * 63 + 1
+    for ctx, bound in ((line, 2048), (plane, 32), (line, 10 ** 9)):
+        with pytest.raises(UnsupportedRealization):
+            ctx.window(bound)
+    assert cyclic_group_with_zero(3).context.window(10 ** 9) == [0, 1, 2, 3]

@@ -13,7 +13,8 @@ from monoid_spectra.idealsys import (IdealSystem, check_ideal_axioms,
                                      enumerate_primes, s_system)
 from monoid_spectra.modsys import (DeltaFamily, ModuleSystem, check_id2,
                                    check_idempotent, check_module_axioms,
-                                   example16, iota, is_finitary, meet, r_delta)
+                                   example16, iota, is_finitary, meet,
+                                   product_closure, r_delta)
 from monoid_spectra.monoid import (INF, Box, IntCarrier, Monoid, Overmonoid,
                                    as_overmonoid, localize, monoid_from_file)
 from monoid_spectra.valuation import enumerate_overmonoids, enumerate_zar
@@ -57,13 +58,6 @@ def pointwise(pred, box):
     return m
 
 
-def on(box, g):
-    """Whether the carrier point g is a cell of the box."""
-    x, y = cell(box.ctx, g)
-    return (box.x0 <= x < box.x0 + box.rows
-            and box.y0 <= y < box.y0 + box.cols)
-
-
 def build(H):
     """H with its overmonoids: all of them on the int carrier; otherwise H,
     its group, its localizations and, in the plane, the rule-backed
@@ -104,28 +98,49 @@ def inputs(draw):
     return kind, gens, A, boxes
 
 
+def on_lattice(box):
+    """The bits of the box's lattice cells and of INF, in its layout: a
+    read's bits at other cells are unspecified."""
+    return pointwise(lambda g: g is INF or box.ctx.contains(g), box)
+
+
+def moved(box, ctx, g):
+    """The box moved by the carrier point g, in its layout."""
+    x, y = cell(ctx, g)
+    return Box(ctx, box.x0 + x, box.y0 + y, box.rows, box.cols, box.stride)
+
+
 @settings(max_examples=150, deadline=None)
 @given(spec=inputs(),
        system=st.sampled_from(["r_delta", "iota", "s_system", "example16",
                                "meet"]),
-       picks=st.lists(st.integers(0, 50), min_size=1, max_size=3))
-def test_span_matches_the_predicate(spec, system, picks):
-    kind, gens, A, boxes = spec
-    # narrow boxes first, so the members' masks grow, then wide first; a
-    # box narrower than A's spread reads across the rows of its members
-    for order in (sorted(boxes, key=lambda b: b[2] * b[3]),
-                  sorted(boxes, key=lambda b: -b[2] * b[3])):
-        H, overs = build(monoid_of(kind, gens))
-        chosen = [overs[i % len(overs)] for i in picks]
-        r = {"r_delta": lambda: r_delta(DeltaFamily(chosen), H.context),
-             "iota": lambda: iota(chosen[0]),
-             "s_system": lambda: s_system(H),
-             "example16": lambda: example16(H),
-             "meet": lambda: meet([iota(S) for S in chosen])}[system]()
-        pred, read = r.closure(A), r.mask(A)
-        for x0, y0, rows, cols, pad in order:
-            box = Box(H.context, x0, y0, rows, cols, cols + pad)
-            assert read(box) == pointwise(pred, box), (A, x0, y0, rows, cols)
+       picks=st.lists(st.integers(0, 50), min_size=1, max_size=3),
+       moves=st.lists(st.integers(0, 50), max_size=4))
+def test_span_matches_the_predicate(spec, system, picks, moves):
+    """A_r read through a window: on the window's box and on each of its
+    moves, and as window bits, against the exact predicate; the first moves
+    are Id3 scalars, the others M4 translators."""
+    kind, gens, A, _ = spec
+    H, overs = build(monoid_of(kind, gens))
+    ctx = H.context
+    chosen = [overs[i % len(overs)] for i in picks]
+    r = {"r_delta": lambda: r_delta(DeltaFamily(chosen), ctx),
+         "iota": lambda: iota(chosen[0]),
+         "s_system": lambda: s_system(H),
+         "example16": lambda: example16(H),
+         "meet": lambda: meet([iota(S) for S in chosen])}[system]()
+    universe = ctx.window(2)
+    nonzero = universe[:-1]
+    picked = [nonzero[i % len(nonzero)] for i in moves]
+    half = len(picked) // 2
+    scalars, translators = picked[:half], picked[half:]
+    w = window._Window(ctx, universe, None, scalars, nonzero,
+                       translators).on(r)
+    A, pred = frozenset(A), r.closure(A)
+    for by in [None, *map(ctx.inv, scalars), *translators]:
+        box = w.box if by is None else moved(w.box, ctx, by)
+        assert w.read(A, by) & on_lattice(box) == pointwise(pred, box), by
+    assert w.mask(A) == sum(w.bit[g] for g in universe if pred(g))
 
 
 @settings(max_examples=80, deadline=None)
@@ -163,7 +178,6 @@ def test_a_box_past_the_cap_reads_pointwise(monkeypatch):
     big = Box(ctx, -3, -3, 6, 6)
     assert S.span_mask(big) is None and asked == []
     assert S.span_mask(Box(ctx, 0, 0, 5, 6)) is not None and len(asked) == 30
-    assert iota(as_overmonoid(H)).mask({(1, 0)})(big) is None
     for r in (s_system(H), example16(H)):
         assert same_checks(r, H, 2)
 
@@ -176,46 +190,21 @@ def hidden(r):
 
 
 def broken(H):
-    """s-systems broken as in test_axioms, with masks, so that the checkers'
-    integer paths meet failing axioms; e is 1 on the int carrier and H's
-    first generator on a lattice."""
-    s, ctx = s_system(H), H.context
-    e = 1 if H.kind == "numerical" else H.generators[0]
+    """Product closures over rule-backed sets that are no overmonoids, so
+    that the checkers' integer paths meet failing axioms: H without the
+    identity fails Id1, and the identity alone, which misses H, fails
+    M4."""
+    ctx = H.context
+    no_one = Overmonoid(ctx, rule=lambda g: g != ctx.one and H.has(g),
+                        name="no_one")
+    one = Overmonoid(ctx, rule=lambda g: g == ctx.one, name="one")
+    return [IdealSystem(S.name, H, *product_closure(ctx, [S]))
+            for S in (no_one, one)]
 
-    def times(n):
-        g = ctx.one
-        for _ in range(n):
-            g = ctx.op(g, e)
-        return g
 
-    def plus(q):
-        """The s-closure with the point q added, when q is given."""
-        def closure(X):
-            p, g = s.closure(X), q(X)
-            return lambda h: h == g or p(h)
-
-        def mask(X):
-            f, g = s.mask(X), q(X)
-            return lambda box: f(box) | (
-                1 << box.bit(g) if g is not None and on(box, g) else 0)
-
-        return closure, mask
-
-    def shifted(X):
-        p = s.closure(X)
-        return lambda g: g is INF or p(ctx.op(g, ctx.inv(e)))
-
-    def shifted_mask(X):
-        f, (x, y) = s.mask(X), cell(ctx, e)
-        return lambda box: f(Box(ctx, box.x0 - x, box.y0 - y, box.rows,
-                                 box.cols, box.stride))
-
-    return [IdealSystem("shifts_by_one", H, shifted, shifted_mask),
-            IdealSystem("depends_on_size", H,
-                        *plus(lambda X: times(len(X)))),
-            # 3e once X has two points: Id3 holds on smaller X
-            IdealSystem("three_for_pairs", H,
-                        *plus(lambda X: times(3) if len(X) > 1 else None))]
+def fails(checks, name):
+    """Whether the check named `name` is a FAIL."""
+    return next(c for c in checks if c.name == name).ok is False
 
 
 def same_checks(r, H, bound):
@@ -248,6 +237,9 @@ def test_checkers_agree_with_spans_hidden(name, bound):
     masked = check_module_axioms(systems, H, bound=bound)
     pointwise = check_module_axioms(list(map(hidden, systems)), H,
                                     bound=bound)
+    # M4 needs a translator besides the identity: a generator in the window
+    assert fails(masked[1], "Id1")
+    assert fails(masked[2], "M4") == (H.generators[0] <= bound)
     for r, checks, expected in zip(systems, masked, pointwise):
         assert ([c.to_dict() for c in checks]
                 == [c.to_dict() for c in expected]), r
@@ -268,9 +260,13 @@ def test_checkers_agree_on_lattice_carriers(gens, bound):
     thin = Overmonoid(H.context, gens=H.generators[-1:], name="thin")
     systems = [s_system(H), *broken(H), example16(H), iota(thin),
                iota(overs[-1]), r_delta(DeltaFamily(overs[2:5]), H.context),
-               meet([iota(S) for S in overs[1:4]])]
+               meet([iota(S) for S in overs[1:4]]),
+               # read point by point, as one of its systems is
+               meet([iota(overs[1]), hidden(iota(overs[2]))])]
     for r in systems:
         assert same_checks(r, H, bound), r
+    no_one, one = check_module_axioms(systems[1:3], H, bound=bound)
+    assert fails(no_one, "Id1") and fails(one, "M4")
 
 
 def test_passing_systems_never_reach_the_point_loops(monkeypatch):
@@ -304,11 +300,6 @@ def test_passing_systems_never_reach_the_point_loops(monkeypatch):
             assert reads == []
 
 
-def on_cells(box):
-    """The bits of the box's cells and of INF, in its layout."""
-    return pointwise(lambda g: True, box)
-
-
 def plan_systems(H, overs):
     """iota, a 3-member r_delta, a meet, example16 and the s-system."""
     return [iota(overs[1]), r_delta(DeltaFamily(overs[:3]), H.context),
@@ -329,49 +320,38 @@ def plan_carrier(name):
 @pytest.mark.parametrize("name", NUMERICAL + list(LATTICES))
 def test_plan_reads_agree_with_set_reads_and_the_predicate(name,
                                                            monkeypatch):
-    """Every set a plan reads: the plan's read on the wide box, the
-    system's read on the set's own box and the exact predicate agree on
-    the reach box.  Then with the wide box past the mask cap, where the
-    sets fall back to their own boxes, and with both past it, where they
-    are read point by point: the same verdicts."""
-    real_planned, real_span = window._Window._planned, Overmonoid.span_mask
-    log, areas = [], []
+    """Below the mask cap every read of a plan, A = {} and {0} and
+    example16's sets with the zero included, is planned, and agrees with
+    the exact predicate on the box it is read on.  At a cap of one cell no
+    read is planned, and every closure is read point by point: the same
+    verdicts."""
+    real = window._Window.read
+    log = []
 
-    def checked(self, A, f):
-        bits = real_planned(self, A, f)
-        if f.members and self.ctx.box(A):  # a product with points
-            box, own = self.reach, f(self.reach)
-            exact = pointwise(self.r.closure(A), box)
-            assert bits is None or bits & on_cells(box) == exact
-            assert own is None or own == exact
-            log.append((bits is not None, own is not None))
+    def checked(self, A, by=None):
+        bits = real(self, A, by)
+        if bits is not None:
+            box = self.box if by is None else moved(self.box, self.ctx, by)
+            assert (bits & on_lattice(box)
+                    == pointwise(self.r.closure(A), box)), (self.r, A, by)
+        log.append((A, bits is not None))
         return bits
 
-    def span(self, box):
-        areas.append(box.rows * box.cols)
-        return real_span(self, box)
-
-    monkeypatch.setattr(window._Window, "_planned", checked)
-    monkeypatch.setattr(Overmonoid, "span_mask", span)
-    verdicts = {}
-    for cap in (None, "wide", 1):
-        if cap == "wide":  # one cell below the widest box, the plan's
-            monkeypatch.setattr(monoid, "MAX_SPAN_BITS", max(areas) - 1)
-        elif cap:
+    monkeypatch.setattr(window._Window, "read", checked)
+    verdicts = []
+    for cap in (None, 1):
+        if cap:
             monkeypatch.setattr(monoid, "MAX_SPAN_BITS", cap)
         log.clear()
         H, overs, bound = plan_carrier(name)
-        verdicts[cap] = [[c.to_dict() for c in checks] for checks in
+        verdicts.append([[c.to_dict() for c in checks] for checks in
                          check_module_axioms(plan_systems(H, overs), H,
-                                             bound=bound)]
-        planned, own = zip(*log)
-        if cap is None:
-            assert all(planned)
-        elif cap == "wide":
-            assert not any(planned) and any(own)
-        else:
-            assert not any(planned) and not any(own)
-    assert verdicts[None] == verdicts["wide"] == verdicts[1]
+                                             bound=bound)])
+        sets, planned = zip(*log)
+        assert all(planned) if cap is None else not any(planned)
+        assert frozenset() in sets and frozenset([INF]) in sets
+        assert any(INF in A and len(A) > 1 for A in sets)
+    assert verdicts[0] == verdicts[1]
 
 
 def test_a_plan_reads_each_member_once():

@@ -5,15 +5,19 @@ Runs ``cli.main`` in this process on every suite x every monoid input in
 ``--dot``, plus ``main2 --family adjoin-ray.json`` on the same bounds and
 formats; main1, axioms, pruefer and corollaries on n2 and nxz at bounds
 8, 10 and 12, in both formats, where the checkers draw from large windows
-and overmonoid masks pass the ``MAX_SPAN_BITS`` cap; main1, axioms and
-corollaries on n579 and n71113 at bounds 20 and 40, in both formats, where
-the integer carrier's windows are large; and every job of the
-benchmark's seed-0 sweep plan, read from ``bench/workloads.py``, in text
-format with ``--seed 0`` and ``--dot``.  A
-run's record is ``[sha1, status, fails]``: the SHA-1 over stdout, stderr,
-the exit code (or the exception the run raised) and the DOT file; that exit
-code or exception; and the sorted names of the report's FAIL lines.  A refactor that keeps every report byte-identical gives the same
-output before and after:
+and read every closure from member masks on wide boxes of up to 8 370
+cells, below the ``MAX_SPAN_BITS`` cap (the point-by-point side past the
+cap is run by ``tests/test_span.py``'s
+``test_plan_reads_agree_with_set_reads_and_the_predicate``, with the cap
+monkeypatched to one cell); main1, axioms and corollaries on n579 and
+n71113 at bounds 20 and 40, in both formats, where the integer carrier's
+windows are large; and every job of the benchmark's seed-0 sweep plan,
+read from ``bench/workloads.py``, in text format with ``--seed 0`` and
+``--dot``.  A run's record is ``[sha1, status, fails]``: the SHA-1 over
+stdout, stderr, the exit code (or the exception the run raised) and the
+DOT file; that exit code or exception; and the sorted names of the
+report's FAIL lines.  A refactor that keeps every report byte-identical
+gives the same output before and after:
 
     python3 tools/report_hashes.py > after.json
     diff before.json after.json
