@@ -13,7 +13,7 @@ import functools
 import os
 import sys
 
-from .errors import UnsupportedRealization
+from .errors import UnsupportedRealization, WindowTooLarge
 from .fintop import homeomorphic, poset_dot
 from .idealsys import (check_ideal_axioms, enumerate_ideals, enumerate_primes,
                        ideal_space_subbasis, is_prime, s_system,
@@ -23,7 +23,8 @@ from .modsys import (FAMILY_DEPTH, DeltaFamily, SystemSpace, check_family,
                      example16, falsify_finitary, family_from_file,
                      embedding_checks, iota, is_finitary, r_delta,
                      separating_points)
-from .monoid import ParseError, as_overmonoid, localize, monoid_from_file
+from .monoid import (MAX_WINDOW, ParseError, as_overmonoid, localize,
+                     monoid_from_file)
 from .report import INFO, Check, SuiteReport
 from .valuation import (b_complement_law, delta, delta_dot, delta_laws,
                         enumerate_overmonoids, enumerate_zar, is_s_pruefer,
@@ -67,7 +68,7 @@ def _curated_overmonoids(H, bound):
     if H.kind == "numerical":
         return enumerate_overmonoids(H)
     out = [as_overmonoid(H)]
-    for P in enumerate_primes(H, bound):
+    for P in enumerate_primes(H):
         loc = localize(H, P)
         if not all(H.contains(g) for g in loc.gens):
             loc.name = f"H_{P.name}"
@@ -95,7 +96,7 @@ def suite_axioms(H, bound, seed):
 
 def suite_spec(H, bound, seed):
     rep = SuiteReport("spec", CLAIMS["spec"], seed=seed, bound=bound)
-    primes = enumerate_primes(H, bound)
+    primes = enumerate_primes(H)
     rep.add(Check("primes-enumerated", INFO, n=len(primes), bound=bound,
                   detail=" ".join(p.name for p in primes)))
     space = spec_subbasis(H, primes)
@@ -149,7 +150,7 @@ def suite_zar(H, bound, seed):
 
 def suite_pruefer(H, bound, seed):
     rep = SuiteReport("pruefer", CLAIMS["pruefer"], seed=seed, bound=bound)
-    primes = enumerate_primes(H, bound)
+    primes = enumerate_primes(H)
     carrier = enumerate_zar(H, bound=bound)
     f = [delta(H, V, primes, bound) for V in carrier]
     zar_space = overmonoid_space(carrier, H.context, bound)
@@ -234,13 +235,13 @@ def suite_main1(H, bound, seed):
         frozenset([ctx.inv(x)])
         for x in separating_points(ctx, overs, min(bound, 4))]
     space = SystemSpace(systems, pool)
-    pairs = space.t0_witnesses()
-    missing = [k for k, v in pairs.items() if v is None]
-    rep.add(Check("system-carrier-t0", not missing,
-                  witness=None if not missing else
-                  {"pair": f"{systems[missing[0][0]].name},"
-                           f"{systems[missing[0][1]].name}"},
-                  exhaustive=False, n=len(pairs), bound=min(bound, 4)))
+    pair = space.t0_witnesses()
+    k = len(systems)
+    rep.add(Check("system-carrier-t0", pair is None,
+                  witness=None if pair is None else
+                  {"pair": f"{systems[pair[0]].name},"
+                           f"{systems[pair[1]].name}"},
+                  exhaustive=False, n=k * (k - 1) // 2, bound=min(bound, 4)))
     return rep, lambda: poset_dot(space.space(), name="systems")
 
 
@@ -391,6 +392,11 @@ def main(argv=None):
     except (ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except WindowTooLarge:
+        # a suite may widen the window past the bound, so name the bound
+        print(f"unsupported: --bound {bound} needs a window of more than "
+              f"{MAX_WINDOW} points", file=sys.stderr)
+        return 3
     except UnsupportedRealization as e:
         print(f"unsupported: {e}", file=sys.stderr)
         return 3

@@ -33,12 +33,6 @@ class FiniteSpace:
         members, so no materialization is needed."""
         return len(set(self.profiles)) == self.n
 
-    def separating_open(self, x, y):
-        """Index of the first subbasis open holding exactly one of x and y,
-        or None when their profiles coincide."""
-        diff = self.profiles[x] ^ self.profiles[y]
-        return (diff & -diff).bit_length() - 1 if diff else None
-
     def leq(self, x, y) -> bool:
         """Specialization: x <= y iff y lies in the closure of {x}, i.e. every
         subbasis open containing y contains x."""

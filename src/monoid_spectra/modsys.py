@@ -5,8 +5,6 @@ of parameterized families."""
 
 from __future__ import annotations
 
-import itertools
-
 from .fintop import FiniteSpace, subbasis_space
 # family_from_file lives beside the monoid readers and is also read from here
 from .monoid import (INF, CarrierMismatch, DeltaFamily, Monoid,
@@ -18,27 +16,22 @@ from .window import _Draw, _plan
 FAMILY_DEPTH = 6
 
 
-def _pointwise(A):
-    """The members of a system read point by point: none."""
-    return None
-
-
 class ModuleSystem:
     """Closure operator A -> A_r on finite subsets of G.
 
     ``closure(A)`` takes a finite subset of G, checked here (CarrierMismatch
     otherwise), and returns an exact membership predicate for A_r, which
-    answers False off the carrier.  ``members(A)``, for a system given a
-    `members` function, lists the overmonoids whose product closure is A_r,
-    so a ``window._Window`` reads A_r from their masks; it is None for a
-    system read point by point, and trusts A, as the window's sets are
-    checked once, where the window is built."""
+    answers False off the carrier.  ``members``, for a product closure, is a
+    function of A that lists the overmonoids whose product closure is A_r,
+    so a ``window._Window`` reads A_r from their masks; it trusts A, as the
+    window's sets are checked once, where the window is built.  It is None
+    for a system read point by point."""
 
     def __init__(self, name, context, closure, members=None):
         self.name = name
         self.context = context
         self._closure = closure
-        self.members = members or _pointwise
+        self.members = members
 
     def closure(self, A):
         A = frozenset(A)
@@ -135,14 +128,14 @@ def meet(systems) -> ModuleSystem:
 
         return member
 
+    parts = [r.members for r in systems]
+
     def members(A):
-        lists = [r.members(A) for r in systems]
-        if any(m is None for m in lists):
-            return None
-        return [S for m in lists for S in m]
+        return [S for m in parts for S in m(A)]
 
     name = "^".join(r.name for r in systems)
-    return ModuleSystem(f"meet({name})", ctx, closure, members)
+    return ModuleSystem(f"meet({name})", ctx, closure,
+                        None if None in parts else members)
 
 
 # -- axiom checking ----------------------------------------------------------
@@ -159,6 +152,12 @@ def check_module_axioms(systems, H, bound: int = 4, seed: int = 0):
     dropped on return: the subset draw, the comparable M2 pairs, the Id3
     scalars, points and images cA, the M4 translators, the boxes masks are
     read on, each set's shifts and each member's mask (``_Window``).
+
+    The systems are scanned together: each that names its members takes a
+    slot of a packed int, as many to a pack as fit in MAX_SPAN_BITS bits,
+    and every item is one int compare for all slots of a pack.  A failing
+    slot hands only its system and that item to the point loop, which finds
+    the witness a call of its own would, and stops that system's scan.
     Window sets and their images reach each system's ``members``
     unchecked; its exact predicates still come from ``closure``."""
     ctx = H.context
@@ -170,9 +169,9 @@ def check_module_axioms(systems, H, bound: int = 4, seed: int = 0):
     plan = _plan(ctx, universe, draw, nonzero,
                  [g for g in nonzero if H.contains(g)])
     pairs = [(A, B) for A in draw.subsets for B in draw.subsets if A < B]
-    return [w.verdicts([("Id1", w.id1("A")), ("M2", w.m2(pairs)),
-                        ("Id3", w.id3("A")), ("M4", w.m4())])
-            for w in map(plan.on, systems)]
+    w = plan.on(systems)
+    return w.verdicts(("Id1", w.id1, "A"), ("M2", w.m2, pairs),
+                      ("Id3", w.id3, "A"), ("M4", w.m4))
 
 
 def check_id2(r: ModuleSystem, bound: int = 4, sample_budget: int = 200,
@@ -181,10 +180,9 @@ def check_id2(r: ModuleSystem, bound: int = 4, sample_budget: int = 200,
     2 points.  Returns the verdict with a counterexample when it fails."""
     universe = r.context.window(bound)
     draw = _Draw(universe, size=2, budget=sample_budget, seed=seed)
-    w = _plan(r.context, universe, draw).on(r)
-    S = draw.subsets
-    return Check.scan("Id2", w.id2(((A, B) for B in S for A in S), "AB"),
-                      exhaustive=draw.exhaustive)
+    w = _plan(r.context, universe, draw).on([r])
+    pairs = [(A, B) for B in draw.subsets for A in draw.subsets]
+    return w.verdicts(("Id2", w.id2, pairs, "AB"))[0][0]
 
 
 def check_idempotent(r: ModuleSystem, bound: int = 4, sample_budget: int = 200,
@@ -195,9 +193,9 @@ def check_idempotent(r: ModuleSystem, bound: int = 4, sample_budget: int = 200,
     agreement on all samples is reported as a bounded pass."""
     universe = r.context.window(bound)
     draw = _Draw(universe, size=2, budget=sample_budget, seed=seed)
-    return Check.scan("idempotent", _plan(r.context, universe, draw).on(r)
-                      .idempotent(), bound=bound,
-                      detail="window slice approximation")
+    w = _plan(r.context, universe, draw).on([r])
+    return w.verdicts(("idempotent", w.idempotent), exhaustive=False,
+                      bound=bound, detail="window slice approximation")[0][0]
 
 
 def is_finitary(r: ModuleSystem, bound: int = 4, sample_budget: int = 200,
@@ -208,8 +206,9 @@ def is_finitary(r: ModuleSystem, bound: int = 4, sample_budget: int = 200,
     of them; so this is no test of finitariness on an infinite A."""
     universe = r.context.window(bound)
     draw = _Draw(universe, budget=sample_budget, seed=seed)
-    return Check.scan("finitary", _plan(r.context, universe, draw).on(r)
-                      .finitary(), bound=bound)
+    w = _plan(r.context, universe, draw).on([r])
+    return w.verdicts(("finitary", w.finitary), exhaustive=False,
+                      bound=bound)[0][0]
 
 
 # -- the system space --------------------------------------------------------
@@ -251,14 +250,16 @@ class SystemSpace:
         return self._space
 
     def t0_witnesses(self):
-        """For each pair of carrier systems, the first pool set S with exactly
-        one of them in U_S; None marks an undistinguished pair."""
-        space = self.space()
-        out = {}
-        for i, j in itertools.combinations(range(space.n), 2):
-            k = space.separating_open(i, j)
-            out[i, j] = None if k is None else self.pool[k]
-        return out
+        """The first pair (i, j) of carrier systems, in
+        ``itertools.combinations`` order, that no pool set tells apart, or
+        None: the first index whose profile repeats, with its next
+        repeat."""
+        first, pair = {}, None
+        for j, profile in enumerate(self.space().profiles):
+            i = first.setdefault(profile, j)
+            if i < j and (pair is None or i < pair[0]):
+                pair = i, j
+        return pair
 
 
 # -- the finitariness falsifier ----------------------------------------------

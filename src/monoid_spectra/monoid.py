@@ -17,7 +17,7 @@ import operator
 from math import gcd
 
 from . import intgeom
-from .errors import UnsupportedRealization
+from .errors import WindowTooLarge
 from .numsgp import cached_semigroup
 
 # Most points a window may hold: a larger bound is refused, before any point
@@ -102,10 +102,9 @@ class GroupoidContext:
     def window(self, bound: int) -> list:
         """Deterministic finite slice of the carrier used for enumeration;
         membership queries stay exact, only enumerations are windowed.  A
-        bound whose box passes MAX_WINDOW points raises
-        UnsupportedRealization."""
+        bound whose box passes MAX_WINDOW points raises WindowTooLarge."""
         if (2 * bound + 1) ** self.dim > MAX_WINDOW:
-            raise UnsupportedRealization(
+            raise WindowTooLarge(
                 f"the window of bound {bound} passes {MAX_WINDOW} points")
         return self._window(bound)
 

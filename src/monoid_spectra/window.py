@@ -1,6 +1,7 @@
 """The scan window of the closure-axiom checkers of ``idealsys`` and
-``modsys``: one seeded subset draw, and the window on which each closure is
-read once as an int bitmask and every axiom is scanned."""
+``modsys``: one seeded subset draw, and the window on which the closures of
+all its systems are read as int bitmasks, several systems to an int, and
+every axiom is scanned for all of them at once."""
 
 from __future__ import annotations
 
@@ -10,24 +11,12 @@ import random
 
 from . import monoid
 from .monoid import INF, Box, sort_key
+from .packs import _SKIP, _first, _Pack
 from .report import Check
 
 
 def _subsets(xs, sizes):
     return [frozenset(c) for n in sizes for c in itertools.combinations(xs, n)]
-
-
-def _and_of_ors(masks, shifts):
-    """A product closure's A_r on a box: the AND over its members' `masks`
-    of the OR of each mask shifted by A's `shifts`; every bit for no
-    members, no bit for no shifts."""
-    out = -1
-    for m in masks:
-        any_a = 0
-        for k in shifts:
-            any_a |= m >> k
-        out &= any_a
-    return out
 
 
 class _Draw:
@@ -74,24 +63,40 @@ def _names(A):
 
 
 class _Window:
-    """The closures of systems on a window of points, checked here, each read
-    once as an int bitmask (bit i <-> universe[i]), as in
-    ``fintop.FiniteSpace``.  ``on(r)`` turns to the system r; its masks live
-    until the next turn.  Window sets and their images under ``op`` reach
-    the masks unchecked; points that leave the window go through the exact
+    """The closures of systems on a window of points, checked here, and every
+    axiom scanned for all of them at once.  ``on(systems)`` names the
+    systems; ``verdicts`` gives one list of verdicts per system, in their
+    order.  Window sets and their images under ``op`` reach the systems'
+    members unchecked; points that leave the window go through the exact
     predicate, which checks them.
 
-    Where the carrier has a ``Box`` layout and the system names its members,
-    a closure is read on the window's box in one piece, and Id3 and M4
-    compare such box masks as integers.  Only a difference sends them back
-    to the point loop, which finds the same witness.  The window's moves are
-    the inverses of its nonzero Id3 scalars and its M4 translators.
+    Planned once per window, and dropped with it: the window's box, the
+    reach box (the box moved by each of the window's moves: the inverses of
+    its nonzero Id3 scalars and its M4 translators), the wide box (the reach
+    box moved back by the hull of the subsets and Id3 images), each set's
+    shifts and each member's mask on the wide box.  A product closure's A_r
+    on reach is one AND over its members of the OR of A's shifts.
 
-    Planned once per window, and dropped with it: the wide box (the box and
-    its moves, moved back by the hull of the subsets and Id3 images), each
-    set's shifts and each member's mask there.  A product closure's A_r is
-    one AND over its members of the OR of A's shifts.  Past MAX_SPAN_BITS
-    cells on the wide box, every closure is read point by point."""
+    Slots and batches: the systems that name their members share ints.
+    Each gets a slot of the wide box's width and one guard bit in every
+    row, and a row holds the slots side by side, so one
+    ``packs._and_of_ors`` on packed member masks reads A_r for every slot.
+    A shift carries bits of the next slot only into columns past the reach
+    box, which no scan reads, and the guard bit takes a box's INF.  A pack
+    holds as many slots as fit in MAX_SPAN_BITS bits on the wide box; the
+    packs (``packs._Pack``) are read one after the other, each with its
+    own caches, and a read keeps only the reach box's rows.  Reads of the
+    Id3 images cA are used once and not kept.
+
+    The scans: each item of Id1, M2, Id2, Id3 and M4 (and of idempotence
+    and finitariness) is one int compare for all slots at once, in box
+    layout at the window's points.  A nonzero slot sends that system and
+    that item to the point loop, which finds the same witness, and a
+    system's scan stops at its first witness, as ``Check.scan`` counts.  A
+    system that passes never opens a reader.  Id4, the systems that name no
+    members, every system of a carrier without a ``Box`` and every system
+    past MAX_SPAN_BITS cells on the wide box are read point by point, on
+    every item."""
 
     def __init__(self, ctx, universe, draw=None, scalars=(), points=(),
                  translators=()):
@@ -100,116 +105,71 @@ class _Window:
         self.ctx, self.universe, self.draw = ctx, universe, draw
         self.scalars, self.points = scalars, points
         self.translators = translators
+        self.index = {g: i for i, g in enumerate(universe)}
+        self._sets, self._images = {}, {}
+        self.wide = None  # no packed reads: every closure point by point
         moves = [*(ctx.inv(c) for c in scalars if c != ctx.zero),
                  *translators]
-        self.bit = {g: 1 << i for i, g in enumerate(universe)}
-        self._sets, self._images = {}, {}
         self.box = b = ctx.box(universe)
-        if b:
-            # the box around b and b moved by each of `moves`: each A_r is
-            # read on it once, with the wide box's stride, and the window's
-            # box takes that stride too, so a read is one shift
-            cells = [ctx._xy(g) for g in moves]
-            reach = b.spread([(0, 0), *cells])
-            h = b.spread([(0, 0), *(ctx._xy(c) for c in scalars
-                                    if c != ctx.zero)])
-            wide = reach.behind(h)
-            if wide.rows * wide.cols > monoid.MAX_SPAN_BITS:
-                self.box = None  # every closure is read point by point
-                return
-            reach.stride = wide.stride
-            self._span = functools.cache(lambda S: S.span_mask(wide))
-            self._shifts = functools.cache(lambda A: reach.shifts(wide, A))
-            self.box = b = Box(ctx, b.x0, b.y0, b.rows, b.cols, reach.stride)
-            # where the box, and the box moved by each move, starts in reach
-            start = (b.x0 - reach.x0) * b.stride + b.y0 - reach.y0
-            self._starts = {None: start, **{g: start + x * b.stride + y
-                                            for g, (x, y) in zip(moves, cells)}}
-            self._cells = sum(((1 << b.cols) - 1) << i * b.stride
-                              for i in range(b.rows))
-            self._infs = reach.bit(INF), b.bit(INF)
-            self._box_points = sum(1 << b.bit(g) for g in points)
-            # the window's points as (box bit, window bit); None when the
-            # two agree, as on a full window of the line followed by INF
-            bits = [(b.bit(g), m) for g, m in self.bit.items()]
-            self._gather = (None if all(m == 1 << j for j, m in bits)
-                            else bits)
+        if not b:
+            return
+        # the box around b and b moved by each of `moves`: each A_r is read
+        # on it, and the window's box takes the packs' row stride too, so a
+        # move is one shift
+        self._moves = {g: ctx._xy(g) for g in moves}
+        self.reach = reach = b.spread([(0, 0), *self._moves.values()])
+        h = b.spread([(0, 0), *(ctx._xy(c) for c in scalars if c != ctx.zero)])
+        wide = reach.behind(h)
+        if wide.rows * wide.cols <= monoid.MAX_SPAN_BITS:
+            self.wide = wide
 
-    def on(self, r):
-        """This window for the system r, with empty closure caches."""
-        self.r, self._preds, self._masks, self._reads = r, {}, {}, {}
+    def on(self, systems):
+        """This window for `systems`: the packs' row stride, and the boxes,
+        shifts and masks in it."""
+        self.systems = list(systems)
+        self.named = [] if self.wide is None else [
+            i for i, r in enumerate(self.systems) if r.members is not None]
+        if not self.named:
+            return self
+        ctx, wide, reach, b = self.ctx, self.wide, self.reach, self.box
+        self.width = W = wide.cols + 1
+        self.per = max(1, monoid.MAX_SPAN_BITS // (wide.rows * W))
+        wide.stride = reach.stride = P = min(self.per, len(self.named)) * W
+        self.span = functools.cache(lambda S: S.span_mask(wide))
+        self.shifts = functools.cache(lambda A: reach.shifts(wide, A))
+        self.box = b = Box(ctx, b.x0, b.y0, b.rows, b.cols, P)
+        # where the box, and the box moved by each move, starts in reach
+        start = (b.x0 - reach.x0) * P + b.y0 - reach.y0
+        self.starts = {None: start, **{g: start + x * P + y
+                                       for g, (x, y) in self._moves.items()}}
+        self.cell = {g: b.bit(g) for g in self.universe}
+        self.inf = 1 << b.bit(INF)
+        self.cells = self.cells_of(g for g in self.universe if g is not INF)
+        self.box_points = self.cells_of(self.points)
         return self
 
-    def pred(self, A):
-        """The exact predicate of A_r."""
-        p = self._preds.get(A)
-        if p is None:
-            p = self._preds[A] = self.r.closure(A)
-        return p
-
-    def read(self, A, by=None):
-        """A_r on the window's box moved by `by`, one of the window's moves,
-        with A_r's INF bit (c INF = INF), in the box's layout; bits at cells
-        off the lattice are unspecified.  None where A_r is read point by
-        point: without a box, for a system that names no members, and for a
-        set off the wide box."""
-        if self.box is None:
-            return None
-        if A not in self._reads:
-            self._reads[A] = self._planned(A)
-        bits = self._reads[A]
-        if bits is None:
-            return None
-        inf, box_inf = self._infs
-        return (bits >> self._starts[by] & self._cells
-                | (bits >> inf & 1) << box_inf)
-
-    def _planned(self, A):
-        """A_r on reach as one ``_and_of_ors`` of the members' masks on the
-        wide box, or None."""
-        members = self.r.members(A)
-        shifts = None if members is None else self._shifts(A)
-        if shifts is None:
-            return None
-        return (_and_of_ors(map(self._span, members), shifts)
-                | 1 << self._infs[0])
-
-    def mask(self, A):
-        """A_r on the window."""
-        m = self._masks.get(A)
-        if m is None:
-            s = self.read(A)
-            if s is None:
-                pred = self.pred(A)
-                m = sum(b for g, b in self.bit.items() if pred(g))
-            elif self._gather is None:
-                m = s & (1 << len(self.universe)) - 1
-            else:
-                m = sum(b for j, b in self._gather if s >> j & 1)
-            self._masks[A] = m
-        return m
+    def packs(self):
+        """The systems in packs, each with empty caches: those that name
+        their members, in order, as many to a pack as fit in MAX_SPAN_BITS
+        bits, then those read point by point."""
+        named = self.named
+        if named:
+            for k in range(0, len(named), self.per):
+                yield _Pack(self, named[k:k + self.per], True)
+        rest = [i for i in range(len(self.systems)) if i not in named]
+        if rest:
+            yield _Pack(self, rest, False)
 
     def of(self, X):
         """The window set X itself."""
         m = self._sets.get(X)
         if m is None:
-            m = self._sets[X] = sum(self.bit[g] for g in X)
+            m = self._sets[X] = sum(1 << self.index[g] for g in X)
         return m
 
-    def reader(self, A):
-        """Exact membership in A_r: window points from the mask, other points
-        through the predicate, remembered while A is scanned."""
-        m, bit, off = self.mask(A), self.bit, {}
-
-        def member(g):
-            b = bit.get(g)
-            if b is not None:
-                return m & b != 0
-            if g not in off:
-                off[g] = self.pred(A)(g)
-            return off[g]
-
-        return member
+    def cells_of(self, X):
+        """The window points X in box layout."""
+        return sum(1 << self.cell[g] for g in X)
 
     def escape(self, item):
         """The inclusion test of one (inner, outer, named sets): a window
@@ -222,100 +182,183 @@ class _Window:
             return {**{k: _names(A) for k, A in named}, "g": repr(g)}
         return None
 
-    def verdicts(self, scans):
-        """One verdict per (name, outcomes), exhaustive on a full draw."""
-        return [Check.scan(name, outcomes, exhaustive=self.draw.exhaustive)
-                for name, outcomes in scans]
+    def verdicts(self, *scans, exhaustive=None, **kw):
+        """Per system, one verdict per (name, scan, *args) of `scans`, the
+        scan a method taking a pack and `args`; exhaustive on a full draw
+        unless `exhaustive` says otherwise, with ``bound`` and ``detail``
+        passed on."""
+        if exhaustive is None:
+            exhaustive = self.draw.exhaustive
+        out = [[] for _ in self.systems]
+        for pack in self.packs():
+            for name, scan, *args in scans:
+                for i, (witness, n) in zip(pack.slots,
+                                           _first(pack, scan(pack, *args))):
+                    out[i].append(Check(name, witness is None,
+                                        witness=witness, exhaustive=exhaustive,
+                                        n=n, **kw))
+        return out
 
-    def id1(self, key):
-        """Id1: A u {0} inside A_r, one outcome per A."""
+    def id1(self, pack, key):
+        """Id1: A u {0} inside A_r, one item per A."""
         zero = self.ctx.zero
+
+        def point(s, A):
+            m = pack.mask(s, A)
+            return next(({key: _names(A), "g": repr(g)} for g in [*A, zero]
+                         if not m >> self.index[g] & 1), None)
+
         for A in self.draw.subsets:
-            m = self.mask(A)
-            yield next(({key: _names(A), "g": repr(g)} for g in [*A, zero]
-                        if not m & self.bit[g]), None)
+            inside = pack.box(A)
+            yield (None if inside is None else pack.rep(
+                self.cells_of(A | {zero})) & ~inside, 0, point, (A,))
 
-    def m2(self, pairs, keys="AB"):
-        """M2: X_r inside Y_r, one outcome per (X, Y) of `pairs`, which for
-        M2 have X inside Y; `keys` name X and Y."""
+    def _inclusion(self, pack, keys):
+        """The point loop of M2 and Id2: X_r inside Y_r for slot s, with
+        `keys` naming X and Y."""
         x, y = keys
-        return map(self.escape, ((self.mask(X), self.mask(Y), ((x, X), (y, Y)))
-                                 for X, Y in pairs))
 
-    def id2(self, pairs, keys):
-        """Id2: M2 over the (X, Y) of `pairs` with X inside Y_r."""
-        return self.m2(((X, Y) for X, Y in pairs
-                        if not self.of(X) & ~self.mask(Y)), keys)
+        def point(s, X, Y):
+            return self.escape((pack.mask(s, X), pack.mask(s, Y),
+                                ((x, X), (y, Y))))
 
-    def id3(self, key):
-        """Id3: c A_r = (cA)_r at the points, one outcome per (A, c), A over
+        return point
+
+    def m2(self, pack, pairs, keys="AB"):
+        """M2: X_r inside Y_r, one item per (X, Y) of `pairs`, which for M2
+        have X inside Y; `keys` name X and Y."""
+        point = self._inclusion(pack, keys)
+        for X, Y in pairs:
+            inner, outer = pack.box(X), pack.box(Y)
+            yield (None if inner is None else inner & ~outer), 0, point, (X, Y)
+
+    def id2(self, pack, pairs, keys):
+        """Id2: M2 over the (X, Y) of `pairs` with X inside Y_r; a pair with
+        X outside a system's Y_r is none of its items."""
+        m2 = self._inclusion(pack, keys)
+
+        def point(s, X, Y):
+            return _SKIP if self.of(X) & ~pack.mask(s, Y) else m2(s, X, Y)
+
+        sets, alone = {}, len(pack.slots) == 1  # each X in every slot
+        for X, Y in pairs:
+            inner, outer = pack.box(X), pack.box(Y)
+            if inner is None:
+                yield None, 0, point, (X, Y)
+                continue
+            x = sets.get(X)
+            if x is None:
+                x = sets[X] = pack.rep(self.cells_of(X))
+            skip = x & ~outer
+            if not (skip and alone):  # else no item of the pack's system
+                yield inner & ~outer, skip, point, (X, Y)
+
+    def id3(self, pack, key):
+        """Id3: c A_r = (cA)_r at the points, one item per (A, c), A over
         the first 40 subsets, with the left side read literally: {0} for
-        c = 0, otherwise c^{-1} g in A_r.  With box masks, a nonzero c is
-        one XOR of A_r on the box moved by c^{-1} against (cA)_r on the box.
-        The window forms each cA once."""
+        c = 0, otherwise c^{-1} g in A_r, which is A_r on the box moved by
+        c^{-1}.  The window forms each cA once."""
         ctx, images = self.ctx, self._images
         inverses = [(c, None if c == ctx.zero else ctx.inv(c))
                     for c in self.scalars]
+
+        def point(s, A, c, c_inv, cA):
+            member, rhs = pack.reader(s, A), pack.systems[s].closure(cA)
+            return next(({key: _names(A), "c": repr(c), "g": repr(g)}
+                         for g in self.points
+                         if (g == ctx.zero if c_inv is None
+                             else member(ctx.op(c_inv, g))) != rhs(g)), None)
+
         for A in self.draw.head(40):
-            member = self.reader(A)
+            bits = pack.read(A)
             for c, c_inv in inverses:
                 cA = images.get((A, c))
                 if cA is None:
                     cA = images[A, c] = frozenset(ctx.op(c, a) for a in A)
-                lhs = None if c_inv is None else self.read(A, c_inv)
-                if lhs is None:
-                    rhs = self.r.closure(cA)
-                else:
-                    rhs = self.read(cA)
-                    if rhs is not None and not (lhs ^ rhs) & self._box_points:
-                        yield None
-                        continue
-                    rhs = self.reader(cA)
-                yield next(({key: _names(A), "c": repr(c), "g": repr(g)}
-                            for g in self.points
-                            if (g == ctx.zero if c_inv is None
-                                else member(ctx.op(c_inv, g))) != rhs(g)),
-                           None)
+                rhs = None if bits is None else pack.reach(cA)
+                if rhs is None:
+                    yield None, 0, point, (A, c, c_inv, cA)
+                    continue
+                lhs = pack.inf if c_inv is None else pack.at(bits, c_inv)
+                yield ((lhs ^ pack.at(rhs)) & pack.points, 0, point,
+                       (A, c, c_inv, cA))
 
-    def id4(self):
-        """Id4: cH inside {c}_r, one outcome per c; H is the universe."""
+    def id4(self, pack):
+        """Id4: cH inside {c}_r, one item per c, point by point; H is the
+        universe."""
+        def point(s, c):
+            member = pack.reader(s, frozenset([c]))
+            return next(({"c": repr(c), "h": repr(h)} for h in self.universe
+                         if not member(self.ctx.op(c, h))), None)
+
         for c in self.universe:
-            member = self.reader(frozenset([c]))
-            yield next(({"c": repr(c), "h": repr(h)} for h in self.universe
-                        if not member(self.ctx.op(c, h))), None)
+            yield None, 0, point, (c,)
 
-    def m4(self):
-        """M4: H A_r = A_r, one outcome per A; the inclusion A_r subset of
-        H A_r is free.  With box masks, A passes when no translator h moves
-        a point of A_r at the points out of A_r (INF stays put)."""
+    def m4(self, pack):
+        """M4: H A_r = A_r, one item per A; the inclusion A_r subset of
+        H A_r is free.  A passes when no translator h moves a point of A_r
+        at the points out of A_r (INF stays put)."""
         ctx, points, translators = self.ctx, self.points, self.translators
+        starts = [self.starts[h] for h in translators] if pack.packed else ()
+
+        def point(s, A):
+            member = pack.reader(s, A)
+            return next(({"A": _names(A), "h": repr(h), "g": repr(g)}
+                         for g in filter(member, points) for h in translators
+                         if not member(ctx.op(h, g))), None)
+
         for A in self.draw.subsets:
-            member = self.reader(A)
-            inside = self.read(A)
-            if inside is not None and not any(
-                    inside & self._box_points & ~self.read(A, h)
-                    for h in translators):
-                yield None
+            bits = pack.read(A)
+            if bits is None:
+                yield None, 0, point, (A,)
                 continue
-            yield next(({"A": _names(A), "h": repr(h), "g": repr(g)}
-                        for g in filter(member, points) for h in translators
-                        if not member(ctx.op(h, g))), None)
+            moved = -1
+            for k in starts:
+                moved &= bits >> k
+            yield (pack.at(bits) & pack.points & ~(moved | pack.inf), 0,
+                   point, (A,))
 
-    def idempotent(self):
-        """(A_r)_r = A_r through the window slice of A_r, one outcome per A:
+    def idempotent(self, pack):
+        """(A_r)_r = A_r through the window slice of A_r, one item per A:
         the slice's closure sits inside (A_r)_r, so a point of it outside
-        A_r is an honest counterexample."""
-        for A in self.draw.subsets:
-            m = self.mask(A)
-            slice_ = frozenset(g for g in self.universe if m & self.bit[g])
-            yield self.escape((self.mask(slice_), m, (("A", A),)))
+        A_r is an honest counterexample.  Each slot reads its own slice."""
 
-    def finitary(self):
-        """The closures of A's subsets inside A_r, one outcome per A: M2 over
+        def point(s, A):
+            m = pack.mask(s, A)
+            slice_ = frozenset(g for g, i in self.index.items() if m >> i & 1)
+            return self.escape((pack.mask(s, slice_), m, (("A", A),)))
+
+        for A in self.draw.subsets:
+            inside = pack.box(A)
+            if inside is None:
+                yield None, 0, point, (A,)
+                continue
+            bad = 0
+            for s in range(len(pack.slots)):
+                # a slice lies in the window, so it has shifts, as A has
+                part = inside >> s * pack.width
+                slice_ = frozenset(g for g, i in self.cell.items()
+                                   if part >> i & 1)
+                bad |= (pack.at(pack.reach(slice_)) & ~inside
+                        & pack.masks[s])
+            yield bad, 0, point, (A,)
+
+    def finitary(self, pack):
+        """The closures of A's subsets inside A_r, one item per A: M2 over
         A's subsets.  A_r lies in their union for free, as A is one of
         them."""
-        for A in self.draw.subsets:
+        def point(s, A):
             union = 0
             for E in _subsets(A, range(len(A) + 1)):
-                union |= self.mask(E)
-            yield self.escape((union, self.mask(A), (("A", A),)))
+                union |= pack.mask(s, E)
+            return self.escape((union, pack.mask(s, A), (("A", A),)))
+
+        for A in self.draw.subsets:
+            inside = pack.box(A)
+            if inside is None:
+                yield None, 0, point, (A,)
+                continue
+            union = 0
+            for E in _subsets(A, range(len(A))):
+                union |= pack.box(E)
+            yield union & ~inside, 0, point, (A,)

@@ -55,7 +55,7 @@ def test_1_closure_axioms_exhaustive_on_2_3():
 def test_2_prime_enumeration_and_oracle():
     with budget(1):
         H = Monoid.numerical([2, 3])
-        primes = enumerate_primes(H, bound=10)
+        primes = enumerate_primes(H)
         assert sorted(p.name for p in primes) == ["P_max", "P_zero"]
         space = spec_subbasis(H, primes)
         i0 = space.labels.index("P_zero")
@@ -72,7 +72,7 @@ def test_2_prime_enumeration_and_oracle():
             assert verdict == oracle, I
     with budget(1):
         H2 = Monoid.affine([[1, 0], [0, 1]])
-        primes2 = enumerate_primes(H2, bound=4)
+        primes2 = enumerate_primes(H2)
         assert len(primes2) == 4
         sp2 = spec_subbasis(H2, primes2)
         # diamond: zero below both facets, both facets below maximal
@@ -98,7 +98,7 @@ def test_4_domination_positive_and_negative_instances():
     # positive: N x Z localizes to valuations, and delta is a bijection
     # that keeps the specialization order
     H = Monoid.affine([[1, 0], [0, 1], [0, -1]])
-    primes = enumerate_primes(H, bound=4)
+    primes = enumerate_primes(H)
     assert is_s_pruefer(H, primes, bound=4).ok
     zar = enumerate_zar(H, bound=4)
     f = [delta(H, V, primes, bound=4) for V in zar]
@@ -111,7 +111,7 @@ def test_4_domination_positive_and_negative_instances():
     # negative: N^2 is not Pruefer; delta stays surjective but identifies the
     # two lexicographic refinements of the axis weights in the maximal ideal
     H2 = Monoid.affine([[1, 0], [0, 1]])
-    primes2 = enumerate_primes(H2, bound=4)
+    primes2 = enumerate_primes(H2)
     assert not is_s_pruefer(H2, primes2, bound=4).ok
     carrier2 = enumerate_zar(H2, bound=4)
     f2 = [delta(H2, V, primes2, bound=4) for V in carrier2]
@@ -128,7 +128,7 @@ def test_4_domination_positive_and_negative_instances():
 def laws(H, bound):
     """delta_laws of H over its primes and Zar carrier, as the pruefer suite
     builds them."""
-    primes = enumerate_primes(H, bound)
+    primes = enumerate_primes(H)
     zar = enumerate_zar(H, bound=bound)
     f = [delta(H, V, primes, bound) for V in zar]
     space = overmonoid_space(zar, H.context, bound)
@@ -153,7 +153,7 @@ def test_5_delta_laws():
         assert checks["delta-image-law"].witness is None
         # the documented equality failure on the non-Pruefer carrier
         H = Monoid.numerical([2, 3])
-        primes = enumerate_primes(H, bound=6)
+        primes = enumerate_primes(H)
         zar = enumerate_zar(H)
         f = [delta(H, V, primes, bound=6) for V in zar]
         in_b1 = [i for i, V in enumerate(zar) if V.contains(1)]
@@ -252,7 +252,7 @@ def test_9_intersection_systems_finitary_and_idempotent():
     with budget(5):
         H = Monoid.affine([[1, 0], [0, 1]])
         ctx = H.context
-        locs = [localize(H, P) for P in enumerate_primes(H, bound=4)
+        locs = [localize(H, P) for P in enumerate_primes(H)
                 if not P.contains(H.one)]
         assert len(locs) == 4
         r_loc = r_delta(DeltaFamily(locs, name="locs"), ctx)

@@ -228,6 +228,18 @@ def test_exit_code_3_past_the_window_guard(name, capsys, monkeypatch):
     assert all(n <= MAX_WINDOW for n in built)
 
 
+def test_the_window_refusal_names_the_bound_given(capsys):
+    # ideals and pronconst widen the window to bound + F(H); the refusal
+    # names the --bound the user gave, not the window's bound
+    for suite in ("ideals", "pronconst", "main1"):
+        code = main(["verify", "--suite", suite, "--input", data("n23.json"),
+                     "--bound", "1000000000"])
+        assert code == 3, suite
+        assert capsys.readouterr().err == (
+            "unsupported: --bound 1000000000 needs a window of more than "
+            f"{MAX_WINDOW} points\n"), suite
+
+
 def test_exit_code_2_on_a_seed_that_is_not_an_integer(capsys, monkeypatch):
     monkeypatch.setenv("MONOID_SPECTRA_SEED", "abc")
     code = main(["verify", "--suite", "spec", "--input", data("n23.json")])
@@ -312,9 +324,9 @@ def test_main2_and_prop2_report_at_more_seeds(capsys):
 
 
 def test_window_masks_are_the_window_points_of_the_closure():
-    # a window reads A_r from its members' box masks where the carrier has
-    # boxes (a meet's members are all its systems' members); the exact
-    # predicate gives the same points
+    # a window reads A_r from its members' box masks, one slot per system,
+    # where the carrier has boxes (a meet's members are all its systems'
+    # members); the exact predicate gives the same points in every slot
     for name in ("n2", "nxz", "n23", "c3z"):
         H = monoid_from_file(data(name + ".json"))
         ctx = H.context
@@ -323,13 +335,21 @@ def test_window_masks_are_the_window_points_of_the_closure():
         systems = [*map(iota, overs), example16(H),
                    r_delta(DeltaFamily(overs), ctx),
                    meet([iota(S) for S in overs])]
-        for r in systems:
-            w = _Window(ctx, points).on(r)
-            for A in itertools.combinations(points[::5], 2):
+        w = _Window(ctx, points).on(systems)
+        pack, = w.packs()
+        assert pack.slots == list(range(len(systems)))
+        for A in map(frozenset, itertools.combinations(points[::5], 2)):
+            bits = pack.box(A)
+            assert (bits is None) == (name == "c3z")
+            for s, r in enumerate(systems):
                 pred = r.closure(A)
-                assert w.mask(frozenset(A)) == sum(
-                    1 << i for i, g in enumerate(points) if pred(g)), \
-                    (name, r, A)
+                inside = {g for g in points if pred(g)}
+                assert pack.mask(s, A) == sum(
+                    1 << i for i, g in enumerate(points) if g in inside)
+                if bits is not None:
+                    assert inside == {g for g in points if bits >> s
+                                      * pack.width + w.cell[g] & 1}, \
+                        (name, r, A)
 
 
 def test_no_info_line_carries_a_verdict_word(capsys):

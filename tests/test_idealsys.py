@@ -95,7 +95,7 @@ def all_pairs_is_prime(I, window):
 def test_enumerated_primes_match_windowed_primality_oracle():
     H = Monoid.numerical([2, 3])
     r = s_system(H)
-    primes = enumerate_primes(H, bound=10)
+    primes = enumerate_primes(H)
     assert sorted(p.name for p in primes) == ["P_max", "P_zero"]
     assert all(isinstance(p, RIdeal) for p in primes)
     window = H.context.window(10)
@@ -145,7 +145,7 @@ def generator_subset_primes(H, window):
     pytest.param(Monoid.affine([[2], [-3]]), id="dim1-2,-3")])
 def test_enumerate_primes_matches_the_generator_subset_oracle(H):
     small = H.kind == "affine" and H.dim == 2
-    primes = enumerate_primes(H, bound=4 if small else 10)
+    primes = enumerate_primes(H)
     found = generator_subset_primes(H, H.context.window(6 if small else 60))
     assert len(primes) == len(found), (primes, found)
     assert all(any(p.equals(q) for q in found) for p in primes), \
@@ -179,13 +179,13 @@ def test_is_prime_matches_the_all_pairs_loop(H):
 
 def test_affine_primes_one_per_face():
     H = Monoid.affine([[1, 0], [0, 1]])
-    primes = enumerate_primes(H, bound=4)
+    primes = enumerate_primes(H)
     names = sorted(p.name for p in primes)
     assert "P_max" in names and "P_zero" in names
     assert len(primes) == 4  # zero, two facets, maximal
     assert all(isinstance(p, RIdeal) for p in primes)
     half = Monoid.affine([[1, 0], [-1, 0], [0, 1]])
-    primes2 = enumerate_primes(half, bound=4)
+    primes2 = enumerate_primes(half)
     assert len(primes2) == 2
     # dim 1: a ray has the zero and the maximal ideal, a line only the zero
     for gens, names in (([[-2], [-3]], ["P_max", "P_zero"]),
@@ -196,7 +196,7 @@ def test_affine_primes_one_per_face():
 
 def test_finite_primes():
     H = cyclic_group_with_zero(3)
-    primes = enumerate_primes(H, bound=3)
+    primes = enumerate_primes(H)
     assert len(primes) == 1 and primes[0].name == "P_zero"
     assert isinstance(primes[0], RIdeal)
     # the only prime is {zero}
@@ -235,7 +235,7 @@ def test_o_sets_avoid_primes():
 
 def test_spec_subbasis_is_t0_sierpinski():
     H = Monoid.numerical([2, 3])
-    primes = enumerate_primes(H, bound=10)
+    primes = enumerate_primes(H)
     space = spec_subbasis(H, primes)
     assert space.is_t0()
     # P_zero specializes to nothing above it except via closure of P_zero

@@ -149,6 +149,21 @@ def test_subbasis_membership_asks_for_the_identity():
         subbasis_membership(r, frozenset())
 
 
+def separating_set(systems, pool, i, j):
+    """The first pool set with exactly one of systems i and j in U_S."""
+    return next((S for S in pool
+                 if subbasis_membership(systems[i], S)
+                 != subbasis_membership(systems[j], S)), None)
+
+
+def first_unseparated(systems, pool):
+    """The all-pairs oracle: the first pair, in combinations order, that no
+    pool set separates, or None."""
+    return next(((i, j) for i, j in itertools.combinations(
+        range(len(systems)), 2)
+        if separating_set(systems, pool, i, j) is None), None)
+
+
 def test_system_space_t0_and_witnesses():
     H = n23()
     overs = [overmonoid_N(H), overmonoid_Z(H)]
@@ -157,10 +172,11 @@ def test_system_space_t0_and_witnesses():
     ss = SystemSpace(systems, pool)
     sp = ss.space()
     assert sp.is_t0()
-    wits = ss.t0_witnesses()
-    assert all(S is not None for S in wits.values())
-    assert wits[0, 1] == frozenset([4])  # -4 is in Z, not in N
-    assert wits[0, 2] == frozenset([INF])  # {0}: example16 alone
+    assert ss.t0_witnesses() is None
+    assert first_unseparated(systems, pool) is None
+    # the separating pool sets, found by the all-pairs loop
+    assert separating_set(systems, pool, 0, 1) == frozenset([4])  # -4 in Z
+    assert separating_set(systems, pool, 0, 2) == frozenset([INF])  # {0}
 
 
 def test_separating_points_are_the_window_then_the_generators():
@@ -378,22 +394,23 @@ def test_module_checks_refuse_systems_off_h_carrier():
 
 
 def test_t0_witnesses_are_the_first_separating_pool_sets():
+    # t0_witnesses gives the first pair that the all-pairs loop over the
+    # first separating pool sets leaves unseparated
     H = n23()
     overs = [overmonoid_N(H), overmonoid_Z(H)]
-    systems = [*map(iota, overs), example16(H),
-               iota(overmonoid_N(H))]  # the last pair is not separated
     pool = singleton_pool(H.context, overs, 4)
-    ss = SystemSpace(systems, pool)
-    for (i, j), found in ss.t0_witnesses().items():
-        first = next((S for S in pool
-                      if subbasis_membership(systems[i], S)
-                      != subbasis_membership(systems[j], S)), None)
-        assert found == first, (i, j)
-    assert ss.t0_witnesses()[0, 3] is None
-    sp = ss.space()
-    for S, U in zip(pool, sp.subbasis):
-        assert U == {i for i, r in enumerate(systems)
-                     if subbasis_membership(r, S)}, S
+    N, Z, e16 = iota(overs[0]), iota(overs[1]), example16(H)
+    # the first index with a twin, with its next twin, in combinations order
+    for systems, pair in (([N, Z, e16, iota(overmonoid_N(H))], (0, 3)),
+                          ([Z, N, e16, N, Z], (0, 4)),
+                          ([N, Z, Z, N], (0, 3)),
+                          ([e16, Z, N, N, Z], (1, 4))):
+        ss = SystemSpace(systems, pool)
+        assert ss.t0_witnesses() == first_unseparated(systems, pool) == pair
+        sp = ss.space()
+        for S, U in zip(pool, sp.subbasis):
+            assert U == {i for i, r in enumerate(systems)
+                         if subbasis_membership(r, S)}, S
 
 
 @settings(max_examples=100, deadline=None)

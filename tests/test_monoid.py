@@ -146,7 +146,7 @@ def test_adjoin():
 def test_localize_at_face_prime():
     from monoid_spectra.idealsys import enumerate_primes
     H = Monoid.affine([[1, 0], [0, 1]])
-    primes = enumerate_primes(H, bound=4)
+    primes = enumerate_primes(H)
     by_name = {p.name: p for p in primes}
     face = next(p for n, p in by_name.items() if n.startswith("P_face"))
     L = localize(H, face)

@@ -1,6 +1,7 @@
 """Box masks of the additive carriers against their pointwise predicates,
 and the axiom checkers with and without masks."""
 
+import functools
 import os
 from math import gcd
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monoid_spectra import monoid, window
+from monoid_spectra import cli, monoid, packs, window
 from monoid_spectra.idealsys import (IdealSystem, check_ideal_axioms,
                                      enumerate_primes, s_system)
 from monoid_spectra.modsys import (DeltaFamily, ModuleSystem, check_id2,
@@ -69,7 +70,7 @@ def build(H):
     group = Overmonoid(ctx, gens=H.generators + tuple(
         ctx.inv(g) for g in H.generators), name="G")
     overs = [H, as_overmonoid(H), group]
-    overs += [localize(H, P) for P in enumerate_primes(H, 2)]
+    overs += [localize(H, P) for P in enumerate_primes(H)]
     if H.dim == 2:
         overs += enumerate_zar(H, bound=2)
     return H, overs
@@ -104,6 +105,11 @@ def on_lattice(box):
     return pointwise(lambda g: g is INF or box.ctx.contains(g), box)
 
 
+def lattice_cells(box):
+    """The bits of the box's lattice cells, without INF."""
+    return pointwise(lambda g: g is not INF and box.ctx.contains(g), box)
+
+
 def moved(box, ctx, g):
     """The box moved by the carrier point g, in its layout."""
     x, y = cell(ctx, g)
@@ -117,8 +123,8 @@ def moved(box, ctx, g):
        picks=st.lists(st.integers(0, 50), min_size=1, max_size=3),
        moves=st.lists(st.integers(0, 50), max_size=4))
 def test_span_matches_the_predicate(spec, system, picks, moves):
-    """A_r read through a window: on the window's box and on each of its
-    moves, and as window bits, against the exact predicate; the first moves
+    """A_r read through a window: on the reach box, and on the window's box
+    and on each of its moves, against the exact predicate; the first moves
     are Id3 scalars, the others M4 translators."""
     kind, gens, A, _ = spec
     H, overs = build(monoid_of(kind, gens))
@@ -135,12 +141,15 @@ def test_span_matches_the_predicate(spec, system, picks, moves):
     half = len(picked) // 2
     scalars, translators = picked[:half], picked[half:]
     w = window._Window(ctx, universe, None, scalars, nonzero,
-                       translators).on(r)
+                       translators).on([r])
+    pack, = w.packs()
     A, pred = frozenset(A), r.closure(A)
+    bits = pack.read(A)
+    assert bits & lattice_cells(w.reach) == pointwise(
+        lambda g: g is not INF and pred(g), w.reach)
     for by in [None, *map(ctx.inv, scalars), *translators]:
         box = w.box if by is None else moved(w.box, ctx, by)
-        assert w.read(A, by) & on_lattice(box) == pointwise(pred, box), by
-    assert w.mask(A) == sum(w.bit[g] for g in universe if pred(g))
+        assert pack.at(bits, by) & on_lattice(box) == pointwise(pred, box), by
 
 
 @settings(max_examples=80, deadline=None)
@@ -269,35 +278,120 @@ def test_checkers_agree_on_lattice_carriers(gens, bound):
     assert fails(no_one, "Id1") and fails(one, "M4")
 
 
+def dicts(checks):
+    return [c.to_dict() for c in checks]
+
+
+# main1's carriers with the bound they are scanned at: sampled draws, and
+# <2,3> on a line of the plane, whose boxes are one column wide
+MAIN1 = {"n579": 10, "n2": 2, "nxz": 2, "line": 2}
+
+
+@functools.cache
+def main1_pool(name):
+    """main1's systems on a carrier, then ``broken(H)`` and iota(thin),
+    which fail at different items, with H, the bound and each system's
+    verdicts in a call of its own, which equal its point-by-point run."""
+    H = (Monoid.affine([[2, 0], [3, 0]]) if name == "line" else
+         monoid_from_file(os.path.join(DATA, name + ".json")))
+    bound = MAIN1[name]
+    thin = Overmonoid(H.context, gens=H.generators[-1:], name="thin")
+    systems = [*map(iota, cli._curated_overmonoids(H, bound)), example16(H),
+               *broken(H), iota(thin)]
+    alone = [dicts(check_module_axioms([r], H, bound=bound)[0])
+             for r in systems]
+    for r, expected in zip(systems, alone):
+        assert dicts(check_module_axioms([hidden(r)], H, bound=bound)[0]) \
+            == expected, r
+    return H, bound, systems, alone
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(MAIN1)), data=st.data())
+def test_packed_scans_agree_with_each_system_alone(name, data):
+    """Random sublists of main1's systems with failing ones, in one pack:
+    each system gets the verdicts of its one-slot run and of its
+    point-by-point run."""
+    H, bound, systems, alone = main1_pool(name)
+    picks = data.draw(st.lists(st.sampled_from(range(len(systems))),
+                               min_size=1, unique=True))
+    packed = check_module_axioms([systems[i] for i in picks], H, bound=bound)
+    assert list(map(dicts, packed)) == [alone[i] for i in picks]
+    assert any(c["verdict"] == "FAIL" for c in alone[-1])
+
+
+@pytest.mark.parametrize("per", [1, 2, 3, None])
+@pytest.mark.parametrize("name", sorted(MAIN1))
+def test_packs_of_any_size_give_the_same_verdicts(name, per, monkeypatch):
+    """A cap of `per` slots' bits splits the systems into packs of `per`
+    (None: the default cap, one pack), each read after the other, the last
+    one possibly not full: the same verdicts as each system alone."""
+    H, bound, systems, alone = main1_pool(name)
+    if per:
+        ctx = H.context
+        universe = ctx.window(bound)
+        nonzero = [g for g in universe if g != ctx.zero]
+        plan = window._plan(ctx, universe, window._Draw(universe), nonzero,
+                            [g for g in nonzero if H.contains(g)]).on(systems)
+        # a slot's bits on the wide box
+        monkeypatch.setattr(monoid, "MAX_SPAN_BITS",
+                            per * plan.wide.rows * plan.width)
+    sizes = []
+    real = packs._Pack.__init__
+
+    def spy(self, w, slots, width):
+        sizes.append(len(slots))
+        real(self, w, slots, width)
+
+    monkeypatch.setattr(packs._Pack, "__init__", spy)
+    packed = check_module_axioms(systems, H, bound=bound)
+    n = len(systems)
+    per = per or n
+    assert sizes == [per] * (n // per) + [n % per] * (n % per > 0)
+    assert list(map(dicts, packed)) == alone
+
+
 def test_passing_systems_never_reach_the_point_loops(monkeypatch):
-    """Id3 and M4 settle every pair of a passing system as integers, on the
-    integers and in the plane: no reader is asked about a point, and
-    neither scan opens a reader for any set but the A it scans."""
-    readers, reads = [], []
-    real = window._Window.reader
+    """Every item of a passing system is settled as integers, on the
+    integers and in the plane: no reader is opened, and no point-by-point
+    mask or predicate is asked for a set."""
+    opened = []
+    for name in ("reader", "mask", "pred"):
+        def counting(self, s, A, real=getattr(packs._Pack, name)):
+            opened.append(A)
+            return real(self, s, A)
 
-    def counting(self, A):
-        readers.append(A)
-        member = real(self, A)
-
-        def counted(g):
-            reads.append(g)
-            return member(g)
-
-        return counted
-
-    monkeypatch.setattr(window._Window, "reader", counting)
+        monkeypatch.setattr(packs._Pack, name, counting)
     for H, bound in ((Monoid.numerical([2, 3]), 4),
-                     (Monoid.affine([[1, 0], [0, 1]]), 1)):
+                     (Monoid.affine([[1, 0], [0, 1]]), 1),
+                     # boxes one column wide: INF takes the guard bit
+                     (Monoid.affine([[2, 0], [3, 0]]), 2)):
         overs = build(H)[1]
-        for r in (s_system(H), iota(overs[-1]), iota(overs[1])):
-            readers.clear()
-            reads.clear()
-            checks = {c.name: c for c in check_module_axioms(
-                [r], H, bound=bound)[0]}
-            assert all(c.ok and c.exhaustive for c in checks.values())
-            assert len(readers) == 2 * checks["M4"].n
-            assert reads == []
+        systems = [s_system(H), iota(overs[-1]), iota(overs[1])]
+        opened.clear()
+        for checks in check_module_axioms(systems, H, bound=bound):
+            assert all(c.ok and c.exhaustive for c in checks)
+        assert opened == []
+        # a failing system opens readers, and only for its failing items
+        thin = Overmonoid(H.context, gens=H.generators[-1:], name="thin")
+        *_, checks = check_module_axioms([*systems, iota(thin)], H,
+                                         bound=bound)
+        assert fails(checks, "M4") and len(set(opened)) == 1
+
+
+@pytest.mark.parametrize("name", sorted(MAIN1))
+def test_a_bit_names_its_slot(name):
+    """Every window point's bit in every slot of a pack that is not full
+    names that slot, in every row of the box."""
+    H, bound, systems, _ = main1_pool(name)
+    ctx = H.context
+    universe = ctx.window(bound)
+    w = window._Window(ctx, universe, None, (), universe[:-1]).on(systems)
+    pack = packs._Pack(w, list(range(len(systems) - 1)), True)
+    assert pack.stride == len(systems) * pack.width
+    for s in range(len(pack.slots)):
+        for g in universe:
+            assert pack.slot(1 << w.cell[g] + s * pack.width) == s, (s, g)
 
 
 def plan_systems(H, overs):
@@ -321,23 +415,26 @@ def plan_carrier(name):
 def test_plan_reads_agree_with_set_reads_and_the_predicate(name,
                                                            monkeypatch):
     """Below the mask cap every read of a plan, A = {} and {0} and
-    example16's sets with the zero included, is planned, and agrees with
-    the exact predicate on the box it is read on.  At a cap of one cell no
-    read is planned, and every closure is read point by point: the same
-    verdicts."""
-    real = window._Window.read
+    example16's sets with the zero included, is a packed read, and each of
+    its slots agrees with its system's exact predicate on the reach box.
+    At a cap of one cell no read is packed, and every closure is read point
+    by point: the same verdicts."""
+    real = packs._Pack.reach
     log = []
 
-    def checked(self, A, by=None):
-        bits = real(self, A, by)
+    def checked(self, A):
+        bits = real(self, A)
         if bits is not None:
-            box = self.box if by is None else moved(self.box, self.ctx, by)
-            assert (bits & on_lattice(box)
-                    == pointwise(self.r.closure(A), box)), (self.r, A, by)
+            reach = self.w.reach
+            for s, r in enumerate(self.systems):
+                pred = r.closure(A)
+                assert (bits >> s * self.width & lattice_cells(reach)
+                        == pointwise(lambda g: g is not INF and pred(g),
+                                     reach)), (r, A)
         log.append((A, bits is not None))
         return bits
 
-    monkeypatch.setattr(window._Window, "read", checked)
+    monkeypatch.setattr(packs._Pack, "reach", checked)
     verdicts = []
     for cap in (None, 1):
         if cap:

@@ -22,7 +22,7 @@ DATA = os.path.join(ROOT, "tests", "data")
 def domination(H, bound):
     """The primes, the Zar carrier and the prime index of each member's
     delta image."""
-    primes = enumerate_primes(H, bound)
+    primes = enumerate_primes(H)
     zar = enumerate_zar(H, bound=bound)
     return primes, zar, [delta(H, V, primes, bound) for V in zar]
 
@@ -124,7 +124,7 @@ def test_enumerate_zar_numerical_and_affine():
 
 def test_maximal_ideal_and_delta_numerical():
     H = Monoid.numerical([2, 3])
-    primes = enumerate_primes(H, bound=6)
+    primes = enumerate_primes(H)
     by_name = {p.name: j for j, p in enumerate(primes)}
     zar = enumerate_zar(H)
     vN = next(v for v in zar if v.tag == "N")
@@ -137,7 +137,7 @@ def test_maximal_ideal_and_delta_numerical():
 
 def test_delta_images_affine():
     H = Monoid.affine([[1, 0], [0, 1]])
-    primes = enumerate_primes(H, bound=4)
+    primes = enumerate_primes(H)
     zar = enumerate_zar(H, bound=4)
     images = {repr(v): primes[delta(H, v, primes, bound=4)].name
               for v in zar}
@@ -163,7 +163,7 @@ def test_delta_laws_numerical_nonpruefer():
 
 def test_delta_laws_pruefer_instance():
     H = Monoid.affine([[1, 0], [0, 1], [0, -1]])
-    assert is_s_pruefer(H, enumerate_primes(H, 4), bound=4).ok
+    assert is_s_pruefer(H, enumerate_primes(H), bound=4).ok
     checks = laws(H, 4)
     assert all(c.ok for c in checks.values())
     assert checks["delta-image-law"].witness is None
@@ -173,7 +173,7 @@ def test_pruefer_verdicts():
     for H, bound, ok in ((Monoid.numerical([2, 3]), 6, False),
                          (Monoid.affine([[1, 0], [0, 1]]), 4, False),
                          (Monoid.numerical([1]), 6, True)):
-        assert is_s_pruefer(H, enumerate_primes(H, bound), bound).ok == ok
+        assert is_s_pruefer(H, enumerate_primes(H), bound).ok == ok
 
 
 def test_surjectivity_witness():
@@ -260,7 +260,7 @@ def test_domination_reads_agree_with_the_pointwise_oracle():
     raised = set()
     for name, H in additive_inputs():
         for bound in (1, 2, 3, 4):
-            primes = enumerate_primes(H, bound)
+            primes = enumerate_primes(H)
             zar = enumerate_zar(H, bound=bound)
             for V in zar:
                 assert local(V, bound) == is_local_pointwise(
@@ -296,7 +296,7 @@ def test_locality_reads_agree_on_sets_that_are_not_monoids():
              (not_a_monoid(plane, {(0, 0), (1, 0), (0, 1), (1, 1), (-1, -1)},
                            "(1,0)+(0,1)"), False)]
     H = Monoid.affine([[1, 0], [0, 1]])
-    cases += [(S, True) for S in (H, localize(H, enumerate_primes(H, 4)[1]))]
+    cases += [(S, True) for S in (H, localize(H, enumerate_primes(H)[1]))]
     for S, expected in cases:
         for bound in (1, 2, 3, 4):
             assert local(S, bound) == is_local_pointwise(S, bound)
