@@ -261,7 +261,7 @@ def test_bounded_caches_stay_exact(monkeypatch):
 def test_cone_shapes():
     """Each shape of planar cone has its full face list, in the order that
     `enumerate_primes` names primes in: it keeps the first of two equal
-    primes.  The quadrant and the half plane are among them."""
+    primes."""
     F = frozenset
     shapes = {
         # sectors: the cone, the two extreme rays, the origin
@@ -280,3 +280,20 @@ def test_cone_shapes():
     for gens, faces in shapes.items():
         assert faces_2d(gens) == faces, gens
         assert faces_2d([list(g) for g in gens]) == faces, gens
+
+
+def test_faces_of_quadrant():
+    faces = faces_2d(((1, 0), (0, 1)))
+    as_sets = {frozenset(f) for f in faces}
+    assert as_sets == {
+        frozenset({(1, 0), (0, 1)}),
+        frozenset({(1, 0)}),
+        frozenset({(0, 1)}),
+        frozenset(),
+    }
+
+
+def test_faces_of_halfplane():
+    faces = faces_2d(((1, 0), (-1, 0), (0, 1)))
+    assert len(faces) == 2  # the whole cone and its boundary line face
+    assert frozenset({(1, 0), (-1, 0)}) in {frozenset(f) for f in faces}
