@@ -5,6 +5,8 @@ of parameterized families."""
 
 from __future__ import annotations
 
+import functools
+
 from .fintop import FiniteSpace, subbasis_space
 # family_from_file lives beside the monoid readers and is also read from here
 from .monoid import (INF, CarrierMismatch, DeltaFamily, Monoid,
@@ -150,7 +152,7 @@ def check_module_axioms(systems, H, bound: int = 4, seed: int = 0):
     carrier (CarrierMismatch otherwise), and the window's points are checked
     on it once.  What no system changes is planned once per call and
     dropped on return: the subset draw, the comparable M2 pairs, the Id3
-    scalars, points and images cA, the M4 translators, the boxes masks are
+    scalars, points and images cA, the M4 translators, the layouts masks are
     read on, each set's shifts and each member's mask (``_Window``).
 
     The systems are scanned together: each that names its members takes a
@@ -221,6 +223,16 @@ def subbasis_membership(r: ModuleSystem, S) -> bool:
     return r.member(S, r.context.one)
 
 
+def _inverses(ctx, S):
+    """The inverses of the nonzero points of a pool set, checked on the
+    carrier once."""
+    if not S:
+        raise ValueError("U_S is defined for nonempty S only")
+    for a in S:
+        ctx.check(a)
+    return [ctx.inv(a) for a in _nonzero(ctx, S)]
+
+
 def separating_points(ctx, overmonoids, bound: int):
     """The nonzero window, then the nonzero generators of every member, each
     point once.  Two distinct generator-backed overmonoids differ at a
@@ -237,16 +249,27 @@ class SystemSpace:
 
     def __init__(self, systems, pool):
         self.systems = list(systems)
-        self.pool = list(pool)
+        self.pool = list(map(frozenset, pool))
         self._space = None
 
     def space(self) -> FiniteSpace:
         """The space on the systems with subbasis U_S, S over the pool; each
-        membership is evaluated once, on the first call."""
+        membership is evaluated once, on the first call.  A product closure
+        is read from its members: 1 is in S_r exactly when every member
+        holds a^{-1} for some nonzero a in S, so 1 is in {x^{-1}}_r when
+        every member holds x, and in {0}_r when there is none.  A system
+        that names no members asks its closure."""
         if self._space is None:
+            inverses = functools.cache(_inverses)
+
+            def one_in(r, S):
+                if r.members is None:
+                    return subbasis_membership(r, S)
+                invs = inverses(r.context, S)
+                return all(any(map(M.has, invs)) for M in r.members(S))
+
             self._space = subbasis_space([r.name for r in self.systems],
-                                         self.systems, self.pool,
-                                         subbasis_membership)
+                                         self.systems, self.pool, one_in)
         return self._space
 
     def t0_witnesses(self):

@@ -18,6 +18,7 @@ from math import gcd
 
 from . import intgeom
 from .errors import WindowTooLarge
+from .layout import Box, Table
 from .numsgp import cached_semigroup
 
 # Most points a window may hold: a larger bound is refused, before any point
@@ -121,8 +122,9 @@ class GroupoidContext:
         raise NotImplementedError
 
     def box(self, points):
-        """The smallest ``Box`` around the points among `points` other than
-        INF, or None: on a carrier without the layout, and for no point."""
+        """The bit layout a window reads `points` in: the smallest ``Box``
+        around those other than INF, or None, on a carrier without boxes
+        and for no point."""
         cells = self.layout and [self._xy(g) for g in points if g is not INF]
         return Box(self, 0, 0, 1, 1).spread(cells) if cells else None
 
@@ -231,59 +233,6 @@ class LatticeCarrier(GroupoidContext):
 MAX_SPAN_BITS = 1 << 16
 
 
-class Box:
-    """The one bit layout of the additive carriers: a rectangle of cells
-    (x, y), row x after row x, with cell (x, y) at bit
-    (x - x0) * stride + (y - y0).  An integer g and a vector (g,) are the
-    cell (0, g), a plane vector is its own cell, and the absorbing zero INF
-    takes the bit after the last cell.  A stride past `cols` leaves unused
-    bits at the end of each row, so moving a box by a vector is one fixed
-    shift that never carries a row into the next."""
-
-    __slots__ = ("ctx", "x0", "y0", "rows", "cols", "stride")
-
-    def __init__(self, ctx, x0, y0, rows, cols, stride=None):
-        self.ctx, self.x0, self.y0 = ctx, x0, y0
-        self.rows, self.cols = rows, cols
-        self.stride = cols if stride is None else stride
-
-    def bit(self, g):
-        """The bit of INF or of a carrier point inside the box."""
-        if g is INF:
-            return (self.rows - 1) * self.stride + self.cols
-        x, y = self.ctx._xy(g)
-        return (x - self.x0) * self.stride + y - self.y0
-
-    def spread(self, cells):
-        """The smallest box around this box moved by each of `cells`."""
-        xs, ys = zip(*cells)
-        return Box(self.ctx, self.x0 + min(xs), self.y0 + min(ys),
-                   self.rows + max(xs) - min(xs),
-                   self.cols + max(ys) - min(ys))
-
-    def behind(self, hull):
-        """This box moved back by every cell of the box `hull`."""
-        return self.spread([(-hull.x0, -hull.y0), (1 - hull.x0 - hull.rows,
-                                                   1 - hull.y0 - hull.cols)])
-
-    def shifts(self, back, points):
-        """Per point a but INF, the right shift moving a mask on the box
-        `back` by a onto this box; None unless `back` holds the moved box."""
-        at = [(self.x0 - x - back.x0, self.y0 - y - back.y0) for x, y in
-              (self.ctx._xy(a) for a in points if a is not INF)]
-        return [i * back.stride + j for i, j in at] if all(
-            0 <= i <= back.rows - self.rows
-            and 0 <= j <= back.cols - self.cols for i, j in at) else None
-
-    def cells(self):
-        """(bit, carrier point) of every cell; the point is None at a cell
-        off the carrier's lattice."""
-        at = self.ctx._at
-        for i in range(self.rows):
-            for j in range(self.cols):
-                yield i * self.stride + j, at(self.x0 + i, self.y0 + j)
-
-
 class FiniteCarrier(GroupoidContext):
     """A finite commutative cancellative monoid given by its Cayley table;
     off the zero it is a group, so it is its own groupoid."""
@@ -334,6 +283,10 @@ class FiniteCarrier(GroupoidContext):
     def _window(self, bound: int) -> list:
         return list(range(len(self.table)))
 
+    def box(self, points):
+        """The one ``Table`` row of the whole carrier."""
+        return Table(self)
+
     def submonoid(self, gens):
         closure = {self.one, self.zero, *gens}
         frontier = list(gens)
@@ -353,10 +306,10 @@ class Overmonoid:
     Backed by a generator list (membership derived exactly by the carrier)
     or a closed-form membership rule, only asked about nonzero elements of
     G, or both, the rule then deciding the generators' monoid; the
-    predicate is fixed here, once.  On a carrier with boxes ``span_mask``
-    reads membership on a ``Box`` as one int bitmask; the object keeps no
-    mask, and a ``window._Window`` keeps each one it reads for the
-    window."""
+    predicate is fixed here, once.  On a carrier with a layout
+    ``span_mask`` reads membership on a ``Box`` or ``Table`` as one int
+    bitmask; the object keeps no mask, and a ``window._Window`` keeps each
+    one it reads for the window."""
 
     def __init__(self, context, gens=None, rule=None, name=""):
         if gens is None and rule is None:

@@ -1,7 +1,7 @@
 """Packed reads: the closures of several module systems of one window in
 one int, a slot per system, and the driver that scans a pack's items for
-every slot at once.  ``window._Window`` plans the boxes and the scans; a
-pack reads on them."""
+every slot at once.  ``window._Window`` plans the layouts and the scans;
+a pack reads in them."""
 
 from __future__ import annotations
 
@@ -10,24 +10,12 @@ _SKIP = object()
 _UNREAD = object()
 
 
-def _and_of_ors(masks, shifts):
-    """A product closure's A_r on a box: the AND over its members' `masks`
-    of the OR of each mask shifted by A's `shifts`; every bit for no
-    members.  Packed masks give every slot's A_r at once."""
-    out = -1
-    for m in masks:
-        any_a = 0
-        for k in shifts:
-            any_a |= m >> k
-        out &= any_a
-    return out
-
-
 class _Pack:
     """Systems of a window read together, one slot each.  In every row of a
     packed int, slot s holds the s-th system's columns from bit s * width
-    of the row on, so a shift moves every slot at once; a system with fewer
-    members than another has all-ones padding in its place.  A pack of
+    of the row on, so a shift on a box, or a permutation of a finite
+    table's row, moves every slot at once; a system with fewer members
+    than another has all-ones padding in its place.  A pack of
     systems read point by point has one bit per slot and no packed reads.
     Each slot's exact predicates and window masks serve the point loops,
     and live with the pack."""
@@ -47,6 +35,7 @@ class _Pack:
         self.cells = w.cells * self.ones
         self.inf = w.inf * self.ones
         self.points = w.box_points * self.ones
+        self._moved, self._starts = w.reach.moved, w.starts
 
         def rows(n):  # a slot's columns in each of n rows
             return sum(1 << r * P for r in range(n)) * ((1 << W) - 1)
@@ -64,9 +53,9 @@ class _Pack:
         return ((bits & -bits).bit_length() - 1) % self.stride // self.width
 
     def reach(self, A):
-        """Every slot's A_r on the window's reach box, or None where A_r is
-        read point by point: for a pack without packed reads and a set off
-        the wide box.  Bits off the window's points are unspecified."""
+        """Every slot's A_r on the window's reach layout, or None where A_r
+        is read point by point: for a pack without packed reads and a set
+        off the wide box.  Bits off the window's points are unspecified."""
         shifts = self.w.shifts(A) if self.packed else None
         if shifts is None:
             return None
@@ -83,7 +72,7 @@ class _Pack:
                 sum((span(m[t]) if t < len(m) else pad) << s * W
                     for s, m in enumerate(lists))
                 for t in range(max(map(len, lists)))]
-        return _and_of_ors(masks, shifts) & self._keep
+        return self.w.reach.read(masks, shifts) & self._keep
 
     def read(self, A):
         """``reach`` of A, kept for the pack."""
@@ -93,13 +82,13 @@ class _Pack:
         return bits
 
     def at(self, bits, by=None):
-        """A packed reach read on the window's box moved by `by`, one of the
-        window's moves, at the window's points, with INF, which every A_r
-        holds (c INF = INF)."""
-        return bits >> self.w.starts[by] & self.cells | self.inf
+        """A packed reach read on the window's layout moved by `by`, one of
+        the window's moves, at the window's points, with the zero (INF, or
+        a finite carrier's zero cell), which every A_r holds."""
+        return self._moved(bits, self._starts[by]) & self.cells | self.inf
 
     def box(self, A):
-        """Every slot's A_r on the window's box, kept, or None."""
+        """Every slot's A_r on the window's layout, kept, or None."""
         bits = self._boxes.get(A, _UNREAD)
         if bits is _UNREAD:
             bits = self.read(A)

@@ -10,7 +10,7 @@ import itertools
 import random
 
 from . import monoid
-from .monoid import INF, Box, sort_key
+from .monoid import INF, sort_key
 from .packs import _SKIP, _first, _Pack
 from .report import Check
 
@@ -70,32 +70,37 @@ class _Window:
     members unchecked; points that leave the window go through the exact
     predicate, which checks them.
 
-    Planned once per window, and dropped with it: the window's box, the
-    reach box (the box moved by each of the window's moves: the inverses of
-    its nonzero Id3 scalars and its M4 translators), the wide box (the reach
-    box moved back by the hull of the subsets and Id3 images), each set's
-    shifts and each member's mask on the wide box.  A product closure's A_r
-    on reach is one AND over its members of the OR of A's shifts.
+    Planned once per window, and dropped with it, in the bit layout the
+    carrier supplies (``ctx.box``; none in dimension 3): the window's
+    layout, the reach layout (the window's moved by each of its moves: the
+    inverses of its nonzero Id3 scalars and its M4 translators), the wide
+    layout (reach moved back by the hull of the subsets and Id3 images),
+    each set's translates and each member's mask on the wide layout.  On
+    a ``Box`` they are three boxes and a translate is a shift; a finite
+    carrier's ``Table`` is one row for all three, and a translate or a move
+    by g permutes the row by g's table row.  A product closure's A_r on
+    reach is one AND over its members of the OR of A's translates.
 
     Slots and batches: the systems that name their members share ints.
-    Each gets a slot of the wide box's width and one guard bit in every
-    row, and a row holds the slots side by side, so one
-    ``packs._and_of_ors`` on packed member masks reads A_r for every slot.
-    A shift carries bits of the next slot only into columns past the reach
-    box, which no scan reads, and the guard bit takes a box's INF.  A pack
-    holds as many slots as fit in MAX_SPAN_BITS bits on the wide box; the
-    packs (``packs._Pack``) are read one after the other, each with its
-    own caches, and a read keeps only the reach box's rows.  Reads of the
+    Each gets a slot of the wide layout's width and one guard bit in every
+    row, and a row holds the slots side by side, so one AND-of-ORs (the
+    layout's ``read``) on packed member masks reads A_r for every slot.  A
+    shift carries bits of the next slot only into columns past the reach
+    box, which no scan reads, and the guard bit takes a box's INF; a row
+    permutation keeps every slot's bits in its slot.  A pack holds as many
+    slots as fit in MAX_SPAN_BITS bits on the wide layout; the packs
+    (``packs._Pack``) are read one after the other, each with its own
+    caches, and a read keeps only the reach layout's rows.  Reads of the
     Id3 images cA are used once and not kept.
 
     The scans: each item of Id1, M2, Id2, Id3 and M4 (and of idempotence
-    and finitariness) is one int compare for all slots at once, in box
+    and finitariness) is one int compare for all slots at once, in the
     layout at the window's points.  A nonzero slot sends that system and
     that item to the point loop, which finds the same witness, and a
     system's scan stops at its first witness, as ``Check.scan`` counts.  A
     system that passes never opens a reader.  Id4, the systems that name no
-    members, every system of a carrier without a ``Box`` and every system
-    past MAX_SPAN_BITS cells on the wide box are read point by point, on
+    members, every system of a carrier without a layout and every system
+    past MAX_SPAN_BITS cells on the wide layout are read point by point, on
     every item."""
 
     def __init__(self, ctx, universe, draw=None, scalars=(), points=(),
@@ -108,42 +113,38 @@ class _Window:
         self.index = {g: i for i, g in enumerate(universe)}
         self._sets, self._images = {}, {}
         self.wide = None  # no packed reads: every closure point by point
-        moves = [*(ctx.inv(c) for c in scalars if c != ctx.zero),
-                 *translators]
+        self._moves = [*(ctx.inv(c) for c in scalars if c != ctx.zero),
+                       *translators]
         self.box = b = ctx.box(universe)
         if not b:
             return
-        # the box around b and b moved by each of `moves`: each A_r is read
-        # on it, and the window's box takes the packs' row stride too, so a
-        # move is one shift
-        self._moves = {g: ctx._xy(g) for g in moves}
-        self.reach = reach = b.spread([(0, 0), *self._moves.values()])
-        h = b.spread([(0, 0), *(ctx._xy(c) for c in scalars if c != ctx.zero)])
-        wide = reach.behind(h)
+        # the layout around b and b moved by each move: each A_r is read on
+        # it, and the window's layout takes the packs' row stride too
+        self.reach = reach = b.around(self._moves)
+        wide = reach.behind(b.around(scalars))
         if wide.rows * wide.cols <= monoid.MAX_SPAN_BITS:
             self.wide = wide
 
     def on(self, systems):
-        """This window for `systems`: the packs' row stride, and the boxes,
-        shifts and masks in it."""
+        """This window for `systems`: the packs' row stride, and the
+        layouts, translates and masks in it."""
         self.systems = list(systems)
         self.named = [] if self.wide is None else [
             i for i, r in enumerate(self.systems) if r.members is not None]
         if not self.named:
             return self
-        ctx, wide, reach, b = self.ctx, self.wide, self.reach, self.box
-        self.width = W = wide.cols + 1
-        self.per = max(1, monoid.MAX_SPAN_BITS // (wide.rows * W))
-        wide.stride = reach.stride = P = min(self.per, len(self.named)) * W
+        self.width = W = self.wide.cols + 1
+        self.per = max(1, monoid.MAX_SPAN_BITS // (self.wide.rows * W))
+        P = min(self.per, len(self.named)) * W
+        self.wide, self.reach, self.box = wide, reach, b = [
+            x.with_stride(P) for x in (self.wide, self.reach, self.box)]
         self.span = functools.cache(lambda S: S.span_mask(wide))
         self.shifts = functools.cache(lambda A: reach.shifts(wide, A))
-        self.box = b = Box(ctx, b.x0, b.y0, b.rows, b.cols, P)
-        # where the box, and the box moved by each move, starts in reach
-        start = (b.x0 - reach.x0) * P + b.y0 - reach.y0
-        self.starts = {None: start, **{g: start + x * P + y
-                                       for g, (x, y) in self._moves.items()}}
+        # the move of a read on reach onto the window's layout, and onto it
+        # moved by each move
+        self.starts = {g: reach.start(b, g) for g in [None, *self._moves]}
         self.cell = {g: b.bit(g) for g in self.universe}
-        self.inf = 1 << b.bit(INF)
+        self.inf = 1 << b.bit(self.ctx.zero)
         self.cells = self.cells_of(g for g in self.universe if g is not INF)
         self.box_points = self.cells_of(self.points)
         return self
@@ -151,7 +152,8 @@ class _Window:
     def packs(self):
         """The systems in packs, each with empty caches: those that name
         their members, in order, as many to a pack as fit in MAX_SPAN_BITS
-        bits, then those read point by point."""
+        bits and read in the carrier's layout, a box or a table row, then
+        those read point by point."""
         named = self.named
         if named:
             for k in range(0, len(named), self.per):
@@ -168,7 +170,7 @@ class _Window:
         return m
 
     def cells_of(self, X):
-        """The window points X in box layout."""
+        """The window points X in the layout."""
         return sum(1 << self.cell[g] for g in X)
 
     def escape(self, item):
@@ -256,8 +258,8 @@ class _Window:
     def id3(self, pack, key):
         """Id3: c A_r = (cA)_r at the points, one item per (A, c), A over
         the first 40 subsets, with the left side read literally: {0} for
-        c = 0, otherwise c^{-1} g in A_r, which is A_r on the box moved by
-        c^{-1}.  The window forms each cA once."""
+        c = 0, otherwise c^{-1} g in A_r, which is A_r on the window's layout
+        moved by c^{-1}.  The window forms each cA once."""
         ctx, images = self.ctx, self._images
         inverses = [(c, None if c == ctx.zero else ctx.inv(c))
                     for c in self.scalars]
@@ -299,7 +301,7 @@ class _Window:
         H A_r is free.  A passes when no translator h moves a point of A_r
         at the points out of A_r (INF stays put)."""
         ctx, points, translators = self.ctx, self.points, self.translators
-        starts = [self.starts[h] for h in translators] if pack.packed else ()
+        moves = [self.starts[h] for h in translators] if pack.packed else ()
 
         def point(s, A):
             member = pack.reader(s, A)
@@ -312,9 +314,7 @@ class _Window:
             if bits is None:
                 yield None, 0, point, (A,)
                 continue
-            moved = -1
-            for k in starts:
-                moved &= bits >> k
+            moved = self.reach.meet(bits, moves)
             yield (pack.at(bits) & pack.points & ~(moved | pack.inf), 0,
                    point, (A,))
 

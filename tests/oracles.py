@@ -124,6 +124,25 @@ def cyclic_group_with_zero(n) -> Monoid:
     return Monoid.finite(table, one=0, zero=n)
 
 
+def cyclic_product(orders, relabel=None) -> dict:
+    """The description file of Z/a x Z/b x ... with an absorbing zero
+    adjoined: element i is the i-th tuple in lexicographic order, so the
+    identity is 0, and the zero is the last index.  `relabel`, a
+    permutation of the indices, renames element i to relabel[i]."""
+    elems = list(itertools.product(*map(range, orders)))
+    zero = len(elems)
+    index = {e: i for i, e in enumerate(elems)}
+    name = relabel or list(range(zero + 1))
+    table = [[0] * (zero + 1) for _ in range(zero + 1)]
+    for a in range(zero + 1):
+        for b in range(zero + 1):
+            ab = zero if zero in (a, b) else index[tuple(
+                (x + y) % n for x, y, n in zip(elems[a], elems[b], orders))]
+            table[name[a]][name[b]] = name[ab]
+    return {"kind": "finite", "size": zero + 1, "table": table,
+            "one": name[0], "zero": name[zero]}
+
+
 # -- the domination map, point by point ---------------------------------------
 
 def is_local_pointwise(V, bound) -> bool:

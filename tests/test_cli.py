@@ -8,13 +8,14 @@ from collections import Counter
 
 import pytest
 
-from monoid_spectra import cli, idealsys, intgeom, modsys, valuation
+from monoid_spectra import cli, idealsys, intgeom, modsys, monoid, valuation
 from monoid_spectra.cli import main
 from monoid_spectra.modsys import (DeltaFamily, example16, iota, meet,
                                    r_delta)
 from monoid_spectra.monoid import (MAX_WINDOW, IntCarrier, LatticeCarrier,
                                    Monoid, Overmonoid, monoid_from_file)
 from monoid_spectra.window import _Window
+from oracles import cyclic_product
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -324,9 +325,10 @@ def test_main2_and_prop2_report_at_more_seeds(capsys):
 
 
 def test_window_masks_are_the_window_points_of_the_closure():
-    # a window reads A_r from its members' box masks, one slot per system,
-    # where the carrier has boxes (a meet's members are all its systems'
-    # members); the exact predicate gives the same points in every slot
+    # a window reads A_r from its members' masks, one slot per system, in
+    # the carrier's layout: a box, or the row of a finite table (a meet's
+    # members are all its systems' members); the exact predicate gives the
+    # same points in every slot
     for name in ("n2", "nxz", "n23", "c3z"):
         H = monoid_from_file(data(name + ".json"))
         ctx = H.context
@@ -338,18 +340,49 @@ def test_window_masks_are_the_window_points_of_the_closure():
         w = _Window(ctx, points).on(systems)
         pack, = w.packs()
         assert pack.slots == list(range(len(systems)))
-        for A in map(frozenset, itertools.combinations(points[::5], 2)):
+        # every pair of c3z's three points, every fifth point elsewhere
+        step = 5 if len(points) > 5 else 1
+        for A in map(frozenset, itertools.combinations(points[::step], 2)):
             bits = pack.box(A)
-            assert (bits is None) == (name == "c3z")
+            assert bits is not None
             for s, r in enumerate(systems):
                 pred = r.closure(A)
                 inside = {g for g in points if pred(g)}
                 assert pack.mask(s, A) == sum(
                     1 << i for i, g in enumerate(points) if g in inside)
-                if bits is not None:
-                    assert inside == {g for g in points if bits >> s
-                                      * pack.width + w.cell[g] & 1}, \
-                        (name, r, A)
+                assert inside == {g for g in points if bits >> s
+                                  * pack.width + w.cell[g] & 1}, (name, r, A)
+
+
+# finite inputs: the two tables of tests/data, Z/4, (Z/2)^2 and a
+# relabelled Z/6, each with an absorbing zero
+FINITE = {"c2z": None, "c3z": None, "z4": cyclic_product([4]),
+          "z2z2": cyclic_product([2, 2]),
+          "z6-relabelled": cyclic_product([6], [3, 6, 0, 5, 1, 4, 2])}
+
+
+@pytest.mark.parametrize("name", sorted(FINITE))
+def test_finite_reports_are_the_same_read_point_by_point(
+        name, tmp_path, capsys, monkeypatch):
+    """Every suite on a finite table, text and JSON, at the default bound
+    and at bound 1: the same report and exit code with the table layout as
+    with a mask cap of no cell, where every closure is read point by
+    point."""
+    path = data(name + ".json")
+    if FINITE[name]:
+        path = str(tmp_path / "table.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(FINITE[name], fh)
+    runs = [["--suite", suite, "--input", path, *bound, *fmt]
+            for suite in cli.SUITES for bound in ([], ["--bound", "1"])
+            for fmt in ([], ["--json"])]
+    reports = []
+    for cap in (None, 0):
+        if cap is not None:
+            monkeypatch.setattr(monoid, "MAX_SPAN_BITS", cap)
+        reports.append([run(capsys, "verify", *args) for args in runs])
+    assert reports[0] == reports[1]
+    assert {code for code, _ in reports[0]} == {0, 3}
 
 
 def test_no_info_line_carries_a_verdict_word(capsys):
@@ -532,26 +565,37 @@ def test_lattice_check_runs_once_per_point_and_carrier(capsys, monkeypatch):
 
 
 def test_system_space_evaluates_each_membership_once(capsys, monkeypatch):
-    calls = []
-    sizes = []
-    real = modsys.subbasis_membership
+    # each (system, pool set) membership is asked once; main1's systems all
+    # name their members, so they answer from them and no closure is asked
+    calls, closures, sizes = [], [], []
+    real_space = modsys.subbasis_space
+    real_membership = modsys.subbasis_membership
 
-    def counting(r, S):
-        calls.append(1)
-        return real(r, S)
+    def counting_space(labels, points, opens, inside):
+        def counted(p, o):
+            calls.append((id(p), o))
+            return inside(p, o)
+
+        return real_space(labels, points, opens, counted)
+
+    def counting_membership(r, S):
+        closures.append(1)
+        return real_membership(r, S)
 
     class Recording(modsys.SystemSpace):
         def __init__(self, systems, pool):
             super().__init__(systems, pool)
             sizes.append(len(self.systems) * len(self.pool))
 
-    monkeypatch.setattr(modsys, "subbasis_membership", counting)
+    monkeypatch.setattr(modsys, "subbasis_space", counting_space)
+    monkeypatch.setattr(modsys, "subbasis_membership", counting_membership)
     monkeypatch.setattr(cli, "SystemSpace", Recording)
     code, out = run(capsys, "verify", "--suite", "main1",
                     "--input", data("n579.json"))
     assert code == 0
     assert sha1(out) == REPORT_SHA1["main1", "n579"]
-    assert sizes and 0 < len(calls) <= sum(sizes)
+    assert sizes and len(set(calls)) == len(calls) == sum(sizes)
+    assert not closures
 
 
 def test_main1_reads_int_closures_by_span(capsys, monkeypatch):

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monoid_spectra import cli
-from monoid_spectra.modsys import (DeltaFamily, SystemSpace, check_family,
-                                   check_id2, check_module_axioms,
+from monoid_spectra.modsys import (DeltaFamily, ModuleSystem, SystemSpace,
+                                   check_family, check_id2,
+                                   check_module_axioms,
                                    embedding_checks, example16,
                                    falsify_finitary, iota, meet,
                                    product_closure, r_delta,
@@ -411,6 +412,28 @@ def test_t0_witnesses_are_the_first_separating_pool_sets():
         for S, U in zip(pool, sp.subbasis):
             assert U == {i for i, r in enumerate(systems)
                          if subbasis_membership(r, S)}, S
+
+
+@pytest.mark.parametrize("name", ["n579", "n2", "nxz", "c3z"])
+def test_system_space_reads_product_closures_from_their_members(name):
+    """main1's systems at its default bound, and the first of them read
+    point by point: each U_S holds the systems whose closure of S holds the
+    identity, for main1's pool and for sets of two of its points."""
+    H = monoid_from_file(os.path.join(DATA, name + ".json"))
+    ctx = H.context
+    bound = 4 if H.kind == "affine" else 10
+    overs = cli._curated_overmonoids(H, bound)
+    systems = [*map(iota, overs), example16(H)]
+    systems.append(ModuleSystem("hidden", ctx, systems[0].closure))
+    pool = singleton_pool(ctx, overs, 4)
+    pool += [S | T for S, T in zip(pool, pool[1:])]
+    space = SystemSpace(systems, pool).space()
+    assert len(space.subbasis) == len(pool)
+    for S, U in zip(pool, space.subbasis):
+        assert U == {i for i, r in enumerate(systems)
+                     if subbasis_membership(r, S)}, S
+    with pytest.raises(ValueError):
+        SystemSpace(systems[:1], [frozenset()]).space()
 
 
 @settings(max_examples=100, deadline=None)

@@ -68,10 +68,10 @@ def build(H):
         return H, enumerate_overmonoids(H)
     ctx = H.context
     group = Overmonoid(ctx, gens=H.generators + tuple(
-        ctx.inv(g) for g in H.generators), name="G")
+        ctx.inv(g) for g in H.generators if g != ctx.zero), name="G")
     overs = [H, as_overmonoid(H), group]
     overs += [localize(H, P) for P in enumerate_primes(H)]
-    if H.dim == 2:
+    if H.kind == "affine" and H.dim == 2:
         overs += enumerate_zar(H, bound=2)
     return H, overs
 
@@ -165,14 +165,13 @@ def test_span_mask_matches_has(spec, picks):
 
 
 def test_masks_need_a_box_layout():
-    """The line, the plane and the integers have boxes; a finite carrier
-    and a lattice of dimension 3 are read point by point."""
+    """The line, the plane and the integers have boxes and a finite carrier
+    has its table row; a lattice of dimension 3 is read point by point."""
     for H in (Monoid.numerical([2, 3]), Monoid.affine([[2], [3]]),
-              Monoid.affine([[1, 0], [0, 1]])):
+              Monoid.affine([[1, 0], [0, 1]]), cyclic_group_with_zero(3)):
         assert H.context.box(H.context.window(2)) is not None
-    for H in (cyclic_group_with_zero(3),
-              Monoid.affine([[1, 0, 0], [0, 1, 0], [0, 0, 1]])):
-        assert H.context.box(H.context.window(1)) is None
+    H = Monoid.affine([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert H.context.box(H.context.window(1)) is None
 
 
 def test_a_box_past_the_cap_reads_pointwise(monkeypatch):
@@ -232,13 +231,23 @@ def same_checks(r, H, bound):
 NUMERICAL = ["n23", "n345", "n469", "n579", "n71113", "n81113"]
 
 
+def thin_of(H):
+    """A monoid that misses H, so that iota of it fails M4: the one of H's
+    last generator on the integers, the subgroup <2> of Z/4 with a zero."""
+    gens = [2] if H.kind == "finite" else H.generators[-1:]
+    return Overmonoid(H.context, gens=gens, name="thin")
+
+
 @pytest.mark.parametrize("bound", [4, 6, 10])
-@pytest.mark.parametrize("name", NUMERICAL)
+@pytest.mark.parametrize("name", NUMERICAL + ["z4"])
 def test_checkers_agree_with_spans_hidden(name, bound):
-    H = monoid_from_file(os.path.join(DATA, name + ".json"))
-    overs = enumerate_overmonoids(H)
-    # the last monoid misses H, so M4 fails
-    thin = Overmonoid(H.context, gens=H.generators[-1:], name="thin")
+    if name == "z4":
+        H = cyclic_group_with_zero(4)
+        overs = cli._curated_overmonoids(H, bound)
+    else:
+        H = monoid_from_file(os.path.join(DATA, name + ".json"))
+        overs = enumerate_overmonoids(H)
+    thin = thin_of(H)
     ideal_systems = [s_system(H)] + broken(H)
     systems = ideal_systems + [
         example16(H), iota(thin),
@@ -282,9 +291,10 @@ def dicts(checks):
     return [c.to_dict() for c in checks]
 
 
-# main1's carriers with the bound they are scanned at: sampled draws, and
-# <2,3> on a line of the plane, whose boxes are one column wide
-MAIN1 = {"n579": 10, "n2": 2, "nxz": 2, "line": 2}
+# main1's carriers with the bound they are scanned at: sampled draws,
+# <2,3> on a line of the plane, whose boxes are one column wide, and Z/4
+# with a zero, read in its table's row
+MAIN1 = {"n579": 10, "n2": 2, "nxz": 2, "line": 2, "z4": 10}
 
 
 @functools.cache
@@ -293,11 +303,11 @@ def main1_pool(name):
     which fail at different items, with H, the bound and each system's
     verdicts in a call of its own, which equal its point-by-point run."""
     H = (Monoid.affine([[2, 0], [3, 0]]) if name == "line" else
+         cyclic_group_with_zero(4) if name == "z4" else
          monoid_from_file(os.path.join(DATA, name + ".json")))
     bound = MAIN1[name]
-    thin = Overmonoid(H.context, gens=H.generators[-1:], name="thin")
     systems = [*map(iota, cli._curated_overmonoids(H, bound)), example16(H),
-               *broken(H), iota(thin)]
+               *broken(H), iota(thin_of(H))]
     alone = [dicts(check_module_axioms([r], H, bound=bound)[0])
              for r in systems]
     for r, expected in zip(systems, alone):
@@ -353,8 +363,8 @@ def test_packs_of_any_size_give_the_same_verdicts(name, per, monkeypatch):
 
 def test_passing_systems_never_reach_the_point_loops(monkeypatch):
     """Every item of a passing system is settled as integers, on the
-    integers and in the plane: no reader is opened, and no point-by-point
-    mask or predicate is asked for a set."""
+    integers, in the plane and on a finite table: no reader is opened, and
+    no point-by-point mask or predicate is asked for a set."""
     opened = []
     for name in ("reader", "mask", "pred"):
         def counting(self, s, A, real=getattr(packs._Pack, name)):
@@ -365,7 +375,8 @@ def test_passing_systems_never_reach_the_point_loops(monkeypatch):
     for H, bound in ((Monoid.numerical([2, 3]), 4),
                      (Monoid.affine([[1, 0], [0, 1]]), 1),
                      # boxes one column wide: INF takes the guard bit
-                     (Monoid.affine([[2, 0], [3, 0]]), 2)):
+                     (Monoid.affine([[2, 0], [3, 0]]), 2),
+                     (cyclic_group_with_zero(3), 10)):
         overs = build(H)[1]
         systems = [s_system(H), iota(overs[-1]), iota(overs[1])]
         opened.clear()

@@ -13,7 +13,10 @@ monkeypatched to one cell); main1, axioms and corollaries on n579 and
 n71113 at bounds 20 and 40, in both formats, where the integer carrier's
 windows are large; and every job of the benchmark's seed-0 sweep plan,
 read from ``bench/workloads.py``, in text format with ``--seed 0`` and
-``--dot``.  A run's record is ``[sha1, status, fails]``: the SHA-1 over
+``--dot``, whose 21 relabelled finite tables read every closure in the
+table layout (the point-by-point side of those runs is
+``tests/test_cli.py``'s
+``test_finite_reports_are_the_same_read_point_by_point``).  A run's record is ``[sha1, status, fails]``: the SHA-1 over
 stdout, stderr, the exit code (or the exception the run raised) and the
 DOT file; that exit code or exception; and the sorted names of the
 report's FAIL lines.  A refactor that keeps every report byte-identical
