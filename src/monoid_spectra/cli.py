@@ -30,36 +30,6 @@ from .valuation import (b_complement_law, delta, delta_dot, delta_laws,
                         enumerate_overmonoids, enumerate_zar, is_s_pruefer,
                         is_valuation, overmonoid_space)
 
-SUITES = ("axioms", "spec", "ideals", "zar", "pruefer", "pronconst",
-          "main1", "main2", "prop1", "prop2", "corollaries")
-
-CLAIMS = {
-    "axioms": "the s-system satisfies the closure axioms Id1-Id4",
-    "spec": "prime s-ideals form a T0 (so sober and spectral) finite space",
-    "ideals": "bounded s-ideals are closed under the monoid action and "
-              "separated by the U(x) subbasis",
-    "zar": "the valuation carrier is T0 (so spectral) at finite scale, and "
-           "its members are valuation monoids",
-    "pruefer": "the domination map is surjective, and a homeomorphism on "
-               "instances whose localizations are valuations",
-    "pronconst": "the s-ideal space is T0, so at finite scale every subset "
-                 "of it, the primes included, is proconstructible",
-    "main1": "module systems satisfy Id1/M2/Id3/M4, example16 breaks Id2, "
-             "and the system carrier is T0 under U_S",
-    "main2": "checks that the intersection system of the overmonoid "
-             "carrier is finitary on bounded samples and, with a family, "
-             "the family's declarations on its first members; records the "
-             "finite-witness construction and the non-finitariness "
-             "certificate search",
-    "prop1": "the overmonoid carrier embeds injectively into the system "
-             "carrier",
-    "prop2": "records that meets of finitary systems are finitary, with the "
-             "union of the per-system witnesses; checks no line",
-    "corollaries": "intersection systems are idempotent and finitary on "
-                   "bounded samples",
-}
-
-
 def _curated_overmonoids(H, bound):
     """Finite overmonoid carrier: all overmonoids for numerical H, otherwise
     H and its localizations at the enumerated primes.  Distinct primes have
@@ -87,25 +57,21 @@ def _t0_check(space, bound):
 
 # -- suites -------------------------------------------------------------------
 
-def suite_axioms(H, bound, seed):
-    rep = SuiteReport("axioms", CLAIMS["axioms"], seed=seed, bound=bound)
+def suite_axioms(rep, H, bound, seed):
     rep.extend(check_ideal_axioms(s_system(H), H, bound=bound, seed=seed),
                prefix="AXIOM")
-    return rep, None
 
 
-def suite_spec(H, bound, seed):
-    rep = SuiteReport("spec", CLAIMS["spec"], seed=seed, bound=bound)
+def suite_spec(rep, H, bound, seed):
     primes = enumerate_primes(H)
     rep.add(Check("primes-enumerated", INFO, n=len(primes), bound=bound,
                   detail=" ".join(p.name for p in primes)))
     space = spec_subbasis(H, primes)
     rep.add(_t0_check(space, bound))
-    return rep, lambda: poset_dot(space, name="spec")
+    return lambda: poset_dot(space, name="spec")
 
 
-def suite_ideals(H, bound, seed):
-    rep = SuiteReport("ideals", CLAIMS["ideals"], seed=seed, bound=bound)
+def suite_ideals(rep, H, bound, seed):
     r = s_system(H)
     ideals = enumerate_ideals(H, r, bound)
     rep.add(Check("ideals-enumerated", INFO, n=len(ideals), bound=bound))
@@ -119,11 +85,10 @@ def suite_ideals(H, bound, seed):
                   exhaustive=False, n=len(ideals), bound=bound))
     space = ideal_space_subbasis(ideals)
     rep.add(_t0_check(space, bound))
-    return rep, lambda: poset_dot(space, name="ideals")
+    return lambda: poset_dot(space, name="ideals")
 
 
-def suite_pronconst(H, bound, seed):
-    rep = SuiteReport("pronconst", CLAIMS["pronconst"], seed=seed, bound=bound)
+def suite_pronconst(rep, H, bound, seed):
     r = s_system(H)
     ideals = enumerate_ideals(H, r, bound)
     # On a finite T0 space every subset is proconstructible, so the primes
@@ -133,11 +98,9 @@ def suite_pronconst(H, bound, seed):
     rep.add(Check("primes-flagged", INFO, n=len(ideals), bound=2 * bound,
                   detail="flagged: " + "; ".join(flagged)))
     rep.add(_t0_check(ideal_space_subbasis(ideals), bound))
-    return rep, None
 
 
-def suite_zar(H, bound, seed):
-    rep = SuiteReport("zar", CLAIMS["zar"], seed=seed, bound=bound)
+def suite_zar(rep, H, bound, seed):
     carrier = enumerate_zar(H, bound=bound)
     rep.add(Check("zar-enumerated", INFO, n=len(carrier), bound=bound,
                   detail=" ".join(V.name for V in carrier)))
@@ -145,11 +108,10 @@ def suite_zar(H, bound, seed):
     space = overmonoid_space(carrier, H.context, bound)
     rep.add(b_complement_law(space, H.context, bound))
     rep.add(_t0_check(space, bound))
-    return rep, lambda: poset_dot(space, name="zar")
+    return lambda: poset_dot(space, name="zar")
 
 
-def suite_pruefer(H, bound, seed):
-    rep = SuiteReport("pruefer", CLAIMS["pruefer"], seed=seed, bound=bound)
+def suite_pruefer(rep, H, bound, seed):
     primes = enumerate_primes(H)
     carrier = enumerate_zar(H, bound=bound)
     f = [delta(H, V, primes, bound) for V in carrier]
@@ -182,11 +144,10 @@ def suite_pruefer(H, bound, seed):
                       f"not injective: {carrier[pair[0]].name} and "
                       f"{carrier[pair[1]].name} map to "
                       f"{primes[f[pair[0]]].name}"))
-    return rep, lambda: delta_dot(f, zar_space, spec_space)
+    return lambda: delta_dot(f, zar_space, spec_space)
 
 
-def suite_main1(H, bound, seed):
-    rep = SuiteReport("main1", CLAIMS["main1"], seed=seed, bound=bound)
+def suite_main1(rep, H, bound, seed):
     ctx = H.context
     overs = _curated_overmonoids(H, bound)
     systems = [*map(iota, overs), example16(H)]
@@ -242,11 +203,10 @@ def suite_main1(H, bound, seed):
                   {"pair": f"{systems[pair[0]].name},"
                            f"{systems[pair[1]].name}"},
                   exhaustive=False, n=k * (k - 1) // 2, bound=min(bound, 4)))
-    return rep, lambda: poset_dot(space.space(), name="systems")
+    return lambda: poset_dot(space.space(), name="systems")
 
 
-def suite_main2(H, family, bound, seed):
-    rep = SuiteReport("main2", CLAIMS["main2"], seed=seed, bound=bound)
+def suite_main2(rep, H, family, bound, seed):
     ctx = H.context
     overs = _curated_overmonoids(H, bound)
     rep.add(Check("finite-witness-extraction", INFO, n=len(overs),
@@ -268,29 +228,22 @@ def suite_main2(H, family, bound, seed):
                           bound=min(bound, 3), sample_budget=40, seed=seed)
         fin.name = "finite-family-finitary"
         rep.add(fin)
-    return rep, None
 
 
-def suite_prop1(H, bound, seed):
-    rep = SuiteReport("prop1", CLAIMS["prop1"], seed=seed, bound=bound)
+def suite_prop1(rep, H, bound, seed):
     overs = _curated_overmonoids(H, bound)
     rep.add(embedding_checks(overs, H.context, bound=min(bound, 4)))
-    return rep, None
 
 
-def suite_prop2(H, bound, seed):
-    rep = SuiteReport("prop2", CLAIMS["prop2"], seed=seed, bound=bound)
+def suite_prop2(rep, H, bound, seed):
     overs = _curated_overmonoids(H, bound)
     rep.add(Check("meet-finite-witness", INFO, n=len(overs), bound=bound,
                   detail="x in A_r for a meet r of finitary systems: the "
                          "union of the per-system witnesses is a finite "
                          "witness"))
-    return rep, None
 
 
-def suite_corollaries(H, bound, seed):
-    rep = SuiteReport("corollaries", CLAIMS["corollaries"], seed=seed,
-                      bound=bound)
+def suite_corollaries(rep, H, bound, seed):
     ctx = H.context
     carriers = [("localizations", _curated_overmonoids(H, bound))]
     try:
@@ -309,22 +262,49 @@ def suite_corollaries(H, bound, seed):
         id2 = check_id2(r, bound=small, sample_budget=60, seed=seed)
         id2.name = f"{label}:Id2"
         rep.add(id2)
-    return rep, None
 
 
 # -- entry point ----------------------------------------------------------------
 
+# each suite by name, in the CLI's order: its claim and the suite, which
+# fills the report it is given and returns the DOT renderer of a suite that
+# draws (None otherwise); main2 also takes the family
+SUITES = {
+    "axioms": ("the s-system satisfies the closure axioms Id1-Id4",
+               suite_axioms),
+    "spec": ("prime s-ideals form a T0 (so sober and spectral) finite space",
+             suite_spec),
+    "ideals": ("bounded s-ideals are closed under the monoid action and "
+               "separated by the U(x) subbasis", suite_ideals),
+    "zar": ("the valuation carrier is T0 (so spectral) at finite scale, and "
+            "its members are valuation monoids", suite_zar),
+    "pruefer": ("the domination map is surjective, and a homeomorphism on "
+                "instances whose localizations are valuations", suite_pruefer),
+    "pronconst": ("the s-ideal space is T0, so at finite scale every subset "
+                  "of it, the primes included, is proconstructible",
+                  suite_pronconst),
+    "main1": ("module systems satisfy Id1/M2/Id3/M4, example16 breaks Id2, "
+              "and the system carrier is T0 under U_S", suite_main1),
+    "main2": ("checks that the intersection system of the overmonoid "
+              "carrier is finitary on bounded samples and, with a family, "
+              "the family's declarations on its first members; records the "
+              "finite-witness construction and the non-finitariness "
+              "certificate search", suite_main2),
+    "prop1": ("the overmonoid carrier embeds injectively into the system "
+              "carrier", suite_prop1),
+    "prop2": ("records that meets of finitary systems are finitary, with the "
+              "union of the per-system witnesses; checks no line",
+              suite_prop2),
+    "corollaries": ("intersection systems are idempotent and finitary on "
+                    "bounded samples", suite_corollaries),
+}
+
+
 def run_suite(suite, H, *, bound, seed, family=None):
-    if suite == "main2":
-        return suite_main2(H, family, bound, seed)
-    fn = {
-        "axioms": suite_axioms, "spec": suite_spec, "ideals": suite_ideals,
-        "zar": suite_zar, "pruefer": suite_pruefer,
-        "pronconst": suite_pronconst, "main1": suite_main1,
-        "prop1": suite_prop1, "prop2": suite_prop2,
-        "corollaries": suite_corollaries,
-    }[suite]
-    return fn(H, bound, seed)
+    claim, fn = SUITES[suite]
+    rep = SuiteReport(suite, claim, seed=seed, bound=bound)
+    args = (family,) if suite == "main2" else ()
+    return rep, fn(rep, H, *args, bound, seed)
 
 
 @functools.cache

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from .errors import UnsupportedRealization
 from .fintop import FiniteSpace, subbasis_space
-from .intgeom import faces_2d
 from .modsys import ModuleSystem, product_closure
 from .monoid import Monoid, sort_key
 from .window import _Draw, _plan
@@ -45,11 +44,6 @@ class RIdeal:
     def contains(self, g) -> bool:
         return self._member(g)
 
-    def equals(self, other: "RIdeal") -> bool:
-        """Mutual generator membership; exact because closures are exact."""
-        return (all(other.contains(g) for g in self.generators)
-                and all(self.contains(g) for g in other.generators))
-
     def __repr__(self):
         return f"RIdeal{self.generators}"
 
@@ -76,38 +70,27 @@ def is_prime(I: RIdeal, window) -> bool:
 def enumerate_primes(H: Monoid):
     """All prime s-ideals of H.  A prime is generated by the generators it
     contains, and the generators outside it span a face of the cone of H's
-    generators, so there is one prime per face.  Numerical and dim-1
-    generators g enter the cone as the points (g, 0): a ray has the faces
-    {all, none} and a line only {all}.  A finite H has the one face of all
-    its generators.  The face lemma makes each a prime, so the primes
-    depend on no window and are not rechecked on one; the tests hold every
-    prime to `is_prime` and to a generator-subset oracle."""
-    if H.kind == "affine" and H.dim > 2:
-        raise UnsupportedRealization("prime enumeration needs dimension <= 2")
+    generators, so there is one prime per face, and the carrier gives the
+    faces (``faces``).  Numerical and dim-1 generators lie on one line of
+    the layout: a ray has the faces {all, none} and a line only {all}.  A
+    finite H has the one face of all its generators.  Distinct faces give
+    distinct primes: a generator on one face and off the other lies outside
+    the first prime and inside the second.  The face lemma makes each a
+    prime, so the primes depend on no window and are not rechecked on one;
+    the tests hold every prime to `is_prime` and to a generator-subset
+    oracle."""
     # the identity lies on every face, so it is outside no prime
     gens = [g for g in H.generators if g != H.one]
-    if H.kind == "finite":
-        points = {g: g for g in gens}
-        faces = [frozenset(points.values())]
-    else:
-        points = {g: (g, 0) if H.kind == "numerical" else
-                  (g[0], 0) if H.dim == 1 else g for g in gens}
-        faces = faces_2d(points.values())
+    faces = H.context.faces(gens)
     r = s_system(H)
     out = []
     for face in faces:
-        outside = tuple(g for g, p in points.items() if p not in face)
-        name = "P_zero" if not outside else (
-            "P_max" if len(outside) == len(points) else
-            f"P_face{sorted(face)}")
+        outside = tuple(g for g in gens if g not in face)
+        name = ("P_zero" if not outside else "P_max" if not face else
+                f"P_face{sorted(face)}")
         out.append(RIdeal(r, outside, name=name))
-    # dedupe (a face may coincide with another at degenerate cones)
-    uniq = []
-    for p in out:
-        if not any(p.equals(q) for q in uniq):
-            uniq.append(p)
-    uniq.sort(key=lambda p: tuple(sort_key(g) for g in p.generators))
-    return uniq
+    out.sort(key=lambda p: tuple(sort_key(g) for g in p.generators))
+    return out
 
 
 def spec_subbasis(H: Monoid, primes) -> FiniteSpace:
@@ -182,7 +165,7 @@ def check_ideal_axioms(r: IdealSystem, H: Monoid, bound: int = 10,
     on H's members, with Id4 in place of M2 and M4."""
     universe = [g for g in H.context.window(bound) if H.contains(g)]
     draw = _Draw(universe, budget=500, limit=13, seed=seed)
-    w = _plan(H.context, universe, draw, universe).on([r])
+    w = _plan(H.context, universe, draw, [r], universe)
     S = draw.head(60)
     return w.verdicts(("Id1", w.id1, "X"),
                       ("Id2", w.id2, [(X, Y) for X in S for Y in S], "XY"),

@@ -168,10 +168,9 @@ def check_module_axioms(systems, H, bound: int = 4, seed: int = 0):
     universe = ctx.window(bound)
     nonzero = [g for g in universe if g != ctx.zero]
     draw = _Draw(universe, seed=seed)
-    plan = _plan(ctx, universe, draw, nonzero,
-                 [g for g in nonzero if H.contains(g)])
+    w = _plan(ctx, universe, draw, systems, nonzero,
+              [g for g in nonzero if H.contains(g)])
     pairs = [(A, B) for A in draw.subsets for B in draw.subsets if A < B]
-    w = plan.on(systems)
     return w.verdicts(("Id1", w.id1, "A"), ("M2", w.m2, pairs),
                       ("Id3", w.id3, "A"), ("M4", w.m4))
 
@@ -179,10 +178,11 @@ def check_module_axioms(systems, H, bound: int = 4, seed: int = 0):
 def check_id2(r: ModuleSystem, bound: int = 4, sample_budget: int = 200,
               seed: int = 0):
     """Id2: A subset of B_r implies A_r subset of B_r, over subsets of up to
-    2 points.  Returns the verdict with a counterexample when it fails."""
+    2 points: M2 on the pairs with A inside B_r, on a window of r alone.
+    Returns the verdict with a counterexample when it fails."""
     universe = r.context.window(bound)
     draw = _Draw(universe, size=2, budget=sample_budget, seed=seed)
-    w = _plan(r.context, universe, draw).on([r])
+    w = _plan(r.context, universe, draw, [r])
     pairs = [(A, B) for B in draw.subsets for A in draw.subsets]
     return w.verdicts(("Id2", w.id2, pairs, "AB"))[0][0]
 
@@ -195,7 +195,7 @@ def check_idempotent(r: ModuleSystem, bound: int = 4, sample_budget: int = 200,
     agreement on all samples is reported as a bounded pass."""
     universe = r.context.window(bound)
     draw = _Draw(universe, size=2, budget=sample_budget, seed=seed)
-    w = _plan(r.context, universe, draw).on([r])
+    w = _plan(r.context, universe, draw, [r])
     return w.verdicts(("idempotent", w.idempotent), exhaustive=False,
                       bound=bound, detail="window slice approximation")[0][0]
 
@@ -208,7 +208,7 @@ def is_finitary(r: ModuleSystem, bound: int = 4, sample_budget: int = 200,
     of them; so this is no test of finitariness on an infinite A."""
     universe = r.context.window(bound)
     draw = _Draw(universe, budget=sample_budget, seed=seed)
-    w = _plan(r.context, universe, draw).on([r])
+    w = _plan(r.context, universe, draw, [r])
     return w.verdicts(("finitary", w.finitary), exhaustive=False,
                       bound=bound)[0][0]
 
@@ -326,12 +326,9 @@ def embedding_checks(overmonoids, ctx, bound: int = 4) -> Check:
     """Injectivity of the map S -> r_{{S}} on a finite overmonoid carrier:
     the closures of {1}, which are the S themselves, are pairwise distinct
     at the ``separating_points``, so on a generator-backed carrier the check
-    is exact."""
+    is exact.  Each closure of {1} is read as S's own membership."""
     points = separating_points(ctx, overmonoids, bound)
-    ones = []  # each closure of {1} on those points
-    for S in overmonoids:
-        pred = iota(S).closure(frozenset([ctx.one]))
-        ones.append(frozenset(g for g in points if pred(g)))
+    ones = [frozenset(filter(S.has, points)) for S in overmonoids]
     first = {}  # each closure of {1} -> the first index with it
     i = next((i for i, one in enumerate(ones)
               if first.setdefault(one, i) != i), None)

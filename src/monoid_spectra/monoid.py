@@ -17,7 +17,7 @@ import operator
 from math import gcd
 
 from . import intgeom
-from .errors import WindowTooLarge
+from .errors import UnsupportedRealization, WindowTooLarge
 from .layout import Box, Table
 from .numsgp import cached_semigroup
 
@@ -127,6 +127,14 @@ class GroupoidContext:
         and for no point."""
         cells = self.layout and [self._xy(g) for g in points if g is not INF]
         return Box(self, 0, 0, 1, 1).spread(cells) if cells else None
+
+    def faces(self, gens):
+        """The generators on each face of their cone, read at their cells."""
+        if not self.layout:
+            raise UnsupportedRealization("prime enumeration needs dimension <= 2")
+        xy = self._xy
+        return [frozenset(g for g in gens if xy(g) in face)
+                for face in intgeom.faces_2d(map(xy, gens))]
 
     def check(self, g):
         if not self.contains(g):
@@ -286,6 +294,10 @@ class FiniteCarrier(GroupoidContext):
     def box(self, points):
         """The one ``Table`` row of the whole carrier."""
         return Table(self)
+
+    def faces(self, gens):
+        """One face: off the zero the carrier is a group."""
+        return [frozenset(gens)]
 
     def submonoid(self, gens):
         closure = {self.one, self.zero, *gens}

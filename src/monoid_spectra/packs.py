@@ -5,8 +5,6 @@ a pack reads in them."""
 
 from __future__ import annotations
 
-# A point loop's answer for an item that is not one of its system's items
-_SKIP = object()
 _UNREAD = object()
 
 
@@ -133,37 +131,22 @@ class _Pack:
 
 def _first(pack, items):
     """Each slot's (first witness, or None, and the number of its items
-    read, as ``Check.scan`` counts them) over `items`, each (bad, skip,
-    point, args): a slot with no bit of `bad` passes the item, one with a
-    bit of `skip` does not count it, and `bad` None sends every slot to the
-    point loop.  The point loop, ``point(s, *args)``, gives the witness,
-    None or ``_SKIP``; a slot stops at its first witness."""
+    read, as ``Check.scan`` counts them) over `items`, each (bad, point,
+    args): a slot with no bit of `bad` passes the item, and `bad` None sends
+    every slot to the point loop.  The point loop, ``point(s, *args)``,
+    gives the witness or None; a slot stops at its first witness."""
     masks, found = pack.masks, {}
     live = sum(masks)
-    skips = [0] * len(masks)
     n = 0
-    for n, (bad, skip, point, args) in enumerate(items, 1):
-        if bad is None:
-            suspects = live
-        else:
-            skip &= live
-            while skip:
-                s = pack.slot(skip)
-                skips[s] += 1
-                skip &= ~masks[s]
-                bad &= ~masks[s]
-            if not bad:
-                continue
-            suspects = bad & live
+    for n, (bad, point, args) in enumerate(items, 1):
+        suspects = live if bad is None else bad & live
         while suspects:
             s = pack.slot(suspects)
             suspects &= ~masks[s]
             witness = point(s, *args)
-            if witness is _SKIP:
-                skips[s] += 1
-            elif witness is not None:
-                found[s] = witness, n - skips[s]
+            if witness is not None:
+                found[s] = witness, n
                 live &= ~masks[s]
         if not live:
             break
-    return [found.get(s, (None, n - skips[s])) for s in range(len(skips))]
+    return [found.get(s, (None, n)) for s in range(len(masks))]

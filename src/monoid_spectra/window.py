@@ -11,7 +11,7 @@ import random
 
 from . import monoid
 from .monoid import INF, sort_key
-from .packs import _SKIP, _first, _Pack
+from .packs import _first, _Pack
 from .report import Check
 
 
@@ -50,11 +50,12 @@ class _Draw:
                       key=sort_key)
 
 
-def _plan(ctx, universe, draw, scalars=(), translators=()):
-    """The window of a check: `draw`'s subsets of `universe`, and up to 12
-    Id3 scalars from `scalars`, 40 points of the universe for Id3 and M4 and
-    12 M4 translators from `translators`, picked in that order."""
-    return _Window(ctx, universe, draw, draw.pick(scalars, 12),
+def _plan(ctx, universe, draw, systems, scalars=(), translators=()):
+    """The window of a check on `systems`: `draw`'s subsets of `universe`,
+    and up to 12 Id3 scalars from `scalars`, 40 points of the universe for
+    Id3 and M4 and 12 M4 translators from `translators`, picked in that
+    order."""
+    return _Window(ctx, universe, systems, draw, draw.pick(scalars, 12),
                    draw.pick(universe, 40), draw.pick(translators, 12))
 
 
@@ -63,23 +64,22 @@ def _names(A):
 
 
 class _Window:
-    """The closures of systems on a window of points, checked here, and every
-    axiom scanned for all of them at once.  ``on(systems)`` names the
-    systems; ``verdicts`` gives one list of verdicts per system, in their
-    order.  Window sets and their images under ``op`` reach the systems'
-    members unchecked; points that leave the window go through the exact
-    predicate, which checks them.
+    """The closures of `systems` on a window of points, checked here, and
+    every axiom scanned for all of them at once; ``verdicts`` gives one
+    list of verdicts per system, in their order.  Window sets and their
+    images under ``op`` reach the systems' members unchecked; points that
+    leave the window go through the exact predicate, which checks them.
 
-    Planned once per window, and dropped with it, in the bit layout the
-    carrier supplies (``ctx.box``; none in dimension 3): the window's
-    layout, the reach layout (the window's moved by each of its moves: the
-    inverses of its nonzero Id3 scalars and its M4 translators), the wide
-    layout (reach moved back by the hull of the subsets and Id3 images),
-    each set's translates and each member's mask on the wide layout.  On
-    a ``Box`` they are three boxes and a translate is a shift; a finite
-    carrier's ``Table`` is one row for all three, and a translate or a move
-    by g permutes the row by g's table row.  A product closure's A_r on
-    reach is one AND over its members of the OR of A's translates.
+    Planned once, at construction, and dropped with the window, in the bit
+    layout the carrier supplies (``ctx.box``; none in dimension 3): the
+    window's layout, the reach layout (the window's moved by each of its
+    moves: the inverses of its nonzero Id3 scalars and its M4 translators),
+    the wide layout (reach moved back by the hull of the subsets and Id3
+    images), each set's translates and each member's mask on the wide
+    layout.  On a ``Box`` they are three boxes and a translate is a shift;
+    a finite carrier's ``Table`` is one row for all three, and a translate
+    or a move by g permutes the row by g's table row.  A product closure's
+    A_r on reach is one AND over its members of the OR of A's translates.
 
     Slots and batches: the systems that name their members share ints.
     Each gets a slot of the wide layout's width and one guard bit in every
@@ -93,61 +93,54 @@ class _Window:
     caches, and a read keeps only the reach layout's rows.  Reads of the
     Id3 images cA are used once and not kept.
 
-    The scans: each item of Id1, M2, Id2, Id3 and M4 (and of idempotence
-    and finitariness) is one int compare for all slots at once, in the
-    layout at the window's points.  A nonzero slot sends that system and
-    that item to the point loop, which finds the same witness, and a
-    system's scan stops at its first witness, as ``Check.scan`` counts.  A
-    system that passes never opens a reader.  Id4, the systems that name no
-    members, every system of a carrier without a layout and every system
-    past MAX_SPAN_BITS cells on the wide layout are read point by point, on
-    every item."""
+    The scans: each item of Id1, M2, Id3 and M4 (and of finitariness) is
+    one int compare for all slots at once, in the layout at the window's
+    points; Id2 and idempotence scan a window of one system.  A nonzero
+    slot sends that system and that item to the point loop, which finds
+    the same witness, and a system's scan stops at its first witness, as
+    ``Check.scan`` counts.  A system that passes never opens a reader.
+    Id4, the systems that name no members, every system of a carrier
+    without a layout and every system past MAX_SPAN_BITS cells on the wide
+    layout are read point by point, on every item."""
 
-    def __init__(self, ctx, universe, draw=None, scalars=(), points=(),
-                 translators=()):
+    def __init__(self, ctx, universe, systems, draw=None, scalars=(),
+                 points=(), translators=()):
         for g in universe:
             ctx.check(g)
         self.ctx, self.universe, self.draw = ctx, universe, draw
+        self.systems = list(systems)
         self.scalars, self.points = scalars, points
         self.translators = translators
         self.index = {g: i for i, g in enumerate(universe)}
         self._sets, self._images = {}, {}
-        self.wide = None  # no packed reads: every closure point by point
-        self._moves = [*(ctx.inv(c) for c in scalars if c != ctx.zero),
-                       *translators]
-        self.box = b = ctx.box(universe)
-        if not b:
-            return
-        # the layout around b and b moved by each move: each A_r is read on
-        # it, and the window's layout takes the packs' row stride too
-        self.reach = reach = b.around(self._moves)
-        wide = reach.behind(b.around(scalars))
-        if wide.rows * wide.cols <= monoid.MAX_SPAN_BITS:
-            self.wide = wide
-
-    def on(self, systems):
-        """This window for `systems`: the packs' row stride, and the
-        layouts, translates and masks in it."""
-        self.systems = list(systems)
-        self.named = [] if self.wide is None else [
-            i for i, r in enumerate(self.systems) if r.members is not None]
+        moves = [*(ctx.inv(c) for c in scalars if c != ctx.zero),
+                 *translators]
+        b = ctx.box(universe)
+        self.named = []  # no packed reads: every closure point by point
+        if b:
+            # the layout around b and b moved by each move: each A_r is read
+            # on it, and the window's layout takes the packs' row stride too
+            reach = b.around(moves)
+            wide = reach.behind(b.around(scalars))
+            if wide.rows * wide.cols <= monoid.MAX_SPAN_BITS:
+                self.named = [i for i, r in enumerate(self.systems)
+                              if r.members is not None]
         if not self.named:
-            return self
-        self.width = W = self.wide.cols + 1
-        self.per = max(1, monoid.MAX_SPAN_BITS // (self.wide.rows * W))
+            return
+        self.width = W = wide.cols + 1
+        self.per = max(1, monoid.MAX_SPAN_BITS // (wide.rows * W))
         P = min(self.per, len(self.named)) * W
         self.wide, self.reach, self.box = wide, reach, b = [
-            x.with_stride(P) for x in (self.wide, self.reach, self.box)]
+            x.with_stride(P) for x in (wide, reach, b)]
         self.span = functools.cache(lambda S: S.span_mask(wide))
         self.shifts = functools.cache(lambda A: reach.shifts(wide, A))
         # the move of a read on reach onto the window's layout, and onto it
         # moved by each move
-        self.starts = {g: reach.start(b, g) for g in [None, *self._moves]}
+        self.starts = {g: reach.start(b, g) for g in [None, *moves]}
         self.cell = {g: b.bit(g) for g in self.universe}
         self.inf = 1 << b.bit(self.ctx.zero)
         self.cells = self.cells_of(g for g in self.universe if g is not INF)
         self.box_points = self.cells_of(self.points)
-        return self
 
     def packs(self):
         """The systems in packs, each with empty caches: those that name
@@ -213,47 +206,37 @@ class _Window:
         for A in self.draw.subsets:
             inside = pack.box(A)
             yield (None if inside is None else pack.rep(
-                self.cells_of(A | {zero})) & ~inside, 0, point, (A,))
+                self.cells_of(A | {zero})) & ~inside, point, (A,))
 
-    def _inclusion(self, pack, keys):
-        """The point loop of M2 and Id2: X_r inside Y_r for slot s, with
-        `keys` naming X and Y."""
+    def m2(self, pack, pairs, keys="AB"):
+        """M2: X_r inside Y_r, one item per (X, Y) of `pairs`; `keys` name X
+        and Y."""
         x, y = keys
 
         def point(s, X, Y):
             return self.escape((pack.mask(s, X), pack.mask(s, Y),
                                 ((x, X), (y, Y))))
 
-        return point
-
-    def m2(self, pack, pairs, keys="AB"):
-        """M2: X_r inside Y_r, one item per (X, Y) of `pairs`, which for M2
-        have X inside Y; `keys` name X and Y."""
-        point = self._inclusion(pack, keys)
         for X, Y in pairs:
             inner, outer = pack.box(X), pack.box(Y)
-            yield (None if inner is None else inner & ~outer), 0, point, (X, Y)
+            yield (None if inner is None else inner & ~outer), point, (X, Y)
 
     def id2(self, pack, pairs, keys):
-        """Id2: M2 over the (X, Y) of `pairs` with X inside Y_r; a pair with
-        X outside a system's Y_r is none of its items."""
-        m2 = self._inclusion(pack, keys)
+        """Id2 of the window's one system: M2 on the (X, Y) of `pairs` with
+        X inside Y_r, read from the packed Y_r, or from its point-by-point
+        mask where the pack has no packed reads."""
+        if len(self.systems) > 1:
+            raise ValueError("the Id2 scan reads one system")
+        cells = functools.cache(self.cells_of)
 
-        def point(s, X, Y):
-            return _SKIP if self.of(X) & ~pack.mask(s, Y) else m2(s, X, Y)
+        def covered(X, Y):
+            outer = pack.box(Y)
+            if outer is None:
+                return not self.of(X) & ~pack.mask(0, Y)
+            return not cells(X) & ~outer
 
-        sets, alone = {}, len(pack.slots) == 1  # each X in every slot
-        for X, Y in pairs:
-            inner, outer = pack.box(X), pack.box(Y)
-            if inner is None:
-                yield None, 0, point, (X, Y)
-                continue
-            x = sets.get(X)
-            if x is None:
-                x = sets[X] = pack.rep(self.cells_of(X))
-            skip = x & ~outer
-            if not (skip and alone):  # else no item of the pack's system
-                yield inner & ~outer, skip, point, (X, Y)
+        return self.m2(pack, ((X, Y) for X, Y in pairs if covered(X, Y)),
+                       keys)
 
     def id3(self, pack, key):
         """Id3: c A_r = (cA)_r at the points, one item per (A, c), A over
@@ -279,10 +262,10 @@ class _Window:
                     cA = images[A, c] = frozenset(ctx.op(c, a) for a in A)
                 rhs = None if bits is None else pack.reach(cA)
                 if rhs is None:
-                    yield None, 0, point, (A, c, c_inv, cA)
+                    yield None, point, (A, c, c_inv, cA)
                     continue
                 lhs = pack.inf if c_inv is None else pack.at(bits, c_inv)
-                yield ((lhs ^ pack.at(rhs)) & pack.points, 0, point,
+                yield ((lhs ^ pack.at(rhs)) & pack.points, point,
                        (A, c, c_inv, cA))
 
     def id4(self, pack):
@@ -294,7 +277,7 @@ class _Window:
                          if not member(self.ctx.op(c, h))), None)
 
         for c in self.universe:
-            yield None, 0, point, (c,)
+            yield None, point, (c,)
 
     def m4(self, pack):
         """M4: H A_r = A_r, one item per A; the inclusion A_r subset of
@@ -312,16 +295,18 @@ class _Window:
         for A in self.draw.subsets:
             bits = pack.read(A)
             if bits is None:
-                yield None, 0, point, (A,)
+                yield None, point, (A,)
                 continue
             moved = self.reach.meet(bits, moves)
-            yield (pack.at(bits) & pack.points & ~(moved | pack.inf), 0,
-                   point, (A,))
+            yield (pack.at(bits) & pack.points & ~(moved | pack.inf), point,
+                   (A,))
 
     def idempotent(self, pack):
-        """(A_r)_r = A_r through the window slice of A_r, one item per A:
-        the slice's closure sits inside (A_r)_r, so a point of it outside
-        A_r is an honest counterexample.  Each slot reads its own slice."""
+        """(A_r)_r = A_r of the window's one system through the window slice
+        of A_r, one item per A: the slice's closure sits inside (A_r)_r, so
+        a point of it outside A_r is an honest counterexample."""
+        if len(self.systems) > 1:
+            raise ValueError("the idempotence scan reads one system")
 
         def point(s, A):
             m = pack.mask(s, A)
@@ -331,17 +316,12 @@ class _Window:
         for A in self.draw.subsets:
             inside = pack.box(A)
             if inside is None:
-                yield None, 0, point, (A,)
+                yield None, point, (A,)
                 continue
-            bad = 0
-            for s in range(len(pack.slots)):
-                # a slice lies in the window, so it has shifts, as A has
-                part = inside >> s * pack.width
-                slice_ = frozenset(g for g, i in self.cell.items()
-                                   if part >> i & 1)
-                bad |= (pack.at(pack.reach(slice_)) & ~inside
-                        & pack.masks[s])
-            yield bad, 0, point, (A,)
+            # a slice lies in the window, so it has shifts, as A has
+            slice_ = frozenset(g for g, i in self.cell.items()
+                               if inside >> i & 1)
+            yield pack.at(pack.reach(slice_)) & ~inside, point, (A,)
 
     def finitary(self, pack):
         """The closures of A's subsets inside A_r, one item per A: M2 over
@@ -356,9 +336,9 @@ class _Window:
         for A in self.draw.subsets:
             inside = pack.box(A)
             if inside is None:
-                yield None, 0, point, (A,)
+                yield None, point, (A,)
                 continue
             union = 0
             for E in _subsets(A, range(len(A))):
                 union |= pack.box(E)
-            yield union & ~inside, 0, point, (A,)
+            yield union & ~inside, point, (A,)

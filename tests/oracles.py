@@ -1,6 +1,7 @@
 """Brute-force oracles that only the tests use: the opens of a finite space
 materialized as bitmasks, soberness and homeomorphism by their definitions,
-every topology on a few points, a small finite monoid built by hand, the
+every topology on a few points, equality of r-ideals, a small finite
+monoid built by hand, the
 domination map and its image law asked point by point, and the finite
 witnesses of intersection systems and of meets.
 
@@ -114,6 +115,13 @@ def all_topologies(n: int):
                 seen.add(opens(space))
                 spaces.append(space)
     return spaces
+
+
+def equals(I, J) -> bool:
+    """Two r-ideals are equal: each holds the other's generators, which is
+    exact because closures are exact."""
+    return (all(J.contains(g) for g in I.generators)
+            and all(I.contains(g) for g in J.generators))
 
 
 def cyclic_group_with_zero(n) -> Monoid:

@@ -337,7 +337,7 @@ def test_window_masks_are_the_window_points_of_the_closure():
         systems = [*map(iota, overs), example16(H),
                    r_delta(DeltaFamily(overs), ctx),
                    meet([iota(S) for S in overs])]
-        w = _Window(ctx, points).on(systems)
+        w = _Window(ctx, points, systems)
         pack, = w.packs()
         assert pack.slots == list(range(len(systems)))
         # every pair of c3z's three points, every fifth point elsewhere

@@ -1,12 +1,15 @@
-"""Every public function, class and method of the library is used somewhere
-in the library or the benchmark, besides its own definition, and every
-attribute the library sets on ``self`` is read there.
+"""Every function, class and method of the library, public or private, is
+used somewhere in the library or the benchmark, besides its own definition,
+and every attribute the library sets on ``self`` is read there.
 
 References are matched by name: a bare name, an attribute, an export from
 the package's ``__init__`` or a string naming the attribute (as the
 benchmark's tracer names what it wraps), anywhere in ``src/`` or ``bench/``
 outside the definition itself.  An import elsewhere is not a use.  Methods of
-different classes that share a name count as one name."""
+different classes that share a name count as one name, so a private
+method that overrides another is used where the base class calls it.
+Special methods (``__init__``, ``__repr__``, ...) are called by the language
+and are not checked."""
 
 import ast
 import os
@@ -37,17 +40,25 @@ def python_files(*dirs):
                 yield os.path.join(d, name)
 
 
-def definitions(tree):
-    """(qualified name, bare name, first line, last line) of every public
-    module-level function and class and every public method."""
+def of_kind(name, private):
+    """Whether a definition's name is private (a leading underscore) or
+    public, as asked; special methods are neither."""
+    if name.startswith("__") and name.endswith("__"):
+        return False
+    return name.startswith("_") == private
+
+
+def definitions(tree, private=False):
+    """(qualified name, bare name, first line, last line) of every public,
+    or every private, module-level function and class and method."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
-                not node.name.startswith("_"):
+                of_kind(node.name, private):
             yield node.name, node.name, node.lineno, node.end_lineno
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and \
-                        not item.name.startswith("_"):
+                        of_kind(item.name, private):
                     yield (f"{node.name}.{item.name}", item.name,
                            item.lineno, item.end_lineno)
 
@@ -67,7 +78,7 @@ def references(tree, exports):
             yield node.value.rsplit(".", 1)[-1], node.lineno
 
 
-def test_every_public_name_is_used():
+def unused_definitions(private):
     files = list(python_files(PACKAGE, os.path.join(ROOT, "bench")))
     trees = {path: ast.parse(open(path, encoding="utf-8").read())
              for path in files}
@@ -78,11 +89,22 @@ def test_every_public_name_is_used():
             used.setdefault(name, []).append((path, line))
     unused = []
     for path in python_files(PACKAGE):
-        for qualified, name, first, last in definitions(trees[path]):
+        for qualified, name, first, last in definitions(trees[path],
+                                                        private):
             outside = [(p, line) for p, line in used.get(name, ())
                        if p != path or not first <= line <= last]
             if not outside and qualified not in ALLOWED:
                 unused.append(f"{os.path.basename(path)}:{qualified}")
+    return unused
+
+
+def test_every_public_name_is_used():
+    unused = unused_definitions(private=False)
+    assert not unused, unused
+
+
+def test_every_private_name_is_used():
+    unused = unused_definitions(private=True)
     assert not unused, unused
 
 

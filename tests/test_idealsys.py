@@ -13,7 +13,7 @@ from monoid_spectra.idealsys import (RIdeal, check_ideal_axioms,
                                      is_prime, s_system, spec_subbasis)
 from monoid_spectra.intgeom import UnsupportedRealization
 from monoid_spectra.monoid import INF, Monoid, monoid_from_file, sort_key
-from oracles import cyclic_group_with_zero
+from oracles import cyclic_group_with_zero, equals
 
 
 def o_set(a, b, ideals, H):
@@ -103,7 +103,7 @@ def test_enumerated_primes_match_windowed_primality_oracle():
     for I in ideals:
         oracle = all_pairs_is_prime(I, window)
         assert is_prime(I, window) == oracle, I
-        listed = any(p.equals(I) for p in primes)
+        listed = any(equals(p, I) for p in primes)
         if oracle:
             assert listed, (I, "prime but not enumerated")
         # non-primes on the real window may still look prime on a small one;
@@ -133,7 +133,7 @@ def generator_subset_primes(H, window):
     for k in range(len(H.generators) + 1):
         for F in itertools.combinations(H.generators, k):
             I = RIdeal(r, [g for g in H.generators if g not in F])
-            if is_prime(I, window) and not any(I.equals(J) for J in found):
+            if is_prime(I, window) and not any(equals(I, J) for J in found):
                 found.append(I)
     return found
 
@@ -148,7 +148,7 @@ def test_enumerate_primes_matches_the_generator_subset_oracle(H):
     primes = enumerate_primes(H)
     found = generator_subset_primes(H, H.context.window(6 if small else 60))
     assert len(primes) == len(found), (primes, found)
-    assert all(any(p.equals(q) for q in found) for p in primes), \
+    assert all(any(equals(p, q) for q in found) for p in primes), \
         (primes, found)
 
 
@@ -209,7 +209,7 @@ def test_enumerate_ideals_distinct_and_bounded():
     r = s_system(H)
     ideals = enumerate_ideals(H, r, bound=6)
     # pairwise distinct
-    assert not any(I.equals(J) for I, J in itertools.combinations(ideals, 2))
+    assert not any(equals(I, J) for I, J in itertools.combinations(ideals, 2))
     # the zero ideal and the improper ideal are present
     assert any(not any(I.contains(n) for n in range(0, 20)) for I in ideals)
     assert any(I.contains(0) for I in ideals)
@@ -327,3 +327,35 @@ def test_enumerate_ideals_guard(monkeypatch):
     assert len(enumerate_ideals(H, r, bound=6)) == count
     with pytest.raises(UnsupportedRealization):
         enumerate_ideals(H, r, bound=7)
+
+
+def assert_primes_distinct(H):
+    primes = enumerate_primes(H)
+    assert not any(equals(p, q) for p, q in itertools.combinations(primes, 2))
+    assert len({p.name for p in primes}) == len(primes), primes
+
+
+@pytest.mark.parametrize("H", list(data_monoids()))
+def test_enumerated_primes_are_pairwise_distinct(H):
+    """Distinct faces give distinct primes, with no dedupe: a generator on
+    one face and off the other lies outside the first prime and inside the
+    second."""
+    assert_primes_distinct(H)
+
+
+LINES = [(1, 0), (0, 1), (1, 1), (2, -1)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(
+    numerical_monoids(7),
+    # dim 1, a line of the plane, and the plane: rank 1 and 2
+    st.lists(st.integers(-6, 6), min_size=1, max_size=4).map(
+        lambda gens: Monoid.affine([[g] for g in gens])),
+    st.tuples(st.sampled_from(LINES), st.lists(
+        st.integers(-3, 3), min_size=1, max_size=3)).map(
+        lambda t: Monoid.affine([[k * t[0][0], k * t[0][1]] for k in t[1]])),
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+             min_size=1, max_size=4).map(Monoid.affine)))
+def test_generated_primes_are_pairwise_distinct(H):
+    assert_primes_distinct(H)

@@ -140,8 +140,8 @@ def test_span_matches_the_predicate(spec, system, picks, moves):
     picked = [nonzero[i % len(nonzero)] for i in moves]
     half = len(picked) // 2
     scalars, translators = picked[:half], picked[half:]
-    w = window._Window(ctx, universe, None, scalars, nonzero,
-                       translators).on([r])
+    w = window._Window(ctx, universe, [r], None, scalars, nonzero,
+                       translators)
     pack, = w.packs()
     A, pred = frozenset(A), r.closure(A)
     bits = pack.read(A)
@@ -341,8 +341,8 @@ def test_packs_of_any_size_give_the_same_verdicts(name, per, monkeypatch):
         ctx = H.context
         universe = ctx.window(bound)
         nonzero = [g for g in universe if g != ctx.zero]
-        plan = window._plan(ctx, universe, window._Draw(universe), nonzero,
-                            [g for g in nonzero if H.contains(g)]).on(systems)
+        plan = window._plan(ctx, universe, window._Draw(universe), systems,
+                            nonzero, [g for g in nonzero if H.contains(g)])
         # a slot's bits on the wide box
         monkeypatch.setattr(monoid, "MAX_SPAN_BITS",
                             per * plan.wide.rows * plan.width)
@@ -397,12 +397,27 @@ def test_a_bit_names_its_slot(name):
     H, bound, systems, _ = main1_pool(name)
     ctx = H.context
     universe = ctx.window(bound)
-    w = window._Window(ctx, universe, None, (), universe[:-1]).on(systems)
+    w = window._Window(ctx, universe, systems, None, (), universe[:-1])
     pack = packs._Pack(w, list(range(len(systems) - 1)), True)
     assert pack.stride == len(systems) * pack.width
     for s in range(len(pack.slots)):
         for g in universe:
             assert pack.slot(1 << w.cell[g] + s * pack.width) == s, (s, g)
+
+
+def test_id2_and_idempotence_refuse_a_window_of_two_systems():
+    """Id2 and idempotence read one slot's bits, so a window of more than
+    one system is refused, not read as slot 0 for every slot."""
+    H = Monoid.numerical([2, 3])
+    ctx = H.context
+    universe = ctx.window(2)
+    draw = window._Draw(universe, size=2)
+    w = window._plan(ctx, universe, draw, [s_system(H), iota(
+        as_overmonoid(H))])
+    pairs = [(A, B) for A in draw.subsets for B in draw.subsets]
+    for scan in (("Id2", w.id2, pairs, "AB"), ("idempotent", w.idempotent)):
+        with pytest.raises(ValueError, match="one system"):
+            w.verdicts(scan)
 
 
 def plan_systems(H, overs):
