@@ -22,7 +22,7 @@ from .modsys import (FAMILY_DEPTH, DeltaFamily, SystemSpace, check_family,
                      check_id2, check_idempotent, check_module_axioms,
                      example16, falsify_finitary, family_from_file,
                      embedding_checks, iota, is_finitary, r_delta,
-                     separating_points)
+                     separating_points, system_window)
 from .monoid import (MAX_WINDOW, ParseError, as_overmonoid, localize,
                      monoid_from_file)
 from .report import INFO, Check, SuiteReport
@@ -253,13 +253,17 @@ def suite_corollaries(rep, H, bound, seed):
     small = min(bound, 3)
     for label, overs in carriers:
         r = r_delta(DeltaFamily(overs, name=label), ctx)
-        fin = is_finitary(r, bound=small, sample_budget=40, seed=seed)
+        # one window for the three checks, each with its own draw
+        w = system_window(r, small)
+        fin = is_finitary(r, bound=small, sample_budget=40, seed=seed,
+                          window=w)
         fin.name = f"{label}:finitary"
         rep.add(fin)
-        idem = check_idempotent(r, bound=small, sample_budget=30, seed=seed)
+        idem = check_idempotent(r, bound=small, sample_budget=30, seed=seed,
+                                window=w)
         idem.name = f"{label}:idempotent"
         rep.add(idem)
-        id2 = check_id2(r, bound=small, sample_budget=60, seed=seed)
+        id2 = check_id2(r, bound=small, sample_budget=60, seed=seed, window=w)
         id2.name = f"{label}:Id2"
         rep.add(id2)
 

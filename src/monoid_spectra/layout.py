@@ -4,8 +4,8 @@
 A layout places the carrier's points at bits; packed slots of one width sit
 side by side in each row, ``stride`` bits apart.  Both layouts answer the
 same questions, so the window and its packs never ask which one they have:
-``around`` and ``behind`` plan the layouts of a window, ``shifts`` gives
-the translates of a set, ``read`` takes the AND over members of the OR of
+``around`` and ``behind`` plan the layouts of a window, ``shift`` gives
+the translate by a point, ``read`` takes the AND over members of the OR of
 their translates, and ``start`` and ``moved`` move a read by a point."""
 
 from __future__ import annotations
@@ -58,15 +58,14 @@ class Box:
         return self.spread([(-hull.x0, -hull.y0), (1 - hull.x0 - hull.rows,
                                                    1 - hull.y0 - hull.cols)])
 
-    def shifts(self, back, points):
-        """Per point a but INF, the right shift moving a mask on the box
-        `back` by a onto this box; None unless `back` holds the moved box."""
-        zero = self.ctx.zero
-        at = [(self.x0 - x - back.x0, self.y0 - y - back.y0) for x, y in
-              (self.ctx._xy(a) for a in points if a is not zero)]
-        return [i * back.stride + j for i, j in at] if all(
-            0 <= i <= back.rows - self.rows
-            and 0 <= j <= back.cols - self.cols for i, j in at) else None
+    def shift(self, back, a):
+        """The right shift moving a mask on the box `back` by the point a
+        onto this box; None unless `back` holds the moved box."""
+        x, y = self.ctx._xy(a)
+        i, j = self.x0 - x - back.x0, self.y0 - y - back.y0
+        if 0 <= i <= back.rows - self.rows and 0 <= j <= back.cols - self.cols:
+            return i * back.stride + j
+        return None
 
     @staticmethod
     def read(masks, shifts):
@@ -150,10 +149,9 @@ class Table:
                 [(m, -d) for d, m in by.items() if d < 0])
         return move
 
-    def shifts(self, back, points):
-        """Per nonzero point a, the move that translates a mask by a."""
-        ctx = self.ctx
-        return [self._move(ctx.inv(a)) for a in points if a != ctx.zero]
+    def shift(self, back, a):
+        """The move that translates a mask by the nonzero point a."""
+        return self._move(self.ctx.inv(a))
 
     def read(self, masks, moves):
         """``Box.read`` with a move in place of a shift."""

@@ -12,7 +12,7 @@ from .fintop import FiniteSpace, subbasis_space
 from .monoid import (INF, CarrierMismatch, DeltaFamily, Monoid,
                      Overmonoid, family_from_file, sort_key)
 from .report import Check
-from .window import _Draw, _plan
+from .window import _Draw, _plan, _Window
 # The members of a parameterized family that ``check_family`` rechecks and
 # ``falsify_finitary`` searches: indices 1..FAMILY_DEPTH.
 FAMILY_DEPTH = 6
@@ -151,17 +151,18 @@ def check_module_axioms(systems, H, bound: int = 4, seed: int = 0):
     Input is validated here, at the boundary: every system must live on H's
     carrier (CarrierMismatch otherwise), and the window's points are checked
     on it once.  What no system changes is planned once per call and
-    dropped on return: the subset draw, the comparable M2 pairs, the Id3
-    scalars, points and images cA, the M4 translators, the layouts masks are
-    read on, each set's shifts and each member's mask (``_Window``).
+    dropped on return: the subset draw, the Id3 scalars, points and images
+    cA, the M4 translators, the layouts masks are read on, each point's
+    shift, each member's mask and each set's read (``_Window``).
 
     The systems are scanned together: each that names its members takes a
     slot of a packed int, as many to a pack as fit in MAX_SPAN_BITS bits,
-    and every item is one int compare for all slots of a pack.  A failing
-    slot hands only its system and that item to the point loop, which finds
-    the witness a call of its own would, and stops that system's scan.
-    Window sets and their images reach each system's ``members``
-    unchecked; its exact predicates still come from ``closure``."""
+    and every item is one int compare for all slots of a pack; an M2 item
+    is a drawn A with all its drawn proper supersets.  A failing slot hands
+    only its system and that item to the point loop, which finds the
+    witness a call of its own would, and stops that system's scan.  Window
+    sets and their images reach each system's ``members`` unchecked; its
+    exact predicates still come from ``closure``."""
     ctx = H.context
     if any(r.context is not ctx for r in systems):
         raise CarrierMismatch("a module system off H's carrier")
@@ -170,46 +171,62 @@ def check_module_axioms(systems, H, bound: int = 4, seed: int = 0):
     draw = _Draw(universe, seed=seed)
     w = _plan(ctx, universe, draw, systems, nonzero,
               [g for g in nonzero if H.contains(g)])
-    pairs = [(A, B) for A in draw.subsets for B in draw.subsets if A < B]
-    return w.verdicts(("Id1", w.id1, "A"), ("M2", w.m2, pairs),
+    return w.verdicts(draw, ("Id1", w.id1, "A"), ("M2", w.m2),
                       ("Id3", w.id3, "A"), ("M4", w.m4))
 
 
+def system_window(r: ModuleSystem, bound: int):
+    """The window of r alone on its carrier's window of `bound`, without
+    scalars or translators: what ``check_id2``, ``check_idempotent`` and
+    ``is_finitary`` scan.  Given to several of them, it reads each set
+    once for all."""
+    return _Window(r.context, r.context.window(bound), [r])
+
+
+def _window_of(r, bound, window):
+    """`window`, a ``system_window`` of r, or a new one."""
+    if window is None:
+        return system_window(r, bound)
+    if window.systems != [r]:
+        raise ValueError("a window of another system")
+    return window
+
+
 def check_id2(r: ModuleSystem, bound: int = 4, sample_budget: int = 200,
-              seed: int = 0):
+              seed: int = 0, window=None):
     """Id2: A subset of B_r implies A_r subset of B_r, over subsets of up to
-    2 points: M2 on the pairs with A inside B_r, on a window of r alone.
-    Returns the verdict with a counterexample when it fails."""
-    universe = r.context.window(bound)
-    draw = _Draw(universe, size=2, budget=sample_budget, seed=seed)
-    w = _plan(r.context, universe, draw, [r])
-    pairs = [(A, B) for B in draw.subsets for A in draw.subsets]
-    return w.verdicts(("Id2", w.id2, pairs, "AB"))[0][0]
+    2 points: M2 on the pairs with A inside B_r, one item per B, on
+    `window`, a ``system_window(r, bound)``, or a new one.  Returns the
+    verdict with a counterexample when it fails."""
+    w = _window_of(r, bound, window)
+    draw = _Draw(w.universe, size=2, budget=sample_budget, seed=seed)
+    return w.verdicts(draw, ("Id2", w.id2, "AB", "B"))[0][0]
 
 
 def check_idempotent(r: ModuleSystem, bound: int = 4, sample_budget: int = 200,
-                     seed: int = 0):
+                     seed: int = 0, window=None):
     """(A_r)_r = A_r tested through the window slice of A_r, over subsets of
-    up to 2 points.  The slice is a subset of A_r, so its closure sits inside
-    (A_r)_r; any point of it outside A_r is an honest counterexample, and
-    agreement on all samples is reported as a bounded pass."""
-    universe = r.context.window(bound)
-    draw = _Draw(universe, size=2, budget=sample_budget, seed=seed)
-    w = _plan(r.context, universe, draw, [r])
-    return w.verdicts(("idempotent", w.idempotent), exhaustive=False,
+    up to 2 points, on `window` as ``check_id2`` takes it.  The slice is a
+    subset of A_r, so its closure sits inside (A_r)_r; any point of it
+    outside A_r is an honest counterexample, and agreement on all samples
+    is reported as a bounded pass."""
+    w = _window_of(r, bound, window)
+    draw = _Draw(w.universe, size=2, budget=sample_budget, seed=seed)
+    return w.verdicts(draw, ("idempotent", w.idempotent), exhaustive=False,
                       bound=bound, detail="window slice approximation")[0][0]
 
 
 def is_finitary(r: ModuleSystem, bound: int = 4, sample_budget: int = 200,
-                seed: int = 0) -> Check:
-    """The bounded ``finitary`` verdict on sampled finite sets A: the closure
-    of every subset of A lies inside A_r, which is M2 over A's subsets.  The
-    converse, A_r inside the union of those closures, is free, as A is one
-    of them; so this is no test of finitariness on an infinite A."""
-    universe = r.context.window(bound)
-    draw = _Draw(universe, budget=sample_budget, seed=seed)
-    w = _plan(r.context, universe, draw, [r])
-    return w.verdicts(("finitary", w.finitary), exhaustive=False,
+                seed: int = 0, window=None) -> Check:
+    """The bounded ``finitary`` verdict on sampled finite sets A, on
+    `window` as ``check_id2`` takes it: the closure of every subset of A
+    lies inside A_r, which is M2 over A's subsets, read as the closures of
+    the A - a and the union below each, kept for the scan.  The converse,
+    A_r inside the union of those closures, is free, as A is one of them;
+    so this is no test of finitariness on an infinite A."""
+    w = _window_of(r, bound, window)
+    draw = _Draw(w.universe, budget=sample_budget, seed=seed)
+    return w.verdicts(draw, ("finitary", w.finitary), exhaustive=False,
                       bound=bound)[0][0]
 
 

@@ -15,8 +15,9 @@ class _Pack:
     table's row, moves every slot at once; a system with fewer members
     than another has all-ones padding in its place.  A pack of
     systems read point by point has one bit per slot and no packed reads.
-    Each slot's exact predicates and window masks serve the point loops,
-    and live with the pack."""
+    Each slot's exact predicates and window masks serve the point loops.
+    A pack is built with its window and lives as long, so its reads, member
+    masks and point-by-point masks serve every scan of the window."""
 
     def __init__(self, w, slots, packed):
         self.w, self.slots, self.packed = w, slots, packed
@@ -79,6 +80,12 @@ class _Pack:
             bits = self._reads[A] = self.reach(A)
         return bits
 
+    def kept(self, A):
+        """``read`` of A where the pack has kept it, else ``reach``, not
+        kept."""
+        bits = self._reads.get(A, _UNREAD)
+        return self.reach(A) if bits is _UNREAD else bits
+
     def at(self, bits, by=None):
         """A packed reach read on the window's layout moved by `by`, one of
         the window's moves, at the window's points, with the zero (INF, or
@@ -129,24 +136,37 @@ class _Pack:
         return member
 
 
+def _item(bad, point, args):
+    """An entry of ``_first`` that is one item: a subset, a pair or a
+    (subset, scalar)."""
+    return bad, 1, lambda: ((bad, point, args),)
+
+
 def _first(pack, items):
-    """Each slot's (first witness, or None, and the number of its items
-    read, as ``Check.scan`` counts them) over `items`, each (bad, point,
-    args): a slot with no bit of `bad` passes the item, and `bad` None sends
-    every slot to the point loop.  The point loop, ``point(s, *args)``,
-    gives the witness or None; a slot stops at its first witness."""
+    """Each slot's (first witness, or None, and the number of items it
+    read, as ``Check.scan`` counts them) over `items`, each (bad, k, parts):
+    k items read at once, one or a group's pairs, which a slot with no bit
+    of `bad` passes, and `bad` None sends every slot to them.  Such a slot
+    reads the k items one by one, in order, from ``parts()``, each (bad,
+    point, args) read the same way: the point loop, ``point(s, *args)``,
+    gives the witness or None, and a slot stops at its first witness."""
     masks, found = pack.masks, {}
     live = sum(masks)
     n = 0
-    for n, (bad, point, args) in enumerate(items, 1):
+    for bad, k, parts in items:
         suspects = live if bad is None else bad & live
         while suspects:
             s = pack.slot(suspects)
-            suspects &= ~masks[s]
-            witness = point(s, *args)
-            if witness is not None:
-                found[s] = witness, n
-                live &= ~masks[s]
+            mask = masks[s]
+            suspects &= ~mask
+            for j, (part, point, args) in enumerate(parts(), n + 1):
+                if part is None or part & mask:
+                    witness = point(s, *args)
+                    if witness is not None:
+                        found[s] = witness, j
+                        live &= ~mask
+                        break
+        n += k
         if not live:
             break
     return [found.get(s, (None, n)) for s in range(len(masks))]

@@ -11,7 +11,7 @@ import random
 
 from . import monoid
 from .monoid import INF, sort_key
-from .packs import _first, _Pack
+from .packs import _first, _item, _Pack
 from .report import Check
 
 
@@ -51,11 +51,10 @@ class _Draw:
 
 
 def _plan(ctx, universe, draw, systems, scalars=(), translators=()):
-    """The window of a check on `systems`: `draw`'s subsets of `universe`,
-    and up to 12 Id3 scalars from `scalars`, 40 points of the universe for
-    Id3 and M4 and 12 M4 translators from `translators`, picked in that
-    order."""
-    return _Window(ctx, universe, systems, draw, draw.pick(scalars, 12),
+    """The window of a check on `systems`: `universe`, and up to 12 Id3
+    scalars from `scalars`, 40 points of the universe for Id3 and M4 and 12
+    M4 translators from `translators`, picked from `draw` in that order."""
+    return _Window(ctx, universe, systems, draw.pick(scalars, 12),
                    draw.pick(universe, 40), draw.pick(translators, 12))
 
 
@@ -66,20 +65,22 @@ def _names(A):
 class _Window:
     """The closures of `systems` on a window of points, checked here, and
     every axiom scanned for all of them at once; ``verdicts`` gives one
-    list of verdicts per system, in their order.  Window sets and their
-    images under ``op`` reach the systems' members unchecked; points that
-    leave the window go through the exact predicate, which checks them.
+    list of verdicts per system, in their order, for the draw it is given.
+    Window sets and their images under ``op`` reach the systems' members
+    unchecked; points that leave the window go through the exact predicate,
+    which checks them.
 
     Planned once, at construction, and dropped with the window, in the bit
     layout the carrier supplies (``ctx.box``; none in dimension 3): the
     window's layout, the reach layout (the window's moved by each of its
     moves: the inverses of its nonzero Id3 scalars and its M4 translators),
     the wide layout (reach moved back by the hull of the subsets and Id3
-    images), each set's translates and each member's mask on the wide
-    layout.  On a ``Box`` they are three boxes and a translate is a shift;
-    a finite carrier's ``Table`` is one row for all three, and a translate
-    or a move by g permutes the row by g's table row.  A product closure's
-    A_r on reach is one AND over its members of the OR of A's translates.
+    images), each point's translate, each member's mask on the wide layout
+    and the packs.  On a ``Box`` they are three boxes and a translate is a
+    shift; a finite carrier's ``Table`` is one row for all three, and a
+    translate or a move by g permutes the row by g's table row.  A product
+    closure's A_r on reach is one AND over its members of the OR of A's
+    translates, and a set has none when one of its points has none.
 
     Slots and batches: the systems that name their members share ints.
     Each gets a slot of the wide layout's width and one guard bit in every
@@ -89,25 +90,30 @@ class _Window:
     box, which no scan reads, and the guard bit takes a box's INF; a row
     permutation keeps every slot's bits in its slot.  A pack holds as many
     slots as fit in MAX_SPAN_BITS bits on the wide layout; the packs
-    (``packs._Pack``) are read one after the other, each with its own
-    caches, and a read keeps only the reach layout's rows.  Reads of the
-    Id3 images cA are used once and not kept.
+    (``packs._Pack``) are read one after the other, and each keeps its
+    reads, member masks and point-by-point masks for every scan of the
+    window, so a window scanned with several draws reads each set once.  A
+    read keeps only the reach layout's rows.  Id3 takes an image cA's read
+    from that cache when a scan has kept it, and keeps no new one.
 
-    The scans: each item of Id1, M2, Id3 and M4 (and of finitariness) is
-    one int compare for all slots at once, in the layout at the window's
-    points; Id2 and idempotence scan a window of one system.  A nonzero
-    slot sends that system and that item to the point loop, which finds
-    the same witness, and a system's scan stops at its first witness, as
-    ``Check.scan`` counts.  A system that passes never opens a reader.
-    Id4, the systems that name no members, every system of a carrier
-    without a layout and every system past MAX_SPAN_BITS cells on the wide
-    layout are read point by point, on every item."""
+    The scans: each item of Id1, Id3 and M4, idempotence and finitariness
+    is one subset or (subset, scalar), and each item of M2 and Id2 a group
+    of pairs that share a set, the OR of their inner closures outside the
+    AND of their outer ones; each is one int compare for all slots at once,
+    in the layout at the window's points.  Id2 and idempotence scan a window
+    of one system.  A nonzero slot sends that system and that item to the
+    point loop, a group pair by pair, which finds the same witness, and a
+    system's scan stops at its first witness, as ``Check.scan`` counts.  A
+    system that passes never opens a reader.  Id4, the systems that name
+    no members, every system of a carrier without a layout and every
+    system past MAX_SPAN_BITS cells on the wide layout are read point by
+    point, on every item, and a group on every pair."""
 
-    def __init__(self, ctx, universe, systems, draw=None, scalars=(),
-                 points=(), translators=()):
+    def __init__(self, ctx, universe, systems, scalars=(), points=(),
+                 translators=()):
         for g in universe:
             ctx.check(g)
-        self.ctx, self.universe, self.draw = ctx, universe, draw
+        self.ctx, self.universe = ctx, universe
         self.systems = list(systems)
         self.scalars, self.points = scalars, points
         self.translators = translators
@@ -116,44 +122,45 @@ class _Window:
         moves = [*(ctx.inv(c) for c in scalars if c != ctx.zero),
                  *translators]
         b = ctx.box(universe)
-        self.named = []  # no packed reads: every closure point by point
+        named = []  # no packed reads: every closure point by point
         if b:
             # the layout around b and b moved by each move: each A_r is read
             # on it, and the window's layout takes the packs' row stride too
             reach = b.around(moves)
             wide = reach.behind(b.around(scalars))
             if wide.rows * wide.cols <= monoid.MAX_SPAN_BITS:
-                self.named = [i for i, r in enumerate(self.systems)
-                              if r.members is not None]
-        if not self.named:
-            return
-        self.width = W = wide.cols + 1
-        self.per = max(1, monoid.MAX_SPAN_BITS // (wide.rows * W))
-        P = min(self.per, len(self.named)) * W
-        self.wide, self.reach, self.box = wide, reach, b = [
-            x.with_stride(P) for x in (wide, reach, b)]
-        self.span = functools.cache(lambda S: S.span_mask(wide))
-        self.shifts = functools.cache(lambda A: reach.shifts(wide, A))
-        # the move of a read on reach onto the window's layout, and onto it
-        # moved by each move
-        self.starts = {g: reach.start(b, g) for g in [None, *moves]}
-        self.cell = {g: b.bit(g) for g in self.universe}
-        self.inf = 1 << b.bit(self.ctx.zero)
-        self.cells = self.cells_of(g for g in self.universe if g is not INF)
-        self.box_points = self.cells_of(self.points)
-
-    def packs(self):
-        """The systems in packs, each with empty caches: those that name
-        their members, in order, as many to a pack as fit in MAX_SPAN_BITS
-        bits and read in the carrier's layout, a box or a table row, then
-        those read point by point."""
-        named = self.named
+                named = [i for i, r in enumerate(self.systems)
+                         if r.members is not None]
+        self.packs = []
         if named:
-            for k in range(0, len(named), self.per):
-                yield _Pack(self, named[k:k + self.per], True)
+            self.width = W = wide.cols + 1
+            per = max(1, monoid.MAX_SPAN_BITS // (wide.rows * W))
+            P = min(per, len(named)) * W
+            self.wide, self.reach, self.box = wide, reach, b = [
+                x.with_stride(P) for x in (wide, reach, b)]
+            self.span = functools.cache(lambda S: S.span_mask(wide))
+            self._shift = functools.cache(lambda a: reach.shift(wide, a))
+            # the move of a read on reach onto the window's layout, and onto
+            # it moved by each move
+            self.starts = {g: reach.start(b, g) for g in [None, *moves]}
+            self.cell = {g: b.bit(g) for g in self.universe}
+            self.inf = 1 << b.bit(self.ctx.zero)
+            self.cells = self.cells_of(g for g in self.universe
+                                       if g is not INF)
+            self.box_points = self.cells_of(self.points)
+            # as many to a pack as fit in MAX_SPAN_BITS bits, in order
+            self.packs = [_Pack(self, named[k:k + per], True)
+                          for k in range(0, len(named), per)]
         rest = [i for i in range(len(self.systems)) if i not in named]
         if rest:
-            yield _Pack(self, rest, False)
+            self.packs.append(_Pack(self, rest, False))
+
+    def shifts(self, A):
+        """The translates of a mask on the wide layout by A's nonzero
+        points, onto reach, or None when one of them has none."""
+        zero = self.ctx.zero
+        out = [self._shift(a) for a in A if a != zero]
+        return None if None in out else out
 
     def of(self, X):
         """The window set X itself."""
@@ -177,24 +184,24 @@ class _Window:
             return {**{k: _names(A) for k, A in named}, "g": repr(g)}
         return None
 
-    def verdicts(self, *scans, exhaustive=None, **kw):
-        """Per system, one verdict per (name, scan, *args) of `scans`, the
-        scan a method taking a pack and `args`; exhaustive on a full draw
-        unless `exhaustive` says otherwise, with ``bound`` and ``detail``
-        passed on."""
+    def verdicts(self, draw, *scans, exhaustive=None, **kw):
+        """Per system, one verdict per (name, scan, *args) of `scans` on the
+        subsets of `draw`, the scan a method taking a pack, the draw and
+        `args`; exhaustive on a full draw unless `exhaustive` says
+        otherwise, with ``bound`` and ``detail`` passed on."""
         if exhaustive is None:
-            exhaustive = self.draw.exhaustive
+            exhaustive = draw.exhaustive
         out = [[] for _ in self.systems]
-        for pack in self.packs():
+        for pack in self.packs:
             for name, scan, *args in scans:
-                for i, (witness, n) in zip(pack.slots,
-                                           _first(pack, scan(pack, *args))):
+                for i, (witness, n) in zip(pack.slots, _first(
+                        pack, scan(pack, draw, *args))):
                     out[i].append(Check(name, witness is None,
                                         witness=witness, exhaustive=exhaustive,
                                         n=n, **kw))
         return out
 
-    def id1(self, pack, key):
+    def id1(self, pack, draw, key):
         """Id1: A u {0} inside A_r, one item per A."""
         zero = self.ctx.zero
 
@@ -203,42 +210,79 @@ class _Window:
             return next(({key: _names(A), "g": repr(g)} for g in [*A, zero]
                          if not m >> self.index[g] & 1), None)
 
-        for A in self.draw.subsets:
+        for A in draw.subsets:
             inside = pack.box(A)
-            yield (None if inside is None else pack.rep(
+            yield _item(None if inside is None else pack.rep(
                 self.cells_of(A | {zero})) & ~inside, point, (A,))
 
-    def m2(self, pack, pairs, keys="AB"):
-        """M2: X_r inside Y_r, one item per (X, Y) of `pairs`; `keys` name X
-        and Y."""
+    def _pairs(self, pack, groups, keys):
+        """M2, X_r inside Y_r, one item per (Xs, Ys) of `groups`, one of the
+        two a single set: the pairs (X, Y) of Xs x Ys, in that order, whose
+        part is the OR of the X_r outside the AND of the Y_r, the union of
+        the pairs' own parts (none for no pairs).  A group with a set read
+        point by point is split into its pairs; `keys` name X and Y."""
         x, y = keys
+        box = pack.box
 
         def point(s, X, Y):
             return self.escape((pack.mask(s, X), pack.mask(s, Y),
                                 ((x, X), (y, Y))))
 
-        for X, Y in pairs:
-            inner, outer = pack.box(X), pack.box(Y)
-            yield (None if inner is None else inner & ~outer), point, (X, Y)
+        def pairs(Xs, Ys):
+            return lambda: [(box(X) & ~box(Y), point, (X, Y))
+                            for X in Xs for Y in Ys]
 
-    def id2(self, pack, pairs, keys):
-        """Id2 of the window's one system: M2 on the (X, Y) of `pairs` with
-        X inside Y_r, read from the packed Y_r, or from its point-by-point
-        mask where the pack has no packed reads."""
+        for Xs, Ys in groups:
+            inners, outers = list(map(box, Xs)), list(map(box, Ys))
+            if None in inners or None in outers:
+                for X in Xs:
+                    for Y in Ys:
+                        yield _item(None, point, (X, Y))
+                continue
+            inner, outer = 0, -1
+            for m in inners:
+                inner |= m
+            for m in outers:
+                outer &= m
+            yield inner & ~outer, len(Xs) * len(Ys), pairs(Xs, Ys)
+
+    def m2(self, pack, draw):
+        """M2: A_r inside B_r for the drawn A strictly inside a drawn B, one
+        item per A, over its Bs in draw order, found from each B's proper
+        subsets through an index of the draw."""
+        supers = {A: [] for A in draw.subsets}
+        for B in draw.subsets:
+            for A in _subsets(B, range(len(B))):
+                if A in supers:
+                    supers[A].append(B)
+        return self._pairs(pack, (([A], Bs) for A, Bs in supers.items()),
+                           "AB")
+
+    def id2(self, pack, draw, keys, by, k=None):
+        """Id2 of the window's one system: M2 on the (X, Y) of the first k
+        drawn subsets (all for None) with X inside Y_r, read from the packed
+        Y_r, or from its point-by-point mask where the pack has no packed
+        reads.  One item per set named `by`, one of `keys`, over the other
+        sets in draw order: per X, whose part is X_r outside the AND of its
+        Y_r, or per Y, the OR of its X_r outside Y_r."""
         if len(self.systems) > 1:
             raise ValueError("the Id2 scan reads one system")
-        cells = functools.cache(self.cells_of)
+        sets = draw.head(k) if k else draw.subsets
+        if pack.packed:
+            inners = [(X, self.cells_of(X)) for X in sets]
+            outers = [(Y, pack.box(Y)) for Y in sets]
+        else:
+            inners = [(X, self.of(X)) for X in sets]
+            outers = [(Y, pack.mask(0, Y)) for Y in sets]
+        if by == keys[0]:
+            groups = (([X], [Y for Y, m in outers if not c & ~m])
+                      for X, c in inners)
+        else:
+            groups = (([X for X, c in inners if not c & ~m], [Y])
+                      for Y, m in outers)
+        return self._pairs(pack, groups, keys)
 
-        def covered(X, Y):
-            outer = pack.box(Y)
-            if outer is None:
-                return not self.of(X) & ~pack.mask(0, Y)
-            return not cells(X) & ~outer
-
-        return self.m2(pack, ((X, Y) for X, Y in pairs if covered(X, Y)),
-                       keys)
-
-    def id3(self, pack, key):
+    def id3(self, pack, draw, key):
         """Id3: c A_r = (cA)_r at the points, one item per (A, c), A over
         the first 40 subsets, with the left side read literally: {0} for
         c = 0, otherwise c^{-1} g in A_r, which is A_r on the window's layout
@@ -254,21 +298,21 @@ class _Window:
                          if (g == ctx.zero if c_inv is None
                              else member(ctx.op(c_inv, g))) != rhs(g)), None)
 
-        for A in self.draw.head(40):
+        for A in draw.head(40):
             bits = pack.read(A)
             for c, c_inv in inverses:
                 cA = images.get((A, c))
                 if cA is None:
                     cA = images[A, c] = frozenset(ctx.op(c, a) for a in A)
-                rhs = None if bits is None else pack.reach(cA)
+                rhs = None if bits is None else pack.kept(cA)
                 if rhs is None:
-                    yield None, point, (A, c, c_inv, cA)
+                    yield _item(None, point, (A, c, c_inv, cA))
                     continue
                 lhs = pack.inf if c_inv is None else pack.at(bits, c_inv)
-                yield ((lhs ^ pack.at(rhs)) & pack.points, point,
-                       (A, c, c_inv, cA))
+                yield _item((lhs ^ pack.at(rhs)) & pack.points, point,
+                            (A, c, c_inv, cA))
 
-    def id4(self, pack):
+    def id4(self, pack, draw):
         """Id4: cH inside {c}_r, one item per c, point by point; H is the
         universe."""
         def point(s, c):
@@ -277,9 +321,9 @@ class _Window:
                          if not member(self.ctx.op(c, h))), None)
 
         for c in self.universe:
-            yield None, point, (c,)
+            yield _item(None, point, (c,))
 
-    def m4(self, pack):
+    def m4(self, pack, draw):
         """M4: H A_r = A_r, one item per A; the inclusion A_r subset of
         H A_r is free.  A passes when no translator h moves a point of A_r
         at the points out of A_r (INF stays put)."""
@@ -292,16 +336,16 @@ class _Window:
                          for g in filter(member, points) for h in translators
                          if not member(ctx.op(h, g))), None)
 
-        for A in self.draw.subsets:
+        for A in draw.subsets:
             bits = pack.read(A)
             if bits is None:
-                yield None, point, (A,)
+                yield _item(None, point, (A,))
                 continue
             moved = self.reach.meet(bits, moves)
-            yield (pack.at(bits) & pack.points & ~(moved | pack.inf), point,
-                   (A,))
+            yield _item(pack.at(bits) & pack.points & ~(moved | pack.inf),
+                        point, (A,))
 
-    def idempotent(self, pack):
+    def idempotent(self, pack, draw):
         """(A_r)_r = A_r of the window's one system through the window slice
         of A_r, one item per A: the slice's closure sits inside (A_r)_r, so
         a point of it outside A_r is an honest counterexample."""
@@ -313,32 +357,40 @@ class _Window:
             slice_ = frozenset(g for g, i in self.index.items() if m >> i & 1)
             return self.escape((pack.mask(s, slice_), m, (("A", A),)))
 
-        for A in self.draw.subsets:
+        for A in draw.subsets:
             inside = pack.box(A)
             if inside is None:
-                yield None, point, (A,)
+                yield _item(None, point, (A,))
                 continue
             # a slice lies in the window, so it has shifts, as A has
             slice_ = frozenset(g for g, i in self.cell.items()
                                if inside >> i & 1)
-            yield pack.at(pack.reach(slice_)) & ~inside, point, (A,)
+            yield _item(pack.box(slice_) & ~inside, point, (A,))
 
-    def finitary(self, pack):
-        """The closures of A's subsets inside A_r, one item per A: M2 over
-        A's subsets.  A_r lies in their union for free, as A is one of
-        them."""
+    def finitary(self, pack, draw):
+        """The closures of A's proper subsets inside A_r, one item per A:
+        M2 over A's subsets.  A_r lies in their union for free, as A is one
+        of them.  That union is the OR over a in A of the union of the
+        closures of A - a and its subsets, kept for the scan per set."""
+        box, upto = pack.box, {}
+
+        def under(A):
+            union = 0
+            for a in A:
+                E = A - {a}
+                m = upto.get(E)
+                if m is None:
+                    m = upto[E] = box(E) | under(E)
+                union |= m
+            return union
+
         def point(s, A):
             union = 0
             for E in _subsets(A, range(len(A) + 1)):
                 union |= pack.mask(s, E)
             return self.escape((union, pack.mask(s, A), (("A", A),)))
 
-        for A in self.draw.subsets:
-            inside = pack.box(A)
-            if inside is None:
-                yield None, point, (A,)
-                continue
-            union = 0
-            for E in _subsets(A, range(len(A))):
-                union |= pack.box(E)
-            yield union & ~inside, point, (A,)
+        for A in draw.subsets:
+            inside = box(A)
+            yield _item(None if inside is None else under(A) & ~inside,
+                        point, (A,))

@@ -2,12 +2,14 @@
 materialized as bitmasks, soberness and homeomorphism by their definitions,
 every topology on a few points, equality of r-ideals, a small finite
 monoid built by hand, the
-domination map and its image law asked point by point, and the finite
-witnesses of intersection systems and of meets.
+domination map and its image law asked point by point, the finite
+witnesses of intersection systems and of meets, and the pair scans of the
+axiom checkers read one pair at a time.
 
 Open sets are ints, bit i set when point i lies in the set; materializing
 them is exponential, so a space may have at most ``CARRIER_GUARD`` points."""
 
+import functools
 import itertools
 from functools import lru_cache
 
@@ -266,3 +268,56 @@ def meet_finite_witness(systems, A, x):
     if not meet(systems).member(E, x):
         raise AssertionError("combined witness failed the recheck")
     return E
+
+
+# -- the pair scans, one pair at a time ----------------------------------------
+
+def _pair_reader(r, universe):
+    """A_r's window points as a bitmask, bit i for the i-th point, each A
+    asked once; and the first point of one mask outside another, as the
+    checkers' witness names it, or None."""
+    @functools.cache
+    def mask(A):
+        pred = r.closure(A)
+        return sum(1 << i for i, g in enumerate(universe) if pred(g))
+
+    def escape(inner, outer, named):
+        bad = inner & ~outer
+        if not bad:
+            return None
+        g = universe[(bad & -bad).bit_length() - 1]
+        return {**{k: sorted(map(repr, A)) for k, A in named}, "g": repr(g)}
+
+    return mask, escape
+
+
+def m2_pair_by_pair(r, universe, pairs, keys, covered=False):
+    """(witness, n) of M2, X_r inside Y_r, over `pairs` one at a time, in
+    their order; with `covered`, over those with X inside Y_r, which is
+    Id2.  n counts the pairs read, up to the witness."""
+    mask, escape = _pair_reader(r, universe)
+    index = {g: i for i, g in enumerate(universe)}
+    n = 0
+    for X, Y in pairs:
+        if covered and any(not mask(Y) >> index[g] & 1 for g in X):
+            continue
+        n += 1
+        witness = escape(mask(X), mask(Y), ((keys[0], X), (keys[1], Y)))
+        if witness is not None:
+            return witness, n
+    return None, n
+
+
+def finitary_by_subsets(r, universe, sets):
+    """(witness, n) of finitariness over `sets`: per A, the union of the
+    closures of all 2^|A| subsets of A inside A_r."""
+    mask, escape = _pair_reader(r, universe)
+    n = 0
+    for n, A in enumerate(sets, 1):
+        union = 0
+        for E in _subsets(A, range(len(A) + 1)):
+            union |= mask(E)
+        witness = escape(union, mask(A), (("A", A),))
+        if witness is not None:
+            return witness, n
+    return None, n

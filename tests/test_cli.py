@@ -338,7 +338,7 @@ def test_window_masks_are_the_window_points_of_the_closure():
                    r_delta(DeltaFamily(overs), ctx),
                    meet([iota(S) for S in overs])]
         w = _Window(ctx, points, systems)
-        pack, = w.packs()
+        pack, = w.packs
         assert pack.slots == list(range(len(systems)))
         # every pair of c3z's three points, every fifth point elsewhere
         step = 5 if len(points) > 5 else 1

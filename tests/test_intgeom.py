@@ -259,9 +259,9 @@ def test_bounded_caches_stay_exact(monkeypatch):
 
 
 def test_cone_shapes():
-    """Each shape of planar cone has its full face list, in the order that
-    `enumerate_primes` names primes in: it keeps the first of two equal
-    primes."""
+    """Each shape of planar cone has its full face list, in order: the cone
+    itself, the generators on each extreme ray, then the origin; a ray is
+    its own extreme ray, listed once."""
     F = frozenset
     shapes = {
         # sectors: the cone, the two extreme rays, the origin

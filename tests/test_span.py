@@ -6,7 +6,7 @@ import os
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monoid_spectra import cli, monoid, packs, window
@@ -15,11 +15,13 @@ from monoid_spectra.idealsys import (IdealSystem, check_ideal_axioms,
 from monoid_spectra.modsys import (DeltaFamily, ModuleSystem, check_id2,
                                    check_idempotent, check_module_axioms,
                                    example16, iota, is_finitary, meet,
-                                   product_closure, r_delta)
+                                   product_closure, r_delta,
+                                   system_window)
 from monoid_spectra.monoid import (INF, Box, IntCarrier, Monoid, Overmonoid,
                                    as_overmonoid, localize, monoid_from_file)
 from monoid_spectra.valuation import enumerate_overmonoids, enumerate_zar
-from oracles import cyclic_group_with_zero
+from oracles import (cyclic_group_with_zero, finitary_by_subsets,
+                     m2_pair_by_pair)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -140,9 +142,8 @@ def test_span_matches_the_predicate(spec, system, picks, moves):
     picked = [nonzero[i % len(nonzero)] for i in moves]
     half = len(picked) // 2
     scalars, translators = picked[:half], picked[half:]
-    w = window._Window(ctx, universe, [r], None, scalars, nonzero,
-                       translators)
-    pack, = w.packs()
+    w = window._Window(ctx, universe, [r], scalars, nonzero, translators)
+    pack, = w.packs
     A, pred = frozenset(A), r.closure(A)
     bits = pack.read(A)
     assert bits & lattice_cells(w.reach) == pointwise(
@@ -397,7 +398,7 @@ def test_a_bit_names_its_slot(name):
     H, bound, systems, _ = main1_pool(name)
     ctx = H.context
     universe = ctx.window(bound)
-    w = window._Window(ctx, universe, systems, None, (), universe[:-1])
+    w = window._Window(ctx, universe, systems, (), universe[:-1])
     pack = packs._Pack(w, list(range(len(systems) - 1)), True)
     assert pack.stride == len(systems) * pack.width
     for s in range(len(pack.slots)):
@@ -414,10 +415,22 @@ def test_id2_and_idempotence_refuse_a_window_of_two_systems():
     draw = window._Draw(universe, size=2)
     w = window._plan(ctx, universe, draw, [s_system(H), iota(
         as_overmonoid(H))])
-    pairs = [(A, B) for A in draw.subsets for B in draw.subsets]
-    for scan in (("Id2", w.id2, pairs, "AB"), ("idempotent", w.idempotent)):
+    for scan in (("Id2", w.id2, "AB", "B"), ("idempotent", w.idempotent)):
         with pytest.raises(ValueError, match="one system"):
-            w.verdicts(scan)
+            w.verdicts(draw, scan)
+
+
+def test_a_shared_window_is_refused_for_another_system():
+    """check_id2, check_idempotent and is_finitary scan the window they are
+    given only when it is a window of their own system."""
+    H = Monoid.numerical([2, 3])
+    r, other = s_system(H), iota(as_overmonoid(H))
+    w = system_window(other, 2)
+    for check in (check_id2, check_idempotent, is_finitary):
+        with pytest.raises(ValueError, match="another system"):
+            check(r, bound=2, window=w)
+        assert check(other, bound=2, window=w).to_dict() == check(
+            other, bound=2).to_dict()
 
 
 def plan_systems(H, overs):
@@ -493,3 +506,126 @@ def test_a_plan_reads_each_member_once():
         mp.setattr(Overmonoid, "span_mask", counted)
         check_module_axioms(systems, H, bound=10)
     assert len(reads) == len(set(reads)) == len(systems)
+
+
+# carriers of the pair-scan oracle: the int line, where the largest bounds
+# sample their draws, Z/4 with a zero in its table's row, and two lattices
+PAIR_CARRIERS = {"n23": (Monoid.numerical, [2, 3]),
+                 "n345": (Monoid.numerical, [3, 4, 5]),
+                 "z4": (None, None),
+                 "n2": (Monoid.affine, [[1, 0], [0, 1]]),
+                 "nxz": (Monoid.affine, [[1, 0], [0, 1], [0, -1]])}
+PAIR_CASES = [("n23", 2), ("n23", 4), ("n23", 6), ("n345", 3), ("n345", 7),
+              ("z4", 2), ("n2", 1), ("nxz", 1)]
+
+
+def shrinking(H):
+    """A product closure that shrinks as A grows, so that M2 and
+    finitariness fail: all of G for A of at most one point, AH for a larger
+    A."""
+    ctx = H.context
+    small = product_closure(ctx, [Overmonoid(ctx, rule=lambda g: True,
+                                             name="G")])
+    large = product_closure(ctx, [H])
+
+    def pick(A):
+        return small if len(A) <= 1 else large
+
+    return ModuleSystem("shrinking", ctx, lambda A: pick(A)[0](A),
+                        lambda A: pick(A)[1](A))
+
+
+@functools.cache
+def pair_systems(name):
+    """H with the s-system, ``broken(H)``, example16, ``shrinking(H)``, iota
+    of a monoid that misses H (on Z/4 its proper subgroup <2>, whose
+    closures are not all of G) and an intersection system."""
+    make, gens = PAIR_CARRIERS[name]
+    H = cyclic_group_with_zero(4) if make is None else make(gens)
+    H, overs = build(H) if make else (H, cli._curated_overmonoids(H, 4))
+    return H, [s_system(H), *broken(H), example16(H), shrinking(H),
+               iota(thin_of(H)), r_delta(DeltaFamily(overs[-2:]), H.context)]
+
+
+@pytest.mark.parametrize("cap", [None, 0], ids=["packed", "pointwise"])
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(case=st.sampled_from(PAIR_CASES), seed=st.integers(0, 5),
+       budget=st.sampled_from([20, 60]))
+# a sampled finitary draw whose first failing set has three points, so
+# that the union below it reaches two points down
+@example(case=("n23", 6), seed=2, budget=20)
+def test_grouped_scans_agree_with_the_pair_by_pair_oracle(cap, case, seed,
+                                                          budget):
+    """Id2 in both orders (per Y in check_id2, per X in the ideal axioms),
+    M2 and finitariness give the witness and the count of the pair-by-pair
+    scan, and of finitariness over all 2^|A| subsets, on every system; read
+    packed, and point by point at a cap of no cell."""
+    name, bound = case
+    H, systems = pair_systems(name)
+    universe = H.context.window(bound)
+    members = [g for g in universe if H.contains(g)]
+    with pytest.MonkeyPatch.context() as mp:
+        if cap is not None:
+            mp.setattr(monoid, "MAX_SPAN_BITS", cap)
+        for r in systems:
+            found = [check_id2(r, bound, budget, seed),
+                     next(c for c in check_ideal_axioms(r, H, bound, seed)
+                          if c.name == "Id2"),
+                     next(c for c in check_module_axioms([r], H, bound,
+                                                         seed)[0]
+                          if c.name == "M2"),
+                     is_finitary(r, bound, budget, seed)]
+            S = window._Draw(universe, size=2, budget=budget,
+                             seed=seed).subsets
+            T = window._Draw(members, budget=500, limit=13,
+                             seed=seed).head(60)
+            U = window._Draw(universe, seed=seed).subsets
+            expected = [
+                m2_pair_by_pair(r, universe, [(X, Y) for Y in S for X in S],
+                                "AB", covered=True),
+                m2_pair_by_pair(r, members, [(X, Y) for X in T for Y in T],
+                                "XY", covered=True),
+                m2_pair_by_pair(r, universe,
+                                [(A, B) for A in U for B in U if A < B], "AB"),
+                finitary_by_subsets(r, universe, window._Draw(
+                    universe, budget=budget, seed=seed).subsets)]
+            assert [(c.witness, c.n) for c in found] == expected, r
+
+
+@pytest.mark.parametrize("name", ["n35", "c3z"])
+def test_corollaries_read_each_set_once_per_window(name):
+    """corollaries' finitary, idempotence and Id2 checks of one system share
+    a window: each set is read once in it and each member's mask built
+    once, and a passing Id2 scan is one item per outer set."""
+    H = (Monoid.numerical([3, 5]) if name == "n35" else
+         monoid_from_file(os.path.join(DATA, name + ".json")))
+    reads, masks, items = [], [], []
+    reach, span_mask = packs._Pack.reach, Overmonoid.span_mask
+    id2 = window._Window.id2
+
+    def counted_reach(self, A):
+        reads.append((self.w, A))
+        return reach(self, A)
+
+    def counted_span_mask(self, box):
+        masks.append((box, self))
+        return span_mask(self, box)
+
+    def counted_id2(self, pack, draw, *args):
+        scan = list(id2(self, pack, draw, *args))
+        items.append((len(scan), len(draw.subsets)))
+        return iter(scan)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(packs._Pack, "reach", counted_reach)
+        mp.setattr(Overmonoid, "span_mask", counted_span_mask)
+        mp.setattr(window._Window, "id2", counted_id2)
+        rep, _ = cli.run_suite("corollaries", H, bound=10, seed=0)
+    id2_checks = [c for c in rep.checks if c.name.endswith(":Id2")]
+    windows = {id(w) for w, _ in reads}
+    assert len(windows) == len(id2_checks) == len(items)
+    assert len({(id(w), A) for w, A in reads}) == len(reads)
+    assert masks and len({(id(b), S) for b, S in masks}) == len(masks)
+    assert len({id(b) for b, _ in masks}) == len(windows)
+    for c, (k, outer) in zip(id2_checks, items):
+        assert c.ok and k == outer < c.n, (c.name, k, outer, c.n)

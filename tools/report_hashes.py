@@ -16,7 +16,11 @@ read from ``bench/workloads.py``, in text format with ``--seed 0`` and
 ``--dot``, whose 21 relabelled finite tables read every closure in the
 table layout (the point-by-point side of those runs is
 ``tests/test_cli.py``'s
-``test_finite_reports_are_the_same_read_point_by_point``).  A run's record is ``[sha1, status, fails]``: the SHA-1 over
+``test_finite_reports_are_the_same_read_point_by_point``); and
+corollaries, axioms, main1 and main2 on the 20 generated monoids of
+``bench/workloads.py``'s ``affine_pool(20)``, on the same bounds and
+formats, whose draws are sampled, not exhaustive.  A run's record is
+``[sha1, status, fails]``: the SHA-1 over
 stdout, stderr, the exit code (or the exception the run raised) and the
 DOT file; that exit code or exception; and the sorted names of the
 report's FAIL lines.  A refactor that keeps every report byte-identical
@@ -54,6 +58,8 @@ LARGE = ((("main1", "axioms", "pruefer", "corollaries"),
           ("n2.json", "nxz.json"), (8, 10, 12)),
          (("main1", "axioms", "corollaries"),
           ("n579.json", "n71113.json"), (20, 40)))
+# Suites run on the generated affine pool, and its size.
+POOL_SUITES, POOL_SIZE = ("corollaries", "axioms", "main1", "main2"), 20
 FAIL_LINE = re.compile(r"^\S+ (\S+) FAIL\b", re.M)
 
 
@@ -82,6 +88,19 @@ def runs():
             for suite in suites:
                 yield suite + " " + name, ["--suite", suite, "--input",
                                            os.path.join(DATA, name)], bounds
+
+
+def pool_runs(tmp):
+    """(label, argv, bounds) of every run on the generated affine pool, its
+    inputs written to `tmp`."""
+    workloads = runpy.run_path(WORKLOADS)
+    for i, gens in enumerate(workloads["affine_pool"](POOL_SIZE)):
+        path = os.path.join(tmp, f"pool{i}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(workloads["affine"](*gens), fh)
+        for suite in POOL_SUITES:
+            yield f"{suite} pool{i}", ["--suite", suite, "--input",
+                                       path], BOUNDS
 
 
 def sweep_runs(tmp):
@@ -138,7 +157,7 @@ def main():
     records = {}
     with tempfile.TemporaryDirectory() as tmp:
         dot_path = os.path.join(tmp, "out.dot")
-        for label, argv, bounds in runs():
+        for label, argv, bounds in [*runs(), *pool_runs(tmp)]:
             for bound in bounds:
                 extra = [] if bound is None else ["--bound", str(bound)]
                 for fmt in ("text", "json"):
