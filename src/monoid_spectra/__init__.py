@@ -11,8 +11,9 @@ from .idealsys import (IdealSystem, RIdeal, check_ideal_axioms,
                        enumerate_ideals, enumerate_primes, s_system,
                        spec_subbasis)
 from .modsys import ModuleSystem, SystemSpace, example16, iota, meet, r_delta
-from .valuation import (ValuationDescriptor, delta, enumerate_overmonoids,
-                        enumerate_zar, is_s_pruefer, is_valuation)
+from .valuation import (ValuationDescriptor, WindowRead, delta,
+                        enumerate_overmonoids, enumerate_zar, is_s_pruefer,
+                        is_valuation)
 from .fintop import FiniteSpace
 from .report import Check, SuiteReport
 

@@ -26,9 +26,9 @@ from .modsys import (FAMILY_DEPTH, DeltaFamily, SystemSpace, check_family,
 from .monoid import (MAX_WINDOW, ParseError, as_overmonoid, localize,
                      monoid_from_file)
 from .report import INFO, Check, SuiteReport
-from .valuation import (b_complement_law, delta, delta_dot, delta_laws,
-                        enumerate_overmonoids, enumerate_zar, is_s_pruefer,
-                        is_valuation, overmonoid_space)
+from .valuation import (WindowRead, b_complement_law, delta, delta_dot,
+                        delta_laws, enumerate_overmonoids, enumerate_zar,
+                        is_s_pruefer, is_valuation, overmonoid_space)
 
 def _curated_overmonoids(H, bound):
     """Finite overmonoid carrier: all overmonoids for numerical H, otherwise
@@ -101,21 +101,23 @@ def suite_pronconst(rep, H, bound, seed):
 
 
 def suite_zar(rep, H, bound, seed):
-    carrier = enumerate_zar(H, bound=bound)
+    read = WindowRead(H, bound)
+    carrier = enumerate_zar(read)
     rep.add(Check("zar-enumerated", INFO, n=len(carrier), bound=bound,
                   detail=" ".join(V.name for V in carrier)))
-    rep.extend(is_valuation(V, bound) for V in carrier)
-    space = overmonoid_space(carrier, H.context, bound)
-    rep.add(b_complement_law(space, H.context, bound))
+    rep.extend(is_valuation(V, read) for V in carrier)
+    space = overmonoid_space(carrier, read)
+    rep.add(b_complement_law(space, read))
     rep.add(_t0_check(space, bound))
     return lambda: poset_dot(space, name="zar")
 
 
 def suite_pruefer(rep, H, bound, seed):
     primes = enumerate_primes(H)
-    carrier = enumerate_zar(H, bound=bound)
-    f = [delta(H, V, primes, bound) for V in carrier]
-    zar_space = overmonoid_space(carrier, H.context, bound)
+    read = WindowRead(H, bound)
+    carrier = enumerate_zar(read)
+    f = [delta(V, primes, read) for V in carrier]
+    zar_space = overmonoid_space(carrier, read)
     spec_space = spec_subbasis(H, primes)
     rep.add(Check("delta-total", INFO, n=len(carrier), bound=bound,
                   detail="; ".join(f"{V.name}->{primes[j].name}"
@@ -124,8 +126,8 @@ def suite_pruefer(rep, H, bound, seed):
                     if j not in f), None)
     rep.add(Check("delta-surjective", witness is None, witness=witness,
                   exhaustive=False, n=len(primes), bound=bound))
-    sp = is_s_pruefer(H, primes, bound)
-    rep.extend(delta_laws(H, primes, f, zar_space, sp.ok, bound=bound))
+    sp = is_s_pruefer(primes, read)
+    rep.extend(delta_laws(primes, f, zar_space, sp.ok, read))
     rep.add(Check("s-pruefer-instance", INFO, bound=bound,
                   detail="s-Pruefer" if sp.ok else f"not s-Pruefer at "
                   f"{sp.witness} (homeomorphism not claimed)"))
@@ -247,7 +249,7 @@ def suite_corollaries(rep, H, bound, seed):
     ctx = H.context
     carriers = [("localizations", _curated_overmonoids(H, bound))]
     try:
-        carriers.append(("zar", enumerate_zar(H, bound=bound)))
+        carriers.append(("zar", enumerate_zar(WindowRead(H, bound))))
     except UnsupportedRealization:
         pass
     small = min(bound, 3)

@@ -32,8 +32,10 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x0, y0, r0
 
 
-def hnf_rows(vectors) -> list[list[int]]:
-    """Row-echelon basis (Hermite-style) of the lattice spanned by `vectors`.
+def hnf_rows(vectors) -> list[tuple[int, list[int]]]:
+    """Row-echelon basis (Hermite-style) of the lattice spanned by `vectors`,
+    as (pivot column, row) pairs: each row's pivot is found here, once per
+    basis, and not on every membership question.
 
     Rows have strictly increasing pivot columns with positive pivots.
     """
@@ -71,25 +73,25 @@ def hnf_rows(vectors) -> list[list[int]]:
                 pivots.insert(where, j)
                 break
         # vec reduced to zero: spanned already
-    return basis
+    return list(zip(pivots, basis))
 
 
-def _residue(basis: list[list[int]], v) -> tuple:
+def _residue(basis, v) -> tuple:
     """The representative of v modulo the lattice with echelon basis whose
     entry at each pivot column lies in [0, pivot): equal for two vectors
     exactly when they differ by a lattice vector, and zero on the lattice."""
     vec = list(v)
     n = len(vec)
-    for row in basis:
-        j = next(k for k in range(n) if row[k] != 0)
+    for j, row in basis:
         q = vec[j] // row[j]
         for k in range(j, n):
             vec[k] -= q * row[k]
     return tuple(vec)
 
 
-def lattice_contains(basis: list[list[int]], v) -> bool:
-    """Exact membership of integer vector v in the lattice with echelon basis."""
+def lattice_contains(basis, v) -> bool:
+    """Exact membership of integer vector v in the lattice with the echelon
+    basis ``hnf_rows`` gives."""
     return not any(_residue(basis, v))
 
 
@@ -189,8 +191,8 @@ def submonoid_2d(gens: tuple):
     if not pointed:
         return lambda x: lattice_contains(basis, x)
     if basis:  # rank 1: perpendicular to L's row, on the pointed side
-        r0, r1 = basis[0]
-        w0, w1 = (-r1, r0) if cross(basis[0], pointed[0]) > 0 else (r1, -r0)
+        r0, r1 = row = basis[0][1]
+        w0, w1 = (-r1, r0) if cross(row, pointed[0]) > 0 else (r1, -r0)
     else:  # rank 0: between the extreme rays, or along the only ray
         u_r, u_l = rays
         w0, w1 = u_r if cross(u_r, u_l) == 0 else (

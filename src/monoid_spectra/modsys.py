@@ -304,27 +304,34 @@ class SystemSpace:
 
 # -- the finitariness falsifier ----------------------------------------------
 
+def _window_mask(S: Overmonoid, points) -> int:
+    """S's members among carrier points, bit i for points[i]: each point is
+    asked once, through the trusted ``has``."""
+    return sum(1 << i for i, g in enumerate(points) if S.has(g))
+
+
 def falsify_finitary(delta: DeltaFamily, ctx, bound: int = 6):
     """Search for the non-finitariness certificate of a parameterized family:
     elements x_k in S_k missed by every later member, for k up to
     FAMILY_DEPTH.  On success the set A = {x_k^{-1}} has the identity in its
     closure over those members while the part without the last x_k does not;
     returns the witness record, or None when no certificate exists up to
-    that index."""
+    that index.  Each member is read once on the window, and x_k is the
+    first window point of S_k's mask outside the later members' masks."""
     if delta.finite:
         return None
     window = ctx.nonzero_window(bound)
     members = [delta.member(k) for k in range(1, FAMILY_DEPTH + 1)]
+    masks = [_window_mask(S, window) for S in members]
     xs = []
     for k in range(1, FAMILY_DEPTH + 1):
-        S_k = members[k - 1]
-        later = members[k:]
-        x = next((g for g in window
-                  if S_k.contains(g) and not any(S.contains(g) for S in later)),
-                 None)
-        if x is None:
+        later = 0
+        for m in masks[k:]:
+            later |= m
+        alone = masks[k - 1] & ~later
+        if not alone:
             return None
-        xs.append(x)
+        xs.append(window[(alone & -alone).bit_length() - 1])
     A = frozenset(ctx.inv(x) for x in xs)
     target = ctx.one
     truncated, _ = product_closure(ctx, members)
@@ -357,23 +364,33 @@ def embedding_checks(overmonoids, ctx, bound: int = 4) -> Check:
 def check_family(delta: DeltaFamily, ctx, bound: int = 4):
     """Pointwise recheck of a parameterized family's declarations on its
     first FAMILY_DEPTH members: members decrease along the index and the
-    declared limit sits inside every member."""
+    declared limit sits inside every member.  Each member and the limit is
+    read once on the window, and a pair's first point of the inner mask
+    outside the outer one is its witness."""
     if delta.finite:
         return []
     window = [g for g in ctx.window(bound) if g is not INF]
+    masks = {k: _window_mask(delta.member(k), window)
+             for k in range(1, FAMILY_DEPTH + 1)}
+    limit = _window_mask(delta.limit, window)
 
     def inside(name, pairs):
         """Each (k, inner, outer) has inner inside outer on the window; one
-        outcome per (k, g)."""
-        return Check.scan(name, ({"k": k, "g": repr(g)}
-                                 if inner.contains(g) and not outer.contains(g)
-                                 else None
-                                 for k, inner, outer in pairs for g in window),
-                          bound=bound)
+        item per (k, g), as ``Check.scan`` counts them."""
+        for n, (k, inner, outer) in enumerate(pairs):
+            bad = inner & ~outer
+            if bad:
+                i = (bad & -bad).bit_length() - 1
+                return Check(name, False, witness={"k": k,
+                                                   "g": repr(window[i])},
+                             exhaustive=False, n=n * len(window) + i + 1,
+                             bound=bound)
+        return Check(name, True, exhaustive=False,
+                     n=len(pairs) * len(window), bound=bound)
 
     return [inside("family-decreasing",
-                   ((k, delta.member(k + 1), delta.member(k))
-                    for k in range(1, FAMILY_DEPTH))),
+                   [(k, masks[k + 1], masks[k])
+                    for k in range(1, FAMILY_DEPTH)]),
             inside("family-limit-lower-bound",
-                   ((k, delta.limit, delta.member(k))
-                    for k in range(1, FAMILY_DEPTH + 1)))]
+                   [(k, limit, masks[k])
+                    for k in range(1, FAMILY_DEPTH + 1)])]

@@ -320,8 +320,8 @@ class Overmonoid:
     G, or both, the rule then deciding the generators' monoid; the
     predicate is fixed here, once.  On a carrier with a layout
     ``span_mask`` reads membership on a ``Box`` or ``Table`` as one int
-    bitmask; the object keeps no mask, and a ``window._Window`` keeps each
-    one it reads for the window."""
+    bitmask; the object keeps no mask: a ``window._Window`` or a
+    ``valuation.WindowRead`` keeps each one it reads while it lives."""
 
     def __init__(self, context, gens=None, rule=None, name=""):
         if gens is None and rule is None:

@@ -2,20 +2,23 @@
 valuation carriers with their subbasis topologies, the domination map onto
 prime ideals and its laws, and a localization-based Pruefer test.
 
-The domination functions take the enumerated primes, the Zar carrier (its
-members are overmonoids), the domination map as the list f of prime indices,
-f[i] = delta(carrier[i]), and the carrier's space, all built once by the
-caller.  Each reads its points once per call, as local data dropped on
-return: ``delta`` asks V and H about each window point once and each prime
-about each point of H's window at most once, and ``delta_laws`` asks each
-prime about each point of H's window once and H about each h x once."""
+The window functions take a ``WindowRead``, the nonzero window of H's
+groupoid at a bound read as int bitmasks, which a suite builds once and
+drops on return; the domination functions also take the enumerated primes,
+the Zar carrier (its members are overmonoids), the domination map as the
+list f of prime indices, f[i] = delta(carrier[i]), and the carrier's space,
+all built once by the caller.  Through the read each overmonoid is asked
+about each window point at most once, H once about each point of the wide
+box around the window and each prime once about each point of H's window
+part; everything else is read from the masks."""
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import gcd
 
 from .errors import UnsupportedRealization
-from .fintop import FiniteSpace, bipartite_dot, hasse_edges, subbasis_space
+from .fintop import FiniteSpace, bipartite_dot, hasse_edges
 from .intgeom import dot
 from .monoid import INF, Monoid, Overmonoid, localize
 from .numsgp import oversemigroups
@@ -86,13 +89,108 @@ class ValuationDescriptor(Overmonoid):
         return f"V({self.tag})"
 
 
-def is_valuation(S: Overmonoid, bound: int = 6) -> Check:
-    """x in S or x^{-1} in S for every nonzero window element."""
-    ctx = S.context
-    return Check.scan(f"valuation[{S.name}]",
-                      (None if S.contains(x) or S.contains(ctx.inv(x))
-                       else {"x": repr(x)} for x in ctx.nonzero_window(bound)),
-                      bound=bound)
+class WindowRead:
+    """The nonzero window of H's groupoid at `bound`, read as int bitmasks
+    for one suite call and dropped with it.  Only numerical and affine d = 2
+    monoids have a Zar carrier, so only they are read; the layout is built
+    on first use, so a caller that reads no window (corollaries on a
+    numerical H, at any bound) builds none.
+
+    Each window point sits at its bit of ``box``, the smallest box around
+    the window, laid out with the row stride of ``wide``, the box around
+    the window moved by each of its points, which is ``box`` moved back by
+    each of its cells, as the window is closed under inversion; bits rise
+    in window order.  An overmonoid's members there are its ``span_mask``,
+    taken once per read: the window's points are carrier points, so each is
+    asked through the trusted ``has``.  H is read once, on ``wide``: its
+    window part is that mask moved onto the box, (H : x) there is the mask
+    moved by x, and each prime is asked about each point of H's window part
+    once.  A window has at most MAX_WINDOW points and ``wide`` fewer than
+    four times as many cells, so no mask passes MAX_SPAN_BITS."""
+
+    def __init__(self, H: Monoid, bound: int):
+        if H.kind != "numerical" and (H.kind != "affine" or H.dim != 2):
+            raise UnsupportedRealization(
+                "valuation enumeration supports numerical and affine d=2 "
+                "monoids")
+        self.H, self.bound = H, bound
+        self._masks, self._parts = {}, {}
+
+    @cached_property
+    def points(self):
+        return self.H.context.nonzero_window(self.bound)
+
+    @cached_property
+    def box(self):
+        box = self.H.context.box(self.points)
+        return box.with_stride(box.behind(box).stride)
+
+    @cached_property
+    def wide(self):
+        return self.box.behind(self.box)
+
+    @cached_property
+    def bits(self):
+        return [self.box.bit(g) for g in self.points]
+
+    @cached_property
+    def full(self):
+        """Every window point's bit."""
+        return sum(1 << b for b in self.bits)
+
+    def mask(self, S: Overmonoid) -> int:
+        """S's members on the window, read on the first call."""
+        m = self._masks.get(S)
+        if m is None:
+            m = self._masks[S] = S.span_mask(self.box)
+        return m
+
+    def inverted(self, m: int) -> int:
+        """The image of a window mask under inversion.  A point's bit and
+        its inverse's add up to a constant, that of the first and the last
+        point, which are inverses, so inversion reverses the bits."""
+        width = self.bits[0] + self.bits[-1] + 1
+        return int(format(m, f"0{width}b")[::-1], 2)
+
+    def at(self, m: int) -> frozenset:
+        """The window points in a mask."""
+        return frozenset(g for g, b in zip(self.points, self.bits)
+                         if m >> b & 1)
+
+    @cached_property
+    def h_wide(self):
+        """H's members on the wide box."""
+        return self.H.span_mask(self.wide)
+
+    @cached_property
+    def h_cells(self):
+        """(point, bit) of each point of H's window part."""
+        part = self.h_wide >> self.wide.start(self.box, None)
+        return [(g, b) for g, b in zip(self.points, self.bits)
+                if part >> b & 1]
+
+    def parts(self, primes) -> list:
+        """Each prime's part of H's window part, as a mask, read on the
+        first call."""
+        key = tuple(primes)
+        if key not in self._parts:
+            self._parts[key] = [sum(1 << b for g, b in self.h_cells
+                                    if P.contains(g)) for P in primes]
+        return self._parts[key]
+
+
+def is_valuation(S: Overmonoid, read: WindowRead) -> Check:
+    """x in S or x^{-1} in S for every nonzero window element: the first
+    window point outside S's mask and its inversion is the witness."""
+    m = read.mask(S)
+    missed = read.full & ~(m | read.inverted(m))
+    name = f"valuation[{S.name}]"
+    if not missed:
+        return Check(name, True, exhaustive=False, n=len(read.points),
+                     bound=read.bound)
+    i = (read.full & (missed & -missed) - 1).bit_count()
+    return Check(name, False, witness={"x": repr(read.points[i])},
+                 exhaustive=False, n=i + 1, bound=read.bound)
 
 
 def _primitive_weights():
@@ -120,79 +218,82 @@ def enumerate_overmonoids(H: Monoid):
     return out
 
 
-def enumerate_zar(H: Monoid, bound: int = 6):
-    """Zar(G|H): the valuation descriptors (overmonoids) that contain H.
+def enumerate_zar(read: WindowRead):
+    """Zar(G|H) for the read's H: the valuation descriptors (overmonoids)
+    that contain H.
 
     Numerical: N when H has no negative elements, and Z (the trivial
     valuation of the carrier).  Affine d = 2: all primitive weights up to
     ZAR_HEIGHT, all tiebreaks, filtered by generator containment and
-    deduplicated by their window profile, plus the trivial valuation.
+    deduplicated by their window mask, plus the trivial valuation; every
+    descriptor holds INF, so equal masks are equal window profiles.
     Irrational-ray valuations lie outside this carrier."""
+    H = read.H
     ctx = H.context
     if H.kind == "numerical":
         return [ValuationDescriptor(ctx, "N"), ValuationDescriptor(ctx, "Z")]
-    if H.kind != "affine" or H.dim != 2:
-        raise UnsupportedRealization(
-            "valuation enumeration supports numerical and affine d=2 monoids")
-    window = ctx.window(bound)
     out = []
-    profiles = set()
+    seen = set()
     cands = [ValuationDescriptor(ctx, "weight", weight=w, tiebreak=t)
              for w in _primitive_weights() for t in (-1, 0, 1)]
     cands.sort(key=lambda v: v.sort_key())
     cands.append(ValuationDescriptor(ctx, "trivial"))
     for v in cands:
-        if not all(v.contains(g) for g in H.generators):
+        # the generators were checked on the carrier when H was built
+        if not all(map(v.has, H.generators)):
             continue
-        prof = frozenset(i for i, g in enumerate(window) if v.contains(g))
-        if prof in profiles:
-            continue
-        profiles.add(prof)
-        out.append(v)
+        m = read.mask(v)
+        if m not in seen:
+            seen.add(m)
+            out.append(v)
     return out
 
 
 # -- subbases and carriers ----------------------------------------------------
 
-def overmonoid_space(carrier, ctx, bound: int = 6) -> FiniteSpace:
-    """R(G|H) (or Zar) with the subbasis U(x) over the window; for valuation
+def overmonoid_space(carrier, read: WindowRead) -> FiniteSpace:
+    """R(G|H) (or Zar) with the subbasis U(x) over the window, INF last,
+    read from the members' masks; every member holds INF.  For valuation
     carriers U(x) and B(x) = Zar(G|H[x]) agree pointwise."""
-    return subbasis_space([S.name or repr(S) for S in carrier], carrier,
-                          ctx.window(bound), lambda S, x: S.contains(x))
+    masks = [read.mask(S) for S in carrier]
+    opens = [frozenset(i for i, m in enumerate(masks) if m >> b & 1)
+             for b in read.bits]
+    return FiniteSpace([S.name or repr(S) for S in carrier],
+                       opens + [frozenset(range(len(carrier)))])
 
 
-def _subbasis_at(space, ctx, bound):
-    """x -> U(x), read from a space that ``overmonoid_space`` built on
-    ctx.window(bound); that window is closed under inversion."""
-    window = ctx.window(bound)
-    if len(window) != len(space.subbasis):
+def _subbasis_at(space, read):
+    """U(x) of each nonzero window point, in window order, read from a space
+    that ``overmonoid_space`` built on the read's window."""
+    if len(read.points) + 1 != len(space.subbasis):
         raise ValueError("the space was built on another window")
-    return dict(zip(window, space.subbasis))
+    return space.subbasis
 
 
-def b_complement_law(space, ctx, bound: int = 6) -> Check:
+def b_complement_law(space, read: WindowRead) -> Check:
     """On a valuation carrier, Zar minus B(x) sits inside B(x^{-1}); U(x) and
-    U(x^{-1}) are read from the carrier's space."""
-    U = _subbasis_at(space, ctx, bound)
+    U(x^{-1}) are read from the carrier's space.  The window is closed under
+    inversion, which reverses its order."""
+    U = _subbasis_at(space, read)
+    last = len(read.points) - 1
 
-    def outcome(x):
-        missed = set(range(space.n)) - U[x] - U[ctx.inv(x)]
-        return ({"x": repr(x), "V": space.labels[next(iter(missed))]}
-                if missed else None)
+    def outcome(i):
+        missed = set(range(space.n)) - U[i] - U[last - i]
+        return ({"x": repr(read.points[i]),
+                 "V": space.labels[next(iter(missed))]} if missed else None)
 
-    return Check.scan("B-complement", map(outcome, ctx.nonzero_window(bound)),
-                      bound=bound)
+    return Check.scan("B-complement", map(outcome, range(last + 1)),
+                      bound=read.bound)
 
 
 # -- the domination map --------------------------------------------------------
 
-def read_window(V: Overmonoid, bound: int):
-    """V's members on the nonzero window and its units there.  V is asked
-    about each point once; the window is closed under inversion, so the
-    units are the members whose inverse is a member."""
-    ctx = V.context
-    members = frozenset(filter(V.has, ctx.nonzero_window(bound)))
-    return members, frozenset(g for g in members if ctx.inv(g) in members)
+def read_window(V: Overmonoid, read: WindowRead):
+    """V's members on the nonzero window and its units there, from V's
+    mask: the window is closed under inversion, so the units are the
+    members whose inverse is a member."""
+    m = read.mask(V)
+    return read.at(m), read.at(m & read.inverted(m))
 
 
 def is_local_window(ctx, members, units) -> bool:
@@ -204,12 +305,12 @@ def is_local_window(ctx, members, units) -> bool:
                    for n in members - units for u in units)
 
 
-def maximal_ideal(V: Overmonoid, bound: int = 6):
+def maximal_ideal(V: Overmonoid, read: WindowRead):
     """m_V = V minus its units, as an exact predicate; V must be local on the
     window.  V's members on the window are answered from its window read,
     other points ask V."""
     ctx = V.context
-    members, units = read_window(V, bound)
+    members, units = read_window(V, read)
     if not is_local_window(ctx, members, units):
         raise ValueError(f"{V.name or V!r} is not local on the window")
 
@@ -223,39 +324,38 @@ def maximal_ideal(V: Overmonoid, bound: int = 6):
     return member
 
 
-def delta(H: Monoid, V: Overmonoid, primes, bound: int = 6) -> int:
+def delta(V: Overmonoid, primes, read: WindowRead) -> int:
     """The domination map V -> m_V intersect H, as the index of the one
-    enumerated prime that agrees with it pointwise on the window.  V and H
-    are asked about each window point once (V holds H, so m_V answers H's
-    points from V's window read), and each prime about each point of H's
-    window at most once: a prime stops at its first disagreement."""
-    m = maximal_ideal(V, bound)
-    image = [(g, m(g)) for g in H.context.window(bound) if H.has(g)]
-    matches = [j for j, P in enumerate(primes)
-               if all(P.contains(g) == inside for g, inside in image)]
+    enumerated prime that agrees with it on the window's part of H.  m_V
+    answers from V's mask (V holds H), and H's part and each prime's part
+    of it are the read's, taken once for every V."""
+    m = maximal_ideal(V, read)
+    image = sum(1 << b for g, b in read.h_cells if m(g))
+    matches = [j for j, part in enumerate(read.parts(primes))
+               if part == image]
     if len(matches) != 1:
         raise ValueError(
             f"domination image of {V.name} matched {len(matches)} primes")
     return matches[0]
 
 
-def delta_laws(H: Monoid, primes, f, zar_space, pruefer, bound: int = 6):
+def delta_laws(primes, f, zar_space, pruefer, read: WindowRead):
     """For every nonzero window element x, the image law
     delta(B(x)) = spec minus V((H : x)) over the enumerated carriers; B(x)
     is read from the Zar carrier's space.  `pruefer` is the caller's s-Pruefer
-    verdict, under which the image law is claimed as an equality.  Each
-    prime's part of H's window is read once, each h x in H once per x, and
-    the primes outside V((H : x)) are those whose part misses a point of
-    (H : x) there.
+    verdict, under which the image law is claimed as an equality.  (H : x)
+    on H's window part is H's wide mask moved by x, masked to that part,
+    and the primes outside V((H : x)) are those whose part misses a point
+    of it.
 
     The preimage law delta^{-1}(D(x)) = B(x^{-1}) needs no check: ``delta``
     accepts V only when m_V and the image agree on the window's part of H,
     and an x of H lies in V, so x is outside m_V exactly when x^{-1} is in
     V."""
-    ctx = H.context
-    U = _subbasis_at(zar_space, ctx, bound)
-    h_window = [g for g in ctx.nonzero_window(bound) if H.has(g)]
-    inside = [frozenset(filter(P.contains, h_window)) for P in primes]
+    U = _subbasis_at(zar_space, read)
+    parts = read.parts(primes)
+    wide, box, bound = read.wide, read.box, read.bound
+    h_bits = sum(1 << b for _, b in read.h_cells)
 
     # image law: the containment "spec minus V((H:x)) inside delta(B(x))" is
     # unconditional; the reverse containment (so the equality) holds when the
@@ -263,12 +363,11 @@ def delta_laws(H: Monoid, primes, f, zar_space, pruefer, bound: int = 6):
     lower_witness = None
     eq_witness = None
     count = 0
-    for x in ctx.nonzero_window(bound):
+    for i, x in enumerate(read.points):
         count += 1
-        frac = frozenset(h for h in h_window if H.has(ctx.op(h, x)))
-        left = frozenset(f[i] for i in U[x])
-        right = frozenset(j for j, part in enumerate(inside)
-                          if not frac <= part)
+        frac = read.h_wide >> wide.start(box, x) & h_bits
+        left = frozenset(f[k] for k in U[i])
+        right = frozenset(j for j, part in enumerate(parts) if frac & ~part)
         if lower_witness is None and not right <= left:
             lower_witness = {"x": repr(x), "missing": sorted(right - left)}
         if eq_witness is None and left != right:
@@ -291,15 +390,15 @@ def delta_laws(H: Monoid, primes, f, zar_space, pruefer, bound: int = 6):
     return checks
 
 
-def is_s_pruefer(H: Monoid, primes, bound: int = 6) -> Check:
-    """Every localization at a prime s-ideal is a valuation monoid
-    (windowed)."""
+def is_s_pruefer(primes, read: WindowRead) -> Check:
+    """Every localization of H at a prime s-ideal is a valuation monoid
+    (windowed); each is read once."""
 
     def outcome(P):
-        c = is_valuation(localize(H, P), bound)
+        c = is_valuation(localize(read.H, P), read)
         return None if c.ok else {**c.witness, "P": P.name}
 
-    return Check.scan("s-pruefer", map(outcome, primes), bound=bound)
+    return Check.scan("s-pruefer", map(outcome, primes), bound=read.bound)
 
 
 def delta_dot(f, zar_space, spec_space) -> str:

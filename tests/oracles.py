@@ -1,8 +1,9 @@
 """Brute-force oracles that only the tests use: the opens of a finite space
 materialized as bitmasks, soberness and homeomorphism by their definitions,
 every topology on a few points, equality of r-ideals, a small finite
-monoid built by hand, the
-domination map and its image law asked point by point, the finite
+monoid built by hand, the valuation test, the Zar carrier and its space,
+the B-complement law, the Pruefer test, the domination map and its image
+law asked point by point through the validating ``contains``, the finite
 witnesses of intersection systems and of meets, and the pair scans of the
 axiom checkers read one pair at a time.
 
@@ -13,10 +14,13 @@ import functools
 import itertools
 from functools import lru_cache
 
-from monoid_spectra.fintop import FiniteSpace
-from monoid_spectra.modsys import _nonzero, meet, r_delta
-from monoid_spectra.monoid import INF, Monoid, fraction_ideal, sort_key
+from monoid_spectra.fintop import FiniteSpace, subbasis_space
+from monoid_spectra.modsys import (FAMILY_DEPTH, _nonzero, meet,
+                                   product_closure, r_delta)
+from monoid_spectra.monoid import (INF, Monoid, fraction_ideal, localize,
+                                   sort_key)
 from monoid_spectra.report import INFO, Check
+from monoid_spectra.valuation import ValuationDescriptor, _primitive_weights
 from monoid_spectra.window import _subsets
 
 CARRIER_GUARD = 20
@@ -153,6 +157,71 @@ def cyclic_product(orders, relabel=None) -> dict:
             "one": name[0], "zero": name[zero]}
 
 
+# -- the valuation layer, point by point -------------------------------------
+
+def is_valuation_pointwise(S, bound) -> Check:
+    """x in S or x^{-1} in S for every nonzero window point, both asked
+    through the validating ``contains``."""
+    ctx = S.context
+    return Check.scan(f"valuation[{S.name}]",
+                      (None if S.contains(x) or S.contains(ctx.inv(x))
+                       else {"x": repr(x)} for x in ctx.nonzero_window(bound)),
+                      bound=bound)
+
+
+def zar_pointwise(H, bound):
+    """Zar(G|H) on a numerical or affine d = 2 H: the candidate descriptors
+    that hold H's generators, one per window profile, the profile read
+    point by point on the whole window, INF included."""
+    ctx = H.context
+    if H.kind == "numerical":
+        return [ValuationDescriptor(ctx, "N"), ValuationDescriptor(ctx, "Z")]
+    window = ctx.window(bound)
+    cands = sorted((ValuationDescriptor(ctx, "weight", weight=w, tiebreak=t)
+                    for w in _primitive_weights() for t in (-1, 0, 1)),
+                   key=lambda v: v.sort_key())
+    cands.append(ValuationDescriptor(ctx, "trivial"))
+    out, profiles = [], set()
+    for v in cands:
+        if not all(v.contains(g) for g in H.generators):
+            continue
+        prof = frozenset(i for i, g in enumerate(window) if v.contains(g))
+        if prof not in profiles:
+            profiles.add(prof)
+            out.append(v)
+    return out
+
+
+def zar_space_pointwise(carrier, ctx, bound) -> FiniteSpace:
+    """The carrier's space with subbasis U(x), x over the window, each
+    membership asked through ``contains``."""
+    return subbasis_space([S.name or repr(S) for S in carrier], carrier,
+                          ctx.window(bound), lambda S, x: S.contains(x))
+
+
+def b_complement_pointwise(space, ctx, bound) -> Check:
+    """Zar minus B(x) inside B(x^{-1}), with U(x) looked up by point."""
+    U = dict(zip(ctx.window(bound), space.subbasis))
+
+    def outcome(x):
+        missed = set(range(space.n)) - U[x] - U[ctx.inv(x)]
+        return ({"x": repr(x), "V": space.labels[next(iter(missed))]}
+                if missed else None)
+
+    return Check.scan("B-complement", map(outcome, ctx.nonzero_window(bound)),
+                      bound=bound)
+
+
+def is_s_pruefer_pointwise(H, primes, bound) -> Check:
+    """Every localization at a listed prime passes the pointwise valuation
+    test."""
+    def outcome(P):
+        c = is_valuation_pointwise(localize(H, P), bound)
+        return None if c.ok else {**c.witness, "P": P.name}
+
+    return Check.scan("s-pruefer", map(outcome, primes), bound=bound)
+
+
 # -- the domination map, point by point ---------------------------------------
 
 def is_local_pointwise(V, bound) -> bool:
@@ -228,6 +297,51 @@ def image_law_pointwise(H, primes, f, zar_space, pruefer, bound):
                             + ("it also holds pointwise" if eq_witness is None
                                else f"it fails at {eq_witness['x']}")))
     return checks
+
+
+# -- parameterized families, point by point ----------------------------------
+
+def check_family_pointwise(delta, ctx, bound):
+    """The family checks with each member rebuilt and asked through
+    ``contains`` per (k, point)."""
+    window = [g for g in ctx.window(bound) if g is not INF]
+
+    def inside(name, pairs):
+        return Check.scan(name, ({"k": k, "g": repr(g)}
+                                 if inner.contains(g) and not outer.contains(g)
+                                 else None
+                                 for k, inner, outer in pairs for g in window),
+                          bound=bound)
+
+    return [inside("family-decreasing",
+                   ((k, delta.member(k + 1), delta.member(k))
+                    for k in range(1, FAMILY_DEPTH))),
+            inside("family-limit-lower-bound",
+                   ((k, delta.limit, delta.member(k))
+                    for k in range(1, FAMILY_DEPTH + 1)))]
+
+
+def falsify_finitary_pointwise(delta, ctx, bound):
+    """The non-finitariness search with each x_k found point by point, the
+    first window point of S_k that no later member holds, asked through
+    ``contains``."""
+    window = ctx.nonzero_window(bound)
+    members = [delta.member(k) for k in range(1, FAMILY_DEPTH + 1)]
+    xs = []
+    for k in range(1, FAMILY_DEPTH + 1):
+        x = next((g for g in window if members[k - 1].contains(g)
+                  and not any(S.contains(g) for S in members[k:])), None)
+        if x is None:
+            return None
+        xs.append(x)
+    A = frozenset(ctx.inv(x) for x in xs)
+    truncated, _ = product_closure(ctx, members)
+    if not truncated(A)(ctx.one):
+        return None
+    if truncated(frozenset(ctx.inv(x) for x in xs[:-1]))(ctx.one):
+        return None
+    return {"A": sorted(map(repr, A)), "target": repr(ctx.one),
+            "separating_index": FAMILY_DEPTH}
 
 
 # -- finite witnesses ---------------------------------------------------------

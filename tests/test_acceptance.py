@@ -18,7 +18,7 @@ from monoid_spectra.modsys import (DeltaFamily, check_id2,
                                    r_delta)
 from monoid_spectra.monoid import (Monoid, Overmonoid, family_from_json,
                                    localize)
-from monoid_spectra.valuation import (delta, delta_laws,
+from monoid_spectra.valuation import (WindowRead, delta, delta_laws,
                                       enumerate_overmonoids, enumerate_zar,
                                       is_s_pruefer, overmonoid_space)
 from oracles import (all_topologies, brute_force_homeomorphic,
@@ -85,13 +85,13 @@ def test_2_prime_enumeration_and_oracle():
 def test_3_valuation_carrier_of_2_3():
     with budget(1):
         H = Monoid.numerical([2, 3])
-        zar = enumerate_zar(H)
+        zar = enumerate_zar(WindowRead(H, 6))
         assert [v.tag for v in zar] == ["N", "Z"]
         assert all(isinstance(v, Overmonoid) for v in zar)
-        space = overmonoid_space(zar, H.context, bound=6)
+        space = overmonoid_space(zar, WindowRead(H, 6))
         assert space.is_t0()
         # each valuation is its own unique principal limit
-        assert overmonoid_space(zar, H.context, bound=10).is_t0()
+        assert overmonoid_space(zar, WindowRead(H, 10)).is_t0()
 
 
 def test_4_domination_positive_and_negative_instances():
@@ -99,11 +99,12 @@ def test_4_domination_positive_and_negative_instances():
     # that keeps the specialization order
     H = Monoid.affine([[1, 0], [0, 1], [0, -1]])
     primes = enumerate_primes(H)
-    assert is_s_pruefer(H, primes, bound=4).ok
-    zar = enumerate_zar(H, bound=4)
-    f = [delta(H, V, primes, bound=4) for V in zar]
+    read = WindowRead(H, 4)
+    assert is_s_pruefer(primes, read).ok
+    zar = enumerate_zar(read)
+    f = [delta(V, primes, read) for V in zar]
     assert sorted(f) == list(range(len(primes)))
-    zs = overmonoid_space(zar, H.context, bound=4)
+    zs = overmonoid_space(zar, read)
     ss = spec_subbasis(H, primes)
     assert homeomorphic(zs, ss, f) is None
     assert brute_force_homeomorphic(zs, ss, f)
@@ -112,16 +113,17 @@ def test_4_domination_positive_and_negative_instances():
     # two lexicographic refinements of the axis weights in the maximal ideal
     H2 = Monoid.affine([[1, 0], [0, 1]])
     primes2 = enumerate_primes(H2)
-    assert not is_s_pruefer(H2, primes2, bound=4).ok
-    carrier2 = enumerate_zar(H2, bound=4)
-    f2 = [delta(H2, V, primes2, bound=4) for V in carrier2]
+    read2 = WindowRead(H2, 4)
+    assert not is_s_pruefer(primes2, read2).ok
+    carrier2 = enumerate_zar(read2)
+    f2 = [delta(V, primes2, read2) for V in carrier2]
     assert set(f2) == set(range(len(primes2)))
-    zar2 = enumerate_zar(H2, bound=4)
+    zar2 = enumerate_zar(WindowRead(H2, 4))
     by_repr = {repr(v): v for v in zar2}
     a = by_repr["V(w=(0, 1),t=-1)"]
     b = by_repr["V(w=(1, 0),t=+1)"]
-    pa = delta(H2, a, primes2, bound=4)
-    pb = delta(H2, b, primes2, bound=4)
+    pa = delta(a, primes2, read2)
+    pb = delta(b, primes2, read2)
     assert pa == pb and primes2[pa].name == "P_max"
 
 
@@ -129,12 +131,13 @@ def laws(H, bound):
     """delta_laws of H over its primes and Zar carrier, as the pruefer suite
     builds them."""
     primes = enumerate_primes(H)
-    zar = enumerate_zar(H, bound=bound)
-    f = [delta(H, V, primes, bound) for V in zar]
-    space = overmonoid_space(zar, H.context, bound)
-    return {c.name: c for c in delta_laws(H, primes, f, space,
-                                          is_s_pruefer(H, primes, bound).ok,
-                                          bound=bound)}
+    read = WindowRead(H, bound)
+    zar = enumerate_zar(read)
+    f = [delta(V, primes, read) for V in zar]
+    space = overmonoid_space(zar, read)
+    return {c.name: c for c in delta_laws(primes, f, space,
+                                          is_s_pruefer(primes, read).ok,
+                                          read)}
 
 
 def test_5_delta_laws():
@@ -154,8 +157,9 @@ def test_5_delta_laws():
         # the documented equality failure on the non-Pruefer carrier
         H = Monoid.numerical([2, 3])
         primes = enumerate_primes(H)
-        zar = enumerate_zar(H)
-        f = [delta(H, V, primes, bound=6) for V in zar]
+        read = WindowRead(H, 6)
+        zar = enumerate_zar(read)
+        f = [delta(V, primes, read) for V in zar]
         in_b1 = [i for i, V in enumerate(zar) if V.contains(1)]
         left = {primes[f[i]].name for i in in_b1}
         # (H : 1) = M, so spec minus V((H:1)) = {P_zero} while delta(B(1))
@@ -256,7 +260,7 @@ def test_9_intersection_systems_finitary_and_idempotent():
                 if not P.contains(H.one)]
         assert len(locs) == 4
         r_loc = r_delta(DeltaFamily(locs, name="locs"), ctx)
-        zar = enumerate_zar(H, bound=4)
+        zar = enumerate_zar(WindowRead(H, 4))
         r_zar = r_delta(DeltaFamily(zar, name="zar"), ctx)
         for r in (r_loc, r_zar):
             fin = is_finitary(r, bound=3, sample_budget=40)

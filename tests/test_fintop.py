@@ -7,7 +7,8 @@ from monoid_spectra.cli import _t0_check
 from monoid_spectra.fintop import (FiniteSpace, hasse_edges, homeomorphic,
                                    poset_dot, subbasis_space)
 from monoid_spectra.monoid import Monoid
-from monoid_spectra.valuation import enumerate_zar, overmonoid_space
+from monoid_spectra.valuation import (WindowRead, enumerate_zar,
+                                      overmonoid_space)
 from oracles import (all_topologies, brute_force_homeomorphic, full_mask,
                      opens, sober_bruteforce)
 
@@ -176,11 +177,12 @@ def test_subbasis_space_evaluates_each_membership_once():
 
 def test_shared_profile_fails_the_t0_check():
     H = Monoid.numerical([2, 3])
-    N, Z = enumerate_zar(H)
-    ok = _t0_check(overmonoid_space([N, Z], H.context), 6)
+    read = WindowRead(H, 6)
+    N, Z = enumerate_zar(read)
+    ok = _t0_check(overmonoid_space([N, Z], read), 6)
     assert ok.ok and ok.n == 2
     # a duplicated carrier member shares its profile with the original, so
     # its principal limit holds both copies
-    check = _t0_check(overmonoid_space([N, Z, N], H.context), 6)
+    check = _t0_check(overmonoid_space([N, Z, N], read), 6)
     assert (check.name, check.ok, check.n) == ("t0", False, 3)
     assert check.witness == {"profiles": "coincide"}

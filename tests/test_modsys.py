@@ -18,7 +18,8 @@ from monoid_spectra.monoid import (INF, CarrierMismatch, FiniteCarrier,
                                    IntCarrier, Monoid, Overmonoid, ParseError,
                                    as_overmonoid, family_from_json,
                                    monoid_from_file)
-from oracles import (cyclic_group_with_zero, extract_finite_witness,
+from oracles import (check_family_pointwise, cyclic_group_with_zero,
+                     extract_finite_witness, falsify_finitary_pointwise,
                      meet_finite_witness)
 from test_monoid import MONOIDS, reachable
 
@@ -245,6 +246,70 @@ def test_family_json_errors():
         family_from_json('{"family": "adjoin-ray", "base": "affine:2,0;0,2", '
                          '"ray": [1, 1], "scale": "k"}')
     assert e.value.field == "ray"
+
+
+def bad_families():
+    """Families that break their declarations, members that grow with the
+    index and a limit that is the whole group, and families that keep them
+    but stop shrinking, from the start or for one index, so the
+    certificate search runs out of points."""
+    H, _ = adjoin_ray_family()
+    ctx = H.context
+    group = Overmonoid(ctx, gens=((1, 0), (0, 1), (-1, 0), (0, -1)),
+                       name="G")
+
+    def growing(k):
+        return Overmonoid(ctx, gens=H.generators + ((-k, 1),), name=f"T_{k}")
+
+    def flat(k):
+        return Overmonoid(ctx, gens=H.generators + ((-1, 1),), name=f"F_{k}")
+
+    ray = adjoin_ray_family()[1].member_fn
+    return [DeltaFamily(member_fn=growing, limit=H, name="growing"),
+            DeltaFamily(member_fn=ray, limit=group, name="wide-limit"),
+            DeltaFamily(member_fn=flat, limit=H, name="flat"),
+            DeltaFamily(member_fn=lambda k: ray(max(k - 1, 1)), limit=H,
+                        name="repeated")]
+
+
+def test_family_scans_agree_with_the_pointwise_oracles():
+    # the member masks give the checks' verdicts, witnesses and n, and the
+    # certificate, of the point-by-point scans, on a family that keeps its
+    # declarations and on families that break them
+    H, delta = adjoin_ray_family()
+    ctx = H.context
+    for fam in [delta, *bad_families()]:
+        for bound in range(1, 7):
+            assert ([c.to_dict() for c in check_family(fam, ctx, bound)]
+                    == [c.to_dict() for c in
+                        check_family_pointwise(fam, ctx, bound)]), (
+                fam.name, bound)
+            assert (falsify_finitary(fam, ctx, bound)
+                    == falsify_finitary_pointwise(fam, ctx, bound)), (
+                fam.name, bound)
+    verdicts = {fam.name: [c.ok for c in check_family(fam, ctx, 4)]
+                for fam in bad_families()}
+    assert verdicts == {"growing": [False, True], "wide-limit": [True, False],
+                        "flat": [True, True], "repeated": [True, True]}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rays=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                     min_size=6, max_size=6),
+       limit=st.integers(0, 6), bound=st.integers(2, 6))
+def test_family_scans_agree_on_drawn_families(rays, limit, bound):
+    # S_k adjoins the k-th drawn point to N^2, and the limit is N^2 or one
+    # of the members, so members need not shrink nor hold the limit
+    H, _ = adjoin_ray_family()
+    ctx = H.context
+    members = [Overmonoid(ctx, gens=H.generators + (v,), name=f"S_{k}")
+               for k, v in enumerate(rays, 1)]
+    fam = DeltaFamily(member_fn=lambda k: members[k - 1],
+                      limit=members[limit - 1] if limit else H, name="drawn")
+    assert ([c.to_dict() for c in check_family(fam, ctx, bound)]
+            == [c.to_dict() for c in check_family_pointwise(fam, ctx, bound)])
+    assert (falsify_finitary(fam, ctx, bound)
+            == falsify_finitary_pointwise(fam, ctx, bound))
 
 
 def test_falsify_finitary_produces_certificate():

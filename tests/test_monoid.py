@@ -9,7 +9,7 @@ from monoid_spectra.monoid import (INF, IntCarrier, LatticeCarrier, Monoid,
                                    Overmonoid, ParseError, adjoin,
                                    as_overmonoid, fraction_ideal, localize,
                                    monoid_from_json)
-from monoid_spectra.valuation import read_window
+from monoid_spectra.valuation import WindowRead, read_window
 from oracles import cyclic_group_with_zero
 
 
@@ -131,8 +131,8 @@ def test_overmonoid_membership_generator_backed():
     assert M.contains(2) and not M.contains(1)
     Z = Overmonoid(H.context, gens=(1, -1), name="Z")
     assert Z.contains(-7) and Z.contains(INF)
-    assert read_window(M, 6)[1] == {0}
-    assert read_window(Z, 3)[1] == {-3, -2, -1, 0, 1, 2, 3}
+    assert read_window(M, WindowRead(H, 6))[1] == {0}
+    assert read_window(Z, WindowRead(H, 3))[1] == {-3, -2, -1, 0, 1, 2, 3}
 
 
 def test_adjoin():

@@ -19,7 +19,8 @@ from monoid_spectra.modsys import (DeltaFamily, ModuleSystem, check_id2,
                                    system_window)
 from monoid_spectra.monoid import (INF, Box, IntCarrier, Monoid, Overmonoid,
                                    as_overmonoid, localize, monoid_from_file)
-from monoid_spectra.valuation import enumerate_overmonoids, enumerate_zar
+from monoid_spectra.valuation import (WindowRead, enumerate_overmonoids,
+                                      enumerate_zar)
 from oracles import (cyclic_group_with_zero, finitary_by_subsets,
                      m2_pair_by_pair)
 
@@ -74,7 +75,7 @@ def build(H):
     overs = [H, as_overmonoid(H), group]
     overs += [localize(H, P) for P in enumerate_primes(H)]
     if H.kind == "affine" and H.dim == 2:
-        overs += enumerate_zar(H, bound=2)
+        overs += enumerate_zar(WindowRead(H, 2))
     return H, overs
 
 

@@ -1,19 +1,27 @@
+import functools
 import importlib.util
 import json
+import math
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monoid_spectra.idealsys import enumerate_primes, spec_subbasis
-from monoid_spectra.monoid import (INF, Monoid, Overmonoid, localize,
-                                   monoid_from_file)
-from monoid_spectra.valuation import (ValuationDescriptor, b_complement_law,
-                                      delta, delta_dot, delta_laws,
-                                      enumerate_overmonoids, enumerate_zar,
-                                      is_local_window, is_s_pruefer,
-                                      is_valuation, maximal_ideal,
-                                      overmonoid_space, read_window)
-from oracles import delta_pointwise, image_law_pointwise, is_local_pointwise
+from monoid_spectra.monoid import (INF, Monoid, Overmonoid, as_overmonoid,
+                                   localize, monoid_from_file)
+from monoid_spectra.valuation import (ValuationDescriptor, WindowRead,
+                                      b_complement_law, delta, delta_dot,
+                                      delta_laws, enumerate_overmonoids,
+                                      enumerate_zar, is_local_window,
+                                      is_s_pruefer, is_valuation,
+                                      maximal_ideal, overmonoid_space,
+                                      read_window)
+from oracles import (b_complement_pointwise, delta_pointwise,
+                     image_law_pointwise, is_local_pointwise,
+                     is_s_pruefer_pointwise, is_valuation_pointwise,
+                     zar_pointwise, zar_space_pointwise)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(ROOT, "tests", "data")
@@ -21,18 +29,19 @@ DATA = os.path.join(ROOT, "tests", "data")
 
 def domination(H, bound):
     """The primes, the Zar carrier and the prime index of each member's
-    delta image."""
+    delta image, with the window read they share."""
     primes = enumerate_primes(H)
-    zar = enumerate_zar(H, bound=bound)
-    return primes, zar, [delta(H, V, primes, bound) for V in zar]
+    read = WindowRead(H, bound)
+    zar = enumerate_zar(read)
+    return primes, zar, [delta(V, primes, read) for V in zar], read
 
 
 def laws(H, bound):
-    primes, zar, f = domination(H, bound)
-    space = overmonoid_space(zar, H.context, bound)
-    return {c.name: c for c in delta_laws(H, primes, f, space,
-                                          is_s_pruefer(H, primes, bound).ok,
-                                          bound=bound)}
+    primes, zar, f, read = domination(H, bound)
+    space = overmonoid_space(zar, read)
+    return {c.name: c for c in delta_laws(primes, f, space,
+                                          is_s_pruefer(primes, read).ok,
+                                          read)}
 
 
 def lex_contains(g, w, t):
@@ -73,19 +82,20 @@ def test_descriptor_validation():
 
 
 def test_descriptors_are_valuations():
-    ctx = Monoid.affine([[1, 0], [0, 1]]).context
+    H = Monoid.affine([[1, 0], [0, 1]])
+    ctx, read = H.context, WindowRead(H, 4)
     for w in [(1, 0), (1, 1)]:
         for t in (-1, 0, 1):
             v = ValuationDescriptor(ctx, "weight", weight=w, tiebreak=t)
             assert isinstance(v, Overmonoid)
-            assert is_valuation(v, bound=4).ok, (w, t)
-    assert is_valuation(ValuationDescriptor(ctx, "trivial"), bound=4).ok
+            assert is_valuation(v, read).ok, (w, t)
+    assert is_valuation(ValuationDescriptor(ctx, "trivial"), read).ok
 
 
 def test_n_squared_itself_is_not_a_valuation():
     H = Monoid.affine([[1, 0], [0, 1]])
     S = Overmonoid(H.context, gens=H.generators, name="N2")
-    c = is_valuation(S, bound=4)
+    c = is_valuation(S, WindowRead(H, 4))
     assert not c.ok
     # neither (1, -1) nor (-1, 1) lies in N^2
     assert c.witness is not None
@@ -106,10 +116,10 @@ def test_enumerate_overmonoids_numerical():
 
 def test_enumerate_zar_numerical_and_affine():
     Hn = Monoid.numerical([2, 3])
-    zn = enumerate_zar(Hn)
+    zn = enumerate_zar(WindowRead(Hn, 6))
     assert [v.tag for v in zn] == ["N", "Z"]
     Ha = Monoid.affine([[1, 0], [0, 1]])
-    za = enumerate_zar(Ha, bound=6)
+    za = enumerate_zar(WindowRead(Ha, 6))
     assert len(za) == 14
     assert any(v.tag == "trivial" for v in za)
     # all contain the generators
@@ -126,21 +136,20 @@ def test_maximal_ideal_and_delta_numerical():
     H = Monoid.numerical([2, 3])
     primes = enumerate_primes(H)
     by_name = {p.name: j for j, p in enumerate(primes)}
-    zar = enumerate_zar(H)
+    read = WindowRead(H, 6)
+    zar = enumerate_zar(read)
     vN = next(v for v in zar if v.tag == "N")
     vZ = next(v for v in zar if v.tag == "Z")
-    assert delta(H, vN, primes, bound=6) == by_name["P_max"]
-    assert delta(H, vZ, primes, bound=6) == by_name["P_zero"]
-    m = maximal_ideal(vN, bound=6)
+    assert delta(vN, primes, read) == by_name["P_max"]
+    assert delta(vZ, primes, read) == by_name["P_zero"]
+    m = maximal_ideal(vN, read)
     assert m(1) and m(2) and not m(0) and m(INF)
 
 
 def test_delta_images_affine():
     H = Monoid.affine([[1, 0], [0, 1]])
-    primes = enumerate_primes(H)
-    zar = enumerate_zar(H, bound=4)
-    images = {repr(v): primes[delta(H, v, primes, bound=4)].name
-              for v in zar}
+    primes, zar, f, _ = domination(H, 4)
+    images = {repr(v): primes[j].name for v, j in zip(zar, f)}
     assert images["V(trivial)"] == "P_zero"
     # the two lex refinements of the axis weights both hit the maximal ideal
     assert images["V(w=(0, 1),t=-1)"] == "P_max"
@@ -163,7 +172,7 @@ def test_delta_laws_numerical_nonpruefer():
 
 def test_delta_laws_pruefer_instance():
     H = Monoid.affine([[1, 0], [0, 1], [0, -1]])
-    assert is_s_pruefer(H, enumerate_primes(H), bound=4).ok
+    assert is_s_pruefer(enumerate_primes(H), WindowRead(H, 4)).ok
     checks = laws(H, 4)
     assert all(c.ok for c in checks.values())
     assert checks["delta-image-law"].witness is None
@@ -173,12 +182,13 @@ def test_pruefer_verdicts():
     for H, bound, ok in ((Monoid.numerical([2, 3]), 6, False),
                          (Monoid.affine([[1, 0], [0, 1]]), 4, False),
                          (Monoid.numerical([1]), 6, True)):
-        assert is_s_pruefer(H, enumerate_primes(H), bound).ok == ok
+        assert is_s_pruefer(enumerate_primes(H),
+                            WindowRead(H, bound)).ok == ok
 
 
 def test_surjectivity_witness():
     H = Monoid.affine([[1, 0], [0, 1]])
-    primes, zar, f = domination(H, 4)
+    primes, zar, f, _ = domination(H, 4)
     assert set(f) == set(range(len(primes)))
 
 
@@ -187,7 +197,7 @@ def test_delta_preimage_law_follows_from_the_match():
     # does not report it
     for H, bound in ((Monoid.numerical([2, 3]), 6),
                      (Monoid.affine([[1, 0], [0, 1]]), 4)):
-        primes, zar, f = domination(H, bound)
+        primes, zar, f, _ = domination(H, bound)
         ctx = H.context
         for x in ctx.nonzero_window(bound):
             if H.contains(x):
@@ -199,8 +209,9 @@ def test_delta_preimage_law_follows_from_the_match():
 
 def test_b_complement_law_and_space():
     H = Monoid.affine([[1, 0], [0, 1]])
-    space = overmonoid_space(enumerate_zar(H, bound=4), H.context, bound=4)
-    assert b_complement_law(space, H.context, bound=4).ok
+    read = WindowRead(H, 4)
+    space = overmonoid_space(enumerate_zar(read), read)
+    assert b_complement_law(space, read).ok
     assert space.is_t0()
 
 
@@ -209,13 +220,13 @@ def test_ultrafilter_limit_valuation_is_principal():
     carrier = enumerate_overmonoids(H)
     # each overmonoid is its own unique principal limit, that is no other
     # point shares its profile
-    assert overmonoid_space(carrier, H.context, bound=10).is_t0()
+    assert overmonoid_space(carrier, WindowRead(H, 10)).is_t0()
 
 
 def test_delta_dot_emission():
     H = Monoid.numerical([2, 3])
-    primes, zar, f = domination(H, 6)
-    dot = delta_dot(f, overmonoid_space(zar, H.context, 6),
+    primes, zar, f, read = domination(H, 6)
+    dot = delta_dot(f, overmonoid_space(zar, read),
                     spec_subbasis(H, primes))
     assert dot.startswith("digraph")
     assert "l0 -> r" in dot
@@ -249,9 +260,9 @@ def outcome(fn, *args):
         return f"ValueError: {e}"
 
 
-def local(V, bound):
+def local(V, read):
     """The locality verdict on V's window read."""
-    return is_local_window(V.context, *read_window(V, bound))
+    return is_local_window(V.context, *read_window(V, read))
 
 
 def test_domination_reads_agree_with_the_pointwise_oracle():
@@ -261,21 +272,22 @@ def test_domination_reads_agree_with_the_pointwise_oracle():
     for name, H in additive_inputs():
         for bound in (1, 2, 3, 4):
             primes = enumerate_primes(H)
-            zar = enumerate_zar(H, bound=bound)
+            read = WindowRead(H, bound)
+            zar = enumerate_zar(read)
             for V in zar:
-                assert local(V, bound) == is_local_pointwise(
+                assert local(V, read) == is_local_pointwise(
                     V, bound), (name, bound, V)
-            f = [outcome(delta, H, V, primes, bound) for V in zar]
+            f = [outcome(delta, V, primes, read) for V in zar]
             assert f == [outcome(delta_pointwise, H, V, primes, bound)
                          for V in zar], (name, bound)
             errors = [v for v in f if isinstance(v, str)]
             raised.update(errors)
             if errors:
                 continue
-            space = overmonoid_space(zar, H.context, bound)
-            pruefer = is_s_pruefer(H, primes, bound).ok
+            space = overmonoid_space(zar, read)
+            pruefer = is_s_pruefer(primes, read).ok
             assert ([c.to_dict() for c in
-                     delta_laws(H, primes, f, space, pruefer, bound)]
+                     delta_laws(primes, f, space, pruefer, read)]
                     == [c.to_dict() for c in image_law_pointwise(
                         H, primes, f, space, pruefer, bound)]), (name, bound)
     assert "ValueError: domination image of V(N) matched 2 primes" in raised
@@ -289,27 +301,89 @@ def not_a_monoid(ctx, members, name):
 def test_locality_reads_agree_on_sets_that_are_not_monoids():
     # a submonoid is always local, so only a rule that is no monoid can
     # fail: 1 * 2 = 3 is a unit while 1 is not
-    line = Monoid.numerical([2, 3]).context
-    plane = Monoid.affine([[1, 0], [0, 1]]).context
-    cases = [(not_a_monoid(line, {0, 1, 2, 3, -3}, "1+2"), False),
-             (not_a_monoid(line, {0, 1, 2, 3}, "no units"), True),
-             (not_a_monoid(plane, {(0, 0), (1, 0), (0, 1), (1, 1), (-1, -1)},
-                           "(1,0)+(0,1)"), False)]
+    line = Monoid.numerical([2, 3])
     H = Monoid.affine([[1, 0], [0, 1]])
-    cases += [(S, True) for S in (H, localize(H, enumerate_primes(H)[1]))]
-    for S, expected in cases:
+    cases = [(line, not_a_monoid(line.context, {0, 1, 2, 3, -3}, "1+2"),
+              False),
+             (line, not_a_monoid(line.context, {0, 1, 2, 3}, "no units"),
+              True),
+             (H, not_a_monoid(H.context, {(0, 0), (1, 0), (0, 1), (1, 1),
+                                          (-1, -1)}, "(1,0)+(0,1)"), False)]
+    cases += [(H, S, True) for S in (H, localize(H, enumerate_primes(H)[1]))]
+    for K, S, expected in cases:
         for bound in (1, 2, 3, 4):
-            assert local(S, bound) == is_local_pointwise(S, bound)
-        assert local(S, 4) == expected, S.name
+            assert local(S, WindowRead(K, bound)) == is_local_pointwise(
+                S, bound)
+        assert local(S, WindowRead(K, 4)) == expected, S.name
     with pytest.raises(ValueError, match="not local on the window"):
-        maximal_ideal(cases[0][0], bound=4)
+        maximal_ideal(cases[0][1], WindowRead(line, 4))
 
 
 def test_maximal_ideal_is_exact_off_the_window_and_the_carrier():
     H = Monoid.numerical([2, 3])
-    m = maximal_ideal(next(v for v in enumerate_zar(H) if v.tag == "N"),
-                      bound=2)
+    read = WindowRead(H, 2)
+    m = maximal_ideal(next(v for v in enumerate_zar(read) if v.tag == "N"),
+                      read)
     # 1 and 2 from the window read, 5 and -5 from the valuation itself; a
     # bool is no point of the carrier, although True == 1
     assert [m(g) for g in (1, 2, 5, 0, -5, True, 1.0)] == [
         True, True, True, False, False, False, False]
+
+
+@functools.cache
+def data_monoids():
+    """The numerical and affine tests/data monoids."""
+    return [H for name, H in additive_inputs() if name.endswith(".json")]
+
+
+@st.composite
+def zar_inputs(draw):
+    """A monoid with a Zar carrier: a numerical or affine tests/data input,
+    a numerical monoid of up to three generators in [1, 9], or 2-4
+    generators in [-3, 3]^2 of rank 2, sublattices of small index among
+    them."""
+    source = draw(st.sampled_from(["data", "numerical", "plane"]))
+    if source == "data":
+        return draw(st.sampled_from(data_monoids()))
+    if source == "numerical":
+        gens = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3,
+                             unique=True).filter(
+                                 lambda g: math.gcd(*g) == 1))
+        return Monoid.numerical(gens)
+    coord = st.integers(-3, 3)
+    gens = draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=4,
+                         unique=True).filter(
+        lambda g: any(a[0] * b[1] != a[1] * b[0] for a in g for b in g)))
+    return Monoid.affine(gens)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(H=zar_inputs(), bound=st.integers(1, 4))
+def test_window_reads_agree_with_the_pointwise_oracles(H, bound):
+    """The mask reads give the pointwise code's Zar carrier, valuation
+    verdicts (witness and n included, on H and its localizations too),
+    space, B-complement and Pruefer verdicts, f list or ValueError, and
+    image-law checks."""
+    read = WindowRead(H, bound)
+    ctx = H.context
+    zar = enumerate_zar(read)
+    assert [V.name for V in zar] == [V.name for V in zar_pointwise(H, bound)]
+    primes = enumerate_primes(H)
+    tested = zar + [as_overmonoid(H)] + [localize(H, P) for P in primes]
+    assert ([is_valuation(V, read).to_dict() for V in tested]
+            == [is_valuation_pointwise(V, bound).to_dict() for V in tested])
+    space = overmonoid_space(zar, read)
+    oracle = zar_space_pointwise(zar, ctx, bound)
+    assert (space.labels, space.subbasis) == (oracle.labels, oracle.subbasis)
+    assert (b_complement_law(space, read).to_dict()
+            == b_complement_pointwise(space, ctx, bound).to_dict())
+    pruefer = is_s_pruefer(primes, read)
+    assert (pruefer.to_dict()
+            == is_s_pruefer_pointwise(H, primes, bound).to_dict())
+    f = [outcome(delta, V, primes, read) for V in zar]
+    assert f == [outcome(delta_pointwise, H, V, primes, bound) for V in zar]
+    if not any(isinstance(v, str) for v in f):
+        assert ([c.to_dict() for c in
+                 delta_laws(primes, f, space, pruefer.ok, read)]
+                == [c.to_dict() for c in image_law_pointwise(
+                    H, primes, f, space, pruefer.ok, bound)])

@@ -17,9 +17,12 @@ read from ``bench/workloads.py``, in text format with ``--seed 0`` and
 table layout (the point-by-point side of those runs is
 ``tests/test_cli.py``'s
 ``test_finite_reports_are_the_same_read_point_by_point``); and
-corollaries, axioms, main1 and main2 on the 20 generated monoids of
-``bench/workloads.py``'s ``affine_pool(20)``, on the same bounds and
-formats, whose draws are sampled, not exhaustive.  A run's record is
+corollaries, axioms, main1, main2, zar, pruefer, spec and prop1 on the
+20 generated monoids of ``bench/workloads.py``'s ``affine_pool(20)``, on
+the same bounds and formats: the checkers' draws there are sampled, not
+exhaustive, five of the inputs span sublattices of index 2-4, whose boxes
+have cells off the lattice, and some pruefer runs raise ``ValueError``,
+which the record keeps.  A run's record is
 ``[sha1, status, fails]``: the SHA-1 over
 stdout, stderr, the exit code (or the exception the run raised) and the
 DOT file; that exit code or exception; and the sorted names of the
@@ -59,7 +62,9 @@ LARGE = ((("main1", "axioms", "pruefer", "corollaries"),
          (("main1", "axioms", "corollaries"),
           ("n579.json", "n71113.json"), (20, 40)))
 # Suites run on the generated affine pool, and its size.
-POOL_SUITES, POOL_SIZE = ("corollaries", "axioms", "main1", "main2"), 20
+POOL_SUITES = ("corollaries", "axioms", "main1", "main2", "zar", "pruefer",
+               "spec", "prop1")
+POOL_SIZE = 20
 FAIL_LINE = re.compile(r"^\S+ (\S+) FAIL\b", re.M)
 
 
