@@ -15,9 +15,8 @@ import sys
 
 from .errors import UnsupportedRealization, WindowTooLarge
 from .fintop import homeomorphic, poset_dot
-from .idealsys import (check_ideal_axioms, enumerate_ideals, enumerate_primes,
-                       ideal_space_subbasis, is_prime, s_system,
-                       spec_subbasis)
+from .idealsys import (IdealRead, check_ideal_axioms, enumerate_ideals,
+                       enumerate_primes, s_system, spec_subbasis)
 from .modsys import (FAMILY_DEPTH, DeltaFamily, SystemSpace, check_family,
                      check_id2, check_idempotent, check_module_axioms,
                      example16, falsify_finitary, family_from_file,
@@ -83,7 +82,7 @@ def suite_ideals(rep, H, bound, seed):
                    None)
     rep.add(Check("ideals-absorb-action", witness is None, witness=witness,
                   exhaustive=False, n=len(ideals), bound=bound))
-    space = ideal_space_subbasis(ideals)
+    space = IdealRead(ideals, window).space()
     rep.add(_t0_check(space, bound))
     return lambda: poset_dot(space, name="ideals")
 
@@ -93,11 +92,12 @@ def suite_pronconst(rep, H, bound, seed):
     ideals = enumerate_ideals(H, r, bound)
     # On a finite T0 space every subset is proconstructible, so the primes
     # are listed, not checked.
-    window = H.context.window(2 * bound)
-    flagged = [repr(I) for I in ideals if is_prime(I, window)]
+    read = IdealRead(ideals, H.context.window(2 * bound))
+    flagged = [repr(I) for I, prime in zip(ideals, read.prime_flags())
+               if prime]
     rep.add(Check("primes-flagged", INFO, n=len(ideals), bound=2 * bound,
                   detail="flagged: " + "; ".join(flagged)))
-    rep.add(_t0_check(ideal_space_subbasis(ideals), bound))
+    rep.add(_t0_check(read.space(), bound))
 
 
 def suite_zar(rep, H, bound, seed):

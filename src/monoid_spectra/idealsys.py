@@ -1,5 +1,8 @@
 """Ideal systems on a monoid H: the closure axioms, the s-system, finitary
-closure, r-ideals, prime r-ideals and the spectrum/ideal-space subbases."""
+closure, r-ideals, prime r-ideals and the spectrum/ideal-space subbases.
+
+Listed s-ideals are read as int bitmasks (``IdealRead``), one layout read
+each, and the prime flags and the ideal space are read from those masks."""
 
 from __future__ import annotations
 
@@ -7,6 +10,7 @@ from .errors import UnsupportedRealization
 from .fintop import FiniteSpace, subbasis_space
 from .modsys import ModuleSystem, product_closure
 from .monoid import Monoid, sort_key
+from .numsgp import _bits
 from .window import _Draw, _plan
 
 # Most ideals `enumerate_ideals` lists before it gives up.
@@ -48,25 +52,6 @@ class RIdeal:
         return f"RIdeal{self.generators}"
 
 
-def is_prime(I: RIdeal, window) -> bool:
-    """No a, b outside I (within the window) multiply into I.  The improper
-    ideal is rejected.  Every carrier is commutative, so each unordered pair
-    is taken once, and I is asked about each distinct product once."""
-    H = I.system.H
-    if I.contains(H.one):
-        return False
-    outside = [g for g in window if H.contains(g) and not I.contains(g)]
-    asked = set()
-    for i, a in enumerate(outside):
-        for b in outside[i:]:
-            ab = H.op(a, b)
-            if ab not in asked:
-                if I.contains(ab):
-                    return False
-                asked.add(ab)
-    return True
-
-
 def enumerate_primes(H: Monoid):
     """All prime s-ideals of H.  A prime is generated by the generators it
     contains, and the generators outside it span a face of the cone of H's
@@ -77,8 +62,8 @@ def enumerate_primes(H: Monoid):
     distinct primes: a generator on one face and off the other lies outside
     the first prime and inside the second.  The face lemma makes each a
     prime, so the primes depend on no window and are not rechecked on one;
-    the tests hold every prime to `is_prime` and to a generator-subset
-    oracle."""
+    the tests hold every prime to a pointwise `is_prime` and to a
+    generator-subset oracle."""
     # the identity lies on every face, so it is outside no prime
     gens = [g for g in H.generators if g != H.one]
     faces = H.context.faces(gens)
@@ -111,9 +96,12 @@ def enumerate_ideals(H: Monoid, system: IdealSystem, bound: int):
     of elements of S in [1, bound + Frobenius] whose least element is
     <= bound are the generator tuples of these ideals, one each; they are
     walked smallest element first, at a cost that follows the number of
-    ideals.  The improper ideal H (minimum = identity) and the zero ideal
-    {0} are included.  Raises UnsupportedRealization past MAX_IDEALS ideals,
-    and on affine kind (infinite antichains)."""
+    ideals.  The universe is S's span there, and an antichain is extended
+    by its bits above the antichain's last element outside the OR of its
+    members' moved semigroup masks.  The improper ideal H (minimum =
+    identity) and the zero ideal {0} are included.  Raises
+    UnsupportedRealization past MAX_IDEALS ideals, and on affine kind
+    (infinite antichains)."""
     r = system
     if H.kind == "finite":
         zero = RIdeal(r, ())
@@ -122,35 +110,88 @@ def enumerate_ideals(H: Monoid, system: IdealSystem, bound: int):
     if H.kind != "numerical":
         raise UnsupportedRealization("ideal enumeration needs numerical or finite kind")
     sgp = H.sgp
-    frob = max(sgp.frobenius, 0)
-    universe = [n for n in H.context.nonzero_window(bound + frob)
-                if n > 0 and sgp.contains(n)]
+    top = bound + max(sgp.frobenius, 0)
+    H.context.window(top)  # refused past MAX_WINDOW points, as its window
+    universe = sgp.span(0, top + 1) & -2
+    members = ~sgp.gap_mask
     out = [RIdeal(r, ()),        # the zero ideal {0}
            RIdeal(r, (H.one,))]  # the improper ideal H
-    # an antichain with the index of its largest element in the universe
-    stack = [((n,), i) for i, n in enumerate(universe) if n <= bound]
+    # an antichain with the OR of its members' moved semigroup masks
+    stack = [((n,), members << n) for n in _bits(universe & (2 << bound) - 1)]
     while stack:
-        gens, i = stack.pop()
+        gens, covered = stack.pop()
         out.append(RIdeal(r, gens))
         if len(out) > MAX_IDEALS:
             raise UnsupportedRealization(
                 f"more than {MAX_IDEALS} ideals with minimum <= {bound}")
-        for j in range(i + 1, len(universe)):
-            y = universe[j]
-            if not any(sgp.contains(y - x) for x in gens):
-                stack.append((gens + (y,), j))
+        for y in _bits(universe & ~covered & -(2 << gens[-1])):
+            stack.append((gens + (y,), covered | members << y))
     out.sort(key=lambda I: tuple(sort_key(g) for g in I.generators))
     return out
 
 
-def ideal_space_subbasis(ideals) -> FiniteSpace:
-    """The space on a finite ideal list with subbasis U_r(x) = {I : x not in I},
-    x over the generators of the listed ideals.  I is inside J exactly when
-    J holds I's generators, so these opens give the specialization order,
-    which determines a finite space."""
-    xs = list(dict.fromkeys(g for I in ideals for g in I.generators))
-    return subbasis_space([repr(I) for I in ideals], ideals, xs,
-                          lambda I, x: not I.contains(x))
+class IdealRead:
+    """Listed s-ideals of one H read as ints for one suite call, each once,
+    and the prime flags on a window and the ideal space read from them.
+
+    ``box`` is the layout around the window's points, their products and
+    the ideals' generators.  H is read once, as its span on the layout
+    around ``box`` moved back by each generator; each ideal XH is the zero
+    and one AND-of-ORs of the layout (``read``), the one member H's span
+    with the shifts of X's nonzero points, and so is H itself, as (1)H.
+    Past MAX_SPAN_BITS cells each set is asked at each cell instead.  A
+    ``Box`` and a ``Table`` answer alike, so no realization is asked
+    for."""
+
+    def __init__(self, ideals, window):
+        self.H = H = ideals[0].system.H
+        self.ideals = ideals
+        ctx = H.context
+        self.points = [g for g in window if g != ctx.zero]
+        self.xs = list(dict.fromkeys(g for I in ideals for g in I.generators))
+        nonzero = [x for x in [ctx.one, *self.xs] if x != ctx.zero]
+        box = ctx.box([*self.points, *self.xs]).around(self.points)
+        back = box.around([ctx.inv(x) for x in nonzero])
+        self.box = box = box.with_stride(back.stride)
+        h = H.span_mask(back)
+        shift = {x: box.shift(back, x) for x in nonzero}
+
+        def read(X, member):
+            if h is None:
+                return sum(1 << b for b, g in box.cells()
+                           if g is not None and member(g))
+            return box.read([h], [shift[x] for x in X if x != ctx.zero])
+
+        self.whole = read([ctx.one], H.has)
+        zero = 1 << box.bit(ctx.zero)
+        self.masks = [zero | read(I.generators, I.contains) for I in ideals]
+
+    def prime_flags(self) -> list:
+        """Whether each ideal is prime on the window: no a, b of H outside
+        I there multiply into I.  I is not prime when it holds the
+        identity, or when some a of O, the window part of H outside I, has
+        I moved back by a meeting O."""
+        ctx, box = self.H.context, self.box
+        inner = ctx.box(self.points).with_stride(box.stride)
+        at = {inner.bit(g): g for g in self.points}
+        home = box.start(inner, None)
+        h = box.moved(self.whole, home) & sum(1 << b for b in at)
+        one = 1 << box.bit(ctx.one)
+        flags = []
+        for m in self.masks:
+            O = h & ~box.moved(m, home)
+            flags.append(not m & one and not any(
+                O & box.moved(m, box.start(inner, at[b])) for b in _bits(O)))
+        return flags
+
+    def space(self) -> FiniteSpace:
+        """The space on the ideals with subbasis U_r(x) = {I : x not in I},
+        x over their generators, read from the masks' bits.  I is inside J
+        exactly when J holds I's generators, so these opens give the
+        specialization order, which determines a finite space."""
+        return subbasis_space([repr(I) for I in self.ideals], self.masks,
+                              [self.box.bit(x) for x in self.xs],
+                              lambda m, b: not m >> b & 1)
 
 
 # -- axiom checking ---------------------------------------------------------

@@ -1,12 +1,14 @@
 """Module systems on the quotient groupoid G: closure oracles on finite
 subsets of G, the product-with-overmonoid-intersection construction, meets,
 subbasis membership for the system space, and a falsifier for finitariness
-of parameterized families."""
+of parameterized families.  The system space and the overmonoid embedding
+read each overmonoid once, as one int on the layout around their points."""
 
 from __future__ import annotations
 
 import functools
 
+from . import monoid
 from .fintop import FiniteSpace, subbasis_space
 # family_from_file lives beside the monoid readers and is also read from here
 from .monoid import (INF, CarrierMismatch, DeltaFamily, Monoid,
@@ -270,20 +272,27 @@ class SystemSpace:
         self._space = None
 
     def space(self) -> FiniteSpace:
-        """The space on the systems with subbasis U_S, S over the pool; each
-        membership is evaluated once, on the first call.  A product closure
-        is read from its members: 1 is in S_r exactly when every member
-        holds a^{-1} for some nonzero a in S, so 1 is in {x^{-1}}_r when
-        every member holds x, and in {0}_r when there is none.  A system
+        """The space on the systems with subbasis U_S, S over the pool, of
+        systems on one carrier; each membership is evaluated once, on the
+        first call.  A product closure is read from its members: 1 is in
+        S_r exactly when every member holds a^{-1} for some nonzero a in S,
+        so 1 is in {x^{-1}}_r when every member holds x, and in {0}_r when
+        there is none.  Each member is read once on the pool's inverses
+        (``_point_reader``), and a pool set's answer is one AND.  A system
         that names no members asks its closure."""
         if self._space is None:
-            inverses = functools.cache(_inverses)
+            ctx = self.systems[0].context
+            inverses = {S: _inverses(ctx, S) for S in self.pool}
+            bit, reader = _point_reader(ctx, list(dict.fromkeys(
+                g for invs in inverses.values() for g in invs)))
+            invs = {S: sum(1 << bit[g] for g in inverses[S])
+                    for S in self.pool}
+            read = functools.cache(reader)
 
             def one_in(r, S):
                 if r.members is None:
                     return subbasis_membership(r, S)
-                invs = inverses(r.context, S)
-                return all(any(map(M.has, invs)) for M in r.members(S))
+                return all(read(M) & invs[S] for M in r.members(S))
 
             self._space = subbasis_space([r.name for r in self.systems],
                                          self.systems, self.pool, one_in)
@@ -308,6 +317,21 @@ def _window_mask(S: Overmonoid, points) -> int:
     """S's members among carrier points, bit i for points[i]: each point is
     asked once, through the trusted ``has``."""
     return sum(1 << i for i, g in enumerate(points) if S.has(g))
+
+
+def _point_reader(ctx, points):
+    """The bit of each of the distinct nonzero carrier `points`, and the
+    reader of an overmonoid's part of them as an int in those bits: its
+    ``span_mask`` on the layout around the points, which a semigroup-backed
+    one answers with no rule call, or, on a carrier without a layout or
+    past MAX_SPAN_BITS cells, its ``_window_mask``."""
+    box = ctx.box(points)
+    if box is None or box.rows * box.cols > monoid.MAX_SPAN_BITS:
+        return ({g: i for i, g in enumerate(points)},
+                lambda S: _window_mask(S, points))
+    bit = {g: box.bit(g) for g in points}
+    part = sum(1 << b for b in bit.values())
+    return bit, lambda S: S.span_mask(box) & part
 
 
 def falsify_finitary(delta: DeltaFamily, ctx, bound: int = 6):
@@ -350,9 +374,11 @@ def embedding_checks(overmonoids, ctx, bound: int = 4) -> Check:
     """Injectivity of the map S -> r_{{S}} on a finite overmonoid carrier:
     the closures of {1}, which are the S themselves, are pairwise distinct
     at the ``separating_points``, so on a generator-backed carrier the check
-    is exact.  Each closure of {1} is read as S's own membership."""
+    is exact.  Each closure of {1} is read as S's own membership, once for
+    all the points (``_point_reader``)."""
     points = separating_points(ctx, overmonoids, bound)
-    ones = [frozenset(filter(S.has, points)) for S in overmonoids]
+    _, reader = _point_reader(ctx, points)
+    ones = list(map(reader, overmonoids))
     first = {}  # each closure of {1} -> the first index with it
     i = next((i for i, one in enumerate(ones)
               if first.setdefault(one, i) != i), None)

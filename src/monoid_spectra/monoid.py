@@ -318,10 +318,11 @@ class Overmonoid:
     Backed by a generator list (membership derived exactly by the carrier)
     or a closed-form membership rule, only asked about nonzero elements of
     G, or both, the rule then deciding the generators' monoid; the
-    predicate is fixed here, once.  On a carrier with a layout
-    ``span_mask`` reads membership on a ``Box`` or ``Table`` as one int
-    bitmask; the object keeps no mask: a ``window._Window`` or a
+    predicate is fixed here, once.  ``span_mask`` reads the members on a
+    ``Box`` or ``Table`` as one int, from ``sgp`` (their NumericalSemigroup)
+    where set; no mask is kept: a ``window._Window`` or a
     ``valuation.WindowRead`` keeps each one it reads while it lives."""
+    sgp = None
 
     def __init__(self, context, gens=None, rule=None, name=""):
         if gens is None and rule is None:
@@ -343,15 +344,14 @@ class Overmonoid:
 
     def span_mask(self, box):
         """The members on `box`, in its layout, or None past MAX_SPAN_BITS
-        cells; a cell off the lattice is no member, and each cell is asked
-        once."""
+        cells: ``sgp``'s span, which asks no cell, or each cell asked once;
+        a cell off the lattice is no member."""
         if box.rows * box.cols > MAX_SPAN_BITS:
             return None
-        bits = 0
-        for i, g in box.cells():
-            if g is not None and self.has(g):
-                bits |= 1 << i
-        return bits
+        if self.sgp is not None:
+            return self.sgp.span(box.y0, box.cols)
+        return sum(1 << i for i, g in box.cells()
+                   if g is not None and self.has(g))
 
     def __repr__(self):
         return f"Overmonoid({self.name or self.gens})"

@@ -1,76 +1,109 @@
-"""Numerical semigroups: exact membership, gaps, Frobenius number, and
-enumeration of oversemigroups (finite, by a walk of the tree that adjoins
-special gaps, so its cost follows the number of oversemigroups)."""
+"""Numerical semigroups as gap masks: exact membership, gaps, Frobenius
+number, minimal generators, spans of integers, and enumeration of
+oversemigroups (finite, by a walk of the tree that adjoins special gaps, so
+its cost follows the number of oversemigroups).
+
+A semigroup is one int, bit g set for each gap g: a membership is a bit
+test, its members on a run of integers are the complement shifted, and
+every question the walk asks of a node is a shift and an AND."""
 
 from __future__ import annotations
 
+from bisect import bisect
 from functools import lru_cache
 from math import gcd
 
 from .errors import UnsupportedRealization
 
-# Most entries of a reach table (one per integer up to the smallest times the
+# Most bits of a reach mask (one per integer up to the smallest times the
 # largest generator, plus one); every bundled input needs a few hundred.
 MAX_REACH = 100_000
 # Most oversemigroups `oversemigroups` lists before it gives up.
 MAX_OVERSEMIGROUPS = 10_000
 
 
+def _reach_limit(lo, hi):
+    """The reach of generators lo <= hi: an integer at or past the
+    conductor; refused past MAX_REACH."""
+    limit = lo * hi + 1
+    if limit + 1 > MAX_REACH:
+        raise UnsupportedRealization(
+            f"numerical semigroup too large: generators {lo} and "
+            f"{hi} need a reach table of {limit + 1} entries, "
+            f"over the limit of {MAX_REACH}")
+    return limit
+
+
+def _bits(m):
+    """The set bits of m, ascending."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
 class NumericalSemigroup:
     """Additive submonoid of N generated by positive integers with gcd 1,
-    its gaps read from a reach table or given, trusted, as `gaps`."""
+    kept as its gap mask, bit g set for each gap g.  The mask is the
+    complement of a shift-OR reach mask of the generators, or is given,
+    trusted, as `gap_mask` with sorted generators."""
 
-    def __init__(self, generators, gaps=None):
-        gens = sorted(set(int(g) for g in generators))
-        if not gens or any(g <= 0 for g in gens):
-            raise ValueError("generators must be positive integers")
-        g_all = 0
-        for g in gens:
-            g_all = gcd(g_all, g)
-        if g_all != 1:
-            raise ValueError("generators must have gcd 1")
-        self.generators = tuple(gens)
-        limit = gens[0] * gens[-1] + 1  # >= conductor
-        if limit + 1 > MAX_REACH:
-            raise UnsupportedRealization(
-                f"numerical semigroup too large: generators {gens[0]} and "
-                f"{gens[-1]} need a reach table of {limit + 1} entries, "
-                f"over the limit of {MAX_REACH}")
-        if gaps is None:
-            reach = [False] * (limit + 1)
-            reach[0] = True
-            for i in range(1, limit + 1):
-                reach[i] = any(i >= g and reach[i - g] for g in gens)
-            gaps = [n for n in range(1, limit + 1) if not reach[n]]
-        self.gaps = tuple(gaps)
-        self.frobenius = gaps[-1] if gaps else -1
+    def __init__(self, generators, gap_mask=None):
+        if gap_mask is None:
+            generators = sorted(set(int(g) for g in generators))
+            if not generators or any(g <= 0 for g in generators):
+                raise ValueError("generators must be positive integers")
+            g_all = 0
+            for g in generators:
+                g_all = gcd(g_all, g)
+            if g_all != 1:
+                raise ValueError("generators must have gcd 1")
+            limit = _reach_limit(generators[0], generators[-1])
+            full = (1 << limit + 1) - 1
+            # closed under each generator in turn: adding g, 2g, 4g, ...
+            # reaches every multiple of g up to the limit
+            reach = 1
+            for g in generators:
+                step = g
+                while step <= limit:
+                    reach |= reach << step & full
+                    step *= 2
+            gap_mask = full & ~reach
+        self.generators = tuple(generators)
+        self.gap_mask = gap_mask
+        self.gaps = tuple(_bits(gap_mask))
+        self.frobenius = gap_mask.bit_length() - 1
         self.conductor = self.frobenius + 1
-        self._gaps = frozenset(gaps)
 
     def contains(self, n: int) -> bool:
-        return n >= self.conductor or n >= 0 and n not in self._gaps
+        return n >= 0 and not self.gap_mask >> n & 1
 
-    def elements_upto(self, bound: int) -> list[int]:
-        return [n for n in range(bound + 1) if self.contains(n)]
+    def span(self, lo: int, width: int) -> int:
+        """The members in [lo, lo + width), bit j for lo + j: the
+        complemented gap mask, shifted; no negative integer is a member."""
+        members = ~self.gap_mask
+        moved = members << -lo if lo < 0 else members >> lo
+        return moved & (1 << width) - 1
 
     def minimal_generators(self) -> tuple[int, ...]:
-        m = self.generators[0]
-        cands = [n for n in self.elements_upto(self.frobenius + m + 1) if n > 0]
-        elems = set(cands)
-        out = []
-        for n in cands:
-            if not any(a in elems and (n - a) in elems for a in range(1, n)):
-                out.append(n)
-        return tuple(out)
+        """The members on [1, F + m + 1], m the multiplicity, that are no
+        sum of two of them: those members minus the OR of their shifts."""
+        positive = ~self.gap_mask & -2
+        m = (positive & -positive).bit_length() - 1
+        members = positive & (1 << self.conductor + m + 1) - 1
+        sums = 0
+        for a in _bits(members):
+            sums |= members << a
+        return tuple(_bits(members & ~sums))
 
     def __eq__(self, other):
-        return isinstance(other, NumericalSemigroup) and self._key() == other._key()
+        return (isinstance(other, NumericalSemigroup)
+                and self.gap_mask == other.gap_mask)
 
     def __hash__(self):
-        return hash(self._key())
-
-    def _key(self):
-        return self.gaps
+        return hash(self.gap_mask)
 
     def __repr__(self):
         return f"NumericalSemigroup{self.generators}"
@@ -82,32 +115,35 @@ def oversemigroups(sgp: NumericalSemigroup) -> list[NumericalSemigroup]:
 
     Walks the tree rooted at `sgp` in which the parent of T is T minus
     m = min(T - sgp) (Rosales and Garcia-Sanchez, Numerical Semigroups,
-    2009).  Every element of T below m lies in `sgp`, so m is no sum of two
-    elements of T: it is a minimal generator and the parent is a semigroup.
-    The children of T adjoin one special gap g of T (2g and every g + t,
-    t in T nonzero, lie in T) below min(T - sgp), so each oversemigroup is
-    visited once, and built from the gaps the walk holds.  Raises
-    UnsupportedRealization past MAX_OVERSEMIGROUPS."""
+    2009; Fromentin and Hivert, Math. Comp. 2016, walk the same tree on
+    bitsets).  Every element of T below m lies in `sgp`, so m is no sum of
+    two elements of T: it is a minimal generator and the parent is a
+    semigroup.  The children of T adjoin one special gap g of T below
+    min(T - sgp): bit 2g of T's gap mask is clear and so is every bit of
+    T's members on [1, F] moved by g.  So each oversemigroup is visited
+    once, and built from the gap mask the walk holds, with `sgp`'s
+    generators and the gaps it fills as its own.  Raises
+    UnsupportedRealization past MAX_OVERSEMIGROUPS, and at a node whose
+    generators pass MAX_REACH, as building it from them would."""
     frob = sgp.frobenius
+    root = sgp.gap_mask
+    positive = (1 << frob + 1) - 2  # [1, F]
     out = []
-    stack = [frozenset()]  # the gaps of `sgp` each node fills
+    stack = [(root, sgp.generators)]
     while stack:
-        filled = stack.pop()
-        node = NumericalSemigroup(set(sgp.generators) | filled, [
-            g for g in sgp.gaps if g not in filled])
-        out.append(node)
+        gaps, gens = stack.pop()
+        _reach_limit(gens[0], gens[-1])
+        out.append(NumericalSemigroup(gens, gaps))
         if len(out) > MAX_OVERSEMIGROUPS:
             raise UnsupportedRealization(
                 f"{sgp} has more than {MAX_OVERSEMIGROUPS} oversemigroups")
-        members = [n for n in range(1, frob + 1) if node.contains(n)]
-        top = min(filled, default=frob + 1)
-        for g in sgp.gaps:
-            if g >= top:
-                break
-            if ((2 * g > frob or node.contains(2 * g))
-                    and all(g + t > frob or node.contains(g + t)
-                            for t in members)):
-                stack.append(filled | {g})
+        filled = root & ~gaps
+        top = (filled & -filled).bit_length() - 1 if filled else frob + 1
+        members = positive & ~gaps
+        for g in _bits(root & (1 << top) - 1):
+            if not gaps >> 2 * g & 1 and not members << g & gaps:
+                i = bisect(gens, g)
+                stack.append((gaps & ~(1 << g), gens[:i] + (g,) + gens[i:]))
     out.sort(key=lambda s: (-len(s.gaps), s.gaps))
     return out
 

@@ -21,7 +21,7 @@ from .errors import UnsupportedRealization
 from .fintop import FiniteSpace, bipartite_dot, hasse_edges
 from .intgeom import dot
 from .monoid import INF, Monoid, Overmonoid, localize
-from .numsgp import oversemigroups
+from .numsgp import cached_semigroup, oversemigroups
 from .report import INFO, Check
 
 
@@ -37,7 +37,8 @@ class ValuationDescriptor(Overmonoid):
     """Finite description of a valuation submonoid of G, as a rule-backed
     overmonoid.
 
-    Over Z (numerical carriers) the only options are N and Z themselves.  Over
+    Over Z (numerical carriers) the only options are N, read on an int box
+    from its empty gap mask, and Z itself.  Over
     a rank-2 lattice a descriptor is a primitive integer weight w together
     with a tiebreak t in {-1, 0, +1}: the monoid is the open half plane of w,
     plus the kernel line when t = 0, or its w-perp nonnegative (t = +1) or
@@ -59,6 +60,8 @@ class ValuationDescriptor(Overmonoid):
         elif tag not in ("N", "Z", "trivial"):
             raise ValueError(f"unknown descriptor tag {tag!r}")
         super().__init__(context, rule=self._rule, name=repr(self))
+        if tag == "N":  # the semigroup with no gap
+            self.sgp = cached_semigroup((1,))
 
     def _rule(self, g) -> bool:
         """Membership of a nonzero element of G."""
@@ -204,7 +207,8 @@ def _primitive_weights():
 
 def enumerate_overmonoids(H: Monoid):
     """R(G|H) for numerical H: every oversemigroup of H (finitely many, one
-    per closed gap subset) plus Z itself, all with the absorbing zero."""
+    per closed gap subset), each read on an int box from its gap mask
+    (``sgp``), plus Z itself, all with the absorbing zero."""
     if H.kind != "numerical":
         raise UnsupportedRealization(
             "overmonoid enumeration is finite only for numerical monoids")
@@ -213,7 +217,9 @@ def enumerate_overmonoids(H: Monoid):
     for sgp in oversemigroups(H.sgp):
         gens = sgp.minimal_generators()
         name = "<" + ",".join(map(str, gens)) + ">"
-        out.append(Overmonoid(ctx, gens=gens, rule=sgp.contains, name=name))
+        S = Overmonoid(ctx, gens=gens, rule=sgp.contains, name=name)
+        S.sgp = sgp
+        out.append(S)
     out.append(Overmonoid(ctx, gens=(1, -1), name="Z"))
     return out
 

@@ -435,3 +435,76 @@ def finitary_by_subsets(r, universe, sets):
         if witness is not None:
             return witness, n
     return None, n
+
+
+# -- the numerical layer read point by point ---------------------------------
+
+def reach_table_gaps(gens):
+    """The gaps of <gens> from a reach table: one entry per integer up to
+    the smallest times the largest generator, each set when some generator
+    steps back onto a set entry."""
+    gens = sorted(set(gens))
+    limit = gens[0] * gens[-1] + 1
+    reach = [True] + [False] * limit
+    for i in range(1, limit + 1):
+        reach[i] = any(i >= g and reach[i - g] for g in gens)
+    return tuple(n for n in range(1, limit + 1) if not reach[n])
+
+
+def minimal_generators_pointwise(sgp):
+    """The members on [1, F + m + 1] that are no sum of two members there,
+    each sum asked member by member."""
+    m = sgp.generators[0]
+    cands = [n for n in range(1, sgp.frobenius + m + 2) if sgp.contains(n)]
+    elems = set(cands)
+    return tuple(n for n in cands
+                 if not any(a in elems and n - a in elems
+                            for a in range(1, n)))
+
+
+def oversemigroup_gaps_by_sets(sgp):
+    """The gap tuples of the oversemigroups of `sgp`, in the order
+    ``oversemigroups`` lists them, by the same tree walk on sets: each node
+    is the set of gaps it fills, and a special gap is tested member by
+    member."""
+    frob = sgp.frobenius
+    out = []
+    stack = [frozenset()]
+    while stack:
+        filled = stack.pop()
+        gaps = [g for g in sgp.gaps if g not in filled]
+        out.append(tuple(gaps))
+        members = [n for n in range(1, frob + 1) if n not in gaps]
+        top = min(filled, default=frob + 1)
+        for g in sgp.gaps:
+            if g >= top:
+                break
+            if 2 * g not in gaps and all(g + t not in gaps for t in members):
+                stack.append(filled | {g})
+    out.sort(key=lambda gaps: (-len(gaps), gaps))
+    return out
+
+
+def is_prime(I, window) -> bool:
+    """No a, b of H outside I (within the window) multiply into I, each
+    product asked of I's predicate; the improper ideal is rejected."""
+    H = I.system.H
+    if I.contains(H.one):
+        return False
+    outside = [g for g in window if H.contains(g) and not I.contains(g)]
+    return not any(I.contains(H.op(a, b))
+                   for i, a in enumerate(outside) for b in outside[i:])
+
+
+def all_pairs_is_prime(I, window):
+    """`is_prime` as the literal loop over every ordered pair of window
+    points outside I."""
+    H = I.system.H
+    if I.contains(H.one):
+        return False
+    outside = [g for g in window if H.contains(g) and not I.contains(g)]
+    for a in outside:
+        for b in outside:
+            if I.contains(H.op(a, b)):
+                return False
+    return True

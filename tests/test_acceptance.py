@@ -8,9 +8,9 @@ import time
 import pytest
 
 from monoid_spectra.fintop import FiniteSpace, homeomorphic
-from monoid_spectra.idealsys import (check_ideal_axioms, enumerate_ideals,
-                                     enumerate_primes, ideal_space_subbasis,
-                                     is_prime, s_system, spec_subbasis)
+from monoid_spectra.idealsys import (IdealRead, check_ideal_axioms,
+                                     enumerate_ideals, enumerate_primes,
+                                     s_system, spec_subbasis)
 from monoid_spectra.modsys import (DeltaFamily, check_id2,
                                    check_idempotent, check_module_axioms,
                                    embedding_checks, example16,
@@ -62,9 +62,9 @@ def test_2_prime_enumeration_and_oracle():
         i1 = space.labels.index("P_max")
         assert space.leq(i0, i1) and not space.leq(i1, i0)  # a chain
         # brute-force primality over the windowed ideal list agrees
-        window = H.context.window(14)
-        for I in enumerate_ideals(H, s_system(H), bound=6):
-            verdict = is_prime(I, window)
+        ideals = enumerate_ideals(H, s_system(H), bound=6)
+        flags = IdealRead(ideals, H.context.window(14)).prime_flags()
+        for I, verdict in zip(ideals, flags):
             oracle = (not I.contains(H.one)) and not any(
                 not I.contains(a) and not I.contains(b) and I.contains(a + b)
                 for a in range(15) if H.contains(a)
@@ -172,13 +172,12 @@ def test_6_prime_iff_no_obstruction_set():
         H = Monoid.numerical([2, 3])
         r = s_system(H)
         ideals = enumerate_ideals(H, r, bound=10)
-        window = H.context.window(21)
+        read = IdealRead(ideals, H.context.window(21))
         members = [a for a in range(21) if H.contains(a) and a > 0]
         flagged = []
-        for I in ideals:
+        for I, prime in zip(ideals, read.prime_flags()):
             in_some_o = any(I in o_set(a, b, [I], H)
                             for a in members for b in members)
-            prime = is_prime(I, window)
             if I.contains(H.one):
                 # the improper ideal is never prime but also avoids every
                 # O_{a,b}; it sits outside the equivalence
@@ -192,7 +191,7 @@ def test_6_prime_iff_no_obstruction_set():
                         for I in flagged}
         assert descriptions == {frozenset(), frozenset({2, 3, 4, 5, 6, 7})}
         # the space is T0, so principal ultrafilter limits are the identity
-        assert ideal_space_subbasis(ideals).is_t0()
+        assert read.space().is_t0()
 
 
 def test_7_module_system_constructions():

@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monoid_spectra import idealsys
-from monoid_spectra.idealsys import (RIdeal, check_ideal_axioms,
+from monoid_spectra.idealsys import (IdealRead, RIdeal, check_ideal_axioms,
                                      enumerate_ideals, enumerate_primes,
-                                     ideal_space_subbasis,
-                                     is_prime, s_system, spec_subbasis)
+                                     s_system, spec_subbasis)
 from monoid_spectra.intgeom import UnsupportedRealization
 from monoid_spectra.monoid import INF, Monoid, monoid_from_file, sort_key
-from oracles import cyclic_group_with_zero, equals
+from oracles import (all_pairs_is_prime, cyclic_group_with_zero, equals,
+                     is_prime)
 
 
 def o_set(a, b, ideals, H):
@@ -78,20 +78,6 @@ def test_axioms_catch_a_broken_system():
     assert by_name["Id1"].witness is not None
 
 
-def all_pairs_is_prime(I, window):
-    """`is_prime` as the literal loop over every ordered pair of window
-    points outside I."""
-    H = I.system.H
-    if I.contains(H.one):
-        return False
-    outside = [g for g in window if H.contains(g) and not I.contains(g)]
-    for a in outside:
-        for b in outside:
-            if I.contains(H.op(a, b)):
-                return False
-    return True
-
-
 def test_enumerated_primes_match_windowed_primality_oracle():
     H = Monoid.numerical([2, 3])
     r = s_system(H)
@@ -153,26 +139,31 @@ def test_enumerate_primes_matches_the_generator_subset_oracle(H):
 
 
 def prime_recheck_cases(H):
-    """(ideal, window) pairs: every listed ideal of a numerical or finite H at
-    bound 6 on windows 10 and 20, and (gens minus F) H for every subset F of
-    H's generators, on window 4 for an affine H."""
+    """(ideals, window) pairs: every listed ideal of a numerical or finite H
+    at bound 6 on windows 10 and 20, and (gens minus F) H for every subset F
+    of H's generators, on window 4 for an affine H."""
     r = s_system(H)
     subset_ideals = [RIdeal(r, [g for g in H.generators if g not in F])
                      for k in range(len(H.generators) + 1)
                      for F in itertools.combinations(H.generators, k)]
     if H.kind == "affine":
-        return [(I, H.context.window(4)) for I in subset_ideals]
+        return [(subset_ideals, H.context.window(4))]
     ideals = enumerate_ideals(H, r, bound=6)
     if H.kind == "finite":
         ideals += subset_ideals
-    return [(I, H.context.window(w)) for w in (10, 20) for I in ideals]
+    return [(ideals, H.context.window(w)) for w in (10, 20)]
 
 
 @pytest.mark.parametrize("H", list(data_monoids()))
 def test_is_prime_matches_the_all_pairs_loop(H):
-    cases = prime_recheck_cases(H)
+    # the masked prime flags, on Box and Table alike, against the pointwise
+    # oracle and the literal loop over ordered pairs
+    groups = prime_recheck_cases(H)
+    cases = [(I, window) for ideals, window in groups for I in ideals]
     verdicts = [is_prime(I, window) for I, window in cases]
     assert verdicts == [all_pairs_is_prime(I, window) for I, window in cases]
+    assert verdicts == [flag for ideals, window in groups
+                        for flag in IdealRead(ideals, window).prime_flags()]
     if H.kind != "affine":
         assert True in verdicts and False in verdicts
 
@@ -222,6 +213,7 @@ def test_o_sets_avoid_primes():
     r = s_system(H)
     ideals = enumerate_ideals(H, r, bound=6)
     window = H.context.window(10)
+    prime = dict(zip(ideals, IdealRead(ideals, window).prime_flags()))
     members = [g for g in window if H.contains(g) and g is not INF]
     hit_any = False
     for a in members:
@@ -229,7 +221,7 @@ def test_o_sets_avoid_primes():
             O = o_set(a, b, ideals, H)
             hit_any = hit_any or bool(O)
             for I in O:
-                assert not is_prime(I, window), (a, b, I)
+                assert not prime[I], (a, b, I)
     assert hit_any  # some non-prime is actually flagged
 
 
@@ -249,7 +241,7 @@ def test_ideal_space_separates_and_limits_are_principal():
     H = Monoid.numerical([2, 3])
     r = s_system(H)
     ideals = enumerate_ideals(H, r, bound=6)
-    space = ideal_space_subbasis(ideals)
+    space = IdealRead(ideals, H.context.window(6)).space()
     # each ideal is its own unique principal limit: no other point shares
     # its profile
     assert space.is_t0()
@@ -262,7 +254,7 @@ def signature_window(H, bound):
     bound + 2 * Frobenius + max generator."""
     frob = max(H.sgp.frobenius, 0)
     ext = bound + 2 * frob + max(H.generators) + 2
-    return list(H.sgp.elements_upto(ext)) + [INF]
+    return [n for n in range(ext + 1) if H.sgp.contains(n)] + [INF]
 
 
 def brute_enumerate_ideals(H, r, bound):
@@ -270,7 +262,7 @@ def brute_enumerate_ideals(H, r, bound):
     S cap [1, bound + Frobenius] with minimum <= bound, deduplicated by the
     signature window, first hit kept."""
     frob = max(H.sgp.frobenius, 0)
-    universe = [n for n in H.sgp.elements_upto(bound + frob) if n > 0]
+    universe = [n for n in range(1, bound + frob + 1) if H.sgp.contains(n)]
     sig_window = signature_window(H, bound)
     seen = {}
     out = []

@@ -7,9 +7,14 @@ from hypothesis import strategies as st
 
 from monoid_spectra import intgeom, numsgp
 from monoid_spectra.errors import UnsupportedRealization
-from monoid_spectra.monoid import Monoid, monoid_from_file
+from monoid_spectra.idealsys import IdealRead, enumerate_ideals, s_system
+from monoid_spectra.layout import Box
+from monoid_spectra.monoid import INF, Monoid, monoid_from_file
 from monoid_spectra.numsgp import NumericalSemigroup, oversemigroups
-from monoid_spectra.valuation import enumerate_overmonoids
+from monoid_spectra.valuation import (ValuationDescriptor,
+                                      enumerate_overmonoids)
+from oracles import (all_pairs_is_prime, minimal_generators_pointwise,
+                     oversemigroup_gaps_by_sets, reach_table_gaps)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 NUMERICAL = ["n23", "n345", "n469", "n579", "n71113", "n81113"]
@@ -127,7 +132,7 @@ def brute_oversemigroups(sgp):
     if not gaps:
         return [sgp]
     frob = sgp.frobenius
-    base = set(sgp.elements_upto(frob))
+    base = {n for n in range(frob + 1) if sgp.contains(n)}
     out = []
     for mask in range(1 << len(gaps)):
         filled = {gaps[i] for i in range(len(gaps)) if mask >> i & 1}
@@ -212,3 +217,61 @@ def test_gap_built_oversemigroups_match_the_reach_table(s):
 def test_gap_built_oversemigroups_of_the_inputs_match_the_reach_table(name):
     agrees_with_the_reach_table(
         monoid_from_file(os.path.join(DATA, name + ".json")).sgp)
+
+
+# -- the gap masks against the pointwise numerical layer ---------------------
+
+def read_on_cells(box, member):
+    """A predicate's members on the cells of a box, one ask per cell."""
+    return sum(1 << b for b, g in box.cells() if member(g))
+
+
+def agrees_with_the_pointwise_layer(sgp, bound):
+    """Gaps, Frobenius number, minimal generators and the oversemigroup list
+    against the reach table, the member-by-member sums and the set-based
+    walk; each overmonoid's and descriptor's span against `has` and its
+    generators' monoid on an int box from below 0 to past the conductor;
+    and each listed s-ideal's mask and prime flag on pronconst's window
+    against RIdeal.contains and the all-pairs loop."""
+    gens = sgp.generators
+    assert sgp.gaps == reach_table_gaps(gens)
+    assert sgp.frobenius == (sgp.gaps[-1] if sgp.gaps else -1)
+    assert sgp.minimal_generators() == minimal_generators_pointwise(sgp)
+    over = oversemigroups(sgp)
+    assert [t.gaps for t in over] == oversemigroup_gaps_by_sets(sgp)
+    assert ([t.minimal_generators() for t in over]
+            == [minimal_generators_pointwise(t) for t in over])
+    H = Monoid.numerical(gens)
+    ctx = H.context
+    box = Box(ctx, 0, -bound - 1, 1, sgp.conductor + 2 * bound + 3)
+    for S in [H, *enumerate_overmonoids(H), ValuationDescriptor(ctx, "N"),
+              ValuationDescriptor(ctx, "Z")]:
+        mask = S.span_mask(box)
+        assert mask == read_on_cells(box, S.has), S
+        if S.gens is not None:
+            member = intgeom.submonoid_1d(S.gens)
+            assert mask == read_on_cells(box, member), S
+    ideals = enumerate_ideals(H, s_system(H), bound)
+    window = ctx.window(2 * bound)
+    read = IdealRead(ideals, window)
+    for I, m in zip(ideals, read.masks):
+        assert m >> read.box.bit(INF) & 1
+        cells = read_on_cells(read.box, lambda g: True)
+        assert m & cells == read_on_cells(read.box, I.contains), I
+    assert read.prime_flags() == [all_pairs_is_prime(I, window)
+                                  for I in ideals]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(small_semigroups(13), st.sampled_from(NUMERICAL).map(
+    lambda name: monoid_from_file(os.path.join(DATA, name + ".json")).sgp)),
+    st.integers(1, 12))
+def test_gap_masks_match_the_pointwise_layer(sgp, bound):
+    agrees_with_the_pointwise_layer(sgp, bound)
+
+
+@pytest.mark.parametrize("name", NUMERICAL)
+def test_gap_masks_of_the_inputs_match_the_pointwise_layer(name):
+    sgp = monoid_from_file(os.path.join(DATA, name + ".json")).sgp
+    for bound in range(1, 13):
+        agrees_with_the_pointwise_layer(sgp, bound)
