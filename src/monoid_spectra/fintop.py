@@ -38,10 +38,6 @@ class FiniteSpace:
         subbasis open containing y contains x."""
         return not self.profiles[y] & ~self.profiles[x]
 
-    def specialization_poset(self):
-        """Relation matrix of the closure order (a preorder; a poset iff T0)."""
-        return [[self.leq(x, y) for y in range(self.n)] for x in range(self.n)]
-
     def __repr__(self):
         return f"FiniteSpace(n={self.n}, subbasis={len(self.subbasis)})"
 
@@ -77,17 +73,44 @@ def homeomorphic(X: FiniteSpace, Y: FiniteSpace, f):
 # -- DOT emission -------------------------------------------------------------
 
 def hasse_edges(space: FiniteSpace):
-    """Cover relations of the specialization order (assumes T0)."""
-    rel = space.specialization_poset()
-    n = space.n
+    """Cover relations of the specialization order: the pairs (x, y),
+    x != y, with x <= y and no third point z with x <= z <= y, in order.
+
+    The order is read as int rows.  The points are ranked by decreasing
+    profile size, so a point strictly below another comes first, and
+    up(x), the points y with x <= y, is the AND of the complements of the
+    subbasis opens that miss x.  The covers of x are then the minimal bits
+    of up(x) minus x: the lowest-ranked bit left is one, and it takes its
+    own up set out of what is left.  On a space that is not T0 a minimal
+    bit with an equal point among the candidates covers nothing, as the
+    equal point sits between."""
+    n, profiles = space.n, space.profiles
+    rank = sorted(range(n), key=lambda i: -profiles[i].bit_count())
+    at = [0] * n
+    for r, i in enumerate(rank):
+        at[i] = r
+    opens = [sum(1 << at[i] for i in s) for s in space.subbasis]
+    everything = (1 << n) - 1
+    ups, equal = {}, {}
+    for r, i in enumerate(rank):
+        p = profiles[i]
+        equal[p] = equal.get(p, 0) | 1 << r
+        if p not in ups:
+            missed = 0
+            for k, o in enumerate(opens):
+                if not p >> k & 1:
+                    missed |= o
+            ups[p] = everything & ~missed
     edges = []
     for x in range(n):
-        for y in range(n):
-            if x == y or not rel[x][y]:
-                continue
-            if any(rel[x][z] and rel[z][y] and z not in (x, y) for z in range(n)):
-                continue
-            edges.append((x, y))
+        left = cands = ups[profiles[x]] & ~(1 << at[x])
+        while left:
+            low = left & -left
+            y = rank[low.bit_length() - 1]
+            if equal[profiles[y]] & cands == low:
+                edges.append((x, y))
+            left &= ~ups[profiles[y]]
+    edges.sort()
     return edges
 
 

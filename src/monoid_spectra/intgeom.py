@@ -6,7 +6,8 @@ every membership answer is exact.  Cone/monoid machinery is implemented for
 dimension <= 2, which covers every supported affine realization.  A planar
 cone is analysed in one place, `_cone_2d`: the invertible/pointed split of
 its generators and, when it is pointed, its extreme rays.  `faces_2d` reads
-the faces off that analysis, and `submonoid_2d` its one membership walk.
+the faces off that analysis; `submonoid_2d` its one membership walk and
+`submonoid_span` the members on a box as one int, by ray fills.
 """
 
 from __future__ import annotations
@@ -175,28 +176,42 @@ MAX_REACH_MEMO = 1 << 16
 
 
 @lru_cache(maxsize=MAX_SUBMONOIDS)
-def submonoid_2d(gens: tuple):
-    """Exact membership predicate of the submonoid H of Z^2 generated by `gens`.
-
-    The analysis runs once per generating set.  The invertible generators
-    span H's group of units L, and a point is first reduced modulo L to its
-    HNF residue.  A walk then subtracts pointed generators down a functional
-    w that vanishes on L and is positive on them: w comes from the extreme
-    rays when L = 0, and is perpendicular to L's row when L has rank 1.
-    When L has rank 2 the cone is the plane, every generator is invertible
-    and H = L.  One reachability memo is shared by all queries: each step
-    strictly decreases w.v, so an entry is exact whoever wrote it."""
+def _analysed(gens: tuple):
+    """The analysis of the submonoid H of Z^2 generated by `gens` that
+    `submonoid_2d` and `submonoid_span` share, done once per generating
+    set: the echelon basis of the lattice L that the invertible generators
+    span, H's group of units; the pointed generators; and a functional w
+    that vanishes on L and is positive on them, None with no pointed
+    generator (then H = L).  w comes from the extreme rays when L = 0, and
+    is perpendicular to L's row when L has rank 1."""
     invertible, pointed, rays = _cone_2d(gens)
     basis = hnf_rows(invertible)
     if not pointed:
-        return lambda x: lattice_contains(basis, x)
+        return basis, pointed, None
     if basis:  # rank 1: perpendicular to L's row, on the pointed side
         r0, r1 = row = basis[0][1]
-        w0, w1 = (-r1, r0) if cross(row, pointed[0]) > 0 else (r1, -r0)
+        w = (-r1, r0) if cross(row, pointed[0]) > 0 else (r1, -r0)
     else:  # rank 0: between the extreme rays, or along the only ray
         u_r, u_l = rays
-        w0, w1 = u_r if cross(u_r, u_l) == 0 else (
+        w = u_r if cross(u_r, u_l) == 0 else (
             u_l[1] - u_r[1], u_r[0] - u_l[0])
+    return basis, pointed, w
+
+
+@lru_cache(maxsize=MAX_SUBMONOIDS)
+def submonoid_2d(gens: tuple):
+    """Exact membership predicate of the submonoid H of Z^2 generated by `gens`.
+
+    A point is first reduced modulo H's group of units L to its HNF
+    residue (``_analysed``).  A walk then subtracts pointed generators down
+    the functional w.  When L has rank 2 the cone is the plane, every
+    generator is invertible and H = L.  One reachability memo is shared by
+    all queries: each step strictly decreases w.v, so an entry is exact
+    whoever wrote it."""
+    basis, pointed, w = _analysed(gens)
+    if w is None:
+        return lambda x: lattice_contains(basis, x)
+    w0, w1 = w
     memo: dict[tuple, bool] = {}
 
     def remember(v, hit):
@@ -230,6 +245,120 @@ def submonoid_2d(gens: tuple):
             u = (v[0] - g[0], v[1] - g[1])
 
     return member
+
+
+# -- members on a box, as one int ----------------------------------------------
+#
+# A box is anything with x0, y0, rows, cols and stride: cell (x0 + i, y0 + j)
+# at bit i * stride + j, for 0 <= i < rows and 0 <= j < cols.
+
+def _repunit(rows: int, stride: int) -> int:
+    """Bit 0 of each of `rows` rows `stride` bits apart."""
+    return ((1 << rows * stride) - 1) // ((1 << stride) - 1)
+
+
+def lattice_span(basis, box) -> int:
+    """The cells of `box` on the lattice with echelon basis `basis` (of
+    ``hnf_rows``, in Z^2), as a comb: on row x the lattice is the cells
+    y = start (mod period), one shifted periodic row, or a single cell when
+    the lattice has no vector (0, c), or none."""
+    rows, cols, stride = box.rows, box.cols, box.stride
+    if len(basis) == 2 and basis[0][1][0] == basis[1][1][1] == 1:
+        return ((1 << cols) - 1) * _repunit(rows, stride)  # all of Z^2
+    period = next((row[1] for j, row in basis if j == 1), 0)
+    out = 0
+    for i in range(rows):
+        r0, r1 = _residue(basis, (box.x0 + i, 0))
+        if r0:
+            continue
+        first = -r1 - box.y0
+        if period:
+            first %= period
+            n = (cols - 1 - first) // period + 1
+            if n > 0:
+                out |= _repunit(n, period) << first + i * stride
+        elif 0 <= first < cols:
+            out |= 1 << first + i * stride
+    return out
+
+
+def _ray_fill(bits, step, rows, cols, full):
+    """`bits` on a region of `rows` rows of `cols` cells (stride cols)
+    closed under adding `step` inside the region: OR the mask moved by
+    2^j * step, j = 0, 1, 2, ..., each time dropping the cells that would
+    leave their row first.  A region meets each line in a run, so every
+    sum that ends in it passes only through it, and the doublings reach
+    it."""
+    dx, dy = step
+    rep = full // ((1 << cols) - 1)
+    while abs(dx) < rows and abs(dy) < cols:
+        keep = ((1 << min(cols, cols - dy)) - (1 << max(0, -dy))) * rep
+        k = dx * cols + dy
+        src = bits & keep
+        bits |= (src << k if k >= 0 else src >> -k) & full
+        dx, dy = 2 * dx, 2 * dy
+    return bits
+
+
+def submonoid_span(gens: tuple, box, cap: int):
+    """The members on `box` of the submonoid H of Z^2 generated by `gens`,
+    as one int, asking no point; None when the region the fills need
+    passes `cap` cells.
+
+    With ``_analysed``'s L, pointed part P and w: H = L when P is empty,
+    read as L's comb.  Otherwise the fills start from the cell of 0 and
+    run ``_ray_fill`` with each pointed generator, then with L's row both
+    ways, on a region that holds every partial sum of every member of the
+    box, and the box's rows are copied out of it.  A member m's pointed
+    part, in some order of its generators, has its partial sums in
+    C = cone(P) with w at most W, the box's largest w: the triangle of 0
+    and each p scaled to w = W bounds them.  With no units they also lie in
+    m - C, so the region is cut to the box's side of C on each axis where
+    C has one sign.  With units the region holds the box too, so each
+    m - kl runs to m through it."""
+    basis, pointed, w = _analysed(gens)
+    if w is None:
+        return lattice_span(basis, box)
+    lo = (box.x0, box.y0)
+    hi = (box.x0 + box.rows - 1, box.y0 + box.cols - 1)
+    top = max(w[0] * x + w[1] * y for x in (lo[0], hi[0])
+              for y in (lo[1], hi[1]))
+    if top < 0:
+        return 0
+    scaled = [(p, w[0] * p[0] + w[1] * p[1]) for p in pointed]
+    a = [min(0, *(-(-top * p[k] // s) for p, s in scaled)) for k in (0, 1)]
+    b = [max(0, *(top * p[k] // s for p, s in scaled)) for k in (0, 1)]
+    for k in (0, 1):
+        if basis:
+            a[k], b[k] = min(a[k], lo[k]), max(b[k], hi[k])
+        else:
+            if all(p[k] >= 0 for p in pointed):
+                b[k] = min(b[k], hi[k])
+            if all(p[k] <= 0 for p in pointed):
+                a[k] = max(a[k], lo[k])
+    if a[0] > 0 or a[1] > 0 or b[0] < 0 or b[1] < 0:
+        return 0  # the region misses 0: the box misses C
+    rows, cols = b[0] - a[0] + 1, b[1] - a[1] + 1
+    if rows * cols > cap:
+        return None
+    full = (1 << rows * cols) - 1
+    bits = 1 << -a[0] * cols - a[1]
+    steps = list(pointed)
+    if basis:
+        steps += [tuple(basis[0][1]), neg(basis[0][1])]
+    for g in steps:
+        bits = _ray_fill(bits, g, rows, cols, full)
+    # the box's rows, cut out of the region's
+    xa, xb = max(a[0], lo[0]), min(b[0], hi[0])
+    ya, yb = max(a[1], lo[1]), min(b[1], hi[1])
+    if xa > xb or ya > yb:
+        return 0
+    run = (1 << yb - ya + 1) - 1
+    out = 0
+    for x in range(xa, xb + 1):
+        out |= (bits >> (x - a[0]) * cols + ya - a[1] & run) << (
+            (x - lo[0]) * box.stride + ya - lo[1])
+    return out
 
 
 @lru_cache(maxsize=1 << 16)

@@ -1,8 +1,9 @@
 """Module systems on the quotient groupoid G: closure oracles on finite
 subsets of G, the product-with-overmonoid-intersection construction, meets,
 subbasis membership for the system space, and a falsifier for finitariness
-of parameterized families.  The system space and the overmonoid embedding
-read each overmonoid once, as one int on the layout around their points."""
+of parameterized families.  The system space, the overmonoid embedding and
+the family checks read each overmonoid once, as one int on the layout
+around their points."""
 
 from __future__ import annotations
 
@@ -322,9 +323,11 @@ def _window_mask(S: Overmonoid, points) -> int:
 def _point_reader(ctx, points):
     """The bit of each of the distinct nonzero carrier `points`, and the
     reader of an overmonoid's part of them as an int in those bits: its
-    ``span_mask`` on the layout around the points, which a semigroup-backed
-    one answers with no rule call, or, on a carrier without a layout or
-    past MAX_SPAN_BITS cells, its ``_window_mask``."""
+    ``span_mask`` on the layout around the points, which asks no point of
+    an overmonoid with generators, a valuation or a semigroup mask below
+    the caps, or, on a carrier without a layout or past MAX_SPAN_BITS
+    cells, its ``_window_mask``.  Either way the bits of points given in
+    window order rise in that order."""
     box = ctx.box(points)
     if box is None or box.rows * box.cols > monoid.MAX_SPAN_BITS:
         return ({g: i for i, g in enumerate(points)},
@@ -340,13 +343,16 @@ def falsify_finitary(delta: DeltaFamily, ctx, bound: int = 6):
     FAMILY_DEPTH.  On success the set A = {x_k^{-1}} has the identity in its
     closure over those members while the part without the last x_k does not;
     returns the witness record, or None when no certificate exists up to
-    that index.  Each member is read once on the window, and x_k is the
-    first window point of S_k's mask outside the later members' masks."""
+    that index.  Each member is read once on the window
+    (``_point_reader``), and x_k is the first window point of S_k's mask
+    outside the later members' masks."""
     if delta.finite:
         return None
     window = ctx.nonzero_window(bound)
     members = [delta.member(k) for k in range(1, FAMILY_DEPTH + 1)]
-    masks = [_window_mask(S, window) for S in members]
+    bit, read = _point_reader(ctx, window)
+    at = {b: g for g, b in bit.items()}
+    masks = list(map(read, members))
     xs = []
     for k in range(1, FAMILY_DEPTH + 1):
         later = 0
@@ -355,7 +361,7 @@ def falsify_finitary(delta: DeltaFamily, ctx, bound: int = 6):
         alone = masks[k - 1] & ~later
         if not alone:
             return None
-        xs.append(window[(alone & -alone).bit_length() - 1])
+        xs.append(at[(alone & -alone).bit_length() - 1])
     A = frozenset(ctx.inv(x) for x in xs)
     target = ctx.one
     truncated, _ = product_closure(ctx, members)
@@ -391,14 +397,15 @@ def check_family(delta: DeltaFamily, ctx, bound: int = 4):
     """Pointwise recheck of a parameterized family's declarations on its
     first FAMILY_DEPTH members: members decrease along the index and the
     declared limit sits inside every member.  Each member and the limit is
-    read once on the window, and a pair's first point of the inner mask
-    outside the outer one is its witness."""
+    read once on the window (``_point_reader``), and a pair's first point
+    of the inner mask outside the outer one is its witness."""
     if delta.finite:
         return []
     window = [g for g in ctx.window(bound) if g is not INF]
-    masks = {k: _window_mask(delta.member(k), window)
-             for k in range(1, FAMILY_DEPTH + 1)}
-    limit = _window_mask(delta.limit, window)
+    bit, read = _point_reader(ctx, window)
+    index = {bit[g]: i for i, g in enumerate(window)}
+    masks = {k: read(delta.member(k)) for k in range(1, FAMILY_DEPTH + 1)}
+    limit = read(delta.limit)
 
     def inside(name, pairs):
         """Each (k, inner, outer) has inner inside outer on the window; one
@@ -406,7 +413,7 @@ def check_family(delta: DeltaFamily, ctx, bound: int = 4):
         for n, (k, inner, outer) in enumerate(pairs):
             bad = inner & ~outer
             if bad:
-                i = (bad & -bad).bit_length() - 1
+                i = index[(bad & -bad).bit_length() - 1]
                 return Check(name, False, witness={"k": k,
                                                    "g": repr(window[i])},
                              exhaustive=False, n=n * len(window) + i + 1,

@@ -88,7 +88,8 @@ class GroupoidContext:
     # a window of bound b holds up to (2b + 1)^dim points
     dim = 1
     # whether the carrier has boxes; one that has defines _xy(g), the cell
-    # (x, y) of a point, and _at(x, y), the point at a cell or None off it
+    # (x, y) of a point, _at(x, y), the point at a cell or None off it, and
+    # cell_basis, the echelon basis of its points' cells
     layout = False
 
     def contains(self, g) -> bool:
@@ -128,6 +129,18 @@ class GroupoidContext:
         cells = self.layout and [self._xy(g) for g in points if g is not INF]
         return Box(self, 0, 0, 1, 1).spread(cells) if cells else None
 
+    def comb(self, box):
+        """The cells of `box` that are carrier points, as a mask."""
+        return intgeom.lattice_span(self.cell_basis, box)
+
+    def span(self, gens, box):
+        """The members on `box` of the submonoid generated by `gens`, by
+        ``intgeom.submonoid_span`` on their cells; None when its region
+        passes MAX_SPAN_BITS cells."""
+        return intgeom.submonoid_span(
+            tuple(self._xy(g) for g in gens if g is not INF), box,
+            MAX_SPAN_BITS)
+
     def faces(self, gens):
         """The generators on each face of their cone, read at their cells."""
         if not self.layout:
@@ -145,6 +158,7 @@ class IntCarrier(GroupoidContext):
     """Z plus INF, the groupoid of a numerical monoid."""
 
     layout = True
+    cell_basis = [(1, [0, 1])]  # the row x = 0
 
     def contains(self, g) -> bool:
         return g is INF or is_int(g)
@@ -169,7 +183,7 @@ class IntCarrier(GroupoidContext):
         return 0, g
 
     def _at(self, x, y):
-        return y
+        return y if x == 0 else None
 
 
 # Most HNF answers one lattice carrier remembers; a full memo keeps the
@@ -192,6 +206,9 @@ class LatticeCarrier(GroupoidContext):
         self.basis = intgeom.hnf_rows(vectors)
         self.one = (0,) * dim
         self.layout = dim <= 2
+        # a line's points sit on the row x = 0
+        self.cell_basis = self.basis if dim == 2 else [
+            (1, [0, *row]) for _, row in self.basis]
         self._memo = {}
 
     def contains(self, g) -> bool:
@@ -231,13 +248,15 @@ class LatticeCarrier(GroupoidContext):
         return (0, g[0]) if self.dim == 1 else g
 
     def _at(self, x, y):
+        if self.dim == 1 and x:
+            return None
         p = (y,) if self.dim == 1 else (x, y)
         return p if self._in_lattice(p) else None
 
 
-# Most cells one overmonoid's mask may hold, as many rule answers as
-# MAX_LATTICE_MEMO and the membership caches keep; a larger box reads
-# pointwise
+# Most cells one overmonoid's mask may hold, and most cells of the region
+# its generators' fills run on; a larger box has no mask, and a larger
+# region is read one cell at a time
 MAX_SPAN_BITS = 1 << 16
 
 
@@ -291,6 +310,11 @@ class FiniteCarrier(GroupoidContext):
     def _window(self, bound: int) -> list:
         return list(range(len(self.table)))
 
+    def span(self, gens, box):
+        """None: the ``Table`` row is read one cell at a time, as its n
+        asks cost less than the generators' closure."""
+        return None
+
     def box(self, points):
         """The one ``Table`` row of the whole carrier."""
         return Table(self)
@@ -319,9 +343,9 @@ class Overmonoid:
     or a closed-form membership rule, only asked about nonzero elements of
     G, or both, the rule then deciding the generators' monoid; the
     predicate is fixed here, once.  ``span_mask`` reads the members on a
-    ``Box`` or ``Table`` as one int, from ``sgp`` (their NumericalSemigroup)
-    where set; no mask is kept: a ``window._Window`` or a
-    ``valuation.WindowRead`` keeps each one it reads while it lives."""
+    ``Box`` or ``Table`` as one int; no mask is kept: a ``window._Window``
+    or a ``valuation.WindowRead`` keeps each one it reads while it
+    lives."""
     sgp = None
 
     def __init__(self, context, gens=None, rule=None, name=""):
@@ -344,14 +368,28 @@ class Overmonoid:
 
     def span_mask(self, box):
         """The members on `box`, in its layout, or None past MAX_SPAN_BITS
-        cells: ``sgp``'s span, which asks no cell, or each cell asked once;
-        a cell off the lattice is no member."""
+        cells: ``_span``, which asks no cell, or, where it has no answer,
+        each cell asked once; a cell off the carrier is no member."""
         if box.rows * box.cols > MAX_SPAN_BITS:
             return None
-        if self.sgp is not None:
-            return self.sgp.span(box.y0, box.cols)
-        return sum(1 << i for i, g in box.cells()
-                   if g is not None and self.has(g))
+        bits = self._span(box)
+        if bits is None:
+            bits = sum(1 << i for i, g in box.cells()
+                       if g is not None and self.has(g))
+        return bits
+
+    def _span(self, box):
+        """The members on `box` read without asking a cell: on the row of
+        ``sgp`` (their NumericalSemigroup) where set, else by the carrier
+        from the generators; None for a rule alone, and where the carrier
+        has no such read."""
+        if self.sgp is not None:  # on the row x = 0
+            if not box.x0 <= 0 < box.x0 + box.rows:
+                return 0
+            return self.sgp.span(box.y0, box.cols) << -box.x0 * box.stride
+        if self.gens is None:
+            return None
+        return self.context.span(self.gens, box)
 
     def __repr__(self):
         return f"Overmonoid({self.name or self.gens})"

@@ -7,10 +7,13 @@ groupoid at a bound read as int bitmasks, which a suite builds once and
 drops on return; the domination functions also take the enumerated primes,
 the Zar carrier (its members are overmonoids), the domination map as the
 list f of prime indices, f[i] = delta(carrier[i]), and the carrier's space,
-all built once by the caller.  Through the read each overmonoid is asked
-about each window point at most once, H once about each point of the wide
-box around the window and each prime once about each point of H's window
-part; everything else is read from the masks."""
+all built once by the caller.  Through the read each overmonoid is read
+once as a mask on the window's box and H once on the wide box around it,
+asking no point: a descriptor V(w, t) is one run of each box row plus at
+most one kernel cell, and a generator-backed overmonoid is filled from
+its generators (``intgeom.submonoid_span``).  Each prime is asked once
+about each point of H's window part; everything else is read from the
+masks."""
 
 from __future__ import annotations
 
@@ -78,6 +81,45 @@ class ValuationDescriptor(Overmonoid):
         perp = (-w[1], w[0])
         return _sign(dot(perp, g)) in (0, self.tiebreak)
 
+    def _span(self, box):
+        """The members on `box` asking no cell: N from its gap mask, Z and
+        the trivial descriptor are the carrier's cells, and V(w, t) is one
+        run of each row, w.g > 0, with at most one kernel cell w.g = 0,
+        which t decides; on the row x = 0 of w = (+-1, 0), the kernel line
+        itself, t keeps the half y w_0 t >= 0, or all of it at t = 0."""
+        if self.sgp is not None:
+            return super()._span(box)
+        cells = self.context.comb(box)
+        if self.tag != "weight":
+            return cells
+        (w0, w1), t = self.weight, self.tiebreak
+        y0, cols = box.y0, box.cols
+
+        def run(lo, hi):
+            """The columns of y in [lo, hi)."""
+            lo, hi = max(lo - y0, 0), min(hi - y0, cols)
+            return (1 << hi) - (1 << lo) if lo < hi else 0
+
+        end = y0 + cols
+        bits = 0
+        for i in range(box.rows):
+            x = box.x0 + i
+            c = w0 * x  # w.g = c + w1 y
+            if c and w1 == 0:  # a row off the kernel line x = 0
+                row = run(y0, end) if c > 0 else 0
+            elif w1 == 0:
+                row = run(y0, end) if t == 0 else run(0, end) if (
+                    w0 * t > 0) else run(y0, 1)
+            else:
+                row = run(-c // w1 + 1, end) if w1 > 0 else run(
+                    y0, -(c // w1))
+                y = -c // w1
+                if c % w1 == 0 and (t == 0 or _sign(w0 * y - w1 * x) in
+                                    (0, t)):
+                    row |= run(y, y + 1)
+            bits |= row << i * box.stride
+        return bits & cells
+
     def sort_key(self):
         if self.tag == "trivial":
             return (2,)
@@ -104,8 +146,8 @@ class WindowRead:
     the window moved by each of its points, which is ``box`` moved back by
     each of its cells, as the window is closed under inversion; bits rise
     in window order.  An overmonoid's members there are its ``span_mask``,
-    taken once per read: the window's points are carrier points, so each is
-    asked through the trusted ``has``.  H is read once, on ``wide``: its
+    taken once per read, which asks no window point: a descriptor's row
+    runs, or its generators' fills.  H is read once, on ``wide``: its
     window part is that mask moved onto the box, (H : x) there is the mask
     moved by x, and each prime is asked about each point of H's window part
     once.  A window has at most MAX_WINDOW points and ``wide`` fewer than

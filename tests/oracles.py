@@ -1,5 +1,6 @@
 """Brute-force oracles that only the tests use: the opens of a finite space
-materialized as bitmasks, soberness and homeomorphism by their definitions,
+materialized as bitmasks, soberness, homeomorphism and the covers of the
+specialization order by their definitions,
 every topology on a few points, equality of r-ideals, a small finite
 monoid built by hand, the valuation test, the Zar carrier and its space,
 the B-complement law, the Pruefer test, the domination map and its image
@@ -76,6 +77,30 @@ def closeds(space: FiniteSpace) -> set:
 
 def closure_of_point(space: FiniteSpace, x) -> frozenset:
     return frozenset(y for y in range(space.n) if space.leq(x, y))
+
+
+def specialization_matrix(space: FiniteSpace):
+    """Relation matrix of the closure order (a preorder; a poset iff T0)."""
+    return [[space.leq(x, y) for y in range(space.n)]
+            for x in range(space.n)]
+
+
+def hasse_edges_cubic(space: FiniteSpace):
+    """Cover relations of the specialization order by their definition:
+    every related pair (x, y), x != y, with no third point z between, each
+    z asked; the oracle of ``fintop.hasse_edges``."""
+    rel = specialization_matrix(space)
+    n = space.n
+    edges = []
+    for x in range(n):
+        for y in range(n):
+            if x == y or not rel[x][y]:
+                continue
+            if any(rel[x][z] and rel[z][y] and z not in (x, y)
+                   for z in range(n)):
+                continue
+            edges.append((x, y))
+    return edges
 
 
 def sober_bruteforce(space: FiniteSpace) -> bool:

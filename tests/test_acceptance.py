@@ -22,7 +22,8 @@ from monoid_spectra.valuation import (WindowRead, delta, delta_laws,
                                       enumerate_overmonoids, enumerate_zar,
                                       is_s_pruefer, overmonoid_space)
 from oracles import (all_topologies, brute_force_homeomorphic,
-                     extract_finite_witness, meet_finite_witness)
+                     extract_finite_witness, meet_finite_witness,
+                     specialization_matrix)
 from test_idealsys import o_set
 
 
@@ -76,7 +77,7 @@ def test_2_prime_enumeration_and_oracle():
         assert len(primes2) == 4
         sp2 = spec_subbasis(H2, primes2)
         # diamond: zero below both facets, both facets below maximal
-        rel = sp2.specialization_poset()
+        rel = specialization_matrix(sp2)
         below_counts = sorted(sum(rel[x][y] for x in range(4))
                               for y in range(4))
         assert below_counts == [1, 2, 2, 4]

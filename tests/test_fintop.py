@@ -6,11 +6,14 @@ import pytest
 from monoid_spectra.cli import _t0_check
 from monoid_spectra.fintop import (FiniteSpace, hasse_edges, homeomorphic,
                                    poset_dot, subbasis_space)
+from monoid_spectra.idealsys import (IdealRead, enumerate_ideals,
+                                     enumerate_primes, s_system,
+                                     spec_subbasis)
 from monoid_spectra.monoid import Monoid
 from monoid_spectra.valuation import (WindowRead, enumerate_zar,
                                       overmonoid_space)
 from oracles import (all_topologies, brute_force_homeomorphic, full_mask,
-                     opens, sober_bruteforce)
+                     hasse_edges_cubic, opens, sober_bruteforce)
 
 
 def sierpinski():
@@ -186,3 +189,41 @@ def test_shared_profile_fails_the_t0_check():
     check = _t0_check(overmonoid_space([N, Z, N], read), 6)
     assert (check.name, check.ok, check.n) == ("t0", False, 3)
     assert check.witness == {"profiles": "coincide"}
+
+
+def suite_spaces():
+    """Spaces the suites draw: ideal spaces on the integers, spec and Zar
+    spaces in the plane, and a Zar carrier with a repeated member, which is
+    not T0."""
+    for gens, bound in (([2, 3], 10), ([5, 7, 9], 12), ([3, 4, 5], 8)):
+        H = Monoid.numerical(gens)
+        window = [g for g in H.context.window(bound) if H.contains(g)]
+        yield IdealRead(enumerate_ideals(H, s_system(H), bound),
+                        window).space()
+    for gens in ([[1, 0], [0, 1]], [[1, 0], [0, 1], [0, -1]],
+                 [[1, 1], [1, -1]], [[2, 0], [1, 1]]):
+        H = Monoid.affine(gens)
+        yield spec_subbasis(H, enumerate_primes(H))
+        read = WindowRead(H, 2)
+        yield overmonoid_space(enumerate_zar(read), read)
+    read = WindowRead(Monoid.numerical([2, 3]), 6)
+    N, Z = enumerate_zar(read)
+    yield overmonoid_space([N, Z, N, Z, N], read)
+
+
+def test_hasse_edges_match_the_cubic_oracle():
+    """The int-row covers equal the definition's on every topology of up to
+    4 points, on random subbases of 4 to 7 points (most of them not T0,
+    so equal points sit between), and on spaces the suites build."""
+    rng = random.Random(29)
+    spaces = [sp for n in range(1, 5) for sp in all_topologies(n)]
+    for _ in range(300):
+        n = rng.randint(4, 7)
+        spaces.append(FiniteSpace([str(i) for i in range(n)], [
+            frozenset(i for i in range(n) if rng.random() < 0.5)
+            for _ in range(rng.randint(0, 6))]))
+    spaces += suite_spaces()
+    assert any(not sp.is_t0() for sp in spaces)
+    assert max(sp.n for sp in spaces) > 80
+    for sp in spaces:
+        assert hasse_edges(sp) == hasse_edges_cubic(sp), sp

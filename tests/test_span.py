@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from monoid_spectra import cli, monoid, packs, window
+from monoid_spectra import cli, intgeom, monoid, packs, window
 from monoid_spectra.idealsys import (IdealSystem, check_ideal_axioms,
                                      enumerate_primes, s_system)
 from monoid_spectra.modsys import (DeltaFamily, ModuleSystem, check_id2,
@@ -19,8 +19,9 @@ from monoid_spectra.modsys import (DeltaFamily, ModuleSystem, check_id2,
                                    system_window)
 from monoid_spectra.monoid import (INF, Box, IntCarrier, Monoid, Overmonoid,
                                    as_overmonoid, localize, monoid_from_file)
-from monoid_spectra.valuation import (WindowRead, enumerate_overmonoids,
-                                      enumerate_zar)
+from monoid_spectra.valuation import (ValuationDescriptor, WindowRead,
+                                      _primitive_weights,
+                                      enumerate_overmonoids, enumerate_zar)
 from oracles import (cyclic_group_with_zero, finitary_by_subsets,
                      m2_pair_by_pair)
 
@@ -154,16 +155,148 @@ def test_span_matches_the_predicate(spec, system, picks, moves):
         assert pack.at(bits, by) & on_lattice(box) == pointwise(pred, box), by
 
 
-@settings(max_examples=80, deadline=None)
-@given(spec=inputs(), picks=st.lists(st.integers(0, 50), max_size=3))
+def negated(vs, k):
+    """`vs` with the negatives of its first k vectors: units of rank 1, or
+    of rank 2 when two of those are independent."""
+    return vs + [tuple(-c for c in v) for v in vs[:k]]
+
+
+# plane generators past `plane`: units of rank 1 and 2, and thin cones
+# whose long generator makes the fills' region pass the cap on most boxes
+units = st.builds(negated, st.lists(vectors, min_size=1, max_size=3),
+                  st.integers(1, 2))
+thin = st.builds(lambda a, b, s: [(1, 0), (-a, b)] if s else [(1, a), (1, a + b)],
+                 st.integers(3, 4000), st.integers(1, 3), st.booleans())
+
+
+@st.composite
+def span_inputs(draw):
+    """A carrier kind with generators, and boxes of every offset, most of
+    them missing 0, with strides up to several times their width."""
+    kind = draw(st.sampled_from(["numerical", "line", "plane"]))
+    gens = draw({"numerical": generators, "line": line,
+                 "plane": st.one_of(plane, units, thin)}[kind])
+    flat = kind != "plane"
+    boxes = draw(st.lists(st.tuples(
+        st.just(0) if flat else st.integers(-12, 12), st.integers(-20, 20),
+        st.just(1) if flat else st.integers(1, 9), st.integers(1, 16),
+        st.integers(0, 40)), min_size=1, max_size=5))
+    return kind, gens, boxes
+
+
+def descriptors(ctx):
+    """Every descriptor a carrier takes: N and Z on the integers, Z on a
+    line, every weight and tiebreak and Z in the plane, and the trivial
+    one."""
+    if isinstance(ctx, IntCarrier):
+        tags = ["N", "Z"]
+    elif ctx.dim == 1:
+        tags = ["Z"]
+    else:
+        return [ValuationDescriptor(ctx, "weight", weight=w, tiebreak=t)
+                for w in _primitive_weights() for t in (-1, 0, 1)] + [
+            ValuationDescriptor(ctx, tag) for tag in ("Z", "trivial")]
+    return [ValuationDescriptor(ctx, tag) for tag in tags + ["trivial"]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=span_inputs(), picks=st.lists(st.integers(0, 50), max_size=4))
+@example(spec=("plane", [(1, 0), (-10000, 1)], [(0, 0, 3, 4, 2)]), picks=[])
 def test_span_mask_matches_has(spec, picks):
-    kind, gens, _, boxes = spec
+    """Every overmonoid's mask, H and its localizations at every prime
+    among them, against its pointwise membership: read asking no cell
+    below the caps, and each cell asked past the fills' region cap."""
+    kind, gens, boxes = spec
     H, overs = build(monoid_of(kind, gens))
-    for M in [H] + [overs[i % len(overs)] for i in picks]:
+    locs = [S for S in overs if S.name == "localization"]
+    for M in [H, *locs] + [overs[i % len(overs)] for i in picks]:
         for x0, y0, rows, cols, pad in boxes:
             box = Box(H.context, x0, y0, rows, cols, cols + pad)
             assert M.span_mask(box) == pointwise(
-                lambda g: g is not INF and M.contains(g), box)
+                lambda g: g is not INF and M.contains(g), box), (M, box)
+
+
+# the plane carriers of `PLANE` and two sublattices of index 3 and 4, with
+# boxes in every quadrant, on the axes and around 0
+DESCRIPTOR_CARRIERS = PLANE + [[[3, 0], [1, 1]], [[2, 0], [0, 2], [1, 1]],
+                               [[4, 1], [0, 1]]]
+DESCRIPTOR_BOXES = [(-5, -5, 11, 11, 11), (0, 0, 1, 9, 12), (-4, 0, 9, 1, 3),
+                    (2, -7, 4, 5, 30), (-7, 3, 3, 6, 6), (-1, -9, 3, 18, 19),
+                    (6, 6, 2, 2, 9)]
+
+
+@pytest.mark.parametrize("gens", DESCRIPTOR_CARRIERS + [[[2], [3]],
+                                                        [[2], [-4]]])
+def test_every_descriptor_mask_matches_its_rule(gens):
+    """Every weight and tiebreak, Z and the trivial descriptor, on full and
+    sublattice carriers and on a line, against their rules cell by
+    cell."""
+    ctx = Monoid.affine(gens).context
+    boxes = DESCRIPTOR_BOXES if ctx.dim == 2 else [
+        (0, y0, 1, cols, cols + pad) for _, y0, _, cols, pad in
+        DESCRIPTOR_BOXES]
+    for V in descriptors(ctx):
+        for x0, y0, rows, cols, stride in boxes:
+            box = Box(ctx, x0, y0, rows, cols, stride)
+            assert V.span_mask(box) == pointwise(
+                lambda g: g is not INF and V.contains(g), box), (V, box)
+
+
+def test_int_descriptors_match_their_rules():
+    """N, Z and the trivial descriptor on int boxes from below 0 to past
+    it."""
+    ctx = Monoid.numerical([2, 3]).context
+    for V in descriptors(ctx):
+        for y0 in range(-8, 3):
+            for cols in (1, 5, 12):
+                box = Box(ctx, 0, y0, 1, cols, cols + 2)
+                assert V.span_mask(box) == pointwise(
+                    lambda g: g is not INF and V.contains(g), box), (V, box)
+
+
+def test_plane_masks_ask_no_cell():
+    """H, a localization and a valuation on n2's wide box at bound 8: no
+    ``has``, so no rule, and no ``intgeom.monoid_contains``; each mask is
+    the pointwise one."""
+    H = monoid_from_file(os.path.join(DATA, "n2.json"))
+    ctx = H.context
+    loc = next(L for L in map(functools.partial(localize, H),
+                              enumerate_primes(H))
+               if not all(map(H.contains, L.gens)))
+    V = ValuationDescriptor(ctx, "weight", weight=(1, -2), tiebreak=-1)
+    wide = WindowRead(H, 8).wide
+    asked = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Overmonoid, "has", lambda self, g: asked.append(g))
+        mp.setattr(intgeom, "monoid_contains",
+                   lambda gens, g: asked.append(g))
+        masks = [S.span_mask(wide) for S in (H, loc, V)]
+    assert asked == []
+    for S, m in zip((H, loc, V), masks):
+        assert m == pointwise(lambda g: g is not INF and S.contains(g), wide)
+
+
+@pytest.mark.parametrize("gens, box, region", [
+    # N^2 fills [0, 5] x [0, 5] for a box off 0
+    ([[1, 0], [0, 1]], (3, 3, 3, 3, 5), 36),
+    # units of rank 1: the region holds the box and the generators' strip
+    ([[1, 0], [0, 1], [0, -1]], (-2, 4, 4, 3, 3), 28),
+])
+def test_a_region_past_the_cap_reads_each_cell(gens, box, region,
+                                               monkeypatch):
+    """A generator-backed overmonoid's fills run on a region that can be
+    larger than its box: at a cap of the region's cells no cell is asked,
+    one cell below it each cell of the box is asked once; both masks are
+    exact."""
+    H = Monoid.affine(gens)
+    box = Box(H.context, *box)
+    expected = pointwise(lambda g: g is not INF and H.contains(g), box)
+    for cap, asks in ((region, 0), (region - 1, box.rows * box.cols)):
+        monkeypatch.setattr(monoid, "MAX_SPAN_BITS", cap)
+        S = as_overmonoid(H)
+        asked = []
+        S.has = lambda g, S=S: asked.append(g) or Overmonoid.has(S, g)
+        assert S.span_mask(box) == expected and len(asked) == asks, cap
 
 
 def test_masks_need_a_box_layout():
@@ -178,7 +311,8 @@ def test_masks_need_a_box_layout():
 
 def test_a_box_past_the_cap_reads_pointwise(monkeypatch):
     """A box whose cells pass MAX_SPAN_BITS asks no member and keeps no
-    mask, and the checkers then read its closures point by point."""
+    mask; a box below the cap is read from the generators, asking no cell,
+    exactly; and the checkers then read its closures point by point."""
     monkeypatch.setattr(monoid, "MAX_SPAN_BITS", 30)
     H = Monoid.affine([[1, 0], [0, 1]])
     ctx = H.context
@@ -187,7 +321,10 @@ def test_a_box_past_the_cap_reads_pointwise(monkeypatch):
     S.has = lambda g: asked.append(g) or True
     big = Box(ctx, -3, -3, 6, 6)
     assert S.span_mask(big) is None and asked == []
-    assert S.span_mask(Box(ctx, 0, 0, 5, 6)) is not None and len(asked) == 30
+    small = Box(ctx, 0, 0, 5, 6)
+    assert S.span_mask(small) == pointwise(
+        lambda g: g is not INF and H.contains(g), small)
+    assert asked == []
     for r in (s_system(H), example16(H)):
         assert same_checks(r, H, 2)
 

@@ -11,11 +11,11 @@ cap is run by ``tests/test_span.py``'s
 ``test_plan_reads_agree_with_set_reads_and_the_predicate``, with the cap
 monkeypatched to one cell); main1, axioms and corollaries on n579 and
 n71113 at bounds 20 and 40, in both formats, where the integer carrier's
-windows are large; pronconst on n469, n579 and n71113 and ideals on
-n469 and n579 at bounds 20 and 40, and ideals on n71113 at bound 20, in
-both formats, where the s-ideals are many and each is read as one mask
-(ideals on n71113 at bound 40 lists 7 642 ideals, and its DOT drawing,
-cubic in the number of ideals, does not finish); and every job of the benchmark's seed-0 sweep plan,
+windows are large; pronconst and ideals on n469, n579 and n71113 at
+bounds 20 and 40, in both formats, where the s-ideals are many (7 642 for
+ideals on n71113 at bound 40), each is read as one mask and the DOT
+drawing reads the covers of their order as int rows; and every job of
+the benchmark's seed-0 sweep plan,
 read from ``bench/workloads.py``, in text format with ``--seed 0`` and
 ``--dot``, whose 21 relabelled finite tables read every closure in the
 table layout (the point-by-point side of those runs is
@@ -65,10 +65,8 @@ LARGE = ((("main1", "axioms", "pruefer", "corollaries"),
           ("n2.json", "nxz.json"), (8, 10, 12)),
          (("main1", "axioms", "corollaries"),
           ("n579.json", "n71113.json"), (20, 40)),
-         (("pronconst",), ("n469.json", "n579.json", "n71113.json"),
-          (20, 40)),
-         (("ideals",), ("n469.json", "n579.json"), (20, 40)),
-         (("ideals",), ("n71113.json",), (20,)))
+         (("pronconst", "ideals"), ("n469.json", "n579.json", "n71113.json"),
+          (20, 40)))
 # Suites run on the generated affine pool, and its size.
 POOL_SUITES = ("corollaries", "axioms", "main1", "main2", "zar", "pruefer",
                "spec", "prop1")
