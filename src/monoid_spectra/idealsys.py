@@ -139,9 +139,9 @@ class IdealRead:
     around ``box`` moved back by each generator; each ideal XH is the zero
     and one AND-of-ORs of the layout (``read``), the one member H's span
     with the shifts of X's nonzero points, and so is H itself, as (1)H.
-    Past MAX_SPAN_BITS cells each set is asked at each cell instead.  A
-    ``Box`` and a ``Table`` answer alike, so no realization is asked
-    for."""
+    The window guards keep that layout far below MAX_SPAN_BITS (9 209
+    cells, pronconst on <2,3> at its largest bound); only a lowered cap
+    asks each set at each cell.  A ``Box`` and a ``Table`` answer alike."""
 
     def __init__(self, ideals, window):
         self.H = H = ideals[0].system.H

@@ -13,7 +13,8 @@ asking no point: a descriptor V(w, t) is one run of each box row plus at
 most one kernel cell, and a generator-backed overmonoid is filled from
 its generators (``intgeom.submonoid_span``).  Each prime is asked once
 about each point of H's window part; everything else is read from the
-masks."""
+masks, the domination map's m_V intersect H as H's window part AND V's
+mask minus its inversion."""
 
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from math import gcd
 from .errors import UnsupportedRealization
 from .fintop import FiniteSpace, bipartite_dot, hasse_edges
 from .intgeom import dot
-from .monoid import INF, Monoid, Overmonoid, localize
+from .monoid import Monoid, Overmonoid, localize
 from .numsgp import cached_semigroup, oversemigroups
 from .report import INFO, Check
 
@@ -121,12 +122,9 @@ class ValuationDescriptor(Overmonoid):
         return bits & cells
 
     def sort_key(self):
-        if self.tag == "trivial":
-            return (2,)
-        if self.tag in ("N", "Z"):
-            return (0, self.tag)
+        """The order of weight descriptors in the Zar carrier."""
         w = self.weight
-        return (1, max(abs(w[0]), abs(w[1])), w, self.tiebreak)
+        return max(abs(w[0]), abs(w[1])), w, self.tiebreak
 
     def __repr__(self):
         if self.tag == "weight":
@@ -197,29 +195,24 @@ class WindowRead:
         width = self.bits[0] + self.bits[-1] + 1
         return int(format(m, f"0{width}b")[::-1], 2)
 
-    def at(self, m: int) -> frozenset:
-        """The window points in a mask."""
-        return frozenset(g for g, b in zip(self.points, self.bits)
-                         if m >> b & 1)
-
     @cached_property
     def h_wide(self):
         """H's members on the wide box."""
         return self.H.span_mask(self.wide)
 
     @cached_property
-    def h_cells(self):
-        """(point, bit) of each point of H's window part."""
-        part = self.h_wide >> self.wide.start(self.box, None)
-        return [(g, b) for g, b in zip(self.points, self.bits)
-                if part >> b & 1]
+    def h_part(self):
+        """H's window part: its wide mask moved onto the box."""
+        return self.h_wide >> self.wide.start(self.box, None) & self.full
 
     def parts(self, primes) -> list:
         """Each prime's part of H's window part, as a mask, read on the
         first call."""
         key = tuple(primes)
         if key not in self._parts:
-            self._parts[key] = [sum(1 << b for g, b in self.h_cells
+            cells = [(g, b) for g, b in zip(self.points, self.bits)
+                     if self.h_part >> b & 1]
+            self._parts[key] = [sum(1 << b for g, b in cells
                                     if P.contains(g)) for P in primes]
         return self._parts[key]
 
@@ -336,49 +329,16 @@ def b_complement_law(space, read: WindowRead) -> Check:
 
 # -- the domination map --------------------------------------------------------
 
-def read_window(V: Overmonoid, read: WindowRead):
-    """V's members on the nonzero window and its units there, from V's
-    mask: the window is closed under inversion, so the units are the
-    members whose inverse is a member."""
-    m = read.mask(V)
-    return read.at(m), read.at(m & read.inverted(m))
-
-
-def is_local_window(ctx, members, units) -> bool:
-    """Nonunits form an ideal on the window, products checked when they stay
-    inside it: no nonunit n and member h with n h a unit u, that is, no
-    nonunit n and unit u with u n^{-1} a member.  `members` and `units` are
-    a ``read_window`` of an overmonoid on `ctx`."""
-    return not any(ctx.op(u, ctx.inv(n)) in members
-                   for n in members - units for u in units)
-
-
-def maximal_ideal(V: Overmonoid, read: WindowRead):
-    """m_V = V minus its units, as an exact predicate; V must be local on the
-    window.  V's members on the window are answered from its window read,
-    other points ask V."""
-    ctx = V.context
-    members, units = read_window(V, read)
-    if not is_local_window(ctx, members, units):
-        raise ValueError(f"{V.name or V!r} is not local on the window")
-
-    def member(g):
-        if g is INF or g == ctx.zero:
-            return True
-        if ctx.contains(g) and g in members:
-            return g not in units
-        return V.contains(g) and not V.contains(ctx.inv(g))
-
-    return member
-
-
 def delta(V: Overmonoid, primes, read: WindowRead) -> int:
     """The domination map V -> m_V intersect H, as the index of the one
-    enumerated prime that agrees with it on the window's part of H.  m_V
-    answers from V's mask (V holds H), and H's part and each prime's part
-    of it are the read's, taken once for every V."""
-    m = maximal_ideal(V, read)
-    image = sum(1 << b for g, b in read.h_cells if m(g))
+    enumerated prime that agrees with it on the window's part of H.  On
+    the window m_V is V's mask minus its units, the members whose inverse
+    is a member, so its part of H is one AND of masks the read holds; each
+    prime's part of H is the read's, taken once for every V.  No locality
+    check is needed: the nonunits of a monoid form an ideal, since n h = u
+    with h in V puts n^{-1} = h u^{-1} in V."""
+    m = read.mask(V)
+    image = read.h_part & m & ~read.inverted(m)
     matches = [j for j, part in enumerate(read.parts(primes))
                if part == image]
     if len(matches) != 1:
@@ -403,7 +363,6 @@ def delta_laws(primes, f, zar_space, pruefer, read: WindowRead):
     U = _subbasis_at(zar_space, read)
     parts = read.parts(primes)
     wide, box, bound = read.wide, read.box, read.bound
-    h_bits = sum(1 << b for _, b in read.h_cells)
 
     # image law: the containment "spec minus V((H:x)) inside delta(B(x))" is
     # unconditional; the reverse containment (so the equality) holds when the
@@ -413,7 +372,7 @@ def delta_laws(primes, f, zar_space, pruefer, read: WindowRead):
     count = 0
     for i, x in enumerate(read.points):
         count += 1
-        frac = read.h_wide >> wide.start(box, x) & h_bits
+        frac = read.h_wide >> wide.start(box, x) & read.h_part
         left = frozenset(f[k] for k in U[i])
         right = frozenset(j for j, part in enumerate(parts) if frac & ~part)
         if lower_witness is None and not right <= left:

@@ -645,6 +645,46 @@ def test_pruefer_builds_its_domination_data_once(capsys, monkeypatch,
                          "spec_subbasis": 1, "is_s_pruefer": 1}, name
 
 
+def test_delta_asks_no_point(capsys, monkeypatch):
+    # the domination map reads m_V intersect H as masks: no carrier op or
+    # inv and no overmonoid ask outside the primes' own reads of H's window
+    # part.  Deciding locality pair by pair once made 1 672 op and 1 672
+    # inv calls in delta on n2
+    asked = Counter()
+    inside = []  # "delta" while in delta, "prime" while a prime is asked
+
+    def counting(cls, attr, key):
+        real = getattr(cls, attr)
+
+        def wrapper(*args):
+            if key in ("delta", "prime"):
+                inside.append(key)
+                try:
+                    return real(*args)
+                finally:
+                    inside.pop()
+            if inside[-1:] == ["delta"]:
+                asked[key] += 1
+            return real(*args)
+
+        monkeypatch.setattr(cls, attr, wrapper)
+
+    for cls in (monoid.IntCarrier, monoid.LatticeCarrier):
+        counting(cls, "op", "op")
+        counting(cls, "inv", "inv")
+    counting(monoid.Overmonoid, "has", "has")
+    counting(monoid.Overmonoid, "contains", "contains")
+    counting(idealsys.RIdeal, "contains", "prime")
+    counting(cli, "delta", "delta")
+    for name in ("n2", "nxz"):
+        asked.clear()
+        code, out = run(capsys, "verify", "--suite", "pruefer", "--input",
+                        data(name + ".json"))
+        assert code == 0
+        assert sha1(out) == REPORT_SHA1["pruefer", name]
+        assert asked == {}, name
+
+
 def test_pronconst_reads_principal_limits_from_the_ideal_space(
         capsys, monkeypatch):
     # the suite reads each listed ideal once, as one mask, and takes the

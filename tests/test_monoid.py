@@ -9,7 +9,7 @@ from monoid_spectra.monoid import (INF, IntCarrier, LatticeCarrier, Monoid,
                                    Overmonoid, ParseError, adjoin,
                                    as_overmonoid, fraction_ideal, localize,
                                    monoid_from_json)
-from monoid_spectra.valuation import WindowRead, read_window
+from monoid_spectra.valuation import WindowRead
 from oracles import cyclic_group_with_zero
 
 
@@ -131,8 +131,12 @@ def test_overmonoid_membership_generator_backed():
     assert M.contains(2) and not M.contains(1)
     Z = Overmonoid(H.context, gens=(1, -1), name="Z")
     assert Z.contains(-7) and Z.contains(INF)
-    assert read_window(M, WindowRead(H, 6))[1] == {0}
-    assert read_window(Z, WindowRead(H, 3))[1] == {-3, -2, -1, 0, 1, 2, 3}
+    for S, bound, units in ((M, 6, {0}), (Z, 3, set(range(-3, 4)))):
+        read = WindowRead(H, bound)
+        m = read.mask(S)
+        m &= read.inverted(m)
+        assert {g for g, b in zip(read.points, read.bits)
+                if m >> b & 1} == units
 
 
 def test_adjoin():

@@ -14,14 +14,12 @@ from monoid_spectra.monoid import (INF, Monoid, Overmonoid, as_overmonoid,
 from monoid_spectra.valuation import (ValuationDescriptor, WindowRead,
                                       b_complement_law, delta, delta_dot,
                                       delta_laws, enumerate_overmonoids,
-                                      enumerate_zar, is_local_window,
-                                      is_s_pruefer, is_valuation,
-                                      maximal_ideal, overmonoid_space,
-                                      read_window)
+                                      enumerate_zar, is_s_pruefer,
+                                      is_valuation, overmonoid_space)
 from oracles import (b_complement_pointwise, delta_pointwise,
-                     image_law_pointwise, is_local_pointwise,
-                     is_s_pruefer_pointwise, is_valuation_pointwise,
-                     zar_pointwise, zar_space_pointwise)
+                     image_law_pointwise, is_s_pruefer_pointwise,
+                     is_valuation_pointwise, zar_pointwise,
+                     zar_space_pointwise)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(ROOT, "tests", "data")
@@ -132,7 +130,7 @@ def test_enumerate_zar_numerical_and_affine():
     assert len(set(profs)) == len(profs)
 
 
-def test_maximal_ideal_and_delta_numerical():
+def test_delta_numerical():
     H = Monoid.numerical([2, 3])
     primes = enumerate_primes(H)
     by_name = {p.name: j for j, p in enumerate(primes)}
@@ -142,8 +140,6 @@ def test_maximal_ideal_and_delta_numerical():
     vZ = next(v for v in zar if v.tag == "Z")
     assert delta(vN, primes, read) == by_name["P_max"]
     assert delta(vZ, primes, read) == by_name["P_zero"]
-    m = maximal_ideal(vN, read)
-    assert m(1) and m(2) and not m(0) and m(INF)
 
 
 def test_delta_images_affine():
@@ -260,23 +256,15 @@ def outcome(fn, *args):
         return f"ValueError: {e}"
 
 
-def local(V, read):
-    """The locality verdict on V's window read."""
-    return is_local_window(V.context, *read_window(V, read))
-
-
 def test_domination_reads_agree_with_the_pointwise_oracle():
-    # the window reads give the pointwise code's locality verdicts, f list,
-    # image-law checks and small-bound ValueError, on every additive input
+    # the window reads give the pointwise code's f list, image-law checks
+    # and small-bound ValueError, on every additive input
     raised = set()
     for name, H in additive_inputs():
         for bound in (1, 2, 3, 4):
             primes = enumerate_primes(H)
             read = WindowRead(H, bound)
             zar = enumerate_zar(read)
-            for V in zar:
-                assert local(V, read) == is_local_pointwise(
-                    V, bound), (name, bound, V)
             f = [outcome(delta, V, primes, read) for V in zar]
             assert f == [outcome(delta_pointwise, H, V, primes, bound)
                          for V in zar], (name, bound)
@@ -291,43 +279,6 @@ def test_domination_reads_agree_with_the_pointwise_oracle():
                     == [c.to_dict() for c in image_law_pointwise(
                         H, primes, f, space, pruefer, bound)]), (name, bound)
     assert "ValueError: domination image of V(N) matched 2 primes" in raised
-
-
-def not_a_monoid(ctx, members, name):
-    """A rule-backed set that need not be closed under the operation."""
-    return Overmonoid(ctx, rule=members.__contains__, name=name)
-
-
-def test_locality_reads_agree_on_sets_that_are_not_monoids():
-    # a submonoid is always local, so only a rule that is no monoid can
-    # fail: 1 * 2 = 3 is a unit while 1 is not
-    line = Monoid.numerical([2, 3])
-    H = Monoid.affine([[1, 0], [0, 1]])
-    cases = [(line, not_a_monoid(line.context, {0, 1, 2, 3, -3}, "1+2"),
-              False),
-             (line, not_a_monoid(line.context, {0, 1, 2, 3}, "no units"),
-              True),
-             (H, not_a_monoid(H.context, {(0, 0), (1, 0), (0, 1), (1, 1),
-                                          (-1, -1)}, "(1,0)+(0,1)"), False)]
-    cases += [(H, S, True) for S in (H, localize(H, enumerate_primes(H)[1]))]
-    for K, S, expected in cases:
-        for bound in (1, 2, 3, 4):
-            assert local(S, WindowRead(K, bound)) == is_local_pointwise(
-                S, bound)
-        assert local(S, WindowRead(K, 4)) == expected, S.name
-    with pytest.raises(ValueError, match="not local on the window"):
-        maximal_ideal(cases[0][1], WindowRead(line, 4))
-
-
-def test_maximal_ideal_is_exact_off_the_window_and_the_carrier():
-    H = Monoid.numerical([2, 3])
-    read = WindowRead(H, 2)
-    m = maximal_ideal(next(v for v in enumerate_zar(read) if v.tag == "N"),
-                      read)
-    # 1 and 2 from the window read, 5 and -5 from the valuation itself; a
-    # bool is no point of the carrier, although True == 1
-    assert [m(g) for g in (1, 2, 5, 0, -5, True, 1.0)] == [
-        True, True, True, False, False, False, False]
 
 
 @functools.cache
