@@ -19,9 +19,8 @@ from .idealsys import (IdealRead, check_ideal_axioms, enumerate_ideals,
                        enumerate_primes, s_system, spec_subbasis)
 from .modsys import (FAMILY_DEPTH, DeltaFamily, SystemSpace, check_family,
                      check_id2, check_idempotent, check_module_axioms,
-                     example16, falsify_finitary, family_from_file,
-                     embedding_checks, iota, is_finitary, r_delta,
-                     separating_points, system_window)
+                     falsify_finitary, family_from_file, embedding_checks,
+                     is_finitary, r_delta, separating_points, system_window)
 from .monoid import (MAX_WINDOW, ParseError, as_overmonoid, localize,
                      monoid_from_file)
 from .report import INFO, Check, SuiteReport
@@ -107,7 +106,7 @@ def suite_zar(rep, H, bound, seed):
                   detail=" ".join(V.name for V in carrier)))
     rep.extend(is_valuation(V, read) for V in carrier)
     space = overmonoid_space(carrier, read)
-    rep.add(b_complement_law(space, read))
+    rep.add(b_complement_law(carrier, read))
     rep.add(_t0_check(space, bound))
     return lambda: poset_dot(space, name="zar")
 
@@ -127,7 +126,7 @@ def suite_pruefer(rep, H, bound, seed):
     rep.add(Check("delta-surjective", witness is None, witness=witness,
                   exhaustive=False, n=len(primes), bound=bound))
     sp = is_s_pruefer(primes, read)
-    rep.extend(delta_laws(primes, f, zar_space, sp.ok, read))
+    rep.extend(delta_laws(primes, f, carrier, sp.ok, read))
     rep.add(Check("s-pruefer-instance", INFO, bound=bound,
                   detail="s-Pruefer" if sp.ok else f"not s-Pruefer at "
                   f"{sp.witness} (homeomorphism not claimed)"))
@@ -152,7 +151,9 @@ def suite_pruefer(rep, H, bound, seed):
 def suite_main1(rep, H, bound, seed):
     ctx = H.context
     overs = _curated_overmonoids(H, bound)
-    systems = [*map(iota, overs), example16(H)]
+    space = SystemSpace(H, overs,
+                        separating_points(ctx, overs, min(bound, 4)))
+    systems = space.systems
     for r, checks in zip(systems, check_module_axioms(systems, H,
                                                       bound=bound, seed=seed)):
         for c in checks:
@@ -190,14 +191,6 @@ def suite_main1(rep, H, bound, seed):
                       detail="H fills G on the window, so the Id2 gap is "
                              "vacuous here"))
 
-    # Every U_A of these systems is the union of the U_{a}, a in A (1 is in
-    # SA when it is in Sa for some a; example16 fills G when 0 is in A), so
-    # the singletons {0} and {x^-1}, x over the separating points, give the
-    # whole topology.
-    pool = [frozenset([ctx.zero])] + [
-        frozenset([ctx.inv(x)])
-        for x in separating_points(ctx, overs, min(bound, 4))]
-    space = SystemSpace(systems, pool)
     pair = space.t0_witnesses()
     k = len(systems)
     rep.add(Check("system-carrier-t0", pair is None,

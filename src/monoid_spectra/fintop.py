@@ -1,30 +1,25 @@
-"""Finite topological spaces built from subbases: the T0 test,
+"""Finite topological spaces given by their points' profiles: the T0 test,
 specialization posets, the homeomorphism test of a given map, and DOT
 emission.  On a finite carrier sober and spectral are each equivalent to T0.
 
-Every question is read from the points' subbasis profiles; no open set is
-ever materialized."""
+Every question is read from the profiles; no open set is ever
+materialized."""
 
 from __future__ import annotations
 
 
 class FiniteSpace:
-    """A finite point set with a subbasis of opens (stored as index sets).
+    """A finite point set with a subbasis of opens, given as each point's
+    profile: an int with one bit per subbasis open, set when the point lies
+    in it.  Any injective layout of the opens' bits gives the same space;
+    separation and the specialization order are read from the profiles."""
 
-    Each point's profile, the int with bit k set when the point lies in
-    subbasis open k, is computed once; separation and the specialization
-    order are read from the profiles."""
-
-    def __init__(self, labels, subbasis):
+    def __init__(self, labels, profiles):
         self.labels = list(labels)
+        self.profiles = list(profiles)
         self.n = len(self.labels)
-        self.subbasis = [frozenset(s) for s in subbasis]
-        self.profiles = [0] * self.n
-        for k, s in enumerate(self.subbasis):
-            if any(not 0 <= i < self.n for i in s):
-                raise ValueError("subbasis set outside the point set")
-            for i in s:
-                self.profiles[i] |= 1 << k
+        if len(self.profiles) != self.n or any(p < 0 for p in self.profiles):
+            raise ValueError("one nonnegative profile per point")
 
     # -- separation and order ------------------------------------------------
 
@@ -39,14 +34,7 @@ class FiniteSpace:
         return not self.profiles[y] & ~self.profiles[x]
 
     def __repr__(self):
-        return f"FiniteSpace(n={self.n}, subbasis={len(self.subbasis)})"
-
-
-def subbasis_space(labels, points, opens, inside) -> FiniteSpace:
-    """The space on `points` whose k-th subbasis open is the set of points p
-    with inside(p, opens[k]); each membership is evaluated once."""
-    return FiniteSpace(labels, [frozenset(i for i, p in enumerate(points)
-                                          if inside(p, o)) for o in opens])
+        return f"FiniteSpace(n={self.n})"
 
 
 def homeomorphic(X: FiniteSpace, Y: FiniteSpace, f):
@@ -77,19 +65,25 @@ def hasse_edges(space: FiniteSpace):
     x != y, with x <= y and no third point z with x <= z <= y, in order.
 
     The order is read as int rows.  The points are ranked by decreasing
-    profile size, so a point strictly below another comes first, and
-    up(x), the points y with x <= y, is the AND of the complements of the
-    subbasis opens that miss x.  The covers of x are then the minimal bits
-    of up(x) minus x: the lowest-ranked bit left is one, and it takes its
-    own up set out of what is left.  On a space that is not T0 a minimal
-    bit with an equal point among the candidates covers nothing, as the
-    equal point sits between."""
+    profile size, so a point strictly below another comes first, each
+    subbasis open is read as a row of ranks by transposing the profiles
+    once, and up(x), the points y with x <= y, is the AND of the
+    complements of the opens that miss x.  The covers of x are then the
+    minimal bits of up(x) minus x: the lowest-ranked bit left is one, and
+    it takes its own up set out of what is left.  On a space that is not
+    T0 a minimal bit with an equal point among the candidates covers
+    nothing, as the equal point sits between."""
     n, profiles = space.n, space.profiles
     rank = sorted(range(n), key=lambda i: -profiles[i].bit_count())
     at = [0] * n
+    opens = [0] * max(profiles, default=0).bit_length()
     for r, i in enumerate(rank):
         at[i] = r
-    opens = [sum(1 << at[i] for i in s) for s in space.subbasis]
+        p = profiles[i]
+        while p:
+            low = p & -p
+            opens[low.bit_length() - 1] |= 1 << r
+            p ^= low
     everything = (1 << n) - 1
     ups, equal = {}, {}
     for r, i in enumerate(rank):

@@ -1,5 +1,5 @@
 """Ideal systems on a monoid H: the closure axioms, the s-system, finitary
-closure, r-ideals, prime r-ideals and the spectrum/ideal-space subbases.
+closure, r-ideals, prime r-ideals and the spectrum and ideal spaces.
 
 Listed s-ideals are read as int bitmasks (``IdealRead``), one layout read
 each, and the prime flags and the ideal space are read from those masks."""
@@ -7,7 +7,7 @@ each, and the prime flags and the ideal space are read from those masks."""
 from __future__ import annotations
 
 from .errors import UnsupportedRealization
-from .fintop import FiniteSpace, subbasis_space
+from .fintop import FiniteSpace
 from .modsys import ModuleSystem, product_closure
 from .monoid import Monoid, sort_key
 from .numsgp import _bits
@@ -82,8 +82,9 @@ def spec_subbasis(H: Monoid, primes) -> FiniteSpace:
     """The Zariski space on primes with subbasis the principal opens D_r(g),
     g over H's generators.  These generate the whole topology, because
     D(g1...gk) is the intersection of the D(gi)."""
-    return subbasis_space([p.name or repr(p) for p in primes], primes,
-                          H.generators, lambda p, g: not p.contains(g))
+    return FiniteSpace([p.name or repr(p) for p in primes], [sum(
+        1 << k for k, g in enumerate(H.generators) if not p.contains(g))
+        for p in primes])
 
 
 def enumerate_ideals(H: Monoid, system: IdealSystem, bound: int):
@@ -104,9 +105,7 @@ def enumerate_ideals(H: Monoid, system: IdealSystem, bound: int):
     (infinite antichains)."""
     r = system
     if H.kind == "finite":
-        zero = RIdeal(r, ())
-        whole = RIdeal(r, (H.one,))
-        return [zero, whole]
+        return [RIdeal(r, ()), RIdeal(r, (H.one,))]
     if H.kind != "numerical":
         raise UnsupportedRealization("ideal enumeration needs numerical or finite kind")
     sgp = H.sgp
@@ -186,12 +185,12 @@ class IdealRead:
 
     def space(self) -> FiniteSpace:
         """The space on the ideals with subbasis U_r(x) = {I : x not in I},
-        x over their generators, read from the masks' bits.  I is inside J
-        exactly when J holds I's generators, so these opens give the
-        specialization order, which determines a finite space."""
-        return subbasis_space([repr(I) for I in self.ideals], self.masks,
-                              [self.box.bit(x) for x in self.xs],
-                              lambda m, b: not m >> b & 1)
+        x over their generators: I's profile is their bits that I's mask
+        misses.  I is inside J exactly when J holds I's generators, so these
+        opens give the specialization order, which fixes a finite space."""
+        xs = sum(1 << self.box.bit(x) for x in self.xs)
+        return FiniteSpace([repr(I) for I in self.ideals],
+                           [xs & ~m for m in self.masks])
 
 
 # -- axiom checking ---------------------------------------------------------

@@ -1,16 +1,14 @@
 """Module systems on the quotient groupoid G: closure oracles on finite
 subsets of G, the product-with-overmonoid-intersection construction, meets,
-subbasis membership for the system space, and a falsifier for finitariness
-of parameterized families.  The system space, the overmonoid embedding and
+the space of main1's systems, and a falsifier for finitariness of
+parameterized families.  The system space, the overmonoid embedding and
 the family checks read each overmonoid once, as one int on the layout
 around their points."""
 
 from __future__ import annotations
 
-import functools
-
 from . import monoid
-from .fintop import FiniteSpace, subbasis_space
+from .fintop import FiniteSpace
 # family_from_file lives beside the monoid readers and is also read from here
 from .monoid import (INF, CarrierMismatch, DeltaFamily, Monoid,
                      Overmonoid, family_from_file, sort_key)
@@ -235,24 +233,6 @@ def is_finitary(r: ModuleSystem, bound: int = 4, sample_budget: int = 200,
 
 # -- the system space --------------------------------------------------------
 
-def subbasis_membership(r: ModuleSystem, S) -> bool:
-    """r in U_S iff 1 in S_r."""
-    S = frozenset(S)
-    if not S:
-        raise ValueError("U_S is defined for nonempty S only")
-    return r.member(S, r.context.one)
-
-
-def _inverses(ctx, S):
-    """The inverses of the nonzero points of a pool set, checked on the
-    carrier once."""
-    if not S:
-        raise ValueError("U_S is defined for nonempty S only")
-    for a in S:
-        ctx.check(a)
-    return [ctx.inv(a) for a in _nonzero(ctx, S)]
-
-
 def separating_points(ctx, overmonoids, bound: int):
     """The nonzero window, then the nonzero generators of every member, each
     point once.  Two distinct generator-backed overmonoids differ at a
@@ -264,46 +244,40 @@ def separating_points(ctx, overmonoids, bound: int):
 
 
 class SystemSpace:
-    """A finite carrier of module systems with the subbasis U_S evaluated
-    over a pool of nonempty finite subsets S of G."""
+    """The finite carrier of main1's module systems, iota(S) for S over
+    `overmonoids` and then example16(H), with the subbasis U_A, A over the
+    nonempty finite subsets of G, of the systems r with 1 in A_r.
 
-    def __init__(self, systems, pool):
-        self.systems = list(systems)
-        self.pool = list(map(frozenset, pool))
+    U_A is the union of the U_{a}, a in A, on these systems (1 is in SA when
+    it is in Sa for some a, and example16 fills G when 0 is in A), so the
+    U_{0} and the U_{x^{-1}}, x over the distinct nonzero `points`, give the
+    topology as far as the points tell it.  1 is in {x^{-1}}_r exactly when
+    every member of r holds x, and only example16 has 1 in {0}_r, so each
+    system's profile is one member's part of the points: S's for iota(S),
+    H's plus one bit for U_{0} for example16."""
+
+    def __init__(self, H, overmonoids, points):
+        self.H, self.overmonoids, self.points = H, list(overmonoids), points
+        self.systems = [*map(iota, self.overmonoids), example16(H)]
         self._space = None
 
     def space(self) -> FiniteSpace:
-        """The space on the systems with subbasis U_S, S over the pool, of
-        systems on one carrier; each membership is evaluated once, on the
-        first call.  A product closure is read from its members: 1 is in
-        S_r exactly when every member holds a^{-1} for some nonzero a in S,
-        so 1 is in {x^{-1}}_r when every member holds x, and in {0}_r when
-        there is none.  Each member is read once on the pool's inverses
-        (``_point_reader``), and a pool set's answer is one AND.  A system
-        that names no members asks its closure."""
+        """The space on the systems, built on the first call: each member
+        is read once on the points (``_point_reader``), and no closure is
+        asked."""
         if self._space is None:
-            ctx = self.systems[0].context
-            inverses = {S: _inverses(ctx, S) for S in self.pool}
-            bit, reader = _point_reader(ctx, list(dict.fromkeys(
-                g for invs in inverses.values() for g in invs)))
-            invs = {S: sum(1 << bit[g] for g in inverses[S])
-                    for S in self.pool}
-            read = functools.cache(reader)
-
-            def one_in(r, S):
-                if r.members is None:
-                    return subbasis_membership(r, S)
-                return all(read(M) & invs[S] for M in r.members(S))
-
-            self._space = subbasis_space([r.name for r in self.systems],
-                                         self.systems, self.pool, one_in)
+            bit, read = _point_reader(self.H.context, self.points)
+            zero = 1 << (max(bit.values(), default=-1) + 1)
+            self._space = FiniteSpace(
+                [r.name for r in self.systems],
+                [*map(read, self.overmonoids), read(self.H) | zero])
         return self._space
 
     def t0_witnesses(self):
         """The first pair (i, j) of carrier systems, in
-        ``itertools.combinations`` order, that no pool set tells apart, or
-        None: the first index whose profile repeats, with its next
-        repeat."""
+        ``itertools.combinations`` order, that no U_{0} or U_{x^{-1}} tells
+        apart, or None: the first index whose profile repeats, with its
+        next repeat."""
         first, pair = {}, None
         for j, profile in enumerate(self.space().profiles):
             i = first.setdefault(profile, j)

@@ -1,5 +1,5 @@
 """Valuation overmonoids of the quotient groupoid, the overmonoid and
-valuation carriers with their subbasis topologies, the domination map onto
+valuation carriers with their window spaces, the domination map onto
 prime ideals and its laws, and a localization-based Pruefer test.
 
 The window functions take a ``WindowRead``, the nonzero window of H's
@@ -290,40 +290,30 @@ def enumerate_zar(read: WindowRead):
     return out
 
 
-# -- subbases and carriers ----------------------------------------------------
+# -- carriers and their spaces ------------------------------------------------
 
 def overmonoid_space(carrier, read: WindowRead) -> FiniteSpace:
-    """R(G|H) (or Zar) with the subbasis U(x) over the window, INF last,
-    read from the members' masks; every member holds INF.  For valuation
-    carriers U(x) and B(x) = Zar(G|H[x]) agree pointwise."""
-    masks = [read.mask(S) for S in carrier]
-    opens = [frozenset(i for i, m in enumerate(masks) if m >> b & 1)
-             for b in read.bits]
+    """R(G|H) (or Zar) with the subbasis U(x), x over the nonzero window:
+    each member's profile is its mask on the window.  Every member holds
+    INF, so its open, all of the carrier, changes no order and is left out.
+    For valuation carriers U(x) and B(x) = Zar(G|H[x]) agree pointwise."""
     return FiniteSpace([S.name or repr(S) for S in carrier],
-                       opens + [frozenset(range(len(carrier)))])
+                       [read.mask(S) & read.full for S in carrier])
 
 
-def _subbasis_at(space, read):
-    """U(x) of each nonzero window point, in window order, read from a space
-    that ``overmonoid_space`` built on the read's window."""
-    if len(read.points) + 1 != len(space.subbasis):
-        raise ValueError("the space was built on another window")
-    return space.subbasis
+def b_complement_law(carrier, read: WindowRead) -> Check:
+    """On a valuation carrier, Zar minus B(x) sits inside B(x^{-1}): every
+    V holds x or x^{-1}, read from V's mask and its inversion.  The window
+    is closed under inversion, which reverses its order."""
+    missed = [read.full & ~(m | read.inverted(m))
+              for m in map(read.mask, carrier)]
 
+    def outcome(x, b):
+        k = next((k for k, m in enumerate(missed) if m >> b & 1), None)
+        return None if k is None else {
+            "x": repr(x), "V": carrier[k].name or repr(carrier[k])}
 
-def b_complement_law(space, read: WindowRead) -> Check:
-    """On a valuation carrier, Zar minus B(x) sits inside B(x^{-1}); U(x) and
-    U(x^{-1}) are read from the carrier's space.  The window is closed under
-    inversion, which reverses its order."""
-    U = _subbasis_at(space, read)
-    last = len(read.points) - 1
-
-    def outcome(i):
-        missed = set(range(space.n)) - U[i] - U[last - i]
-        return ({"x": repr(read.points[i]),
-                 "V": space.labels[next(iter(missed))]} if missed else None)
-
-    return Check.scan("B-complement", map(outcome, range(last + 1)),
+    return Check.scan("B-complement", map(outcome, read.points, read.bits),
                       bound=read.bound)
 
 
@@ -347,20 +337,22 @@ def delta(V: Overmonoid, primes, read: WindowRead) -> int:
     return matches[0]
 
 
-def delta_laws(primes, f, zar_space, pruefer, read: WindowRead):
+def delta_laws(primes, f, carrier, pruefer, read: WindowRead):
     """For every nonzero window element x, the image law
-    delta(B(x)) = spec minus V((H : x)) over the enumerated carriers; B(x)
-    is read from the Zar carrier's space.  `pruefer` is the caller's s-Pruefer
-    verdict, under which the image law is claimed as an equality.  (H : x)
-    on H's window part is H's wide mask moved by x, masked to that part,
-    and the primes outside V((H : x)) are those whose part misses a point
-    of it.
+    delta(B(x)) = spec minus V((H : x)) over the enumerated carriers;
+    delta(B(x)) is the primes P with x in the OR of the masks of the V with
+    delta(V) = P.  `pruefer` is the caller's s-Pruefer verdict, under which
+    the image law is claimed as an equality.  (H : x) on H's window part is
+    H's wide mask moved by x, masked to that part, and the primes outside
+    V((H : x)) are those whose part misses a point of it.
 
     The preimage law delta^{-1}(D(x)) = B(x^{-1}) needs no check: ``delta``
     accepts V only when m_V and the image agree on the window's part of H,
     and an x of H lies in V, so x is outside m_V exactly when x^{-1} is in
     V."""
-    U = _subbasis_at(zar_space, read)
+    images = [0] * len(primes)
+    for m, j in zip(map(read.mask, carrier), f):
+        images[j] |= m
     parts = read.parts(primes)
     wide, box, bound = read.wide, read.box, read.bound
 
@@ -370,10 +362,10 @@ def delta_laws(primes, f, zar_space, pruefer, read: WindowRead):
     lower_witness = None
     eq_witness = None
     count = 0
-    for i, x in enumerate(read.points):
+    for x, b in zip(read.points, read.bits):
         count += 1
         frac = read.h_wide >> wide.start(box, x) & read.h_part
-        left = frozenset(f[k] for k in U[i])
+        left = frozenset(j for j, m in enumerate(images) if m >> b & 1)
         right = frozenset(j for j, part in enumerate(parts) if frac & ~part)
         if lower_witness is None and not right <= left:
             lower_witness = {"x": repr(x), "missing": sorted(right - left)}

@@ -1,6 +1,8 @@
-"""Brute-force oracles that only the tests use: the opens of a finite space
-materialized as bitmasks, soberness, homeomorphism and the covers of the
-specialization order by their definitions,
+"""Brute-force oracles that only the tests use: finite spaces built from
+subbases point by point, the opens of a finite space materialized as
+bitmasks, soberness, homeomorphism and the covers of the specialization
+order by their definitions, the space of module systems over a pool of
+sets with each closure asked,
 every topology on a few points, equality of r-ideals, a small finite
 monoid built by hand, the valuation test, the Zar carrier and its space,
 the B-complement law, the Pruefer test, the domination map and its image
@@ -15,7 +17,7 @@ import functools
 import itertools
 from functools import lru_cache
 
-from monoid_spectra.fintop import FiniteSpace, subbasis_space
+from monoid_spectra.fintop import FiniteSpace
 from monoid_spectra.modsys import (FAMILY_DEPTH, _nonzero, meet,
                                    product_closure, r_delta)
 from monoid_spectra.monoid import (INF, Monoid, fraction_ideal, localize,
@@ -25,6 +27,29 @@ from monoid_spectra.valuation import ValuationDescriptor, _primitive_weights
 from monoid_spectra.window import _subsets
 
 CARRIER_GUARD = 20
+
+
+def subbasis_space(labels, points, opens, inside) -> FiniteSpace:
+    """The space on `points` whose k-th subbasis open is the set of points p
+    with inside(p, opens[k]): bit k of p's profile, each membership asked
+    once."""
+    return FiniteSpace(labels, [sum(1 << k for k, o in enumerate(opens)
+                                    if inside(p, o)) for p in points])
+
+
+def sets_space(n, sets) -> FiniteSpace:
+    """The space on points 0..n-1 whose subbasis opens are `sets`."""
+    return subbasis_space([str(i) for i in range(n)], range(n), sets,
+                          lambda i, s: i in s)
+
+
+def subbasis(space: FiniteSpace, bits=None) -> list:
+    """The point set of each subbasis open, in bit order: of the given
+    `bits`, or of every bit up to the highest any profile sets."""
+    if bits is None:
+        bits = range(max(space.profiles, default=0).bit_length())
+    return [frozenset(i for i, p in enumerate(space.profiles) if p >> b & 1)
+            for b in bits]
 
 
 def mask(points) -> int:
@@ -50,7 +75,7 @@ def opens(space: FiniteSpace) -> frozenset:
         raise ValueError(
             f"carrier too large to materialize (> {CARRIER_GUARD})")
     basis = {full_mask(space)}
-    basis.update(mask(s) for s in space.subbasis)
+    basis.update(mask(s) for s in subbasis(space))
     # close under pairwise intersection
     changed = True
     while changed:
@@ -141,7 +166,7 @@ def all_topologies(n: int):
     spaces = []
     for r in range(len(all_subsets) + 1):
         for sub in itertools.combinations(all_subsets, r):
-            space = FiniteSpace([str(i) for i in universe], sub)
+            space = sets_space(n, sub)
             if opens(space) not in seen:
                 seen.add(opens(space))
                 spaces.append(space)
@@ -218,20 +243,20 @@ def zar_pointwise(H, bound):
 
 
 def zar_space_pointwise(carrier, ctx, bound) -> FiniteSpace:
-    """The carrier's space with subbasis U(x), x over the window, each
-    membership asked through ``contains``."""
+    """The carrier's space with subbasis U(x), x over the nonzero window,
+    each membership asked through ``contains``."""
     return subbasis_space([S.name or repr(S) for S in carrier], carrier,
-                          ctx.window(bound), lambda S, x: S.contains(x))
+                          ctx.nonzero_window(bound),
+                          lambda S, x: S.contains(x))
 
 
-def b_complement_pointwise(space, ctx, bound) -> Check:
-    """Zar minus B(x) inside B(x^{-1}), with U(x) looked up by point."""
-    U = dict(zip(ctx.window(bound), space.subbasis))
-
+def b_complement_pointwise(carrier, ctx, bound) -> Check:
+    """Zar minus B(x) inside B(x^{-1}): the first member holding neither x
+    nor x^{-1}, both asked through ``contains``."""
     def outcome(x):
-        missed = set(range(space.n)) - U[x] - U[ctx.inv(x)]
-        return ({"x": repr(x), "V": space.labels[next(iter(missed))]}
-                if missed else None)
+        V = next((V for V in carrier
+                  if not V.contains(x) and not V.contains(ctx.inv(x))), None)
+        return None if V is None else {"x": repr(x), "V": V.name or repr(V)}
 
     return Check.scan("B-complement", map(outcome, ctx.nonzero_window(bound)),
                       bound=bound)
@@ -287,11 +312,11 @@ def delta_pointwise(H, V, primes, bound) -> int:
     return matches[0]
 
 
-def image_law_pointwise(H, primes, f, zar_space, pruefer, bound):
+def image_law_pointwise(H, primes, f, carrier, pruefer, bound):
     """The checks of ``valuation.delta_laws``, rebuilding (H : x) and asking
-    every prime about its points once per x."""
+    every prime about its points and every carrier member about x once per
+    x."""
     ctx = H.context
-    U = dict(zip(ctx.window(bound), zar_space.subbasis))
     h_window = [g for g in ctx.nonzero_window(bound) if H.contains(g)]
     lower_witness = eq_witness = None
     count = 0
@@ -299,7 +324,8 @@ def image_law_pointwise(H, primes, f, zar_space, pruefer, bound):
         count += 1
         frac = fraction_ideal(H, x)
         frac_window = [h for h in h_window if frac(h)]
-        left = frozenset(f[i] for i in U[x])
+        left = frozenset(f[i] for i, V in enumerate(carrier)
+                         if V.contains(x))
         right = frozenset(j for j, P in enumerate(primes)
                           if any(not P.contains(h) for h in frac_window))
         if lower_witness is None and not right <= left:
@@ -322,6 +348,26 @@ def image_law_pointwise(H, primes, f, zar_space, pruefer, bound):
                             + ("it also holds pointwise" if eq_witness is None
                                else f"it fails at {eq_witness['x']}")))
     return checks
+
+
+# -- the system space, one closure at a time ----------------------------------
+
+def subbasis_membership(r, S) -> bool:
+    """r in U_S iff 1 in S_r, asked through r's closure."""
+    S = frozenset(S)
+    if not S:
+        raise ValueError("U_S is defined for nonempty S only")
+    return r.member(S, r.context.one)
+
+
+def pool_space(systems, pool) -> FiniteSpace:
+    """The space on module systems with subbasis U_S, S over `pool`, a list
+    of nonempty finite subsets of G: the general construction that
+    ``modsys.SystemSpace`` specializes, each membership asked through a
+    closure.  Systems that name no members are read alike."""
+    return subbasis_space([r.name for r in systems], systems, pool,
+                          subbasis_membership)
+
 
 
 # -- parameterized families, point by point ----------------------------------

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from monoid_spectra.fintop import FiniteSpace, homeomorphic
+from monoid_spectra.fintop import homeomorphic
 from monoid_spectra.idealsys import (IdealRead, check_ideal_axioms,
                                      enumerate_ideals, enumerate_primes,
                                      s_system, spec_subbasis)
@@ -22,7 +22,7 @@ from monoid_spectra.valuation import (WindowRead, delta, delta_laws,
                                       enumerate_overmonoids, enumerate_zar,
                                       is_s_pruefer, overmonoid_space)
 from oracles import (all_topologies, brute_force_homeomorphic,
-                     extract_finite_witness, meet_finite_witness,
+                     extract_finite_witness, meet_finite_witness, sets_space,
                      specialization_matrix)
 from test_idealsys import o_set
 
@@ -135,8 +135,7 @@ def laws(H, bound):
     read = WindowRead(H, bound)
     zar = enumerate_zar(read)
     f = [delta(V, primes, read) for V in zar]
-    space = overmonoid_space(zar, read)
-    return {c.name: c for c in delta_laws(primes, f, space,
+    return {c.name: c for c in delta_laws(primes, f, zar,
                                           is_s_pruefer(primes, read).ok,
                                           read)}
 
@@ -319,7 +318,7 @@ def test_11_topology_cross_validation():
             n = rng.randint(4, 5)
             sub = [frozenset(i for i in range(n) if rng.random() < 0.5)
                    for _ in range(rng.randint(1, 5))]
-            bigger.append(FiniteSpace([str(i) for i in range(n)], sub))
+            bigger.append(sets_space(n, sub))
         for a, b in itertools.combinations_with_replacement(bigger, 2):
             if a.n == b.n:
                 for f in itertools.permutations(range(a.n)):

@@ -564,38 +564,46 @@ def test_lattice_check_runs_once_per_point_and_carrier(capsys, monkeypatch):
     assert calls and max(calls.values()) == 1
 
 
-def test_system_space_evaluates_each_membership_once(capsys, monkeypatch):
-    # each (system, pool set) membership is asked once; main1's systems all
-    # name their members, so they answer from them and no closure is asked
-    calls, closures, sizes = [], [], []
-    real_space = modsys.subbasis_space
-    real_membership = modsys.subbasis_membership
+def test_system_space_reads_each_overmonoid_once(capsys, monkeypatch):
+    # the space reads each overmonoid and H once, through _point_reader's
+    # reader, and asks no closure; asking U_S of each (system, pool set)
+    # it made 491 760 calls on <11,12> at bound 1
+    reads, closures, spaces = Counter(), [], []
+    real_reader = modsys._point_reader
+    real_closure = modsys.ModuleSystem.closure
 
-    def counting_space(labels, points, opens, inside):
-        def counted(p, o):
-            calls.append((id(p), o))
-            return inside(p, o)
+    def counting_reader(ctx, points):
+        bit, read = real_reader(ctx, points)
 
-        return real_space(labels, points, opens, counted)
+        def counted(S):
+            reads[id(S)] += 1
+            return read(S)
 
-    def counting_membership(r, S):
-        closures.append(1)
-        return real_membership(r, S)
+        return bit, counted
+
+    def counting_closure(self, A):
+        closures.append(A)
+        return real_closure(self, A)
 
     class Recording(modsys.SystemSpace):
-        def __init__(self, systems, pool):
-            super().__init__(systems, pool)
-            sizes.append(len(self.systems) * len(self.pool))
+        def space(self):
+            before = len(closures)
+            built = super().space()
+            spaces.append((self, len(closures) - before))
+            return built
 
-    monkeypatch.setattr(modsys, "subbasis_space", counting_space)
-    monkeypatch.setattr(modsys, "subbasis_membership", counting_membership)
+    monkeypatch.setattr(modsys, "_point_reader", counting_reader)
+    monkeypatch.setattr(modsys.ModuleSystem, "closure", counting_closure)
     monkeypatch.setattr(cli, "SystemSpace", Recording)
     code, out = run(capsys, "verify", "--suite", "main1",
                     "--input", data("n579.json"))
     assert code == 0
     assert sha1(out) == REPORT_SHA1["main1", "n579"]
-    assert sizes and len(set(calls)) == len(calls) == sum(sizes)
-    assert not closures
+    (space,) = {ss for ss, _ in spaces}
+    assert len(space.overmonoids) == 16
+    assert reads == Counter({id(S): 1 for S in [*space.overmonoids,
+                                                 space.H]})
+    assert not any(asked for _, asked in spaces)
 
 
 def test_main1_reads_int_closures_by_span(capsys, monkeypatch):

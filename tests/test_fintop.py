@@ -5,7 +5,7 @@ import pytest
 
 from monoid_spectra.cli import _t0_check
 from monoid_spectra.fintop import (FiniteSpace, hasse_edges, homeomorphic,
-                                   poset_dot, subbasis_space)
+                                   poset_dot)
 from monoid_spectra.idealsys import (IdealRead, enumerate_ideals,
                                      enumerate_primes, s_system,
                                      spec_subbasis)
@@ -13,17 +13,17 @@ from monoid_spectra.monoid import Monoid
 from monoid_spectra.valuation import (WindowRead, enumerate_zar,
                                       overmonoid_space)
 from oracles import (all_topologies, brute_force_homeomorphic, full_mask,
-                     hasse_edges_cubic, opens, sober_bruteforce)
+                     hasse_edges_cubic, opens, sets_space, sober_bruteforce,
+                     subbasis, subbasis_space)
 
 
 def sierpinski():
     # {1} open, {0} not
-    return FiniteSpace(["generic", "closed"], [frozenset({1})])
+    return FiniteSpace(["generic", "closed"], [0b0, 0b1])
 
 
 def discrete(n):
-    return FiniteSpace([str(i) for i in range(n)],
-                       [frozenset({i}) for i in range(n)])
+    return sets_space(n, [frozenset({i}) for i in range(n)])
 
 
 def test_sierpinski_basics():
@@ -46,7 +46,7 @@ def test_opens_closed_under_union_and_intersection():
         n = rng.randint(1, 5)
         sub = [frozenset(i for i in range(n) if rng.random() < 0.5)
                for _ in range(rng.randint(0, 4))]
-        sp = FiniteSpace([str(i) for i in range(n)], sub)
+        sp = sets_space(n, sub)
         topology = opens(sp)
         assert 0 in topology and full_mask(sp) in topology
         for a in topology:
@@ -58,8 +58,7 @@ def test_opens_closed_under_union_and_intersection():
 def test_carrier_guard():
     n = 21
     with pytest.raises(ValueError):
-        opens(FiniteSpace([str(i) for i in range(n)],
-                          [frozenset({i}) for i in range(n)]))
+        opens(sets_space(n, [frozenset({i}) for i in range(n)]))
 
 
 # On a finite space sober (and so spectral) is read from T0; these two tests
@@ -79,7 +78,7 @@ def test_sober_agrees_with_bruteforce_on_random_small_spaces():
         n = rng.randint(4, 5)
         sub = [frozenset(i for i in range(n) if rng.random() < 0.5)
                for _ in range(rng.randint(1, 5))]
-        sp = FiniteSpace([str(i) for i in range(n)], sub)
+        sp = sets_space(n, sub)
         assert sp.is_t0() == sober_bruteforce(sp), sorted(opens(sp))
 
 
@@ -101,7 +100,7 @@ def test_homeomorphic_agrees_with_bruteforce_on_random_spaces():
         n = rng.randint(4, 5)
         sub = [frozenset(i for i in range(n) if rng.random() < 0.5)
                for _ in range(rng.randint(1, 4))]
-        spaces.append(FiniteSpace([str(i) for i in range(n)], sub))
+        spaces.append(sets_space(n, sub))
     for a, b in itertools.product(spaces, repeat=2):
         if a.n != b.n:
             continue
@@ -109,7 +108,7 @@ def test_homeomorphic_agrees_with_bruteforce_on_random_spaces():
         maps += [[rng.randrange(a.n) for _ in range(a.n)] for _ in range(20)]
         for f in maps:
             assert (homeomorphic(a, b, f) is None) == \
-                brute_force_homeomorphic(a, b, f), (a.subbasis, b.subbasis, f)
+                brute_force_homeomorphic(a, b, f), (a.profiles, b.profiles, f)
 
 
 def test_homeomorphic_checks_the_given_map():
@@ -122,7 +121,7 @@ def test_homeomorphic_checks_the_given_map():
     assert homeomorphic(s, s, [1, 1]) == {"repeated": "closed"}
     assert homeomorphic(s, discrete(3), [2, 0]) == {"missing": "1"}
     # non-T0 spaces are fixed by their preorder too
-    indiscrete = FiniteSpace(["a", "b"], [])
+    indiscrete = FiniteSpace(["a", "b"], [0, 0])
     assert homeomorphic(indiscrete, indiscrete, [1, 0]) is None
     assert homeomorphic(indiscrete, s, [0, 1]) == {"pair": "a,b"}
 
@@ -140,20 +139,21 @@ def small_spaces():
         n = rng.randint(4, 5)
         sub = [frozenset(i for i in range(n) if rng.random() < 0.5)
                for _ in range(rng.randint(0, 5))]
-        spaces.append(FiniteSpace([str(i) for i in range(n)], sub))
+        spaces.append(sets_space(n, sub))
     return spaces
 
 
 def test_profile_reads_agree_with_opens_and_subbasis():
     for sp in small_spaces():
         topology = opens(sp)
+        sub = subbasis(sp)
         for x in range(sp.n):
             # the closure of {x}: points every open around which holds x
             closure = {y for y in range(sp.n)
                        if all(o >> x & 1 for o in topology if o >> y & 1)}
             assert {y for y in range(sp.n) if sp.leq(x, y)} == closure
             same = {y for y in range(sp.n)
-                    if all((y in S) == (x in S) for S in sp.subbasis)}
+                    if all((y in S) == (x in S) for S in sub)}
             for y in range(sp.n):
                 # the first open holding exactly one of x and y, from the
                 # profiles
@@ -161,8 +161,8 @@ def test_profile_reads_agree_with_opens_and_subbasis():
                 k = (diff & -diff).bit_length() - 1 if diff else None
                 assert (k is None) == (y in same)
                 if k is not None:
-                    assert (x in sp.subbasis[k]) != (y in sp.subbasis[k])
-                    assert all((x in S) == (y in S) for S in sp.subbasis[:k])
+                    assert (x in sub[k]) != (y in sub[k])
+                    assert all((x in S) == (y in S) for S in sub[:k])
 
 
 def test_subbasis_space_evaluates_each_membership_once():
@@ -174,8 +174,9 @@ def test_subbasis_space_evaluates_each_membership_once():
 
     sp = subbasis_space(["2", "3", "6"], [2, 3, 6], [2, 3], inside)
     assert sorted(calls) == sorted((p, o) for p in (2, 3, 6) for o in (2, 3))
-    assert sp.subbasis == [{0, 2}, {1, 2}]
+    assert subbasis(sp) == [{0, 2}, {1, 2}]
     assert sp.profiles == [0b01, 0b10, 0b11]
+    assert subbasis(sp, [1, 5]) == [{1, 2}, set()]
 
 
 def test_shared_profile_fails_the_t0_check():
@@ -219,7 +220,7 @@ def test_hasse_edges_match_the_cubic_oracle():
     spaces = [sp for n in range(1, 5) for sp in all_topologies(n)]
     for _ in range(300):
         n = rng.randint(4, 7)
-        spaces.append(FiniteSpace([str(i) for i in range(n)], [
+        spaces.append(sets_space(n, [
             frozenset(i for i in range(n) if rng.random() < 0.5)
             for _ in range(rng.randint(0, 6))]))
     spaces += suite_spaces()
@@ -227,3 +228,25 @@ def test_hasse_edges_match_the_cubic_oracle():
     assert max(sp.n for sp in spaces) > 80
     for sp in spaces:
         assert hasse_edges(sp) == hasse_edges_cubic(sp), sp
+
+
+def test_reads_do_not_depend_on_the_bit_layout():
+    """Any injective layout of the opens' bits gives the same space: the
+    profiles spread out and reversed give the same order, T0 verdict and
+    covers."""
+    for sp in [*small_spaces(), *suite_spaces()]:
+        width = max(sp.profiles, default=0).bit_length()
+        moved = FiniteSpace(sp.labels, [
+            sum(1 << 3 * (width - k) + 2 for k in range(width) if p >> k & 1)
+            for p in sp.profiles])
+        assert moved.is_t0() == sp.is_t0()
+        assert hasse_edges(moved) == hasse_edges(sp)
+        assert all(moved.leq(x, y) == sp.leq(x, y)
+                   for x in range(sp.n) for y in range(sp.n))
+
+
+def test_profiles_are_checked_once():
+    with pytest.raises(ValueError):
+        FiniteSpace(["a", "b"], [1])
+    with pytest.raises(ValueError):
+        FiniteSpace(["a"], [-1])

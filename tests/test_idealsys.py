@@ -136,6 +136,12 @@ def test_enumerate_primes_matches_the_generator_subset_oracle(H):
     assert len(primes) == len(found), (primes, found)
     assert all(any(equals(p, q) for q in found) for p in primes), \
         (primes, found)
+    # the face lemma: a nonzero generator lies outside a prime exactly when
+    # it is none of the prime's generators, as a face holds the summands of
+    # its points, so the spectrum's profiles could be read without a closure
+    zero = H.context.zero
+    assert all((g != zero and g not in p.generators) == (not p.contains(g))
+               for p in primes for g in H.generators)
 
 
 def prime_recheck_cases(H):

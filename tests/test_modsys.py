@@ -12,7 +12,7 @@ from monoid_spectra.modsys import (DeltaFamily, ModuleSystem, SystemSpace,
                                    embedding_checks, example16,
                                    falsify_finitary, iota, meet,
                                    product_closure, r_delta,
-                                   separating_points, subbasis_membership)
+                                   separating_points)
 from monoid_spectra.idealsys import s_system
 from monoid_spectra.monoid import (INF, CarrierMismatch, FiniteCarrier,
                                    IntCarrier, Monoid, Overmonoid, ParseError,
@@ -20,7 +20,8 @@ from monoid_spectra.monoid import (INF, CarrierMismatch, FiniteCarrier,
                                    monoid_from_file)
 from oracles import (check_family_pointwise, cyclic_group_with_zero,
                      extract_finite_witness, falsify_finitary_pointwise,
-                     meet_finite_witness, specialization_matrix)
+                     meet_finite_witness, pool_space, specialization_matrix,
+                     subbasis_membership)
 from test_monoid import MONOIDS, reachable
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -169,12 +170,12 @@ def first_unseparated(systems, pool):
 def test_system_space_t0_and_witnesses():
     H = n23()
     overs = [overmonoid_N(H), overmonoid_Z(H)]
-    systems = [*map(iota, overs), example16(H)]
-    pool = singleton_pool(H.context, overs, 4)
-    ss = SystemSpace(systems, pool)
-    sp = ss.space()
-    assert sp.is_t0()
+    ss = SystemSpace(H, overs, separating_points(H.context, overs, 4))
+    systems = ss.systems
+    assert [r.name for r in systems] == ["r_N", "r_Z", "example16"]
+    assert ss.space().is_t0()
     assert ss.t0_witnesses() is None
+    pool = singleton_pool(H.context, overs, 4)
     assert first_unseparated(systems, pool) is None
     # the separating pool sets, found by the all-pairs loop
     assert separating_set(systems, pool, 0, 1) == frozenset([4])  # -4 in Z
@@ -192,19 +193,22 @@ def test_separating_points_are_the_window_then_the_generators():
 
 @pytest.mark.parametrize("name", ["n23", "c3z", "nxz"])
 def test_singleton_opens_give_the_literal_system_topology(name):
-    # U_A is the union of the U_{a}, a in A, on main1's carrier, so adding
-    # every U_A with |A| <= 2 on the window changes neither T0 nor the order
+    # U_A is the union of the U_{a}, a in A, on main1's carrier, so the
+    # system space has the topology of every U_A with |A| <= 2 on the
+    # window, each asked through a closure
     H = monoid_from_file(os.path.join(DATA, name + ".json"))
     ctx = H.context
     overs = cli._curated_overmonoids(H, 2)
-    systems = [*map(iota, overs), example16(H)]
+    ss = SystemSpace(H, overs, separating_points(ctx, overs, 2))
     pool = singleton_pool(ctx, overs, 2)
     literal = pool + [A for n in (1, 2)
                       for A in map(frozenset,
                                    itertools.combinations(ctx.window(2), n))]
-    singles, full = (SystemSpace(systems, p).space() for p in (pool, literal))
-    assert singles.is_t0() == full.is_t0()
-    assert specialization_matrix(singles) == specialization_matrix(full)
+    space = ss.space()
+    for oracle in (pool_space(ss.systems, p) for p in (pool, literal)):
+        assert oracle.labels == space.labels
+        assert oracle.is_t0() == space.is_t0()
+        assert specialization_matrix(oracle) == specialization_matrix(space)
 
 
 def adjoin_ray_family():
@@ -463,42 +467,40 @@ def test_t0_witnesses_are_the_first_separating_pool_sets():
     # t0_witnesses gives the first pair that the all-pairs loop over the
     # first separating pool sets leaves unseparated
     H = n23()
-    overs = [overmonoid_N(H), overmonoid_Z(H)]
-    pool = singleton_pool(H.context, overs, 4)
-    N, Z, e16 = iota(overs[0]), iota(overs[1]), example16(H)
+    ctx = H.context
+    N, Z, N2 = overmonoid_N(H), overmonoid_Z(H), overmonoid_N(H)
     # the first index with a twin, with its next twin, in combinations order
-    for systems, pair in (([N, Z, e16, iota(overmonoid_N(H))], (0, 3)),
-                          ([Z, N, e16, N, Z], (0, 4)),
-                          ([N, Z, Z, N], (0, 3)),
-                          ([e16, Z, N, N, Z], (1, 4))):
-        ss = SystemSpace(systems, pool)
-        assert ss.t0_witnesses() == first_unseparated(systems, pool) == pair
-        sp = ss.space()
-        for S, U in zip(pool, sp.subbasis):
-            assert U == {i for i, r in enumerate(systems)
-                         if subbasis_membership(r, S)}, S
+    for overs, pair in (([N, Z, N2], (0, 2)), ([Z, N, N, Z], (0, 3)),
+                        ([N, Z, Z, N], (0, 3)), ([N, Z, Z], (1, 2))):
+        ss = SystemSpace(H, overs, separating_points(ctx, overs, 4))
+        pool = singleton_pool(ctx, overs, 4)
+        assert ss.t0_witnesses() == first_unseparated(ss.systems, pool) \
+            == pair
+        assert (specialization_matrix(ss.space())
+                == specialization_matrix(pool_space(ss.systems, pool)))
 
 
 @pytest.mark.parametrize("name", ["n579", "n2", "nxz", "c3z"])
 def test_system_space_reads_product_closures_from_their_members(name):
-    """main1's systems at its default bound, and the first of them read
-    point by point: each U_S holds the systems whose closure of S holds the
-    identity, for main1's pool and for sets of two of its points."""
+    """main1's systems at its default bound, read from their members' masks,
+    against the general pool space with every closure asked and the
+    members hidden: main1's pool and its sets of two adjacent points give
+    the same order and the same first unseparated pair."""
     H = monoid_from_file(os.path.join(DATA, name + ".json"))
     ctx = H.context
     bound = 4 if H.kind == "affine" else 10
     overs = cli._curated_overmonoids(H, bound)
-    systems = [*map(iota, overs), example16(H)]
-    systems.append(ModuleSystem("hidden", ctx, systems[0].closure))
+    ss = SystemSpace(H, overs, separating_points(ctx, overs, 4))
+    space = ss.space()
+    hidden = [ModuleSystem(r.name, ctx, r.closure) for r in ss.systems]
     pool = singleton_pool(ctx, overs, 4)
     pool += [S | T for S, T in zip(pool, pool[1:])]
-    space = SystemSpace(systems, pool).space()
-    assert len(space.subbasis) == len(pool)
-    for S, U in zip(pool, space.subbasis):
-        assert U == {i for i, r in enumerate(systems)
-                     if subbasis_membership(r, S)}, S
+    oracle = pool_space(hidden, pool)
+    assert oracle.labels == space.labels
+    assert specialization_matrix(oracle) == specialization_matrix(space)
+    assert ss.t0_witnesses() == first_unseparated(hidden, pool)
     with pytest.raises(ValueError):
-        SystemSpace(systems[:1], [frozenset()]).space()
+        pool_space(hidden[:1], [frozenset()])
 
 
 @settings(max_examples=100, deadline=None)

@@ -18,7 +18,7 @@ from monoid_spectra.valuation import (ValuationDescriptor, WindowRead,
                                       is_valuation, overmonoid_space)
 from oracles import (b_complement_pointwise, delta_pointwise,
                      image_law_pointwise, is_s_pruefer_pointwise,
-                     is_valuation_pointwise, zar_pointwise,
+                     is_valuation_pointwise, subbasis, zar_pointwise,
                      zar_space_pointwise)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -36,8 +36,7 @@ def domination(H, bound):
 
 def laws(H, bound):
     primes, zar, f, read = domination(H, bound)
-    space = overmonoid_space(zar, read)
-    return {c.name: c for c in delta_laws(primes, f, space,
+    return {c.name: c for c in delta_laws(primes, f, zar,
                                           is_s_pruefer(primes, read).ok,
                                           read)}
 
@@ -206,9 +205,17 @@ def test_delta_preimage_law_follows_from_the_match():
 def test_b_complement_law_and_space():
     H = Monoid.affine([[1, 0], [0, 1]])
     read = WindowRead(H, 4)
-    space = overmonoid_space(enumerate_zar(read), read)
-    assert b_complement_law(space, read).ok
-    assert space.is_t0()
+    zar = enumerate_zar(read)
+    assert b_complement_law(zar, read).ok
+    assert overmonoid_space(zar, read).is_t0()
+    # the oversemigroups of <2,3> are no valuation monoids: the first window
+    # point and the first member holding neither it nor its inverse
+    H = Monoid.numerical([2, 3])
+    read, carrier = WindowRead(H, 4), enumerate_overmonoids(H)
+    check = b_complement_law(carrier, read)
+    assert check.to_dict() == b_complement_pointwise(carrier, H.context,
+                                                     4).to_dict()
+    assert (check.ok, check.witness) == (False, {"x": "-1", "V": "<2,3>"})
 
 
 def test_ultrafilter_limit_valuation_is_principal():
@@ -272,12 +279,11 @@ def test_domination_reads_agree_with_the_pointwise_oracle():
             raised.update(errors)
             if errors:
                 continue
-            space = overmonoid_space(zar, read)
             pruefer = is_s_pruefer(primes, read).ok
             assert ([c.to_dict() for c in
-                     delta_laws(primes, f, space, pruefer, read)]
+                     delta_laws(primes, f, zar, pruefer, read)]
                     == [c.to_dict() for c in image_law_pointwise(
-                        H, primes, f, space, pruefer, bound)]), (name, bound)
+                        H, primes, f, zar, pruefer, bound)]), (name, bound)
     assert "ValueError: domination image of V(N) matched 2 primes" in raised
 
 
@@ -325,9 +331,10 @@ def test_window_reads_agree_with_the_pointwise_oracles(H, bound):
             == [is_valuation_pointwise(V, bound).to_dict() for V in tested])
     space = overmonoid_space(zar, read)
     oracle = zar_space_pointwise(zar, ctx, bound)
-    assert (space.labels, space.subbasis) == (oracle.labels, oracle.subbasis)
-    assert (b_complement_law(space, read).to_dict()
-            == b_complement_pointwise(space, ctx, bound).to_dict())
+    assert ((space.labels, subbasis(space, read.bits))
+            == (oracle.labels, subbasis(oracle)))
+    assert (b_complement_law(zar, read).to_dict()
+            == b_complement_pointwise(zar, ctx, bound).to_dict())
     pruefer = is_s_pruefer(primes, read)
     assert (pruefer.to_dict()
             == is_s_pruefer_pointwise(H, primes, bound).to_dict())
@@ -335,6 +342,6 @@ def test_window_reads_agree_with_the_pointwise_oracles(H, bound):
     assert f == [outcome(delta_pointwise, H, V, primes, bound) for V in zar]
     if not any(isinstance(v, str) for v in f):
         assert ([c.to_dict() for c in
-                 delta_laws(primes, f, space, pruefer.ok, read)]
+                 delta_laws(primes, f, zar, pruefer.ok, read)]
                 == [c.to_dict() for c in image_law_pointwise(
-                    H, primes, f, space, pruefer.ok, bound)])
+                    H, primes, f, zar, pruefer.ok, bound)])

@@ -26,7 +26,10 @@ corollaries, axioms, main1, main2, zar, pruefer, spec and prop1 on the
 the same bounds and formats: the checkers' draws there are sampled, not
 exhaustive, five of the inputs span sublattices of index 2-4, whose boxes
 have cells off the lattice, and some pruefer runs raise ``ValueError``,
-which the record keeps.  A run's record is
+which the record keeps; and main1 on <11,12> at bound 1, in both
+formats, the one run whose system space is large (8 196 systems, one per
+oversemigroup and example16), its input written inline as the sweep's
+are.  A run's record is
 ``[sha1, status, fails]``: the SHA-1 over
 stdout, stderr, the exit code (or the exception the run raised) and the
 DOT file; that exit code or exception; and the sorted names of the
@@ -71,6 +74,8 @@ LARGE = ((("main1", "axioms", "pruefer", "corollaries"),
 POOL_SUITES = ("corollaries", "axioms", "main1", "main2", "zar", "pruefer",
                "spec", "prop1")
 POOL_SIZE = 20
+# (suite, description, bound) of the runs on inputs given inline
+INLINE = (("main1", {"kind": "numerical", "generators": [11, 12]}, 1),)
 FAIL_LINE = re.compile(r"^\S+ (\S+) FAIL\b", re.M)
 
 
@@ -133,6 +138,18 @@ def sweep_runs(tmp):
         yield label, argv
 
 
+def inline_runs(tmp):
+    """(label, argv, bounds) of the runs on ``INLINE``'s inputs, each
+    written to `tmp`."""
+    for i, (suite, desc, bound) in enumerate(INLINE):
+        path = os.path.join(tmp, f"inline{i}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(desc, fh)
+        gens = ",".join(map(str, desc["generators"]))
+        yield (f"{suite} <{gens}>", ["--suite", suite, "--input", path],
+               (bound,))
+
+
 def fail_names(out, as_json):
     """Sorted names of the FAIL lines of one report, text or JSON."""
     if not as_json:
@@ -168,7 +185,8 @@ def main():
     records = {}
     with tempfile.TemporaryDirectory() as tmp:
         dot_path = os.path.join(tmp, "out.dot")
-        for label, argv, bounds in [*runs(), *pool_runs(tmp)]:
+        for label, argv, bounds in [*runs(), *pool_runs(tmp),
+                                     *inline_runs(tmp)]:
             for bound in bounds:
                 extra = [] if bound is None else ["--bound", str(bound)]
                 for fmt in ("text", "json"):
