@@ -202,10 +202,11 @@ def check_ideal_axioms(r: IdealSystem, H: Monoid, bound: int = 10,
     Exhaustive over all subsets of up to 3 points of the window universe
     when that universe has at most 13 elements, 500 seeded draws
     otherwise, of which Id2 scans the first 60, one item per X over the Y
-    with X inside Y_r: the module axioms' plan on H's members, with Id4 in
-    place of M2 and M4."""
+    with X inside Y_r: the module axioms' plan on H's members, with Id4,
+    whose moves are the nonzero members, in place of M2 and M4."""
     universe = [g for g in H.context.window(bound) if H.contains(g)]
     draw = _Draw(universe, budget=500, limit=13, seed=seed)
-    w = _plan(H.context, universe, draw, [r], universe)
+    w = _plan(H.context, universe, draw, [r], universe,
+              moves=[g for g in universe if g != H.context.zero])
     return w.verdicts(draw, ("Id1", w.id1, "X"), ("Id2", w.id2, "XY", "X", 60),
                       ("Id3", w.id3, "X"), ("Id4", w.id4))[0]

@@ -24,11 +24,11 @@ class ModuleSystem:
 
     ``closure(A)`` takes a finite subset of G, checked here (CarrierMismatch
     otherwise), and returns an exact membership predicate for A_r, which
-    answers False off the carrier.  ``members``, for a product closure, is a
-    function of A that lists the overmonoids whose product closure is A_r,
-    so a ``window._Window`` reads A_r from their masks; it trusts A, as the
-    window's sets are checked once, where the window is built.  It is None
-    for a system read point by point."""
+    answers False off the carrier.  ``members`` lists the overmonoids of a
+    product closure, from whose masks a ``window._Window`` reads A_r, or,
+    where the list varies with A, is the function of A that gives it, which
+    trusts A, as the window checks its sets once.  It is None for a system
+    read point by point."""
 
     def __init__(self, name, context, closure, members=None):
         self.name = name
@@ -58,7 +58,7 @@ def product_closure(ctx, members):
     """The closure A -> intersection over S in `members` of SA, with 0: g is
     in it iff for every S some nonzero a in A has a^{-1} g in S.  Exact for
     finite A and a finite list; an empty list gives all of G.  Returns the
-    closure and its members function, as ``ModuleSystem`` takes them."""
+    closure and the list, as ``ModuleSystem`` takes them."""
     zero = ctx.zero
 
     def closure(A):
@@ -80,7 +80,7 @@ def product_closure(ctx, members):
 
         return member
 
-    return closure, lambda A: members
+    return closure, members
 
 
 def example16(H: Monoid) -> ModuleSystem:
@@ -94,7 +94,7 @@ def example16(H: Monoid) -> ModuleSystem:
         return whole if any(a is INF or a == ctx.zero for a in A) else product
 
     return ModuleSystem("example16", ctx, lambda A: pick(A)[0](A),
-                        lambda A: pick(A)[1](A))
+                        lambda A: pick(A)[1])
 
 
 def r_delta(delta: DeltaFamily, ctx) -> ModuleSystem:
@@ -116,8 +116,8 @@ def iota(S: Overmonoid) -> ModuleSystem:
 def meet(systems) -> ModuleSystem:
     """Pointwise intersection of closures; the infimum for the coarser-than
     order.  A meet of product closures is the product closure of all their
-    members; a meet with a system read point by point is read point by
-    point."""
+    members, a list, or a function of A where one of theirs is; a meet with
+    a system read point by point is read point by point."""
     systems = list(systems)
     if not systems:
         raise ValueError("meet of an empty list")
@@ -134,11 +134,12 @@ def meet(systems) -> ModuleSystem:
     parts = [r.members for r in systems]
 
     def members(A):
-        return [S for m in parts for S in m(A)]
+        return [S for m in parts for S in (m(A) if callable(m) else m)]
 
     name = "^".join(r.name for r in systems)
     return ModuleSystem(f"meet({name})", ctx, closure,
-                        None if None in parts else members)
+                        None if None in parts else members
+                        if any(map(callable, parts)) else members(None))
 
 
 # -- axiom checking ----------------------------------------------------------

@@ -17,7 +17,8 @@ class _Pack:
     systems read point by point has one bit per slot and no packed reads.
     Each slot's exact predicates and window masks serve the point loops.
     A pack is built with its window and lives as long, so its reads, member
-    masks and point-by-point masks serve every scan of the window."""
+    masks and point-by-point masks serve every scan of the window; member
+    masks are built once, and per new list of a slot whose members vary."""
 
     def __init__(self, w, slots, packed):
         self.w, self.slots, self.packed = w, slots, packed
@@ -42,6 +43,8 @@ class _Pack:
         self.masks = [rows(w.box.rows) << s * W for s in range(k)]
         self._full, self._padding = rows(w.reach.rows), rows(w.wide.rows)
         self._keep = (1 << w.reach.rows * P) - 1
+        self._lists = [r.members for r in self.systems]
+        self._varying = [s for s, m in enumerate(self._lists) if callable(m)]
 
     def rep(self, bits):
         """Bits of slot 0, in every slot."""
@@ -58,12 +61,14 @@ class _Pack:
         shifts = self.w.shifts(A) if self.packed else None
         if shifts is None:
             return None
-        lists = [r.members(A) for r in self.systems]
+        lists, key = self._lists, ()
+        if self._varying:  # masks keyed by the varying slots' lists
+            lists = [m(A) if callable(m) else m for m in lists]
+            key = tuple(tuple(lists[s]) for s in self._varying)
         W = self.width
         if not shifts:  # {} and {0}: every cell for no members, else none
             return sum(self._full << s * W for s, m in enumerate(lists)
                        if not m)
-        key = tuple(map(tuple, lists))
         masks = self._members.get(key)
         if masks is None:
             span, pad = self.w.span, self._padding

@@ -19,22 +19,47 @@ def _subsets(xs, sizes):
     return [frozenset(c) for n in sizes for c in itertools.combinations(xs, n)]
 
 
+def _drawn(universe, size, budget, seed):
+    """`budget` draws of ``frozenset(rng.sample(universe, rng.randint(1,
+    size)))``, rng = ``random.Random(seed)``, for a size of at most 5, read
+    from rng's ``getrandbits`` as those two read it."""
+    bits, n = random.Random(seed).getrandbits, len(universe)
+
+    def below(m):  # m.bit_length() bits, until they are below m
+        while (r := bits(m.bit_length())) >= m:
+            pass
+        return r
+
+    for _ in range(budget):
+        moved, picks = {}, set()
+        for m in range(n, n - 1 - below(size), -1):
+            if n > 21:  # sample redraws a taken index past 21 points
+                while (j := below(n)) in picks:
+                    pass
+                picks.add(j)
+            else:  # and up to 21 moves its pool's last point into j
+                j = below(m)
+                picks.add(moved.get(j, j))
+                moved[j] = moved.get(m - 1, m - 1)
+        yield frozenset(map(universe.__getitem__, picks))
+
+
 class _Draw:
     """The subsets a check scans: all subsets of up to `size` points of a
     universe of at most `limit` points, a full draw; otherwise the empty
-    set and `budget` seeded draws, without repeats.  A draw that is not full
-    caps the scans with ``head`` and ``pick``; on a full one both return
-    their input whole."""
+    set and `budget` seeded draws (``_drawn``), without repeats.  A size
+    past 5 is refused.  A draw that is not full caps the scans with
+    ``head`` and ``pick``; on a full one both return their input whole."""
 
     def __init__(self, universe, *, size=3, budget=300, limit=12, seed=0):
+        if size > 5:
+            raise ValueError("a draw takes at most 5 points to a subset")
         self.exhaustive = len(universe) <= limit
         if self.exhaustive:
             self.subsets = _subsets(universe, range(size + 1))
         else:  # a drawn universe has more points than any subset
-            rng = random.Random(seed)
-            self.subsets = list(dict.fromkeys([frozenset(), *(
-                frozenset(rng.sample(universe, rng.randint(1, size)))
-                for _ in range(budget))]))
+            self.subsets = list(dict.fromkeys(
+                [frozenset(), *_drawn(universe, size, budget, seed)]))
         # the picks' own stream: the subsets do not depend on the picks
         self._picks = random.Random(seed + 1)
 
@@ -50,12 +75,13 @@ class _Draw:
                       key=sort_key)
 
 
-def _plan(ctx, universe, draw, systems, scalars=(), translators=()):
-    """The window of a check on `systems`: `universe`, and up to 12 Id3
-    scalars from `scalars`, 40 points of the universe for Id3 and M4 and 12
-    M4 translators from `translators`, picked from `draw` in that order."""
+def _plan(ctx, universe, draw, systems, scalars=(), translators=(),
+          moves=()):
+    """The window of a check on `systems`: `universe`, up to 12 Id3 scalars
+    from `scalars`, 40 points of it for Id3 and M4 and 12 M4 translators
+    from `translators`, picked from `draw` in that order, and Id4's `moves`."""
     return _Window(ctx, universe, systems, draw.pick(scalars, 12),
-                   draw.pick(universe, 40), draw.pick(translators, 12))
+                   draw.pick(universe, 40), draw.pick(translators, 12), moves)
 
 
 def _names(A):
@@ -73,14 +99,15 @@ class _Window:
     Planned once, at construction, and dropped with the window, in the bit
     layout the carrier supplies (``ctx.box``; none in dimension 3): the
     window's layout, the reach layout (the window's moved by each of its
-    moves: the inverses of its nonzero Id3 scalars and its M4 translators),
-    the wide layout (reach moved back by the hull of the subsets and Id3
-    images), each point's translate, each member's mask on the wide layout
-    and the packs.  On a ``Box`` they are three boxes and a translate is a
-    shift; a finite carrier's ``Table`` is one row for all three, and a
-    translate or a move by g permutes the row by g's table row.  A product
-    closure's A_r on reach is one AND over its members of the OR of A's
-    translates, and a set has none when one of its points has none.
+    moves: the inverses of its nonzero Id3 scalars, its M4 translators and
+    Id4's moves, H's nonzero points), the wide layout (reach moved back by
+    the hull of the subsets and Id3 images), each point's translate, each
+    member's mask on the wide layout and the packs.  On a ``Box`` they are
+    three boxes and a translate is a shift; a finite carrier's ``Table`` is
+    one row for all three, and a translate or a move by g permutes the row
+    by g's table row.  A product closure's A_r on reach is one AND over its
+    members of the OR of A's translates, and a set has none when one of its
+    points has none.
 
     Slots and batches: the systems that name their members share ints.
     Each gets a slot of the wide layout's width and one guard bit in every
@@ -96,21 +123,21 @@ class _Window:
     read keeps only the reach layout's rows.  Id3 takes an image cA's read
     from that cache when a scan has kept it, and keeps no new one.
 
-    The scans: each item of Id1, Id3 and M4, idempotence and finitariness
-    is one subset or (subset, scalar), and each item of M2 and Id2 a group
-    of pairs that share a set, the OR of their inner closures outside the
-    AND of their outer ones; each is one int compare for all slots at once,
-    in the layout at the window's points.  Id2 and idempotence scan a window
-    of one system.  A nonzero slot sends that system and that item to the
-    point loop, a group pair by pair, which finds the same witness, and a
-    system's scan stops at its first witness, as ``Check.scan`` counts.  A
-    system that passes never opens a reader.  Id4, the systems that name
-    no members, every system of a carrier without a layout and every
-    system past MAX_SPAN_BITS cells on the wide layout are read point by
-    point, on every item, and a group on every pair."""
+    The scans: each item of Id1, Id3, Id4 and M4, idempotence and finitariness
+    is one subset, (subset, scalar) or c, and each item of M2 and Id2 a
+    group of pairs that share a set, the OR of their inner closures outside
+    the AND of their outer ones; each is one int compare for all slots at
+    once, in the layout at the window's points.  Id2 and idempotence scan a
+    window of one system.  A nonzero slot sends that system and that item to
+    the point loop, a group pair by pair, which finds the same witness, and
+    a system's scan stops at its first witness, as ``Check.scan`` counts.  A
+    system that passes never opens a reader.  The systems that name no
+    members, every system of a carrier without a layout and every system
+    past MAX_SPAN_BITS cells on the wide layout are read point by point, on
+    every item, and a group on every pair."""
 
     def __init__(self, ctx, universe, systems, scalars=(), points=(),
-                 translators=()):
+                 translators=(), moves=()):
         for g in universe:
             ctx.check(g)
         self.ctx, self.universe = ctx, universe
@@ -120,7 +147,7 @@ class _Window:
         self.index = {g: i for i, g in enumerate(universe)}
         self._sets, self._images = {}, {}
         moves = [*(ctx.inv(c) for c in scalars if c != ctx.zero),
-                 *translators]
+                 *translators, *moves]
         b = ctx.box(universe)
         named = []  # no packed reads: every closure point by point
         if b:
@@ -151,7 +178,7 @@ class _Window:
             # as many to a pack as fit in MAX_SPAN_BITS bits, in order
             self.packs = [_Pack(self, named[k:k + per], True)
                           for k in range(0, len(named), per)]
-        rest = [i for i in range(len(self.systems)) if i not in named]
+        rest = sorted(set(range(len(self.systems))).difference(named))
         if rest:
             self.packs.append(_Pack(self, rest, False))
 
@@ -313,15 +340,19 @@ class _Window:
                             (A, c, c_inv, cA))
 
     def id4(self, pack, draw):
-        """Id4: cH inside {c}_r, one item per c, point by point; H is the
-        universe."""
+        """Id4: cH inside {c}_r, one item per c; H is the universe, whose
+        nonzero points are moves: {c}_r on the layout moved by c holds the
+        window's cells.  cH = {0} for c = 0, which every A_r holds."""
         def point(s, c):
             member = pack.reader(s, frozenset([c]))
             return next(({"c": repr(c), "h": repr(h)} for h in self.universe
                          if not member(self.ctx.op(c, h))), None)
 
         for c in self.universe:
-            yield _item(None, point, (c,))
+            bits = pack.read(frozenset([c]))
+            bad = None if bits is None else 0 if c == self.ctx.zero else (
+                pack.cells & ~pack.at(bits, c))
+            yield _item(bad, point, (c,))
 
     def m4(self, pack, draw):
         """M4: H A_r = A_r, one item per A; the inclusion A_r subset of

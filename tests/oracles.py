@@ -7,14 +7,15 @@ every topology on a few points, equality of r-ideals, a small finite
 monoid built by hand, the valuation test, the Zar carrier and its space,
 the B-complement law, the Pruefer test, the domination map and its image
 law asked point by point through the validating ``contains``, the finite
-witnesses of intersection systems and of meets, and the pair scans of the
-axiom checkers read one pair at a time.
+witnesses of intersection systems and of meets, the pair scans of the
+axiom checkers read one pair at a time, and their seeded subset draws.
 
 Open sets are ints, bit i set when point i lies in the set; materializing
 them is exponential, so a space may have at most ``CARRIER_GUARD`` points."""
 
 import functools
 import itertools
+import random
 from functools import lru_cache
 
 from monoid_spectra.fintop import FiniteSpace
@@ -455,7 +456,7 @@ def meet_finite_witness(systems, A, x):
     return E
 
 
-# -- the pair scans, one pair at a time ----------------------------------------
+# -- the pair scans, one pair at a time, and the draws ------------------------
 
 def _pair_reader(r, universe):
     """A_r's window points as a bitmask, bit i for the i-th point, each A
@@ -506,6 +507,16 @@ def finitary_by_subsets(r, universe, sets):
         if witness is not None:
             return witness, n
     return None, n
+
+
+def drawn_subsets(universe, size, budget, seed):
+    """The subsets of a draw that is not full, through ``random.Random``
+    itself: the empty set and `budget` seeded samples of 1 to `size`
+    points, without repeats."""
+    rng = random.Random(seed)
+    return list(dict.fromkeys([frozenset(), *(
+        frozenset(rng.sample(universe, rng.randint(1, size)))
+        for _ in range(budget))]))
 
 
 # -- the numerical layer read point by point ---------------------------------

@@ -12,6 +12,7 @@ from monoid_spectra.modsys import (check_id2, check_idempotent,
                                    check_module_axioms, is_finitary)
 from monoid_spectra.monoid import INF, Monoid
 from monoid_spectra.window import _Draw, _subsets
+from oracles import drawn_subsets
 
 H = Monoid.numerical([2, 3])
 S = s_system(H)
@@ -79,3 +80,21 @@ def test_a_draw_is_full_up_to_its_limit():
     drawn[1].pick(points[::-1], 9)
     # the picks have their own stream, so the subsets ignore them
     assert drawn[0].subsets == drawn[1].subsets
+    # a draw takes at most 5 points to a subset
+    with pytest.raises(ValueError):
+        _Draw(points, size=6)
+
+
+@pytest.mark.parametrize("n", [14, 21, 22, 25, 81, 400])
+def test_a_draw_is_the_seeded_samples(n):
+    """A draw that is not full takes the subsets ``random.Random.sample``
+    and ``randint`` give, on both sides of sample's switch from a pool to
+    a set of taken indices past 21 points."""
+    universe = [(x, -x) for x in range(n)]
+    for size in (2, 3):
+        for budget in (30, 300, 500):
+            for seed in range(21):
+                assert (_Draw(universe, size=size, budget=budget,
+                              seed=seed).subsets
+                        == drawn_subsets(universe, size, budget, seed)), (
+                            size, budget, seed)

@@ -502,8 +502,9 @@ def test_packs_of_any_size_give_the_same_verdicts(name, per, monkeypatch):
 
 def test_passing_systems_never_reach_the_point_loops(monkeypatch):
     """Every item of a passing system is settled as integers, on the
-    integers, in the plane and on a finite table: no reader is opened, and
-    no point-by-point mask or predicate is asked for a set."""
+    integers, in the plane and on a finite table, in the module and the
+    ideal axioms: no reader is opened, and no point-by-point mask or
+    predicate is asked for a set."""
     opened = []
     for name in ("reader", "mask", "pred"):
         def counting(self, s, A, real=getattr(packs._Pack, name)):
@@ -519,7 +520,8 @@ def test_passing_systems_never_reach_the_point_loops(monkeypatch):
         overs = build(H)[1]
         systems = [s_system(H), iota(overs[-1]), iota(overs[1])]
         opened.clear()
-        for checks in check_module_axioms(systems, H, bound=bound):
+        for checks in [*check_module_axioms(systems, H, bound=bound),
+                       check_ideal_axioms(s_system(H), H, bound)]:
             assert all(c.ok and c.exhaustive for c in checks)
         assert opened == []
         # a failing system opens readers, and only for its failing items
@@ -527,6 +529,23 @@ def test_passing_systems_never_reach_the_point_loops(monkeypatch):
         *_, checks = check_module_axioms([*systems, iota(thin)], H,
                                          bound=bound)
         assert fails(checks, "M4") and len(set(opened)) == 1
+
+
+def test_id4_fails_off_the_identity(monkeypatch):
+    """Z/4 with a zero, relabelled so that the identity is element 2 and
+    element 0 comes first: Id4 fails at c = 0 for both ``broken(H)``
+    systems, packed and point by point alike."""
+    H = Monoid.finite([[4, 1, 0, 2, 3], [1, 1, 1, 1, 1], [0, 1, 2, 3, 4],
+                       [2, 1, 3, 4, 0], [3, 1, 4, 0, 2]], one=2, zero=1)
+    lines = []
+    for cap in (None, 0):
+        if cap is not None:
+            monkeypatch.setattr(monoid, "MAX_SPAN_BITS", cap)
+        lines.append([next(c.to_dict() for c in check_ideal_axioms(r, H)
+                           if c.name == "Id4") for r in broken(H)])
+    assert lines[0] == lines[1]
+    assert [(d["verdict"], d["witness"], d["n"]) for d in lines[0]] == [
+        ("FAIL", {"c": "0", "h": "2"}, 1), ("FAIL", {"c": "0", "h": "0"}, 1)]
 
 
 @pytest.mark.parametrize("name", sorted(MAIN1))
@@ -670,7 +689,7 @@ def shrinking(H):
         return small if len(A) <= 1 else large
 
     return ModuleSystem("shrinking", ctx, lambda A: pick(A)[0](A),
-                        lambda A: pick(A)[1](A))
+                        lambda A: pick(A)[1])
 
 
 @functools.cache

@@ -26,10 +26,12 @@ corollaries, axioms, main1, main2, zar, pruefer, spec and prop1 on the
 the same bounds and formats: the checkers' draws there are sampled, not
 exhaustive, five of the inputs span sublattices of index 2-4, whose boxes
 have cells off the lattice, and some pruefer runs raise ``ValueError``,
-which the record keeps; and main1 on <11,12> at bound 1, in both
-formats, the one run whose system space is large (8 196 systems, one per
-oversemigroup and example16), its input written inline as the sweep's
-are.  A run's record is
+which the record keeps; axioms on the same 20 inputs at bound 8, in both
+formats, where Id4 reads each {c}_r on a reach box moved by every nonzero
+point of H's window, cells off the lattice included; and main1 on <11,12>
+at bound 1, in both formats, the one run whose system space is large
+(8 196 systems, one per oversemigroup and example16), its input written
+inline as the sweep's are.  A run's record is
 ``[sha1, status, fails]``: the SHA-1 over
 stdout, stderr, the exit code (or the exception the run raised) and the
 DOT file; that exit code or exception; and the sorted names of the
@@ -74,6 +76,8 @@ LARGE = ((("main1", "axioms", "pruefer", "corollaries"),
 POOL_SUITES = ("corollaries", "axioms", "main1", "main2", "zar", "pruefer",
                "spec", "prop1")
 POOL_SIZE = 20
+# (suite, bounds) of the large-bound runs on the affine pool
+POOL_LARGE = (("axioms", (8,)),)
 # (suite, description, bound) of the runs on inputs given inline
 INLINE = (("main1", {"kind": "numerical", "generators": [11, 12]}, 1),)
 FAIL_LINE = re.compile(r"^\S+ (\S+) FAIL\b", re.M)
@@ -117,6 +121,9 @@ def pool_runs(tmp):
         for suite in POOL_SUITES:
             yield f"{suite} pool{i}", ["--suite", suite, "--input",
                                        path], BOUNDS
+        for suite, bounds in POOL_LARGE:
+            yield f"{suite} pool{i}", ["--suite", suite, "--input",
+                                       path], bounds
 
 
 def sweep_runs(tmp):
