@@ -75,13 +75,19 @@ def suite_ideals(rep, H, bound, seed):
     rep.add(Check("ideals-enumerated", INFO, n=len(ideals), bound=bound))
     ctx = H.context
     window = [g for g in ctx.window(bound) if H.contains(g)]
+    # g h in I read from I's mask, whose box holds every such product:
+    # each g's bit and its products' bits, for every ideal
+    read = IdealRead(ideals, window)
+    bit = read.box.bit
+    moves = [(g, bit(g), [(h, bit(ctx.op(g, h))) for h in H.generators])
+             for g in window]
     witness = next(({"I": repr(I), "g": repr(g), "h": repr(h)}
-                    for I in ideals for g in window if I.contains(g)
-                    for h in H.generators if not I.contains(ctx.op(g, h))),
-                   None)
+                    for I, m in zip(ideals, read.masks)
+                    for g, b, products in moves if m >> b & 1
+                    for h, gh in products if not m >> gh & 1), None)
     rep.add(Check("ideals-absorb-action", witness is None, witness=witness,
                   exhaustive=False, n=len(ideals), bound=bound))
-    space = IdealRead(ideals, window).space()
+    space = read.space()
     rep.add(_t0_check(space, bound))
     return lambda: poset_dot(space, name="ideals")
 

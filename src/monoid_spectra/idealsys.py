@@ -133,11 +133,12 @@ class IdealRead:
     """Listed s-ideals of one H read as ints for one suite call, each once,
     and the prime flags on a window and the ideal space read from them.
 
-    ``box`` is the layout around the window's points, their products and
-    the ideals' generators.  H is read once, as its span on the layout
-    around ``box`` moved back by each generator; each ideal XH is the zero
-    and one AND-of-ORs of the layout (``read``), the one member H's span
-    with the shifts of X's nonzero points, and so is H itself, as (1)H.
+    ``box`` is the layout around the window's points, H's generators and
+    the ideals' generators, moved by each window point, so it holds every
+    product of a window point with one of them.  H is read once, as its
+    span on the layout around ``box`` moved back by each ideal generator;
+    each ideal XH is the zero and the OR of that span moved by X's nonzero
+    points, and so is H itself, as (1)H.
     The window guards keep that layout far below MAX_SPAN_BITS (9 209
     cells, pronconst on <2,3> at its largest bound); only a lowered cap
     asks each set at each cell.  A ``Box`` and a ``Table`` answer alike."""
@@ -149,7 +150,8 @@ class IdealRead:
         self.points = [g for g in window if g != ctx.zero]
         self.xs = list(dict.fromkeys(g for I in ideals for g in I.generators))
         nonzero = [x for x in [ctx.one, *self.xs] if x != ctx.zero]
-        box = ctx.box([*self.points, *self.xs]).around(self.points)
+        box = ctx.box([*self.points, *H.generators, *self.xs]).around(
+            self.points)
         back = box.around([ctx.inv(x) for x in nonzero])
         self.box = box = box.with_stride(back.stride)
         h = H.span_mask(back)
@@ -159,7 +161,11 @@ class IdealRead:
             if h is None:
                 return sum(1 << b for b, g in box.cells()
                            if g is not None and member(g))
-            return box.read([h], [shift[x] for x in X if x != ctx.zero])
+            out = 0
+            for x in X:
+                if x != ctx.zero:
+                    out |= box.moved(h, shift[x])
+            return out
 
         self.whole = read([ctx.one], H.has)
         zero = 1 << box.bit(ctx.zero)

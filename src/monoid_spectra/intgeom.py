@@ -314,8 +314,9 @@ def submonoid_span(gens: tuple, box, cap: int):
     C = cone(P) with w at most W, the box's largest w: the triangle of 0
     and each p scaled to w = W bounds them.  With no units they also lie in
     m - C, so the region is cut to the box's side of C on each axis where
-    C has one sign.  With units the region holds the box too, so each
-    m - kl runs to m through it."""
+    C has one sign.  With units the region holds the box's cells with
+    w >= 0 too, which hold every member of the box, so each m - kl runs to
+    m through it; a cell with w < 0 is no member."""
     basis, pointed, w = _analysed(gens)
     if w is None:
         return lattice_span(basis, box)
@@ -329,8 +330,11 @@ def submonoid_span(gens: tuple, box, cap: int):
     a = [min(0, *(-(-top * p[k] // s) for p, s in scaled)) for k in (0, 1)]
     b = [max(0, *(top * p[k] // s for p, s in scaled)) for k in (0, 1)]
     for k in (0, 1):
-        if basis:
-            a[k], b[k] = min(a[k], lo[k]), max(b[k], hi[k])
+        if basis:  # the box's cells with w >= 0 span [up, down] on axis k
+            w_k, most = w[k], max(w[1 - k] * lo[1 - k], w[1 - k] * hi[1 - k])
+            up = max(lo[k], -(most // w_k)) if w_k > 0 else lo[k]
+            down = min(hi[k], most // -w_k) if w_k < 0 else hi[k]
+            a[k], b[k] = min(a[k], up), max(b[k], down)
         else:
             if all(p[k] >= 0 for p in pointed):
                 b[k] = min(b[k], hi[k])

@@ -5,8 +5,8 @@ A layout places the carrier's points at bits; packed slots of one width sit
 side by side in each row, ``stride`` bits apart.  Both layouts answer the
 same questions, so the window and its packs never ask which one they have:
 ``around`` and ``behind`` plan the layouts of a window, ``shift`` gives
-the translate by a point, ``read`` takes the AND over members of the OR of
-their translates, and ``start`` and ``moved`` move a read by a point."""
+the translate by a point, which ``moved`` applies to a mask, and ``start``
+gives the move of a read by a point."""
 
 from __future__ import annotations
 
@@ -66,19 +66,6 @@ class Box:
         if 0 <= i <= back.rows - self.rows and 0 <= j <= back.cols - self.cols:
             return i * back.stride + j
         return None
-
-    @staticmethod
-    def read(masks, shifts):
-        """A product closure's A_r on this box: the AND over its members'
-        `masks` of the OR of each mask shifted by A's `shifts`; every bit
-        for no members.  Packed masks give every slot's A_r at once."""
-        out = -1
-        for m in masks:
-            any_a = 0
-            for k in shifts:
-                any_a |= m >> k
-            out &= any_a
-        return out
 
     def start(self, inner, g):
         """The move of a read on this box onto the box `inner` moved by g:
@@ -152,16 +139,6 @@ class Table:
     def shift(self, back, a):
         """The move that translates a mask by the nonzero point a."""
         return self._move(self.ctx.inv(a))
-
-    def read(self, masks, moves):
-        """``Box.read`` with a move in place of a shift."""
-        out = -1
-        for m in masks:
-            any_a = 0
-            for move in moves:
-                any_a |= self.moved(m, move)
-            out &= any_a
-        return out
 
     def start(self, inner, g):
         return self._move(self.ctx.one if g is None else g)

@@ -153,9 +153,9 @@ def check_module_axioms(systems, H, bound: int = 4, seed: int = 0):
     Input is validated here, at the boundary: every system must live on H's
     carrier (CarrierMismatch otherwise), and the window's points are checked
     on it once.  What no system changes is planned once per call and
-    dropped on return: the subset draw, the Id3 scalars, points and images
-    cA, the M4 translators, the layouts masks are read on, each point's
-    shift, each member's mask and each set's read (``_Window``).
+    dropped on return: the subset draw, the Id3 scalars and points, the M4
+    translators, the layouts masks are read on, each point's shift and
+    column, each member's mask and each set's read (``_Window``).
 
     The systems are scanned together: each that names its members takes a
     slot of a packed int, as many to a pack as fit in MAX_SPAN_BITS bits,

@@ -48,9 +48,10 @@ class NumericalSemigroup:
     """Additive submonoid of N generated by positive integers with gcd 1,
     kept as its gap mask, bit g set for each gap g.  The mask is the
     complement of a shift-OR reach mask of the generators, or is given,
-    trusted, as `gap_mask` with sorted generators."""
+    trusted, as `gap_mask` with sorted generators, and then its minimal
+    generators may be given too, trusted, as the mask `minimal`."""
 
-    def __init__(self, generators, gap_mask=None):
+    def __init__(self, generators, gap_mask=None, minimal=None):
         if gap_mask is None:
             generators = sorted(set(int(g) for g in generators))
             if not generators or any(g <= 0 for g in generators):
@@ -73,6 +74,7 @@ class NumericalSemigroup:
             gap_mask = full & ~reach
         self.generators = tuple(generators)
         self.gap_mask = gap_mask
+        self._minimal = minimal
         self.gaps = tuple(_bits(gap_mask))
         self.frobenius = gap_mask.bit_length() - 1
         self.conductor = self.frobenius + 1
@@ -89,14 +91,21 @@ class NumericalSemigroup:
 
     def minimal_generators(self) -> tuple[int, ...]:
         """The members on [1, F + m + 1], m the multiplicity, that are no
-        sum of two of them: those members minus the OR of their shifts."""
-        positive = ~self.gap_mask & -2
-        m = (positive & -positive).bit_length() - 1
-        members = positive & (1 << self.conductor + m + 1) - 1
-        sums = 0
-        for a in _bits(members):
-            sums |= members << a
-        return tuple(_bits(members & ~sums))
+        sum of two of them: those members minus the OR of their shifts;
+        the given ones where they were given."""
+        return tuple(_bits(self._minimal_mask()))
+
+    def _minimal_mask(self) -> int:
+        """The minimal generators as a mask, bit x for each, formed once."""
+        if self._minimal is None:
+            positive = ~self.gap_mask & -2
+            m = (positive & -positive).bit_length() - 1
+            members = positive & (1 << self.conductor + m + 1) - 1
+            sums = 0
+            for a in _bits(members):
+                sums |= members << a
+            self._minimal = members & ~sums
+        return self._minimal
 
     def __eq__(self, other):
         return (isinstance(other, NumericalSemigroup)
@@ -122,18 +131,25 @@ def oversemigroups(sgp: NumericalSemigroup) -> list[NumericalSemigroup]:
     min(T - sgp): bit 2g of T's gap mask is clear and so is every bit of
     T's members on [1, F] moved by g.  So each oversemigroup is visited
     once, and built from the gap mask the walk holds, with `sgp`'s
-    generators and the gaps it fills as its own.  Raises
-    UnsupportedRealization past MAX_OVERSEMIGROUPS, and at a node whose
-    generators pass MAX_REACH, as building it from them would."""
+    generators and the gaps it fills as its own, and with its minimal
+    generators carried down from its parent's: adjoining g adds g, which
+    is no sum of two smaller members, and drops each old one that becomes
+    g + h for a member h > 0; no other member becomes or stops being a sum.
+    Raises UnsupportedRealization past MAX_OVERSEMIGROUPS, and at a node
+    whose generators pass MAX_REACH, as building it from them would."""
     frob = sgp.frobenius
     root = sgp.gap_mask
     positive = (1 << frob + 1) - 2  # [1, F]
+    # [1, 2F + 1]: it holds x - g for every gap g a node fills and every
+    # minimal generator x of the node, as x <= F + m + 1 <= 2F + 2 for its
+    # multiplicity m <= F + 1
+    reach = (1 << 2 * frob + 2) - 2
     out = []
-    stack = [(root, sgp.generators)]
+    stack = [(root, sgp.generators, sgp._minimal_mask())]
     while stack:
-        gaps, gens = stack.pop()
+        gaps, gens, minimal = stack.pop()
         _reach_limit(gens[0], gens[-1])
-        out.append(NumericalSemigroup(gens, gaps))
+        out.append(NumericalSemigroup(gens, gaps, minimal))
         if len(out) > MAX_OVERSEMIGROUPS:
             raise UnsupportedRealization(
                 f"{sgp} has more than {MAX_OVERSEMIGROUPS} oversemigroups")
@@ -142,8 +158,10 @@ def oversemigroups(sgp: NumericalSemigroup) -> list[NumericalSemigroup]:
         members = positive & ~gaps
         for g in _bits(root & (1 << top) - 1):
             if not gaps >> 2 * g & 1 and not members << g & gaps:
+                child = gaps & ~(1 << g)
                 i = bisect(gens, g)
-                stack.append((gaps & ~(1 << g), gens[:i] + (g,) + gens[i:]))
+                stack.append((child, gens[:i] + (g,) + gens[i:],
+                              minimal & ~((reach & ~child) << g) | 1 << g))
     out.sort(key=lambda s: (-len(s.gaps), s.gaps))
     return out
 

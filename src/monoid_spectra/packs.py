@@ -6,24 +6,41 @@ a pack reads in them."""
 from __future__ import annotations
 
 _UNREAD = object()
+# Most bits of columns a pack keeps for its window; past them a column is
+# built for the read that asks for it and not kept.
+MAX_COLUMN_BITS = 1 << 22
 
 
 class _Pack:
     """Systems of a window read together, one slot each.  In every row of a
-    packed int, slot s holds the s-th system's columns from bit s * width
-    of the row on, so a shift on a box, or a permutation of a finite
-    table's row, moves every slot at once; a system with fewer members
-    than another has all-ones padding in its place.  A pack of
-    systems read point by point has one bit per slot and no packed reads.
-    Each slot's exact predicates and window masks serve the point loops.
-    A pack is built with its window and lives as long, so its reads, member
-    masks and point-by-point masks serve every scan of the window; member
-    masks are built once, and per new list of a slot whose members vary."""
+    packed int, slot s holds the s-th system's cells from bit s * width of
+    the row on, so a shift on a box, or a permutation of a finite table's
+    row, moves every slot at once; a system with fewer members than
+    another has all-ones padding in its place.  A pack of systems read
+    point by point has one bit per slot and no packed reads.  Each slot's
+    exact predicates and window masks serve the point loops.
+
+    A packed read comes from columns.  A point's column is one int: the
+    pack's member masks moved to that point on the reach layout, the t-th
+    member's translate in the t-th field of a reach read's size.  A set's
+    A_r is the OR of its nonzero points' columns, one OR per point, with
+    its fields ANDed, one shift and AND per member; a set with a point
+    that has no column (off the wide layout) has no read.  Id3 reads an
+    image cA from the columns at the points c a, so cA is not formed to be
+    read.  Member masks and columns are kept per key: () for a pack whose
+    members are constant, which calls no system to read, else the member
+    lists the varying slots' functions give the set read (cA for an
+    image), the only functions a read calls.  A pack keeps MAX_COLUMN_BITS
+    bits of columns; past them a column is built for its read and dropped.
+
+    A pack is built with its window and lives as long, so its reads,
+    columns, member masks and point-by-point masks serve every scan of the
+    window."""
 
     def __init__(self, w, slots, packed):
         self.w, self.slots, self.packed = w, slots, packed
         self.systems = [w.systems[i] for i in slots]
-        self._reads, self._boxes, self._members = {}, {}, {}
+        self._reads, self._boxes, self._keys = {}, {}, {}
         self._preds, self._masks = {}, {}
         k = len(slots)
         if not packed:
@@ -31,52 +48,91 @@ class _Pack:
             self.masks = [1 << s for s in range(k)]
             return
         self.width, self.stride = W, P = w.width, w.box.stride
-        self.ones = sum(1 << s * W for s in range(k))
-        self.cells = w.cells * self.ones
-        self.inf = w.inf * self.ones
-        self.points = w.box_points * self.ones
+        ones = sum(1 << s * W for s in range(k))
+        self.cells = w.cells * ones
+        self.inf = w.inf * ones
+        self.points = w.box_points * ones
+        # each window point's cell, in every slot
+        self.cell = {g: ones << b for g, b in w.cell.items()}
         self._moved, self._starts = w.reach.moved, w.starts
 
-        def rows(n):  # a slot's columns in each of n rows
+        def rows(n):  # a slot's cells in each of n rows
             return sum(1 << r * P for r in range(n)) * ((1 << W) - 1)
 
         self.masks = [rows(w.box.rows) << s * W for s in range(k)]
         self._full, self._padding = rows(w.reach.rows), rows(w.wide.rows)
-        self._keep = (1 << w.reach.rows * P) - 1
+        self._size = w.reach.rows * P
+        self._keep = (1 << self._size) - 1
+        self._zero, self._column_bits = w.ctx.zero, 0
         self._lists = [r.members for r in self.systems]
         self._varying = [s for s, m in enumerate(self._lists) if callable(m)]
-
-    def rep(self, bits):
-        """Bits of slot 0, in every slot."""
-        return bits * self.ones
+        if not self._varying:
+            self._constant = self._keyed(())
 
     def slot(self, bits):
         """The slot of the lowest bit of `bits`, box bits of the window."""
         return ((bits & -bits).bit_length() - 1) % self.stride // self.width
 
-    def reach(self, A):
-        """Every slot's A_r on the window's reach layout, or None where A_r
-        is read point by point: for a pack without packed reads and a set
-        off the wide box.  Bits off the window's points are unspecified."""
-        shifts = self.w.shifts(A) if self.packed else None
-        if shifts is None:
+    def _keyed(self, key):
+        """The member masks on the wide layout, the columns kept so far, the
+        read of a set with no nonzero point (every cell where a slot has no
+        members, else none) and the columns' field offsets, for the varying
+        slots' lists `key`."""
+        got = self._keys.get(key)
+        if got is None:
+            lists = iter(key)
+            lists = [next(lists) if callable(m) else m for m in self._lists]
+            span, pad, W = self.w.span, self._padding, self.width
+            masks = [sum((span(m[t]) if t < len(m) else pad) << s * W
+                         for s, m in enumerate(lists))
+                     for t in range(max(map(len, lists)))]
+            got = self._keys[key] = (masks, {}, sum(
+                self._full << s * W for s, m in enumerate(lists) if not m),
+                range(0, len(masks) * self._size, self._size))
+        return got
+
+    def _column(self, masks, columns, p):
+        """The column at p for `masks`, the t-th member's translate t
+        fields of a reach read's size up, kept in `columns` below the cap;
+        None when p has no shift onto reach."""
+        k = self.w.shift(p)
+        col = None if k is None else sum(
+            (self._moved(m, k) & self._keep) << t * self._size
+            for t, m in enumerate(masks))
+        if self._column_bits < MAX_COLUMN_BITS:
+            columns[p] = col
+            self._column_bits += len(masks) * self._size
+        return col
+
+    def reach(self, points):
+        """Every slot's A_r on the window's reach layout, A the set of
+        `points` (a set, or an image's points c a in any order), from the
+        columns, or None where A_r is read point by point: for a pack
+        without packed reads and a set off the wide layout.  Bits off the
+        window's points are unspecified."""
+        if not self.packed:
             return None
-        lists, key = self._lists, ()
-        if self._varying:  # masks keyed by the varying slots' lists
-            lists = [m(A) if callable(m) else m for m in lists]
-            key = tuple(tuple(lists[s]) for s in self._varying)
-        W = self.width
-        if not shifts:  # {} and {0}: every cell for no members, else none
-            return sum(self._full << s * W for s, m in enumerate(lists)
-                       if not m)
-        masks = self._members.get(key)
-        if masks is None:
-            span, pad = self.w.span, self._padding
-            masks = self._members[key] = [
-                sum((span(m[t]) if t < len(m) else pad) << s * W
-                    for s, m in enumerate(lists))
-                for t in range(max(map(len, lists)))]
-        return self.w.reach.read(masks, shifts) & self._keep
+        if self._varying:
+            A = frozenset(points)
+            masks, columns, empty, fields = self._keyed(tuple(
+                tuple(self._lists[s](A)) for s in self._varying))
+        else:
+            masks, columns, empty, fields = self._constant
+        zero, any_a = self._zero, None
+        for p in points:
+            if p != zero:
+                col = columns.get(p, _UNREAD)
+                if col is _UNREAD:
+                    col = self._column(masks, columns, p)
+                if col is None:
+                    return None
+                any_a = col if any_a is None else any_a | col
+        if any_a is None:
+            return empty
+        out = self._keep
+        for k in fields:
+            out &= any_a >> k
+        return out
 
     def read(self, A):
         """``reach`` of A, kept for the pack."""
@@ -84,12 +140,6 @@ class _Pack:
         if bits is _UNREAD:
             bits = self._reads[A] = self.reach(A)
         return bits
-
-    def kept(self, A):
-        """``read`` of A where the pack has kept it, else ``reach``, not
-        kept."""
-        bits = self._reads.get(A, _UNREAD)
-        return self.reach(A) if bits is _UNREAD else bits
 
     def at(self, bits, by=None):
         """A packed reach read on the window's layout moved by `by`, one of

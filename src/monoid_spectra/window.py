@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 
 from . import monoid
@@ -106,35 +107,42 @@ class _Window:
     three boxes and a translate is a shift; a finite carrier's ``Table`` is
     one row for all three, and a translate or a move by g permutes the row
     by g's table row.  A product closure's A_r on reach is one AND over its
-    members of the OR of A's translates, and a set has none when one of its
-    points has none.
+    members of the OR of A's translates, read from columns: a point's
+    column holds its translates of every member mask, so a read is one OR
+    per point of A and one AND per member, and a set has none when one of
+    its points has none.
 
     Slots and batches: the systems that name their members share ints.
     Each gets a slot of the wide layout's width and one guard bit in every
-    row, and a row holds the slots side by side, so one AND-of-ORs (the
-    layout's ``read``) on packed member masks reads A_r for every slot.  A
-    shift carries bits of the next slot only into columns past the reach
-    box, which no scan reads, and the guard bit takes a box's INF; a row
-    permutation keeps every slot's bits in its slot.  A pack holds as many
-    slots as fit in MAX_SPAN_BITS bits on the wide layout; the packs
-    (``packs._Pack``) are read one after the other, and each keeps its
-    reads, member masks and point-by-point masks for every scan of the
-    window, so a window scanned with several draws reads each set once.  A
-    read keeps only the reach layout's rows.  Id3 takes an image cA's read
-    from that cache when a scan has kept it, and keeps no new one.
+    row, and a row holds the slots side by side, so one AND-of-ORs on
+    packed columns reads A_r for every slot.  A shift carries bits of the
+    next slot only into cells past the reach box, which no scan reads,
+    and the guard bit takes a box's INF; a row permutation keeps every
+    slot's bits in its slot.  A pack holds as many slots as fit in
+    MAX_SPAN_BITS bits on the wide layout; the packs (``packs._Pack``) are
+    read one after the other, and each keeps its reads, its columns (up to
+    ``packs.MAX_COLUMN_BITS`` bits; past them a column is built for its
+    read and dropped), member masks and point-by-point masks for every
+    scan of the window, so a window scanned with several draws reads each
+    set once and each column once.  A read keeps only the reach layout's
+    rows.  Id3 reads an image cA from the columns at the points c a,
+    without forming cA, and keeps no read of it.
 
-    The scans: each item of Id1, Id3, Id4 and M4, idempotence and finitariness
-    is one subset, (subset, scalar) or c, and each item of M2 and Id2 a
+    The scans: each item of Id1, Id4 and M4, idempotence and finitariness
+    is one subset or c; each item of Id3 is a group of one subset's
+    (subset, scalar) pairs, in scalar order, and each item of M2 and Id2 a
     group of pairs that share a set, the OR of their inner closures outside
-    the AND of their outer ones; each is one int compare for all slots at
-    once, in the layout at the window's points.  Id2 and idempotence scan a
-    window of one system.  A nonzero slot sends that system and that item to
-    the point loop, a group pair by pair, which finds the same witness, and
-    a system's scan stops at its first witness, as ``Check.scan`` counts.  A
-    system that passes never opens a reader.  The systems that name no
-    members, every system of a carrier without a layout and every system
-    past MAX_SPAN_BITS cells on the wide layout are read point by point, on
-    every item, and a group on every pair."""
+    the AND of their outer ones.  Each is one int compare for all slots at
+    once, in the layout at the window's points; an Id3 group ORs its
+    pairs' compares, and Id1 takes A's cells from the pack's per-point cell
+    table.  Id2 and idempotence scan a window of one system.  A nonzero
+    slot sends that system and that item to the point loop, a group pair by
+    pair, which finds the same witness, and a system's scan stops at its
+    first witness, as ``Check.scan`` counts.  A system that passes never
+    opens a reader.  The systems that name no members, every system of a
+    carrier without a layout and every system past MAX_SPAN_BITS cells on
+    the wide layout are read point by point, on every item, and a group on
+    every pair."""
 
     def __init__(self, ctx, universe, systems, scalars=(), points=(),
                  translators=(), moves=()):
@@ -143,9 +151,12 @@ class _Window:
         self.ctx, self.universe = ctx, universe
         self.systems = list(systems)
         self.scalars, self.points = scalars, points
+        # c a for each Id3 scalar c, formed once per point a
+        self.times = {c: functools.cache(functools.partial(ctx.op, c))
+                      for c in scalars}
         self.translators = translators
         self.index = {g: i for i, g in enumerate(universe)}
-        self._sets, self._images = {}, {}
+        self._sets = {}
         moves = [*(ctx.inv(c) for c in scalars if c != ctx.zero),
                  *translators, *moves]
         b = ctx.box(universe)
@@ -166,7 +177,8 @@ class _Window:
             self.wide, self.reach, self.box = wide, reach, b = [
                 x.with_stride(P) for x in (wide, reach, b)]
             self.span = functools.cache(lambda S: S.span_mask(wide))
-            self._shift = functools.cache(lambda a: reach.shift(wide, a))
+            # the move of a member mask on wide by a point onto reach
+            self.shift = functools.cache(lambda a: reach.shift(wide, a))
             # the move of a read on reach onto the window's layout, and onto
             # it moved by each move
             self.starts = {g: reach.start(b, g) for g in [None, *moves]}
@@ -181,13 +193,6 @@ class _Window:
         rest = sorted(set(range(len(self.systems))).difference(named))
         if rest:
             self.packs.append(_Pack(self, rest, False))
-
-    def shifts(self, A):
-        """The translates of a mask on the wide layout by A's nonzero
-        points, onto reach, or None when one of them has none."""
-        zero = self.ctx.zero
-        out = [self._shift(a) for a in A if a != zero]
-        return None if None in out else out
 
     def of(self, X):
         """The window set X itself."""
@@ -229,7 +234,8 @@ class _Window:
         return out
 
     def id1(self, pack, draw, key):
-        """Id1: A u {0} inside A_r, one item per A."""
+        """Id1: A u {0} inside A_r, one item per A; A's cells come from the
+        pack's cell table, and every read holds the zero."""
         zero = self.ctx.zero
 
         def point(s, A):
@@ -239,8 +245,8 @@ class _Window:
 
         for A in draw.subsets:
             inside = pack.box(A)
-            yield _item(None if inside is None else pack.rep(
-                self.cells_of(A | {zero})) & ~inside, point, (A,))
+            yield _item(None if inside is None else sum(
+                map(pack.cell.__getitem__, A)) & ~inside, point, (A,))
 
     def _pairs(self, pack, groups, keys):
         """M2, X_r inside Y_r, one item per (Xs, Ys) of `groups`, one of the
@@ -310,34 +316,46 @@ class _Window:
         return self._pairs(pack, groups, keys)
 
     def id3(self, pack, draw, key):
-        """Id3: c A_r = (cA)_r at the points, one item per (A, c), A over
-        the first 40 subsets, with the left side read literally: {0} for
-        c = 0, otherwise c^{-1} g in A_r, which is A_r on the window's layout
-        moved by c^{-1}.  The window forms each cA once."""
-        ctx, images = self.ctx, self._images
+        """Id3: c A_r = (cA)_r at the points, one group per A, A over the
+        first 40 subsets, of its (A, c) in scalar order, whose part is the
+        OR of theirs; the left side is read literally: {0} for c = 0,
+        otherwise c^{-1} g in A_r, which is A_r on the window's layout moved
+        by c^{-1}.  (cA)_r is read from the columns at the points c a; only
+        the point loop forms cA."""
+        ctx, times = self.ctx, self.times
         inverses = [(c, None if c == ctx.zero else ctx.inv(c))
                     for c in self.scalars]
+        k = len(inverses)
 
-        def point(s, A, c, c_inv, cA):
-            member, rhs = pack.reader(s, A), pack.systems[s].closure(cA)
+        def point(s, A, c, c_inv):
+            member = pack.reader(s, A)
+            rhs = pack.systems[s].closure(frozenset(map(times[c], A)))
             return next(({key: _names(A), "c": repr(c), "g": repr(g)}
                          for g in self.points
                          if (g == ctx.zero if c_inv is None
                              else member(ctx.op(c_inv, g))) != rhs(g)), None)
 
+        def parts(A, bads):
+            return lambda: [(bad, point, (A, c, c_inv))
+                            for bad, (c, c_inv) in zip(bads, inverses)]
+
         for A in draw.head(40):
             bits = pack.read(A)
+            if bits is None:
+                yield None, k, parts(A, [None] * k)
+                continue
+            # the two sides on the window's layout moved by c^{-1} and on
+            # it, at the nonzero points: both hold the zero
+            moved, starts = self.reach.moved, self.starts
+            home, live = starts[None], pack.points & ~pack.inf
+            bads = []
             for c, c_inv in inverses:
-                cA = images.get((A, c))
-                if cA is None:
-                    cA = images[A, c] = frozenset(ctx.op(c, a) for a in A)
-                rhs = None if bits is None else pack.kept(cA)
-                if rhs is None:
-                    yield _item(None, point, (A, c, c_inv, cA))
-                    continue
-                lhs = pack.inf if c_inv is None else pack.at(bits, c_inv)
-                yield _item((lhs ^ pack.at(rhs)) & pack.points, point,
-                            (A, c, c_inv, cA))
+                rhs = pack.reach(list(map(times[c], A)))
+                bads.append(None if rhs is None else (
+                    (0 if c_inv is None else moved(bits, starts[c_inv]))
+                    ^ moved(rhs, home)) & live)
+            yield (None if None in bads else functools.reduce(
+                operator.or_, bads, 0)), k, parts(A, bads)
 
     def id4(self, pack, draw):
         """Id4: cH inside {c}_r, one item per c; H is the universe, whose

@@ -509,6 +509,26 @@ def finitary_by_subsets(r, universe, sets):
     return None, n
 
 
+def id3_item_by_item(r, ctx, sets, scalars, points, key):
+    """(witness, n) of Id3 over the (A, c) of `sets` x `scalars`, one item
+    at a time, in that order, each through the exact predicates: c A_r
+    (c^{-1} g in A_r, or g = 0 for c = 0) against (cA)_r at `points`.  n
+    counts the items read, up to the witness."""
+    n = 0
+    for A in sets:
+        member = r.closure(A)
+        for c in scalars:
+            n += 1
+            rhs = r.closure(frozenset(ctx.op(c, a) for a in A))
+            for g in points:
+                lhs = g == ctx.zero if c == ctx.zero else member(
+                    ctx.op(ctx.inv(c), g))
+                if lhs != rhs(g):
+                    return {key: sorted(map(repr, A)), "c": repr(c),
+                            "g": repr(g)}, n
+    return None, n
+
+
 def drawn_subsets(universe, size, budget, seed):
     """The subsets of a draw that is not full, through ``random.Random``
     itself: the empty set and `budget` seeded samples of 1 to `size`

@@ -485,6 +485,29 @@ def test_ideal_suites_finish_on_7_11_13(capsys):
         assert time.perf_counter() - start < 2.0, suite
 
 
+@pytest.mark.parametrize("name", ["n23", "n469", "n71113", "c3z"])
+def test_ideals_read_the_absorb_action_from_the_masks(name, monkeypatch):
+    """ideals-absorb-action reads g h in I off each ideal's mask, asking no
+    ``RIdeal.contains`` (once 153 asks on <7,11,13>), and its line is the
+    one that asking each (ideal, window point, generator) gives."""
+    H = monoid_from_file(data(name + ".json"))
+    ctx = H.context
+    ideals = idealsys.enumerate_ideals(H, idealsys.s_system(H), 10)
+    window = [g for g in ctx.window(10) if H.contains(g)]
+    expected = next(({"I": repr(I), "g": repr(g), "h": repr(h)}
+                     for I in ideals for g in window if I.contains(g)
+                     for h in H.generators if not I.contains(ctx.op(g, h))),
+                    None)
+    asked = []
+    real = idealsys.RIdeal.contains
+    monkeypatch.setattr(idealsys.RIdeal, "contains",
+                        lambda self, g: asked.append(g) or real(self, g))
+    rep, _ = cli.run_suite("ideals", H, bound=10, seed=0)
+    line = next(c for c in rep.checks if c.name == "ideals-absorb-action")
+    assert asked == []
+    assert (line.ok, line.witness) == (expected is None, expected)
+
+
 def test_json_report(capsys):
     code, out = run(capsys, "verify", "--suite", "spec",
                     "--input", data("n23.json"), "--json")

@@ -187,6 +187,23 @@ def test_oversemigroups_refuse_a_node_past_the_reach_guard():
         oversemigroups(NumericalSemigroup((47, 48)))
 
 
+@pytest.mark.parametrize("gens", [(2, 3), (3, 4, 5), (4, 6, 9), (5, 7, 9),
+                                  (7, 11, 13), (8, 11, 13), (11, 12)])
+def test_the_walk_carries_minimal_generators(gens):
+    """Each oversemigroup's minimal generators, carried down the walk from
+    its parent's, are the ones its gap mask gives, on the numerical inputs
+    of tests/data and on <11,12> (8 194 oversemigroups); on the smaller
+    walks also the ones asked member by member."""
+    over = oversemigroups(NumericalSemigroup(gens))
+    for node in over:
+        assert node.minimal_generators() == NumericalSemigroup(
+            node.generators, node.gap_mask).minimal_generators(), node
+    if len(over) < 1000:
+        for node in over:
+            assert node.minimal_generators() == \
+                minimal_generators_pointwise(node), node
+
+
 def agrees_with_the_reach_table(sgp):
     """Each oversemigroup, built by the walk from its gaps, is the semigroup
     the reach table gives for its generators; each enumerated overmonoid's

@@ -23,7 +23,7 @@ from monoid_spectra.valuation import (ValuationDescriptor, WindowRead,
                                       _primitive_weights,
                                       enumerate_overmonoids, enumerate_zar)
 from oracles import (cyclic_group_with_zero, finitary_by_subsets,
-                     m2_pair_by_pair)
+                     id3_item_by_item, m2_pair_by_pair)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -279,8 +279,10 @@ def test_plane_masks_ask_no_cell():
 @pytest.mark.parametrize("gens, box, region", [
     # N^2 fills [0, 5] x [0, 5] for a box off 0
     ([[1, 0], [0, 1]], (3, 3, 3, 3, 5), 36),
-    # units of rank 1: the region holds the box and the generators' strip
-    ([[1, 0], [0, 1], [0, -1]], (-2, 4, 4, 3, 3), 28),
+    # units of rank 1: the region holds the box's rows with w >= 0 and the
+    # generators' strip, rows 0 and 1 by 7 columns; rows -2 and -1 have
+    # w < 0 and hold no member
+    ([[1, 0], [0, 1], [0, -1]], (-2, 4, 4, 3, 3), 14),
 ])
 def test_a_region_past_the_cap_reads_each_cell(gens, box, region,
                                                monkeypatch):
@@ -591,9 +593,11 @@ def test_a_shared_window_is_refused_for_another_system():
 
 
 def plan_systems(H, overs):
-    """iota, a 3-member r_delta, a meet, example16 and the s-system."""
+    """iota, a 3-member r_delta, a meet, example16, the s-system and a meet
+    with a varying part, example16's."""
     return [iota(overs[1]), r_delta(DeltaFamily(overs[:3]), H.context),
-            meet([iota(S) for S in overs[1:3]]), example16(H), s_system(H)]
+            meet([iota(S) for S in overs[1:3]]), example16(H), s_system(H),
+            meet([iota(overs[2]), example16(H)])]
 
 
 LATTICES = {"n2": [[1, 0], [0, 1]], "nxz": [[1, 0], [0, 1], [0, -1]],
@@ -610,16 +614,19 @@ def plan_carrier(name):
 @pytest.mark.parametrize("name", NUMERICAL + list(LATTICES))
 def test_plan_reads_agree_with_set_reads_and_the_predicate(name,
                                                            monkeypatch):
-    """Below the mask cap every read of a plan, A = {} and {0} and
-    example16's sets with the zero included, is a packed read, and each of
-    its slots agrees with its system's exact predicate on the reach box.
-    At a cap of one cell no read is packed, and every closure is read point
-    by point: the same verdicts."""
+    """Below the mask cap every read of a plan is a packed read from the
+    columns: A = {} and {0}, example16's sets with the zero included, and
+    Id3's images cA, read from the columns at the points c a; each of its
+    slots agrees with its system's exact predicate on the reach box, with
+    the columns kept and with a column cap of no bit, where each is built
+    for its read and dropped.  At a mask cap of one cell no read is packed,
+    and every closure is read point by point: the same verdicts."""
     real = packs._Pack.reach
     log = []
 
-    def checked(self, A):
-        bits = real(self, A)
+    def checked(self, points):
+        bits = real(self, points)
+        A = frozenset(points)
         if bits is not None:
             reach = self.w.reach
             for s, r in enumerate(self.systems):
@@ -627,24 +634,29 @@ def test_plan_reads_agree_with_set_reads_and_the_predicate(name,
                 assert (bits >> s * self.width & lattice_cells(reach)
                         == pointwise(lambda g: g is not INF and pred(g),
                                      reach)), (r, A)
-        log.append((A, bits is not None))
+        # an image's points come as a list, a set's as the set
+        log.append((A, bits is not None, isinstance(points, list)))
         return bits
 
     monkeypatch.setattr(packs._Pack, "reach", checked)
     verdicts = []
-    for cap in (None, 1):
-        if cap:
-            monkeypatch.setattr(monoid, "MAX_SPAN_BITS", cap)
+    for span_cap, column_cap in ((None, None), (None, 0), (1, None)):
         log.clear()
-        H, overs, bound = plan_carrier(name)
-        verdicts.append([[c.to_dict() for c in checks] for checks in
-                         check_module_axioms(plan_systems(H, overs), H,
-                                             bound=bound)])
-        sets, planned = zip(*log)
-        assert all(planned) if cap is None else not any(planned)
+        with pytest.MonkeyPatch.context() as mp:
+            if span_cap is not None:
+                mp.setattr(monoid, "MAX_SPAN_BITS", span_cap)
+            if column_cap is not None:
+                mp.setattr(packs, "MAX_COLUMN_BITS", column_cap)
+            H, overs, bound = plan_carrier(name)
+            verdicts.append([[c.to_dict() for c in checks] for checks in
+                             check_module_axioms(plan_systems(H, overs), H,
+                                                 bound=bound)])
+        sets, planned, images = zip(*log)
+        assert all(planned) if span_cap is None else not any(planned)
         assert frozenset() in sets and frozenset([INF]) in sets
         assert any(INF in A and len(A) > 1 for A in sets)
-    assert verdicts[0] == verdicts[1]
+        assert any(images) == (span_cap is None)
+    assert verdicts[0] == verdicts[1] == verdicts[2]
 
 
 def test_a_plan_reads_each_member_once():
@@ -747,6 +759,62 @@ def test_grouped_scans_agree_with_the_pair_by_pair_oracle(cap, case, seed,
                 finitary_by_subsets(r, universe, window._Draw(
                     universe, budget=budget, seed=seed).subsets)]
             assert [(c.witness, c.n) for c in found] == expected, r
+
+
+def skewed(H):
+    """A product closure whose member depends on where A lies, so that Id3
+    fails: of `thin_of(H)` for a set that holds the identity, of all of G
+    otherwise; A = {1} and any c other than 1 give c thin against G."""
+    ctx = H.context
+    whole = product_closure(ctx, [Overmonoid(ctx, rule=lambda g: True,
+                                             name="G")])
+    thin = product_closure(ctx, [thin_of(H)])
+
+    def pick(A):
+        return thin if ctx.one in A else whole
+
+    return ModuleSystem("skewed", ctx, lambda A: pick(A)[0](A),
+                        lambda A: pick(A)[1])
+
+
+@pytest.mark.parametrize("cap", [None, 0], ids=["packed", "pointwise"])
+@pytest.mark.parametrize("name, bound", [("n23", 4), ("n345", 10),
+                                         ("z4", 2), ("n2", 1), ("nxz", 2)])
+def test_id3_groups_agree_with_the_item_by_item_oracle(name, bound, cap):
+    """Id3 scans one group per subset, of its (A, c): in the module and the
+    ideal axioms, each system gets the witness and the count of the scan
+    item by item through its exact predicates, ``broken(H)``, which passes
+    Id3, ``skewed(H)``, which fails it, and example16, which fails it in
+    the ideal axioms at c = 0, where (0A)_r = {0}_r is all of G; read
+    packed, and point by point at a mask cap of no cell."""
+    H = pair_systems(name)[0]
+    ctx = H.context
+    systems = [*broken(H), skewed(H), example16(H)]
+    universe = ctx.window(bound)
+    nonzero = [g for g in universe if g != ctx.zero]
+    members = [g for g in universe if H.contains(g)]
+    with pytest.MonkeyPatch.context() as mp:
+        if cap is not None:
+            mp.setattr(monoid, "MAX_SPAN_BITS", cap)
+        for module in (True, False):
+            if module:
+                draw = window._Draw(universe)
+                plan = window._plan(ctx, universe, draw, systems, nonzero,
+                                    [g for g in nonzero if H.contains(g)])
+                found = check_module_axioms(systems, H, bound)
+                key = "A"
+            else:
+                draw = window._Draw(members, budget=500, limit=13)
+                plan = window._plan(ctx, members, draw, systems, members)
+                found = [check_ideal_axioms(r, H, bound) for r in systems]
+                key = "X"
+            lines = [next((c.witness, c.n) for c in checks if c.name == "Id3")
+                     for checks in found]
+            assert lines == [id3_item_by_item(r, ctx, draw.head(40),
+                                              plan.scalars, plan.points, key)
+                             for r in systems], module
+            assert lines[0][0] is None and lines[2][0] is not None
+            assert (lines[3][0] is None) == module
 
 
 @pytest.mark.parametrize("name", ["n35", "c3z"])

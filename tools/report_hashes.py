@@ -31,7 +31,14 @@ formats, where Id4 reads each {c}_r on a reach box moved by every nonzero
 point of H's window, cells off the lattice included; and main1 on <11,12>
 at bound 1, in both formats, the one run whose system space is large
 (8 196 systems, one per oversemigroup and example16), its input written
-inline as the sweep's are.  A run's record is
+inline as the sweep's are; and axioms, main1, prop1 and corollaries on the
+proper subgroups <2> of Z/4 and <3> of Z/6 with a zero (``SUBGROUPS``), on
+the same bounds and formats, run through ``cli.run_suite`` and rendered as
+``cli.main`` renders, as no input file names a finite H smaller than its
+table: their overmonoid is H itself, whose closures are not all of G, so
+the table layout's moves are read under it, and on <3> in Z/6 a translate
+by a and one by a^-1 differ.
+A run's record is
 ``[sha1, status, fails]``: the SHA-1 over
 stdout, stderr, the exit code (or the exception the run raised) and the
 DOT file; that exit code or exception; and the sorted names of the
@@ -62,7 +69,7 @@ DATA = os.path.join(ROOT, "tests", "data")
 WORKLOADS = os.path.join(ROOT, "bench", "workloads.py")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from monoid_spectra import cli  # noqa: E402
+from monoid_spectra import cli, monoid  # noqa: E402
 
 BOUNDS = (None, 1, 2, 3)
 # Large-bound runs: (suites, inputs, bounds).
@@ -80,6 +87,11 @@ POOL_SIZE = 20
 POOL_LARGE = (("axioms", (8,)),)
 # (suite, description, bound) of the runs on inputs given inline
 INLINE = (("main1", {"kind": "numerical", "generators": [11, 12]}, 1),)
+# Suites run on proper subgroups <d> of Z/n with a zero n adjoined, as
+# (n, d): <2> in Z/4, where aH = a^-1 H for every a, as 2a lies in H, and
+# <3> in Z/6, where 1 + H = {1, 4} and 5 + H = {5, 2} differ
+SUBGROUP_SUITES = ("axioms", "main1", "prop1", "corollaries")
+SUBGROUPS = ((4, 2), (6, 3))
 FAIL_LINE = re.compile(r"^\S+ (\S+) FAIL\b", re.M)
 
 
@@ -157,6 +169,30 @@ def inline_runs(tmp):
                (bound,))
 
 
+def subgroup_runs():
+    """(label, suite, H, bound) of the runs on ``SUBGROUPS``."""
+    for n, d in SUBGROUPS:
+        table = [[n if n in (a, b) else (a + b) % n for b in range(n + 1)]
+                 for a in range(n + 1)]
+        H = monoid.Monoid("finite", monoid.FiniteCarrier(table, 0, n),
+                          (d, n), args=f"(<{d}> in Z/{n}+0)")
+        for suite in SUBGROUP_SUITES:
+            for bound in BOUNDS:
+                yield f"{suite} <{d}>-in-z{n}", suite, H, bound
+
+
+def run_in_process(suite, H, bound, as_json):
+    """What ``cli.main`` prints and writes for `suite` on H, given as an
+    object: stdout, the exit status and the DOT drawing."""
+    if bound is None:
+        bound = 4 if H.kind == "affine" else 10
+    report, render = cli.run_suite(suite, H, bound=bound, seed=0)
+    dot = render() if render is not None else None
+    return (report.json() if as_json else report.text(),
+            f"exit {0 if report.ok else 1}",
+            dot if dot is not None else "digraph empty {\n}\n")
+
+
 def fail_names(out, as_json):
     """Sorted names of the FAIL lines of one report, text or JSON."""
     if not as_json:
@@ -202,6 +238,13 @@ def main():
                     records[key] = record(argv + extra + flags, dot_path)
         for label, argv in sweep_runs(tmp):
             records[label] = record(argv, dot_path)
+    for label, suite, H, bound in subgroup_runs():
+        for fmt in ("text", "json"):
+            out, status, dot = run_in_process(suite, H, bound, fmt == "json")
+            blob = json.dumps([out, "", status, dot])
+            records[f"{label} bound={bound or 'default'} {fmt}"] = [
+                hashlib.sha1(blob.encode()).hexdigest(), status,
+                fail_names(out, fmt == "json")]
     json.dump(records, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
 
