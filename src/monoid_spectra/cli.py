@@ -14,7 +14,7 @@ import os
 import sys
 
 from .errors import UnsupportedRealization, WindowTooLarge
-from .fintop import homeomorphic, poset_dot
+from .fintop import first_repeat, homeomorphic, poset_dot
 from .idealsys import (IdealRead, check_ideal_axioms, enumerate_ideals,
                        enumerate_primes, s_system, spec_subbasis)
 from .modsys import (FAMILY_DEPTH, DeltaFamily, SystemSpace, check_family,
@@ -24,9 +24,9 @@ from .modsys import (FAMILY_DEPTH, DeltaFamily, SystemSpace, check_family,
 from .monoid import (MAX_WINDOW, ParseError, as_overmonoid, localize,
                      monoid_from_file)
 from .report import INFO, Check, SuiteReport
-from .valuation import (WindowRead, b_complement_law, delta, delta_dot,
-                        delta_laws, enumerate_overmonoids, enumerate_zar,
-                        is_s_pruefer, is_valuation, overmonoid_space)
+from .valuation import (WindowRead, delta, delta_dot, delta_laws,
+                        enumerate_overmonoids, enumerate_zar, is_s_pruefer,
+                        overmonoid_space)
 
 def _curated_overmonoids(H, bound):
     """Finite overmonoid carrier: all overmonoids for numerical H, otherwise
@@ -73,21 +73,10 @@ def suite_ideals(rep, H, bound, seed):
     r = s_system(H)
     ideals = enumerate_ideals(H, r, bound)
     rep.add(Check("ideals-enumerated", INFO, n=len(ideals), bound=bound))
-    ctx = H.context
-    window = [g for g in ctx.window(bound) if H.contains(g)]
-    # g h in I read from I's mask, whose box holds every such product:
-    # each g's bit and its products' bits, for every ideal
-    read = IdealRead(ideals, window)
-    bit = read.box.bit
-    moves = [(g, bit(g), [(h, bit(ctx.op(g, h))) for h in H.generators])
-             for g in window]
-    witness = next(({"I": repr(I), "g": repr(g), "h": repr(h)}
-                    for I, m in zip(ideals, read.masks)
-                    for g, b, products in moves if m >> b & 1
-                    for h, gh in products if not m >> gh & 1), None)
-    rep.add(Check("ideals-absorb-action", witness is None, witness=witness,
-                  exhaustive=False, n=len(ideals), bound=bound))
-    space = read.space()
+    rep.add(Check("ideals-absorb-action", INFO, n=len(ideals), bound=bound,
+                  detail="each listed I = XH absorbs H by construction"))
+    space = IdealRead(ideals, [g for g in H.context.window(bound)
+                               if H.contains(g)]).space()
     rep.add(_t0_check(space, bound))
     return lambda: poset_dot(space, name="ideals")
 
@@ -110,9 +99,7 @@ def suite_zar(rep, H, bound, seed):
     carrier = enumerate_zar(read)
     rep.add(Check("zar-enumerated", INFO, n=len(carrier), bound=bound,
                   detail=" ".join(V.name for V in carrier)))
-    rep.extend(is_valuation(V, read) for V in carrier)
     space = overmonoid_space(carrier, read)
-    rep.add(b_complement_law(carrier, read))
     rep.add(_t0_check(space, bound))
     return lambda: poset_dot(space, name="zar")
 
@@ -143,8 +130,7 @@ def suite_pruefer(rep, H, bound, seed):
         rep.add(Check("delta-homeomorphism", bad is None, witness=bad,
                       exhaustive=False, n=zar_space.n, bound=bound))
     else:
-        pair = next(((i, j) for i in range(len(f))
-                     for j in range(i + 1, len(f)) if f[i] == f[j]), None)
+        pair = first_repeat(f)
         rep.add(Check("delta-injectivity-instance", INFO, n=len(carrier),
                       bound=bound,
                       detail="injective on this carrier" if pair is None else
@@ -167,35 +153,19 @@ def suite_main1(rep, H, bound, seed):
         rep.extend(checks, prefix="AXIOM")
 
     e16 = systems[-1]
-    window = ctx.window(bound)
-    proper = any(not H.contains(g) for g in window)
-    pred1 = e16.closure(frozenset([ctx.one]))
-    ok_h = all(pred1(g) == H.contains(g) for g in window)
-    slice_ = frozenset(g for g in window if pred1(g))
-    pred2 = e16.closure(slice_)
-    ok_g = all(pred2(g) for g in window)
+    # {1}_r is H with the zero, so its window slice recloses to G: a fact
+    # of the construction, recorded, not checked
+    proper = any(not H.contains(g) for g in ctx.window(bound))
+    rep.add(Check("example16-id2-counterexample", INFO, bound=bound,
+                  detail="reclosing the closure of the identity fills G"
+                  if proper else "H fills G on the window, so the Id2 gap "
+                                 "is vacuous here"))
     if proper:
-        strict = any(pred2(g) and not pred1(g) for g in window)
-        ok = ok_h and ok_g and strict
-        rep.add(Check("example16-id2-counterexample", ok,
-                      witness=None if ok else {"closure-of-identity": ok_h,
-                                               "reclosure-full": ok_g,
-                                               "strict": strict},
-                      exhaustive=False, bound=bound,
-                      detail="reclosing the closure of the identity fills G"))
         c = check_id2(e16, bound=min(bound, 4), sample_budget=80, seed=seed)
         rep.add(Check("example16-id2-fails", not c.ok,
                       witness=None if not c.ok
                       else {"expected": "an Id2 failure"},
                       exhaustive=False, n=c.n, bound=min(bound, 4)))
-    else:
-        rep.add(Check("example16-id2-counterexample", ok_h and ok_g,
-                      witness=None if (ok_h and ok_g)
-                      else {"closure-of-identity": ok_h,
-                            "reclosure-full": ok_g},
-                      exhaustive=False, bound=bound,
-                      detail="H fills G on the window, so the Id2 gap is "
-                             "vacuous here"))
 
     pair = space.t0_witnesses()
     k = len(systems)
@@ -279,10 +249,11 @@ SUITES = {
                suite_axioms),
     "spec": ("prime s-ideals form a T0 (so sober and spectral) finite space",
              suite_spec),
-    "ideals": ("bounded s-ideals are closed under the monoid action and "
-               "separated by the U(x) subbasis", suite_ideals),
-    "zar": ("the valuation carrier is T0 (so spectral) at finite scale, and "
-            "its members are valuation monoids", suite_zar),
+    "ideals": ("bounded s-ideals, which absorb the monoid action by "
+               "construction, are separated by the U(x) subbasis",
+               suite_ideals),
+    "zar": ("the valuation carrier, whose members are valuation monoids by "
+            "construction, is T0 (so spectral) at finite scale", suite_zar),
     "pruefer": ("the domination map is surjective, and a homeomorphism on "
                 "instances whose localizations are valuations", suite_pruefer),
     "pronconst": ("the s-ideal space is T0, so at finite scale every subset "

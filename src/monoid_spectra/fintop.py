@@ -37,6 +37,18 @@ class FiniteSpace:
         return f"FiniteSpace(n={self.n})"
 
 
+def first_repeat(values):
+    """The first pair (i, j), in ``itertools.combinations`` order, with
+    values[i] == values[j], or None: the first index whose value repeats,
+    with its next repeat, found in one pass."""
+    first, pair = {}, None
+    for j, value in enumerate(values):
+        i = first.setdefault(value, j)
+        if i < j and (pair is None or i < pair[0]):
+            pair = i, j
+    return pair
+
+
 def homeomorphic(X: FiniteSpace, Y: FiniteSpace, f):
     """Why the map sending point i of X to point f[i] of Y is not a
     homeomorphism, or None when it is.  A finite topology is fixed by its

@@ -133,14 +133,15 @@ class IdealRead:
     """Listed s-ideals of one H read as ints for one suite call, each once,
     and the prime flags on a window and the ideal space read from them.
 
-    ``box`` is the layout around the window's points, H's generators and
-    the ideals' generators, moved by each window point, so it holds every
-    product of a window point with one of them.  H is read once, as its
-    span on the layout around ``box`` moved back by each ideal generator;
-    each ideal XH is the zero and the OR of that span moved by X's nonzero
-    points, and so is H itself, as (1)H.
-    The window guards keep that layout far below MAX_SPAN_BITS (9 209
-    cells, pronconst on <2,3> at its largest bound); only a lowered cap
+    ``box`` is the layout around the window's points and the ideals'
+    generators, moved by each window point.  H is read once, as its span
+    on the layout around ``box`` moved back by each ideal generator; each
+    ideal XH is the zero and the OR of that span moved by X's nonzero
+    points, and so is H itself, as (1)H.  H's own generators are not laid
+    out, so the window guards alone size the layout: window points within
+    2 bound <= 2046 of 0 and ideal generators at most bound + F(H) <= 2047
+    give at most 10 233 cells, far below MAX_SPAN_BITS (9 209 for
+    pronconst on <2,3> at its largest bound, 1023); only a lowered cap
     asks each set at each cell.  A ``Box`` and a ``Table`` answer alike."""
 
     def __init__(self, ideals, window):
@@ -150,8 +151,7 @@ class IdealRead:
         self.points = [g for g in window if g != ctx.zero]
         self.xs = list(dict.fromkeys(g for I in ideals for g in I.generators))
         nonzero = [x for x in [ctx.one, *self.xs] if x != ctx.zero]
-        box = ctx.box([*self.points, *H.generators, *self.xs]).around(
-            self.points)
+        box = ctx.box([*self.points, *self.xs]).around(self.points)
         back = box.around([ctx.inv(x) for x in nonzero])
         self.box = box = box.with_stride(back.stride)
         h = H.span_mask(back)

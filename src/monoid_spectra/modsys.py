@@ -8,7 +8,7 @@ around their points."""
 from __future__ import annotations
 
 from . import monoid
-from .fintop import FiniteSpace
+from .fintop import FiniteSpace, first_repeat
 # family_from_file lives beside the monoid readers and is also read from here
 from .monoid import (INF, CarrierMismatch, DeltaFamily, Monoid,
                      Overmonoid, family_from_file, sort_key)
@@ -277,14 +277,8 @@ class SystemSpace:
     def t0_witnesses(self):
         """The first pair (i, j) of carrier systems, in
         ``itertools.combinations`` order, that no U_{0} or U_{x^{-1}} tells
-        apart, or None: the first index whose profile repeats, with its
-        next repeat."""
-        first, pair = {}, None
-        for j, profile in enumerate(self.space().profiles):
-            i = first.setdefault(profile, j)
-            if i < j and (pair is None or i < pair[0]):
-                pair = i, j
-        return pair
+        apart, or None: the first repeat of their profiles."""
+        return first_repeat(self.space().profiles)
 
 
 # -- the finitariness falsifier ----------------------------------------------

@@ -301,22 +301,6 @@ def overmonoid_space(carrier, read: WindowRead) -> FiniteSpace:
                        [read.mask(S) & read.full for S in carrier])
 
 
-def b_complement_law(carrier, read: WindowRead) -> Check:
-    """On a valuation carrier, Zar minus B(x) sits inside B(x^{-1}): every
-    V holds x or x^{-1}, read from V's mask and its inversion.  The window
-    is closed under inversion, which reverses its order."""
-    missed = [read.full & ~(m | read.inverted(m))
-              for m in map(read.mask, carrier)]
-
-    def outcome(x, b):
-        k = next((k for k, m in enumerate(missed) if m >> b & 1), None)
-        return None if k is None else {
-            "x": repr(x), "V": carrier[k].name or repr(carrier[k])}
-
-    return Check.scan("B-complement", map(outcome, read.points, read.bits),
-                      bound=read.bound)
-
-
 # -- the domination map --------------------------------------------------------
 
 def delta(V: Overmonoid, primes, read: WindowRead) -> int:

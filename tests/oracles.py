@@ -5,7 +5,7 @@ order by their definitions, the space of module systems over a pool of
 sets with each closure asked,
 every topology on a few points, equality of r-ideals, a small finite
 monoid built by hand, the valuation test, the Zar carrier and its space,
-the B-complement law, the Pruefer test, the domination map and its image
+the Pruefer test, the domination map and its image
 law asked point by point through the validating ``contains``, the finite
 witnesses of intersection systems and of meets, the pair scans of the
 axiom checkers read one pair at a time, and their seeded subset draws.
@@ -249,18 +249,6 @@ def zar_space_pointwise(carrier, ctx, bound) -> FiniteSpace:
     return subbasis_space([S.name or repr(S) for S in carrier], carrier,
                           ctx.nonzero_window(bound),
                           lambda S, x: S.contains(x))
-
-
-def b_complement_pointwise(carrier, ctx, bound) -> Check:
-    """Zar minus B(x) inside B(x^{-1}): the first member holding neither x
-    nor x^{-1}, both asked through ``contains``."""
-    def outcome(x):
-        V = next((V for V in carrier
-                  if not V.contains(x) and not V.contains(ctx.inv(x))), None)
-        return None if V is None else {"x": repr(x), "V": V.name or repr(V)}
-
-    return Check.scan("B-complement", map(outcome, ctx.nonzero_window(bound)),
-                      bound=bound)
 
 
 def is_s_pruefer_pointwise(H, primes, bound) -> Check:

@@ -14,6 +14,7 @@ from monoid_spectra.modsys import (DeltaFamily, example16, iota, meet,
                                    r_delta)
 from monoid_spectra.monoid import (MAX_WINDOW, IntCarrier, LatticeCarrier,
                                    Monoid, Overmonoid, monoid_from_file)
+from monoid_spectra.report import Check
 from monoid_spectra.window import _Window
 from oracles import cyclic_product
 
@@ -24,37 +25,37 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 REPORT_SHA1 = {
     ("axioms", "n23"): "8b6765020e8e2aa2d587f74a5b46a1098f35e4f6",
     ("spec", "n23"): "aacc70ea37c69d9b3f5a57b390d7047c0fd221b8",
-    ("ideals", "n23"): "ef3c095b7588c40b872143e00b739b71e5d75620",
-    ("zar", "n23"): "5a6fb094a3831ad72dbab3a7a50ee4a37a235a7b",
+    ("ideals", "n23"): "7cb34eb9ff2f684724ad4bc6a4a330a72ef7003d",
+    ("zar", "n23"): "13895c457476d10c8862e59a72114737de90e9e2",
     ("pruefer", "n23"): "d489949e8e68892caecab799b43d0e3f22c2afe4",
     ("pronconst", "n23"): "50b9f5a1aac706aaa07847e228754ffe1315df21",
-    ("main1", "n23"): "98017e91837a2223b5b4592191395100ab1816ed",
+    ("main1", "n23"): "5f5c77b1dfc4d062e2b98cc53d0b75264cf8f6b8",
     ("prop1", "n23"): "f65e7a3363d968f3cbc0e821ba9fedd1d60a5e74",
     ("prop2", "n23"): "aa4538accdbecbb1042e97d8dd99771beafac781",
     ("corollaries", "n23"): "caff8471fe7c80583d014b2a3f81ab82573a4cb9",
     ("axioms", "n2"): "343e3306ec3e56655b91d97bdff16e5cf7ddf29b",
     ("spec", "n2"): "09db7413787ea8bc8002524388258e41a42611ff",
-    ("zar", "n2"): "a423ef903ef9552661c165e61140fa839d1b6aa7",
+    ("zar", "n2"): "00386b5ab0d56999eec31c063aa1013c247bc9ba",
     ("pruefer", "n2"): "e6f18eddc4b3353d41e5f914602f76284468f1da",
-    ("main1", "n2"): "ad97b58cf1f681c47d298f31403f40eee638af08",
+    ("main1", "n2"): "5ade82daadde7fc2750b1e608c388a0ce93a578a",
     ("prop1", "n2"): "617a47eaca11c8d0130a5ddb22574deb55677d12",
     ("prop2", "n2"): "db0087f8cea3c4a02392f88bee29bfa3a10c045c",
     ("corollaries", "n2"): "5917fe1137fb198de49b378fd08be57d5eb08cce",
     ("axioms", "c3z"): "d9fc47a4c8dc14af542a2a0bd7082ee10bbc8888",
     ("spec", "c3z"): "26a996bf5684b5394ae042d21362b6a209a57634",
-    ("ideals", "c3z"): "1659a291d83e9658885a610a09732a4ff2272ab5",
+    ("ideals", "c3z"): "9eed33d49cbd0ea2152babb7beb4b231ff16a516",
     ("pronconst", "c3z"): "2022f581d13d12c6650e8783b6f1c67cd1bd597b",
-    ("main1", "c3z"): "d4ca679a67e134305788bd65144a506d6d2084ac",
+    ("main1", "c3z"): "fc5fbc5b7358654a48248accaf32d828e6fd1700",
     ("prop2", "c3z"): "512057f2c540fef0465c9e51a0d3649e675855be",
     # larger numerical inputs; main1 separates its systems at the
     # oversemigroups' generators
     ("pronconst", "n469"): "71311a1750d85c98edc6b4f7cff0860109bc9d46",
-    ("main1", "n579"): "481524ed4d166c49983d87c7b8ad3df05b213f95",
+    ("main1", "n579"): "b9ea365bbc27b5e6ab365be6e312041d402649b2",
     # prop1 separates the oversemigroups at their generators
     ("prop1", "n71113"): "c92e07c097960b76ad089caab22836bcf665a69f",
     ("prop1", "n81113"): "b7ab14af63f57b8135d652b8b0761bea1e28681b",
     # N x Z, the s-Pruefer instance: delta is a homeomorphism
-    ("zar", "nxz"): "958c7ab88dddb5a94835422ad3d03eb6bfb2778b",
+    ("zar", "nxz"): "dba1bd508079addc093b6b12b514d8cf7291b72d",
     ("pruefer", "nxz"): "1eea42d2972625b5b3d12e58781f3acb88b6f7c2",
 }
 
@@ -62,13 +63,13 @@ REPORT_SHA1 = {
 # flag of FAIL verdicts that the text report leaves out
 REPORT_JSON_SHA1 = {
     ("axioms", "n23"): "5776fe879d8f9f63fe5242a389ee498807d8da25",
-    ("main1", "n23"): "0a1f190bc1fbce0a5c1413bf306ce30e22844de7",
+    ("main1", "n23"): "57481c71b81f7cf9511a71039db4ae0fac18241a",
     ("corollaries", "n23"): "191899bb4041bacf7a07caf28e830d2684eefb9a",
     ("axioms", "n2"): "b971616291872bd9322a55c8fafd6ed509ea0b25",
-    ("main1", "n2"): "637e0cf7ffa114a0d201a7250627792fd767481c",
+    ("main1", "n2"): "8f6f11432da38de5352c568e8b84203d21dffbe5",
     ("corollaries", "n2"): "23ab5f5271337a36768ebaaa14389571a04bffa0",
     ("axioms", "c3z"): "61bf8fb44f6a5f91fbdd29c4acaa541b32706eeb",
-    ("main1", "c3z"): "fbf9d530c8d47fb9931e320e858f5c51da65321d",
+    ("main1", "c3z"): "44746f8e6a62f0b9959885954f62f231dca1b7af",
     ("corollaries", "c3z"): "f82b44078d89958bca9c59c3a1d77b8cbb5d3a8f",
     # the counts n of the int-carrier Id3 and M4 scans
     ("axioms", "n345"): "5022947e55fdc7040c96b6c6146f68b68b14d48d",
@@ -76,8 +77,8 @@ REPORT_JSON_SHA1 = {
     ("axioms", "n579"): "b2eaeffc17aa827917807004284616f325590d56",
     ("corollaries", "n579"): "bb2eb173ef7cffab0041244f2d5fc684fafab739",
     # main1 separates its systems at the oversemigroups' generators
-    ("main1", "n579"): "d61e00a246e954d47d8678aae0b6eb17af59f06e",
-    ("zar", "nxz"): "104adddee2ec4c0f6dc2f78e1f612ca03175350d",
+    ("main1", "n579"): "c3283910c238612db943c8dc4a0a49a08a75378c",
+    ("zar", "nxz"): "8a483508cb5ef12a399268f122b6c02bee95d31d",
     ("pruefer", "nxz"): "15d1f76ba5821111dc10f05a7677bca6d7c9a979",
 }
 
@@ -286,8 +287,8 @@ def test_reports_on_larger_numerical_inputs(capsys):
 # system draws its sets A from the seed.  prop2 draws nothing, so its
 # reports differ by seed in the SEED line alone.
 SEEDED_SHA1 = {
-    ("main1", "n579", 1): "529cac4d2ecc2e48901c8681d455cca43f2f9181",
-    ("main1", "n579", 2): "e8575e0263458b952b398af69248a6b319dcb144",
+    ("main1", "n579", 1): "3c7a462354b7164090c94f05764ac5b8bdf240d1",
+    ("main1", "n579", 2): "c183fcbf8b9d86a99d4d53d9ea966d08a27c6342",
     ("main2", "n2", 1): "3633de3074878a253be64c47e2b77c4faaafdf74",
     ("main2", "n2", 2): "6b17f140e184d644d51047923318890eed8c086c",
     ("main2", "nxz", 1): "5063b808bee2a6f2b88e5c1388eca5fa149f86e9",
@@ -485,27 +486,41 @@ def test_ideal_suites_finish_on_7_11_13(capsys):
         assert time.perf_counter() - start < 2.0, suite
 
 
-@pytest.mark.parametrize("name", ["n23", "n469", "n71113", "c3z"])
-def test_ideals_read_the_absorb_action_from_the_masks(name, monkeypatch):
-    """ideals-absorb-action reads g h in I off each ideal's mask, asking no
-    ``RIdeal.contains`` (once 153 asks on <7,11,13>), and its line is the
-    one that asking each (ideal, window point, generator) gives."""
-    H = monoid_from_file(data(name + ".json"))
-    ctx = H.context
-    ideals = idealsys.enumerate_ideals(H, idealsys.s_system(H), 10)
-    window = [g for g in ctx.window(10) if H.contains(g)]
-    expected = next(({"I": repr(I), "g": repr(g), "h": repr(h)}
-                     for I in ideals for g in window if I.contains(g)
-                     for h in H.generators if not I.contains(ctx.op(g, h))),
-                    None)
-    asked = []
-    real = idealsys.RIdeal.contains
+@pytest.mark.parametrize("name", ["n23", "n469", "n71113", "c3z",
+                                  "n1_99998"])
+def test_ideal_reads_ask_no_contains(name, monkeypatch):
+    """ideals and pronconst read every listed ideal off H's span on a
+    layout around the window and the ideals' generators, asking no
+    ``RIdeal.contains``.  H's generators are not laid out: with them the
+    box of <1,99998> passed MAX_SPAN_BITS, and each suite asked every
+    ideal at every cell, for 5 s instead of a few ms."""
+    H = (Monoid.numerical([1, 99998]) if name == "n1_99998"
+         else monoid_from_file(data(name + ".json")))
+    asked, boxes = [], []
+    real, init = idealsys.RIdeal.contains, idealsys.IdealRead.__init__
     monkeypatch.setattr(idealsys.RIdeal, "contains",
                         lambda self, g: asked.append(g) or real(self, g))
-    rep, _ = cli.run_suite("ideals", H, bound=10, seed=0)
-    line = next(c for c in rep.checks if c.name == "ideals-absorb-action")
-    assert asked == []
-    assert (line.ok, line.witness) == (expected is None, expected)
+    monkeypatch.setattr(idealsys.IdealRead, "__init__",
+                        lambda self, *args: init(self, *args)
+                        or boxes.append(self.box))
+    for suite in ("ideals", "pronconst"):
+        rep, _ = cli.run_suite(suite, H, bound=10, seed=0)
+        assert rep.ok, suite
+    assert asked == [] and len(boxes) == 2
+    assert all(b.rows * b.cols < monoid.MAX_SPAN_BITS for b in boxes)
+
+
+def test_main1_fails_when_example16_keeps_id2(capsys, monkeypatch):
+    # example16-id2-fails is the main1 line that can fail: an Id2 check
+    # that finds no failure on example16 turns it into a FAIL
+    monkeypatch.setattr(cli, "check_id2", lambda r, **kw: Check(
+        "Id2", True, exhaustive=False, n=1, bound=kw["bound"]))
+    code, out = run(capsys, "verify", "--suite", "main1",
+                    "--input", data("n23.json"))
+    assert code == 1
+    assert ("CHECK example16-id2-fails FAIL expected=an Id2 failure"
+            in out.splitlines())
+    assert "OVERALL FAIL" in out
 
 
 def test_json_report(capsys):

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from monoid_spectra.cli import _t0_check
-from monoid_spectra.fintop import (FiniteSpace, hasse_edges, homeomorphic,
-                                   poset_dot)
+from monoid_spectra.fintop import (FiniteSpace, first_repeat, hasse_edges,
+                                   homeomorphic, poset_dot)
 from monoid_spectra.idealsys import (IdealRead, enumerate_ideals,
                                      enumerate_primes, s_system,
                                      spec_subbasis)
@@ -190,6 +190,16 @@ def test_shared_profile_fails_the_t0_check():
     check = _t0_check(overmonoid_space([N, Z, N], read), 6)
     assert (check.name, check.ok, check.n) == ("t0", False, 3)
     assert check.witness == {"profiles": "coincide"}
+
+
+def test_first_repeat_is_the_first_equal_pair_in_combinations_order():
+    # main1's T0 witness and pruefer's injectivity pair both read it
+    rng = random.Random(0)
+    for _ in range(300):
+        values = [rng.randrange(4) for _ in range(rng.randrange(9))]
+        assert first_repeat(values) == next(
+            ((i, j) for i, j in itertools.combinations(range(len(values)), 2)
+             if values[i] == values[j]), None), values
 
 
 def suite_spaces():
