@@ -9,7 +9,7 @@ from __future__ import annotations
 from .errors import UnsupportedRealization
 from .fintop import FiniteSpace
 from .modsys import ModuleSystem, product_closure
-from .monoid import Monoid, sort_key
+from .monoid import INF, Monoid, sort_key
 from .numsgp import _bits
 from .window import _Draw, _plan
 
@@ -24,8 +24,8 @@ class IdealSystem(ModuleSystem):
     ``closure(X)`` takes a frozenset of elements of H and returns an exact
     membership predicate for X_r."""
 
-    def __init__(self, name, H: Monoid, closure, members=None):
-        super().__init__(name, H.context, closure, members)
+    def __init__(self, name, H: Monoid, closure, members=None, filled=()):
+        super().__init__(name, H.context, closure, members, filled)
         self.H = H
 
 
@@ -209,8 +209,14 @@ def check_ideal_axioms(r: IdealSystem, H: Monoid, bound: int = 10,
     when that universe has at most 13 elements, 500 seeded draws
     otherwise, of which Id2 scans the first 60, one item per X over the Y
     with X inside Y_r: the module axioms' plan on H's members, with Id4,
-    whose moves are the nonzero members, in place of M2 and M4."""
-    universe = [g for g in H.context.window(bound) if H.contains(g)]
+    whose moves are the nonzero members, in place of M2 and M4.  H's
+    window points are read from one ``span_mask`` on the window's layout,
+    and asked one by one only where the carrier has none."""
+    window = H.context.window(bound)
+    box = H.context.box(window)
+    span = None if box is None else H.span_mask(box)
+    universe = ([g for g in window if H.contains(g)] if span is None else
+                [g for g in window if g is INF or span >> box.bit(g) & 1])
     draw = _Draw(universe, budget=500, limit=13, seed=seed)
     w = _plan(H.context, universe, draw, [r], universe,
               moves=[g for g in universe if g != H.context.zero])

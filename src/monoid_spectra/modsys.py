@@ -25,16 +25,18 @@ class ModuleSystem:
     ``closure(A)`` takes a finite subset of G, checked here (CarrierMismatch
     otherwise), and returns an exact membership predicate for A_r, which
     answers False off the carrier.  ``members`` lists the overmonoids of a
-    product closure, from whose masks a ``window._Window`` reads A_r, or,
-    where the list varies with A, is the function of A that gives it, which
-    trusts A, as the window checks its sets once.  It is None for a system
-    read point by point."""
+    product closure, from whose masks a ``window._Window`` reads A_r, and
+    ``filled`` the positions in it of the members that a set holding the
+    zero fills (``product_closure``); the window trusts its sets, as it
+    checks them once.  ``members`` is None for a system read point by
+    point."""
 
-    def __init__(self, name, context, closure, members=None):
+    def __init__(self, name, context, closure, members=None, filled=()):
         self.name = name
         self.context = context
         self._closure = closure
         self.members = members
+        self.filled = filled
 
     def closure(self, A):
         A = frozenset(A)
@@ -54,23 +56,29 @@ def _nonzero(ctx, A):
                         key=sort_key))
 
 
-def product_closure(ctx, members):
-    """The closure A -> intersection over S in `members` of SA, with 0: g is
-    in it iff for every S some nonzero a in A has a^{-1} g in S.  Exact for
-    finite A and a finite list; an empty list gives all of G.  Returns the
-    closure and the list, as ``ModuleSystem`` takes them."""
+def product_closure(ctx, members, filled=()):
+    """The closure A -> intersection over S in `members` of SA, with 0,
+    where 0S is G for S in `filled` and {0} for the other members: g is in
+    it iff for every S some nonzero a in A has a^{-1} g in S, or A holds
+    the zero and S is filled.  Exact for finite A and a finite list; an
+    empty list gives all of G.  Returns the closure, the list and the
+    positions of the filled members, as ``ModuleSystem`` takes them."""
     zero = ctx.zero
+    fills = [i for i, S in enumerate(members) if S in filled]
 
     def closure(A):
         xs = _nonzero(ctx, A)
         inverses = [ctx.inv(a) for a in xs]
+        held = any(a is INF or a == zero for a in A)
+        rest = [S for i, S in enumerate(members)
+                if not (held and i in fills)]
 
         def member(g):
             if not ctx.contains(g):
                 return False
             if g is INF or g == zero:
                 return True
-            for S in members:
+            for S in rest:
                 for b in inverses:
                     if S.has(ctx.op(b, g)):
                         break
@@ -80,21 +88,15 @@ def product_closure(ctx, members):
 
         return member
 
-    return closure, members
+    return closure, members, fills
 
 
 def example16(H: Monoid) -> ModuleSystem:
-    """A_r = G when 0 is in A, otherwise AH with 0 adjoined.  Satisfies Id1,
-    M2, Id3 and M4 but not Id2.  Both are product closures: of no member,
-    and of [H]."""
-    ctx = H.context
-    whole, product = product_closure(ctx, []), product_closure(ctx, [H])
-
-    def pick(A):
-        return whole if any(a is INF or a == ctx.zero for a in A) else product
-
-    return ModuleSystem("example16", ctx, lambda A: pick(A)[0](A),
-                        lambda A: pick(A)[1])
+    """A_r = G when 0 is in A, otherwise AH with 0 adjoined: the product
+    closure of [H] with H filled.  Satisfies Id1, M2, Id3 and M4 but not
+    Id2."""
+    return ModuleSystem("example16", H.context,
+                        *product_closure(H.context, [H], filled=[H]))
 
 
 def r_delta(delta: DeltaFamily, ctx) -> ModuleSystem:
@@ -116,8 +118,8 @@ def iota(S: Overmonoid) -> ModuleSystem:
 def meet(systems) -> ModuleSystem:
     """Pointwise intersection of closures; the infimum for the coarser-than
     order.  A meet of product closures is the product closure of all their
-    members, a list, or a function of A where one of theirs is; a meet with
-    a system read point by point is read point by point."""
+    members, with their filled members filled; a meet with a system read
+    point by point is read point by point."""
     systems = list(systems)
     if not systems:
         raise ValueError("meet of an empty list")
@@ -131,15 +133,15 @@ def meet(systems) -> ModuleSystem:
 
         return member
 
-    parts = [r.members for r in systems]
-
-    def members(A):
-        return [S for m in parts for S in (m(A) if callable(m) else m)]
-
+    members, filled = [], []
+    for r in systems:
+        if r.members is None:
+            members = None
+            break
+        filled += [len(members) + i for i in r.filled]
+        members += r.members
     name = "^".join(r.name for r in systems)
-    return ModuleSystem(f"meet({name})", ctx, closure,
-                        None if None in parts else members
-                        if any(map(callable, parts)) else members(None))
+    return ModuleSystem(f"meet({name})", ctx, closure, members, filled)
 
 
 # -- axiom checking ----------------------------------------------------------
@@ -333,7 +335,7 @@ def falsify_finitary(delta: DeltaFamily, ctx, bound: int = 6):
         xs.append(at[(alone & -alone).bit_length() - 1])
     A = frozenset(ctx.inv(x) for x in xs)
     target = ctx.one
-    truncated, _ = product_closure(ctx, members)
+    truncated = product_closure(ctx, members)[0]
     if not truncated(A)(target):
         return None
     F = frozenset(ctx.inv(x) for x in xs[:-1])

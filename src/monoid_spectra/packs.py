@@ -22,16 +22,17 @@ class _Pack:
 
     A packed read comes from columns.  A point's column is one int: the
     pack's member masks moved to that point on the reach layout, the t-th
-    member's translate in the t-th field of a reach read's size.  A set's
-    A_r is the OR of its nonzero points' columns, one OR per point, with
-    its fields ANDed, one shift and AND per member; a set with a point
-    that has no column (off the wide layout) has no read.  Id3 reads an
-    image cA from the columns at the points c a, so cA is not formed to be
-    read.  Member masks and columns are kept per key: () for a pack whose
-    members are constant, which calls no system to read, else the member
-    lists the varying slots' functions give the set read (cA for an
-    image), the only functions a read calls.  A pack keeps MAX_COLUMN_BITS
-    bits of columns; past them a column is built for its read and dropped.
+    member's translate in the t-th field of a reach read's size.  The
+    zero's column is all ones in every padding field and in every filled
+    member's field of its slot, and 0 elsewhere.  A set's A_r is the
+    padding ORed with its points' columns, one OR per point, with its
+    fields ANDed, one shift and AND per member; a set with a point that
+    has no column (off the wide layout) has no read.  So A = {} reads G for
+    a slot with no members and {0} otherwise, and A = {0} reads G for a
+    slot whose members are all filled.  Id3 reads an image cA from the
+    columns at the points c a, so cA is not formed to be read.  The member
+    masks are built once per pack; a pack keeps MAX_COLUMN_BITS bits of
+    columns, and past them a column is built for its read and dropped.
 
     A pack is built with its window and lives as long, so its reads,
     columns, member masks and point-by-point masks serve every scan of the
@@ -40,7 +41,7 @@ class _Pack:
     def __init__(self, w, slots, packed):
         self.w, self.slots, self.packed = w, slots, packed
         self.systems = [w.systems[i] for i in slots]
-        self._reads, self._boxes, self._keys = {}, {}, {}
+        self._reads, self._boxes = {}, {}
         self._preds, self._masks = {}, {}
         k = len(slots)
         if not packed:
@@ -60,48 +61,40 @@ class _Pack:
             return sum(1 << r * P for r in range(n)) * ((1 << W) - 1)
 
         self.masks = [rows(w.box.rows) << s * W for s in range(k)]
-        self._full, self._padding = rows(w.reach.rows), rows(w.wide.rows)
-        self._size = w.reach.rows * P
-        self._keep = (1 << self._size) - 1
-        self._zero, self._column_bits = w.ctx.zero, 0
-        self._lists = [r.members for r in self.systems]
-        self._varying = [s for s, m in enumerate(self._lists) if callable(m)]
-        if not self._varying:
-            self._constant = self._keyed(())
+        self._size = S = w.reach.rows * P
+        self._keep = (1 << S) - 1
+        self._column_bits = 0
+        lists = [(r.members, r.filled) for r in self.systems]
+        n = max(len(m) for m, _ in lists)
+        pad, full = rows(w.wide.rows), rows(w.reach.rows)
+        self._members = [sum((w.span(m[t]) if t < len(m) else pad) << s * W
+                             for s, (m, _) in enumerate(lists))
+                         for t in range(n)]
+        self._fields = range(0, n * S, S)
+
+        def fields(fill):  # `full` in slot s's field t where fill(t, m, f)
+            return sum(full << s * W << t * S for t in range(n)
+                       for s, (m, f) in enumerate(lists) if fill(t, m, f))
+
+        self._pad = fields(lambda t, m, f: t >= len(m))
+        self._columns = {w.ctx.zero: fields(
+            lambda t, m, f: t >= len(m) or t in f)}
 
     def slot(self, bits):
         """The slot of the lowest bit of `bits`, box bits of the window."""
         return ((bits & -bits).bit_length() - 1) % self.stride // self.width
 
-    def _keyed(self, key):
-        """The member masks on the wide layout, the columns kept so far, the
-        read of a set with no nonzero point (every cell where a slot has no
-        members, else none) and the columns' field offsets, for the varying
-        slots' lists `key`."""
-        got = self._keys.get(key)
-        if got is None:
-            lists = iter(key)
-            lists = [next(lists) if callable(m) else m for m in self._lists]
-            span, pad, W = self.w.span, self._padding, self.width
-            masks = [sum((span(m[t]) if t < len(m) else pad) << s * W
-                         for s, m in enumerate(lists))
-                     for t in range(max(map(len, lists)))]
-            got = self._keys[key] = (masks, {}, sum(
-                self._full << s * W for s, m in enumerate(lists) if not m),
-                range(0, len(masks) * self._size, self._size))
-        return got
-
-    def _column(self, masks, columns, p):
-        """The column at p for `masks`, the t-th member's translate t
-        fields of a reach read's size up, kept in `columns` below the cap;
-        None when p has no shift onto reach."""
+    def _column(self, p):
+        """The column at p, the t-th member's translate t fields of a reach
+        read's size up, kept below the cap; None when p has no shift onto
+        reach."""
         k = self.w.shift(p)
         col = None if k is None else sum(
             (self._moved(m, k) & self._keep) << t * self._size
-            for t, m in enumerate(masks))
+            for t, m in enumerate(self._members))
         if self._column_bits < MAX_COLUMN_BITS:
-            columns[p] = col
-            self._column_bits += len(masks) * self._size
+            self._columns[p] = col
+            self._column_bits += len(self._members) * self._size
         return col
 
     def reach(self, points):
@@ -112,25 +105,16 @@ class _Pack:
         window's points are unspecified."""
         if not self.packed:
             return None
-        if self._varying:
-            A = frozenset(points)
-            masks, columns, empty, fields = self._keyed(tuple(
-                tuple(self._lists[s](A)) for s in self._varying))
-        else:
-            masks, columns, empty, fields = self._constant
-        zero, any_a = self._zero, None
+        columns, any_a = self._columns, self._pad
         for p in points:
-            if p != zero:
-                col = columns.get(p, _UNREAD)
-                if col is _UNREAD:
-                    col = self._column(masks, columns, p)
-                if col is None:
-                    return None
-                any_a = col if any_a is None else any_a | col
-        if any_a is None:
-            return empty
+            col = columns.get(p, _UNREAD)
+            if col is _UNREAD:
+                col = self._column(p)
+            if col is None:
+                return None
+            any_a |= col
         out = self._keep
-        for k in fields:
+        for k in self._fields:
             out &= any_a >> k
         return out
 

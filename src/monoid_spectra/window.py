@@ -108,9 +108,10 @@ class _Window:
     one row for all three, and a translate or a move by g permutes the row
     by g's table row.  A product closure's A_r on reach is one AND over its
     members of the OR of A's translates, read from columns: a point's
-    column holds its translates of every member mask, so a read is one OR
-    per point of A and one AND per member, and a set has none when one of
-    its points has none.
+    column holds its translates of every member mask, and the zero's
+    column fills every field of a filled member, so a read is one OR per
+    point of A and one AND per member, and a set has none when one of its
+    points has none.
 
     Slots and batches: the systems that name their members share ints.
     Each gets a slot of the wide layout's width and one guard bit in every
@@ -132,7 +133,8 @@ class _Window:
     is one subset or c; each item of Id3 is a group of one subset's
     (subset, scalar) pairs, in scalar order, and each item of M2 and Id2 a
     group of pairs that share a set, the OR of their inner closures outside
-    the AND of their outer ones.  Each is one int compare for all slots at
+    the AND of their outer ones, read from one map of the scan's sets to
+    their reads.  Each is one int compare for all slots at
     once, in the layout at the window's points; an Id3 group ORs its
     pairs' compares, and Id1 takes A's cells from the pack's per-point cell
     table.  Id2 and idempotence scan a window of one system.  A nonzero
@@ -248,25 +250,26 @@ class _Window:
             yield _item(None if inside is None else sum(
                 map(pack.cell.__getitem__, A)) & ~inside, point, (A,))
 
-    def _pairs(self, pack, groups, keys):
+    def _pairs(self, pack, groups, keys, boxes):
         """M2, X_r inside Y_r, one item per (Xs, Ys) of `groups`, one of the
         two a single set: the pairs (X, Y) of Xs x Ys, in that order, whose
         part is the OR of the X_r outside the AND of the Y_r, the union of
-        the pairs' own parts (none for no pairs).  A group with a set read
-        point by point is split into its pairs; `keys` name X and Y."""
+        the pairs' own parts (none for no pairs).  Each set's packed read
+        on the window's layout comes from `boxes`, which the caller read
+        once per set; a group with a set read point by point (None there)
+        is split into its pairs.  `keys` name X and Y."""
         x, y = keys
-        box = pack.box
 
         def point(s, X, Y):
             return self.escape((pack.mask(s, X), pack.mask(s, Y),
                                 ((x, X), (y, Y))))
 
         def pairs(Xs, Ys):
-            return lambda: [(box(X) & ~box(Y), point, (X, Y))
+            return lambda: [(boxes[X] & ~boxes[Y], point, (X, Y))
                             for X in Xs for Y in Ys]
 
         for Xs, Ys in groups:
-            inners, outers = list(map(box, Xs)), list(map(box, Ys))
+            inners, outers = [boxes[X] for X in Xs], [boxes[Y] for Y in Ys]
             if None in inners or None in outers:
                 for X in Xs:
                     for Y in Ys:
@@ -289,7 +292,7 @@ class _Window:
                 if A in supers:
                     supers[A].append(B)
         return self._pairs(pack, (([A], Bs) for A, Bs in supers.items()),
-                           "AB")
+                           "AB", {A: pack.box(A) for A in supers})
 
     def id2(self, pack, draw, keys, by, k=None):
         """Id2 of the window's one system: M2 on the (X, Y) of the first k
@@ -301,9 +304,10 @@ class _Window:
         if len(self.systems) > 1:
             raise ValueError("the Id2 scan reads one system")
         sets = draw.head(k) if k else draw.subsets
+        boxes = {Y: pack.box(Y) for Y in sets}
         if pack.packed:
             inners = [(X, self.cells_of(X)) for X in sets]
-            outers = [(Y, pack.box(Y)) for Y in sets]
+            outers = list(boxes.items())
         else:
             inners = [(X, self.of(X)) for X in sets]
             outers = [(Y, pack.mask(0, Y)) for Y in sets]
@@ -313,7 +317,7 @@ class _Window:
         else:
             groups = (([X for X, c in inners if not c & ~m], [Y])
                       for Y, m in outers)
-        return self._pairs(pack, groups, keys)
+        return self._pairs(pack, groups, keys, boxes)
 
     def id3(self, pack, draw, key):
         """Id3: c A_r = (cA)_r at the points, one group per A, A over the

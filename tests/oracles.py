@@ -395,7 +395,7 @@ def falsify_finitary_pointwise(delta, ctx, bound):
             return None
         xs.append(x)
     A = frozenset(ctx.inv(x) for x in xs)
-    truncated, _ = product_closure(ctx, members)
+    truncated = product_closure(ctx, members)[0]
     if not truncated(A)(ctx.one):
         return None
     if truncated(frozenset(ctx.inv(x) for x in xs[:-1]))(ctx.one):

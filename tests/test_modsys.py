@@ -551,16 +551,24 @@ def bounded_members(S, ctx):
 @given(MONOIDS, st.data())
 def test_product_closure_matches_a_bounded_enumeration_of_its_members(H, data):
     # g is in A_r iff g is the zero or every member S has a nonzero a in A
-    # and an s in S with a s = g; the empty list closes A to all of G
+    # and an s in S with a s = g, or A holds the zero and S is filled; the
+    # empty list closes A to all of G
     ctx = H.context
     members = data.draw(st.lists(
         st.sampled_from([H, as_overmonoid(H), group_of(H)]), max_size=2))
+    filled = data.draw(st.lists(st.sampled_from(members), max_size=2)
+                       if members else st.just([]))
     window = ctx.window(3)
     A = frozenset(data.draw(st.sets(st.sampled_from(window), max_size=3)))
     nonzero = [a for a in A if a is not INF and a != ctx.zero]
+    held = len(nonzero) < len(A)
     products = [{ctx.op(a, s) for a in nonzero
-                 for s in bounded_members(S, ctx)} for S in members]
-    pred = product_closure(ctx, members)[0](A)
+                 for s in bounded_members(S, ctx)} for S in members
+                if not (held and S in filled)]
+    closure, listed, fills = product_closure(ctx, members, filled)
+    assert listed == members
+    assert fills == [i for i, S in enumerate(members) if S in filled]
+    pred = closure(A)
     for g in window:
         expected = g == ctx.zero or all(g in P for P in products)
-        assert pred(g) == expected, (members, A, g)
+        assert pred(g) == expected, (members, filled, A, g)

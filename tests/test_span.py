@@ -123,13 +123,14 @@ def moved(box, ctx, g):
 @settings(max_examples=150, deadline=None)
 @given(spec=inputs(),
        system=st.sampled_from(["r_delta", "iota", "s_system", "example16",
-                               "meet"]),
+                               "meet", "meet16"]),
        picks=st.lists(st.integers(0, 50), min_size=1, max_size=3),
        moves=st.lists(st.integers(0, 50), max_size=4))
 def test_span_matches_the_predicate(spec, system, picks, moves):
     """A_r read through a window: on the reach box, and on the window's box
     and on each of its moves, against the exact predicate; the first moves
-    are Id3 scalars, the others M4 translators."""
+    are Id3 scalars, the others M4 translators.  A meet of iota(S) and
+    example16 fills only example16's member for an A with the zero."""
     kind, gens, A, _ = spec
     H, overs = build(monoid_of(kind, gens))
     ctx = H.context
@@ -138,7 +139,9 @@ def test_span_matches_the_predicate(spec, system, picks, moves):
          "iota": lambda: iota(chosen[0]),
          "s_system": lambda: s_system(H),
          "example16": lambda: example16(H),
-         "meet": lambda: meet([iota(S) for S in chosen])}[system]()
+         "meet": lambda: meet([iota(S) for S in chosen]),
+         # a filled member beside an unfilled one, perhaps H itself
+         "meet16": lambda: meet([iota(chosen[0]), example16(H)])}[system]()
     universe = ctx.window(2)
     nonzero = universe[:-1]
     picked = [nonzero[i % len(nonzero)] for i in moves]
@@ -593,11 +596,14 @@ def test_a_shared_window_is_refused_for_another_system():
 
 
 def plan_systems(H, overs):
-    """iota, a 3-member r_delta, a meet, example16, the s-system and a meet
-    with a varying part, example16's."""
-    return [iota(overs[1]), r_delta(DeltaFamily(overs[:3]), H.context),
+    """iota, a 3-member r_delta, a meet, example16, the s-system, a meet
+    with a filled part, example16's, and all of G, the product closure of
+    no member, whose slot is all padding."""
+    ctx = H.context
+    return [iota(overs[1]), r_delta(DeltaFamily(overs[:3]), ctx),
             meet([iota(S) for S in overs[1:3]]), example16(H), s_system(H),
-            meet([iota(overs[2]), example16(H)])]
+            meet([iota(overs[2]), example16(H)]),
+            ModuleSystem("G", ctx, *product_closure(ctx, []))]
 
 
 LATTICES = {"n2": [[1, 0], [0, 1]], "nxz": [[1, 0], [0, 1], [0, -1]],
@@ -615,9 +621,11 @@ def plan_carrier(name):
 def test_plan_reads_agree_with_set_reads_and_the_predicate(name,
                                                            monkeypatch):
     """Below the mask cap every read of a plan is a packed read from the
-    columns: A = {} and {0}, example16's sets with the zero included, and
-    Id3's images cA, read from the columns at the points c a; each of its
-    slots agrees with its system's exact predicate on the reach box, with
+    columns: A = {}, {0} and sets with the zero and a nonzero point, in one
+    pack with a member-less slot (all of G), example16's filled one and
+    iotas, and Id3's images cA, read from the columns at the points c a;
+    each of its slots agrees with its system's exact predicate on the
+    reach box, with
     the columns kept and with a column cap of no bit, where each is built
     for its read and dropped.  At a mask cap of one cell no read is packed,
     and every closure is read point by point: the same verdicts."""
@@ -689,19 +697,13 @@ PAIR_CASES = [("n23", 2), ("n23", 4), ("n23", 6), ("n345", 3), ("n345", 7),
 
 
 def shrinking(H):
-    """A product closure that shrinks as A grows, so that M2 and
-    finitariness fail: all of G for A of at most one point, AH for a larger
-    A."""
+    """A closure that shrinks as A grows, so that M2 and finitariness fail:
+    all of G for A of at most one point, AH for a larger A.  No product
+    closure shrinks, so it names no members and is read point by point."""
     ctx = H.context
-    small = product_closure(ctx, [Overmonoid(ctx, rule=lambda g: True,
-                                             name="G")])
-    large = product_closure(ctx, [H])
-
-    def pick(A):
-        return small if len(A) <= 1 else large
-
-    return ModuleSystem("shrinking", ctx, lambda A: pick(A)[0](A),
-                        lambda A: pick(A)[1])
+    small, large = product_closure(ctx, [])[0], product_closure(ctx, [H])[0]
+    return ModuleSystem("shrinking", ctx,
+                        lambda A: (small if len(A) <= 1 else large)(A))
 
 
 @functools.cache
@@ -762,19 +764,15 @@ def test_grouped_scans_agree_with_the_pair_by_pair_oracle(cap, case, seed,
 
 
 def skewed(H):
-    """A product closure whose member depends on where A lies, so that Id3
-    fails: of `thin_of(H)` for a set that holds the identity, of all of G
-    otherwise; A = {1} and any c other than 1 give c thin against G."""
+    """A closure whose member depends on where A lies, so that Id3 fails:
+    the product closure of `thin_of(H)` for a set that holds the identity,
+    all of G otherwise; A = {1} and any c other than 1 give c thin against
+    G.  It names no members, so it is read point by point."""
     ctx = H.context
-    whole = product_closure(ctx, [Overmonoid(ctx, rule=lambda g: True,
-                                             name="G")])
-    thin = product_closure(ctx, [thin_of(H)])
-
-    def pick(A):
-        return thin if ctx.one in A else whole
-
-    return ModuleSystem("skewed", ctx, lambda A: pick(A)[0](A),
-                        lambda A: pick(A)[1])
+    whole = product_closure(ctx, [])[0]
+    thin = product_closure(ctx, [thin_of(H)])[0]
+    return ModuleSystem("skewed", ctx,
+                        lambda A: (thin if ctx.one in A else whole)(A))
 
 
 @pytest.mark.parametrize("cap", [None, 0], ids=["packed", "pointwise"])
