@@ -625,9 +625,8 @@ def test_plan_reads_agree_with_set_reads_and_the_predicate(name,
     pack with a member-less slot (all of G), example16's filled one and
     iotas, and Id3's images cA, read from the columns at the points c a;
     each of its slots agrees with its system's exact predicate on the
-    reach box, with
-    the columns kept and with a column cap of no bit, where each is built
-    for its read and dropped.  At a mask cap of one cell no read is packed,
+    reach box, with the columns kept and with a column cap of no bit,
+    where each is built for its read and dropped.  At a mask cap of one cell no read is packed,
     and every closure is read point by point: the same verdicts."""
     real = packs._Pack.reach
     log = []
