@@ -1,15 +1,17 @@
 """Ideal systems on a monoid H: the closure axioms, the s-system, finitary
 closure, r-ideals, prime r-ideals and the spectrum and ideal spaces.
 
-Listed s-ideals are read as int bitmasks (``IdealRead``), one layout read
-each, and the prime flags and the ideal space are read from those masks."""
+Listed s-ideals are read as int bitmasks on one ``layout.Read``
+(``IdealRead``), each the OR of H's translates by its generators, and the
+prime flags and the ideal space are read from those masks."""
 
 from __future__ import annotations
 
 from .errors import UnsupportedRealization
 from .fintop import FiniteSpace
+from .layout import Read, translates
 from .modsys import ModuleSystem, product_closure
-from .monoid import INF, Monoid, sort_key
+from .monoid import Monoid, sort_key
 from .numsgp import _bits
 from .window import _Draw, _plan
 
@@ -130,63 +132,41 @@ def enumerate_ideals(H: Monoid, system: IdealSystem, bound: int):
 
 
 class IdealRead:
-    """Listed s-ideals of one H read as ints for one suite call, each once,
-    and the prime flags on a window and the ideal space read from them.
-
-    ``box`` is the layout around the window's points and the ideals'
-    generators, moved by each window point.  H is read once, as its span
-    on the layout around ``box`` moved back by each ideal generator; each
-    ideal XH is the zero and the OR of that span moved by X's nonzero
-    points, and so is H itself, as (1)H.  H's own generators are not laid
-    out, so the window guards alone size the layout: window points within
-    2 bound <= 2046 of 0 and ideal generators at most bound + F(H) <= 2047
-    give at most 10 233 cells, far below MAX_SPAN_BITS (9 209 for
-    pronconst on <2,3> at its largest bound, 1023); only a lowered cap
-    asks each set at each cell.  A ``Box`` and a ``Table`` answer alike."""
+    """Listed s-ideals of one H read as ints for one suite call, and the
+    prime flags on `window` and the ideal space, which needs no window,
+    read from them.  ``read`` lays out the window, the ideals' generators
+    and the products of two window points, and XH is the product of X and
+    H there (``layout.Read``), one shift per point of X.  H's generators
+    are not laid out, so the window guards size the layout: window points
+    within 2 bound <= 2046 of 0 and generators at most bound + F(H) <= 2047
+    give at most 10 233 cells, below MAX_SPAN_BITS."""
 
     def __init__(self, ideals, window):
         self.H = H = ideals[0].system.H
         self.ideals = ideals
         ctx = H.context
-        self.points = [g for g in window if g != ctx.zero]
+        window = [g for g in window if g != ctx.zero]
         self.xs = list(dict.fromkeys(g for I in ideals for g in I.generators))
-        nonzero = [x for x in [ctx.one, *self.xs] if x != ctx.zero]
-        box = ctx.box([*self.points, *self.xs]).around(self.points)
-        back = box.around([ctx.inv(x) for x in nonzero])
-        self.box = box = box.with_stride(back.stride)
-        h = H.span_mask(back)
-        shift = {x: box.shift(back, x) for x in nonzero}
-
-        def read(X, member):
-            if h is None:
-                return sum(1 << b for b, g in box.cells()
-                           if g is not None and member(g))
-            out = 0
-            for x in X:
-                if x != ctx.zero:
-                    out |= box.moved(h, shift[x])
-            return out
-
-        self.whole = read([ctx.one], H.has)
-        zero = 1 << box.bit(ctx.zero)
-        self.masks = [zero | read(I.generators, I.contains) for I in ideals]
+        self.read = read = Read(ctx, [*window, ctx.one, *self.xs,
+                                      *translates(ctx, window, window)],
+                                moves=[ctx.inv(x) for x in self.xs
+                                       if x != ctx.zero])
+        self.masks = [read.product(I.generators, H) for I in ideals]
+        # H's window part
+        self.part = read.mask(H) & sum(1 << read.bit(g) for g in window)
 
     def prime_flags(self) -> list:
         """Whether each ideal is prime on the window: no a, b of H outside
         I there multiply into I.  I is not prime when it holds the
         identity, or when some a of O, the window part of H outside I, has
-        I moved back by a meeting O."""
-        ctx, box = self.H.context, self.box
-        inner = ctx.box(self.points).with_stride(box.stride)
-        at = {inner.bit(g): g for g in self.points}
-        home = box.start(inner, None)
-        h = box.moved(self.whole, home) & sum(1 << b for b in at)
-        one = 1 << box.bit(ctx.one)
+        I moved back by a meeting O; the products lie in the read."""
+        read = self.read
+        one = 1 << read.bit(self.H.context.one)
         flags = []
         for m in self.masks:
-            O = h & ~box.moved(m, home)
+            O = self.part & ~m
             flags.append(not m & one and not any(
-                O & box.moved(m, box.start(inner, at[b])) for b in _bits(O)))
+                O & read.moved(m, read.point(b)) for b in _bits(O)))
         return flags
 
     def space(self) -> FiniteSpace:
@@ -194,7 +174,7 @@ class IdealRead:
         x over their generators: I's profile is their bits that I's mask
         misses.  I is inside J exactly when J holds I's generators, so these
         opens give the specialization order, which fixes a finite space."""
-        xs = sum(1 << self.box.bit(x) for x in self.xs)
+        xs = sum(1 << self.read.bit(x) for x in self.xs)
         return FiniteSpace([repr(I) for I in self.ideals],
                            [xs & ~m for m in self.masks])
 
@@ -210,13 +190,12 @@ def check_ideal_axioms(r: IdealSystem, H: Monoid, bound: int = 10,
     otherwise, of which Id2 scans the first 60, one item per X over the Y
     with X inside Y_r: the module axioms' plan on H's members, with Id4,
     whose moves are the nonzero members, in place of M2 and M4.  H's
-    window points are read from one ``span_mask`` on the window's layout,
-    and asked one by one only where the carrier has none."""
+    window points are read as one mask (``layout.Read``)."""
     window = H.context.window(bound)
-    box = H.context.box(window)
-    span = None if box is None else H.span_mask(box)
-    universe = ([g for g in window if H.contains(g)] if span is None else
-                [g for g in window if g is INF or span >> box.bit(g) & 1])
+    read = Read(H.context, window)
+    h = read.mask(H)
+    universe = [g for g in window
+                if g == H.context.zero or h >> read.bit(g) & 1]
     draw = _Draw(universe, budget=500, limit=13, seed=seed)
     w = _plan(H.context, universe, draw, [r], universe,
               moves=[g for g in universe if g != H.context.zero])

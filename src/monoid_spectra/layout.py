@@ -1,12 +1,12 @@
-"""The bit layouts in which a ``window._Window`` reads closures as ints: the
-``Box`` of the additive carriers and the ``Table`` of a finite one.
+"""The bit layouts in which sets are read as ints, the ``Box`` of the
+additive carriers and the ``Table`` of a finite one, and their two plans:
+``Read`` for the suites' points and ``packed`` for a ``window._Window``.
 
 A layout places the carrier's points at bits; packed slots of one width sit
 side by side in each row, ``stride`` bits apart.  Both layouts answer the
-same questions, so the window and its packs never ask which one they have:
-``around`` and ``behind`` plan the layouts of a window, ``shift`` gives
-the translate by a point, which ``moved`` applies to a mask, and ``start``
-gives the move of a read by a point."""
+same questions, so no reader asks which one it has: only the plans call
+``around``, ``behind`` and ``with_stride``, and ``start`` gives the move
+of a read by a point, which ``moved`` applies to a mask."""
 
 from __future__ import annotations
 
@@ -58,30 +58,30 @@ class Box:
         return self.spread([(-hull.x0, -hull.y0), (1 - hull.x0 - hull.rows,
                                                    1 - hull.y0 - hull.cols)])
 
-    def shift(self, back, a):
-        """The right shift moving a mask on the box `back` by the point a
-        onto this box; None unless `back` holds the moved box."""
-        x, y = self.ctx._xy(a)
-        i, j = self.x0 - x - back.x0, self.y0 - y - back.y0
-        if 0 <= i <= back.rows - self.rows and 0 <= j <= back.cols - self.cols:
-            return i * back.stride + j
-        return None
-
     def start(self, inner, g):
-        """The move of a read on this box onto the box `inner` moved by g:
-        a right shift."""
+        """The move of a read on this box onto the box `inner` moved by g,
+        a right shift, or None unless this box holds the moved box; at
+        g^{-1}, the translate by g of a mask on this box onto `inner`."""
         x, y = (0, 0) if g is None else self.ctx._xy(g)
-        return (inner.x0 + x - self.x0) * self.stride + inner.y0 + y - self.y0
+        i, j = inner.x0 + x - self.x0, inner.y0 + y - self.y0
+        if (0 <= i <= self.rows - inner.rows
+                and 0 <= j <= self.cols - inner.cols):
+            return i * self.stride + j
+        return None
 
     moved = staticmethod(operator.rshift)
 
-    @staticmethod
-    def meet(bits, moves):
-        """The AND of `bits` moved by each of `moves`."""
-        out = -1
-        for k in moves:
-            out &= bits >> k
-        return out
+    def step(self, bits, g):
+        """`bits` moved by g inside this box: cell c reads cell g c."""
+        x, y = self.ctx._xy(g)
+        k = x * self.stride + y
+        return bits >> k if k >= 0 else bits << -k
+
+    def inverted(self, bits):
+        """`bits` inverted: the bits of g and g^{-1} add up to twice the
+        identity's, so inversion reverses them."""
+        width = 2 * self.bit(self.ctx.one) + 1
+        return int(format(bits, f"0{width}b")[::-1], 2)
 
     def cells(self):
         """(bit, carrier point) of every cell; the point is None at a cell
@@ -136,12 +136,16 @@ class Table:
                 [(m, -d) for d, m in by.items() if d < 0])
         return move
 
-    def shift(self, back, a):
-        """The move that translates a mask by the nonzero point a."""
-        return self._move(self.ctx.inv(a))
-
     def start(self, inner, g):
         return self._move(self.ctx.one if g is None else g)
+
+    def step(self, bits, g):
+        return self.moved(bits, self._move(g))
+
+    def inverted(self, bits):
+        """`bits` of nonzero elements, inverted."""
+        inv = self.ctx.inv
+        return sum(1 << inv(c) for c in range(self.cols) if bits >> c & 1)
 
     @staticmethod
     def moved(bits, move):
@@ -153,13 +157,115 @@ class Table:
             out |= (bits & m) << d
         return out
 
-    def meet(self, bits, moves):
-        """The AND of `bits` moved by each of `moves`."""
-        out = -1
-        for move in moves:
-            out &= self.moved(bits, move)
-        return out
-
     def cells(self):
         """(bit, element) of every cell."""
         return ((i, i) for i in range(self.cols))
+
+
+class Read:
+    """The distinct nonzero `points` laid out once on the carrier's
+    ``layout``, with the row stride of ``wide``, the layout moved by each
+    of `moves`: ``bit(g)`` and ``point(b)`` map points and bits, which rise
+    in window order, and ``full`` holds them all.  A read asks no point of
+    an overmonoid with a ``span_mask``, except without a layout or past
+    MAX_SPAN_BITS cells on ``wide``, where point i takes bit i, and for a
+    move off ``wide`` (``_asked``)."""
+
+    def __init__(self, ctx, points, moves=()):
+        from . import monoid  # which lays its sets out in these layouts
+        self.ctx = ctx
+        points = dict.fromkeys(points)
+        points.pop(ctx.zero, None)
+        self.points = list(points)
+        layout = ctx.box(self.points)
+        wide = layout and layout.around(moves)
+        if wide and wide.rows * wide.cols <= monoid.MAX_SPAN_BITS:
+            self.layout, self.wide = layout.with_stride(wide.stride), wide
+            self.bits = list(map(self.layout.bit, self.points))
+        else:
+            self.layout = self.wide = None
+            self.bits = list(range(len(self.points)))
+        self._bit = dict(zip(self.points, self.bits))
+        self.bit = self._bit.__getitem__
+        self.point = dict(zip(self.bits, self.points)).__getitem__
+        self.full = sum(1 << b for b in self.bits)
+        self._masks, self._spans, self._products = {}, {}, {}
+
+    def mask(self, S) -> int:
+        """S's points, read on the first call."""
+        m = self._masks.get(S)
+        if m is None:
+            m = self._masks[S] = (self._asked(S) if self.layout is None else
+                                  S.span_mask(self.layout) & self.full)
+        return m
+
+    def moved(self, S, x) -> int:
+        """The points g with x g in S: S an overmonoid, read once on
+        ``wide``, or a mask of this read, exact at the g with x g a point."""
+        layout = self.layout
+        if isinstance(S, int):
+            if layout is not None:
+                return layout.step(S, x) & self.full
+            op, bit = self.ctx.op, self._bit
+            return sum(1 << b for g, b in zip(self.points, self.bits)
+                       if (y := op(x, g)) in bit and S >> bit[y] & 1)
+        k = layout and self.wide.start(layout, x)
+        if k is None:
+            return self._asked(S, x)
+        if S not in self._spans:
+            self._spans[S] = S.span_mask(self.wide)
+        return layout.moved(self._spans[S], k) & self.full
+
+    def product(self, X, S) -> int:
+        """The points of XS: the OR of xS, S moved back by x, over the
+        nonzero x of X, each xS kept."""
+        out, kept = 0, self._products
+        for x in X:
+            if x != self.ctx.zero:
+                if (S, x) not in kept:
+                    kept[S, x] = self.moved(S, self.ctx.inv(x))
+                out |= kept[S, x]
+        return out
+
+    def inverted(self, m) -> int:
+        """The points whose inverses m holds; the points hold theirs."""
+        if self.layout is not None:
+            return self.layout.inverted(m)
+        bit, inv = self._bit, self.ctx.inv
+        return sum(1 << bit[inv(g)] for g, b in zip(self.points, self.bits)
+                   if m >> b & 1)
+
+    def _asked(self, S, x=None) -> int:
+        """S asked at each point, or at x times each point."""
+        op = self.ctx.op
+        return sum(1 << b for g, b in zip(self.points, self.bits)
+                   if S.has(g if x is None else op(x, g)))
+
+
+def translates(ctx, points, moves):
+    """Points among which lies every one of `points` moved by each of
+    `moves`: the points of the layout around them, or each product."""
+    box = ctx.box(points)
+    if box is None:
+        return [ctx.op(x, g) for x in [ctx.one, *moves] for g in points]
+    return [g for _, g in box.around(moves).cells() if g is not None]
+
+
+def packed(ctx, points, moves, hull, slots):
+    """A window's layouts for packs of up to `slots` slots: its own, the
+    reach (it moved by each of `moves`) and the wide (the reach moved back
+    by the layout around `hull`), strided for as many slots of the wide
+    width and a guard bit as fit in MAX_SPAN_BITS bits; None without a
+    layout or past MAX_SPAN_BITS cells on the wide one."""
+    from . import monoid
+    b = ctx.box(points)
+    if b is None:
+        return None
+    reach = b.around(moves)
+    wide = reach.behind(b.around(hull))
+    cap = monoid.MAX_SPAN_BITS
+    if wide.rows * wide.cols > cap:
+        return None
+    width = wide.cols + 1
+    stride = min(max(1, cap // (wide.rows * width)), slots) * width
+    return [x.with_stride(stride) for x in (b, reach, wide)]

@@ -2,13 +2,13 @@
 subsets of G, the product-with-overmonoid-intersection construction, meets,
 the space of main1's systems, and a falsifier for finitariness of
 parameterized families.  The system space, the overmonoid embedding and
-the family checks read each overmonoid once, as one int on the layout
-around their points."""
+the family checks read each overmonoid once, as one int on a
+``layout.Read`` of their points."""
 
 from __future__ import annotations
 
-from . import monoid
 from .fintop import FiniteSpace, first_repeat
+from .layout import Read
 # family_from_file lives beside the monoid readers and is also read from here
 from .monoid import (INF, CarrierMismatch, DeltaFamily, Monoid,
                      Overmonoid, family_from_file, sort_key)
@@ -266,14 +266,14 @@ class SystemSpace:
 
     def space(self) -> FiniteSpace:
         """The space on the systems, built on the first call: each member
-        is read once on the points (``_point_reader``), and no closure is
+        is read once on the points (``layout.Read``), and no closure is
         asked."""
         if self._space is None:
-            bit, read = _point_reader(self.H.context, self.points)
-            zero = 1 << (max(bit.values(), default=-1) + 1)
+            read = Read(self.H.context, self.points)
+            zero = 1 << read.full.bit_length()
             self._space = FiniteSpace(
                 [r.name for r in self.systems],
-                [*map(read, self.overmonoids), read(self.H) | zero])
+                [*map(read.mask, self.overmonoids), read.mask(self.H) | zero])
         return self._space
 
     def t0_witnesses(self):
@@ -285,29 +285,6 @@ class SystemSpace:
 
 # -- the finitariness falsifier ----------------------------------------------
 
-def _window_mask(S: Overmonoid, points) -> int:
-    """S's members among carrier points, bit i for points[i]: each point is
-    asked once, through the trusted ``has``."""
-    return sum(1 << i for i, g in enumerate(points) if S.has(g))
-
-
-def _point_reader(ctx, points):
-    """The bit of each of the distinct nonzero carrier `points`, and the
-    reader of an overmonoid's part of them as an int in those bits: its
-    ``span_mask`` on the layout around the points, which asks no point of
-    an overmonoid with generators, a valuation or a semigroup mask below
-    the caps, or, on a carrier without a layout or past MAX_SPAN_BITS
-    cells, its ``_window_mask``.  Either way the bits of points given in
-    window order rise in that order."""
-    box = ctx.box(points)
-    if box is None or box.rows * box.cols > monoid.MAX_SPAN_BITS:
-        return ({g: i for i, g in enumerate(points)},
-                lambda S: _window_mask(S, points))
-    bit = {g: box.bit(g) for g in points}
-    part = sum(1 << b for b in bit.values())
-    return bit, lambda S: S.span_mask(box) & part
-
-
 def falsify_finitary(delta: DeltaFamily, ctx, bound: int = 6):
     """Search for the non-finitariness certificate of a parameterized family:
     elements x_k in S_k missed by every later member, for k up to
@@ -315,15 +292,13 @@ def falsify_finitary(delta: DeltaFamily, ctx, bound: int = 6):
     closure over those members while the part without the last x_k does not;
     returns the witness record, or None when no certificate exists up to
     that index.  Each member is read once on the window
-    (``_point_reader``), and x_k is the first window point of S_k's mask
+    (``layout.Read``), and x_k is the first window point of S_k's mask
     outside the later members' masks."""
     if delta.finite:
         return None
-    window = ctx.nonzero_window(bound)
+    read = Read(ctx, ctx.nonzero_window(bound))
     members = [delta.member(k) for k in range(1, FAMILY_DEPTH + 1)]
-    bit, read = _point_reader(ctx, window)
-    at = {b: g for g, b in bit.items()}
-    masks = list(map(read, members))
+    masks = list(map(read.mask, members))
     xs = []
     for k in range(1, FAMILY_DEPTH + 1):
         later = 0
@@ -332,7 +307,7 @@ def falsify_finitary(delta: DeltaFamily, ctx, bound: int = 6):
         alone = masks[k - 1] & ~later
         if not alone:
             return None
-        xs.append(at[(alone & -alone).bit_length() - 1])
+        xs.append(read.point((alone & -alone).bit_length() - 1))
     A = frozenset(ctx.inv(x) for x in xs)
     target = ctx.one
     truncated = product_closure(ctx, members)[0]
@@ -352,10 +327,9 @@ def embedding_checks(overmonoids, ctx, bound: int = 4) -> Check:
     the closures of {1}, which are the S themselves, are pairwise distinct
     at the ``separating_points``, so on a generator-backed carrier the check
     is exact.  Each closure of {1} is read as S's own membership, once for
-    all the points (``_point_reader``)."""
-    points = separating_points(ctx, overmonoids, bound)
-    _, reader = _point_reader(ctx, points)
-    ones = list(map(reader, overmonoids))
+    all the points (``layout.Read``)."""
+    read = Read(ctx, separating_points(ctx, overmonoids, bound))
+    ones = list(map(read.mask, overmonoids))
     first = {}  # each closure of {1} -> the first index with it
     i = next((i for i, one in enumerate(ones)
               if first.setdefault(one, i) != i), None)
@@ -368,15 +342,15 @@ def check_family(delta: DeltaFamily, ctx, bound: int = 4):
     """Pointwise recheck of a parameterized family's declarations on its
     first FAMILY_DEPTH members: members decrease along the index and the
     declared limit sits inside every member.  Each member and the limit is
-    read once on the window (``_point_reader``), and a pair's first point
-    of the inner mask outside the outer one is its witness."""
+    read once on the window (``layout.Read``), and a pair's first point of
+    the inner mask outside the outer one is its witness."""
     if delta.finite:
         return []
     window = [g for g in ctx.window(bound) if g is not INF]
-    bit, read = _point_reader(ctx, window)
-    index = {bit[g]: i for i, g in enumerate(window)}
-    masks = {k: read(delta.member(k)) for k in range(1, FAMILY_DEPTH + 1)}
-    limit = read(delta.limit)
+    read = Read(ctx, window)
+    masks = {k: read.mask(delta.member(k))
+             for k in range(1, FAMILY_DEPTH + 1)}
+    limit = read.mask(delta.limit)
 
     def inside(name, pairs):
         """Each (k, inner, outer) has inner inside outer on the window; one
@@ -384,7 +358,7 @@ def check_family(delta: DeltaFamily, ctx, bound: int = 4):
         for n, (k, inner, outer) in enumerate(pairs):
             bad = inner & ~outer
             if bad:
-                i = index[(bad & -bad).bit_length() - 1]
+                i = window.index(read.point((bad & -bad).bit_length() - 1))
                 return Check(name, False, witness={"k": k,
                                                    "g": repr(window[i])},
                              exhaustive=False, n=n * len(window) + i + 1,

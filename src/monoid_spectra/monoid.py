@@ -344,8 +344,7 @@ class Overmonoid:
     G, or both, the rule then deciding the generators' monoid; the
     predicate is fixed here, once.  ``span_mask`` reads the members on a
     ``Box`` or ``Table`` as one int; no mask is kept: a ``window._Window``
-    or a ``valuation.WindowRead`` keeps each one it reads while it
-    lives."""
+    or a ``layout.Read`` keeps each one it reads while it lives."""
     sgp = None
 
     def __init__(self, context, gens=None, rule=None, name=""):

@@ -3,18 +3,17 @@ valuation carriers with their window spaces, the domination map onto
 prime ideals and its laws, and a localization-based Pruefer test.
 
 The window functions take a ``WindowRead``, the nonzero window of H's
-groupoid at a bound read as int bitmasks, which a suite builds once and
-drops on return; the domination functions also take the enumerated primes,
-the Zar carrier (its members are overmonoids), the domination map as the
-list f of prime indices, f[i] = delta(carrier[i]), and the carrier's space,
-all built once by the caller.  Through the read each overmonoid is read
-once as a mask on the window's box and H once on the wide box around it,
-asking no point: a descriptor V(w, t) is one run of each box row plus at
-most one kernel cell, and a generator-backed overmonoid is filled from
-its generators (``intgeom.submonoid_span``).  Each prime is asked once
-about each point of H's window part; everything else is read from the
-masks, the domination map's m_V intersect H as H's window part AND V's
-mask minus its inversion."""
+groupoid at a bound read as int bitmasks (a ``layout.Read``), which a
+suite builds once and drops on return; the domination functions also take
+the enumerated primes, the Zar carrier (its members are overmonoids), the
+domination map as the list f of prime indices, f[i] = delta(carrier[i]),
+and the carrier's space, all built once by the caller.  Each overmonoid is
+read once as a mask, asking no point: a descriptor V(w, t) is one run of
+each box row plus at most one kernel cell, and a generator-backed one is
+filled from its generators (``intgeom.submonoid_span``).  No prime is
+asked either: its part of H's window part is the product of its
+generators with H, and m_V intersect H is H's part AND V's mask minus its
+inversion."""
 
 from __future__ import annotations
 
@@ -24,6 +23,7 @@ from math import gcd
 from .errors import UnsupportedRealization
 from .fintop import FiniteSpace, bipartite_dot, hasse_edges
 from .intgeom import dot
+from .layout import Read
 from .monoid import Monoid, Overmonoid, localize
 from .numsgp import cached_semigroup, oversemigroups
 from .report import INFO, Check
@@ -133,23 +133,12 @@ class ValuationDescriptor(Overmonoid):
 
 
 class WindowRead:
-    """The nonzero window of H's groupoid at `bound`, read as int bitmasks
-    for one suite call and dropped with it.  Only numerical and affine d = 2
-    monoids have a Zar carrier, so only they are read; the layout is built
-    on first use, so a caller that reads no window (corollaries on a
-    numerical H, at any bound) builds none.
-
-    Each window point sits at its bit of ``box``, the smallest box around
-    the window, laid out with the row stride of ``wide``, the box around
-    the window moved by each of its points, which is ``box`` moved back by
-    each of its cells, as the window is closed under inversion; bits rise
-    in window order.  An overmonoid's members there are its ``span_mask``,
-    taken once per read, which asks no window point: a descriptor's row
-    runs, or its generators' fills.  H is read once, on ``wide``: its
-    window part is that mask moved onto the box, (H : x) there is the mask
-    moved by x, and each prime is asked about each point of H's window part
-    once.  A window has at most MAX_WINDOW points and ``wide`` fewer than
-    four times as many cells, so no mask passes MAX_SPAN_BITS."""
+    """H's nonzero window at `bound` for one suite call: ``window``, a
+    ``layout.Read`` of its points with those points as moves, so (H : x)
+    is H moved by x, built on first use (corollaries on a numerical H
+    builds none), and the primes' parts of H's window part.  Only
+    numerical and affine d = 2 monoids have a Zar carrier, so only they
+    are read; the window is closed under inversion."""
 
     def __init__(self, H: Monoid, bound: int):
         if H.kind != "numerical" and (H.kind != "affine" or H.dim != 2):
@@ -157,78 +146,30 @@ class WindowRead:
                 "valuation enumeration supports numerical and affine d=2 "
                 "monoids")
         self.H, self.bound = H, bound
-        self._masks, self._parts = {}, {}
+        self._parts = {}
 
     @cached_property
-    def points(self):
-        return self.H.context.nonzero_window(self.bound)
-
-    @cached_property
-    def box(self):
-        box = self.H.context.box(self.points)
-        return box.with_stride(box.behind(box).stride)
-
-    @cached_property
-    def wide(self):
-        return self.box.behind(self.box)
-
-    @cached_property
-    def bits(self):
-        return [self.box.bit(g) for g in self.points]
-
-    @cached_property
-    def full(self):
-        """Every window point's bit."""
-        return sum(1 << b for b in self.bits)
-
-    def mask(self, S: Overmonoid) -> int:
-        """S's members on the window, read on the first call."""
-        m = self._masks.get(S)
-        if m is None:
-            m = self._masks[S] = S.span_mask(self.box)
-        return m
-
-    def inverted(self, m: int) -> int:
-        """The image of a window mask under inversion.  A point's bit and
-        its inverse's add up to a constant, that of the first and the last
-        point, which are inverses, so inversion reverses the bits."""
-        width = self.bits[0] + self.bits[-1] + 1
-        return int(format(m, f"0{width}b")[::-1], 2)
-
-    @cached_property
-    def h_wide(self):
-        """H's members on the wide box."""
-        return self.H.span_mask(self.wide)
-
-    @cached_property
-    def h_part(self):
-        """H's window part: its wide mask moved onto the box."""
-        return self.h_wide >> self.wide.start(self.box, None) & self.full
+    def window(self):
+        points = self.H.context.nonzero_window(self.bound)
+        return Read(self.H.context, points, moves=points)
 
     def parts(self, primes) -> list:
-        """Each prime's part of H's window part, as a mask, read on the
-        first call."""
+        """Each prime's part of H's window part, read on the first call
+        and asking no prime: P is (P's generators)H with the zero."""
         key = tuple(primes)
         if key not in self._parts:
-            cells = [(g, b) for g, b in zip(self.points, self.bits)
-                     if self.h_part >> b & 1]
-            self._parts[key] = [sum(1 << b for g, b in cells
-                                    if P.contains(g)) for P in primes]
+            self._parts[key] = [self.window.product(P.generators, self.H)
+                                for P in primes]
         return self._parts[key]
 
 
-def is_valuation(S: Overmonoid, read: WindowRead) -> Check:
-    """x in S or x^{-1} in S for every nonzero window element: the first
-    window point outside S's mask and its inversion is the witness."""
-    m = read.mask(S)
-    missed = read.full & ~(m | read.inverted(m))
-    name = f"valuation[{S.name}]"
-    if not missed:
-        return Check(name, True, exhaustive=False, n=len(read.points),
-                     bound=read.bound)
-    i = (read.full & (missed & -missed) - 1).bit_count()
-    return Check(name, False, witness={"x": repr(read.points[i])},
-                 exhaustive=False, n=i + 1, bound=read.bound)
+def is_valuation(S: Overmonoid, read: WindowRead):
+    """The first nonzero window point x with neither x nor x^{-1} in S, or
+    None: the first point outside S's mask and its inversion."""
+    w = read.window
+    m = w.mask(S)
+    missed = w.full & ~(m | w.inverted(m))
+    return w.point((missed & -missed).bit_length() - 1) if missed else None
 
 
 def _primitive_weights():
@@ -283,7 +224,7 @@ def enumerate_zar(read: WindowRead):
         # the generators were checked on the carrier when H was built
         if not all(map(v.has, H.generators)):
             continue
-        m = read.mask(v)
+        m = read.window.mask(v)
         if m not in seen:
             seen.add(m)
             out.append(v)
@@ -298,7 +239,7 @@ def overmonoid_space(carrier, read: WindowRead) -> FiniteSpace:
     INF, so its open, all of the carrier, changes no order and is left out.
     For valuation carriers U(x) and B(x) = Zar(G|H[x]) agree pointwise."""
     return FiniteSpace([S.name or repr(S) for S in carrier],
-                       [read.mask(S) & read.full for S in carrier])
+                       list(map(read.window.mask, carrier)))
 
 
 # -- the domination map --------------------------------------------------------
@@ -311,8 +252,9 @@ def delta(V: Overmonoid, primes, read: WindowRead) -> int:
     prime's part of H is the read's, taken once for every V.  No locality
     check is needed: the nonunits of a monoid form an ideal, since n h = u
     with h in V puts n^{-1} = h u^{-1} in V."""
-    m = read.mask(V)
-    image = read.h_part & m & ~read.inverted(m)
+    w = read.window
+    m = w.mask(V)
+    image = w.mask(read.H) & m & ~w.inverted(m)
     matches = [j for j, part in enumerate(read.parts(primes))
                if part == image]
     if len(matches) != 1:
@@ -327,18 +269,19 @@ def delta_laws(primes, f, carrier, pruefer, read: WindowRead):
     delta(B(x)) is the primes P with x in the OR of the masks of the V with
     delta(V) = P.  `pruefer` is the caller's s-Pruefer verdict, under which
     the image law is claimed as an equality.  (H : x) on H's window part is
-    H's wide mask moved by x, masked to that part, and the primes outside
+    H moved by x on the read, masked to that part, and the primes outside
     V((H : x)) are those whose part misses a point of it.
 
     The preimage law delta^{-1}(D(x)) = B(x^{-1}) needs no check: ``delta``
     accepts V only when m_V and the image agree on the window's part of H,
     and an x of H lies in V, so x is outside m_V exactly when x^{-1} is in
     V."""
+    w, H, bound = read.window, read.H, read.bound
     images = [0] * len(primes)
-    for m, j in zip(map(read.mask, carrier), f):
+    for m, j in zip(map(w.mask, carrier), f):
         images[j] |= m
     parts = read.parts(primes)
-    wide, box, bound = read.wide, read.box, read.bound
+    h = w.mask(H)
 
     # image law: the containment "spec minus V((H:x)) inside delta(B(x))" is
     # unconditional; the reverse containment (so the equality) holds when the
@@ -346,9 +289,9 @@ def delta_laws(primes, f, carrier, pruefer, read: WindowRead):
     lower_witness = None
     eq_witness = None
     count = 0
-    for x, b in zip(read.points, read.bits):
+    for x, b in zip(w.points, w.bits):
         count += 1
-        frac = read.h_wide >> wide.start(box, x) & read.h_part
+        frac = w.moved(H, x) & h
         left = frozenset(j for j, m in enumerate(images) if m >> b & 1)
         right = frozenset(j for j, part in enumerate(parts) if frac & ~part)
         if lower_witness is None and not right <= left:
@@ -378,8 +321,8 @@ def is_s_pruefer(primes, read: WindowRead) -> Check:
     (windowed); each is read once."""
 
     def outcome(P):
-        c = is_valuation(localize(read.H, P), read)
-        return None if c.ok else {**c.witness, "P": P.name}
+        x = is_valuation(localize(read.H, P), read)
+        return None if x is None else {"x": repr(x), "P": P.name}
 
     return Check.scan("s-pruefer", map(outcome, primes), bound=read.bound)
 

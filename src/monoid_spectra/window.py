@@ -10,7 +10,7 @@ import itertools
 import operator
 import random
 
-from . import monoid
+from . import layout
 from .monoid import INF, sort_key
 from .packs import _first, _item, _Pack
 from .report import Check
@@ -98,8 +98,8 @@ class _Window:
     which checks them.
 
     Planned once, at construction, and dropped with the window, in the bit
-    layout the carrier supplies (``ctx.box``; none in dimension 3): the
-    window's layout, the reach layout (the window's moved by each of its
+    layout the carrier supplies (``layout.packed``; none in dimension 3):
+    the window's layout, the reach layout (the window's moved by each of its
     moves: the inverses of its nonzero Id3 scalars, its M4 translators and
     Id4's moves, H's nonzero points), the wide layout (reach moved back by
     the hull of the subsets and Id3 images), each point's translate, each
@@ -161,26 +161,21 @@ class _Window:
         self._sets = {}
         moves = [*(ctx.inv(c) for c in scalars if c != ctx.zero),
                  *translators, *moves]
-        b = ctx.box(universe)
-        named = []  # no packed reads: every closure point by point
-        if b:
-            # the layout around b and b moved by each move: each A_r is read
-            # on it, and the window's layout takes the packs' row stride too
-            reach = b.around(moves)
-            wide = reach.behind(b.around(scalars))
-            if wide.rows * wide.cols <= monoid.MAX_SPAN_BITS:
-                named = [i for i, r in enumerate(self.systems)
-                         if r.members is not None]
+        named = [i for i, r in enumerate(self.systems)
+                 if r.members is not None]
+        plan = named and layout.packed(ctx, universe, moves, scalars,
+                                       len(named))
+        if not plan:
+            named = []
         self.packs = []
         if named:
+            self.box, self.reach, self.wide = b, reach, wide = plan
             self.width = W = wide.cols + 1
-            per = max(1, monoid.MAX_SPAN_BITS // (wide.rows * W))
-            P = min(per, len(named)) * W
-            self.wide, self.reach, self.box = wide, reach, b = [
-                x.with_stride(P) for x in (wide, reach, b)]
+            per = b.stride // W
             self.span = functools.cache(lambda S: S.span_mask(wide))
             # the move of a member mask on wide by a point onto reach
-            self.shift = functools.cache(lambda a: reach.shift(wide, a))
+            self.shift = functools.cache(
+                lambda a: wide.start(reach, ctx.inv(a)))
             # the move of a read on reach onto the window's layout, and onto
             # it moved by each move
             self.starts = {g: reach.start(b, g) for g in [None, *moves]}
@@ -394,7 +389,9 @@ class _Window:
             if bits is None:
                 yield _item(None, point, (A,))
                 continue
-            moved = self.reach.meet(bits, moves)
+            moved, shift = -1, self.reach.moved
+            for k in moves:
+                moved &= shift(bits, k)
             yield _item(pack.at(bits) & pack.points & ~(moved | pack.inf),
                         point, (A,))
 

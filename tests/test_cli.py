@@ -8,7 +8,8 @@ from collections import Counter
 
 import pytest
 
-from monoid_spectra import cli, idealsys, intgeom, modsys, monoid, valuation
+from monoid_spectra import (cli, idealsys, intgeom, layout, modsys, monoid,
+                           valuation)
 from monoid_spectra.cli import main
 from monoid_spectra.modsys import (DeltaFamily, example16, iota, meet,
                                    r_delta)
@@ -489,25 +490,27 @@ def test_ideal_suites_finish_on_7_11_13(capsys):
 @pytest.mark.parametrize("name", ["n23", "n469", "n71113", "c3z",
                                   "n1_99998"])
 def test_ideal_reads_ask_no_contains(name, monkeypatch):
-    """ideals and pronconst read every listed ideal off H's span on a
-    layout around the window and the ideals' generators, asking no
-    ``RIdeal.contains``.  H's generators are not laid out: with them the
-    box of <1,99998> passed MAX_SPAN_BITS, and each suite asked every
-    ideal at every cell, for 5 s instead of a few ms."""
+    """ideals and pronconst read every listed ideal off H's span on the
+    wide layout of a ``layout.Read`` of the window, the products of its
+    points and the ideals' generators, asking no ``RIdeal.contains``.
+    H's generators are not laid out: with them the box of <1,99998>
+    passed MAX_SPAN_BITS, and each suite asked every ideal at every cell,
+    for 5 s instead of a few ms."""
     H = (Monoid.numerical([1, 99998]) if name == "n1_99998"
          else monoid_from_file(data(name + ".json")))
-    asked, boxes = [], []
+    asked, reads = [], []
     real, init = idealsys.RIdeal.contains, idealsys.IdealRead.__init__
     monkeypatch.setattr(idealsys.RIdeal, "contains",
                         lambda self, g: asked.append(g) or real(self, g))
     monkeypatch.setattr(idealsys.IdealRead, "__init__",
                         lambda self, *args: init(self, *args)
-                        or boxes.append(self.box))
+                        or reads.append(self.read))
     for suite in ("ideals", "pronconst"):
         rep, _ = cli.run_suite(suite, H, bound=10, seed=0)
         assert rep.ok, suite
-    assert asked == [] and len(boxes) == 2
-    assert all(b.rows * b.cols < monoid.MAX_SPAN_BITS for b in boxes)
+    assert asked == [] and len(reads) == 2
+    assert all(r.wide.rows * r.wide.cols < monoid.MAX_SPAN_BITS
+               for r in reads)
 
 
 def test_main1_fails_when_example16_keeps_id2(capsys, monkeypatch):
@@ -603,21 +606,16 @@ def test_lattice_check_runs_once_per_point_and_carrier(capsys, monkeypatch):
 
 
 def test_system_space_reads_each_overmonoid_once(capsys, monkeypatch):
-    # the space reads each overmonoid and H once, through _point_reader's
-    # reader, and asks no closure; asking U_S of each (system, pool set)
-    # it made 491 760 calls on <11,12> at bound 1
+    # the space reads each overmonoid and H once, through a layout.Read's
+    # mask, and asks no closure; asking U_S of each (system, pool set) it
+    # made 491 760 calls on <11,12> at bound 1
     reads, closures, spaces = Counter(), [], []
-    real_reader = modsys._point_reader
+    real_mask = layout.Read.mask
     real_closure = modsys.ModuleSystem.closure
 
-    def counting_reader(ctx, points):
-        bit, read = real_reader(ctx, points)
-
-        def counted(S):
-            reads[id(S)] += 1
-            return read(S)
-
-        return bit, counted
+    def counting_mask(self, S):
+        reads[id(S)] += 1
+        return real_mask(self, S)
 
     def counting_closure(self, A):
         closures.append(A)
@@ -630,7 +628,7 @@ def test_system_space_reads_each_overmonoid_once(capsys, monkeypatch):
             spaces.append((self, len(closures) - before))
             return built
 
-    monkeypatch.setattr(modsys, "_point_reader", counting_reader)
+    monkeypatch.setattr(layout.Read, "mask", counting_mask)
     monkeypatch.setattr(modsys.ModuleSystem, "closure", counting_closure)
     monkeypatch.setattr(cli, "SystemSpace", Recording)
     code, out = run(capsys, "verify", "--suite", "main1",
@@ -693,9 +691,10 @@ def test_pruefer_builds_its_domination_data_once(capsys, monkeypatch,
 
 def test_delta_asks_no_point(capsys, monkeypatch):
     # the domination map reads m_V intersect H as masks: no carrier op or
-    # inv and no overmonoid ask outside the primes' own reads of H's window
-    # part.  Deciding locality pair by pair once made 1 672 op and 1 672
-    # inv calls in delta on n2
+    # inv and no overmonoid ask outside the primes' own read of H's window
+    # part (``WindowRead.parts``, one inverse per prime generator).
+    # Deciding locality pair by pair once made 1 672 op and 1 672 inv calls
+    # in delta on n2
     asked = Counter()
     inside = []  # "delta" while in delta, "prime" while a prime is asked
 
@@ -720,7 +719,7 @@ def test_delta_asks_no_point(capsys, monkeypatch):
         counting(cls, "inv", "inv")
     counting(monoid.Overmonoid, "has", "has")
     counting(monoid.Overmonoid, "contains", "contains")
-    counting(idealsys.RIdeal, "contains", "prime")
+    counting(valuation.WindowRead, "parts", "prime")
     counting(cli, "delta", "delta")
     for name in ("n2", "nxz"):
         asked.clear()

@@ -132,11 +132,10 @@ def test_overmonoid_membership_generator_backed():
     Z = Overmonoid(H.context, gens=(1, -1), name="Z")
     assert Z.contains(-7) and Z.contains(INF)
     for S, bound, units in ((M, 6, {0}), (Z, 3, set(range(-3, 4)))):
-        read = WindowRead(H, bound)
-        m = read.mask(S)
-        m &= read.inverted(m)
-        assert {g for g, b in zip(read.points, read.bits)
-                if m >> b & 1} == units
+        w = WindowRead(H, bound).window
+        m = w.mask(S)
+        m &= w.inverted(m)
+        assert {g for g, b in zip(w.points, w.bits) if m >> b & 1} == units
 
 
 def test_adjoin():

@@ -9,7 +9,7 @@ from monoid_spectra import intgeom, numsgp
 from monoid_spectra.errors import UnsupportedRealization
 from monoid_spectra.idealsys import IdealRead, enumerate_ideals, s_system
 from monoid_spectra.layout import Box
-from monoid_spectra.monoid import INF, Monoid, monoid_from_file
+from monoid_spectra.monoid import Monoid, monoid_from_file
 from monoid_spectra.numsgp import NumericalSemigroup, oversemigroups
 from monoid_spectra.valuation import (ValuationDescriptor,
                                       enumerate_overmonoids)
@@ -271,10 +271,10 @@ def agrees_with_the_pointwise_layer(sgp, bound):
     ideals = enumerate_ideals(H, s_system(H), bound)
     window = ctx.window(2 * bound)
     read = IdealRead(ideals, window)
+    points = read.read
     for I, m in zip(ideals, read.masks):
-        assert m >> read.box.bit(INF) & 1
-        cells = read_on_cells(read.box, lambda g: True)
-        assert m & cells == read_on_cells(read.box, I.contains), I
+        assert m == sum(1 << points.bit(g) for g in points.points
+                        if I.contains(g)), I
     assert read.prime_flags() == [all_pairs_is_prime(I, window)
                                   for I in ideals]
 

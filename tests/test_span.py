@@ -267,7 +267,7 @@ def test_plane_masks_ask_no_cell():
                               enumerate_primes(H))
                if not all(map(H.contains, L.gens)))
     V = ValuationDescriptor(ctx, "weight", weight=(1, -2), tiebreak=-1)
-    wide = WindowRead(H, 8).wide
+    wide = WindowRead(H, 8).window.wide
     asked = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Overmonoid, "has", lambda self, g: asked.append(g))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monoid_spectra.idealsys import enumerate_primes, spec_subbasis
+from monoid_spectra.idealsys import RIdeal, enumerate_primes, spec_subbasis
 from monoid_spectra.monoid import (INF, Monoid, Overmonoid, as_overmonoid,
                                    localize, monoid_from_file)
 from monoid_spectra.valuation import (ValuationDescriptor, WindowRead,
@@ -84,17 +84,17 @@ def test_descriptors_are_valuations():
         for t in (-1, 0, 1):
             v = ValuationDescriptor(ctx, "weight", weight=w, tiebreak=t)
             assert isinstance(v, Overmonoid)
-            assert is_valuation(v, read).ok, (w, t)
-    assert is_valuation(ValuationDescriptor(ctx, "trivial"), read).ok
+            assert is_valuation(v, read) is None, (w, t)
+    assert is_valuation(ValuationDescriptor(ctx, "trivial"), read) is None
 
 
 def test_n_squared_itself_is_not_a_valuation():
     H = Monoid.affine([[1, 0], [0, 1]])
     S = Overmonoid(H.context, gens=H.generators, name="N2")
-    c = is_valuation(S, WindowRead(H, 4))
-    assert not c.ok
-    # neither (1, -1) nor (-1, 1) lies in N^2
-    assert c.witness is not None
+    x = is_valuation(S, WindowRead(H, 4))
+    # neither (-4, 1) nor (4, -1) lies in N^2, the first such window point
+    assert x == (-4, 1)
+    assert not S.contains(x) and not S.contains(H.context.inv(x))
 
 
 def test_enumerate_overmonoids_numerical():
@@ -207,7 +207,7 @@ def test_b_complement_law_and_space():
     H = Monoid.affine([[1, 0], [0, 1]])
     read = WindowRead(H, 4)
     zar = enumerate_zar(read)
-    assert all(is_valuation(V, read).ok for V in zar)
+    assert all(is_valuation(V, read) is None for V in zar)
     assert overmonoid_space(zar, read).is_t0()
 
 
@@ -280,6 +280,25 @@ def test_domination_reads_agree_with_the_pointwise_oracle():
     assert "ValueError: domination image of V(N) matched 2 primes" in raised
 
 
+def test_prime_parts_ask_no_prime(monkeypatch):
+    """Each prime's part of H's window part is read as the OR of H moved
+    back by the prime's generators, asking no ``RIdeal.contains``, and is
+    the part asked point by point, on every additive input."""
+    asked, real = [], RIdeal.contains
+    monkeypatch.setattr(RIdeal, "contains",
+                        lambda self, g: asked.append(g) or real(self, g))
+    for name, H in additive_inputs():
+        primes = enumerate_primes(H)
+        for bound in (1, 2, 4, 6):
+            read = WindowRead(H, bound)
+            parts = read.parts(primes)
+            assert asked == [], (name, bound)
+            w = read.window
+            assert parts == [sum(1 << b for g, b in zip(w.points, w.bits)
+                                 if H.contains(g) and real(P, g))
+                             for P in primes], (name, bound)
+
+
 @functools.cache
 def data_monoids():
     """The numerical and affine tests/data monoids."""
@@ -311,7 +330,7 @@ def zar_inputs(draw):
 @given(H=zar_inputs(), bound=st.integers(1, 4))
 def test_window_reads_agree_with_the_pointwise_oracles(H, bound):
     """The mask reads give the pointwise code's Zar carrier, valuation
-    verdicts (witness and n included, on H and its localizations too),
+    witnesses (on H and its localizations too),
     space and Pruefer verdicts, f list or ValueError, and
     image-law checks."""
     read = WindowRead(H, bound)
@@ -320,11 +339,11 @@ def test_window_reads_agree_with_the_pointwise_oracles(H, bound):
     assert [V.name for V in zar] == [V.name for V in zar_pointwise(H, bound)]
     primes = enumerate_primes(H)
     tested = zar + [as_overmonoid(H)] + [localize(H, P) for P in primes]
-    assert ([is_valuation(V, read).to_dict() for V in tested]
-            == [is_valuation_pointwise(V, bound).to_dict() for V in tested])
+    assert ([is_valuation(V, read) for V in tested]
+            == [is_valuation_pointwise(V, bound) for V in tested])
     space = overmonoid_space(zar, read)
     oracle = zar_space_pointwise(zar, ctx, bound)
-    assert ((space.labels, subbasis(space, read.bits))
+    assert ((space.labels, subbasis(space, read.window.bits))
             == (oracle.labels, subbasis(oracle)))
     pruefer = is_s_pruefer(primes, read)
     assert (pruefer.to_dict()
