@@ -10,7 +10,7 @@ from __future__ import annotations
 from .errors import UnsupportedRealization
 from .fintop import FiniteSpace
 from .layout import Read, translates
-from .modsys import ModuleSystem, product_closure
+from .modsys import ModuleSystem, members_in, product_closure
 from .monoid import Monoid, sort_key
 from .numsgp import _bits
 from .window import _Draw, _plan
@@ -190,12 +190,8 @@ def check_ideal_axioms(r: IdealSystem, H: Monoid, bound: int = 10,
     otherwise, of which Id2 scans the first 60, one item per X over the Y
     with X inside Y_r: the module axioms' plan on H's members, with Id4,
     whose moves are the nonzero members, in place of M2 and M4.  H's
-    window points are read as one mask (``layout.Read``)."""
-    window = H.context.window(bound)
-    read = Read(H.context, window)
-    h = read.mask(H)
-    universe = [g for g in window
-                if g == H.context.zero or h >> read.bit(g) & 1]
+    window points are read as one mask (``modsys.members_in``)."""
+    universe = members_in(H, H.context.window(bound))
     draw = _Draw(universe, budget=500, limit=13, seed=seed)
     w = _plan(H.context, universe, draw, [r], universe,
               moves=[g for g in universe if g != H.context.zero])

@@ -146,6 +146,14 @@ def meet(systems) -> ModuleSystem:
 
 # -- axiom checking ----------------------------------------------------------
 
+def members_in(H, window):
+    """H's points of `window`, in its order, the zero kept: one mask of H
+    on a ``layout.Read`` of the window."""
+    read = Read(H.context, window)
+    h = read.mask(H)
+    return [g for g in window if g == H.context.zero or h >> read.bit(g) & 1]
+
+
 def check_module_axioms(systems, H, bound: int = 4, seed: int = 0):
     """Id1 / M2 / Id3 / M4 verdicts on windowed data, one list of verdicts
     per system of `systems`.  Subsets range over the G-window (not only H),
@@ -156,8 +164,9 @@ def check_module_axioms(systems, H, bound: int = 4, seed: int = 0):
     carrier (CarrierMismatch otherwise), and the window's points are checked
     on it once.  What no system changes is planned once per call and
     dropped on return: the subset draw, the Id3 scalars and points, the M4
-    translators, the layouts masks are read on, each point's shift and
-    column, each member's mask and each set's read (``_Window``).
+    translators (H's nonzero points of the window, ``members_in``), the
+    layouts masks are read on, each point's shift and column, each
+    member's mask and each set's read (``_Window``).
 
     The systems are scanned together: each that names its members takes a
     slot of a packed int, as many to a pack as fit in MAX_SPAN_BITS bits,
@@ -174,7 +183,7 @@ def check_module_axioms(systems, H, bound: int = 4, seed: int = 0):
     nonzero = [g for g in universe if g != ctx.zero]
     draw = _Draw(universe, seed=seed)
     w = _plan(ctx, universe, draw, systems, nonzero,
-              [g for g in nonzero if H.contains(g)])
+              [g for g in members_in(H, universe) if g != ctx.zero])
     return w.verdicts(draw, ("Id1", w.id1, "A"), ("M2", w.m2),
                       ("Id3", w.id3, "A"), ("M4", w.m4))
 

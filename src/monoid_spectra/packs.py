@@ -17,8 +17,9 @@ class _Pack:
     the row on, so a shift on a box, or a permutation of a finite table's
     row, moves every slot at once; a system with fewer members than
     another has all-ones padding in its place.  A pack of systems read
-    point by point has one bit per slot and no packed reads.  Each slot's
-    exact predicates and window masks serve the point loops.
+    point by point has the same slots and rows, and no packed reads: a
+    slot's ``box`` of a set is its mask on the window's bit map.  Each
+    slot's exact predicates and window masks serve the point loops.
 
     A packed read comes from columns.  A point's column is one int: the
     pack's member masks moved to that point on the reach layout, the t-th
@@ -43,24 +44,21 @@ class _Pack:
         self.systems = [w.systems[i] for i in slots]
         self._reads, self._boxes = {}, {}
         self._preds, self._masks = {}, {}
-        k = len(slots)
-        if not packed:
-            self.width, self.stride = 1, k
-            self.masks = [1 << s for s in range(k)]
-            return
-        self.width, self.stride = W, P = w.width, w.box.stride
-        ones = sum(1 << s * W for s in range(k))
-        self.cells = w.cells * ones
+        self.width, self.stride = W, P = w.width, w.stride
+        ones = sum(1 << s * W for s in range(len(slots)))
         self.inf = w.inf * ones
-        self.points = w.box_points * ones
-        # each window point's cell, in every slot
+        # each window point's bit, in every slot
         self.cell = {g: ones << b for g, b in w.cell.items()}
-        self._moved, self._starts = w.reach.moved, w.starts
 
-        def rows(n):  # a slot's cells in each of n rows
+        def rows(n):  # a slot's bits in each of n rows
             return sum(1 << r * P for r in range(n)) * ((1 << W) - 1)
 
-        self.masks = [rows(w.box.rows) << s * W for s in range(k)]
+        self.masks = [rows(w.rows) << s * W for s in range(len(slots))]
+        if not packed:
+            return
+        self.cells = w.cells * ones
+        self.points = w.box_points * ones
+        self._moved, self._starts = w.reach.moved, w.starts
         self._size = S = w.reach.rows * P
         self._keep = (1 << S) - 1
         self._column_bits = 0
@@ -132,11 +130,15 @@ class _Pack:
         return self._moved(bits, self._starts[by]) & self.cells | self.inf
 
     def box(self, A):
-        """Every slot's A_r on the window's layout, kept, or None."""
-        bits = self._boxes.get(A, _UNREAD)
-        if bits is _UNREAD:
-            bits = self.read(A)
-            bits = self._boxes[A] = None if bits is None else self.at(bits)
+        """Every slot's A_r at the window's points, on the window's bit map,
+        kept: the packed read moved onto the window's layout, or the OR of
+        the slots' masks."""
+        bits = self._boxes.get(A)
+        if bits is None:
+            bits = self._boxes[A] = (
+                self.at(self.read(A)) if self.packed else
+                sum(self.mask(s, A) << s * self.width
+                    for s in range(len(self.slots))))
         return bits
 
     def pred(self, s, A):
@@ -147,27 +149,25 @@ class _Pack:
         return p
 
     def mask(self, s, A):
-        """A_r of slot s on the window, bit i for the i-th window point,
+        """A_r of slot s at the window's points, on the window's bit map,
         read point by point."""
         m = self._masks.get((s, A))
         if m is None:
             pred = self.pred(s, A)
-            m = self._masks[s, A] = sum(1 << i for g, i in
-                                        self.w.index.items() if pred(g))
+            m = self._masks[s, A] = sum(1 << b for g, b in
+                                        self.w.cell.items() if pred(g))
         return m
 
     def reader(self, s, A):
-        """Exact membership in A_r for slot s: window points from the
-        packed read, or from the mask where there is none, other points
-        through the predicate, remembered while A is scanned."""
-        bits, off = self.box(A), {}
-        m, index = ((self.mask(s, A), self.w.index) if bits is None else
-                    (bits >> s * self.width, self.w.cell))
+        """Exact membership in A_r for slot s: window points from ``box``,
+        other points through the predicate, remembered while A is
+        scanned."""
+        bits, cell, off = self.box(A) >> s * self.width, self.w.cell, {}
 
         def member(g):
-            i = index.get(g)
-            if i is not None:
-                return m >> i & 1 == 1
+            b = cell.get(g)
+            if b is not None:
+                return bits >> b & 1 == 1
             if g not in off:
                 off[g] = self.pred(s, A)(g)
             return off[g]

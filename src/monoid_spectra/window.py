@@ -113,6 +113,12 @@ class _Window:
     point of A and one AND per member, and a set has none when one of its
     points has none.
 
+    One bit map: each window point has one bit, ``cell`` (``point`` is its
+    inverse), its cell in the window's layout when the window has a plan,
+    else its place in the window, in one row whose guard bit takes a zero
+    off the window; bits rise in window order, so a compare's lowest bit
+    is its first window point.  ``inf`` is the zero's bit.
+
     Slots and batches: the systems that name their members share ints.
     Each gets a slot of the wide layout's width and one guard bit in every
     row, and a row holds the slots side by side, so one AND-of-ORs on
@@ -127,24 +133,27 @@ class _Window:
     scan of the window, so a window scanned with several draws reads each
     set once and each column once.  A read keeps only the reach layout's
     rows.  Id3 reads an image cA from the columns at the points c a,
-    without forming cA, and keeps no read of it.
+    without forming cA, and keeps no read of it.  The systems that name no
+    members, every system of a carrier without a layout and every system
+    past MAX_SPAN_BITS cells on the wide layout are read point by point,
+    in packs of the same slots and rows (one row without a plan): a
+    slot's read of a set is its mask on the bit map.
 
     The scans: each item of Id1, Id4 and M4, idempotence and finitariness
     is one subset or c; each item of Id3 is a group of one subset's
     (subset, scalar) pairs, in scalar order, and each item of M2 and Id2 a
     group of pairs that share a set, the OR of their inner closures outside
     the AND of their outer ones, read from one map of the scan's sets to
-    their reads.  Each is one int compare for all slots at
-    once, in the layout at the window's points; an Id3 group ORs its
-    pairs' compares, and Id1 takes A's cells from the pack's per-point cell
-    table.  Id2 and idempotence scan a window of one system.  A nonzero
-    slot sends that system and that item to the point loop, a group pair by
-    pair, which finds the same witness, and a system's scan stops at its
-    first witness, as ``Check.scan`` counts.  A system that passes never
-    opens a reader.  The systems that name no members, every system of a
-    carrier without a layout and every system past MAX_SPAN_BITS cells on
-    the wide layout are read point by point, on every item, and a group on
-    every pair."""
+    their reads.  Each is one int compare for all slots at once, on the
+    bit map; an Id3 group ORs its pairs' compares, and Id1 takes A's bits
+    from the pack's per-point table and the zero's from ``inf``.  Id2 and
+    idempotence scan a window of one system.  A nonzero slot sends that
+    system and that item to the point loop, a group pair by pair, which
+    finds the same witness, and a system's scan stops at its first
+    witness, as ``Check.scan`` counts.  A system that passes never opens a
+    reader.  Id3, Id4 and M4 move reads on the reach layout, so a pack
+    read point by point sends each of their items to the point loop; it
+    compares ints on every other scan."""
 
     def __init__(self, ctx, universe, systems, scalars=(), points=(),
                  translators=(), moves=()):
@@ -157,21 +166,16 @@ class _Window:
         self.times = {c: functools.cache(functools.partial(ctx.op, c))
                       for c in scalars}
         self.translators = translators
-        self.index = {g: i for i, g in enumerate(universe)}
-        self._sets = {}
         moves = [*(ctx.inv(c) for c in scalars if c != ctx.zero),
                  *translators, *moves]
         named = [i for i, r in enumerate(self.systems)
                  if r.members is not None]
         plan = named and layout.packed(ctx, universe, moves, scalars,
                                        len(named))
-        if not plan:
-            named = []
-        self.packs = []
-        if named:
+        if plan:
             self.box, self.reach, self.wide = b, reach, wide = plan
-            self.width = W = wide.cols + 1
-            per = b.stride // W
+            self.width, self.rows = wide.cols + 1, b.rows
+            self.stride = b.stride
             self.span = functools.cache(lambda S: S.span_mask(wide))
             # the move of a member mask on wide by a point onto reach
             self.shift = functools.cache(
@@ -179,27 +183,26 @@ class _Window:
             # the move of a read on reach onto the window's layout, and onto
             # it moved by each move
             self.starts = {g: reach.start(b, g) for g in [None, *moves]}
-            self.cell = {g: b.bit(g) for g in self.universe}
-            self.inf = 1 << b.bit(self.ctx.zero)
-            self.cells = self.cells_of(g for g in self.universe
-                                       if g is not INF)
+            self.cell = {g: b.bit(g) for g in universe}
+            self.inf = 1 << b.bit(ctx.zero)
+            self.cells = self.cells_of(g for g in universe if g is not INF)
             self.box_points = self.cells_of(self.points)
-            # as many to a pack as fit in MAX_SPAN_BITS bits, in order
-            self.packs = [_Pack(self, named[k:k + per], True)
-                          for k in range(0, len(named), per)]
-        rest = sorted(set(range(len(self.systems))).difference(named))
-        if rest:
-            self.packs.append(_Pack(self, rest, False))
-
-    def of(self, X):
-        """The window set X itself."""
-        m = self._sets.get(X)
-        if m is None:
-            m = self._sets[X] = sum(1 << self.index[g] for g in X)
-        return m
+        else:  # one row in window order; a zero off it takes the guard bit
+            named = []
+            self.cell = {g: i for i, g in enumerate(universe)}
+            self.inf = 1 << self.cell.get(ctx.zero, len(universe))
+            self.width, self.rows = len(universe) + 1, 1
+            self.stride = self.width * (len(self.systems) or 1)
+        self.point = {b: g for g, b in self.cell.items()}
+        # as many to a pack as a row holds, in order
+        per = self.stride // self.width
+        rest = [i for i in range(len(self.systems)) if i not in named]
+        self.packs = [_Pack(self, group[k:k + per], packed)
+                      for group, packed in ((named, True), (rest, False))
+                      for k in range(0, len(group), per)]
 
     def cells_of(self, X):
-        """The window points X in the layout."""
+        """The window points X on the bit map."""
         return sum(1 << self.cell[g] for g in X)
 
     def escape(self, item):
@@ -209,7 +212,7 @@ class _Window:
         inner, outer, named = item
         bad = inner & ~outer
         if bad:
-            g = self.universe[(bad & -bad).bit_length() - 1]
+            g = self.point[(bad & -bad).bit_length() - 1]
             return {**{k: _names(A) for k, A in named}, "g": repr(g)}
         return None
 
@@ -231,28 +234,26 @@ class _Window:
         return out
 
     def id1(self, pack, draw, key):
-        """Id1: A u {0} inside A_r, one item per A; A's cells come from the
-        pack's cell table, and every read holds the zero."""
-        zero = self.ctx.zero
+        """Id1: A u {0} inside A_r, one item per A; A's bits come from the
+        pack's per-point table, and the zero's from ``inf``."""
+        zero, cell = self.ctx.zero, pack.cell
 
         def point(s, A):
             m = pack.mask(s, A)
             return next(({key: _names(A), "g": repr(g)} for g in [*A, zero]
-                         if not m >> self.index[g] & 1), None)
+                         if not m >> self.cell[g] & 1), None)
 
         for A in draw.subsets:
-            inside = pack.box(A)
-            yield _item(None if inside is None else sum(
-                map(pack.cell.__getitem__, A)) & ~inside, point, (A,))
+            yield _item((sum(map(cell.__getitem__, A)) | pack.inf)
+                        & ~pack.box(A), point, (A,))
 
     def _pairs(self, pack, groups, keys, boxes):
         """M2, X_r inside Y_r, one item per (Xs, Ys) of `groups`, one of the
         two a single set: the pairs (X, Y) of Xs x Ys, in that order, whose
         part is the OR of the X_r outside the AND of the Y_r, the union of
-        the pairs' own parts (none for no pairs).  Each set's packed read
-        on the window's layout comes from `boxes`, which the caller read
-        once per set; a group with a set read point by point (None there)
-        is split into its pairs.  `keys` name X and Y."""
+        the pairs' own parts (none for no pairs).  Each set's read on the
+        bit map comes from `boxes`, which the caller read once per set with
+        ``box``.  `keys` name X and Y."""
         x, y = keys
 
         def point(s, X, Y):
@@ -264,17 +265,11 @@ class _Window:
                             for X in Xs for Y in Ys]
 
         for Xs, Ys in groups:
-            inners, outers = [boxes[X] for X in Xs], [boxes[Y] for Y in Ys]
-            if None in inners or None in outers:
-                for X in Xs:
-                    for Y in Ys:
-                        yield _item(None, point, (X, Y))
-                continue
             inner, outer = 0, -1
-            for m in inners:
-                inner |= m
-            for m in outers:
-                outer &= m
+            for X in Xs:
+                inner |= boxes[X]
+            for Y in Ys:
+                outer &= boxes[Y]
             yield inner & ~outer, len(Xs) * len(Ys), pairs(Xs, Ys)
 
     def m2(self, pack, draw):
@@ -291,21 +286,16 @@ class _Window:
 
     def id2(self, pack, draw, keys, by, k=None):
         """Id2 of the window's one system: M2 on the (X, Y) of the first k
-        drawn subsets (all for None) with X inside Y_r, read from the packed
-        Y_r, or from its point-by-point mask where the pack has no packed
-        reads.  One item per set named `by`, one of `keys`, over the other
-        sets in draw order: per X, whose part is X_r outside the AND of its
-        Y_r, or per Y, the OR of its X_r outside Y_r."""
+        drawn subsets (all for None) with X inside Y_r, both read on the bit
+        map, Y_r with ``box``.  One item per set named `by`, one of `keys`,
+        over the other sets in draw order: per X, whose part is X_r outside
+        the AND of its Y_r, or per Y, the OR of its X_r outside Y_r."""
         if len(self.systems) > 1:
             raise ValueError("the Id2 scan reads one system")
         sets = draw.head(k) if k else draw.subsets
         boxes = {Y: pack.box(Y) for Y in sets}
-        if pack.packed:
-            inners = [(X, self.cells_of(X)) for X in sets]
-            outers = list(boxes.items())
-        else:
-            inners = [(X, self.of(X)) for X in sets]
-            outers = [(Y, pack.mask(0, Y)) for Y in sets]
+        inners = [(X, self.cells_of(X)) for X in sets]
+        outers = list(boxes.items())
         if by == keys[0]:
             groups = (([X], [Y for Y, m in outers if not c & ~m])
                       for X, c in inners)
@@ -402,20 +392,16 @@ class _Window:
         if len(self.systems) > 1:
             raise ValueError("the idempotence scan reads one system")
 
+        def sliced(m):  # the window points of m
+            return frozenset(g for g, b in self.cell.items() if m >> b & 1)
+
         def point(s, A):
             m = pack.mask(s, A)
-            slice_ = frozenset(g for g, i in self.index.items() if m >> i & 1)
-            return self.escape((pack.mask(s, slice_), m, (("A", A),)))
+            return self.escape((pack.mask(s, sliced(m)), m, (("A", A),)))
 
         for A in draw.subsets:
             inside = pack.box(A)
-            if inside is None:
-                yield _item(None, point, (A,))
-                continue
-            # a slice lies in the window, so it has shifts, as A has
-            slice_ = frozenset(g for g, i in self.cell.items()
-                               if inside >> i & 1)
-            yield _item(pack.box(slice_) & ~inside, point, (A,))
+            yield _item(pack.box(sliced(inside)) & ~inside, point, (A,))
 
     def finitary(self, pack, draw):
         """The closures of A's proper subsets inside A_r, one item per A:
@@ -441,6 +427,4 @@ class _Window:
             return self.escape((union, pack.mask(s, A), (("A", A),)))
 
         for A in draw.subsets:
-            inside = box(A)
-            yield _item(None if inside is None else under(A) & ~inside,
-                        point, (A,))
+            yield _item(under(A) & ~box(A), point, (A,))

@@ -668,7 +668,8 @@ def test_plan_reads_agree_with_set_reads_and_the_predicate(name,
 
 def test_a_plan_reads_each_member_once():
     """main1's systems on <5,7,9> at bound 10: each overmonoid's mask is
-    read once per plan, not once per set."""
+    read once per plan, not once per set, and H's once more, on the
+    window, for its M4 translators (``members_in``)."""
     H = monoid_from_file(os.path.join(DATA, "n579.json"))
     systems = [*map(iota, enumerate_overmonoids(H)), example16(H)]
     reads = []
@@ -681,7 +682,8 @@ def test_a_plan_reads_each_member_once():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Overmonoid, "span_mask", counted)
         check_module_axioms(systems, H, bound=10)
-    assert len(reads) == len(set(reads)) == len(systems)
+    assert len(reads) == len(set(reads)) + 1 == len(systems) + 1
+    assert reads.count(H) == 2
 
 
 # carriers of the pair-scan oracle: the int line, where the largest bounds
@@ -812,6 +814,72 @@ def test_id3_groups_agree_with_the_item_by_item_oracle(name, bound, cap):
                              for r in systems], module
             assert lines[0][0] is None and lines[2][0] is not None
             assert (lines[3][0] is None) == module
+
+
+def no_zero(H):
+    """AH without the zero, for every A: a closure that fails Id1 at the
+    zero alone.  It names no members, so it is read point by point."""
+    ctx = H.context
+    product = product_closure(ctx, [H])[0]
+
+    def closure(A):
+        member = product(A)
+        return lambda g: g != ctx.zero and member(g)
+
+    return ModuleSystem("no-zero", ctx, closure)
+
+
+@pytest.mark.parametrize("cap", [None, 0], ids=["planned", "pointwise"])
+@pytest.mark.parametrize("name, bound", [("n23", 4), ("n2", 1), ("nxz", 1),
+                                         ("z4", 2)])
+def test_systems_read_point_by_point_compare_ints(name, bound, cap,
+                                                  monkeypatch):
+    """Beside two systems that name their members, which give the window a
+    plan of two slots a row (none at a cap of no cell), more systems that
+    name none than one pack has slots: their packs read every set as one
+    int on the window's bit map, and each of them gets the verdicts of a
+    window of its own on Id1, M2, Id3, M4 and finitariness.  Id2 and
+    idempotence scan a window of one system, where each gets the verdicts
+    of the system whose members it hides."""
+    if cap is not None:
+        monkeypatch.setattr(monoid, "MAX_SPAN_BITS", cap)
+    H, systems = pair_systems(name)
+    rules = [*map(hidden, systems), no_zero(H)]
+    mixed = [example16(H), iota(thin_of(H)), *rules]
+    w = window._Window(H.context, H.context.window(bound), mixed)
+    draw = window._Draw(w.universe, budget=200)
+    point_packs = [p for p in w.packs if not p.packed]
+    assert [p.slots for p in point_packs] == (
+        [list(range(len(mixed)))] if cap == 0 else
+        [[k, k + 1] for k in range(2, len(mixed), 2)])
+    for pack in point_packs:
+        assert all(type(pack.box(A)) is int for A in draw.subsets)
+    finitary = w.verdicts(draw, ("finitary", w.finitary), exhaustive=False,
+                          bound=bound)
+    together = check_module_axioms(mixed, H, bound)
+    for r, checks, last in zip(mixed, together, finitary):
+        assert dicts(checks + last) == dicts(
+            check_module_axioms([r], H, bound)[0] + [is_finitary(r, bound)])
+    for r, twin in zip(systems, rules):
+        assert dicts([check_id2(twin, bound), check_idempotent(twin, bound)]) \
+            == dicts([check_id2(r, bound), check_idempotent(r, bound)]), r
+
+
+@pytest.mark.parametrize("cap", [None, 0], ids=["planned", "pointwise"])
+@pytest.mark.parametrize("name", ["n23", "n2"])
+def test_a_closure_without_the_zero_fails_id1_at_inf(name, cap,
+                                                     monkeypatch):
+    """A closure read point by point that omits the zero fails Id1 at the
+    empty set with g = INF: alone, in window order, and beside a system
+    that names its members, on the window's layout unless the cap is no
+    cell."""
+    if cap is not None:
+        monkeypatch.setattr(monoid, "MAX_SPAN_BITS", cap)
+    H = pair_systems(name)[0]
+    for systems in ([no_zero(H)], [example16(H), no_zero(H)]):
+        id1 = check_module_axioms(systems, H, 2)[-1][0]
+        assert (id1.name, id1.ok, id1.witness, id1.n) == (
+            "Id1", False, {"A": [], "g": "INF"}, 1)
 
 
 @pytest.mark.parametrize("name", ["n35", "c3z"])
