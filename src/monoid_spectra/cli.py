@@ -28,7 +28,7 @@ from .valuation import (WindowRead, delta, delta_dot, delta_laws,
                         enumerate_overmonoids, enumerate_zar, is_s_pruefer,
                         overmonoid_space)
 
-def _curated_overmonoids(H, bound):
+def _curated_overmonoids(H):
     """Finite overmonoid carrier: all overmonoids for numerical H, otherwise
     H and its localizations at the enumerated primes.  Distinct primes have
     distinct localizations, and H_P = H exactly when H holds the generators
@@ -142,7 +142,7 @@ def suite_pruefer(rep, H, bound, seed):
 
 def suite_main1(rep, H, bound, seed):
     ctx = H.context
-    overs = _curated_overmonoids(H, bound)
+    overs = _curated_overmonoids(H)
     space = SystemSpace(H, overs,
                         separating_points(ctx, overs, min(bound, 4)))
     systems = space.systems
@@ -179,7 +179,7 @@ def suite_main1(rep, H, bound, seed):
 
 def suite_main2(rep, H, family, bound, seed):
     ctx = H.context
-    overs = _curated_overmonoids(H, bound)
+    overs = _curated_overmonoids(H)
     rep.add(Check("finite-witness-extraction", INFO, n=len(overs),
                   bound=bound,
                   detail="x in A_r for a finite family: one pick a in A per "
@@ -202,12 +202,12 @@ def suite_main2(rep, H, family, bound, seed):
 
 
 def suite_prop1(rep, H, bound, seed):
-    overs = _curated_overmonoids(H, bound)
+    overs = _curated_overmonoids(H)
     rep.add(embedding_checks(overs, H.context, bound=min(bound, 4)))
 
 
 def suite_prop2(rep, H, bound, seed):
-    overs = _curated_overmonoids(H, bound)
+    overs = _curated_overmonoids(H)
     rep.add(Check("meet-finite-witness", INFO, n=len(overs), bound=bound,
                   detail="x in A_r for a meet r of finitary systems: the "
                          "union of the per-system witnesses is a finite "
@@ -216,7 +216,7 @@ def suite_prop2(rep, H, bound, seed):
 
 def suite_corollaries(rep, H, bound, seed):
     ctx = H.context
-    carriers = [("localizations", _curated_overmonoids(H, bound))]
+    carriers = [("localizations", _curated_overmonoids(H))]
     try:
         carriers.append(("zar", enumerate_zar(WindowRead(H, bound))))
     except UnsupportedRealization:

@@ -2,14 +2,15 @@
 closure, r-ideals, prime r-ideals and the spectrum and ideal spaces.
 
 Listed s-ideals are read as int bitmasks on one ``layout.Read``
-(``IdealRead``), each the OR of H's translates by its generators, and the
-prime flags and the ideal space are read from those masks."""
+(``IdealRead``), as overmonoids are: an r-ideal answers ``has`` and
+``span_mask``, the OR of H's translates by its generators, so the masks,
+the prime flags and the ideal space need no product of window points."""
 
 from __future__ import annotations
 
 from .errors import UnsupportedRealization
 from .fintop import FiniteSpace
-from .layout import Read, translates
+from .layout import Read
 from .modsys import ModuleSystem, members_in, product_closure
 from .monoid import Monoid, sort_key
 from .numsgp import _bits
@@ -39,7 +40,9 @@ def s_system(H: Monoid) -> IdealSystem:
 
 class RIdeal:
     """An r-ideal given by a finite generator list; membership is exact.
-    Primes from ``enumerate_primes`` carry a ``name``."""
+    Primes from ``enumerate_primes`` carry a ``name``.  A ``layout.Read``
+    reads it as it reads an overmonoid, through ``has`` and ``span_mask``;
+    the mask is XH, so only s-ideals have one."""
 
     def __init__(self, system: IdealSystem, generators, name=""):
         self.system = system
@@ -49,6 +52,24 @@ class RIdeal:
 
     def contains(self, g) -> bool:
         return self._member(g)
+
+    def has(self, g) -> bool:
+        """Membership of a carrier point, asked through ``contains``."""
+        return self.contains(g)
+
+    def span_mask(self, box):
+        """XH on `box`, in its layout: the OR of xH over the nonzero
+        generators x, each read by the layout (``translate``).  Raises
+        ValueError unless the system is the product closure of [H] with no
+        member filled, the s-system, whose ideals are XH."""
+        r = self.system
+        if r.members != [r.H] or r.filled:
+            raise ValueError(f"{r!r} ideals are not read as XH")
+        out, zero = 0, r.H.context.zero
+        for x in self.generators:
+            if x != zero:
+                out |= box.translate(r.H, x)
+        return out
 
     def __repr__(self):
         return f"RIdeal{self.generators}"
@@ -134,12 +155,14 @@ def enumerate_ideals(H: Monoid, system: IdealSystem, bound: int):
 class IdealRead:
     """Listed s-ideals of one H read as ints for one suite call, and the
     prime flags on `window` and the ideal space, which needs no window,
-    read from them.  ``read`` lays out the window, the ideals' generators
-    and the products of two window points, and XH is the product of X and
-    H there (``layout.Read``), one shift per point of X.  H's generators
-    are not laid out, so the window guards size the layout: window points
-    within 2 bound <= 2046 of 0 and generators at most bound + F(H) <= 2047
-    give at most 10 233 cells, below MAX_SPAN_BITS."""
+    read from them.  ``read`` lays out the window, the identity and the
+    ideals' generators, with the window as moves, and reads each ideal as
+    it reads an overmonoid (``layout.Read``): its mask, and its moves for
+    the flags, from its ``span_mask``, the OR of H's translates by its
+    generators.  H's generators are not laid out, so the window guards
+    size the layout: window points within 2 bound <= 2046 of 0 and
+    generators at most bound + F(H) <= 2047 give at most 8 186 cells on
+    the wide layout, below MAX_SPAN_BITS."""
 
     def __init__(self, ideals, window):
         self.H = H = ideals[0].system.H
@@ -147,11 +170,9 @@ class IdealRead:
         ctx = H.context
         window = [g for g in window if g != ctx.zero]
         self.xs = list(dict.fromkeys(g for I in ideals for g in I.generators))
-        self.read = read = Read(ctx, [*window, ctx.one, *self.xs,
-                                      *translates(ctx, window, window)],
-                                moves=[ctx.inv(x) for x in self.xs
-                                       if x != ctx.zero])
-        self.masks = [read.product(I.generators, H) for I in ideals]
+        self.read = read = Read(ctx, [*window, ctx.one, *self.xs],
+                                moves=window)
+        self.masks = list(map(read.mask, ideals))
         # H's window part
         self.part = read.mask(H) & sum(1 << read.bit(g) for g in window)
 
@@ -159,14 +180,14 @@ class IdealRead:
         """Whether each ideal is prime on the window: no a, b of H outside
         I there multiply into I.  I is not prime when it holds the
         identity, or when some a of O, the window part of H outside I, has
-        I moved back by a meeting O; the products lie in the read."""
+        I moved back by a meeting O; a is a move of the read."""
         read = self.read
         one = 1 << read.bit(self.H.context.one)
         flags = []
-        for m in self.masks:
+        for I, m in zip(self.ideals, self.masks):
             O = self.part & ~m
             flags.append(not m & one and not any(
-                O & read.moved(m, read.point(b)) for b in _bits(O)))
+                O & read.moved(I, read.point(b)) for b in _bits(O)))
         return flags
 
     def space(self) -> FiniteSpace:

@@ -5,8 +5,10 @@ additive carriers and the ``Table`` of a finite one, and their two plans:
 A layout places the carrier's points at bits; packed slots of one width sit
 side by side in each row, ``stride`` bits apart.  Both layouts answer the
 same questions, so no reader asks which one it has: only the plans call
-``around``, ``behind`` and ``with_stride``, and ``start`` gives the move
-of a read by a point, which ``moved`` applies to a mask."""
+``around``, ``behind`` and ``with_stride``, ``start`` gives the move of a
+read by a point, which ``moved`` applies to a mask, and ``translate``
+reads a set's translate xS on the layout itself, once for each (S, x)
+while the layout lives, so the r-ideals XH of one read share H's."""
 
 from __future__ import annotations
 
@@ -22,12 +24,13 @@ class Box:
     bits at the end of each row, so moving a box by a vector is one fixed
     shift that never carries a row into the next."""
 
-    __slots__ = ("ctx", "x0", "y0", "rows", "cols", "stride")
+    __slots__ = ("ctx", "x0", "y0", "rows", "cols", "stride", "_translates")
 
     def __init__(self, ctx, x0, y0, rows, cols, stride=None):
         self.ctx, self.x0, self.y0 = ctx, x0, y0
         self.rows, self.cols = rows, cols
         self.stride = cols if stride is None else stride
+        self._translates = {}
 
     def with_stride(self, stride):
         return Box(self.ctx, self.x0, self.y0, self.rows, self.cols, stride)
@@ -71,11 +74,16 @@ class Box:
 
     moved = staticmethod(operator.rshift)
 
-    def step(self, bits, g):
-        """`bits` moved by g inside this box: cell c reads cell g c."""
-        x, y = self.ctx._xy(g)
-        k = x * self.stride + y
-        return bits >> k if k >= 0 else bits << -k
+    def translate(self, S, x):
+        """xS on this box, read once: S read on this box with its cells
+        relabelled by x^{-1}, so cell c holds x^{-1} c."""
+        bits = self._translates.get((S, x))
+        if bits is None:
+            a, b = self.ctx._xy(self.ctx.inv(x))
+            bits = self._translates[S, x] = S.span_mask(Box(
+                self.ctx, self.x0 + a, self.y0 + b, self.rows, self.cols,
+                self.stride))
+        return bits
 
     def inverted(self, bits):
         """`bits` inverted: the bits of g and g^{-1} add up to twice the
@@ -107,7 +115,7 @@ class Table:
         self.ctx = ctx
         self.cols = len(ctx.table)
         self.stride = self.cols if stride is None else stride
-        self._moves = {}
+        self._moves, self._translates = {}, {}
 
     def with_stride(self, stride):
         return Table(self.ctx, stride)
@@ -139,8 +147,13 @@ class Table:
     def start(self, inner, g):
         return self._move(self.ctx.one if g is None else g)
 
-    def step(self, bits, g):
-        return self.moved(bits, self._move(g))
+    def translate(self, S, x):
+        """xS on this row, read once: S's row permuted by x^{-1}."""
+        bits = self._translates.get((S, x))
+        if bits is None:
+            bits = self._translates[S, x] = self.moved(
+                S.span_mask(self), self._move(self.ctx.inv(x)))
+        return bits
 
     def inverted(self, bits):
         """`bits` of nonzero elements, inverted."""
@@ -166,10 +179,12 @@ class Read:
     """The distinct nonzero `points` laid out once on the carrier's
     ``layout``, with the row stride of ``wide``, the layout moved by each
     of `moves`: ``bit(g)`` and ``point(b)`` map points and bits, which rise
-    in window order, and ``full`` holds them all.  A read asks no point of
-    an overmonoid with a ``span_mask``, except without a layout or past
-    MAX_SPAN_BITS cells on ``wide``, where point i takes bit i, and for a
-    move off ``wide`` (``_asked``)."""
+    in window order, and ``full`` holds them all.  A set is read through
+    its ``has`` and ``span_mask``: an overmonoid, or an r-ideal XH, the OR
+    of H's translates by X on the layout.  A read asks no point of a set
+    with a ``span_mask``, except without a layout or past MAX_SPAN_BITS
+    cells on ``wide``, where point i takes bit i, and for a move off
+    ``wide`` (``_asked``)."""
 
     def __init__(self, ctx, points, moves=()):
         from . import monoid  # which lays its sets out in these layouts
@@ -189,7 +204,7 @@ class Read:
         self.bit = self._bit.__getitem__
         self.point = dict(zip(self.bits, self.points)).__getitem__
         self.full = sum(1 << b for b in self.bits)
-        self._masks, self._spans, self._products = {}, {}, {}
+        self._masks, self._spans = {}, {}
 
     def mask(self, S) -> int:
         """S's points, read on the first call."""
@@ -200,32 +215,13 @@ class Read:
         return m
 
     def moved(self, S, x) -> int:
-        """The points g with x g in S: S an overmonoid, read once on
-        ``wide``, or a mask of this read, exact at the g with x g a point."""
-        layout = self.layout
-        if isinstance(S, int):
-            if layout is not None:
-                return layout.step(S, x) & self.full
-            op, bit = self.ctx.op, self._bit
-            return sum(1 << b for g, b in zip(self.points, self.bits)
-                       if (y := op(x, g)) in bit and S >> bit[y] & 1)
-        k = layout and self.wide.start(layout, x)
+        """The points g with x g in S, from S's one read on ``wide``."""
+        k = self.layout and self.wide.start(self.layout, x)
         if k is None:
             return self._asked(S, x)
         if S not in self._spans:
             self._spans[S] = S.span_mask(self.wide)
-        return layout.moved(self._spans[S], k) & self.full
-
-    def product(self, X, S) -> int:
-        """The points of XS: the OR of xS, S moved back by x, over the
-        nonzero x of X, each xS kept."""
-        out, kept = 0, self._products
-        for x in X:
-            if x != self.ctx.zero:
-                if (S, x) not in kept:
-                    kept[S, x] = self.moved(S, self.ctx.inv(x))
-                out |= kept[S, x]
-        return out
+        return self.layout.moved(self._spans[S], k) & self.full
 
     def inverted(self, m) -> int:
         """The points whose inverses m holds; the points hold theirs."""
@@ -240,15 +236,6 @@ class Read:
         op = self.ctx.op
         return sum(1 << b for g, b in zip(self.points, self.bits)
                    if S.has(g if x is None else op(x, g)))
-
-
-def translates(ctx, points, moves):
-    """Points among which lies every one of `points` moved by each of
-    `moves`: the points of the layout around them, or each product."""
-    box = ctx.box(points)
-    if box is None:
-        return [ctx.op(x, g) for x in [ctx.one, *moves] for g in points]
-    return [g for _, g in box.around(moves).cells() if g is not None]
 
 
 def packed(ctx, points, moves, hull, slots):

@@ -27,8 +27,7 @@ class _Pack:
     zero's column is all ones in every padding field and in every filled
     member's field of its slot, and 0 elsewhere.  A set's A_r is the
     padding ORed with its points' columns, one OR per point, with its
-    fields ANDed, one shift and AND per member; a set with a point that
-    has no column (off the wide layout) has no read.  So A = {} reads G for
+    fields ANDed, one shift and AND per member.  So A = {} reads G for
     a slot with no members and {0} otherwise, and A = {0} reads G for a
     slot whose members are all filled.  Id3 reads an image cA from the
     columns at the points c a, so cA is not formed to be read.  The member
@@ -84,12 +83,10 @@ class _Pack:
 
     def _column(self, p):
         """The column at p, the t-th member's translate t fields of a reach
-        read's size up, kept below the cap; None when p has no shift onto
-        reach."""
+        read's size up, kept below the cap."""
         k = self.w.shift(p)
-        col = None if k is None else sum(
-            (self._moved(m, k) & self._keep) << t * self._size
-            for t, m in enumerate(self._members))
+        col = sum((self._moved(m, k) & self._keep) << t * self._size
+                  for t, m in enumerate(self._members))
         if self._column_bits < MAX_COLUMN_BITS:
             self._columns[p] = col
             self._column_bits += len(self._members) * self._size
@@ -98,18 +95,17 @@ class _Pack:
     def reach(self, points):
         """Every slot's A_r on the window's reach layout, A the set of
         `points` (a set, or an image's points c a in any order), from the
-        columns, or None where A_r is read point by point: for a pack
-        without packed reads and a set off the wide layout.  Bits off the
+        columns, or None for a pack without packed reads, whose A_r is read
+        point by point.  Every point has a column: the wide layout lies
+        around every window point and every Id3 image c a.  Bits off the
         window's points are unspecified."""
         if not self.packed:
             return None
         columns, any_a = self._columns, self._pad
         for p in points:
-            col = columns.get(p, _UNREAD)
-            if col is _UNREAD:
-                col = self._column(p)
+            col = columns.get(p)
             if col is None:
-                return None
+                col = self._column(p)
             any_a |= col
         out = self._keep
         for k in self._fields:

@@ -11,9 +11,9 @@ and the carrier's space, all built once by the caller.  Each overmonoid is
 read once as a mask, asking no point: a descriptor V(w, t) is one run of
 each box row plus at most one kernel cell, and a generator-backed one is
 filled from its generators (``intgeom.submonoid_span``).  No prime is
-asked either: its part of H's window part is the product of its
-generators with H, and m_V intersect H is H's part AND V's mask minus its
-inversion."""
+asked either: its part of H's window part is its mask, the OR of H's
+translates by its generators (``idealsys.RIdeal.span_mask``), and m_V
+intersect H is H's part AND V's mask minus its inversion."""
 
 from __future__ import annotations
 
@@ -136,9 +136,9 @@ class WindowRead:
     """H's nonzero window at `bound` for one suite call: ``window``, a
     ``layout.Read`` of its points with those points as moves, so (H : x)
     is H moved by x, built on first use (corollaries on a numerical H
-    builds none), and the primes' parts of H's window part.  Only
-    numerical and affine d = 2 monoids have a Zar carrier, so only they
-    are read; the window is closed under inversion."""
+    builds none), and the primes' parts of H's window part, their masks on
+    it.  Only numerical and affine d = 2 monoids have a Zar carrier, so
+    only they are read; the window is closed under inversion."""
 
     def __init__(self, H: Monoid, bound: int):
         if H.kind != "numerical" and (H.kind != "affine" or H.dim != 2):
@@ -146,7 +146,6 @@ class WindowRead:
                 "valuation enumeration supports numerical and affine d=2 "
                 "monoids")
         self.H, self.bound = H, bound
-        self._parts = {}
 
     @cached_property
     def window(self):
@@ -154,13 +153,9 @@ class WindowRead:
         return Read(self.H.context, points, moves=points)
 
     def parts(self, primes) -> list:
-        """Each prime's part of H's window part, read on the first call
-        and asking no prime: P is (P's generators)H with the zero."""
-        key = tuple(primes)
-        if key not in self._parts:
-            self._parts[key] = [self.window.product(P.generators, self.H)
-                                for P in primes]
-        return self._parts[key]
+        """Each prime's part of H's window part, its mask on the window,
+        read once and asking no prime: P is (P's generators)H."""
+        return list(map(self.window.mask, primes))
 
 
 def is_valuation(S: Overmonoid, read: WindowRead):

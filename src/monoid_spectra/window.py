@@ -110,8 +110,7 @@ class _Window:
     members of the OR of A's translates, read from columns: a point's
     column holds its translates of every member mask, and the zero's
     column fills every field of a filled member, so a read is one OR per
-    point of A and one AND per member, and a set has none when one of its
-    points has none.
+    point of A and one AND per member.
 
     One bit map: each window point has one bit, ``cell`` (``point`` is its
     inverse), its cell in the window's layout when the window has a plan,
@@ -125,9 +124,10 @@ class _Window:
     packed columns reads A_r for every slot.  A shift carries bits of the
     next slot only into cells past the reach box, which no scan reads,
     and the guard bit takes a box's INF; a row permutation keeps every
-    slot's bits in its slot.  A pack holds as many slots as fit in
-    MAX_SPAN_BITS bits on the wide layout; the packs (``packs._Pack``) are
-    read one after the other, and each keeps its reads, its columns (up to
+    slot's bits in its slot.  A row is sized for every system of the
+    window, and a pack holds as many slots as fit in MAX_SPAN_BITS bits on
+    the wide layout; the packs (``packs._Pack``) are read one after the
+    other, and each keeps its reads, its columns (up to
     ``packs.MAX_COLUMN_BITS`` bits; past them a column is built for its
     read and dropped), member masks and point-by-point masks for every
     scan of the window, so a window scanned with several draws reads each
@@ -171,7 +171,7 @@ class _Window:
         named = [i for i, r in enumerate(self.systems)
                  if r.members is not None]
         plan = named and layout.packed(ctx, universe, moves, scalars,
-                                       len(named))
+                                       len(self.systems))
         if plan:
             self.box, self.reach, self.wide = b, reach, wide = plan
             self.width, self.rows = wide.cols + 1, b.rows
@@ -337,14 +337,10 @@ class _Window:
             # it, at the nonzero points: both hold the zero
             moved, starts = self.reach.moved, self.starts
             home, live = starts[None], pack.points & ~pack.inf
-            bads = []
-            for c, c_inv in inverses:
-                rhs = pack.reach(list(map(times[c], A)))
-                bads.append(None if rhs is None else (
-                    (0 if c_inv is None else moved(bits, starts[c_inv]))
-                    ^ moved(rhs, home)) & live)
-            yield (None if None in bads else functools.reduce(
-                operator.or_, bads, 0)), k, parts(A, bads)
+            bads = [((0 if c_inv is None else moved(bits, starts[c_inv]))
+                     ^ moved(pack.reach([*map(times[c], A)]), home)) & live
+                    for c, c_inv in inverses]
+            yield functools.reduce(operator.or_, bads, 0), k, parts(A, bads)
 
     def id4(self, pack, draw):
         """Id4: cH inside {c}_r, one item per c; H is the universe, whose

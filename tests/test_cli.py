@@ -335,7 +335,7 @@ def test_window_masks_are_the_window_points_of_the_closure():
     for name in ("n2", "nxz", "n23", "c3z"):
         H = monoid_from_file(data(name + ".json"))
         ctx = H.context
-        overs = cli._curated_overmonoids(H, 4)
+        overs = cli._curated_overmonoids(H)
         points = ctx.nonzero_window(4)
         systems = [*map(iota, overs), example16(H),
                    r_delta(DeltaFamily(overs), ctx),
@@ -492,9 +492,9 @@ def test_ideal_suites_finish_on_7_11_13(capsys):
 @pytest.mark.parametrize("name", ["n23", "n469", "n71113", "c3z",
                                   "n1_99998"])
 def test_ideal_reads_ask_no_contains(name, monkeypatch):
-    """ideals and pronconst read every listed ideal off H's span on the
-    wide layout of a ``layout.Read`` of the window, the products of its
-    points and the ideals' generators, asking no ``RIdeal.contains``.
+    """ideals and pronconst read every listed ideal from H's translates on
+    a ``layout.Read`` of the window, the identity and the ideals'
+    generators, asking no ``RIdeal.contains``.
     H's generators are not laid out: with them the box of <1,99998>
     passed MAX_SPAN_BITS, and each suite asked every ideal at every cell,
     for 5 s instead of a few ms."""

@@ -198,7 +198,7 @@ def test_singleton_opens_give_the_literal_system_topology(name):
     # window, each asked through a closure
     H = monoid_from_file(os.path.join(DATA, name + ".json"))
     ctx = H.context
-    overs = cli._curated_overmonoids(H, 2)
+    overs = cli._curated_overmonoids(H)
     ss = SystemSpace(H, overs, separating_points(ctx, overs, 2))
     pool = singleton_pool(ctx, overs, 2)
     literal = pool + [A for n in (1, 2)
@@ -424,7 +424,7 @@ def axiom_systems(H, bound):
     """main1's systems, the s-system, and iota of a monoid that misses H,
     on which M4 fails."""
     thin = Overmonoid(H.context, gens=H.generators[-1:], name="thin")
-    return [s_system(H), *map(iota, cli._curated_overmonoids(H, bound)),
+    return [s_system(H), *map(iota, cli._curated_overmonoids(H)),
             example16(H), iota(thin)]
 
 
@@ -489,7 +489,7 @@ def test_system_space_reads_product_closures_from_their_members(name):
     H = monoid_from_file(os.path.join(DATA, name + ".json"))
     ctx = H.context
     bound = 4 if H.kind == "affine" else 10
-    overs = cli._curated_overmonoids(H, bound)
+    overs = cli._curated_overmonoids(H)
     ss = SystemSpace(H, overs, separating_points(ctx, overs, 4))
     space = ss.space()
     hidden = [ModuleSystem(r.name, ctx, r.closure) for r in ss.systems]

@@ -387,7 +387,7 @@ def thin_of(H):
 def test_checkers_agree_with_spans_hidden(name, bound):
     if name == "z4":
         H = cyclic_group_with_zero(4)
-        overs = cli._curated_overmonoids(H, bound)
+        overs = cli._curated_overmonoids(H)
     else:
         H = monoid_from_file(os.path.join(DATA, name + ".json"))
         overs = enumerate_overmonoids(H)
@@ -450,7 +450,7 @@ def main1_pool(name):
          cyclic_group_with_zero(4) if name == "z4" else
          monoid_from_file(os.path.join(DATA, name + ".json")))
     bound = MAIN1[name]
-    systems = [*map(iota, cli._curated_overmonoids(H, bound)), example16(H),
+    systems = [*map(iota, cli._curated_overmonoids(H)), example16(H),
                *broken(H), iota(thin_of(H))]
     alone = [dicts(check_module_axioms([r], H, bound=bound)[0])
              for r in systems]
@@ -714,7 +714,7 @@ def pair_systems(name):
     closures are not all of G) and an intersection system."""
     make, gens = PAIR_CARRIERS[name]
     H = cyclic_group_with_zero(4) if make is None else make(gens)
-    H, overs = build(H) if make else (H, cli._curated_overmonoids(H, 4))
+    H, overs = build(H) if make else (H, cli._curated_overmonoids(H))
     return H, [s_system(H), *broken(H), example16(H), shrinking(H),
                iota(thin_of(H)), r_delta(DeltaFamily(overs[-2:]), H.context)]
 
@@ -834,9 +834,9 @@ def no_zero(H):
                                          ("z4", 2)])
 def test_systems_read_point_by_point_compare_ints(name, bound, cap,
                                                   monkeypatch):
-    """Beside two systems that name their members, which give the window a
-    plan of two slots a row (none at a cap of no cell), more systems that
-    name none than one pack has slots: their packs read every set as one
+    """Beside two systems that name their members, eight that name none:
+    the window's plan sizes its rows for all ten (there is none at a cap
+    of no cell), so the eight share one pack, which reads every set as one
     int on the window's bit map, and each of them gets the verdicts of a
     window of its own on Id1, M2, Id3, M4 and finitariness.  Id2 and
     idempotence scan a window of one system, where each gets the verdicts
@@ -849,9 +849,10 @@ def test_systems_read_point_by_point_compare_ints(name, bound, cap,
     w = window._Window(H.context, H.context.window(bound), mixed)
     draw = window._Draw(w.universe, budget=200)
     point_packs = [p for p in w.packs if not p.packed]
+    assert len(rules) == 8
     assert [p.slots for p in point_packs] == (
         [list(range(len(mixed)))] if cap == 0 else
-        [[k, k + 1] for k in range(2, len(mixed), 2)])
+        [list(range(2, len(mixed)))])
     for pack in point_packs:
         assert all(type(pack.box(A)) is int for A in draw.subsets)
     finitary = w.verdicts(draw, ("finitary", w.finitary), exhaustive=False,

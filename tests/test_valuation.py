@@ -281,9 +281,9 @@ def test_domination_reads_agree_with_the_pointwise_oracle():
 
 
 def test_prime_parts_ask_no_prime(monkeypatch):
-    """Each prime's part of H's window part is read as the OR of H moved
-    back by the prime's generators, asking no ``RIdeal.contains``, and is
-    the part asked point by point, on every additive input."""
+    """Each prime's part of H's window part is read as the OR of H's
+    translates by the prime's generators, asking no ``RIdeal.contains``,
+    and is the part asked point by point, on every additive input."""
     asked, real = [], RIdeal.contains
     monkeypatch.setattr(RIdeal, "contains",
                         lambda self, g: asked.append(g) or real(self, g))
