@@ -21,27 +21,11 @@ from .modsys import (FAMILY_DEPTH, DeltaFamily, SystemSpace, check_family,
                      check_id2, check_idempotent, check_module_axioms,
                      falsify_finitary, family_from_file, embedding_checks,
                      is_finitary, r_delta, separating_points, system_window)
-from .monoid import (MAX_WINDOW, ParseError, as_overmonoid, localize,
-                     monoid_from_file)
+from .monoid import MAX_WINDOW, ParseError, monoid_from_file
 from .report import INFO, Check, SuiteReport
 from .valuation import (WindowRead, delta, delta_dot, delta_laws,
                         enumerate_overmonoids, enumerate_zar, is_s_pruefer,
                         overmonoid_space)
-
-def _curated_overmonoids(H):
-    """Finite overmonoid carrier: all overmonoids for numerical H, otherwise
-    H and its localizations at the enumerated primes.  Distinct primes have
-    distinct localizations, and H_P = H exactly when H holds the generators
-    of H_P."""
-    if H.kind == "numerical":
-        return enumerate_overmonoids(H)
-    out = [as_overmonoid(H)]
-    for P in enumerate_primes(H):
-        loc = localize(H, P)
-        if not all(H.contains(g) for g in loc.gens):
-            loc.name = f"H_{P.name}"
-            out.append(loc)
-    return out
 
 
 def _t0_check(space, bound):
@@ -142,7 +126,7 @@ def suite_pruefer(rep, H, bound, seed):
 
 def suite_main1(rep, H, bound, seed):
     ctx = H.context
-    overs = _curated_overmonoids(H)
+    overs = enumerate_overmonoids(H)
     space = SystemSpace(H, overs,
                         separating_points(ctx, overs, min(bound, 4)))
     systems = space.systems
@@ -179,7 +163,7 @@ def suite_main1(rep, H, bound, seed):
 
 def suite_main2(rep, H, family, bound, seed):
     ctx = H.context
-    overs = _curated_overmonoids(H)
+    overs = enumerate_overmonoids(H)
     rep.add(Check("finite-witness-extraction", INFO, n=len(overs),
                   bound=bound,
                   detail="x in A_r for a finite family: one pick a in A per "
@@ -202,12 +186,12 @@ def suite_main2(rep, H, family, bound, seed):
 
 
 def suite_prop1(rep, H, bound, seed):
-    overs = _curated_overmonoids(H)
+    overs = enumerate_overmonoids(H)
     rep.add(embedding_checks(overs, H.context, bound=min(bound, 4)))
 
 
 def suite_prop2(rep, H, bound, seed):
-    overs = _curated_overmonoids(H)
+    overs = enumerate_overmonoids(H)
     rep.add(Check("meet-finite-witness", INFO, n=len(overs), bound=bound,
                   detail="x in A_r for a meet r of finitary systems: the "
                          "union of the per-system witnesses is a finite "
@@ -216,7 +200,7 @@ def suite_prop2(rep, H, bound, seed):
 
 def suite_corollaries(rep, H, bound, seed):
     ctx = H.context
-    carriers = [("localizations", _curated_overmonoids(H))]
+    carriers = [("localizations", enumerate_overmonoids(H))]
     try:
         carriers.append(("zar", enumerate_zar(WindowRead(H, bound))))
     except UnsupportedRealization:
@@ -332,7 +316,7 @@ def main(argv=None):
                 return 2
             bound = args.bound
         else:
-            bound = 4 if H.kind == "affine" else 10
+            bound = H.context.default_bound
         report, render = run_suite(args.suite, H, bound=bound, seed=seed,
                                    family=family)
         # a suite that draws returns a renderer, called only for --dot

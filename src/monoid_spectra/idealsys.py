@@ -112,42 +112,15 @@ def spec_subbasis(H: Monoid, primes) -> FiniteSpace:
 
 def enumerate_ideals(H: Monoid, system: IdealSystem, bound: int):
     """All s-ideals whose minimal nonabsorbing element is <= bound, sorted
-    by generator tuple; `system` is the s-system of H.
-
-    Numerical kind: an s-ideal is generated by its minimal elements under
-    x <= y iff y - x in S, which form an antichain for that order, and an
-    ideal with minimum m has them in [m, m + Frobenius].  So the antichains
-    of elements of S in [1, bound + Frobenius] whose least element is
-    <= bound are the generator tuples of these ideals, one each; they are
-    walked smallest element first, at a cost that follows the number of
-    ideals.  The universe is S's span there, and an antichain is extended
-    by its bits above the antichain's last element outside the OR of its
-    members' moved semigroup masks.  The improper ideal H (minimum =
-    identity) and the zero ideal {0} are included.  Raises
-    UnsupportedRealization past MAX_IDEALS ideals, and on affine kind
-    (infinite antichains)."""
-    r = system
-    if H.kind == "finite":
-        return [RIdeal(r, ()), RIdeal(r, (H.one,))]
-    if H.kind != "numerical":
-        raise UnsupportedRealization("ideal enumeration needs numerical or finite kind")
-    sgp = H.sgp
-    top = bound + max(sgp.frobenius, 0)
-    H.context.window(top)  # refused past MAX_WINDOW points, as its window
-    universe = sgp.span(0, top + 1) & -2
-    members = ~sgp.gap_mask
-    out = [RIdeal(r, ()),        # the zero ideal {0}
-           RIdeal(r, (H.one,))]  # the improper ideal H
-    # an antichain with the OR of its members' moved semigroup masks
-    stack = [((n,), members << n) for n in _bits(universe & (2 << bound) - 1)]
-    while stack:
-        gens, covered = stack.pop()
-        out.append(RIdeal(r, gens))
+    by generator tuple: the carrier's generator tuples (``ideal_generators``)
+    as ideals of `system`, the s-system of H.  Raises UnsupportedRealization
+    past MAX_IDEALS ideals, and where the carrier lists none."""
+    out = []
+    for gens in H.context.ideal_generators(H, bound):
+        out.append(RIdeal(system, gens))
         if len(out) > MAX_IDEALS:
             raise UnsupportedRealization(
                 f"more than {MAX_IDEALS} ideals with minimum <= {bound}")
-        for y in _bits(universe & ~covered & -(2 << gens[-1])):
-            stack.append((gens + (y,), covered | members << y))
     out.sort(key=lambda I: tuple(sort_key(g) for g in I.generators))
     return out
 
@@ -157,9 +130,10 @@ class IdealRead:
     prime flags on `window` and the ideal space, which needs no window,
     read from them.  ``read`` lays out the window, the identity and the
     ideals' generators, with the window as moves, and reads each ideal as
-    it reads an overmonoid (``layout.Read``): its mask, and its moves for
-    the flags, from its ``span_mask``, the OR of H's translates by its
-    generators.  H's generators are not laid out, so the window guards
+    it reads an overmonoid (``layout.Read``): its moves for the flags, and
+    its mask as its move by the identity, from its one ``span_mask`` on the
+    wide layout, the OR of H's translates by its generators, so those are
+    built on one layout.  H's generators are not laid out, so the window guards
     size the layout: window points within 2 bound <= 2046 of 0 and
     generators at most bound + F(H) <= 2047 give at most 8 186 cells on
     the wide layout, below MAX_SPAN_BITS."""
@@ -172,7 +146,7 @@ class IdealRead:
         self.xs = list(dict.fromkeys(g for I in ideals for g in I.generators))
         self.read = read = Read(ctx, [*window, ctx.one, *self.xs],
                                 moves=window)
-        self.masks = list(map(read.mask, ideals))
+        self.masks = [read.moved(I, ctx.one) for I in ideals]
         # H's window part
         self.part = read.mask(H) & sum(1 << read.bit(g) for g in window)
 

@@ -19,7 +19,7 @@ from math import gcd
 from . import intgeom
 from .errors import UnsupportedRealization, WindowTooLarge
 from .layout import Box, Table
-from .numsgp import cached_semigroup
+from .numsgp import cached_semigroup, ideal_antichains, oversemigroups
 
 # Most points a window may hold: a larger bound is refused, before any point
 # is built
@@ -77,11 +77,12 @@ def sort_key(g):
 class GroupoidContext:
     """Carrier of the quotient groupoid G: a group with absorbing zero.
 
-    Each subclass is one realization.  ``contains`` is the validating
-    membership test; ``op`` and ``inv`` trust their arguments, which are
-    validated where they enter: parsing, the carrier, ``Monoid`` and
-    ``Overmonoid`` constructors, ``adjoin``, ``fraction_ideal`` and the
-    closures of ``modsys``/``idealsys``."""
+    Each subclass is one realization, and answers what a suite asks of it:
+    ``default_bound``, ``overmonoids``, ``ideal_generators`` and ``zar``.
+    ``contains`` is the validating membership test; ``op`` and ``inv``
+    trust their arguments, which are validated where they enter: parsing,
+    the carrier, ``Monoid`` and ``Overmonoid`` constructors, ``adjoin``,
+    ``fraction_ideal`` and the closures of ``modsys``/``idealsys``."""
 
     one = 0
     zero = INF
@@ -91,6 +92,7 @@ class GroupoidContext:
     # (x, y) of a point, _at(x, y), the point at a cell or None off it, and
     # cell_basis, the echelon basis of its points' cells
     layout = False
+    default_bound = 10  # the bound a suite runs at when none is given
 
     def contains(self, g) -> bool:
         raise NotImplementedError
@@ -153,6 +155,28 @@ class GroupoidContext:
         if not self.contains(g):
             raise CarrierMismatch(f"{g!r} is not in this carrier")
 
+    def overmonoids(self, H):
+        """H and its localizations H_P at its primes, all distinct, each
+        kept when H misses one of its generators, so H_P != H."""
+        from .idealsys import enumerate_primes  # which builds on this module
+        out = [as_overmonoid(H)]
+        for P in enumerate_primes(H):
+            loc = localize(H, P)
+            if not all(H.contains(g) for g in loc.gens):
+                loc.name = f"H_{P.name}"
+                out.append(loc)
+        return out
+
+    def ideal_generators(self, H, bound):
+        """H's s-ideals with minimum <= bound as generator tuples."""
+        raise UnsupportedRealization(
+            "ideal enumeration needs numerical or finite kind")
+
+    def zar(self, read):
+        """Zar(G|H): the valuation overmonoids holding the read's H."""
+        raise UnsupportedRealization(
+            "valuation enumeration supports numerical and affine d=2 monoids")
+
 
 class IntCarrier(GroupoidContext):
     """Z plus INF, the groupoid of a numerical monoid."""
@@ -185,6 +209,31 @@ class IntCarrier(GroupoidContext):
     def _at(self, x, y):
         return y if x == 0 else None
 
+    def overmonoids(self, H):
+        """R(G|H): every oversemigroup of H, each read on an int box from
+        its gap mask (``sgp``), then Z."""
+        out = []
+        for sgp in oversemigroups(H.sgp):
+            gens = sgp.minimal_generators()
+            S = Overmonoid(self, gens=gens, rule=sgp.contains,
+                           name="<" + ",".join(map(str, gens)) + ">")
+            S.sgp = sgp
+            out.append(S)
+        out.append(Overmonoid(self, gens=(1, -1), name="Z"))
+        return out
+
+    def ideal_generators(self, H, bound):
+        """{0}, H, then ``numsgp.ideal_antichains`` as asked for; refused as
+        the window of bound + F(H), the walk's reach, is."""
+        self.window(bound + max(H.sgp.frobenius, 0))
+        return itertools.chain([(), (self.one,)],
+                               ideal_antichains(H.sgp, bound))
+
+    def zar(self, read):
+        """N and Z, the trivial valuation; no window is read."""
+        from .valuation import ValuationDescriptor
+        return [ValuationDescriptor(self, "N"), ValuationDescriptor(self, "Z")]
+
 
 # Most HNF answers one lattice carrier remembers; a full memo keeps the
 # answers it has and computes the rest
@@ -195,6 +244,8 @@ class LatticeCarrier(GroupoidContext):
     """The sublattice of Z^dim spanned by `vectors` (kept as an echelon
     basis), plus INF.  The HNF answers for integer vectors of length dim are
     memoized, up to MAX_LATTICE_MEMO of them."""
+
+    default_bound = 4
 
     def __init__(self, dim, vectors):
         vectors = [tuple(v) for v in vectors]
@@ -252,6 +303,26 @@ class LatticeCarrier(GroupoidContext):
             return None
         p = (y,) if self.dim == 1 else (x, y)
         return p if self._in_lattice(p) else None
+
+    def zar(self, read):
+        """On the plane, V(w, t) for w primitive up to ZAR_HEIGHT, then the
+        trivial valuation, that hold H, one per window mask (each holds INF,
+        so its mask is its profile); irrational rays are left out."""
+        if self.dim != 2:
+            return super().zar(read)
+        from .valuation import ValuationDescriptor as V, _primitive_weights
+        cands = sorted((V(self, "weight", weight=w, tiebreak=t)
+                        for w in _primitive_weights() for t in (-1, 0, 1)),
+                       key=V.sort_key) + [V(self, "trivial")]
+        out, seen = [], set()
+        for v in cands:
+            # the generators were checked on the carrier when H was built
+            if all(map(v.has, read.H.generators)):
+                m = read.window.mask(v)
+                if m not in seen:
+                    seen.add(m)
+                    out.append(v)
+        return out
 
 
 # Most cells one overmonoid's mask may hold, and most cells of the region
@@ -322,6 +393,10 @@ class FiniteCarrier(GroupoidContext):
     def faces(self, gens):
         """One face: off the zero the carrier is a group."""
         return [frozenset(gens)]
+
+    def ideal_generators(self, H, bound):
+        """() and H's identity: off the zero H is a group."""
+        return [(), (self.one,)]
 
     def submonoid(self, gens):
         closure = {self.one, self.zero, *gens}

@@ -1,7 +1,7 @@
 """Numerical semigroups as gap masks: exact membership, gaps, Frobenius
 number, minimal generators, spans of integers, and enumeration of
 oversemigroups (finite, by a walk of the tree that adjoins special gaps, so
-its cost follows the number of oversemigroups).
+its cost follows the number of oversemigroups) and of bounded ideals.
 
 A semigroup is one int, bit g set for each gap g: a membership is a bit
 test, its members on a run of integers are the complement shifted, and
@@ -164,6 +164,22 @@ def oversemigroups(sgp: NumericalSemigroup) -> list[NumericalSemigroup]:
                               minimal & ~((reach & ~child) << g) | 1 << g))
     out.sort(key=lambda s: (-len(s.gaps), s.gaps))
     return out
+
+
+def ideal_antichains(sgp: NumericalSemigroup, bound: int):
+    """The generators of each proper nonzero ideal with minimum m <= bound:
+    its minimal elements under x <= y iff y - x in `sgp`, an antichain in
+    [m, m + F].  An antichain is extended by the members in [1, bound + F]
+    above its last element outside the OR of its members' moved member
+    masks, so the walk's cost follows the number of ideals."""
+    universe = sgp.span(0, bound + max(sgp.frobenius, 0) + 1) & -2
+    members = ~sgp.gap_mask
+    stack = [((n,), members << n) for n in _bits(universe & (2 << bound) - 1)]
+    while stack:
+        gens, covered = stack.pop()
+        yield gens
+        for y in _bits(universe & ~covered & -(2 << gens[-1])):
+            stack.append((gens + (y,), covered | members << y))
 
 
 @lru_cache(maxsize=512)

@@ -20,12 +20,11 @@ from __future__ import annotations
 from functools import cached_property
 from math import gcd
 
-from .errors import UnsupportedRealization
 from .fintop import FiniteSpace, bipartite_dot, hasse_edges
 from .intgeom import dot
 from .layout import Read
 from .monoid import Monoid, Overmonoid, localize
-from .numsgp import cached_semigroup, oversemigroups
+from .numsgp import cached_semigroup
 from .report import INFO, Check
 
 
@@ -137,14 +136,9 @@ class WindowRead:
     ``layout.Read`` of its points with those points as moves, so (H : x)
     is H moved by x, built on first use (corollaries on a numerical H
     builds none), and the primes' parts of H's window part, their masks on
-    it.  Only numerical and affine d = 2 monoids have a Zar carrier, so
-    only they are read; the window is closed under inversion."""
+    it.  The window is closed under inversion."""
 
     def __init__(self, H: Monoid, bound: int):
-        if H.kind != "numerical" and (H.kind != "affine" or H.dim != 2):
-            raise UnsupportedRealization(
-                "valuation enumeration supports numerical and affine d=2 "
-                "monoids")
         self.H, self.bound = H, bound
 
     @cached_property
@@ -177,53 +171,15 @@ def _primitive_weights():
 
 
 def enumerate_overmonoids(H: Monoid):
-    """R(G|H) for numerical H: every oversemigroup of H (finitely many, one
-    per closed gap subset), each read on an int box from its gap mask
-    (``sgp``), plus Z itself, all with the absorbing zero."""
-    if H.kind != "numerical":
-        raise UnsupportedRealization(
-            "overmonoid enumeration is finite only for numerical monoids")
-    ctx = H.context
-    out = []
-    for sgp in oversemigroups(H.sgp):
-        gens = sgp.minimal_generators()
-        name = "<" + ",".join(map(str, gens)) + ">"
-        S = Overmonoid(ctx, gens=gens, rule=sgp.contains, name=name)
-        S.sgp = sgp
-        out.append(S)
-    out.append(Overmonoid(ctx, gens=(1, -1), name="Z"))
-    return out
+    """The overmonoid carrier of H's realization (``overmonoids``): R(G|H)
+    for numerical H, else H and its localizations at its primes."""
+    return H.context.overmonoids(H)
 
 
 def enumerate_zar(read: WindowRead):
     """Zar(G|H) for the read's H: the valuation descriptors (overmonoids)
-    that contain H.
-
-    Numerical: N when H has no negative elements, and Z (the trivial
-    valuation of the carrier).  Affine d = 2: all primitive weights up to
-    ZAR_HEIGHT, all tiebreaks, filtered by generator containment and
-    deduplicated by their window mask, plus the trivial valuation; every
-    descriptor holds INF, so equal masks are equal window profiles.
-    Irrational-ray valuations lie outside this carrier."""
-    H = read.H
-    ctx = H.context
-    if H.kind == "numerical":
-        return [ValuationDescriptor(ctx, "N"), ValuationDescriptor(ctx, "Z")]
-    out = []
-    seen = set()
-    cands = [ValuationDescriptor(ctx, "weight", weight=w, tiebreak=t)
-             for w in _primitive_weights() for t in (-1, 0, 1)]
-    cands.sort(key=lambda v: v.sort_key())
-    cands.append(ValuationDescriptor(ctx, "trivial"))
-    for v in cands:
-        # the generators were checked on the carrier when H was built
-        if not all(map(v.has, H.generators)):
-            continue
-        m = read.window.mask(v)
-        if m not in seen:
-            seen.add(m)
-            out.append(v)
-    return out
+    that contain H, as its carrier gives them (``zar``)."""
+    return read.H.context.zar(read)
 
 
 # -- carriers and their spaces ------------------------------------------------

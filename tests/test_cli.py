@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import itertools
 import json
 import os
@@ -176,15 +177,59 @@ def test_sampling_suites_run_on_a_two_element_window(capsys):
         assert code == 0, (suite, out)
 
 
-def test_exit_code_3_on_unsupported_realization(capsys):
-    # bounded ideal enumeration is undefined for affine inputs
-    code, _ = run(capsys, "verify", "--suite", "ideals",
-                  "--input", data("n2.json"))
-    assert code == 3
-    # valuation enumeration is undefined for finite inputs
-    code, _ = run(capsys, "verify", "--suite", "zar",
-                  "--input", data("c3z.json"))
-    assert code == 3
+IDEALS = "unsupported: ideal enumeration needs numerical or finite kind"
+ZAR = ("unsupported: valuation enumeration supports numerical and affine "
+       "d=2 monoids")
+PRIMES = "unsupported: prime enumeration needs dimension <= 2"
+# each form at --bound 2: the suites that exit 3, with their first stderr
+# line; every other suite exits 0 and writes no stderr
+REFUSED = {
+    "n23": {},
+    "n2": {"ideals": IDEALS, "pronconst": IDEALS},
+    "dim1": {"ideals": IDEALS, "zar": ZAR, "pruefer": ZAR,
+             "pronconst": IDEALS},
+    "line": {"ideals": IDEALS, "pronconst": IDEALS},
+    "n3": {**dict.fromkeys(cli.SUITES, PRIMES),
+           "axioms": "unsupported: exact affine monoid membership is "
+                     "implemented for dimension <= 2",
+           "ideals": IDEALS, "zar": ZAR, "pronconst": IDEALS},
+    "c3z": {"zar": ZAR, "pruefer": ZAR},
+}
+FORMS = {
+    "dim1": {"kind": "affine", "dim": 1, "generators": [[2], [3]]},
+    "line": {"kind": "affine", "dim": 2, "generators": [[2, 0], [3, 0]]},
+    "n3": {"kind": "affine", "dim": 3,
+           "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+}
+
+
+def test_exit_code_3_on_unsupported_realization(tmp_path, capsys):
+    """Every suite on a numerical, a dim-1, a line, a plane, a dim-3 and a
+    finite input: its exit code and first stderr line, and the suites that
+    pass on each realization are the benchmark's ``SUPPORTED`` table."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads",
+        os.path.join(DATA, "..", "..", "bench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    passed = {}
+    for form, refused in REFUSED.items():
+        path = data(form + ".json")
+        if form in FORMS:
+            path = tmp_path / (form + ".json")
+            path.write_text(json.dumps(FORMS[form]))
+        for suite in cli.SUITES:
+            code = main(["verify", "--suite", suite, "--input", str(path),
+                         "--bound", "2"])
+            err = capsys.readouterr().err
+            first = err.splitlines()[0] if err else ""
+            assert (code, first) == ((3, refused[suite]) if suite in refused
+                                     else (0, "")), (form, suite)
+            if code == 0:
+                passed.setdefault(form, []).append(suite)
+    assert {kind: tuple(passed[form]) for kind, form in (
+        ("numerical", "n23"), ("affine", "n2"), ("finite", "c3z"))} == \
+        workloads.SUPPORTED
 
 
 def test_exit_code_3_past_the_semigroup_size_guard(tmp_path, capsys):
@@ -335,7 +380,7 @@ def test_window_masks_are_the_window_points_of_the_closure():
     for name in ("n2", "nxz", "n23", "c3z"):
         H = monoid_from_file(data(name + ".json"))
         ctx = H.context
-        overs = cli._curated_overmonoids(H)
+        overs = valuation.enumerate_overmonoids(H)
         points = ctx.nonzero_window(4)
         systems = [*map(iota, overs), example16(H),
                    r_delta(DeltaFamily(overs), ctx),

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monoid_spectra import cli
 from monoid_spectra.modsys import (DeltaFamily, ModuleSystem, SystemSpace,
                                    check_family, check_id2,
                                    check_module_axioms,
@@ -18,6 +17,7 @@ from monoid_spectra.monoid import (INF, CarrierMismatch, FiniteCarrier,
                                    IntCarrier, Monoid, Overmonoid, ParseError,
                                    as_overmonoid, family_from_json,
                                    monoid_from_file)
+from monoid_spectra.valuation import enumerate_overmonoids
 from oracles import (check_family_pointwise, cyclic_group_with_zero,
                      extract_finite_witness, falsify_finitary_pointwise,
                      meet_finite_witness, pool_space, specialization_matrix,
@@ -198,7 +198,7 @@ def test_singleton_opens_give_the_literal_system_topology(name):
     # window, each asked through a closure
     H = monoid_from_file(os.path.join(DATA, name + ".json"))
     ctx = H.context
-    overs = cli._curated_overmonoids(H)
+    overs = enumerate_overmonoids(H)
     ss = SystemSpace(H, overs, separating_points(ctx, overs, 2))
     pool = singleton_pool(ctx, overs, 2)
     literal = pool + [A for n in (1, 2)
@@ -424,7 +424,7 @@ def axiom_systems(H, bound):
     """main1's systems, the s-system, and iota of a monoid that misses H,
     on which M4 fails."""
     thin = Overmonoid(H.context, gens=H.generators[-1:], name="thin")
-    return [s_system(H), *map(iota, cli._curated_overmonoids(H)),
+    return [s_system(H), *map(iota, enumerate_overmonoids(H)),
             example16(H), iota(thin)]
 
 
@@ -488,8 +488,8 @@ def test_system_space_reads_product_closures_from_their_members(name):
     the same order and the same first unseparated pair."""
     H = monoid_from_file(os.path.join(DATA, name + ".json"))
     ctx = H.context
-    bound = 4 if H.kind == "affine" else 10
-    overs = cli._curated_overmonoids(H)
+    bound = ctx.default_bound
+    overs = enumerate_overmonoids(H)
     ss = SystemSpace(H, overs, separating_points(ctx, overs, 4))
     space = ss.space()
     hidden = [ModuleSystem(r.name, ctx, r.closure) for r in ss.systems]

@@ -387,7 +387,7 @@ def thin_of(H):
 def test_checkers_agree_with_spans_hidden(name, bound):
     if name == "z4":
         H = cyclic_group_with_zero(4)
-        overs = cli._curated_overmonoids(H)
+        overs = enumerate_overmonoids(H)
     else:
         H = monoid_from_file(os.path.join(DATA, name + ".json"))
         overs = enumerate_overmonoids(H)
@@ -450,7 +450,7 @@ def main1_pool(name):
          cyclic_group_with_zero(4) if name == "z4" else
          monoid_from_file(os.path.join(DATA, name + ".json")))
     bound = MAIN1[name]
-    systems = [*map(iota, cli._curated_overmonoids(H)), example16(H),
+    systems = [*map(iota, enumerate_overmonoids(H)), example16(H),
                *broken(H), iota(thin_of(H))]
     alone = [dicts(check_module_axioms([r], H, bound=bound)[0])
              for r in systems]
@@ -714,7 +714,7 @@ def pair_systems(name):
     closures are not all of G) and an intersection system."""
     make, gens = PAIR_CARRIERS[name]
     H = cyclic_group_with_zero(4) if make is None else make(gens)
-    H, overs = build(H) if make else (H, cli._curated_overmonoids(H))
+    H, overs = build(H) if make else (H, enumerate_overmonoids(H))
     return H, [s_system(H), *broken(H), example16(H), shrinking(H),
                iota(thin_of(H)), r_delta(DeltaFamily(overs[-2:]), H.context)]
 

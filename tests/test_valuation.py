@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monoid_spectra.errors import UnsupportedRealization
 from monoid_spectra.idealsys import RIdeal, enumerate_primes, spec_subbasis
 from monoid_spectra.monoid import (INF, Monoid, Overmonoid, as_overmonoid,
                                    localize, monoid_from_file)
@@ -106,8 +107,18 @@ def test_enumerate_overmonoids_numerical():
     assert "Z" in names
     z = next(S for S in carrier if S.name == "Z")
     assert z.contains(-1)
-    with pytest.raises(Exception):
-        enumerate_overmonoids(Monoid.affine([[1, 0], [0, 1]]))
+    # past the integers the carrier is H and its localizations at its
+    # primes, one per prime outside the maximal one
+    carrier = enumerate_overmonoids(Monoid.affine([[1, 0], [0, 1]]))
+    assert [(S.name, S.gens) for S in carrier] == [
+        ("H", ((1, 0), (0, 1))),
+        ("H_P_zero", ((1, 0), (0, 1), (-1, 0), (0, -1))),
+        ("H_P_face[(1, 0)]", ((1, 0), (0, 1), (-1, 0))),
+        ("H_P_face[(0, 1)]", ((1, 0), (0, 1), (0, -1)))]
+    with pytest.raises(UnsupportedRealization,
+                       match="prime enumeration needs dimension <= 2"):
+        enumerate_overmonoids(Monoid.affine([[1, 0, 0], [0, 1, 0],
+                                             [0, 0, 1]]))
 
 
 def test_enumerate_zar_numerical_and_affine():

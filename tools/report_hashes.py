@@ -185,7 +185,7 @@ def run_in_process(suite, H, bound, as_json):
     """What ``cli.main`` prints and writes for `suite` on H, given as an
     object: stdout, the exit status and the DOT drawing."""
     if bound is None:
-        bound = 4 if H.kind == "affine" else 10
+        bound = H.context.default_bound
     report, render = cli.run_suite(suite, H, bound=bound, seed=0)
     dot = render() if render is not None else None
     return (report.json() if as_json else report.text(),
