@@ -33,7 +33,7 @@ def _t0_check(space, bound):
     # sober and spectral are each equivalent to T0.
     t0 = space.is_t0()
     return Check("t0", t0, witness=None if t0 else {"profiles": "coincide"},
-                 exhaustive=False, n=space.n, bound=bound,
+                 n=space.n, bound=bound,
                  detail="on a finite space sober and spectral each equal T0")
 
 
@@ -101,7 +101,7 @@ def suite_pruefer(rep, H, bound, seed):
     witness = next(({"P": P.name} for j, P in enumerate(primes)
                     if j not in f), None)
     rep.add(Check("delta-surjective", witness is None, witness=witness,
-                  exhaustive=False, n=len(primes), bound=bound))
+                  n=len(primes), bound=bound))
     sp = is_s_pruefer(primes, read)
     rep.extend(delta_laws(primes, f, carrier, sp.ok, read))
     rep.add(Check("s-pruefer-instance", INFO, bound=bound,
@@ -112,7 +112,7 @@ def suite_pruefer(rep, H, bound, seed):
         # line also carries injectivity
         bad = homeomorphic(zar_space, spec_space, f)
         rep.add(Check("delta-homeomorphism", bad is None, witness=bad,
-                      exhaustive=False, n=zar_space.n, bound=bound))
+                      n=zar_space.n, bound=bound))
     else:
         pair = first_repeat(f)
         rep.add(Check("delta-injectivity-instance", INFO, n=len(carrier),
@@ -149,7 +149,7 @@ def suite_main1(rep, H, bound, seed):
         rep.add(Check("example16-id2-fails", not c.ok,
                       witness=None if not c.ok
                       else {"expected": "an Id2 failure"},
-                      exhaustive=False, n=c.n, bound=min(bound, 4)))
+                      n=c.n, bound=min(bound, 4)))
 
     pair = space.t0_witnesses()
     k = len(systems)
@@ -157,7 +157,7 @@ def suite_main1(rep, H, bound, seed):
                   witness=None if pair is None else
                   {"pair": f"{systems[pair[0]].name},"
                            f"{systems[pair[1]].name}"},
-                  exhaustive=False, n=k * (k - 1) // 2, bound=min(bound, 4)))
+                  n=k * (k - 1) // 2, bound=min(bound, 4)))
     return lambda: poset_dot(space.space(), name="systems")
 
 

@@ -133,10 +133,10 @@ class IdealRead:
     it reads an overmonoid (``layout.Read``): its moves for the flags, and
     its mask as its move by the identity, from its one ``span_mask`` on the
     wide layout, the OR of H's translates by its generators, so those are
-    built on one layout.  H's generators are not laid out, so the window guards
-    size the layout: window points within 2 bound <= 2046 of 0 and
-    generators at most bound + F(H) <= 2047 give at most 8 186 cells on
-    the wide layout, below MAX_SPAN_BITS."""
+    built on one layout, as every read has one.  H's generators are not
+    laid out, so the window guards size the layout: window points within
+    2 bound <= 2046 of 0 and generators at most bound + F(H) <= 2047 give
+    at most 8 186 cells on the wide layout, below MAX_SPAN_BITS."""
 
     def __init__(self, ideals, window):
         self.H = H = ideals[0].system.H

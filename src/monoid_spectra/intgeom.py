@@ -15,7 +15,6 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .errors import UnsupportedRealization
 from .numsgp import cached_semigroup
 
 
@@ -369,17 +368,13 @@ def submonoid_span(gens: tuple, box, cap: int):
 def monoid_contains(gens: tuple, x: tuple) -> bool:
     """Exact membership of x in the submonoid of Z^d generated by `gens`.
 
-    Complete for d <= 2.  This is the cached entry point: a miss asks the
-    predicate `submonoid_1d` or `submonoid_2d` built for `gens`, and the
-    analysis of `gens` is done once, by `submonoid_2d`'s cache, not once
-    per point."""
+    For d = 1 or 2, the dimensions a lattice carrier admits.  This is the
+    cached entry point: a miss asks the predicate `submonoid_1d` or
+    `submonoid_2d` built for `gens`, and the analysis of `gens` is done
+    once, by `submonoid_2d`'s cache, not once per point."""
     dim = len(x)
     if dim == 1:
         return submonoid_1d([g[0] for g in gens])(x[0])
-    if dim != 2:
-        raise UnsupportedRealization(
-            "exact affine monoid membership is implemented for dimension <= 2"
-        )
     return submonoid_2d(gens)(x)
 
 

@@ -176,32 +176,24 @@ class Table:
 
 
 class Read:
-    """The distinct nonzero `points` laid out once on the carrier's
-    ``layout``, with the row stride of ``wide``, the layout moved by each
+    """The distinct nonzero `points` laid out once on the carrier's ``Box``
+    or ``Table``, with the row stride of ``wide``, the layout moved by each
     of `moves`: ``bit(g)`` and ``point(b)`` map points and bits, which rise
     in window order, and ``full`` holds them all.  A set is read through
-    its ``has`` and ``span_mask``: an overmonoid, or an r-ideal XH, the OR
-    of H's translates by X on the layout.  A read asks no point of a set
-    with a ``span_mask``, except without a layout or past MAX_SPAN_BITS
-    cells on ``wide``, where point i takes bit i, and for a move off
-    ``wide`` (``_asked``)."""
+    its ``span_mask``, on the layout or, moved, on ``wide``: an
+    overmonoid, or an r-ideal XH, the OR of H's translates by X on the
+    layout.  A move off the planned ones raises ValueError."""
 
     def __init__(self, ctx, points, moves=()):
-        from . import monoid  # which lays its sets out in these layouts
         self.ctx = ctx
         points = dict.fromkeys(points)
         points.pop(ctx.zero, None)
         self.points = list(points)
         layout = ctx.box(self.points)
-        wide = layout and layout.around(moves)
-        if wide and wide.rows * wide.cols <= monoid.MAX_SPAN_BITS:
-            self.layout, self.wide = layout.with_stride(wide.stride), wide
-            self.bits = list(map(self.layout.bit, self.points))
-        else:
-            self.layout = self.wide = None
-            self.bits = list(range(len(self.points)))
-        self._bit = dict(zip(self.points, self.bits))
-        self.bit = self._bit.__getitem__
+        self.wide = layout.around(moves)
+        self.layout = layout.with_stride(self.wide.stride)
+        self.bits = list(map(self.layout.bit, self.points))
+        self.bit = dict(zip(self.points, self.bits)).__getitem__
         self.point = dict(zip(self.bits, self.points)).__getitem__
         self.full = sum(1 << b for b in self.bits)
         self._masks, self._spans = {}, {}
@@ -210,49 +202,33 @@ class Read:
         """S's points, read on the first call."""
         m = self._masks.get(S)
         if m is None:
-            m = self._masks[S] = (self._asked(S) if self.layout is None else
-                                  S.span_mask(self.layout) & self.full)
+            m = self._masks[S] = S.span_mask(self.layout) & self.full
         return m
 
     def moved(self, S, x) -> int:
         """The points g with x g in S, from S's one read on ``wide``."""
-        k = self.layout and self.wide.start(self.layout, x)
+        k = self.wide.start(self.layout, x)
         if k is None:
-            return self._asked(S, x)
+            raise ValueError(f"{x!r} is not a move of this read")
         if S not in self._spans:
             self._spans[S] = S.span_mask(self.wide)
         return self.layout.moved(self._spans[S], k) & self.full
 
     def inverted(self, m) -> int:
         """The points whose inverses m holds; the points hold theirs."""
-        if self.layout is not None:
-            return self.layout.inverted(m)
-        bit, inv = self._bit, self.ctx.inv
-        return sum(1 << bit[inv(g)] for g, b in zip(self.points, self.bits)
-                   if m >> b & 1)
-
-    def _asked(self, S, x=None) -> int:
-        """S asked at each point, or at x times each point."""
-        op = self.ctx.op
-        return sum(1 << b for g, b in zip(self.points, self.bits)
-                   if S.has(g if x is None else op(x, g)))
+        return self.layout.inverted(m)
 
 
 def packed(ctx, points, moves, hull, slots):
     """A window's layouts for packs of up to `slots` slots: its own, the
     reach (it moved by each of `moves`) and the wide (the reach moved back
     by the layout around `hull`), strided for as many slots of the wide
-    width and a guard bit as fit in MAX_SPAN_BITS bits; None without a
-    layout or past MAX_SPAN_BITS cells on the wide one."""
+    width and a guard bit as fit in MAX_SPAN_BITS bits, at least one."""
     from . import monoid
     b = ctx.box(points)
-    if b is None:
-        return None
     reach = b.around(moves)
     wide = reach.behind(b.around(hull))
-    cap = monoid.MAX_SPAN_BITS
-    if wide.rows * wide.cols > cap:
-        return None
     width = wide.cols + 1
-    stride = min(max(1, cap // (wide.rows * width)), slots) * width
+    stride = max(1, min(monoid.MAX_SPAN_BITS // (wide.rows * width),
+                        slots)) * width
     return [x.with_stride(stride) for x in (b, reach, wide)]

@@ -344,7 +344,7 @@ def embedding_checks(overmonoids, ctx, bound: int = 4) -> Check:
               if first.setdefault(one, i) != i), None)
     return Check("iota-injective", i is None,
                  witness=None if i is None else {"S": repr(overmonoids[i])},
-                 exhaustive=False, n=len(ones), bound=bound)
+                 n=len(ones), bound=bound)
 
 
 def check_family(delta: DeltaFamily, ctx, bound: int = 4):
@@ -370,10 +370,8 @@ def check_family(delta: DeltaFamily, ctx, bound: int = 4):
                 i = window.index(read.point((bad & -bad).bit_length() - 1))
                 return Check(name, False, witness={"k": k,
                                                    "g": repr(window[i])},
-                             exhaustive=False, n=n * len(window) + i + 1,
-                             bound=bound)
-        return Check(name, True, exhaustive=False,
-                     n=len(pairs) * len(window), bound=bound)
+                             n=n * len(window) + i + 1, bound=bound)
+        return Check(name, True, n=len(pairs) * len(window), bound=bound)
 
     return [inside("family-decreasing",
                    [(k, masks[k + 1], masks[k])

@@ -88,10 +88,9 @@ class GroupoidContext:
     zero = INF
     # a window of bound b holds up to (2b + 1)^dim points
     dim = 1
-    # whether the carrier has boxes; one that has defines _xy(g), the cell
-    # (x, y) of a point, _at(x, y), the point at a cell or None off it, and
-    # cell_basis, the echelon basis of its points' cells
-    layout = False
+    # a carrier read in boxes defines _xy(g), the cell (x, y) of a point,
+    # _at(x, y), the point at a cell or None off it, and cell_basis, the
+    # echelon basis of its points' cells
     default_bound = 10  # the bound a suite runs at when none is given
 
     def contains(self, g) -> bool:
@@ -126,10 +125,9 @@ class GroupoidContext:
 
     def box(self, points):
         """The bit layout a window reads `points` in: the smallest ``Box``
-        around those other than INF, or None, on a carrier without boxes
-        and for no point."""
-        cells = self.layout and [self._xy(g) for g in points if g is not INF]
-        return Box(self, 0, 0, 1, 1).spread(cells) if cells else None
+        around those other than INF, the identity's cell for none."""
+        cells = [self._xy(g) for g in points if g is not INF]
+        return Box(self, 0, 0, 1, 1).spread(cells or [(0, 0)])
 
     def comb(self, box):
         """The cells of `box` that are carrier points, as a mask."""
@@ -145,8 +143,6 @@ class GroupoidContext:
 
     def faces(self, gens):
         """The generators on each face of their cone, read at their cells."""
-        if not self.layout:
-            raise UnsupportedRealization("prime enumeration needs dimension <= 2")
         xy = self._xy
         return [frozenset(g for g in gens if xy(g) in face)
                 for face in intgeom.faces_2d(map(xy, gens))]
@@ -181,7 +177,6 @@ class GroupoidContext:
 class IntCarrier(GroupoidContext):
     """Z plus INF, the groupoid of a numerical monoid."""
 
-    layout = True
     cell_basis = [(1, [0, 1])]  # the row x = 0
 
     def contains(self, g) -> bool:
@@ -242,7 +237,8 @@ MAX_LATTICE_MEMO = 1 << 16
 
 class LatticeCarrier(GroupoidContext):
     """The sublattice of Z^dim spanned by `vectors` (kept as an echelon
-    basis), plus INF.  The HNF answers for integer vectors of length dim are
+    basis), plus INF, for dim <= 2: a larger dimension is refused here,
+    where it enters.  The HNF answers for integer vectors of length dim are
     memoized, up to MAX_LATTICE_MEMO of them."""
 
     default_bound = 4
@@ -253,10 +249,12 @@ class LatticeCarrier(GroupoidContext):
             raise ValueError("lattice dimension must be a positive integer")
         if any(len(v) != dim or not all(map(is_int, v)) for v in vectors):
             raise ValueError(f"expected integer vectors of length {dim}")
+        if dim > 2:
+            raise UnsupportedRealization(
+                "affine monoids are implemented for dimension <= 2")
         self.dim = dim
         self.basis = intgeom.hnf_rows(vectors)
         self.one = (0,) * dim
-        self.layout = dim <= 2
         # a line's points sit on the row x = 0
         self.cell_basis = self.basis if dim == 2 else [
             (1, [0, *row]) for _, row in self.basis]
@@ -325,9 +323,9 @@ class LatticeCarrier(GroupoidContext):
         return out
 
 
-# Most cells one overmonoid's mask may hold, and most cells of the region
-# its generators' fills run on; a larger box has no mask, and a larger
-# region is read one cell at a time
+# Most bits of one pack of a window's slots, and most cells of the region an
+# overmonoid's generators' fills run on: a larger region is read one cell
+# at a time.  MAX_WINDOW keeps every layout a suite reads below it.
 MAX_SPAN_BITS = 1 << 16
 
 
@@ -441,11 +439,9 @@ class Overmonoid:
         return g is INF or g == self.context.zero or bool(self._member(g))
 
     def span_mask(self, box):
-        """The members on `box`, in its layout, or None past MAX_SPAN_BITS
-        cells: ``_span``, which asks no cell, or, where it has no answer,
-        each cell asked once; a cell off the carrier is no member."""
-        if box.rows * box.cols > MAX_SPAN_BITS:
-            return None
+        """The members on `box`, in its layout: ``_span``, which asks no
+        cell, or, where it has no answer, each cell asked once; a cell off
+        the carrier is no member."""
         bits = self._span(box)
         if bits is None:
             bits = sum(1 << i for i, g in box.cells()

@@ -15,9 +15,10 @@ INFO = "INFO"
 class Check:
     """One verdict, or with ``ok=INFO`` a recorded fact that is no verdict.
     A FAIL always carries a concrete witness; a BOUNDED-PASS always carries
-    the bound it was verified at."""
+    the bound it was verified at.  A PASS is claimed with ``exhaustive``;
+    without it a check that passes is a BOUNDED-PASS."""
 
-    def __init__(self, name, ok, *, witness=None, exhaustive=True, n=None,
+    def __init__(self, name, ok, *, witness=None, exhaustive=False, n=None,
                  bound=None, detail=""):
         self.name = name
         if ok is True:
@@ -39,17 +40,16 @@ class Check:
             raise ValueError(f"BOUNDED-PASS verdict for {name} requires its bound")
 
     @classmethod
-    def scan(cls, name, outcomes, *, exhaustive=False, **kw):
+    def scan(cls, name, outcomes, **kw):
         """The first counterexample among `outcomes`, one entry per item
         tested: None when the item passes, its witness otherwise.  The stream
         is not advanced past the first witness, and n counts the items read;
-        ``bound`` and ``detail`` pass through."""
+        ``exhaustive``, ``bound`` and ``detail`` pass through."""
         n = 0
         for n, witness in enumerate(outcomes, 1):
             if witness is not None:
-                return cls(name, False, witness=witness,
-                           exhaustive=exhaustive, n=n, **kw)
-        return cls(name, True, exhaustive=exhaustive, n=n, **kw)
+                return cls(name, False, witness=witness, n=n, **kw)
+        return cls(name, True, n=n, **kw)
 
     @property
     def ok(self):

@@ -253,12 +253,10 @@ def delta_laws(primes, f, carrier, pruefer, read: WindowRead):
         if lower_witness is not None and eq_witness is not None:
             break
     checks = [Check("delta-image-law-lower", lower_witness is None,
-                    witness=lower_witness, exhaustive=False, n=count,
-                    bound=bound)]
+                    witness=lower_witness, n=count, bound=bound)]
     if pruefer:
         checks.append(Check("delta-image-law", eq_witness is None,
-                            witness=eq_witness, exhaustive=False, n=count,
-                            bound=bound))
+                            witness=eq_witness, n=count, bound=bound))
     else:
         checks.append(Check("delta-image-law", INFO, n=count, bound=bound,
                             detail="equality holds on Pruefer instances; here "

@@ -97,13 +97,14 @@ class _Window:
     unchecked; points that leave the window go through the exact predicate,
     which checks them.
 
-    Planned once, at construction, and dropped with the window, in the bit
-    layout the carrier supplies (``layout.packed``; none in dimension 3):
-    the window's layout, the reach layout (the window's moved by each of its
-    moves: the inverses of its nonzero Id3 scalars, its M4 translators and
-    Id4's moves, H's nonzero points), the wide layout (reach moved back by
-    the hull of the subsets and Id3 images), each point's translate, each
-    member's mask on the wide layout and the packs.  On a ``Box`` they are
+    Planned once, at construction, whether or not a system names its
+    members, and dropped with the window, in the bit layout the carrier
+    supplies (``layout.packed``): the window's layout, the reach layout
+    (the window's moved by each of its moves: the inverses of its nonzero
+    Id3 scalars, its M4 translators and Id4's moves, H's nonzero points),
+    the wide layout (reach moved back by the hull of the subsets and Id3
+    images), each point's translate, each member's mask on the wide layout
+    and the packs.  On a ``Box`` they are
     three boxes and a translate is a shift; a finite carrier's ``Table`` is
     one row for all three, and a translate or a move by g permutes the row
     by g's table row.  A product closure's A_r on reach is one AND over its
@@ -113,10 +114,9 @@ class _Window:
     point of A and one AND per member.
 
     One bit map: each window point has one bit, ``cell`` (``point`` is its
-    inverse), its cell in the window's layout when the window has a plan,
-    else its place in the window, in one row whose guard bit takes a zero
-    off the window; bits rise in window order, so a compare's lowest bit
-    is its first window point.  ``inf`` is the zero's bit.
+    inverse), its cell in the window's layout; bits rise in window order,
+    so a compare's lowest bit is its first window point.  ``inf`` is the
+    zero's bit.
 
     Slots and batches: the systems that name their members share ints.
     Each gets a slot of the wide layout's width and one guard bit in every
@@ -134,10 +134,9 @@ class _Window:
     set once and each column once.  A read keeps only the reach layout's
     rows.  Id3 reads an image cA from the columns at the points c a,
     without forming cA, and keeps no read of it.  The systems that name no
-    members, every system of a carrier without a layout and every system
-    past MAX_SPAN_BITS cells on the wide layout are read point by point,
-    in packs of the same slots and rows (one row without a plan): a
-    slot's read of a set is its mask on the bit map.
+    members are read point by point, after the others, in packs of the
+    same slots and rows: a slot's read of a set is its mask on the bit
+    map.
 
     The scans: each item of Id1, Id4 and M4, idempotence and finitariness
     is one subset or c; each item of Id3 is a group of one subset's
@@ -168,35 +167,28 @@ class _Window:
         self.translators = translators
         moves = [*(ctx.inv(c) for c in scalars if c != ctx.zero),
                  *translators, *moves]
-        named = [i for i, r in enumerate(self.systems)
-                 if r.members is not None]
-        plan = named and layout.packed(ctx, universe, moves, scalars,
-                                       len(self.systems))
-        if plan:
-            self.box, self.reach, self.wide = b, reach, wide = plan
-            self.width, self.rows = wide.cols + 1, b.rows
-            self.stride = b.stride
-            self.span = functools.cache(lambda S: S.span_mask(wide))
-            # the move of a member mask on wide by a point onto reach
-            self.shift = functools.cache(
-                lambda a: wide.start(reach, ctx.inv(a)))
-            # the move of a read on reach onto the window's layout, and onto
-            # it moved by each move
-            self.starts = {g: reach.start(b, g) for g in [None, *moves]}
-            self.cell = {g: b.bit(g) for g in universe}
-            self.inf = 1 << b.bit(ctx.zero)
-            self.cells = self.cells_of(g for g in universe if g is not INF)
-            self.box_points = self.cells_of(self.points)
-        else:  # one row in window order; a zero off it takes the guard bit
-            named = []
-            self.cell = {g: i for i, g in enumerate(universe)}
-            self.inf = 1 << self.cell.get(ctx.zero, len(universe))
-            self.width, self.rows = len(universe) + 1, 1
-            self.stride = self.width * (len(self.systems) or 1)
+        self.box, self.reach, self.wide = b, reach, wide = layout.packed(
+            ctx, universe, moves, scalars, len(self.systems))
+        self.width, self.rows = wide.cols + 1, b.rows
+        self.stride = b.stride
+        self.span = functools.cache(lambda S: S.span_mask(wide))
+        # the move of a member mask on wide by a point onto reach
+        self.shift = functools.cache(
+            lambda a: wide.start(reach, ctx.inv(a)))
+        # the move of a read on reach onto the window's layout, and onto it
+        # moved by each move
+        self.starts = {g: reach.start(b, g) for g in [None, *moves]}
+        self.cell = {g: b.bit(g) for g in universe}
         self.point = {b: g for g, b in self.cell.items()}
-        # as many to a pack as a row holds, in order
+        self.inf = 1 << b.bit(ctx.zero)
+        self.cells = self.cells_of(g for g in universe if g is not INF)
+        self.box_points = self.cells_of(self.points)
+        # the systems that name their members, then the others, each as
+        # many to a pack as a row holds, in order
+        named, rest = [], []
+        for i, r in enumerate(self.systems):
+            (rest if r.members is None else named).append(i)
         per = self.stride // self.width
-        rest = [i for i in range(len(self.systems)) if i not in named]
         self.packs = [_Pack(self, group[k:k + per], packed)
                       for group, packed in ((named, True), (rest, False))
                       for k in range(0, len(group), per)]

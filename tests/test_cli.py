@@ -180,7 +180,7 @@ def test_sampling_suites_run_on_a_two_element_window(capsys):
 IDEALS = "unsupported: ideal enumeration needs numerical or finite kind"
 ZAR = ("unsupported: valuation enumeration supports numerical and affine "
        "d=2 monoids")
-PRIMES = "unsupported: prime enumeration needs dimension <= 2"
+DIM3 = "unsupported: affine monoids are implemented for dimension <= 2"
 # each form at --bound 2: the suites that exit 3, with their first stderr
 # line; every other suite exits 0 and writes no stderr
 REFUSED = {
@@ -189,10 +189,7 @@ REFUSED = {
     "dim1": {"ideals": IDEALS, "zar": ZAR, "pruefer": ZAR,
              "pronconst": IDEALS},
     "line": {"ideals": IDEALS, "pronconst": IDEALS},
-    "n3": {**dict.fromkeys(cli.SUITES, PRIMES),
-           "axioms": "unsupported: exact affine monoid membership is "
-                     "implemented for dimension <= 2",
-           "ideals": IDEALS, "zar": ZAR, "pronconst": IDEALS},
+    "n3": dict.fromkeys(cli.SUITES, DIM3),
     "c3z": {"zar": ZAR, "pruefer": ZAR},
 }
 FORMS = {
@@ -206,7 +203,9 @@ FORMS = {
 def test_exit_code_3_on_unsupported_realization(tmp_path, capsys):
     """Every suite on a numerical, a dim-1, a line, a plane, a dim-3 and a
     finite input: its exit code and first stderr line, and the suites that
-    pass on each realization are the benchmark's ``SUPPORTED`` table."""
+    pass on each realization are the benchmark's ``SUPPORTED`` table.  A
+    dim-3 input is refused where it is parsed, with one message, and a
+    malformed one is still an input error."""
     spec = importlib.util.spec_from_file_location(
         "bench_workloads",
         os.path.join(DATA, "..", "..", "bench", "workloads.py"))
@@ -230,6 +229,10 @@ def test_exit_code_3_on_unsupported_realization(tmp_path, capsys):
     assert {kind: tuple(passed[form]) for kind, form in (
         ("numerical", "n23"), ("affine", "n2"), ("finite", "c3z"))} == \
         workloads.SUPPORTED
+    path = tmp_path / "n3.json"
+    path.write_text(json.dumps({**FORMS["n3"], "generators": [[1, 0]]}))
+    assert main(["verify", "--suite", "spec", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: expected a list")
 
 
 def test_exit_code_3_past_the_semigroup_size_guard(tmp_path, capsys):
@@ -415,8 +418,8 @@ def test_finite_reports_are_the_same_read_point_by_point(
         name, tmp_path, capsys, monkeypatch):
     """Every suite on a finite table, text and JSON, at the default bound
     and at bound 1: the same report and exit code with the table layout as
-    with a mask cap of no cell, where every closure is read point by
-    point."""
+    with every window's systems read point by point, their members hidden
+    from its packs."""
     path = data(name + ".json")
     if FINITE[name]:
         path = str(tmp_path / "table.json")
@@ -425,11 +428,19 @@ def test_finite_reports_are_the_same_read_point_by_point(
     runs = [["--suite", suite, "--input", path, *bound, *fmt]
             for suite in cli.SUITES for bound in ([], ["--bound", "1"])
             for fmt in ([], ["--json"])]
-    reports = []
-    for cap in (None, 0):
-        if cap is not None:
-            monkeypatch.setattr(monoid, "MAX_SPAN_BITS", cap)
-        reports.append([run(capsys, "verify", *args) for args in runs])
+    reports = [[run(capsys, "verify", *args) for args in runs]]
+    init, packed = _Window.__init__, []
+
+    def hiding(self, ctx, universe, systems, *args):
+        systems = list(systems)
+        init(self, ctx, universe, [modsys.ModuleSystem(
+            r.name, r.context, r.closure) for r in systems], *args)
+        self.systems = systems  # a shared window still names its system
+        packed.extend(p.packed for p in self.packs)
+
+    monkeypatch.setattr(_Window, "__init__", hiding)
+    reports.append([run(capsys, "verify", *args) for args in runs])
+    assert packed and not any(packed)
     assert reports[0] == reports[1]
     assert {code for code, _ in reports[0]} == {0, 3}
 

@@ -1,7 +1,10 @@
 """The library asks a monoid's realization only through its carrier: a
 realization's label, ``Monoid.kind``, is read where a monoid is printed
 and where a family's base is parsed, and nowhere else, so no suite branches
-on which realization it runs on."""
+on which realization it runs on.  Every carrier reads in a layout, so none
+has a ``layout`` flag, and a lattice's dimension is read by the window
+guard, the lattice carrier and the family parser alone: a dimension past 2
+is refused where the carrier is built, not by each suite."""
 
 import ast
 import os
@@ -13,15 +16,15 @@ PACKAGE = os.path.join(os.path.dirname(os.path.dirname(
 READS_KIND = {"Monoid.__repr__", "family_from_json"}
 
 
-def kind_reads(tree):
-    """(enclosing function, line) of every read of an attribute `kind`."""
+def attribute_reads(tree, attr):
+    """(enclosing function, line) of every read of an attribute `attr`."""
     def walk(node, where):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 inner = f"{where}.{child.name}" if where else child.name
                 yield from walk(child, inner)
                 continue
-            if isinstance(child, ast.Attribute) and child.attr == "kind" \
+            if isinstance(child, ast.Attribute) and child.attr == attr \
                     and isinstance(child.ctx, ast.Load):
                 yield where, child.lineno
             yield from walk(child, where)
@@ -29,13 +32,36 @@ def kind_reads(tree):
     yield from walk(tree, "")
 
 
-def test_kind_is_read_only_to_print_and_parse():
-    stray = []
+def package():
+    """(module file name, its tree) of every module of the package."""
     for name in sorted(os.listdir(PACKAGE)):
         if name.endswith(".py"):
             with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
-                tree = ast.parse(fh.read())
-            stray += [f"{name}:{line} in {where or 'module'}"
-                      for where, line in kind_reads(tree)
-                      if where not in READS_KIND]
+                yield name, ast.parse(fh.read())
+
+
+def test_kind_is_read_only_to_print_and_parse():
+    stray = [f"{name}:{line} in {where or 'module'}"
+             for name, tree in package()
+             for where, line in attribute_reads(tree, "kind")
+             if where not in READS_KIND]
+    assert not stray, stray
+
+
+def test_dim_is_read_only_by_the_window_the_lattice_and_the_family():
+    stray = [f"{name}:{line} in {where or 'module'}"
+             for name, tree in package()
+             for where, line in attribute_reads(tree, "dim")
+             if where not in ("GroupoidContext.window", "family_from_json")
+             and not where.startswith("LatticeCarrier.")]
+    assert not stray, stray
+
+
+def test_no_carrier_has_a_layout_attribute():
+    """Nothing in ``monoid``, where the carriers live, binds ``layout``: no
+    class attribute and no instance attribute."""
+    stray = [node.lineno for node in ast.walk(dict(package())["monoid.py"])
+             if isinstance(getattr(node, "ctx", None), ast.Store)
+             and "layout" in (getattr(node, "id", ""),
+                              getattr(node, "attr", ""))]
     assert not stray, stray

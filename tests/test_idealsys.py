@@ -10,7 +10,7 @@ from monoid_spectra import idealsys
 from monoid_spectra.idealsys import (IdealRead, RIdeal, check_ideal_axioms,
                                      enumerate_ideals, enumerate_primes,
                                      s_system, spec_subbasis)
-from monoid_spectra.intgeom import UnsupportedRealization
+from monoid_spectra.errors import UnsupportedRealization
 from monoid_spectra.monoid import INF, Monoid, monoid_from_file, sort_key
 from oracles import (all_pairs_is_prime, cyclic_group_with_zero, equals,
                      is_prime)

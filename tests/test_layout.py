@@ -1,9 +1,10 @@
 """``layout.Read`` against pointwise ``has``: every read of a set, its
-translates by points on and off the planned moves, and inversion, on a
-numerical, two planar, the sublattice and a finite carrier, with the box
-layout and with a mask cap of no cell, where every set is asked point by
-point.  The sets are overmonoids, the primes and, on numerical and finite
-inputs, the listed s-ideals, which the layouts read as H's translates:
+translates by the planned moves, and inversion, on a numerical, two
+planar, the sublattice and a finite carrier, with the generators' fills
+and with a region cap of no cell, where every set with generators is
+asked cell by cell; a move off the planned ones is refused.  The sets
+are overmonoids, the primes and, on numerical and finite inputs, the
+listed s-ideals, which the layouts read as H's translates:
 ``Table.translate`` on the finite carrier, ``Box.translate`` on the
 others."""
 
@@ -12,13 +13,17 @@ import os
 
 import pytest
 
-from monoid_spectra import cli, layout, monoid
+from monoid_spectra import cli, layout, monoid, window
+from monoid_spectra.errors import WindowTooLarge
 from monoid_spectra.idealsys import (IdealRead, IdealSystem, RIdeal,
-                                     enumerate_ideals, enumerate_primes,
-                                     s_system)
+                                     check_ideal_axioms, enumerate_ideals,
+                                     enumerate_primes, s_system)
 from monoid_spectra.layout import Read
-from monoid_spectra.modsys import product_closure
-from monoid_spectra.monoid import Monoid, Overmonoid, localize
+from monoid_spectra.modsys import check_module_axioms, product_closure
+from monoid_spectra.monoid import (MAX_SPAN_BITS, MAX_WINDOW, Monoid,
+                                   Overmonoid, localize)
+from monoid_spectra.valuation import WindowRead
+from oracles import cyclic_group_with_zero
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -83,12 +88,9 @@ def test_read_matches_pointwise_has(name, H, cap, monkeypatch):
         monkeypatch.setattr(cls, "translate", spy)
     ctx = H.context
     op, inv = ctx.op, ctx.inv
-    # moves off the planned ones too: the inverses of H's generators
-    far = [inv(g) for g in H.generators if g != ctx.zero]
     for bound in (1, 2, 3):
         points = ctx.nonzero_window(bound)
         read = Read(ctx, points, moves=points)
-        assert (read.layout is None) == (cap == 0), name
         assert read.points == points
         assert read.bits == sorted(read.bits)
         assert [read.point(read.bit(g)) for g in points] == points
@@ -98,11 +100,16 @@ def test_read_matches_pointwise_has(name, H, cap, monkeypatch):
             assert m == pointwise(read, S.has), (name, S)
             assert read.inverted(m) == pointwise(
                 read, lambda g: S.has(inv(g))), (name, S)
-            for x in [*points, *far]:
+            for x in points:
                 assert read.moved(S, x) == pointwise(
                     read, lambda g: S.has(op(x, g))), (name, S, x)
-    assert used == (set() if cap == 0 else
-                    {"Table"} if H.kind == "finite" else {"Box"}), name
+    assert used == ({"Table"} if H.kind == "finite" else {"Box"}), name
+    # a table row serves every move; a box only the planned ones: three
+    # times the window's last corner leaves the wide box
+    if H.kind != "finite":
+        corner = points[-1]
+        with pytest.raises(ValueError):
+            read.moved(H, op(corner, op(corner, corner)))
 
 
 def test_span_mask_reads_only_s_ideals():
@@ -148,3 +155,57 @@ def test_pronconst_lays_out_no_product_points(name, gens, monkeypatch):
     assert set(read.read.points) == {
         *ctx.nonzero_window(20), ctx.one,
         *(g for I in ideals for g in I.generators)}, name
+
+
+def largest_bound(ctx):
+    """The largest bound whose window the carrier admits: 2047 on the int
+    line and 31 on the plane at MAX_WINDOW = 4096 points.  A finite table
+    is its window at every bound, and is read at the int line's."""
+    d = ctx.dim or 1
+    b = round(MAX_WINDOW ** (1 / d)) // 2
+    while (2 * b + 1) ** d > MAX_WINDOW:
+        b -= 1
+    if ctx.dim:
+        with pytest.raises(WindowTooLarge):
+            ctx.window(b + 1)
+    return b
+
+
+class Planned(Exception):
+    """Raised in place of a scan, once the window's plan is built."""
+
+
+@pytest.mark.parametrize("name, H", [
+    ("n23", Monoid.numerical([2, 3])),
+    ("n2", Monoid.affine([[1, 0], [0, 1]])),
+    ("nxz", Monoid.affine([[1, 0], [0, 1], [0, -1]])),
+    ("index2", Monoid.affine([[1, 1], [1, -1]])),
+    ("c3z", cyclic_group_with_zero(3))])
+def test_every_layout_at_the_largest_bound_fits_the_cap(name, H,
+                                                        monkeypatch):
+    """At the largest bound each carrier admits, the module and the ideal
+    axioms' plans, ``WindowRead``'s read and pronconst's ``IdealRead`` on
+    the window of twice the largest bound it admits, each built without a
+    scan, lay their wide layouts out on at most MAX_SPAN_BITS cells: the
+    window guard keeps every read planned."""
+    ctx = H.context
+    bound = largest_bound(ctx)
+    plans = []
+
+    def planned(self, *args, **kw):
+        plans.append(self)
+        raise Planned
+
+    monkeypatch.setattr(window._Window, "verdicts", planned)
+    for check in (lambda: check_module_axioms([s_system(H)], H, bound),
+                  lambda: check_ideal_axioms(s_system(H), H, bound)):
+        with pytest.raises(Planned):
+            check()
+    wides = [w.wide for w in plans] + [WindowRead(H, bound).window.wide]
+    if H.kind != "affine":  # the realizations that list s-ideals
+        half = bound // 2
+        ideals = enumerate_ideals(H, s_system(H), half)
+        wides.append(IdealRead(ideals, ctx.window(2 * half)).read.wide)
+    assert len(wides) == (3 if H.kind == "affine" else 4)
+    cells = [w.rows * w.cols for w in wides]
+    assert max(cells) <= MAX_SPAN_BITS, (name, cells)

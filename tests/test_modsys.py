@@ -488,12 +488,12 @@ def test_system_space_reads_product_closures_from_their_members(name):
     the same order and the same first unseparated pair."""
     H = monoid_from_file(os.path.join(DATA, name + ".json"))
     ctx = H.context
-    bound = ctx.default_bound
+    small = min(ctx.default_bound, 4)  # main1's bound for the space
     overs = enumerate_overmonoids(H)
-    ss = SystemSpace(H, overs, separating_points(ctx, overs, 4))
+    ss = SystemSpace(H, overs, separating_points(ctx, overs, small))
     space = ss.space()
     hidden = [ModuleSystem(r.name, ctx, r.closure) for r in ss.systems]
-    pool = singleton_pool(ctx, overs, 4)
+    pool = singleton_pool(ctx, overs, small)
     pool += [S | T for S, T in zip(pool, pool[1:])]
     oracle = pool_space(hidden, pool)
     assert oracle.labels == space.labels

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monoid_spectra import cli, intgeom, monoid, packs, window
+from monoid_spectra.errors import UnsupportedRealization
 from monoid_spectra.idealsys import (IdealSystem, check_ideal_axioms,
                                      enumerate_primes, s_system)
 from monoid_spectra.modsys import (DeltaFamily, ModuleSystem, check_id2,
@@ -18,7 +19,8 @@ from monoid_spectra.modsys import (DeltaFamily, ModuleSystem, check_id2,
                                    product_closure, r_delta,
                                    system_window)
 from monoid_spectra.monoid import (INF, Box, IntCarrier, Monoid, Overmonoid,
-                                   as_overmonoid, localize, monoid_from_file)
+                                   Table, as_overmonoid, localize,
+                                   monoid_from_file)
 from monoid_spectra.valuation import (ValuationDescriptor, WindowRead,
                                       _primitive_weights,
                                       enumerate_overmonoids, enumerate_zar)
@@ -306,32 +308,14 @@ def test_a_region_past_the_cap_reads_each_cell(gens, box, region,
 
 def test_masks_need_a_box_layout():
     """The line, the plane and the integers have boxes and a finite carrier
-    has its table row; a lattice of dimension 3 is read point by point."""
+    has its table row; a lattice of dimension 3 is refused where it is
+    built, so no carrier reads point by point."""
     for H in (Monoid.numerical([2, 3]), Monoid.affine([[2], [3]]),
               Monoid.affine([[1, 0], [0, 1]]), cyclic_group_with_zero(3)):
-        assert H.context.box(H.context.window(2)) is not None
-    H = Monoid.affine([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert H.context.box(H.context.window(1)) is None
-
-
-def test_a_box_past_the_cap_reads_pointwise(monkeypatch):
-    """A box whose cells pass MAX_SPAN_BITS asks no member and keeps no
-    mask; a box below the cap is read from the generators, asking no cell,
-    exactly; and the checkers then read its closures point by point."""
-    monkeypatch.setattr(monoid, "MAX_SPAN_BITS", 30)
-    H = Monoid.affine([[1, 0], [0, 1]])
-    ctx = H.context
-    S = as_overmonoid(H)
-    asked = []
-    S.has = lambda g: asked.append(g) or True
-    big = Box(ctx, -3, -3, 6, 6)
-    assert S.span_mask(big) is None and asked == []
-    small = Box(ctx, 0, 0, 5, 6)
-    assert S.span_mask(small) == pointwise(
-        lambda g: g is not INF and H.contains(g), small)
-    assert asked == []
-    for r in (s_system(H), example16(H)):
-        assert same_checks(r, H, 2)
+        assert isinstance(H.context.box(H.context.window(2)), (Box, Table))
+    with pytest.raises(UnsupportedRealization,
+                       match="affine monoids are implemented for dimension"):
+        Monoid.affine([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 def hidden(r):
@@ -536,18 +520,16 @@ def test_passing_systems_never_reach_the_point_loops(monkeypatch):
         assert fails(checks, "M4") and len(set(opened)) == 1
 
 
-def test_id4_fails_off_the_identity(monkeypatch):
+def test_id4_fails_off_the_identity():
     """Z/4 with a zero, relabelled so that the identity is element 2 and
     element 0 comes first: Id4 fails at c = 0 for both ``broken(H)``
-    systems, packed and point by point alike."""
+    systems, packed and with their members hidden, point by point, alike."""
     H = Monoid.finite([[4, 1, 0, 2, 3], [1, 1, 1, 1, 1], [0, 1, 2, 3, 4],
                        [2, 1, 3, 4, 0], [3, 1, 4, 0, 2]], one=2, zero=1)
     lines = []
-    for cap in (None, 0):
-        if cap is not None:
-            monkeypatch.setattr(monoid, "MAX_SPAN_BITS", cap)
+    for systems in (broken(H), list(map(hidden, broken(H)))):
         lines.append([next(c.to_dict() for c in check_ideal_axioms(r, H)
-                           if c.name == "Id4") for r in broken(H)])
+                           if c.name == "Id4") for r in systems])
     assert lines[0] == lines[1]
     assert [(d["verdict"], d["witness"], d["n"]) for d in lines[0]] == [
         ("FAIL", {"c": "0", "h": "2"}, 1), ("FAIL", {"c": "0", "h": "0"}, 1)]
@@ -626,8 +608,9 @@ def test_plan_reads_agree_with_set_reads_and_the_predicate(name,
     iotas, and Id3's images cA, read from the columns at the points c a;
     each of its slots agrees with its system's exact predicate on the
     reach box, with the columns kept and with a column cap of no bit,
-    where each is built for its read and dropped.  At a mask cap of one cell no read is packed,
-    and every closure is read point by point: the same verdicts."""
+    where each is built for its read and dropped.  With the systems'
+    members hidden no read is packed, and every closure is read point by
+    point: the same verdicts."""
     real = packs._Pack.reach
     log = []
 
@@ -647,22 +630,22 @@ def test_plan_reads_agree_with_set_reads_and_the_predicate(name,
 
     monkeypatch.setattr(packs._Pack, "reach", checked)
     verdicts = []
-    for span_cap, column_cap in ((None, None), (None, 0), (1, None)):
+    for hide, column_cap in ((False, None), (False, 0), (True, None)):
         log.clear()
         with pytest.MonkeyPatch.context() as mp:
-            if span_cap is not None:
-                mp.setattr(monoid, "MAX_SPAN_BITS", span_cap)
             if column_cap is not None:
                 mp.setattr(packs, "MAX_COLUMN_BITS", column_cap)
             H, overs, bound = plan_carrier(name)
+            systems = plan_systems(H, overs)
+            if hide:
+                systems = list(map(hidden, systems))
             verdicts.append([[c.to_dict() for c in checks] for checks in
-                             check_module_axioms(plan_systems(H, overs), H,
-                                                 bound=bound)])
+                             check_module_axioms(systems, H, bound=bound)])
         sets, planned, images = zip(*log)
-        assert all(planned) if span_cap is None else not any(planned)
+        assert not any(planned) if hide else all(planned)
         assert frozenset() in sets and frozenset([INF]) in sets
         assert any(INF in A and len(A) > 1 for A in sets)
-        assert any(images) == (span_cap is None)
+        assert any(images) != hide
     assert verdicts[0] == verdicts[1] == verdicts[2]
 
 
@@ -719,49 +702,45 @@ def pair_systems(name):
                iota(thin_of(H)), r_delta(DeltaFamily(overs[-2:]), H.context)]
 
 
-@pytest.mark.parametrize("cap", [None, 0], ids=["packed", "pointwise"])
+@pytest.mark.parametrize("hide", [False, True], ids=["packed", "pointwise"])
 @settings(derandomize=True, max_examples=8, deadline=None)
 @given(case=st.sampled_from(PAIR_CASES), seed=st.integers(0, 5),
        budget=st.sampled_from([20, 60]))
 # a sampled finitary draw whose first failing set has three points, so
 # that the union below it reaches two points down
 @example(case=("n23", 6), seed=2, budget=20)
-def test_grouped_scans_agree_with_the_pair_by_pair_oracle(cap, case, seed,
+def test_grouped_scans_agree_with_the_pair_by_pair_oracle(hide, case, seed,
                                                           budget):
     """Id2 in both orders (per Y in check_id2, per X in the ideal axioms),
     M2 and finitariness give the witness and the count of the pair-by-pair
     scan, and of finitariness over all 2^|A| subsets, on every system; read
-    packed, and point by point at a cap of no cell."""
+    packed, and point by point with its members hidden."""
     name, bound = case
     H, systems = pair_systems(name)
     universe = H.context.window(bound)
     members = [g for g in universe if H.contains(g)]
-    with pytest.MonkeyPatch.context() as mp:
-        if cap is not None:
-            mp.setattr(monoid, "MAX_SPAN_BITS", cap)
-        for r in systems:
-            found = [check_id2(r, bound, budget, seed),
-                     next(c for c in check_ideal_axioms(r, H, bound, seed)
-                          if c.name == "Id2"),
-                     next(c for c in check_module_axioms([r], H, bound,
-                                                         seed)[0]
-                          if c.name == "M2"),
-                     is_finitary(r, bound, budget, seed)]
-            S = window._Draw(universe, size=2, budget=budget,
-                             seed=seed).subsets
-            T = window._Draw(members, budget=500, limit=13,
-                             seed=seed).head(60)
-            U = window._Draw(universe, seed=seed).subsets
-            expected = [
-                m2_pair_by_pair(r, universe, [(X, Y) for Y in S for X in S],
-                                "AB", covered=True),
-                m2_pair_by_pair(r, members, [(X, Y) for X in T for Y in T],
-                                "XY", covered=True),
-                m2_pair_by_pair(r, universe,
-                                [(A, B) for A in U for B in U if A < B], "AB"),
-                finitary_by_subsets(r, universe, window._Draw(
-                    universe, budget=budget, seed=seed).subsets)]
-            assert [(c.witness, c.n) for c in found] == expected, r
+    if hide:
+        systems = list(map(hidden, systems))
+    for r in systems:
+        found = [check_id2(r, bound, budget, seed),
+                 next(c for c in check_ideal_axioms(r, H, bound, seed)
+                      if c.name == "Id2"),
+                 next(c for c in check_module_axioms([r], H, bound, seed)[0]
+                      if c.name == "M2"),
+                 is_finitary(r, bound, budget, seed)]
+        S = window._Draw(universe, size=2, budget=budget, seed=seed).subsets
+        T = window._Draw(members, budget=500, limit=13, seed=seed).head(60)
+        U = window._Draw(universe, seed=seed).subsets
+        expected = [
+            m2_pair_by_pair(r, universe, [(X, Y) for Y in S for X in S],
+                            "AB", covered=True),
+            m2_pair_by_pair(r, members, [(X, Y) for X in T for Y in T],
+                            "XY", covered=True),
+            m2_pair_by_pair(r, universe,
+                            [(A, B) for A in U for B in U if A < B], "AB"),
+            finitary_by_subsets(r, universe, window._Draw(
+                universe, budget=budget, seed=seed).subsets)]
+        assert [(c.witness, c.n) for c in found] == expected, r
 
 
 def skewed(H):
@@ -776,44 +755,43 @@ def skewed(H):
                         lambda A: (thin if ctx.one in A else whole)(A))
 
 
-@pytest.mark.parametrize("cap", [None, 0], ids=["packed", "pointwise"])
+@pytest.mark.parametrize("hide", [False, True], ids=["packed", "pointwise"])
 @pytest.mark.parametrize("name, bound", [("n23", 4), ("n345", 10),
                                          ("z4", 2), ("n2", 1), ("nxz", 2)])
-def test_id3_groups_agree_with_the_item_by_item_oracle(name, bound, cap):
+def test_id3_groups_agree_with_the_item_by_item_oracle(name, bound, hide):
     """Id3 scans one group per subset, of its (A, c): in the module and the
     ideal axioms, each system gets the witness and the count of the scan
     item by item through its exact predicates, ``broken(H)``, which passes
     Id3, ``skewed(H)``, which fails it, and example16, which fails it in
     the ideal axioms at c = 0, where (0A)_r = {0}_r is all of G; read
-    packed, and point by point at a mask cap of no cell."""
+    packed, and point by point with their members hidden."""
     H = pair_systems(name)[0]
     ctx = H.context
     systems = [*broken(H), skewed(H), example16(H)]
+    if hide:
+        systems = list(map(hidden, systems))
     universe = ctx.window(bound)
     nonzero = [g for g in universe if g != ctx.zero]
     members = [g for g in universe if H.contains(g)]
-    with pytest.MonkeyPatch.context() as mp:
-        if cap is not None:
-            mp.setattr(monoid, "MAX_SPAN_BITS", cap)
-        for module in (True, False):
-            if module:
-                draw = window._Draw(universe)
-                plan = window._plan(ctx, universe, draw, systems, nonzero,
-                                    [g for g in nonzero if H.contains(g)])
-                found = check_module_axioms(systems, H, bound)
-                key = "A"
-            else:
-                draw = window._Draw(members, budget=500, limit=13)
-                plan = window._plan(ctx, members, draw, systems, members)
-                found = [check_ideal_axioms(r, H, bound) for r in systems]
-                key = "X"
-            lines = [next((c.witness, c.n) for c in checks if c.name == "Id3")
-                     for checks in found]
-            assert lines == [id3_item_by_item(r, ctx, draw.head(40),
-                                              plan.scalars, plan.points, key)
-                             for r in systems], module
-            assert lines[0][0] is None and lines[2][0] is not None
-            assert (lines[3][0] is None) == module
+    for module in (True, False):
+        if module:
+            draw = window._Draw(universe)
+            plan = window._plan(ctx, universe, draw, systems, nonzero,
+                                [g for g in nonzero if H.contains(g)])
+            found = check_module_axioms(systems, H, bound)
+            key = "A"
+        else:
+            draw = window._Draw(members, budget=500, limit=13)
+            plan = window._plan(ctx, members, draw, systems, members)
+            found = [check_ideal_axioms(r, H, bound) for r in systems]
+            key = "X"
+        lines = [next((c.witness, c.n) for c in checks if c.name == "Id3")
+                 for checks in found]
+        assert lines == [id3_item_by_item(r, ctx, draw.head(40),
+                                          plan.scalars, plan.points, key)
+                         for r in systems], module
+        assert lines[0][0] is None and lines[2][0] is not None
+        assert (lines[3][0] is None) == module
 
 
 def no_zero(H):
@@ -829,29 +807,27 @@ def no_zero(H):
     return ModuleSystem("no-zero", ctx, closure)
 
 
-@pytest.mark.parametrize("cap", [None, 0], ids=["planned", "pointwise"])
+@pytest.mark.parametrize("hide", [False, True], ids=["planned", "pointwise"])
 @pytest.mark.parametrize("name, bound", [("n23", 4), ("n2", 1), ("nxz", 1),
                                          ("z4", 2)])
-def test_systems_read_point_by_point_compare_ints(name, bound, cap,
-                                                  monkeypatch):
-    """Beside two systems that name their members, eight that name none:
-    the window's plan sizes its rows for all ten (there is none at a cap
-    of no cell), so the eight share one pack, which reads every set as one
-    int on the window's bit map, and each of them gets the verdicts of a
-    window of its own on Id1, M2, Id3, M4 and finitariness.  Id2 and
-    idempotence scan a window of one system, where each gets the verdicts
-    of the system whose members it hides."""
-    if cap is not None:
-        monkeypatch.setattr(monoid, "MAX_SPAN_BITS", cap)
+def test_systems_read_point_by_point_compare_ints(name, bound, hide):
+    """Beside two systems that name their members (or, hidden, name none
+    either), eight that name none: the window's plan sizes its rows for
+    all ten, so the eight (or all ten) share one pack, which reads every
+    set as one int on the window's bit map, and each of them gets the
+    verdicts of a window of its own on Id1, M2, Id3, M4 and finitariness.
+    Id2 and idempotence scan a window of one system, where each gets the
+    verdicts of the system whose members it hides."""
     H, systems = pair_systems(name)
     rules = [*map(hidden, systems), no_zero(H)]
-    mixed = [example16(H), iota(thin_of(H)), *rules]
+    named = [example16(H), iota(thin_of(H))]
+    mixed = [*(map(hidden, named) if hide else named), *rules]
     w = window._Window(H.context, H.context.window(bound), mixed)
     draw = window._Draw(w.universe, budget=200)
     point_packs = [p for p in w.packs if not p.packed]
     assert len(rules) == 8
     assert [p.slots for p in point_packs] == (
-        [list(range(len(mixed)))] if cap == 0 else
+        [list(range(len(mixed)))] if hide else
         [list(range(2, len(mixed)))])
     for pack in point_packs:
         assert all(type(pack.box(A)) is int for A in draw.subsets)
@@ -866,18 +842,15 @@ def test_systems_read_point_by_point_compare_ints(name, bound, cap,
             == dicts([check_id2(r, bound), check_idempotent(r, bound)]), r
 
 
-@pytest.mark.parametrize("cap", [None, 0], ids=["planned", "pointwise"])
+@pytest.mark.parametrize("hide", [False, True], ids=["planned", "pointwise"])
 @pytest.mark.parametrize("name", ["n23", "n2"])
-def test_a_closure_without_the_zero_fails_id1_at_inf(name, cap,
-                                                     monkeypatch):
+def test_a_closure_without_the_zero_fails_id1_at_inf(name, hide):
     """A closure read point by point that omits the zero fails Id1 at the
-    empty set with g = INF: alone, in window order, and beside a system
-    that names its members, on the window's layout unless the cap is no
-    cell."""
-    if cap is not None:
-        monkeypatch.setattr(monoid, "MAX_SPAN_BITS", cap)
+    empty set with g = INF, the zero's bit of the window's layout: alone,
+    and beside a system that names its members, or, hidden, names none."""
     H = pair_systems(name)[0]
-    for systems in ([no_zero(H)], [example16(H), no_zero(H)]):
+    other = hidden(example16(H)) if hide else example16(H)
+    for systems in ([no_zero(H)], [other, no_zero(H)]):
         id1 = check_module_axioms(systems, H, 2)[-1][0]
         assert (id1.name, id1.ok, id1.witness, id1.n) == (
             "Id1", False, {"A": [], "g": "INF"}, 1)

@@ -115,10 +115,9 @@ def test_enumerate_overmonoids_numerical():
         ("H_P_zero", ((1, 0), (0, 1), (-1, 0), (0, -1))),
         ("H_P_face[(1, 0)]", ((1, 0), (0, 1), (-1, 0))),
         ("H_P_face[(0, 1)]", ((1, 0), (0, 1), (0, -1)))]
-    with pytest.raises(UnsupportedRealization,
-                       match="prime enumeration needs dimension <= 2"):
-        enumerate_overmonoids(Monoid.affine([[1, 0, 0], [0, 1, 0],
-                                             [0, 0, 1]]))
+    with pytest.raises(UnsupportedRealization, match="affine monoids are "
+                       "implemented for dimension <= 2"):
+        Monoid.affine([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 def test_enumerate_zar_numerical_and_affine():
