@@ -20,7 +20,7 @@ from .idealsys import (IdealRead, check_ideal_axioms, enumerate_ideals,
 from .modsys import (FAMILY_DEPTH, DeltaFamily, SystemSpace, check_family,
                      check_id2, check_idempotent, check_module_axioms,
                      falsify_finitary, family_from_file, embedding_checks,
-                     is_finitary, r_delta, separating_points, system_window)
+                     is_finitary, r_delta, system_window)
 from .monoid import MAX_WINDOW, ParseError, monoid_from_file
 from .report import INFO, Check, SuiteReport
 from .valuation import (WindowRead, delta, delta_dot, delta_laws,
@@ -127,8 +127,7 @@ def suite_pruefer(rep, H, bound, seed):
 def suite_main1(rep, H, bound, seed):
     ctx = H.context
     overs = enumerate_overmonoids(H)
-    space = SystemSpace(H, overs,
-                        separating_points(ctx, overs, min(bound, 4)))
+    space = SystemSpace(H, overs, min(bound, 4))
     systems = space.systems
     for r, checks in zip(systems, check_module_axioms(systems, H,
                                                       bound=bound, seed=seed)):

@@ -2,8 +2,8 @@
 subsets of G, the product-with-overmonoid-intersection construction, meets,
 the space of main1's systems, and a falsifier for finitariness of
 parameterized families.  The system space, the overmonoid embedding and
-the family checks read each overmonoid once, as one int on a
-``layout.Read`` of their points."""
+the family checks read each overmonoid once, as one int from a
+``layout.Read`` of the window."""
 
 from __future__ import annotations
 
@@ -255,6 +255,18 @@ def separating_points(ctx, overmonoids, bound: int):
                                  if g != ctx.zero)]))
 
 
+def separating_masks(ctx, overmonoids, bound: int, sets):
+    """Each of `sets` on the ``separating_points`` as one int: its window
+    part from one ``layout.Read`` of the window, which the window guard
+    bounds, then a bit per generator past it, asked through ``has``."""
+    window = ctx.nonzero_window(bound)
+    read = Read(ctx, window)
+    top = read.full.bit_length()
+    rest = separating_points(ctx, overmonoids, bound)[len(window):]
+    return [read.mask(S) | sum(S.has(g) << top + i
+                               for i, g in enumerate(rest)) for S in sets]
+
+
 class SystemSpace:
     """The finite carrier of main1's module systems, iota(S) for S over
     `overmonoids` and then example16(H), with the subbasis U_A, A over the
@@ -262,27 +274,26 @@ class SystemSpace:
 
     U_A is the union of the U_{a}, a in A, on these systems (1 is in SA when
     it is in Sa for some a, and example16 fills G when 0 is in A), so the
-    U_{0} and the U_{x^{-1}}, x over the distinct nonzero `points`, give the
-    topology as far as the points tell it.  1 is in {x^{-1}}_r exactly when
-    every member of r holds x, and only example16 has 1 in {0}_r, so each
-    system's profile is one member's part of the points: S's for iota(S),
-    H's plus one bit for U_{0} for example16."""
+    U_{0} and the U_{x^{-1}}, x over the ``separating_points`` at `bound`,
+    give the topology as far as the points tell it.  1 is in {x^{-1}}_r
+    exactly when every member of r holds x, and only example16 has 1 in
+    {0}_r, so each system's profile is one member's part of the points:
+    S's for iota(S), H's plus one bit for U_{0} for example16."""
 
-    def __init__(self, H, overmonoids, points):
-        self.H, self.overmonoids, self.points = H, list(overmonoids), points
+    def __init__(self, H, overmonoids, bound: int):
+        self.H, self.overmonoids, self.bound = H, list(overmonoids), bound
         self.systems = [*map(iota, self.overmonoids), example16(H)]
         self._space = None
 
     def space(self) -> FiniteSpace:
         """The space on the systems, built on the first call: each member
-        is read once on the points (``layout.Read``), and no closure is
-        asked."""
+        is read once on the points (``separating_masks``), and no closure
+        is asked."""
         if self._space is None:
-            read = Read(self.H.context, self.points)
-            zero = 1 << read.full.bit_length()
-            self._space = FiniteSpace(
-                [r.name for r in self.systems],
-                [*map(read.mask, self.overmonoids), read.mask(self.H) | zero])
+            masks = separating_masks(self.H.context, self.overmonoids,
+                                     self.bound, [*self.overmonoids, self.H])
+            masks[-1] |= 1 << max(masks).bit_length()  # U_{0}
+            self._space = FiniteSpace([r.name for r in self.systems], masks)
         return self._space
 
     def t0_witnesses(self):
@@ -336,9 +347,8 @@ def embedding_checks(overmonoids, ctx, bound: int = 4) -> Check:
     the closures of {1}, which are the S themselves, are pairwise distinct
     at the ``separating_points``, so on a generator-backed carrier the check
     is exact.  Each closure of {1} is read as S's own membership, once for
-    all the points (``layout.Read``)."""
-    read = Read(ctx, separating_points(ctx, overmonoids, bound))
-    ones = list(map(read.mask, overmonoids))
+    all the points (``separating_masks``)."""
+    ones = separating_masks(ctx, overmonoids, bound, overmonoids)
     first = {}  # each closure of {1} -> the first index with it
     i = next((i for i, one in enumerate(ones)
               if first.setdefault(one, i) != i), None)

@@ -324,8 +324,9 @@ class LatticeCarrier(GroupoidContext):
 
 
 # Most bits of one pack of a window's slots, and most cells of the region an
-# overmonoid's generators' fills run on: a larger region is read one cell
-# at a time.  MAX_WINDOW keeps every layout a suite reads below it.
+# overmonoid's generators' fills run on, past which it is read cell by cell.
+# MAX_WINDOW keeps below it every layout, laid out on points a window bounds
+# (``modsys.separating_masks`` asks the separating generators one by one).
 MAX_SPAN_BITS = 1 << 16
 
 

@@ -257,6 +257,29 @@ def test_exit_code_3_when_an_oversemigroup_passes_the_size_guard(
         "unsupported: numerical semigroup too large: generators 300 and 89699")
 
 
+@pytest.mark.parametrize("suite, digest", [
+    ("main1", "74ffedc5924dbf260ea4ce79a89905459b4a4657"),
+    ("prop1", "ab6ddb92b40aa305427a20a48294e4ebeb909d52")])
+def test_far_generators_are_asked_not_laid_out(suite, digest, tmp_path,
+                                              capsys, monkeypatch):
+    """On the thin cone <(1,0),(-10000,1)> the localizations add the
+    separating generators (10000,-1) and (-1,0).  A box around them holds
+    10 002 x 3 cells at bound 1, and reading each set on it asked 120 028
+    cells; main1's and prop1's reports come from the window's box and a
+    question per generator instead, asking a few hundred."""
+    path = tmp_path / "thin.json"
+    path.write_text('{"kind": "affine", "dim": 2, '
+                    '"generators": [[1, 0], [-10000, 1]]}')
+    asked = []
+    has = monoid.Overmonoid.has
+    monkeypatch.setattr(monoid.Overmonoid, "has",
+                        lambda self, g: asked.append(g) or has(self, g))
+    code, out = run(capsys, "verify", "--suite", suite, "--input", str(path),
+                    "--bound", "1")
+    assert code == 0 and sha1(out) == digest
+    assert len(asked) < 1000, len(asked)
+
+
 @pytest.mark.parametrize("name", ["n23", "n2"])
 def test_exit_code_3_past_the_window_guard(name, capsys, monkeypatch):
     # a bound whose window passes MAX_WINDOW points is refused before any

@@ -19,10 +19,11 @@ from monoid_spectra.idealsys import (IdealRead, IdealSystem, RIdeal,
                                      check_ideal_axioms, enumerate_ideals,
                                      enumerate_primes, s_system)
 from monoid_spectra.layout import Read
-from monoid_spectra.modsys import check_module_axioms, product_closure
+from monoid_spectra.modsys import (SystemSpace, check_module_axioms,
+                                   embedding_checks, product_closure)
 from monoid_spectra.monoid import (MAX_SPAN_BITS, MAX_WINDOW, Monoid,
                                    Overmonoid, localize)
-from monoid_spectra.valuation import WindowRead
+from monoid_spectra.valuation import WindowRead, enumerate_overmonoids
 from oracles import cyclic_group_with_zero
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -175,12 +176,15 @@ class Planned(Exception):
     """Raised in place of a scan, once the window's plan is built."""
 
 
-@pytest.mark.parametrize("name, H", [
-    ("n23", Monoid.numerical([2, 3])),
-    ("n2", Monoid.affine([[1, 0], [0, 1]])),
-    ("nxz", Monoid.affine([[1, 0], [0, 1], [0, -1]])),
-    ("index2", Monoid.affine([[1, 1], [1, -1]])),
-    ("c3z", cyclic_group_with_zero(3))])
+# an input of each carrier whose generators lie near 0
+NEAR = [("n23", Monoid.numerical([2, 3])),
+        ("n2", Monoid.affine([[1, 0], [0, 1]])),
+        ("nxz", Monoid.affine([[1, 0], [0, 1], [0, -1]])),
+        ("index2", Monoid.affine([[1, 1], [1, -1]])),
+        ("c3z", cyclic_group_with_zero(3))]
+
+
+@pytest.mark.parametrize("name, H", NEAR)
 def test_every_layout_at_the_largest_bound_fits_the_cap(name, H,
                                                         monkeypatch):
     """At the largest bound each carrier admits, the module and the ideal
@@ -209,3 +213,29 @@ def test_every_layout_at_the_largest_bound_fits_the_cap(name, H,
     assert len(wides) == (3 if H.kind == "affine" else 4)
     cells = [w.rows * w.cols for w in wides]
     assert max(cells) <= MAX_SPAN_BITS, (name, cells)
+
+
+@pytest.mark.parametrize("name, H", NEAR + [
+    ("thin", Monoid.affine([[1, 0], [-10000, 1]]))])
+def test_separating_reads_fit_the_cap(name, H, monkeypatch):
+    """main1's ``SystemSpace`` and prop1's ``embedding_checks``, at 4, the
+    largest bound either reads them at, lay out at most MAX_SPAN_BITS
+    cells, also where the overmonoids' generators lie far from the window,
+    as the thin cone's localizations' (10000,-1) and (-1,0) do: those
+    generators are asked, not laid out."""
+    reads = []
+    init = Read.__init__
+
+    def planned(self, *args, **kw):
+        init(self, *args, **kw)
+        reads.append(self)
+        raise Planned
+
+    monkeypatch.setattr(Read, "__init__", planned)
+    overs = enumerate_overmonoids(H)
+    for read in (lambda: SystemSpace(H, overs, 4).space(),
+                 lambda: embedding_checks(overs, H.context, 4)):
+        with pytest.raises(Planned):
+            read()
+    cells = [r.wide.rows * r.wide.cols for r in reads]
+    assert len(cells) == 2 and max(cells) <= MAX_SPAN_BITS, (name, cells)

@@ -170,7 +170,7 @@ def first_unseparated(systems, pool):
 def test_system_space_t0_and_witnesses():
     H = n23()
     overs = [overmonoid_N(H), overmonoid_Z(H)]
-    ss = SystemSpace(H, overs, separating_points(H.context, overs, 4))
+    ss = SystemSpace(H, overs, 4)
     systems = ss.systems
     assert [r.name for r in systems] == ["r_N", "r_Z", "example16"]
     assert ss.space().is_t0()
@@ -199,7 +199,7 @@ def test_singleton_opens_give_the_literal_system_topology(name):
     H = monoid_from_file(os.path.join(DATA, name + ".json"))
     ctx = H.context
     overs = enumerate_overmonoids(H)
-    ss = SystemSpace(H, overs, separating_points(ctx, overs, 2))
+    ss = SystemSpace(H, overs, 2)
     pool = singleton_pool(ctx, overs, 2)
     literal = pool + [A for n in (1, 2)
                       for A in map(frozenset,
@@ -472,7 +472,7 @@ def test_t0_witnesses_are_the_first_separating_pool_sets():
     # the first index with a twin, with its next twin, in combinations order
     for overs, pair in (([N, Z, N2], (0, 2)), ([Z, N, N, Z], (0, 3)),
                         ([N, Z, Z, N], (0, 3)), ([N, Z, Z], (1, 2))):
-        ss = SystemSpace(H, overs, separating_points(ctx, overs, 4))
+        ss = SystemSpace(H, overs, 4)
         pool = singleton_pool(ctx, overs, 4)
         assert ss.t0_witnesses() == first_unseparated(ss.systems, pool) \
             == pair
@@ -490,7 +490,7 @@ def test_system_space_reads_product_closures_from_their_members(name):
     ctx = H.context
     small = min(ctx.default_bound, 4)  # main1's bound for the space
     overs = enumerate_overmonoids(H)
-    ss = SystemSpace(H, overs, separating_points(ctx, overs, small))
+    ss = SystemSpace(H, overs, small)
     space = ss.space()
     hidden = [ModuleSystem(r.name, ctx, r.closure) for r in ss.systems]
     pool = singleton_pool(ctx, overs, small)
