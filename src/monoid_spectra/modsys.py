@@ -27,9 +27,9 @@ class ModuleSystem:
     answers False off the carrier.  ``members`` lists the overmonoids of a
     product closure, from whose masks a ``window._Window`` reads A_r, and
     ``filled`` the positions in it of the members that a set holding the
-    zero fills (``product_closure``); the window trusts its sets, as it
-    checks them once.  ``members`` is None for a system read point by
-    point."""
+    zero fills (``product_closure``); the window trusts its sets, as they
+    come from the carrier's window.  ``members`` is None for a system that
+    names none, which a window reads from ``closure`` once per set."""
 
     def __init__(self, name, context, closure, members=None, filled=()):
         self.name = name
@@ -118,8 +118,8 @@ def iota(S: Overmonoid) -> ModuleSystem:
 def meet(systems) -> ModuleSystem:
     """Pointwise intersection of closures; the infimum for the coarser-than
     order.  A meet of product closures is the product closure of all their
-    members, with their filled members filled; a meet with a system read
-    point by point is read point by point."""
+    members, with their filled members filled; a meet with a system that
+    names no members names none."""
     systems = list(systems)
     if not systems:
         raise ValueError("meet of an empty list")
@@ -161,8 +161,8 @@ def check_module_axioms(systems, H, bound: int = 4, seed: int = 0):
     of a window of at most 12, 300 seeded draws otherwise.
 
     Input is validated here, at the boundary: every system must live on H's
-    carrier (CarrierMismatch otherwise), and the window's points are checked
-    on it once.  What no system changes is planned once per call and
+    carrier (CarrierMismatch otherwise), whose window gives the points.
+    What no system changes is planned once per call and
     dropped on return: the subset draw, the Id3 scalars and points, the M4
     translators (H's nonzero points of the window, ``members_in``), the
     layouts masks are read on, each point's shift and column, each
@@ -171,11 +171,11 @@ def check_module_axioms(systems, H, bound: int = 4, seed: int = 0):
     The systems are scanned together: each that names its members takes a
     slot of a packed int, as many to a pack as fit in MAX_SPAN_BITS bits,
     and every item is one int compare for all slots of a pack; an M2 item
-    is a drawn A with all its drawn proper supersets.  A failing slot hands
-    only its system and that item to the point loop, which finds the
-    witness a call of its own would, and stops that system's scan.  Window
-    sets and their images reach each system's ``members`` unchecked; its
-    exact predicates still come from ``closure``."""
+    is a drawn A with all its drawn proper supersets.  A failing slot reads
+    its witness from its own bits of that item, the one a call of its own
+    would find, and stops that system's scan.  Window sets and their images
+    reach each system's ``members`` unchecked; a system that names none is
+    read from ``closure``, in packs of its own."""
     ctx = H.context
     if any(r.context is not ctx for r in systems):
         raise CarrierMismatch("a module system off H's carrier")

@@ -1,7 +1,9 @@
 """The scan window of the closure-axiom checkers of ``idealsys`` and
 ``modsys``: one seeded subset draw, and the window on which the closures of
 all its systems are read as int bitmasks, several systems to an int, and
-every axiom is scanned for all of them at once."""
+every axiom is scanned for all of them at once.  This is the one axiom
+checker: every item is an int compare, and a failing system's witness is
+read from its bits of the item."""
 
 from __future__ import annotations
 
@@ -89,22 +91,28 @@ def _names(A):
     return sorted(map(repr, A))
 
 
-class _Window:
-    """The closures of `systems` on a window of points, checked here, and
-    every axiom scanned for all of them at once; ``verdicts`` gives one
-    list of verdicts per system, in their order, for the draw it is given.
-    Window sets and their images under ``op`` reach the systems' members
-    unchecked; points that leave the window go through the exact predicate,
-    which checks them.
+def _outside(pack, keys):
+    """The witness of an inclusion of sets named `keys`, read from a failing
+    slot's bits of it: the sets' names and the first window point outside,
+    the lowest bit."""
+    return lambda bad, *sets: {**{k: _names(A) for k, A in zip(keys, sets)},
+                               "g": repr(pack.point(bad))}
 
-    Planned once, at construction, whether or not a system names its
-    members, and dropped with the window, in the bit layout the carrier
-    supplies (``layout.packed``): the window's layout, the reach layout
-    (the window's moved by each of its moves: the inverses of its nonzero
-    Id3 scalars, its M4 translators and Id4's moves, H's nonzero points),
-    the wide layout (reach moved back by the hull of the subsets and Id3
-    images), each point's translate, each member's mask on the wide layout
-    and the packs.  On a ``Box`` they are
+
+class _Window:
+    """The closures of `systems` on a window of points, and every axiom
+    scanned for all of them at once; ``verdicts`` gives one list of
+    verdicts per system, in their order, for the draw it is given.  The
+    window's points come from the carrier's window, and its sets and their
+    images under ``op`` reach the systems unchecked.
+
+    Planned once, at construction, and dropped with the window, in the bit
+    layout the carrier supplies (``layout.packed``): the window's layout,
+    the reach layout (the window's moved by each of its moves: the
+    inverses of its nonzero Id3 scalars, its M4 translators and Id4's
+    moves, H's nonzero points), the wide layout (reach moved back by the
+    hull of the subsets and Id3 images), each point's translate, each
+    member's mask on the wide layout and the packs.  On a ``Box`` they are
     three boxes and a translate is a shift; a finite carrier's ``Table`` is
     one row for all three, and a translate or a move by g permutes the row
     by g's table row.  A product closure's A_r on reach is one AND over its
@@ -116,27 +124,26 @@ class _Window:
     One bit map: each window point has one bit, ``cell`` (``point`` is its
     inverse), its cell in the window's layout; bits rise in window order,
     so a compare's lowest bit is its first window point.  ``inf`` is the
-    zero's bit.
+    zero's bit, which a read on reach carries in the zero's bit of the
+    reach layout (on a ``Box`` a guard bit, on a ``Table`` a cell), and
+    ``packs._Pack.at`` lifts onto the window's layout.
 
-    Slots and batches: the systems that name their members share ints.
-    Each gets a slot of the wide layout's width and one guard bit in every
-    row, and a row holds the slots side by side, so one AND-of-ORs on
-    packed columns reads A_r for every slot.  A shift carries bits of the
-    next slot only into cells past the reach box, which no scan reads,
-    and the guard bit takes a box's INF; a row permutation keeps every
-    slot's bits in its slot.  A row is sized for every system of the
-    window, and a pack holds as many slots as fit in MAX_SPAN_BITS bits on
-    the wide layout; the packs (``packs._Pack``) are read one after the
-    other, and each keeps its reads, its columns (up to
-    ``packs.MAX_COLUMN_BITS`` bits; past them a column is built for its
-    read and dropped), member masks and point-by-point masks for every
-    scan of the window, so a window scanned with several draws reads each
-    set once and each column once.  A read keeps only the reach layout's
-    rows.  Id3 reads an image cA from the columns at the points c a,
-    without forming cA, and keeps no read of it.  The systems that name no
-    members are read point by point, after the others, in packs of the
-    same slots and rows: a slot's read of a set is its mask on the bit
-    map.
+    Slots and batches: the systems share ints.  Each gets a slot of the
+    wide layout's width and one guard bit in every row, and a row holds
+    the slots side by side, so one AND-of-ORs on packed columns reads A_r
+    for every slot.  A shift carries bits of the next slot only into cells
+    past the reach box, which no scan reads, and the guard bit takes a
+    box's INF; a row permutation keeps every slot's bits in its slot.  A
+    row is sized for every system of the window, and a pack holds as many
+    slots as fit in MAX_SPAN_BITS bits on the wide layout.  The systems
+    that name their members come first, then the others, each in packs of
+    their own; the packs (``packs._Pack``) are read one after the other,
+    and each keeps its reads, its columns (up to ``packs.MAX_COLUMN_BITS``
+    bits; past them a column is built for its read and dropped) and member
+    masks for every scan of the window, so a window scanned with several
+    draws reads each set once and each column once.  A read keeps only
+    the reach layout's rows.  Id3 reads an image cA from the columns at
+    the points c a, without forming cA, and keeps no packed read of it.
 
     The scans: each item of Id1, Id4 and M4, idempotence and finitariness
     is one subset or c; each item of Id3 is a group of one subset's
@@ -146,18 +153,13 @@ class _Window:
     their reads.  Each is one int compare for all slots at once, on the
     bit map; an Id3 group ORs its pairs' compares, and Id1 takes A's bits
     from the pack's per-point table and the zero's from ``inf``.  Id2 and
-    idempotence scan a window of one system.  A nonzero slot sends that
-    system and that item to the point loop, a group pair by pair, which
-    finds the same witness, and a system's scan stops at its first
-    witness, as ``Check.scan`` counts.  A system that passes never opens a
-    reader.  Id3, Id4 and M4 move reads on the reach layout, so a pack
-    read point by point sends each of their items to the point loop; it
-    compares ints on every other scan."""
+    idempotence scan a window of one system.  A slot with bits of an item
+    reads its witness from them, a group's from its first pair with bits
+    of the slot, and that system's scan stops at its first witness, as
+    ``Check.scan`` counts."""
 
     def __init__(self, ctx, universe, systems, scalars=(), points=(),
                  translators=(), moves=()):
-        for g in universe:
-            ctx.check(g)
         self.ctx, self.universe = ctx, universe
         self.systems = list(systems)
         self.scalars, self.points = scalars, points
@@ -197,17 +199,6 @@ class _Window:
         """The window points X on the bit map."""
         return sum(1 << self.cell[g] for g in X)
 
-    def escape(self, item):
-        """The inclusion test of one (inner, outer, named sets): a window
-        point of `inner` outside `outer`, the first in window order, or
-        None."""
-        inner, outer, named = item
-        bad = inner & ~outer
-        if bad:
-            g = self.point[(bad & -bad).bit_length() - 1]
-            return {**{k: _names(A) for k, A in named}, "g": repr(g)}
-        return None
-
     def verdicts(self, draw, *scans, exhaustive=None, **kw):
         """Per system, one verdict per (name, scan, *args) of `scans` on the
         subsets of `draw`, the scan a method taking a pack, the draw and
@@ -227,17 +218,17 @@ class _Window:
 
     def id1(self, pack, draw, key):
         """Id1: A u {0} inside A_r, one item per A; A's bits come from the
-        pack's per-point table, and the zero's from ``inf``."""
+        pack's per-point table, and the zero's from ``inf``.  The witness
+        is the first point of [*A, 0] with a bit."""
         zero, cell = self.ctx.zero, pack.cell
 
-        def point(s, A):
-            m = pack.mask(s, A)
-            return next(({key: _names(A), "g": repr(g)} for g in [*A, zero]
-                         if not m >> self.cell[g] & 1), None)
+        def witness(bad, A):
+            return {key: _names(A), "g": repr(next(
+                g for g in [*A, zero] if bad & cell[g]))}
 
         for A in draw.subsets:
             yield _item((sum(map(cell.__getitem__, A)) | pack.inf)
-                        & ~pack.box(A), point, (A,))
+                        & ~pack.box(A), witness, (A,))
 
     def _pairs(self, pack, groups, keys, boxes):
         """M2, X_r inside Y_r, one item per (Xs, Ys) of `groups`, one of the
@@ -246,14 +237,10 @@ class _Window:
         the pairs' own parts (none for no pairs).  Each set's read on the
         bit map comes from `boxes`, which the caller read once per set with
         ``box``.  `keys` name X and Y."""
-        x, y = keys
-
-        def point(s, X, Y):
-            return self.escape((pack.mask(s, X), pack.mask(s, Y),
-                                ((x, X), (y, Y))))
+        witness = _outside(pack, keys)
 
         def pairs(Xs, Ys):
-            return lambda: [(boxes[X] & ~boxes[Y], point, (X, Y))
+            return lambda: [(boxes[X] & ~boxes[Y], witness, (X, Y))
                             for X in Xs for Y in Ys]
 
         for Xs, Ys in groups:
@@ -301,77 +288,80 @@ class _Window:
         first 40 subsets, of its (A, c) in scalar order, whose part is the
         OR of theirs; the left side is read literally: {0} for c = 0,
         otherwise c^{-1} g in A_r, which is A_r on the window's layout moved
-        by c^{-1}.  (cA)_r is read from the columns at the points c a; only
-        the point loop forms cA."""
+        by c^{-1}.  (cA)_r is read from the columns at the points c a.  The
+        zero, which c^{-1} keeps, is compared apart: {0} holds it, and c A_r
+        does when A_r does; the compare's zero bits fall onto ``inf`` only
+        where the two sides differ.  The witness of a pair is its first
+        point with a bit."""
         ctx, times = self.ctx, self.times
         inverses = [(c, None if c == ctx.zero else ctx.inv(c))
                     for c in self.scalars]
         k = len(inverses)
+        moved, starts = self.reach.moved, self.starts
+        home, live, zero = starts[None], pack.points & ~pack.inf, pack.zero
 
-        def point(s, A, c, c_inv):
-            member = pack.reader(s, A)
-            rhs = pack.systems[s].closure(frozenset(map(times[c], A)))
-            return next(({key: _names(A), "c": repr(c), "g": repr(g)}
-                         for g in self.points
-                         if (g == ctx.zero if c_inv is None
-                             else member(ctx.op(c_inv, g))) != rhs(g)), None)
+        def witness(bad, A, c):
+            return {key: _names(A), "c": repr(c), "g": repr(pack.point(bad))}
 
         def parts(A, bads):
-            return lambda: [(bad, point, (A, c, c_inv))
-                            for bad, (c, c_inv) in zip(bads, inverses)]
+            return lambda: [(bad, witness, (A, c))
+                            for bad, (c, _) in zip(bads, inverses)]
 
         for A in draw.head(40):
             bits = pack.read(A)
-            if bits is None:
-                yield None, k, parts(A, [None] * k)
-                continue
-            # the two sides on the window's layout moved by c^{-1} and on
-            # it, at the nonzero points: both hold the zero
-            moved, starts = self.reach.moved, self.starts
-            home, live = starts[None], pack.points & ~pack.inf
-            bads = [((0 if c_inv is None else moved(bits, starts[c_inv]))
-                     ^ moved(pack.reach([*map(times[c], A)]), home)) & live
-                    for c, c_inv in inverses]
+            held = bits & zero
+            bads = []
+            for c, c_inv in inverses:
+                image = pack.reach([*map(times[c], A)])
+                bad = ((0 if c_inv is None else moved(bits, starts[c_inv]))
+                       ^ moved(image, home)) & live
+                differ = (zero if c_inv is None else held) ^ (image & zero)
+                if differ:
+                    bad |= pack.fall(differ) & pack.points
+                bads.append(bad)
             yield functools.reduce(operator.or_, bads, 0), k, parts(A, bads)
 
     def id4(self, pack, draw):
         """Id4: cH inside {c}_r, one item per c; H is the universe, whose
         nonzero points are moves: {c}_r on the layout moved by c holds the
-        window's cells.  cH = {0} for c = 0, which every A_r holds."""
-        def point(s, c):
-            member = pack.reader(s, frozenset([c]))
-            return next(({"c": repr(c), "h": repr(h)} for h in self.universe
-                         if not member(self.ctx.op(c, h))), None)
+        window's points and the zero.  cH = {0} for c = 0, so every h fails
+        where {0}_r misses the zero.  The witness is the first h with a
+        bit."""
+        everywhere = self.cells | self.inf  # one slot's universe
+
+        def witness(bad, c):
+            return {"c": repr(c), "h": repr(pack.point(bad))}
 
         for c in self.universe:
             bits = pack.read(frozenset([c]))
-            bad = None if bits is None else 0 if c == self.ctx.zero else (
-                pack.cells & ~pack.at(bits, c))
-            yield _item(bad, point, (c,))
+            if c == self.ctx.zero:
+                # a bit at s * width for each slot s that misses the zero
+                bad = (pack.inf & ~pack.at(bits)) // self.inf * everywhere
+            else:
+                bad = (pack.cells | pack.inf) & ~pack.at(bits, c)
+            yield _item(bad, witness, (c,))
 
     def m4(self, pack, draw):
         """M4: H A_r = A_r, one item per A; the inclusion A_r subset of
         H A_r is free.  A passes when no translator h moves a point of A_r
-        at the points out of A_r (INF stays put)."""
-        ctx, points, translators = self.ctx, self.points, self.translators
-        moves = [self.starts[h] for h in translators] if pack.packed else ()
+        at the points out of A_r (INF stays put).  The witness is the first
+        such point, with the first translator whose move of A_r misses
+        it."""
+        translators, shift = self.translators, self.reach.moved
+        moves = [self.starts[h] for h in translators]
 
-        def point(s, A):
-            member = pack.reader(s, A)
-            return next(({"A": _names(A), "h": repr(h), "g": repr(g)}
-                         for g in filter(member, points) for h in translators
-                         if not member(ctx.op(h, g))), None)
+        def witness(bad, A, bits):
+            g = bad & -bad
+            h = next(h for h, k in zip(translators, moves)
+                     if not shift(bits, k) & g)
+            return {"A": _names(A), "h": repr(h), "g": repr(pack.point(g))}
 
         for A in draw.subsets:
-            bits = pack.read(A)
-            if bits is None:
-                yield _item(None, point, (A,))
-                continue
-            moved, shift = -1, self.reach.moved
+            bits, moved = pack.read(A), -1
             for k in moves:
                 moved &= shift(bits, k)
             yield _item(pack.at(bits) & pack.points & ~(moved | pack.inf),
-                        point, (A,))
+                        witness, (A, bits))
 
     def idempotent(self, pack, draw):
         """(A_r)_r = A_r of the window's one system through the window slice
@@ -379,24 +369,21 @@ class _Window:
         a point of it outside A_r is an honest counterexample."""
         if len(self.systems) > 1:
             raise ValueError("the idempotence scan reads one system")
+        witness = _outside(pack, "A")
 
         def sliced(m):  # the window points of m
             return frozenset(g for g, b in self.cell.items() if m >> b & 1)
 
-        def point(s, A):
-            m = pack.mask(s, A)
-            return self.escape((pack.mask(s, sliced(m)), m, (("A", A),)))
-
         for A in draw.subsets:
             inside = pack.box(A)
-            yield _item(pack.box(sliced(inside)) & ~inside, point, (A,))
+            yield _item(pack.box(sliced(inside)) & ~inside, witness, (A,))
 
     def finitary(self, pack, draw):
         """The closures of A's proper subsets inside A_r, one item per A:
         M2 over A's subsets.  A_r lies in their union for free, as A is one
         of them.  That union is the OR over a in A of the union of the
         closures of A - a and its subsets, kept for the scan per set."""
-        box, upto = pack.box, {}
+        box, upto, witness = pack.box, {}, _outside(pack, "A")
 
         def under(A):
             union = 0
@@ -408,11 +395,5 @@ class _Window:
                 union |= m
             return union
 
-        def point(s, A):
-            union = 0
-            for E in _subsets(A, range(len(A) + 1)):
-                union |= pack.mask(s, E)
-            return self.escape((union, pack.mask(s, A), (("A", A),)))
-
         for A in draw.subsets:
-            yield _item(under(A) & ~box(A), point, (A,))
+            yield _item(under(A) & ~box(A), witness, (A,))

@@ -10,15 +10,16 @@ import pytest
 from monoid_spectra.idealsys import IdealSystem, check_ideal_axioms, s_system
 from monoid_spectra.modsys import (check_id2, check_idempotent,
                                    check_module_axioms, is_finitary)
-from monoid_spectra.monoid import INF, Monoid
+from monoid_spectra.monoid import INF, Monoid, monoid_from_file
 from monoid_spectra.window import _Draw, _subsets
 from oracles import drawn_subsets
 
+DATA = os.path.join(os.path.dirname(__file__), "data")
 H = Monoid.numerical([2, 3])
 S = s_system(H)
 
-with open(os.path.join(os.path.dirname(__file__), "data",
-                       "broken-closures.json"), encoding="utf-8") as fh:
+with open(os.path.join(DATA, "broken-closures.json"),
+          encoding="utf-8") as fh:
     EXPECTED = json.load(fh)
 
 
@@ -40,6 +41,15 @@ def depends_on_size(X):
     return lambda g: g == n or p(g)
 
 
+def all_checks(r, K, bound):
+    """Every verdict of the ideal and module checkers on r, as dicts."""
+    checks = (check_ideal_axioms(r, K, bound=bound)
+              + check_module_axioms([r], K, bound=bound)[0]
+              + [check_id2(r, bound=bound), check_idempotent(r, bound=bound),
+                 is_finitary(r, bound=bound)])
+    return [c.to_dict() for c in checks]
+
+
 # bound 16 puts 17 points of H and 34 of G in the windows, so every checker
 # draws there
 @pytest.mark.parametrize("bound", [4, 6, 12, 16])
@@ -47,12 +57,36 @@ def depends_on_size(X):
                                      depends_on_size])
 def test_checks_of_broken_closures_are_pinned(closure, bound):
     r = IdealSystem(closure.__name__, H, closure)
-    checks = (check_ideal_axioms(r, H, bound=bound)
-              + check_module_axioms([r], H, bound=bound)[0]
-              + [check_id2(r, bound=bound), check_idempotent(r, bound=bound),
-                 is_finitary(r, bound=bound)])
-    assert ([c.to_dict() for c in checks]
-            == EXPECTED[f"{closure.__name__}/{bound}"])
+    assert all_checks(r, H, bound) == EXPECTED[f"{closure.__name__}/{bound}"]
+
+
+# the zero is a guard bit on a box and a cell on a finite table: N^2 at
+# bound 2, whose module draws are sampled, and Z/3 with a zero
+ZERO_CARRIERS = {
+    "n2": (lambda: Monoid.affine([[1, 0], [0, 1]]), 2),
+    "c3z": (lambda: monoid_from_file(os.path.join(DATA, "c3z.json")), 10)}
+# which X lose the zero from XH: every X, and only the X that hold it
+ZERO_DROPS = {"drops_zero": lambda X, zero: True,
+              "drops_zero_of_zero": lambda X, zero: zero in X}
+
+
+@pytest.mark.parametrize("drop", sorted(ZERO_DROPS))
+@pytest.mark.parametrize("name", sorted(ZERO_CARRIERS))
+def test_checks_of_a_closure_without_the_zero_are_pinned(name, drop):
+    """XH without the zero on both layouts.  Dropped everywhere: Id1
+    fails at the empty set and g = 0, Id3 at c = g = 0 and Id4 at the
+    identity and h = 0.  Dropped where X holds the zero: Id4 fails at
+    c = 0."""
+    make, bound = ZERO_CARRIERS[name]
+    K = make()
+    s, zero = s_system(K), K.context.zero
+
+    def closure(X):
+        p, dropped = s.closure(X), ZERO_DROPS[drop](X, zero)
+        return lambda g: not (dropped and g == zero) and p(g)
+
+    r = IdealSystem(drop, K, closure)
+    assert all_checks(r, K, bound) == EXPECTED[f"{drop}/{name}"]
 
 
 def test_every_module_verdict_fails_somewhere():

@@ -4,7 +4,9 @@ and where a family's base is parsed, and nowhere else, so no suite branches
 on which realization it runs on.  Every carrier reads in a layout, so none
 has a ``layout`` flag, and a lattice's dimension is read by the window
 guard, the lattice carrier and the family parser alone: a dimension past 2
-is refused where the carrier is built, not by each suite."""
+is refused where the carrier is built, not by each suite.  The axiom
+checkers read a closure in one place, a pack's reach read, so every scan
+compares ints and reads its witness from them."""
 
 import ast
 import os
@@ -64,4 +66,15 @@ def test_no_carrier_has_a_layout_attribute():
              if isinstance(getattr(node, "ctx", None), ast.Store)
              and "layout" in (getattr(node, "id", ""),
                               getattr(node, "attr", ""))]
+    assert not stray, stray
+
+
+def test_the_checkers_ask_closures_only_in_the_reach_read():
+    """In ``window`` and ``packs`` only ``_Pack.reach`` reads ``.closure``,
+    for the systems that name no members."""
+    trees = dict(package())
+    stray = [f"{name}:{line} in {where or 'module'}"
+             for name in ("window.py", "packs.py")
+             for where, line in attribute_reads(trees[name], "closure")
+             if where != "_Pack.reach"]
     assert not stray, stray

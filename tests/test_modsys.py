@@ -454,8 +454,8 @@ def test_module_checks_refuse_systems_off_h_carrier():
     for stray in (iota(as_overmonoid(other)), example16(plane)):
         with pytest.raises(CarrierMismatch):
             check_module_axioms([iota(overmonoid_N(H)), stray], H)
-    # the plan checks the window; the closures still check their A, also on
-    # a carrier without boxes
+    # the window comes from H's carrier, and the plan trusts it; the
+    # closures still check their A, also on a carrier without boxes
     c3z = monoid_from_file(os.path.join(DATA, "c3z.json"))
     for K, a in ((H, 2.0), (plane, (1, 0, 0)), (c3z, 99)):
         for r in (iota(as_overmonoid(K)), example16(K)):

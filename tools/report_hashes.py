@@ -6,10 +6,9 @@ Runs ``cli.main`` in this process on every suite x every monoid input in
 formats; main1, axioms, pruefer and corollaries on n2 and nxz at bounds
 8, 10 and 12, in both formats, where the checkers draw from large windows
 and read every closure from member masks on wide boxes of up to 8 370
-cells, below the ``MAX_SPAN_BITS`` cap (the point-by-point side of those
-reads is run by ``tests/test_span.py``'s
-``test_plan_reads_agree_with_set_reads_and_the_predicate``, with every
-system's members hidden); main1, axioms and corollaries on n579 and
+cells, below the ``MAX_SPAN_BITS`` cap (the same reads from the closures,
+with every system's members hidden, are run by ``tests/test_span.py``'s
+``test_plan_reads_agree_with_set_reads_and_the_predicate``); main1, axioms and corollaries on n579 and
 n71113 at bounds 20 and 40, in both formats, where the integer carrier's
 windows are large; pronconst and ideals on n469, n579 and n71113 at
 bounds 20 and 40, in both formats, where the s-ideals are many (7 642 for
@@ -18,7 +17,7 @@ drawing reads the covers of their order as int rows; and every job of
 the benchmark's seed-0 sweep plan,
 read from ``bench/workloads.py``, in text format with ``--seed 0`` and
 ``--dot``, whose 21 relabelled finite tables read every closure in the
-table layout (the point-by-point side of those runs is
+table layout (the same runs read from the closures, members hidden, are
 ``tests/test_cli.py``'s
 ``test_finite_reports_are_the_same_read_point_by_point``); and
 corollaries, axioms, main1, main2, zar, pruefer, spec and prop1 on the
