@@ -10,7 +10,7 @@ from .errors import UnsupportedRealization
 from .idealsys import (IdealSystem, RIdeal, check_ideal_axioms,
                        enumerate_ideals, enumerate_primes, s_system,
                        spec_subbasis)
-from .modsys import ModuleSystem, SystemSpace, example16, iota, meet, r_delta
+from .modsys import ModuleSystem, SystemSpace, example16, iota, meet
 from .valuation import (ValuationDescriptor, WindowRead, delta,
                         enumerate_overmonoids, enumerate_zar, is_s_pruefer,
                         is_valuation)

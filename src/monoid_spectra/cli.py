@@ -17,10 +17,10 @@ from .errors import UnsupportedRealization, WindowTooLarge
 from .fintop import first_repeat, homeomorphic, poset_dot
 from .idealsys import (IdealRead, check_ideal_axioms, enumerate_ideals,
                        enumerate_primes, s_system, spec_subbasis)
-from .modsys import (FAMILY_DEPTH, DeltaFamily, SystemSpace, check_family,
+from .modsys import (FAMILY_DEPTH, ModuleSystem, SystemSpace, check_family,
                      check_id2, check_idempotent, check_module_axioms,
                      falsify_finitary, family_from_file, embedding_checks,
-                     is_finitary, r_delta, system_window)
+                     is_finitary, system_window)
 from .monoid import MAX_WINDOW, ParseError, monoid_from_file
 from .report import INFO, Check, SuiteReport
 from .valuation import (WindowRead, delta, delta_dot, delta_laws,
@@ -178,7 +178,7 @@ def suite_main2(rep, H, family, bound, seed):
                       detail=f"witness {found}" if found is not None
                       else f"none up to index {FAMILY_DEPTH}"))
     else:
-        fin = is_finitary(r_delta(DeltaFamily(overs, name="carrier"), ctx),
+        fin = is_finitary(ModuleSystem("r_carrier", ctx, overs),
                           bound=min(bound, 3), sample_budget=40, seed=seed)
         fin.name = "finite-family-finitary"
         rep.add(fin)
@@ -206,7 +206,7 @@ def suite_corollaries(rep, H, bound, seed):
         pass
     small = min(bound, 3)
     for label, overs in carriers:
-        r = r_delta(DeltaFamily(overs, name=label), ctx)
+        r = ModuleSystem(f"r_{label}", ctx, overs)
         # one window for the three checks, each with its own draw
         w = system_window(r, small)
         fin = is_finitary(r, bound=small, sample_budget=40, seed=seed,

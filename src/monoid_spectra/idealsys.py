@@ -2,16 +2,16 @@
 closure, r-ideals, prime r-ideals and the spectrum and ideal spaces.
 
 Listed s-ideals are read as int bitmasks on one ``layout.Read``
-(``IdealRead``), as overmonoids are: an r-ideal answers ``has`` and
-``span_mask``, the OR of H's translates by its generators, so the masks,
-the prime flags and the ideal space need no product of window points."""
+(``IdealRead``), as overmonoids are: an r-ideal answers ``span_mask``,
+the OR of H's translates by its generators, so the masks, the prime flags
+and the ideal space need no product of window points."""
 
 from __future__ import annotations
 
 from .errors import UnsupportedRealization
 from .fintop import FiniteSpace
 from .layout import Read
-from .modsys import ModuleSystem, members_in, product_closure
+from .modsys import ModuleSystem, members_in
 from .monoid import Monoid, sort_key
 from .numsgp import _bits
 from .window import _Draw, _plan
@@ -21,28 +21,28 @@ MAX_IDEALS = 10_000
 
 
 class IdealSystem(ModuleSystem):
-    """Closure operator on subsets of H given by an oracle on finite subsets:
-    a module system on the groupoid of H that carries H.
+    """A module system on the groupoid of H that carries H: its members, or
+    a rule for one that names none, as ``ModuleSystem`` takes them.
 
     ``closure(X)`` takes a frozenset of elements of H and returns an exact
     membership predicate for X_r."""
 
-    def __init__(self, name, H: Monoid, closure, members=None, filled=()):
-        super().__init__(name, H.context, closure, members, filled)
+    def __init__(self, name, H: Monoid, members=None, filled=(), rule=None):
+        super().__init__(name, H.context, members, filled, rule)
         self.H = H
 
 
 def s_system(H: Monoid) -> IdealSystem:
     """The s-system: X_s = XH for nonempty X and {0} for X = empty set, the
     product closure of {H}."""
-    return IdealSystem("s", H, *product_closure(H.context, [H]))
+    return IdealSystem("s", H, [H])
 
 
 class RIdeal:
     """An r-ideal given by a finite generator list; membership is exact.
     Primes from ``enumerate_primes`` carry a ``name``.  A ``layout.Read``
-    reads it as it reads an overmonoid, through ``has`` and ``span_mask``;
-    the mask is XH, so only s-ideals have one."""
+    reads it through ``span_mask``; the mask is XH, so only s-ideals have
+    one."""
 
     def __init__(self, system: IdealSystem, generators, name=""):
         self.system = system
@@ -52,10 +52,6 @@ class RIdeal:
 
     def contains(self, g) -> bool:
         return self._member(g)
-
-    def has(self, g) -> bool:
-        """Membership of a carrier point, asked through ``contains``."""
-        return self.contains(g)
 
     def span_mask(self, box):
         """XH on `box`, in its layout: the OR of xH over the nonzero

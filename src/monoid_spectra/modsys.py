@@ -24,54 +24,36 @@ class ModuleSystem:
 
     ``closure(A)`` takes a finite subset of G, checked here (CarrierMismatch
     otherwise), and returns an exact membership predicate for A_r, which
-    answers False off the carrier.  ``members`` lists the overmonoids of a
-    product closure, from whose masks a ``window._Window`` reads A_r, and
-    ``filled`` the positions in it of the members that a set holding the
-    zero fills (``product_closure``); the window trusts its sets, as they
-    come from the carrier's window.  ``members`` is None for a system that
-    names none, which a window reads from ``closure`` once per set."""
+    answers False off the carrier.  A system is its ``members``, the
+    overmonoids S of the product closure A -> intersection over S of SA,
+    with 0, where 0S is G for the members at the positions in ``filled``
+    and {0} for the others: g is in A_r iff for every S some nonzero a in
+    A has a^{-1} g in S, or A holds the zero and S is filled.  It is exact
+    for finite A, and an empty list gives all of G.  A ``window._Window``
+    reads A_r from the members' masks, trusting its sets, as they come
+    from the carrier's window.  A system that names no members (``members``
+    None) is its ``rule``, A -> predicate, which a window asks per set."""
 
-    def __init__(self, name, context, closure, members=None, filled=()):
+    def __init__(self, name, context, members=None, filled=(), rule=None):
         self.name = name
         self.context = context
-        self._closure = closure
         self.members = members
         self.filled = filled
+        self._rule = rule
 
     def closure(self, A):
         A = frozenset(A)
+        ctx = self.context
         for a in A:
-            self.context.check(a)
-        return self._closure(A)
-
-    def member(self, A, g) -> bool:
-        return self.closure(A)(g)
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.name})"
-
-
-def _nonzero(ctx, A):
-    return tuple(sorted((a for a in A if a is not INF and a != ctx.zero),
-                        key=sort_key))
-
-
-def product_closure(ctx, members, filled=()):
-    """The closure A -> intersection over S in `members` of SA, with 0,
-    where 0S is G for S in `filled` and {0} for the other members: g is in
-    it iff for every S some nonzero a in A has a^{-1} g in S, or A holds
-    the zero and S is filled.  Exact for finite A and a finite list; an
-    empty list gives all of G.  Returns the closure, the list and the
-    positions of the filled members, as ``ModuleSystem`` takes them."""
-    zero = ctx.zero
-    fills = [i for i, S in enumerate(members) if S in filled]
-
-    def closure(A):
-        xs = _nonzero(ctx, A)
-        inverses = [ctx.inv(a) for a in xs]
+            ctx.check(a)
+        if self.members is None:
+            return self._rule(A)
+        zero = ctx.zero
+        inverses = [ctx.inv(a) for a in sorted(
+            (a for a in A if a is not INF and a != zero), key=sort_key)]
         held = any(a is INF or a == zero for a in A)
-        rest = [S for i, S in enumerate(members)
-                if not (held and i in fills)]
+        rest = [S for i, S in enumerate(self.members)
+                if not (held and i in self.filled)]
 
         def member(g):
             if not ctx.contains(g):
@@ -88,60 +70,43 @@ def product_closure(ctx, members, filled=()):
 
         return member
 
-    return closure, members, fills
+    def __repr__(self):
+        return f"{type(self).__name__}({self.name})"
 
 
 def example16(H: Monoid) -> ModuleSystem:
     """A_r = G when 0 is in A, otherwise AH with 0 adjoined: the product
     closure of [H] with H filled.  Satisfies Id1, M2, Id3 and M4 but not
     Id2."""
-    return ModuleSystem("example16", H.context,
-                        *product_closure(H.context, [H], filled=[H]))
-
-
-def r_delta(delta: DeltaFamily, ctx) -> ModuleSystem:
-    """The system A -> intersection over S in Delta of SA.
-
-    For finite A and finite Delta this is exact: g is in A_r iff for every S
-    some nonzero a in A has a^{-1} g in S.  A parameterized family, decreasing
-    with limit L = intersection of the S_k, is also exact, since a witness a
-    for S_k works for every smaller index, so a single a must land in L."""
-    mems = delta.members if delta.finite else [delta.limit]
-    return ModuleSystem(f"r_{delta.name}", ctx, *product_closure(ctx, mems))
+    return ModuleSystem("example16", H.context, [H], filled=(0,))
 
 
 def iota(S: Overmonoid) -> ModuleSystem:
     """The system of the singleton family {S}: A -> SA (with 0)."""
-    return r_delta(DeltaFamily([S], name=S.name or "S"), S.context)
+    return ModuleSystem(f"r_{S.name or 'S'}", S.context, [S])
 
 
 def meet(systems) -> ModuleSystem:
     """Pointwise intersection of closures; the infimum for the coarser-than
     order.  A meet of product closures is the product closure of all their
     members, with their filled members filled; a meet with a system that
-    names no members names none."""
+    names no members names none, and is the AND of the closures."""
     systems = list(systems)
     if not systems:
         raise ValueError("meet of an empty list")
     ctx = systems[0].context
+    name = f"meet({'^'.join(r.name for r in systems)})"
+    if any(r.members is None for r in systems):
+        def rule(A):
+            preds = [r.closure(A) for r in systems]
+            return lambda g: all(p(g) for p in preds)
 
-    def closure(A):
-        preds = [r.closure(A) for r in systems]
-
-        def member(g):
-            return all(p(g) for p in preds)
-
-        return member
-
+        return ModuleSystem(name, ctx, rule=rule)
     members, filled = [], []
     for r in systems:
-        if r.members is None:
-            members = None
-            break
         filled += [len(members) + i for i in r.filled]
         members += r.members
-    name = "^".join(r.name for r in systems)
-    return ModuleSystem(f"meet({name})", ctx, closure, members, filled)
+    return ModuleSystem(name, ctx, members, filled)
 
 
 # -- axiom checking ----------------------------------------------------------
@@ -175,7 +140,7 @@ def check_module_axioms(systems, H, bound: int = 4, seed: int = 0):
     its witness from its own bits of that item, the one a call of its own
     would find, and stops that system's scan.  Window sets and their images
     reach each system's ``members`` unchecked; a system that names none is
-    read from ``closure``, in packs of its own."""
+    read from its ``rule``, in packs of its own."""
     ctx = H.context
     if any(r.context is not ctx for r in systems):
         raise CarrierMismatch("a module system off H's carrier")
@@ -314,8 +279,6 @@ def falsify_finitary(delta: DeltaFamily, ctx, bound: int = 6):
     that index.  Each member is read once on the window
     (``layout.Read``), and x_k is the first window point of S_k's mask
     outside the later members' masks."""
-    if delta.finite:
-        return None
     read = Read(ctx, ctx.nonzero_window(bound))
     members = [delta.member(k) for k in range(1, FAMILY_DEPTH + 1)]
     masks = list(map(read.mask, members))
@@ -330,7 +293,7 @@ def falsify_finitary(delta: DeltaFamily, ctx, bound: int = 6):
         xs.append(read.point((alone & -alone).bit_length() - 1))
     A = frozenset(ctx.inv(x) for x in xs)
     target = ctx.one
-    truncated = product_closure(ctx, members)[0]
+    truncated = ModuleSystem(delta.name, ctx, members).closure
     if not truncated(A)(target):
         return None
     F = frozenset(ctx.inv(x) for x in xs[:-1])
@@ -363,8 +326,6 @@ def check_family(delta: DeltaFamily, ctx, bound: int = 4):
     declared limit sits inside every member.  Each member and the limit is
     read once on the window (``layout.Read``), and a pair's first point of
     the inner mask outside the outer one is its witness."""
-    if delta.finite:
-        return []
     window = [g for g in ctx.window(bound) if g is not INF]
     read = Read(ctx, window)
     masks = {k: read.mask(delta.member(k))

@@ -559,33 +559,19 @@ def fraction_ideal(H: Monoid, x):
 
 
 class DeltaFamily:
-    """Either a finite list of overmonoids or a parameterized family k -> S_k.
+    """A parameterized family k -> S_k of overmonoids.
 
-    A parameterized family is decreasing (S_1 >= S_2 >= ...) and carries its
-    limit, the overmonoid equal to the intersection of all members; both
-    declarations are trusted for evaluation but rechecked pointwise by
+    The family is decreasing (S_1 >= S_2 >= ...) and carries its limit, the
+    overmonoid equal to the intersection of all members; both declarations
+    are trusted for evaluation but rechecked pointwise by
     ``modsys.check_family``."""
 
-    def __init__(self, members=None, *, member_fn=None, limit=None,
-                 name="Delta"):
-        self.members = list(members) if members is not None else None
+    def __init__(self, *, member_fn, limit, name="Delta"):
         self.member_fn = member_fn
         self.limit = limit
         self.name = name
-        if self.members is not None:
-            if not self.members:
-                raise ValueError("a Delta family must be nonempty")
-        elif member_fn is None or limit is None:
-            raise ValueError("a Delta family needs members, or a member rule "
-                             "and its limit")
-
-    @property
-    def finite(self):
-        return self.members is not None
 
     def member(self, k) -> Overmonoid:
-        if self.finite:
-            return self.members[k]
         return self.member_fn(k)
 
 

@@ -31,8 +31,8 @@ class _Pack:
     at the points c a, so cA is not formed to be read.  The member masks
     are built once per pack; a pack keeps MAX_COLUMN_BITS bits of columns,
     and past them a column is built for its read and dropped.  A pack of
-    systems that name no members reads A_r from each slot's ``closure(A)``
-    at every carrier point of the reach layout and at the zero.
+    systems that name no members reads A_r from each slot's ``rule``, as
+    ``closure(A)``, at every carrier point of the reach layout and the zero.
 
     A pack is built with its window and lives as long, so its reads,
     columns and member masks serve every scan of the window."""

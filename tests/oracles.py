@@ -19,8 +19,7 @@ import random
 from functools import lru_cache
 
 from monoid_spectra.fintop import FiniteSpace
-from monoid_spectra.modsys import (FAMILY_DEPTH, _nonzero, meet,
-                                   product_closure, r_delta)
+from monoid_spectra.modsys import FAMILY_DEPTH, ModuleSystem, meet
 from monoid_spectra.monoid import (INF, Monoid, fraction_ideal, localize,
                                    sort_key)
 from monoid_spectra.report import INFO, Check
@@ -342,7 +341,7 @@ def subbasis_membership(r, S) -> bool:
     S = frozenset(S)
     if not S:
         raise ValueError("U_S is defined for nonempty S only")
-    return r.member(S, r.context.one)
+    return r.closure(S)(r.context.one)
 
 
 def pool_space(systems, pool) -> FiniteSpace:
@@ -391,7 +390,7 @@ def falsify_finitary_pointwise(delta, ctx, bound):
             return None
         xs.append(x)
     A = frozenset(ctx.inv(x) for x in xs)
-    truncated = product_closure(ctx, members)[0]
+    truncated = ModuleSystem(delta.name, ctx, members).closure
     if not truncated(A)(ctx.one):
         return None
     if truncated(frozenset(ctx.inv(x) for x in xs[:-1]))(ctx.one):
@@ -402,22 +401,22 @@ def falsify_finitary_pointwise(delta, ctx, bound):
 
 # -- finite witnesses ---------------------------------------------------------
 
-def extract_finite_witness(delta, ctx, A, x):
-    """For x in A_{r_Delta} (finite Delta), pick for each S some a in A with
-    x in aS; the picks form an F with x in F_{r_Delta} and |F| <= |Delta|."""
-    if not delta.finite:
-        raise ValueError("finite witness extraction needs a finite family")
+def extract_finite_witness(members, ctx, A, x):
+    """For x in A_r, r the system of the overmonoids `members`, pick for
+    each S some a in A with x in aS; the picks form an F with x in F_r and
+    |F| <= |members|."""
     for g in (x, *A):
         ctx.check(g)
-    xs = _nonzero(ctx, A)
+    xs = sorted((a for a in A if a is not INF and a != ctx.zero),
+                key=sort_key)
     picks = []
-    for S in delta.members:
+    for S in members:
         a = next((a for a in xs if S.has(ctx.op(ctx.inv(a), x))), None)
         if a is None:
             raise ValueError("x is not in the closure of A")
         picks.append(a)
     F = frozenset(picks)
-    if not r_delta(delta, ctx).member(F, x):
+    if not ModuleSystem("r", ctx, members).closure(F)(x):
         raise AssertionError("extracted witness failed the recheck")
     return F
 
@@ -430,12 +429,12 @@ def meet_finite_witness(systems, A, x):
     union = set()
     for r in systems:
         found = next((E for E in _subsets(xs, range(len(xs) + 1))
-                      if r.member(E, x)), None)
+                      if r.closure(E)(x)), None)
         if found is None:
             raise ValueError("x is not in the closure of A")
         union.update(found)
     E = frozenset(union)
-    if not meet(systems).member(E, x):
+    if not meet(systems).closure(E)(x):
         raise AssertionError("combined witness failed the recheck")
     return E
 

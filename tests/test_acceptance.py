@@ -11,11 +11,10 @@ from monoid_spectra.fintop import homeomorphic
 from monoid_spectra.idealsys import (IdealRead, check_ideal_axioms,
                                      enumerate_ideals, enumerate_primes,
                                      s_system, spec_subbasis)
-from monoid_spectra.modsys import (DeltaFamily, check_id2,
+from monoid_spectra.modsys import (ModuleSystem, check_id2,
                                    check_idempotent, check_module_axioms,
                                    embedding_checks, example16,
-                                   falsify_finitary, iota, is_finitary, meet,
-                                   r_delta)
+                                   falsify_finitary, iota, is_finitary, meet)
 from monoid_spectra.monoid import (Monoid, Overmonoid, family_from_json,
                                    localize)
 from monoid_spectra.valuation import (WindowRead, delta, delta_laws,
@@ -199,7 +198,7 @@ def test_7_module_system_constructions():
     ctx = H.context
     N = Overmonoid(ctx, gens=H.generators, name="N")
     Z = Overmonoid(ctx, gens=(1, -1), name="Z")
-    systems = [iota(N), iota(Z), r_delta(DeltaFamily([N, Z], name="NZ"), ctx),
+    systems = [iota(N), iota(Z), ModuleSystem("r_NZ", ctx, [N, Z]),
                example16(H)]
     for r in systems:
         checks = check_module_axioms([r], H, bound=4)[0]
@@ -228,15 +227,14 @@ def test_8_finite_witness_extraction_and_falsifier():
         done = 0
         while done < 100:
             mems = rng.sample([N, Z, M23], rng.randint(1, 3))
-            delta_f = DeltaFamily(mems, name="sampled")
             A = frozenset(rng.sample(window, rng.randint(1, 4)))
-            r = r_delta(delta_f, ctx)
-            x = next((g for g in range(1, 25) if r.member(A, g)), None)
+            r = ModuleSystem("r_sampled", ctx, mems)
+            x = next((g for g in range(1, 25) if r.closure(A)(g)), None)
             if x is None:
                 continue
-            F = extract_finite_witness(delta_f, ctx, A, x)
+            F = extract_finite_witness(mems, ctx, A, x)
             assert F <= A and len(F) <= len(mems)
-            assert r.member(F, x)
+            assert r.closure(F)(x)
             done += 1
 
         # the adjoining-ray family is non-finitary with a certificate at
@@ -258,9 +256,9 @@ def test_9_intersection_systems_finitary_and_idempotent():
         locs = [localize(H, P) for P in enumerate_primes(H)
                 if not P.contains(H.one)]
         assert len(locs) == 4
-        r_loc = r_delta(DeltaFamily(locs, name="locs"), ctx)
+        r_loc = ModuleSystem("r_locs", ctx, locs)
         zar = enumerate_zar(WindowRead(H, 4))
-        r_zar = r_delta(DeltaFamily(zar, name="zar"), ctx)
+        r_zar = ModuleSystem("r_zar", ctx, zar)
         for r in (r_loc, r_zar):
             fin = is_finitary(r, bound=3, sample_budget=40)
             assert fin.ok, (r.name, fin.witness)
@@ -280,9 +278,10 @@ def test_10_embedding_and_meet_witnesses():
     for x in (1, -1, 2, -2, 3, -3):
         for S in carrier:
             r = iota(S)
-            assert r.member(frozenset([ctx.inv(x)]), ctx.one) == S.contains(x)
+            assert (r.closure(frozenset([ctx.inv(x)]))(ctx.one)
+                    == S.contains(x))
             A = frozenset([x])
-            assert r.member(A, ctx.one) == S.contains(ctx.inv(x))
+            assert r.closure(A)(ctx.one) == S.contains(ctx.inv(x))
     # combined finite witnesses for meets on 50 seeded instances
     rng = random.Random(1)
     systems = [iota(S) for S in carrier]
@@ -291,11 +290,11 @@ def test_10_embedding_and_meet_witnesses():
     done = 0
     while done < 50:
         A = frozenset(rng.sample(window, rng.randint(1, 4)))
-        x = next((g for g in range(1, 25) if m.member(A, g)), None)
+        x = next((g for g in range(1, 25) if m.closure(A)(g)), None)
         if x is None:
             continue
         E = meet_finite_witness(systems, A, x)
-        assert E <= A and m.member(E, x)
+        assert E <= A and m.closure(E)(x)
         done += 1
 
 

@@ -56,7 +56,7 @@ def all_checks(r, K, bound):
 @pytest.mark.parametrize("closure", [drops_zero, shifts_by_one,
                                      depends_on_size])
 def test_checks_of_broken_closures_are_pinned(closure, bound):
-    r = IdealSystem(closure.__name__, H, closure)
+    r = IdealSystem(closure.__name__, H, rule=closure)
     assert all_checks(r, H, bound) == EXPECTED[f"{closure.__name__}/{bound}"]
 
 
@@ -85,7 +85,7 @@ def test_checks_of_a_closure_without_the_zero_are_pinned(name, drop):
         p, dropped = s.closure(X), ZERO_DROPS[drop](X, zero)
         return lambda g: not (dropped and g == zero) and p(g)
 
-    r = IdealSystem(drop, K, closure)
+    r = IdealSystem(drop, K, rule=closure)
     assert all_checks(r, K, bound) == EXPECTED[f"{drop}/{name}"]
 
 

@@ -71,7 +71,7 @@ def test_axioms_catch_a_broken_system():
     def bad_closure(X):
         return lambda g: g in X  # drops the zero and all products
 
-    r = IdealSystem("bad", H, bad_closure)
+    r = IdealSystem("bad", H, rule=bad_closure)
     checks = check_ideal_axioms(r, H, bound=6)
     by_name = {c.name: c for c in checks}
     assert not by_name["Id1"].ok

@@ -10,7 +10,6 @@ from monoid_spectra.modsys import (DeltaFamily, ModuleSystem, SystemSpace,
                                    check_module_axioms,
                                    embedding_checks, example16,
                                    falsify_finitary, iota, meet,
-                                   product_closure, r_delta,
                                    separating_points)
 from monoid_spectra.idealsys import s_system
 from monoid_spectra.monoid import (INF, CarrierMismatch, FiniteCarrier,
@@ -84,12 +83,11 @@ def test_example16_id2_failure_is_the_closure_of_one():
     assert second(1) and second(-3)
 
 
-def test_r_delta_matches_direct_intersection():
+def test_members_system_matches_direct_intersection():
     H = n23()
     ctx = H.context
     N, Z = overmonoid_N(H), overmonoid_Z(H)
-    delta = DeltaFamily([N, Z], name="NZ")
-    r = r_delta(delta, ctx)
+    r = ModuleSystem("r_NZ", ctx, [N, Z])
     for A in [frozenset({2}), frozenset({2, 3}), frozenset({5, 7}),
               frozenset({-1, 4})]:
         pred = r.closure(A)
@@ -101,9 +99,9 @@ def test_r_delta_matches_direct_intersection():
             assert pred(g) == direct, (A, g)
 
 
-def test_r_delta_empty_set():
+def test_members_system_empty_set():
     H = n23()
-    r = r_delta(DeltaFamily([overmonoid_N(H)]), H.context)
+    r = ModuleSystem("r_N", H.context, [overmonoid_N(H)])
     pred = r.closure(frozenset())
     assert pred(INF) and not pred(0)
 
@@ -123,24 +121,25 @@ def test_meet_and_its_finite_witness():
     m = meet([rN, rZ])
     A = frozenset({5, 7})
     x = 12
-    assert m.member(A, x)
+    assert m.closure(A)(x)
     E = meet_finite_witness([rN, rZ], A, x)
     assert E <= A
-    assert m.member(E, x)
+    assert m.closure(E)(x)
 
 
 def test_extract_finite_witness():
     H = n23()
     ctx = H.context
-    delta = DeltaFamily([overmonoid_N(H), overmonoid_Z(H)], name="NZ")
+    members = [overmonoid_N(H), overmonoid_Z(H)]
+    r = ModuleSystem("r_NZ", ctx, members)
     A = frozenset({5, 7})
     x = 12
-    assert r_delta(delta, ctx).member(A, x)
-    F = extract_finite_witness(delta, ctx, A, x)
+    assert r.closure(A)(x)
+    F = extract_finite_witness(members, ctx, A, x)
     assert F <= A and len(F) <= 2
-    assert r_delta(delta, ctx).member(F, x)
+    assert r.closure(F)(x)
     with pytest.raises(ValueError):
-        extract_finite_witness(delta, ctx, frozenset({5}), 6)  # 1 not in Z+5? 6-5=1 not in N
+        extract_finite_witness(members, ctx, frozenset({5}), 6)  # 1 not in Z+5? 6-5=1 not in N
 
 
 def test_subbasis_membership_asks_for_the_identity():
@@ -322,29 +321,40 @@ def test_falsify_finitary_produces_certificate():
     assert wit is not None
     assert wit["separating_index"] == 6
     # certificate semantics: the first six members catch the target
-    r_full = r_delta(DeltaFamily([delta.member(k) for k in range(1, 7)]),
-                     H.context)
+    r_full = ModuleSystem("r_full", H.context,
+                          [delta.member(k) for k in range(1, 7)])
     A = frozenset(eval(a) for a in wit["A"])
-    assert r_full.member(A, H.context.one)
+    assert r_full.closure(A)(H.context.one)
 
 
 def test_exact_limit_evaluation_for_decreasing_family():
+    # a witness a for S_k works for every smaller index, so the family's
+    # system is iota of its declared limit; the limit lies inside every
+    # member, so its closures lie inside those of the first six members,
+    # and S_6 holds (-1, 6), which the limit misses
     H, delta = adjoin_ray_family()
     ctx = H.context
-    r = r_delta(delta, ctx)  # exact via the declared limit
-    assert "k<=" not in r.name
+    r = iota(delta.limit)
     # closure of {(1, 0)} under the limit (the base) is (1,0) + N^2
     pred = r.closure(frozenset({(1, 0)}))
     assert pred((2, 3)) and not pred((0, 1))
+    six = ModuleSystem("r_six", ctx, [delta.member(k) for k in range(1, 7)])
+    window = ctx.window(6)
+    for n in (1, 2):
+        for A in itertools.combinations(ctx.nonzero_window(1), n):
+            lim, wide = r.closure(A), six.closure(A)
+            assert all(wide(g) for g in window if lim(g)), A
+    one = frozenset({ctx.one})
+    assert six.closure(one)((-1, 6)) and not r.closure(one)((-1, 6))
 
 
-def test_a_delta_family_needs_members_or_a_rule_with_its_limit():
+def test_a_delta_family_needs_a_rule_and_its_limit():
     H, delta = adjoin_ray_family()
-    with pytest.raises(ValueError):
-        DeltaFamily([])
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
+        DeltaFamily([delta.limit])
+    with pytest.raises(TypeError):
         DeltaFamily(member_fn=delta.member_fn)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         DeltaFamily(limit=delta.limit)
     assert DeltaFamily(member_fn=delta.member_fn, limit=delta.limit).member(
         2).contains((-1, 2))
@@ -364,10 +374,10 @@ def test_iota_on_the_plane_rejects_points_off_the_carrier():
     # would be truncated onto the plane and answered True
     S = as_overmonoid(Monoid.affine([(1, 0), (0, 1)]))
     r = iota(S)
-    assert not r.member({(0, 0)}, (0, 5, -7))
-    assert not r.member({(0, 0)}, (True, 0))
+    assert not r.closure({(0, 0)})((0, 5, -7))
+    assert not r.closure({(0, 0)})((True, 0))
     with pytest.raises(CarrierMismatch):
-        r.member({(0, 0, 1)}, (0, 0))
+        r.closure({(0, 0, 1)})((0, 0))
 
 
 # (monoid, points off its carrier, an element of the carrier that lies in
@@ -392,7 +402,7 @@ def closure_systems(H):
     ctx = H.context
     S = as_overmonoid(H)
     return [s_system(H), example16(H), iota(S),
-            r_delta(DeltaFamily([S, group_of(H)], name="SG"), ctx),
+            ModuleSystem("r_SG", ctx, [S, group_of(H)]),
             meet([iota(S), example16(H)])]
 
 
@@ -411,13 +421,13 @@ def test_closures_validate_a_and_g_at_their_boundary(H, off, inside):
             with pytest.raises(CarrierMismatch):
                 r.closure({a})
             with pytest.raises(CarrierMismatch):
-                r.member({ctx.one, a}, ctx.one)
-    delta = DeltaFamily([as_overmonoid(H)])
+                r.closure({ctx.one, a})(ctx.one)
+    members = [as_overmonoid(H)]
     for a in hashable:
         with pytest.raises(CarrierMismatch):
-            extract_finite_witness(delta, ctx, {ctx.one}, a)
+            extract_finite_witness(members, ctx, {ctx.one}, a)
         with pytest.raises(CarrierMismatch):
-            extract_finite_witness(delta, ctx, {ctx.one, a}, ctx.one)
+            extract_finite_witness(members, ctx, {ctx.one, a}, ctx.one)
 
 
 def axiom_systems(H, bound):
@@ -492,7 +502,7 @@ def test_system_space_reads_product_closures_from_their_members(name):
     overs = enumerate_overmonoids(H)
     ss = SystemSpace(H, overs, small)
     space = ss.space()
-    hidden = [ModuleSystem(r.name, ctx, r.closure) for r in ss.systems]
+    hidden = [ModuleSystem(r.name, ctx, rule=r.closure) for r in ss.systems]
     pool = singleton_pool(ctx, overs, small)
     pool += [S | T for S, T in zip(pool, pool[1:])]
     oracle = pool_space(hidden, pool)
@@ -549,26 +559,23 @@ def bounded_members(S, ctx):
 
 @settings(max_examples=100, deadline=None)
 @given(MONOIDS, st.data())
-def test_product_closure_matches_a_bounded_enumeration_of_its_members(H, data):
+def test_closure_matches_a_bounded_enumeration_of_its_members(H, data):
     # g is in A_r iff g is the zero or every member S has a nonzero a in A
     # and an s in S with a s = g, or A holds the zero and S is filled; the
     # empty list closes A to all of G
     ctx = H.context
     members = data.draw(st.lists(
         st.sampled_from([H, as_overmonoid(H), group_of(H)]), max_size=2))
-    filled = data.draw(st.lists(st.sampled_from(members), max_size=2)
-                       if members else st.just([]))
+    filled = data.draw(st.sets(st.sampled_from(range(len(members))))
+                       if members else st.just(set()))
     window = ctx.window(3)
     A = frozenset(data.draw(st.sets(st.sampled_from(window), max_size=3)))
     nonzero = [a for a in A if a is not INF and a != ctx.zero]
     held = len(nonzero) < len(A)
     products = [{ctx.op(a, s) for a in nonzero
-                 for s in bounded_members(S, ctx)} for S in members
-                if not (held and S in filled)]
-    closure, listed, fills = product_closure(ctx, members, filled)
-    assert listed == members
-    assert fills == [i for i, S in enumerate(members) if S in filled]
-    pred = closure(A)
+                 for s in bounded_members(S, ctx)}
+                for i, S in enumerate(members) if not (held and i in filled)]
+    pred = ModuleSystem("r", ctx, members, filled).closure(A)
     for g in window:
         expected = g == ctx.zero or all(g in P for P in products)
         assert pred(g) == expected, (members, filled, A, g)
