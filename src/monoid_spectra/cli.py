@@ -138,7 +138,7 @@ def suite_main1(rep, H, bound, seed):
     e16 = systems[-1]
     # {1}_r is H with the zero, so its window slice recloses to G: a fact
     # of the construction, recorded, not checked
-    proper = any(not H.contains(g) for g in ctx.window(bound))
+    proper = any(not H.has(g) for g in ctx.window(bound))
     rep.add(Check("example16-id2-counterexample", INFO, bound=bound,
                   detail="reclosing the closure of the identity fills G"
                   if proper else "H fills G on the window, so the Id2 gap "

@@ -39,18 +39,18 @@ def s_system(H: Monoid) -> IdealSystem:
 
 
 class RIdeal:
-    """An r-ideal given by a finite generator list; membership is exact.
-    Primes from ``enumerate_primes`` carry a ``name``.  A ``layout.Read``
-    reads it through ``span_mask``; the mask is XH, so only s-ideals have
-    one."""
+    """An r-ideal given by a finite generator list; membership is exact:
+    the system's closure of them, built, and so checked, on the first ask.
+    Primes carry a ``name``.  A ``layout.Read`` reads an s-ideal, XH,
+    through ``span_mask``."""
 
     def __init__(self, system: IdealSystem, generators, name=""):
-        self.system = system
+        self.system, self.name, self._member = system, name, None
         self.generators = tuple(sorted(set(generators), key=sort_key))
-        self.name = name
-        self._member = system.closure(self.generators)
 
     def contains(self, g) -> bool:
+        if self._member is None:
+            self._member = self.system.closure(self.generators)
         return self._member(g)
 
     def span_mask(self, box):

@@ -10,8 +10,8 @@ from __future__ import annotations
 from .fintop import FiniteSpace, first_repeat
 from .layout import Read
 # family_from_file lives beside the monoid readers and is also read from here
-from .monoid import (INF, CarrierMismatch, DeltaFamily, Monoid,
-                     Overmonoid, family_from_file, sort_key)
+from .monoid import (CarrierMismatch, DeltaFamily, Monoid, Overmonoid,
+                     family_from_file, sort_key)
 from .report import Check
 from .window import _Draw, _plan, _Window
 # The members of a parameterized family that ``check_family`` rechecks and
@@ -50,15 +50,15 @@ class ModuleSystem:
             return self._rule(A)
         zero = ctx.zero
         inverses = [ctx.inv(a) for a in sorted(
-            (a for a in A if a is not INF and a != zero), key=sort_key)]
-        held = any(a is INF or a == zero for a in A)
+            (a for a in A if a != zero), key=sort_key)]
+        held = zero in A
         rest = [S for i, S in enumerate(self.members)
                 if not (held and i in self.filled)]
 
         def member(g):
             if not ctx.contains(g):
                 return False
-            if g is INF or g == zero:
+            if g == zero:
                 return True
             for S in rest:
                 for b in inverses:
@@ -310,13 +310,12 @@ def embedding_checks(overmonoids, ctx, bound: int = 4) -> Check:
     the closures of {1}, which are the S themselves, are pairwise distinct
     at the ``separating_points``, so on a generator-backed carrier the check
     is exact.  Each closure of {1} is read as S's own membership, once for
-    all the points (``separating_masks``)."""
+    all the points (``separating_masks``).  The witness is the second
+    member of the first pair with one closure (``first_repeat``)."""
     ones = separating_masks(ctx, overmonoids, bound, overmonoids)
-    first = {}  # each closure of {1} -> the first index with it
-    i = next((i for i, one in enumerate(ones)
-              if first.setdefault(one, i) != i), None)
-    return Check("iota-injective", i is None,
-                 witness=None if i is None else {"S": repr(overmonoids[i])},
+    pair = first_repeat(ones)
+    return Check("iota-injective", pair is None, witness=None if pair is None
+                 else {"S": repr(overmonoids[pair[1]])},
                  n=len(ones), bound=bound)
 
 
@@ -326,7 +325,7 @@ def check_family(delta: DeltaFamily, ctx, bound: int = 4):
     declared limit sits inside every member.  Each member and the limit is
     read once on the window (``layout.Read``), and a pair's first point of
     the inner mask outside the outer one is its witness."""
-    window = [g for g in ctx.window(bound) if g is not INF]
+    window = ctx.nonzero_window(bound)
     read = Read(ctx, window)
     masks = {k: read.mask(delta.member(k))
              for k in range(1, FAMILY_DEPTH + 1)}

@@ -81,8 +81,8 @@ class GroupoidContext:
     ``default_bound``, ``overmonoids``, ``ideal_generators`` and ``zar``.
     ``contains`` is the validating membership test; ``op`` and ``inv``
     trust their arguments, which are validated where they enter: parsing,
-    the carrier, ``Monoid`` and ``Overmonoid`` constructors, ``adjoin``,
-    ``fraction_ideal`` and the closures of ``modsys``/``idealsys``."""
+    the carrier, the ``Monoid`` constructor, ``adjoin``, ``fraction_ideal``
+    and the closures of ``modsys``/``idealsys``."""
 
     one = 0
     zero = INF
@@ -153,14 +153,17 @@ class GroupoidContext:
 
     def overmonoids(self, H):
         """H and its localizations H_P at its primes, all distinct, each
-        kept when H misses one of its generators, so H_P != H."""
+        kept when H misses one of its generators, so H_P != H.  H_P inverts
+        the generators of H outside P (``localize``), which by the face
+        lemma are those P is not generated by, so no prime is asked."""
         from .idealsys import enumerate_primes  # which builds on this module
         out = [as_overmonoid(H)]
         for P in enumerate_primes(H):
-            loc = localize(H, P)
-            if not all(H.contains(g) for g in loc.gens):
-                loc.name = f"H_{P.name}"
-                out.append(loc)
+            units = tuple(self.inv(g) for g in H.generators
+                          if g != self.zero and g not in P.generators)
+            if not all(map(H.has, units)):
+                out.append(Overmonoid(self, gens=H.generators + units,
+                                      name=f"H_{P.name}"))
         return out
 
     def ideal_generators(self, H, bound):
@@ -225,21 +228,16 @@ class IntCarrier(GroupoidContext):
                                ideal_antichains(H.sgp, bound))
 
     def zar(self, read):
-        """N and Z, the trivial valuation; no window is read."""
-        from .valuation import ValuationDescriptor
-        return [ValuationDescriptor(self, "N"), ValuationDescriptor(self, "Z")]
-
-
-# Most HNF answers one lattice carrier remembers; a full memo keeps the
-# answers it has and computes the rest
-MAX_LATTICE_MEMO = 1 << 16
+        """V(N) and V(Z), the trivial valuation; no window is read."""
+        return [Overmonoid(self, gens=(1,), name="V(N)"),
+                Overmonoid(self, gens=(1, -1), name="V(Z)")]
 
 
 class LatticeCarrier(GroupoidContext):
     """The sublattice of Z^dim spanned by `vectors` (kept as an echelon
     basis), plus INF, for dim <= 2: a larger dimension is refused here,
-    where it enters.  The HNF answers for integer vectors of length dim are
-    memoized, up to MAX_LATTICE_MEMO of them."""
+    where it enters.  Membership is the HNF test on the basis, asked after
+    the structural one."""
 
     default_bound = 4
 
@@ -258,22 +256,14 @@ class LatticeCarrier(GroupoidContext):
         # a line's points sit on the row x = 0
         self.cell_basis = self.basis if dim == 2 else [
             (1, [0, *row]) for _, row in self.basis]
-        self._memo = {}
 
     def contains(self, g) -> bool:
         if g is INF:
             return True
-        # the structural test comes first: (True, 0) == (1, 0) as dict keys
+        # the structural test comes first: the HNF test reads True as 1
         return (isinstance(g, tuple) and len(g) == self.dim
-                and all(map(is_int, g)) and self._in_lattice(g))
-
-    def _in_lattice(self, v) -> bool:
-        hit = self._memo.get(v)
-        if hit is None:
-            hit = intgeom.lattice_contains(self.basis, v)
-            if len(self._memo) < MAX_LATTICE_MEMO:
-                self._memo[v] = hit
-        return hit
+                and all(map(is_int, g))
+                and intgeom.lattice_contains(self.basis, g))
 
     def op(self, a, b):
         if a is INF or b is INF:
@@ -287,7 +277,8 @@ class LatticeCarrier(GroupoidContext):
 
     def _window(self, bound: int) -> list:
         box = itertools.product(range(-bound, bound + 1), repeat=self.dim)
-        return [p for p in box if self._in_lattice(p)] + [INF]
+        basis = self.basis
+        return [p for p in box if intgeom.lattice_contains(basis, p)] + [INF]
 
     def submonoid(self, gens):
         gens = tuple(g for g in gens if g is not INF)
@@ -300,18 +291,20 @@ class LatticeCarrier(GroupoidContext):
         if self.dim == 1 and x:
             return None
         p = (y,) if self.dim == 1 else (x, y)
-        return p if self._in_lattice(p) else None
+        return p if intgeom.lattice_contains(self.basis, p) else None
 
     def zar(self, read):
-        """On the plane, V(w, t) for w primitive up to ZAR_HEIGHT, then the
-        trivial valuation, that hold H, one per window mask (each holds INF,
-        so its mask is its profile); irrational rays are left out."""
+        """On the plane, V(w, t) for w primitive up to ZAR_HEIGHT, then G,
+        the trivial valuation, that hold H, one per window mask (each holds
+        INF, so its mask is its profile); irrational rays are left out."""
         if self.dim != 2:
             return super().zar(read)
         from .valuation import ValuationDescriptor as V, _primitive_weights
-        cands = sorted((V(self, "weight", weight=w, tiebreak=t)
-                        for w in _primitive_weights() for t in (-1, 0, 1)),
-                       key=V.sort_key) + [V(self, "trivial")]
+        units = [tuple(s * c for c in row) for _, row in self.basis
+                 for s in (1, -1)]
+        cands = sorted((V(self, w, t) for w in _primitive_weights()
+                        for t in (-1, 0, 1)), key=V.sort_key) + [
+            Overmonoid(self, gens=units, name="V(trivial)")]
         out, seen = [], set()
         for v in cands:
             # the generators were checked on the carrier when H was built
@@ -416,9 +409,11 @@ class Overmonoid:
     Backed by a generator list (membership derived exactly by the carrier)
     or a closed-form membership rule, only asked about nonzero elements of
     G, or both, the rule then deciding the generators' monoid; the
-    predicate is fixed here, once.  ``span_mask`` reads the members on a
-    ``Box`` or ``Table`` as one int; no mask is kept: a ``window._Window``
-    or a ``layout.Read`` keeps each one it reads while it lives."""
+    predicate is fixed here, once.  The generators are trusted: they come
+    from a checked ``Monoid``, ``adjoin`` or the carrier.  ``span_mask``
+    reads the members on a ``Box`` or ``Table`` as one int; no mask is
+    kept: a ``window._Window`` or a ``layout.Read`` keeps each one it reads
+    while it lives."""
     sgp = None
 
     def __init__(self, context, gens=None, rule=None, name=""):
@@ -426,8 +421,6 @@ class Overmonoid:
             raise ValueError("an overmonoid needs generators or a rule")
         self.context = context
         self.gens = tuple(gens) if gens is not None else None
-        for g in self.gens or ():
-            context.check(g)
         self.name = name
         self._member = rule if rule is not None else context.submonoid(
             self.gens)
@@ -470,9 +463,12 @@ class Monoid(Overmonoid):
     """One of the three finitely presented realizations of a commutative
     cancellative monoid with identity and absorbing zero: the smallest
     overmonoid of its groupoid.  ``kind`` is the realization's label;
-    membership goes through the carrier."""
+    membership goes through the carrier, which checks its generators."""
 
     def __init__(self, kind, context, generators, args=None):
+        generators = tuple(generators)
+        for g in generators:
+            context.check(g)
         super().__init__(context, gens=generators)
         self.kind = kind
         self.generators = self.gens

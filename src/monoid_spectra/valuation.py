@@ -7,10 +7,12 @@ groupoid at a bound read as int bitmasks (a ``layout.Read``), which a
 suite builds once and drops on return; the domination functions also take
 the enumerated primes, the Zar carrier (its members are overmonoids), the
 domination map as the list f of prime indices, f[i] = delta(carrier[i]),
-and the carrier's space, all built once by the caller.  Each overmonoid is
-read once as a mask, asking no point: a descriptor V(w, t) is one run of
-each box row plus at most one kernel cell, and a generator-backed one is
-filled from its generators (``intgeom.submonoid_span``).  No prime is
+and the carrier's space, all built once by the caller.  The one
+descriptor is V(w, t) on the plane; V(N), V(Z) and the trivial valuation
+are overmonoids of their generators, which the carrier builds (``zar``).
+Each overmonoid is read once as a mask, asking no point: V(w, t) is one
+run of each box row plus at most one kernel cell, and a generator-backed
+one is filled from its generators (``intgeom.submonoid_span``).  No prime is
 asked either: its part of H's window part is its mask, the OR of H's
 translates by its generators (``idealsys.RIdeal.span_mask``), and m_V
 intersect H is H's part AND V's mask minus its inversion."""
@@ -24,7 +26,6 @@ from .fintop import FiniteSpace, bipartite_dot, hasse_edges
 from .intgeom import dot
 from .layout import Read
 from .monoid import Monoid, Overmonoid, localize
-from .numsgp import cached_semigroup
 from .report import INFO, Check
 
 
@@ -37,41 +38,25 @@ def _sign(v: int) -> int:
 
 
 class ValuationDescriptor(Overmonoid):
-    """Finite description of a valuation submonoid of G, as a rule-backed
-    overmonoid.
+    """V(w, t), a valuation submonoid of a rank-2 lattice G, as a
+    rule-backed overmonoid: a primitive integer weight w together with a
+    tiebreak t in {-1, 0, +1}.  The monoid is the open half plane of w, plus
+    the kernel line when t = 0, or its w-perp nonnegative (t = +1) or
+    nonpositive (t = -1) half when t refines lexicographically."""
 
-    Over Z (numerical carriers) the only options are N, read on an int box
-    from its empty gap mask, and Z itself.  Over
-    a rank-2 lattice a descriptor is a primitive integer weight w together
-    with a tiebreak t in {-1, 0, +1}: the monoid is the open half plane of w,
-    plus the kernel line when t = 0, or its w-perp nonnegative (t = +1) or
-    nonpositive (t = -1) half when t refines lexicographically.  The trivial
-    descriptor is all of G."""
-
-    def __init__(self, context, tag, weight=None, tiebreak=None):
-        self.tag = tag
-        self.weight = tuple(weight) if weight is not None else None
+    def __init__(self, context, weight, tiebreak):
+        self.weight = w = tuple(weight)
         self.tiebreak = tiebreak
-        if tag == "weight":
-            w = self.weight
-            if w is None or len(w) != 2 or w == (0, 0):
-                raise ValueError("weight descriptors need a nonzero 2d weight")
-            if gcd(abs(w[0]), abs(w[1])) != 1:
-                raise ValueError("weight must be primitive")
-            if tiebreak not in (-1, 0, 1):
-                raise ValueError("tiebreak must be -1, 0 or +1")
-        elif tag not in ("N", "Z", "trivial"):
-            raise ValueError(f"unknown descriptor tag {tag!r}")
+        if len(w) != 2 or w == (0, 0):
+            raise ValueError("a descriptor needs a nonzero 2d weight")
+        if gcd(abs(w[0]), abs(w[1])) != 1:
+            raise ValueError("weight must be primitive")
+        if tiebreak not in (-1, 0, 1):
+            raise ValueError("tiebreak must be -1, 0 or +1")
         super().__init__(context, rule=self._rule, name=repr(self))
-        if tag == "N":  # the semigroup with no gap
-            self.sgp = cached_semigroup((1,))
 
     def _rule(self, g) -> bool:
         """Membership of a nonzero element of G."""
-        if self.tag in ("trivial", "Z"):
-            return True
-        if self.tag == "N":
-            return g >= 0
         w = self.weight
         s = dot(w, g)
         if s != 0:
@@ -82,16 +67,11 @@ class ValuationDescriptor(Overmonoid):
         return _sign(dot(perp, g)) in (0, self.tiebreak)
 
     def _span(self, box):
-        """The members on `box` asking no cell: N from its gap mask, Z and
-        the trivial descriptor are the carrier's cells, and V(w, t) is one
-        run of each row, w.g > 0, with at most one kernel cell w.g = 0,
-        which t decides; on the row x = 0 of w = (+-1, 0), the kernel line
-        itself, t keeps the half y w_0 t >= 0, or all of it at t = 0."""
-        if self.sgp is not None:
-            return super()._span(box)
-        cells = self.context.comb(box)
-        if self.tag != "weight":
-            return cells
+        """The members on `box` asking no cell: one run of each row,
+        w.g > 0, with at most one kernel cell w.g = 0, which t decides; on
+        the row x = 0 of w = (+-1, 0), the kernel line itself, t keeps the
+        half y w_0 t >= 0, or all of it at t = 0; cut to the carrier's
+        cells (``comb``), which a sublattice thins."""
         (w0, w1), t = self.weight, self.tiebreak
         y0, cols = box.y0, box.cols
 
@@ -118,7 +98,7 @@ class ValuationDescriptor(Overmonoid):
                                     (0, t)):
                     row |= run(y, y + 1)
             bits |= row << i * box.stride
-        return bits & cells
+        return bits & self.context.comb(box)
 
     def sort_key(self):
         """The order of weight descriptors in the Zar carrier."""
@@ -126,9 +106,7 @@ class ValuationDescriptor(Overmonoid):
         return max(abs(w[0]), abs(w[1])), w, self.tiebreak
 
     def __repr__(self):
-        if self.tag == "weight":
-            return f"V(w={self.weight},t={self.tiebreak:+d})"
-        return f"V({self.tag})"
+        return f"V(w={self.weight},t={self.tiebreak:+d})"
 
 
 class WindowRead:

@@ -13,7 +13,7 @@ import operator
 import random
 
 from . import layout
-from .monoid import INF, sort_key
+from .monoid import sort_key
 from .packs import _first, _item, _Pack
 from .report import Check
 
@@ -183,7 +183,7 @@ class _Window:
         self.cell = {g: b.bit(g) for g in universe}
         self.point = {b: g for g, b in self.cell.items()}
         self.inf = 1 << b.bit(ctx.zero)
-        self.cells = self.cells_of(g for g in universe if g is not INF)
+        self.cells = self.cells_of(g for g in universe if g != ctx.zero)
         self.box_points = self.cells_of(self.points)
         # the systems that name their members, then the others, each as
         # many to a pack as a row holds, in order

@@ -20,8 +20,8 @@ from functools import lru_cache
 
 from monoid_spectra.fintop import FiniteSpace
 from monoid_spectra.modsys import FAMILY_DEPTH, ModuleSystem, meet
-from monoid_spectra.monoid import (INF, Monoid, fraction_ideal, localize,
-                                   sort_key)
+from monoid_spectra.monoid import (INF, Monoid, Overmonoid, fraction_ideal,
+                                   localize, sort_key)
 from monoid_spectra.report import INFO, Check
 from monoid_spectra.valuation import ValuationDescriptor, _primitive_weights
 from monoid_spectra.window import _subsets
@@ -218,17 +218,19 @@ def is_valuation_pointwise(S, bound):
 
 
 def zar_pointwise(H, bound):
-    """Zar(G|H) on a numerical or affine d = 2 H: the candidate descriptors
+    """Zar(G|H) on a numerical or affine d = 2 H: the candidate valuations
     that hold H's generators, one per window profile, the profile read
-    point by point on the whole window, INF included."""
+    point by point on the whole window, INF included.  N, Z and the trivial
+    valuation are given by their rules, not their generators."""
     ctx = H.context
     if H.kind == "numerical":
-        return [ValuationDescriptor(ctx, "N"), ValuationDescriptor(ctx, "Z")]
+        return [Overmonoid(ctx, rule=lambda g: g >= 0, name="V(N)"),
+                Overmonoid(ctx, rule=lambda g: True, name="V(Z)")]
     window = ctx.window(bound)
-    cands = sorted((ValuationDescriptor(ctx, "weight", weight=w, tiebreak=t)
+    cands = sorted((ValuationDescriptor(ctx, w, t)
                     for w in _primitive_weights() for t in (-1, 0, 1)),
                    key=lambda v: v.sort_key())
-    cands.append(ValuationDescriptor(ctx, "trivial"))
+    cands.append(Overmonoid(ctx, rule=lambda g: True, name="V(trivial)"))
     out, profiles = [], set()
     for v in cands:
         if not all(v.contains(g) for g in H.generators):

@@ -86,7 +86,7 @@ def test_3_valuation_carrier_of_2_3():
     with budget(1):
         H = Monoid.numerical([2, 3])
         zar = enumerate_zar(WindowRead(H, 6))
-        assert [v.tag for v in zar] == ["N", "Z"]
+        assert [v.name for v in zar] == ["V(N)", "V(Z)"]
         assert all(isinstance(v, Overmonoid) for v in zar)
         space = overmonoid_space(zar, WindowRead(H, 6))
         assert space.is_t0()

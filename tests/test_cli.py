@@ -628,6 +628,21 @@ def test_main1_fails_when_example16_keeps_id2(capsys, monkeypatch):
     assert "OVERALL FAIL" in out
 
 
+def test_prop1_fails_when_the_carrier_repeats_an_overmonoid(capsys,
+                                                            monkeypatch):
+    # iota-injective's falsifier: a carrier that lists <1> twice has two
+    # equal closures of {1}, and the witness is the second of the pair
+    overmonoids = cli.enumerate_overmonoids
+    monkeypatch.setattr(cli, "enumerate_overmonoids", lambda H: [
+        *overmonoids(H), Overmonoid(H.context, gens=(1,), name="again")])
+    code, out = run(capsys, "verify", "--suite", "prop1",
+                    "--input", data("n23.json"))
+    assert code == 1
+    assert ("CHECK iota-injective FAIL S=Overmonoid(again)"
+            in out.splitlines())
+    assert "OVERALL FAIL" in out
+
+
 def test_json_report(capsys):
     code, out = run(capsys, "verify", "--suite", "spec",
                     "--input", data("n23.json"), "--json")

@@ -6,7 +6,8 @@ has a ``layout`` flag, and a lattice's dimension is read by the window
 guard, the lattice carrier and the family parser alone: a dimension past 2
 is refused where the carrier is built, not by each suite.  The axiom
 checkers read a closure in one place, a pack's reach read, so every scan
-compares ints and reads its witness from them."""
+compares ints and reads its witness from them.  Only ``monoid`` names the
+absorbing zero INF; every other module asks ``== ctx.zero``."""
 
 import ast
 import os
@@ -77,4 +78,17 @@ def test_the_checkers_ask_closures_only_in_the_reach_read():
              for name in ("window.py", "packs.py")
              for where, line in attribute_reads(trees[name], "closure")
              if where != "_Pack.reach"]
+    assert not stray, stray
+
+
+def test_inf_is_named_only_by_monoid_and_the_package():
+    """Past ``monoid``, where INF is defined, the absorbing zero is tested
+    as ``== ctx.zero``, so no other module loads or imports the name but
+    the package ``__init__``, which exports it."""
+    stray = [f"{name}:{node.lineno}" for name, tree in package()
+             if name not in ("monoid.py", "__init__.py")
+             for node in ast.walk(tree)
+             if (isinstance(node, ast.Name) and node.id == "INF"
+                 and isinstance(node.ctx, ast.Load))
+             or (isinstance(node, ast.alias) and node.name == "INF")]
     assert not stray, stray

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,12 +7,16 @@ from hypothesis import strategies as st
 from monoid_spectra import monoid
 from monoid_spectra.errors import UnsupportedRealization
 from monoid_spectra.intgeom import hnf_rows, lattice_contains
-from monoid_spectra.monoid import (INF, IntCarrier, LatticeCarrier, Monoid,
-                                   Overmonoid, ParseError, adjoin,
-                                   as_overmonoid, fraction_ideal, localize,
-                                   monoid_from_json)
+from monoid_spectra.modsys import FAMILY_DEPTH
+from monoid_spectra.monoid import (INF, CarrierMismatch, IntCarrier,
+                                   LatticeCarrier, Monoid, Overmonoid,
+                                   ParseError, adjoin, as_overmonoid,
+                                   family_from_file, fraction_ideal, localize,
+                                   monoid_from_file, monoid_from_json)
 from monoid_spectra.valuation import WindowRead
 from oracles import cyclic_group_with_zero
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def closed_on_window(S, bound):
@@ -146,6 +152,33 @@ def test_adjoin():
     assert adjoin(M, INF) is M
 
 
+def test_generators_are_checked_once_where_they_enter(monkeypatch):
+    """A monoid's generators and adjoin's x are checked on the carrier;
+    what is built from checked points is not: R(<7,11,13>), nxz's
+    localizations in its overmonoid carrier and the adjoin-ray members
+    call ``check`` zero times."""
+    with pytest.raises(CarrierMismatch):
+        Monoid.numerical([2, 3.0])
+    with pytest.raises(CarrierMismatch):
+        adjoin(as_overmonoid(Monoid.numerical([2, 3])), 2.0)
+    H = monoid_from_file(os.path.join(DATA, "n71113.json"))
+    nxz = monoid_from_file(os.path.join(DATA, "nxz.json"))
+    _, family = family_from_file(os.path.join(DATA, "adjoin-ray.json"))
+    asked = []
+    check = monoid.GroupoidContext.check
+    monkeypatch.setattr(monoid.GroupoidContext, "check",
+                        lambda ctx, g: asked.append(g) or check(ctx, g))
+    overs = H.context.overmonoids(H)
+    locs = nxz.context.overmonoids(nxz)[1:]
+    members = [family.member(k) for k in range(1, FAMILY_DEPTH + 1)]
+    assert asked == []
+    assert (len(overs), len(members)) == (109, FAMILY_DEPTH)
+    assert [S.name for S in locs] == ["H_P_zero"]
+    assert all(S.gens for S in [*overs, *locs, *members])
+    adjoin(members[0], (1, 1))  # the counter sees the one check left here
+    assert asked == [(1, 1)]
+
+
 def test_localize_at_face_prime():
     from monoid_spectra.idealsys import enumerate_primes
     H = Monoid.affine([[1, 0], [0, 1]])
@@ -230,35 +263,30 @@ def test_lattice_submonoid_matches_bounded_closure(gens):
         assert member(x) == (x in reach), (gens, x)
 
 
-def test_lattice_memo_comes_after_the_structural_test():
+def test_lattice_contains_puts_the_structural_test_first():
     ctx = LatticeCarrier(2, [(1, 0), (0, 1)])
     assert ctx.contains((1, 0))
-    assert (1, 0) in ctx._memo  # (True, 0) has the same hash and compares equal
     for g in ((True, 0), (1,), (1, 0, 0), [1, 0], (1.0, 0)):
         assert not ctx.contains(g), g
 
 
-def test_lattice_memo_is_bounded(monkeypatch):
-    monkeypatch.setattr(monoid, "MAX_LATTICE_MEMO", 5)
+def test_lattice_contains_and_window_match_the_hnf_test():
     ctx = LatticeCarrier(2, [(2, 0), (1, 3)])
     box = [(x, y) for x in range(-4, 5) for y in range(-4, 5)]
-    for _ in range(2):
-        for v in box:
-            assert ctx.contains(v) == lattice_contains(ctx.basis, v), v
-            assert len(ctx._memo) <= 5
+    for v in box:
+        assert ctx.contains(v) == lattice_contains(ctx.basis, v), v
     assert ctx.window(4) == [v for v in box
                              if lattice_contains(ctx.basis, v)] + [INF]
-    assert len(ctx._memo) <= 5
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 2).flatmap(lambda d: st.tuples(
     st.lists(st.tuples(*[st.integers(-4, 4)] * d), min_size=1, max_size=3),
     st.lists(st.tuples(*[st.integers(-9, 9)] * d), max_size=30))))
-def test_memoized_lattice_contains_matches_a_fresh_hnf(case):
+def test_lattice_contains_matches_a_fresh_hnf(case):
     gens, points = case
     ctx = LatticeCarrier(len(gens[0]), gens)
-    for v in points + points:  # the second pass reads the memo
+    for v in points:
         assert ctx.contains(v) == lattice_contains(hnf_rows(gens), v), v
 
 
@@ -290,6 +318,19 @@ def test_has_agrees_with_contains_on_the_carrier(H, rnd):
     assert nonzero == [g for g in window if g is not INF and g != ctx.zero]
     assert len(nonzero) == len(window) - 1
     assert all(g is not INF for g in nonzero)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(MONOIDS)
+def test_localizations_are_read_from_the_primes_generators(H):
+    """The H_P of the overmonoid carrier, which invert the generators of H
+    that P is not generated by, against ``localize``, which asks P about
+    each generator of H, on every realization."""
+    from monoid_spectra.idealsys import enumerate_primes
+    locs = [(f"H_{P.name}", localize(H, P).gens) for P in enumerate_primes(H)]
+    assert [(S.name, S.gens) for S in monoid.GroupoidContext.overmonoids(
+        H.context, H)[1:]] == [(name, gens) for name, gens in locs
+                               if not all(map(H.contains, gens))]
 
 
 def test_a_window_past_max_window_points_is_refused():

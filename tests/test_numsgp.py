@@ -11,8 +11,8 @@ from monoid_spectra.idealsys import IdealRead, enumerate_ideals, s_system
 from monoid_spectra.layout import Box
 from monoid_spectra.monoid import Monoid, monoid_from_file
 from monoid_spectra.numsgp import NumericalSemigroup, oversemigroups
-from monoid_spectra.valuation import (ValuationDescriptor,
-                                      enumerate_overmonoids)
+from monoid_spectra.valuation import (WindowRead, enumerate_overmonoids,
+                                      enumerate_zar)
 from oracles import (all_pairs_is_prime, minimal_generators_pointwise,
                      oversemigroup_gaps_by_sets, reach_table_gaps)
 
@@ -246,8 +246,9 @@ def read_on_cells(box, member):
 def agrees_with_the_pointwise_layer(sgp, bound):
     """Gaps, Frobenius number, minimal generators and the oversemigroup list
     against the reach table, the member-by-member sums and the set-based
-    walk; each overmonoid's and descriptor's span against `has` and its
-    generators' monoid on an int box from below 0 to past the conductor;
+    walk; each overmonoid's span, the Zar members V(N) and V(Z) included,
+    against `has` and its generators' monoid on an int box from below 0 to
+    past the conductor;
     and each listed s-ideal's mask and prime flag on pronconst's window
     against RIdeal.contains and the all-pairs loop."""
     gens = sgp.generators
@@ -261,8 +262,8 @@ def agrees_with_the_pointwise_layer(sgp, bound):
     H = Monoid.numerical(gens)
     ctx = H.context
     box = Box(ctx, 0, -bound - 1, 1, sgp.conductor + 2 * bound + 3)
-    for S in [H, *enumerate_overmonoids(H), ValuationDescriptor(ctx, "N"),
-              ValuationDescriptor(ctx, "Z")]:
+    for S in [H, *enumerate_overmonoids(H),
+              *enumerate_zar(WindowRead(H, bound))]:
         mask = S.span_mask(box)
         assert mask == read_on_cells(box, S.has), S
         if S.gens is not None:

@@ -188,19 +188,20 @@ def span_inputs(draw):
     return kind, gens, boxes
 
 
-def descriptors(ctx):
-    """Every descriptor a carrier takes: N and Z on the integers, Z on a
-    line, every weight and tiebreak and Z in the plane, and the trivial
-    one."""
+def descriptors(H):
+    """Every valuation H's carrier gives, each held to its ``has``: V(N)
+    and V(Z) on the integers, found by name in H's Zar carrier; in the
+    plane every weight and tiebreak, and the trivial valuation, found by
+    name there; on a line, which has no Zar carrier, its overmonoids, H
+    and G among them."""
+    ctx = H.context
+    if not isinstance(ctx, IntCarrier) and ctx.dim == 1:
+        return ctx.overmonoids(H)
+    zar = {V.name: V for V in enumerate_zar(WindowRead(H, 4))}
     if isinstance(ctx, IntCarrier):
-        tags = ["N", "Z"]
-    elif ctx.dim == 1:
-        tags = ["Z"]
-    else:
-        return [ValuationDescriptor(ctx, "weight", weight=w, tiebreak=t)
-                for w in _primitive_weights() for t in (-1, 0, 1)] + [
-            ValuationDescriptor(ctx, tag) for tag in ("Z", "trivial")]
-    return [ValuationDescriptor(ctx, tag) for tag in tags + ["trivial"]]
+        return [zar["V(N)"], zar["V(Z)"]]
+    return [ValuationDescriptor(ctx, w, t) for w in _primitive_weights()
+            for t in (-1, 0, 1)] + [zar["V(trivial)"]]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -232,14 +233,15 @@ DESCRIPTOR_BOXES = [(-5, -5, 11, 11, 11), (0, 0, 1, 9, 12), (-4, 0, 9, 1, 3),
 @pytest.mark.parametrize("gens", DESCRIPTOR_CARRIERS + [[[2], [3]],
                                                         [[2], [-4]]])
 def test_every_descriptor_mask_matches_its_rule(gens):
-    """Every weight and tiebreak, Z and the trivial descriptor, on full and
-    sublattice carriers and on a line, against their rules cell by
-    cell."""
-    ctx = Monoid.affine(gens).context
+    """Every weight and tiebreak and the trivial valuation, on full and
+    sublattice carriers, and H and G on a line, against their ``has`` cell
+    by cell."""
+    H = Monoid.affine(gens)
+    ctx = H.context
     boxes = DESCRIPTOR_BOXES if ctx.dim == 2 else [
         (0, y0, 1, cols, cols + pad) for _, y0, _, cols, pad in
         DESCRIPTOR_BOXES]
-    for V in descriptors(ctx):
+    for V in descriptors(H):
         for x0, y0, rows, cols, stride in boxes:
             box = Box(ctx, x0, y0, rows, cols, stride)
             assert V.span_mask(box) == pointwise(
@@ -247,10 +249,10 @@ def test_every_descriptor_mask_matches_its_rule(gens):
 
 
 def test_int_descriptors_match_their_rules():
-    """N, Z and the trivial descriptor on int boxes from below 0 to past
-    it."""
-    ctx = Monoid.numerical([2, 3]).context
-    for V in descriptors(ctx):
+    """V(N) and V(Z) on int boxes from below 0 to past it."""
+    H = Monoid.numerical([2, 3])
+    ctx = H.context
+    for V in descriptors(H):
         for y0 in range(-8, 3):
             for cols in (1, 5, 12):
                 box = Box(ctx, 0, y0, 1, cols, cols + 2)
@@ -267,7 +269,7 @@ def test_plane_masks_ask_no_cell():
     loc = next(L for L in map(functools.partial(localize, H),
                               enumerate_primes(H))
                if not all(map(H.contains, L.gens)))
-    V = ValuationDescriptor(ctx, "weight", weight=(1, -2), tiebreak=-1)
+    V = ValuationDescriptor(ctx, (1, -2), -1)
     wide = WindowRead(H, 8).window.wide
     asked = []
     with pytest.MonkeyPatch.context() as mp:

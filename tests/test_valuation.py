@@ -58,7 +58,7 @@ def test_weight_descriptor_matches_inequality_oracle():
     ctx = Monoid.affine([[1, 0], [0, 1]]).context
     for w in [(1, 0), (0, 1), (1, 1), (2, 1), (-1, 2)]:
         for t in (-1, 0, 1):
-            v = ValuationDescriptor(ctx, "weight", weight=w, tiebreak=t)
+            v = ValuationDescriptor(ctx, w, t)
             for a in range(-4, 5):
                 for b in range(-4, 5):
                     assert v.contains((a, b)) == lex_contains((a, b), w, t), \
@@ -69,13 +69,11 @@ def test_weight_descriptor_matches_inequality_oracle():
 def test_descriptor_validation():
     ctx = Monoid.affine([[1, 0], [0, 1]]).context
     with pytest.raises(ValueError):
-        ValuationDescriptor(ctx, "weight", weight=(2, 4), tiebreak=0)
+        ValuationDescriptor(ctx, (2, 4), 0)
     with pytest.raises(ValueError):
-        ValuationDescriptor(ctx, "weight", weight=(0, 0), tiebreak=0)
+        ValuationDescriptor(ctx, (0, 0), 0)
     with pytest.raises(ValueError):
-        ValuationDescriptor(ctx, "weight", weight=(1, 0), tiebreak=2)
-    with pytest.raises(ValueError):
-        ValuationDescriptor(ctx, "nope")
+        ValuationDescriptor(ctx, (1, 0), 2)
 
 
 def test_descriptors_are_valuations():
@@ -83,10 +81,11 @@ def test_descriptors_are_valuations():
     ctx, read = H.context, WindowRead(H, 4)
     for w in [(1, 0), (1, 1)]:
         for t in (-1, 0, 1):
-            v = ValuationDescriptor(ctx, "weight", weight=w, tiebreak=t)
+            v = ValuationDescriptor(ctx, w, t)
             assert isinstance(v, Overmonoid)
             assert is_valuation(v, read) is None, (w, t)
-    assert is_valuation(ValuationDescriptor(ctx, "trivial"), read) is None
+    trivial = next(v for v in enumerate_zar(read) if v.name == "V(trivial)")
+    assert is_valuation(trivial, read) is None
 
 
 def test_n_squared_itself_is_not_a_valuation():
@@ -123,11 +122,11 @@ def test_enumerate_overmonoids_numerical():
 def test_enumerate_zar_numerical_and_affine():
     Hn = Monoid.numerical([2, 3])
     zn = enumerate_zar(WindowRead(Hn, 6))
-    assert [v.tag for v in zn] == ["N", "Z"]
+    assert [v.name for v in zn] == ["V(N)", "V(Z)"]
     Ha = Monoid.affine([[1, 0], [0, 1]])
     za = enumerate_zar(WindowRead(Ha, 6))
     assert len(za) == 14
-    assert any(v.tag == "trivial" for v in za)
+    assert any(v.name == "V(trivial)" for v in za)
     # all contain the generators
     for v in za:
         assert v.contains((1, 0)) and v.contains((0, 1))
@@ -144,8 +143,8 @@ def test_delta_numerical():
     by_name = {p.name: j for j, p in enumerate(primes)}
     read = WindowRead(H, 6)
     zar = enumerate_zar(read)
-    vN = next(v for v in zar if v.tag == "N")
-    vZ = next(v for v in zar if v.tag == "Z")
+    vN = next(v for v in zar if v.name == "V(N)")
+    vZ = next(v for v in zar if v.name == "V(Z)")
     assert delta(vN, primes, read) == by_name["P_max"]
     assert delta(vZ, primes, read) == by_name["P_zero"]
 
@@ -153,7 +152,7 @@ def test_delta_numerical():
 def test_delta_images_affine():
     H = Monoid.affine([[1, 0], [0, 1]])
     primes, zar, f, _ = domination(H, 4)
-    images = {repr(v): primes[j].name for v, j in zip(zar, f)}
+    images = {v.name: primes[j].name for v, j in zip(zar, f)}
     assert images["V(trivial)"] == "P_zero"
     # the two lex refinements of the axis weights both hit the maximal ideal
     assert images["V(w=(0, 1),t=-1)"] == "P_max"
