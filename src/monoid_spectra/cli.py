@@ -2,14 +2,13 @@
 
 Each suite binds a named claim to executable checks over a monoid read from a
 JSON description file.  Exit codes: 0 all checks pass, 1 a check failed,
-2 input could not be parsed or an output file could not be written, 3 the
-realization is unsupported for the suite or the input is past a size guard.
+2 the command line or the input could not be parsed or an output file could
+not be written, 3 the realization is unsupported for the suite or the input
+is past a size guard.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import os
 import sys
 
@@ -266,32 +265,77 @@ def run_suite(suite, H, *, bound, seed, family=None):
     return rep, fn(rep, H, *args, bound, seed)
 
 
-@functools.cache
-def _parser():
-    """The command line parser, built on the first ``main`` call and kept
-    for the process: building it costs several times a parse."""
-    parser = argparse.ArgumentParser(
-        prog="monoid-spectra",
-        description="verification suites for monoid spectra")
-    sub = parser.add_subparsers(dest="command", required=True)
-    v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("--suite", required=True, choices=SUITES)
-    v.add_argument("--input", help="monoid description file (JSON)")
-    v.add_argument("--family", help="family description file (JSON)")
-    v.add_argument("--bound", type=int)
-    v.add_argument("--seed", type=int)
-    v.add_argument("--report", help="write the report to this path")
-    v.add_argument("--dot", help="write a DOT drawing to this path")
-    v.add_argument("--json", action="store_true",
-                   help="emit the report as JSON")
-    return parser
+USAGE = ("usage: monoid-spectra verify --suite SUITE [--input FILE] "
+         "[--family FILE] [--bound N] [--seed N] [--report FILE] "
+         "[--dot FILE] [--json]")
+
+# verify's options: the type of each one's value, None for the flag
+OPTIONS = {"--suite": str, "--input": str, "--family": str, "--report": str,
+           "--dot": str, "--bound": int, "--seed": int, "--json": None}
+
+
+def _usage_error(message):
+    print(USAGE, file=sys.stderr)
+    print(f"monoid-spectra: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def parse_args(argv):
+    """``verify``'s options from `argv`, by name without the dashes: None
+    for an option not given, ``json`` True or False.  Each option is
+    ``--opt value`` or ``--opt=value``, spelled out in full.  ``-h`` or
+    ``--help`` prints the usage and the suites and exits 0; a usage error
+    prints the usage and the error to stderr and exits 2."""
+    if "-h" in argv or "--help" in argv:
+        print(USAGE)
+        for name, (claim, _) in SUITES.items():
+            print(f"  {name:<12} {claim}")
+        raise SystemExit(0)
+    if not argv:
+        _usage_error("the following arguments are required: command")
+    if argv[0] != "verify":
+        _usage_error(f"argument command: invalid choice: {argv[0]!r} "
+                     "(choose from 'verify')")
+    args = dict.fromkeys(name[2:] for name in OPTIONS)
+    args["json"] = False
+    rest = iter(argv[1:])
+    for arg in rest:
+        name, eq, value = arg.partition("=")
+        if name not in OPTIONS:
+            _usage_error(f"unrecognized arguments: {arg}")
+        kind = OPTIONS[name]
+        if kind is None:
+            if eq:
+                _usage_error(f"argument {name}: ignored explicit argument "
+                             f"{value!r}")
+            args["json"] = True
+            continue
+        if not eq:
+            # the next word, unless it is an option: "-" starts only a
+            # negative number
+            value = next(rest, None)
+            if value is None or (value[:1] == "-"
+                                 and not value[1:].isdigit()):
+                _usage_error(f"argument {name}: expected one argument")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(f"argument {name}: invalid int value: {value!r}")
+        elif name == "--suite" and value not in SUITES:
+            _usage_error(f"argument --suite: invalid choice: {value!r} "
+                         f"(choose from {', '.join(map(repr, SUITES))})")
+        args[name[2:]] = value
+    if args["suite"] is None:
+        _usage_error("the following arguments are required: --suite")
+    return args
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
 
     try:
-        seed = args.seed if args.seed is not None else int(
+        seed = args["seed"] if args["seed"] is not None else int(
             os.environ.get("MONOID_SPECTRA_SEED", "0"))
     except ValueError:
         print("error: MONOID_SPECTRA_SEED must be an integer",
@@ -299,34 +343,34 @@ def main(argv=None):
         return 2
     family = None
     try:
-        if args.family:
-            family = family_from_file(args.family)
-        if args.input:
-            H = monoid_from_file(args.input)
-        elif args.suite == "main2" and family is not None:
+        if args["family"]:
+            family = family_from_file(args["family"])
+        if args["input"]:
+            H = monoid_from_file(args["input"])
+        elif args["suite"] == "main2" and family is not None:
             H = family[0]
         else:
             print("error: --input is required for this suite",
                   file=sys.stderr)
             return 2
-        if args.bound is not None:
-            if args.bound <= 0:
+        if args["bound"] is not None:
+            if args["bound"] <= 0:
                 print("error: --bound must be positive", file=sys.stderr)
                 return 2
-            bound = args.bound
+            bound = args["bound"]
         else:
             bound = H.context.default_bound
-        report, render = run_suite(args.suite, H, bound=bound, seed=seed,
+        report, render = run_suite(args["suite"], H, bound=bound, seed=seed,
                                    family=family)
         # a suite that draws returns a renderer, called only for --dot
-        dot = render() if args.dot and render is not None else None
-        body = report.json() if args.json else report.text()
+        dot = render() if args["dot"] and render is not None else None
+        body = report.json() if args["json"] else report.text()
         sys.stdout.write(body)
-        if args.report:
-            with open(args.report, "w", encoding="utf-8") as fh:
+        if args["report"]:
+            with open(args["report"], "w", encoding="utf-8") as fh:
                 fh.write(body)
-        if args.dot:
-            with open(args.dot, "w", encoding="utf-8") as fh:
+        if args["dot"]:
+            with open(args["dot"], "w", encoding="utf-8") as fh:
                 fh.write(dot if dot is not None else "digraph empty {\n}\n")
     except (ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -276,9 +276,14 @@ class LatticeCarrier(GroupoidContext):
         return tuple(map(operator.neg, a))
 
     def _window(self, bound: int) -> list:
-        box = itertools.product(range(-bound, bound + 1), repeat=self.dim)
-        basis = self.basis
-        return [p for p in box if intgeom.lattice_contains(basis, p)] + [INF]
+        # the box's points from one comb, in ascending bit order (x, then
+        # y); a line's point (y,) sits at the cell (0, y)
+        box = self.box([(-bound,) * self.dim, (bound,) * self.dim])
+        comb, cols = self.comb(box), box.cols
+        cells = (divmod(k, cols) for k in range(box.rows * cols)
+                 if comb >> k & 1)
+        return [(box.x0 + i, box.y0 + j)[2 - self.dim:]
+                for i, j in cells] + [INF]
 
     def submonoid(self, gens):
         gens = tuple(g for g in gens if g is not INF)
@@ -338,13 +343,18 @@ class FiniteCarrier(GroupoidContext):
             raise ValueError("identity and zero must be element indices")
         if one == zero:
             raise ValueError("identity and zero must differ")
-        for a in range(n):
-            for b in range(n):
-                if table[a][b] != table[b][a]:
+        # (ab)c = a(bc) for every c at once: row ab against a's row read
+        # at b's entries; the first c is looked for only when they differ
+        rows = [tuple(row) for row in table]
+        read_at = [operator.itemgetter(*row) for row in rows]
+        for a, row_a in enumerate(rows):
+            for b, ab in enumerate(row_a):
+                if ab != rows[b][a]:
                     raise ValueError(f"not commutative at ({a},{b})")
-                for c in range(n):
-                    if table[table[a][b]][c] != table[a][table[b][c]]:
-                        raise ValueError(f"not associative at ({a},{b},{c})")
+                a_bc = read_at[b](row_a)
+                if rows[ab] != a_bc:
+                    c = next(c for c in range(n) if rows[ab][c] != a_bc[c])
+                    raise ValueError(f"not associative at ({a},{b},{c})")
         for a in range(n):
             if table[one][a] != a:
                 raise ValueError("declared identity is not neutral")

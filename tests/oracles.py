@@ -4,8 +4,9 @@ bitmasks, soberness, homeomorphism and the covers of the specialization
 order by their definitions, the space of module systems over a pool of
 sets with each closure asked,
 every topology on a few points, equality of r-ideals, a small finite
-monoid built by hand, the valuation test, the Zar carrier and its space,
-the Pruefer test, the domination map and its image
+monoid built by hand, the first defect of a Cayley table by the triple
+loop, the benchmark's workload module, the valuation test, the Zar
+carrier and its space, the Pruefer test, the domination map and its image
 law asked point by point through the validating ``contains``, the finite
 witnesses of intersection systems and of meets, the pair scans of the
 axiom checkers read one pair at a time, and their seeded subset draws.
@@ -14,7 +15,9 @@ Open sets are ints, bit i set when point i lies in the set; materializing
 them is exponential, so a space may have at most ``CARRIER_GUARD`` points."""
 
 import functools
+import importlib.util
 import itertools
+import os
 import random
 from functools import lru_cache
 
@@ -208,6 +211,41 @@ def cyclic_product(orders, relabel=None) -> dict:
 
 
 # -- the valuation layer, point by point -------------------------------------
+
+def table_error(table, one, zero):
+    """The first defect of a square table of element indices with
+    one != zero, as ``FiniteCarrier`` names it, read entry by entry:
+    commutativity at (a, b), then associativity at (a, b, c) for each c,
+    over (a, b) in order; then neutrality, absorption and cancellativity,
+    element by element.  None for a valid table."""
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            if table[a][b] != table[b][a]:
+                return f"not commutative at ({a},{b})"
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return f"not associative at ({a},{b},{c})"
+    for a in range(n):
+        if table[one][a] != a:
+            return "declared identity is not neutral"
+        if table[zero][a] != zero:
+            return "declared zero is not absorbing"
+        if a != zero and len(set(table[a])) != n:
+            return f"not cancellative: row {a} repeats a value"
+    return None
+
+
+def load_workloads():
+    """The benchmark's ``bench/workloads.py``, loaded from the checkout."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", os.path.join(os.path.dirname(
+            os.path.dirname(os.path.abspath(__file__))), "bench",
+            "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
 
 def is_valuation_pointwise(S, bound):
     """The first nonzero window point x with neither x nor x^{-1} in S, or

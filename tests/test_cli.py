@@ -4,6 +4,8 @@ import itertools
 import json
 import os
 import re
+import subprocess
+import sys
 import time
 from collections import Counter
 
@@ -511,8 +513,9 @@ def test_no_info_line_carries_a_verdict_word(capsys):
     assert infos
 
 
-def test_one_parser_serves_every_call_of_a_process(capsys):
-    cli._parser.cache_clear()
+def test_one_parse_serves_every_call_of_a_process(capsys):
+    # a usage error leaves later calls of the process as they were, and the
+    # command line costs no argparse, gettext or locale import
     args = ["verify", "--suite", "main1", "--input", data("n23.json")]
     code, out = run(capsys, *args)
     assert code == 0 and sha1(out) == REPORT_SHA1["main1", "n23"]
@@ -524,7 +527,81 @@ def test_one_parser_serves_every_call_of_a_process(capsys):
     assert "invalid choice" in capsys.readouterr().err
     code, out = run(capsys, *args)
     assert code == 0 and sha1(out) == REPORT_SHA1["main1", "n23"]
-    assert cli._parser.cache_info().misses == 1
+    script = ("import sys\n"
+              "import monoid_spectra.cli as cli\n"
+              f"cli.main({args!r})\n"
+              "print([m for m in ('argparse', 'gettext', 'locale')\n"
+              "       if m in sys.modules], file=sys.stderr)\n")
+    src = os.path.join(DATA, "..", "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert sha1(proc.stdout) == REPORT_SHA1["main1", "n23"]
+    assert proc.stderr == "[]\n"
+
+
+# one call per kind of usage error, with the word its message carries
+USAGE_ERRORS = {
+    "no command": ([], "required"),
+    "another command": (["check", "--suite", "spec"], "invalid choice"),
+    "no suite": (["verify", "--input", "n23"], "required"),
+    "unknown suite": (["verify", "--suite", "nonesuch"], "invalid choice"),
+    "unknown option": (["verify", "--suite", "spec", "--output", "x"],
+                       "unrecognized"),
+    "abbreviated option": (["verify", "--suite", "spec", "--inp", "n23"],
+                           "unrecognized"),
+    "missing value": (["verify", "--suite", "spec", "--input"],
+                      "expected one argument"),
+    "option for a value": (["verify", "--suite", "spec", "--input",
+                            "--json"], "expected one argument"),
+    "bound not an int": (["verify", "--suite", "spec", "--bound", "two"],
+                         "invalid int value"),
+    "seed not an int": (["verify", "--suite", "spec", "--seed=1.5"],
+                        "invalid int value"),
+}
+
+
+@pytest.mark.parametrize("case", USAGE_ERRORS)
+def test_a_usage_error_exits_2_with_one_error_line(case, capsys):
+    argv, word = USAGE_ERRORS[case]
+    argv = [data(a + ".json") if a == "n23" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    usage, error = err.splitlines()
+    assert usage == cli.USAGE
+    assert error.startswith("monoid-spectra: error: ") and word in error
+
+
+def test_options_take_their_value_after_a_space_or_an_equals_sign(capsys):
+    spaced = run(capsys, "verify", "--suite", "spec", "--input",
+                 data("n2.json"), "--bound", "2")
+    joined = run(capsys, "verify", "--suite=spec",
+                 f"--input={data('n2.json')}", "--bound=2")
+    assert spaced == joined and spaced[0] == 0
+
+
+def test_help_names_every_suite_and_exits_0(capsys):
+    for flag in ("-h", "--help"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", flag])
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert lines[0] == cli.USAGE and err == ""
+        assert [line.split()[0] for line in lines[1:]] == list(cli.SUITES)
+
+
+def test_a_bound_that_is_not_positive_is_refused_by_main(capsys):
+    for bound in ("0", "-1"):
+        code = main(["verify", "--suite", "spec", "--input", data("n23.json"),
+                     "--bound", bound])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --bound must be positive\n"
 
 
 def test_spec_and_prop1_separate_numerical_inputs_at_every_bound(capsys):

@@ -8,8 +8,6 @@ listed s-ideals, which the layouts read as H's translates:
 ``Table.translate`` on the finite carrier, ``Box.translate`` on the
 others."""
 
-import importlib.util
-import os
 
 import pytest
 
@@ -24,17 +22,7 @@ from monoid_spectra.modsys import (SystemSpace, check_module_axioms,
 from monoid_spectra.monoid import (MAX_SPAN_BITS, MAX_WINDOW, Monoid,
                                    Overmonoid, localize)
 from monoid_spectra.valuation import WindowRead, enumerate_overmonoids
-from oracles import cyclic_group_with_zero
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def load_workloads():
-    spec = importlib.util.spec_from_file_location(
-        "bench_workloads", os.path.join(ROOT, "bench", "workloads.py"))
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads
+from oracles import cyclic_group_with_zero, load_workloads
 
 
 def inputs():

@@ -1,4 +1,8 @@
+import copy
+import itertools
+import json
 import os
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +18,7 @@ from monoid_spectra.monoid import (INF, CarrierMismatch, IntCarrier,
                                    family_from_file, fraction_ideal, localize,
                                    monoid_from_file, monoid_from_json)
 from monoid_spectra.valuation import WindowRead
-from oracles import cyclic_group_with_zero
+from oracles import cyclic_group_with_zero, load_workloads, table_error
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -277,6 +281,84 @@ def test_lattice_contains_and_window_match_the_hnf_test():
         assert ctx.contains(v) == lattice_contains(ctx.basis, v), v
     assert ctx.window(4) == [v for v in box
                              if lattice_contains(ctx.basis, v)] + [INF]
+
+
+def lattice_inputs():
+    """(name, monoid) of the affine tests/data inputs, the benchmark's
+    affine pool, a line of index 1 and one of index 2, and sublattices of
+    the plane of index 2, 3 and 4."""
+    out = []
+    for name in sorted(os.listdir(DATA)):
+        path = os.path.join(DATA, name)
+        with open(path, encoding="utf-8") as fh:
+            if json.load(fh).get("kind") == "affine":
+                out.append((name, monoid_from_file(path)))
+    out += [(f"pool{k}", Monoid.affine(gens))
+            for k, gens in enumerate(load_workloads().affine_pool(20))]
+    out += [("line", Monoid.affine([[2], [3]])),
+            ("line2", Monoid.affine([[2], [-4]])),
+            ("index2", Monoid.affine([[2, 0], [0, 1]])),
+            ("index3", Monoid.affine([[1, 1], [1, -2]])),
+            ("index4", Monoid.affine([[2, 1], [0, 2]]))]
+    return out
+
+
+def test_window_is_the_box_points_the_hnf_test_admits():
+    # the window reads the box's points from one comb; the oracle asks the
+    # HNF test at every point of the box, in itertools.product's order
+    for name, H in lattice_inputs():
+        ctx = H.context
+        for bound in range(1, 5):
+            box = itertools.product(range(-bound, bound + 1), repeat=ctx.dim)
+            assert ctx.window(bound) == [
+                p for p in box if lattice_contains(ctx.basis, p)] + [INF], (
+                name, bound)
+
+
+def parse_error(desc):
+    """The text of the ParseError that parsing `desc` raises, or None."""
+    try:
+        monoid_from_json(json.dumps(desc))
+    except ParseError as e:
+        return str(e)
+    return None
+
+
+def test_table_errors_name_the_first_defect_of_the_triple_loop():
+    # defects planted into the sweep's relabelled tables: one entry moved
+    # (non-commutative), a unit's square moved to each other value
+    # (non-associative, or on Z/2 + 0 non-cancellative), and a unit
+    # declared the identity or the zero; each message is the one the
+    # triple loop reads first
+    workloads = load_workloads()
+    rng = random.Random(0)
+    kinds = set()
+    for orders in workloads.FINITE_ORDERS:
+        for _ in range(4):
+            desc = workloads.relabelled(orders, rng)
+            assert parse_error(desc) is None
+            table, one, zero = desc["table"], desc["one"], desc["zero"]
+            n = len(table)
+            units = [g for g in range(n) if g not in (one, zero)]
+            a, b = rng.sample(range(n), 2)
+            moved = copy.deepcopy(table)
+            moved[a][b] = rng.choice([x for x in range(n) if x != table[a][b]])
+            cases = [(moved, one, zero)]
+            g, h = rng.choice(units), rng.choice(units)
+            for x in range(n):
+                if x != table[g][g]:
+                    moved = copy.deepcopy(table)
+                    moved[g][g] = x
+                    cases.append((moved, one, zero))
+            cases += [(table, h, zero), (table, one, h)]
+            for t, o, z in cases:
+                expected = table_error(t, o, z)
+                kinds.add(expected.split(":")[0].split(" at ")[0])
+                assert parse_error(dict(desc, table=t, one=o, zero=z)) == str(
+                    ParseError(expected, field="table"))
+    assert kinds == {"not commutative", "not associative", "not cancellative",
+                     "declared identity is not neutral",
+                     "declared zero is not absorbing"}
 
 
 @settings(max_examples=150, deadline=None)
