@@ -5,9 +5,10 @@ Everything here is pure integer arithmetic; no floating point is involved, so
 every membership answer is exact.  Cone/monoid machinery is implemented for
 dimension <= 2, which covers every supported affine realization.  A planar
 cone is analysed in one place, `_cone_2d`: the invertible/pointed split of
-its generators and, when it is pointed, its extreme rays.  `faces_2d` reads
-the faces off that analysis; `submonoid_2d` its one membership walk and
-`submonoid_span` the members on a box as one int, by ray fills.
+its generators and, when it is pointed, its extreme rays, run once per
+generating set by the cached `_analysed`.  `faces_2d` reads the faces off
+that analysis; `submonoid_2d` its one membership walk and `submonoid_span`
+the members on a box as one int, by ray fills.
 """
 
 from __future__ import annotations
@@ -177,24 +178,25 @@ MAX_REACH_MEMO = 1 << 16
 @lru_cache(maxsize=MAX_SUBMONOIDS)
 def _analysed(gens: tuple):
     """The analysis of the submonoid H of Z^2 generated by `gens` that
-    `submonoid_2d` and `submonoid_span` share, done once per generating
-    set: the echelon basis of the lattice L that the invertible generators
-    span, H's group of units; the pointed generators; and a functional w
-    that vanishes on L and is positive on them, None with no pointed
-    generator (then H = L).  w comes from the extreme rays when L = 0, and
-    is perpendicular to L's row when L has rank 1."""
+    `submonoid_2d`, `submonoid_span` and `faces_2d` share, done once per
+    generating set: the echelon basis of the lattice L that the invertible
+    generators span, H's group of units; the pointed generators; a
+    functional w that vanishes on L and is positive on them, None with no
+    pointed generator (then H = L); and ``_cone_2d``'s invertible
+    generators and extreme rays.  w comes from the extreme rays when
+    L = 0, and is perpendicular to L's row when L has rank 1."""
     invertible, pointed, rays = _cone_2d(gens)
     basis = hnf_rows(invertible)
     if not pointed:
-        return basis, pointed, None
-    if basis:  # rank 1: perpendicular to L's row, on the pointed side
+        w = None
+    elif basis:  # rank 1: perpendicular to L's row, on the pointed side
         r0, r1 = row = basis[0][1]
         w = (-r1, r0) if cross(row, pointed[0]) > 0 else (r1, -r0)
     else:  # rank 0: between the extreme rays, or along the only ray
         u_r, u_l = rays
         w = u_r if cross(u_r, u_l) == 0 else (
             u_l[1] - u_r[1], u_r[0] - u_l[0])
-    return basis, pointed, w
+    return basis, pointed, w, invertible, rays
 
 
 @lru_cache(maxsize=MAX_SUBMONOIDS)
@@ -207,7 +209,7 @@ def submonoid_2d(gens: tuple):
     generator is invertible and H = L.  One reachability memo is shared by
     all queries: each step strictly decreases w.v, so an entry is exact
     whoever wrote it."""
-    basis, pointed, w = _analysed(gens)
+    basis, pointed, w, *_ = _analysed(gens)
     if w is None:
         return lambda x: lattice_contains(basis, x)
     w0, w1 = w
@@ -316,7 +318,7 @@ def submonoid_span(gens: tuple, box, cap: int):
     C has one sign.  With units the region holds the box's cells with
     w >= 0 too, which hold every member of the box, so each m - kl runs to
     m through it; a cell with w < 0 is no member."""
-    basis, pointed, w = _analysed(gens)
+    basis, pointed, w, *_ = _analysed(gens)
     if w is None:
         return lattice_span(basis, box)
     lo = (box.x0, box.y0)
@@ -380,11 +382,12 @@ def monoid_contains(gens: tuple, x: tuple) -> bool:
 
 def faces_2d(gens) -> list[frozenset]:
     """Faces of the cone of `gens`, each given as the frozenset of generators
-    lying on the face, the cone itself first.  A cone with no pointed
-    generator is a linear subspace, its only face; a half plane has one
-    proper face, the line of its invertible generators; a pointed cone has
-    its extreme rays and the origin, a ray just the origin."""
-    invertible, pointed, rays = _cone_2d(gens)
+    lying on the face, the cone itself first, read from ``_analysed``.  A
+    cone with no pointed generator is a linear subspace, its only face; a
+    half plane has one proper face, the line of its invertible generators;
+    a pointed cone has its extreme rays and the origin, a ray just the
+    origin."""
+    _, pointed, _, invertible, rays = _analysed(tuple(map(tuple, gens)))
     allg = frozenset(invertible + pointed)
     if not pointed:
         return [allg]

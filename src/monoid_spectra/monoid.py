@@ -299,25 +299,23 @@ class LatticeCarrier(GroupoidContext):
         return p if intgeom.lattice_contains(self.basis, p) else None
 
     def zar(self, read):
-        """On the plane, V(w, t) for w primitive up to ZAR_HEIGHT, then G,
-        the trivial valuation, that hold H, one per window mask (each holds
-        INF, so its mask is its profile); irrational rays are left out."""
+        """On the plane, V(w, t) for each candidate (w, t) that holds H's
+        generators (``valuation.holds``), then G, the trivial valuation,
+        one per window mask (each holds INF, so its mask is its profile);
+        irrational rays are left out."""
         if self.dim != 2:
             return super().zar(read)
-        from .valuation import ValuationDescriptor as V, _primitive_weights
+        from .valuation import CANDIDATES, ValuationDescriptor, holds
         units = [tuple(s * c for c in row) for _, row in self.basis
                  for s in (1, -1)]
-        cands = sorted((V(self, w, t) for w in _primitive_weights()
-                        for t in (-1, 0, 1)), key=V.sort_key) + [
-            Overmonoid(self, gens=units, name="V(trivial)")]
+        cands = [ValuationDescriptor(self, w, t) for w, t in CANDIDATES
+                 if all(holds(w, t, g) for g in read.H.generators)]
         out, seen = [], set()
-        for v in cands:
-            # the generators were checked on the carrier when H was built
-            if all(map(v.has, read.H.generators)):
-                m = read.window.mask(v)
-                if m not in seen:
-                    seen.add(m)
-                    out.append(v)
+        for v in cands + [Overmonoid(self, gens=units, name="V(trivial)")]:
+            m = read.window.mask(v)
+            if m not in seen:
+                seen.add(m)
+                out.append(v)
         return out
 
 
@@ -612,9 +610,9 @@ def _finite_from(data):
     table = data.get("table")
     if not is_int(size) or size < 2:
         raise ParseError("expected an integer >= 2", field="size")
+    # the entries are checked once, by the carrier
     if (not isinstance(table, list) or len(table) != size
             or not all(isinstance(r, list) and len(r) == size
-                       and all(is_int(v) and 0 <= v < size for v in r)
                        for r in table)):
         raise ParseError(f"expected a {size}x{size} table of indices",
                          field="table")
@@ -645,9 +643,17 @@ def monoid_from_json(text: str) -> Monoid:
     return _FROM_JSON[kind](data)
 
 
+def _read_text(path) -> str:
+    """A description file's text; one that is not UTF-8 is a ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not UTF-8: {e.reason} at byte {e.start}") from e
+
+
 def monoid_from_file(path) -> Monoid:
-    with open(path, "r", encoding="utf-8") as fh:
-        return monoid_from_json(fh.read())
+    return monoid_from_json(_read_text(path))
 
 
 def _scaled_ray(ray, k):
@@ -706,5 +712,4 @@ def family_from_json(text: str):
 
 
 def family_from_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return family_from_json(fh.read())
+    return family_from_json(_read_text(path))

@@ -18,7 +18,8 @@ class _Pack:
     another has all-ones padding in its place.  Every read is a reach
     read, with the zero's bit (``zero``) set where A_r holds the zero.
 
-    A pack of systems that name their members reads from columns.  A
+    A pack of systems that name their members reads from columns, each
+    system's product closure from the members ``_minimal`` keeps.  A
     point's column is one int: the pack's member masks moved to that point
     on the reach layout, the t-th member's translate in the t-th field of
     a reach read's size.  The zero's column is all ones in every padding
@@ -65,7 +66,7 @@ class _Pack:
         self._size = S = reach.rows * P
         self._keep = (1 << S) - 1
         self._column_bits = 0
-        lists = [(r.members, r.filled) for r in self.systems]
+        lists = list(map(_minimal, self.systems))
         n = max(len(m) for m, _ in lists)
         pad, full = rows(w.wide.rows), rows(reach.rows)
         self._members = [sum((w.span(m[t]) if t < len(m) else pad) << s * W
@@ -154,6 +155,22 @@ class _Pack:
         if bits is None:
             bits = self._boxes[A] = self.at(self.read(A))
         return bits
+
+
+def _minimal(r):
+    """r's members as a pack reads them, with the positions of its filled
+    ones: a member S is left out when an already kept generator-backed
+    member T has all its generators in S, so T lies inside S, and T is
+    unfilled or S is filled.  Then SA holds TA, and 0S is G when 0T is, so
+    S's term of the product closure holds T's, and A_r is unchanged."""
+    kept = []
+    for i, S in enumerate(r.members):
+        fill = i in r.filled
+        if not any(T.gens is not None and (fill or not f)
+                   and all(map(S.has, T.gens)) for T, f in kept):
+            kept.append((S, fill))
+    return ([S for S, _ in kept],
+            [t for t, (_, fill) in enumerate(kept) if fill])
 
 
 def _item(bad, witness, args):

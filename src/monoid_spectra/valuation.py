@@ -23,7 +23,6 @@ from functools import cached_property
 from math import gcd
 
 from .fintop import FiniteSpace, bipartite_dot, hasse_edges
-from .intgeom import dot
 from .layout import Read
 from .monoid import Monoid, Overmonoid, localize
 from .report import INFO, Check
@@ -35,6 +34,25 @@ ZAR_HEIGHT = 2
 
 def _sign(v: int) -> int:
     return (v > 0) - (v < 0)
+
+
+def holds(w, t, g) -> bool:
+    """Is the nonzero point g of the plane in V(w, t)?  w.g > 0, or
+    w.g = 0 and g on the half of the kernel line that t keeps, where
+    w-perp = (-w_1, w_0) has sign t or 0 at g, or anywhere at t = 0."""
+    s = w[0] * g[0] + w[1] * g[1]
+    if s:
+        return s > 0
+    return not t or _sign(w[0] * g[1] - w[1] * g[0]) in (0, t)
+
+
+# The (w, t) of the Zar carrier's candidates, in its order: w primitive
+# with coordinates up to ZAR_HEIGHT, by height, then w, then t
+CANDIDATES = sorted(
+    (((a, b), t) for a in range(-ZAR_HEIGHT, ZAR_HEIGHT + 1)
+     for b in range(-ZAR_HEIGHT, ZAR_HEIGHT + 1) if gcd(a, b) == 1
+     for t in (-1, 0, 1)),
+    key=lambda c: (max(map(abs, c[0])), c))
 
 
 class ValuationDescriptor(Overmonoid):
@@ -57,14 +75,7 @@ class ValuationDescriptor(Overmonoid):
 
     def _rule(self, g) -> bool:
         """Membership of a nonzero element of G."""
-        w = self.weight
-        s = dot(w, g)
-        if s != 0:
-            return s > 0
-        if self.tiebreak == 0:
-            return True
-        perp = (-w[1], w[0])
-        return _sign(dot(perp, g)) in (0, self.tiebreak)
+        return holds(self.weight, self.tiebreak, g)
 
     def _span(self, box):
         """The members on `box` asking no cell: one run of each row,
@@ -100,11 +111,6 @@ class ValuationDescriptor(Overmonoid):
             bits |= row << i * box.stride
         return bits & self.context.comb(box)
 
-    def sort_key(self):
-        """The order of weight descriptors in the Zar carrier."""
-        w = self.weight
-        return max(abs(w[0]), abs(w[1])), w, self.tiebreak
-
     def __repr__(self):
         return f"V(w={self.weight},t={self.tiebreak:+d})"
 
@@ -137,15 +143,6 @@ def is_valuation(S: Overmonoid, read: WindowRead):
     m = w.mask(S)
     missed = w.full & ~(m | w.inverted(m))
     return w.point((missed & -missed).bit_length() - 1) if missed else None
-
-
-def _primitive_weights():
-    out = []
-    for a in range(-ZAR_HEIGHT, ZAR_HEIGHT + 1):
-        for b in range(-ZAR_HEIGHT, ZAR_HEIGHT + 1):
-            if (a, b) != (0, 0) and gcd(abs(a), abs(b)) == 1:
-                out.append((a, b))
-    return out
 
 
 def enumerate_overmonoids(H: Monoid):

@@ -17,6 +17,7 @@ them is exponential, so a space may have at most ``CARRIER_GUARD`` points."""
 import functools
 import importlib.util
 import itertools
+import math
 import os
 import random
 from functools import lru_cache
@@ -26,7 +27,7 @@ from monoid_spectra.modsys import FAMILY_DEPTH, ModuleSystem, meet
 from monoid_spectra.monoid import (INF, Monoid, Overmonoid, fraction_ideal,
                                    localize, sort_key)
 from monoid_spectra.report import INFO, Check
-from monoid_spectra.valuation import ValuationDescriptor, _primitive_weights
+from monoid_spectra.valuation import ZAR_HEIGHT
 from monoid_spectra.window import _subsets
 
 CARRIER_GUARD = 20
@@ -255,19 +256,38 @@ def is_valuation_pointwise(S, bound):
                  if not S.contains(x) and not S.contains(ctx.inv(x))), None)
 
 
+def in_valuation(w, t, g) -> bool:
+    """Membership of a nonzero plane point g in V(w, t) by its definition:
+    w.g > 0, or w.g = 0 and g on the tiebreak's half of the kernel line,
+    the side of the perpendicular (-w_1, w_0) with sign t, its origin
+    included, or the whole line at t = 0."""
+    s = w[0] * g[0] + w[1] * g[1]
+    if s != 0:
+        return s > 0
+    if t == 0:
+        return True
+    p = -w[1] * g[0] + w[0] * g[1]
+    return p == 0 or (p > 0) == (t > 0)
+
+
 def zar_pointwise(H, bound):
     """Zar(G|H) on a numerical or affine d = 2 H: the candidate valuations
     that hold H's generators, one per window profile, the profile read
     point by point on the whole window, INF included.  N, Z and the trivial
-    valuation are given by their rules, not their generators."""
+    valuation are given by their rules, not their generators; V(w, t) by
+    ``in_valuation``, for every primitive w with coordinates up to
+    ZAR_HEIGHT and every t, by the height max |w_i|, then w, then t."""
     ctx = H.context
     if H.kind == "numerical":
         return [Overmonoid(ctx, rule=lambda g: g >= 0, name="V(N)"),
                 Overmonoid(ctx, rule=lambda g: True, name="V(Z)")]
     window = ctx.window(bound)
-    cands = sorted((ValuationDescriptor(ctx, w, t)
-                    for w in _primitive_weights() for t in (-1, 0, 1)),
-                   key=lambda v: v.sort_key())
+    span = range(-ZAR_HEIGHT, ZAR_HEIGHT + 1)
+    weights = [(a, b) for a in span for b in span if math.gcd(a, b) == 1]
+    order = sorted(((w, t) for w in weights for t in (-1, 0, 1)),
+                   key=lambda c: (max(abs(c[0][0]), abs(c[0][1])), c))
+    cands = [Overmonoid(ctx, rule=functools.partial(in_valuation, w, t),
+                        name=f"V(w={w},t={t:+d})") for w, t in order]
     cands.append(Overmonoid(ctx, rule=lambda g: True, name="V(trivial)"))
     out, profiles = [], set()
     for v in cands:

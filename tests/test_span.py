@@ -20,9 +20,9 @@ from monoid_spectra.modsys import (ModuleSystem, check_id2,
 from monoid_spectra.monoid import (INF, Box, IntCarrier, Monoid, Overmonoid,
                                    Table, as_overmonoid, localize,
                                    monoid_from_file)
-from monoid_spectra.valuation import (ValuationDescriptor, WindowRead,
-                                      _primitive_weights,
-                                      enumerate_overmonoids, enumerate_zar)
+from monoid_spectra.valuation import (CANDIDATES, ValuationDescriptor,
+                                      WindowRead, enumerate_overmonoids,
+                                      enumerate_zar)
 from oracles import (cyclic_group_with_zero, finitary_by_subsets,
                      id3_item_by_item, m2_pair_by_pair)
 
@@ -200,8 +200,8 @@ def descriptors(H):
     zar = {V.name: V for V in enumerate_zar(WindowRead(H, 4))}
     if isinstance(ctx, IntCarrier):
         return [zar["V(N)"], zar["V(Z)"]]
-    return [ValuationDescriptor(ctx, w, t) for w in _primitive_weights()
-            for t in (-1, 0, 1)] + [zar["V(trivial)"]]
+    return [ValuationDescriptor(ctx, w, t)
+            for w, t in CANDIDATES] + [zar["V(trivial)"]]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -895,3 +895,87 @@ def test_corollaries_read_each_set_once_per_window(name):
     assert len({id(b) for b, _ in masks}) == len(windows)
     for c, (k, outer) in zip(id2_checks, items):
         assert c.ok and k == outer < c.n, (c.name, k, outer, c.n)
+
+
+def redundant(H, overs):
+    """Product closures with members a pack leaves out (``packs._minimal``):
+    H before its overmonoids, and after them, reversed; H listed twice
+    around its group G; G filled above an unfilled H, which goes, and an
+    unfilled G above a filled H, which stays; H filled twice; and a
+    rule-backed copy of H, which H's generators leave out, but which,
+    having none, leaves nothing out."""
+    ctx = H.context
+    G = Overmonoid(ctx, gens=H.generators + tuple(
+        ctx.inv(g) for g in H.generators if g != ctx.zero), name="G")
+    copy = Overmonoid(ctx, rule=H.has, name="copy")
+    return [ModuleSystem("overs", ctx, [H, *overs]),
+            ModuleSystem("reversed", ctx, [*overs[::-1], H]),
+            ModuleSystem("twice", ctx, [H, G, H]),
+            ModuleSystem("filled_above", ctx, [H, G], filled=(1,)),
+            ModuleSystem("filled_below", ctx, [H, G], filled=(0,)),
+            ModuleSystem("filled_twice", ctx, [H, H], filled=(0, 1)),
+            ModuleSystem("copy_after", ctx, [H, copy]),
+            ModuleSystem("copy_first", ctx, [copy, H])]
+
+
+@pytest.mark.parametrize("name", ["n23", "n2", "c3z"])
+def test_packs_read_product_closures_from_their_minimal_members(name):
+    """A pack leaves out a member S when an already kept generator-backed
+    member T lies inside it, T unfilled or S filled; every read of each
+    slot, at the window's points and the zero, is its full member list's
+    predicate (``ModuleSystem.closure``), and every verdict is the one
+    read from those predicates, with the members hidden."""
+    H, overs = build(monoid_from_file(os.path.join(DATA, name + ".json")))
+    systems = redundant(H, overs)
+    kept = {r.name: packs._minimal(r) for r in systems}
+    copy = systems[-1].members[0]
+    G = systems[2].members[1]
+    assert {k: kept[k] for k in kept if k != "reversed"} == {
+        "overs": ([H], []), "twice": ([H], []),
+        "filled_above": ([H], []), "filled_below": ([H, G], [0]),
+        "filled_twice": ([H], [0]), "copy_after": ([H], []),
+        "copy_first": ([copy, H], [])}
+    assert len(kept["reversed"][0]) < len(overs) + 1
+    real = packs._Pack.box
+    read = []
+
+    def checked(self, A):
+        bits = real(self, A)
+        w = self.w
+        for s, r in enumerate(self.systems):
+            pred = r.closure(A)
+            assert ([bits >> w.cell[g] + s * self.width & 1
+                     for g in w.universe]
+                    == [pred(g) for g in w.universe]), (r.name, A)
+        read.append(self.packed)
+        return bits
+
+    bound = 1 if name == "n2" else 4
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(packs._Pack, "box", checked)
+        for r in systems:
+            assert same_checks(r, H, bound), r.name
+        packed = check_module_axioms(systems, H, bound=bound)
+    assert any(read) and not all(read)
+    assert list(map(dicts, packed)) == list(map(dicts, check_module_axioms(
+        list(map(hidden, systems)), H, bound=bound)))
+
+
+def test_corollaries_pack_one_member_per_system_on_the_integers():
+    """On a numerical H both of corollaries' systems are intersection
+    systems whose first member lies in every other (R(G|H) from H's own
+    semigroup; V(N) inside V(Z)), so each of its packs keeps one member."""
+    real = packs._Pack.__init__
+    fields = []
+
+    def counted(self, w, slots, packed):
+        real(self, w, slots, packed)
+        fields.append((len(self._members), [len(r.members)
+                                            for r in self.systems]))
+
+    H = monoid_from_file(os.path.join(DATA, "n345.json"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(packs._Pack, "__init__", counted)
+        cli.run_suite("corollaries", H, bound=10, seed=0)
+    assert [n for n, _ in fields] == [1, 1]
+    assert [m for _, m in fields] == [[len(enumerate_overmonoids(H))], [2]]

@@ -12,12 +12,12 @@ from monoid_spectra.errors import UnsupportedRealization
 from monoid_spectra.idealsys import RIdeal, enumerate_primes, spec_subbasis
 from monoid_spectra.monoid import (INF, Monoid, Overmonoid, as_overmonoid,
                                    localize, monoid_from_file)
-from monoid_spectra.valuation import (ValuationDescriptor, WindowRead,
-                                      delta, delta_dot, delta_laws,
-                                      enumerate_overmonoids, enumerate_zar,
-                                      is_s_pruefer, is_valuation,
-                                      overmonoid_space)
-from oracles import (delta_pointwise, image_law_pointwise,
+from monoid_spectra.valuation import (CANDIDATES, ValuationDescriptor,
+                                      WindowRead, delta, delta_dot,
+                                      delta_laws, enumerate_overmonoids,
+                                      enumerate_zar, is_s_pruefer,
+                                      is_valuation, overmonoid_space)
+from oracles import (delta_pointwise, image_law_pointwise, in_valuation,
                      is_s_pruefer_pointwise, is_valuation_pointwise,
                      subbasis, zar_pointwise, zar_space_pointwise)
 
@@ -41,19 +41,6 @@ def laws(H, bound):
                                           read)}
 
 
-def lex_contains(g, w, t):
-    """Independent oracle: membership in the weight valuation by direct
-    inequality on w and, at ties, on the perpendicular refined by t."""
-    s = w[0] * g[0] + w[1] * g[1]
-    if s != 0:
-        return s > 0
-    if t == 0:
-        return True
-    perp = (-w[1], w[0])
-    p = perp[0] * g[0] + perp[1] * g[1]
-    return p == 0 or (p > 0) == (t > 0)
-
-
 def test_weight_descriptor_matches_inequality_oracle():
     ctx = Monoid.affine([[1, 0], [0, 1]]).context
     for w in [(1, 0), (0, 1), (1, 1), (2, 1), (-1, 2)]:
@@ -61,7 +48,7 @@ def test_weight_descriptor_matches_inequality_oracle():
             v = ValuationDescriptor(ctx, w, t)
             for a in range(-4, 5):
                 for b in range(-4, 5):
-                    assert v.contains((a, b)) == lex_contains((a, b), w, t), \
+                    assert v.contains((a, b)) == in_valuation(w, t, (a, b)), \
                         (w, t, a, b)
             assert v.contains(INF)
 
@@ -135,6 +122,29 @@ def test_enumerate_zar_numerical_and_affine():
     profs = [frozenset(i for i, g in enumerate(window) if v.contains(g))
              for v in za]
     assert len(set(profs)) == len(profs)
+
+
+def test_zar_builds_a_descriptor_only_for_a_candidate_holding_h(
+        monkeypatch):
+    """Of the 48 candidates (w, t), the Zar carrier builds a descriptor
+    only for those that hold H's generators, by the definition
+    (``oracles.in_valuation``): 13 on N^2 and 1 on nxz at bound 4."""
+    built = []
+    real = ValuationDescriptor.__init__
+
+    def counted(self, context, weight, tiebreak):
+        built.append((weight, tiebreak))
+        real(self, context, weight, tiebreak)
+
+    monkeypatch.setattr(ValuationDescriptor, "__init__", counted)
+    assert len(CANDIDATES) == 48
+    for name, n in (("n2", 13), ("nxz", 1)):
+        built.clear()
+        H = monoid_from_file(os.path.join(DATA, name + ".json"))
+        enumerate_zar(WindowRead(H, 4))
+        assert built == [(w, t) for w, t in CANDIDATES if all(
+            in_valuation(w, t, g) for g in H.generators)]
+        assert len(built) == n, name
 
 
 def test_delta_numerical():
