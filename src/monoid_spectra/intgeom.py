@@ -4,19 +4,24 @@ the plane, and exact membership in finitely generated submonoids of Z^d.
 Everything here is pure integer arithmetic; no floating point is involved, so
 every membership answer is exact.  Cone/monoid machinery is implemented for
 dimension <= 2, which covers every supported affine realization.  A planar
-cone is analysed in one place, `_cone_2d`: the invertible/pointed split of
-its generators and, when it is pointed, its extreme rays, run once per
-generating set by the cached `_analysed`.  `faces_2d` reads the faces off
-that analysis; `submonoid_2d` its one membership walk and `submonoid_span`
-the members on a box as one int, by ray fills.
+cone is analysed in one place, the cached `_cone_2d`: the invertible/pointed
+split of its generators and, when it is pointed, its extreme rays, once per
+generating set; `faces_2d` reads the faces off that analysis.  A submonoid
+H of Z^2 has one membership structure, H = A + M (`_apery`): M, the points
+of a lattice inside at most two walls, and A, H's finite Apery set over M,
+one list per coset.  `submonoid_2d` asks it of a point, and `submonoid_span`
+of a box, as one int, M's comb moved by each point of A.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from heapq import heappop, heappush
 from math import gcd
 
-from .numsgp import cached_semigroup
+from .errors import UnsupportedRealization
+from .layout import Box
+from .numsgp import MAX_REACH, cached_semigroup
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -134,7 +139,12 @@ def cone_contains_2d(gens, x) -> bool:
     return False
 
 
-def _cone_2d(gens):
+# Most generating sets whose cone analysis, and whose Apery set, are kept.
+MAX_SUBMONOIDS = 1 << 10
+
+
+@lru_cache(maxsize=MAX_SUBMONOIDS)
+def _cone_2d(gens: tuple):
     """The one analysis of a planar cone: its nonzero generators split into
     the invertible ones, whose negatives lie in the cone and which span its
     largest linear subspace, and the pointed rest.  With no invertible
@@ -169,83 +179,77 @@ def submonoid_1d(gens):
     return lambda x: x % g_all == 0 and sgp.contains(sign * x // g_all)
 
 
-# Most generating sets whose analysis `submonoid_2d` keeps, and most points
-# one generating set's reachability memo holds; a full memo is cleared.
-MAX_SUBMONOIDS = 1 << 10
-MAX_REACH_MEMO = 1 << 16
+def _inside(walls, x, a) -> bool:
+    """Whether x - a lies on the kept side of every wall."""
+    return all(h[0] * (x[0] - a[0]) + h[1] * (x[1] - a[1]) >= 0
+               for h in walls)
 
 
 @lru_cache(maxsize=MAX_SUBMONOIDS)
-def _analysed(gens: tuple):
-    """The analysis of the submonoid H of Z^2 generated by `gens` that
-    `submonoid_2d`, `submonoid_span` and `faces_2d` share, done once per
-    generating set: the echelon basis of the lattice L that the invertible
-    generators span, H's group of units; the pointed generators; a
-    functional w that vanishes on L and is positive on them, None with no
-    pointed generator (then H = L); and ``_cone_2d``'s invertible
-    generators and extreme rays.  w comes from the extreme rays when
-    L = 0, and is perpendicular to L's row when L has rank 1."""
+def _apery(gens: tuple):
+    """The decomposition H = A + M of the submonoid H of Z^2 generated by
+    `gens`, built once per generating set, as (the echelon basis of the
+    lattice Lambda, the walls, A as a list per coset of Lambda).
+
+    M is the points of Lambda inside every wall (a functional h, kept where
+    h.v >= 0), and Lambda is H's group of units L, which ``_cone_2d``'s
+    invertible generators span, with H's edge generators:
+    - L of rank 1, or a ray: one wall w, perpendicular to L or along the
+      ray, and one edge, a pointed generator of least w.v;
+    - otherwise: the extreme rays u_r, u_l, and the walls cross(u_r, v) >= 0
+      and cross(v, u_l) >= 0;
+    - no pointed generator: no wall, and M = L = H.
+    So M lies in H and has H's cone, and A, H's Apery set over M, is
+    finite: the points a of H, up to L, with a - m outside H for every m
+    of M off L.  It is found by a walk from 0 by the other pointed
+    generators in increasing order of the walls' sum, which every point of
+    M off L raises, so a point is kept unless a kept point of its coset
+    plus M holds it; only kept points are walked on, as a partial sum of a
+    point of A is in A.  The walk is refused past MAX_REACH kept points,
+    the numerical reach guard."""
     invertible, pointed, rays = _cone_2d(gens)
-    basis = hnf_rows(invertible)
+    units = hnf_rows(invertible)
     if not pointed:
-        w = None
-    elif basis:  # rank 1: perpendicular to L's row, on the pointed side
-        r0, r1 = row = basis[0][1]
-        w = (-r1, r0) if cross(row, pointed[0]) > 0 else (r1, -r0)
-    else:  # rank 0: between the extreme rays, or along the only ray
-        u_r, u_l = rays
-        w = u_r if cross(u_r, u_l) == 0 else (
-            u_l[1] - u_r[1], u_r[0] - u_l[0])
-    return basis, pointed, w, invertible, rays
+        return units, [], {(0, 0): [(0, 0)]}
+    if units:
+        r0, r1 = row = units[0][1]
+        walls = [(-r1, r0) if cross(row, pointed[0]) > 0 else (r1, -r0)]
+    elif cross(*rays) == 0:
+        walls = [rays[0]]
+    else:
+        (a0, a1), (b0, b1) = rays
+        walls = [(-a1, a0), (b1, -b0)]
+    w = tuple(map(sum, zip(*walls)))
+    edges = (list(rays) if len(walls) == 2
+             else [min(pointed, key=lambda p: w[0] * p[0] + w[1] * p[1])])
+    basis = hnf_rows(invertible + edges)
+    others = [p for p in pointed if p not in edges]
+    apery, seen, todo, kept = {}, {(0, 0)}, [(0, (0, 0))], 0
+    while todo:
+        _, v = heappop(todo)
+        coset = apery.setdefault(_residue(basis, v), [])
+        if any(_inside(walls, v, a) for a in coset):
+            continue
+        coset.append(v)
+        kept += 1
+        if kept > MAX_REACH:
+            raise UnsupportedRealization(
+                f"the submonoid generated by {list(gens)} has more than "
+                f"{MAX_REACH} Apery points over its edge generators")
+        for g in others:
+            u = _residue(units, (v[0] + g[0], v[1] + g[1]))
+            if u not in seen:
+                seen.add(u)
+                heappush(todo, (w[0] * u[0] + w[1] * u[1], u))
+    return basis, walls, apery
 
 
-@lru_cache(maxsize=MAX_SUBMONOIDS)
-def submonoid_2d(gens: tuple):
-    """Exact membership predicate of the submonoid H of Z^2 generated by `gens`.
-
-    A point is first reduced modulo H's group of units L to its HNF
-    residue (``_analysed``).  A walk then subtracts pointed generators down
-    the functional w.  When L has rank 2 the cone is the plane, every
-    generator is invertible and H = L.  One reachability memo is shared by
-    all queries: each step strictly decreases w.v, so an entry is exact
-    whoever wrote it."""
-    basis, pointed, w, *_ = _analysed(gens)
-    if w is None:
-        return lambda x: lattice_contains(basis, x)
-    w0, w1 = w
-    memo: dict[tuple, bool] = {}
-
-    def remember(v, hit):
-        if len(memo) >= MAX_REACH_MEMO:
-            memo.clear()
-        memo[v] = hit
-
-    def member(x) -> bool:
-        """Is x in L + N*pointed?  A depth-first walk on an explicit path of
-        (point, its untried steps): a point that reaches 0 puts True on the
-        whole path, and a point whose every step fails is False."""
-        path, u = [], x
-        while True:
-            if basis:
-                u = _residue(basis, u)
-            if u == (0, 0):
-                hit = True
-            else:
-                hit = memo.get(u) if w0 * u[0] + w1 * u[1] > 0 else False
-            if hit:
-                for v, _ in path:
-                    remember(v, True)
-                return True
-            if hit is None:
-                path.append((u, iter(pointed)))
-            while path and (g := next(path[-1][1], None)) is None:
-                remember(path.pop()[0], False)
-            if not path:
-                return False
-            v = path[-1][0]
-            u = (v[0] - g[0], v[1] - g[1])
-
-    return member
+def submonoid_2d(gens: tuple, x) -> bool:
+    """Exact membership of x in the submonoid of Z^2 generated by `gens`:
+    some a of ``_apery``'s A in x's coset has x - a inside every wall."""
+    basis, walls, apery = _apery(gens)
+    return any(_inside(walls, x, a)
+               for a in apery.get(_residue(basis, x), ()))
 
 
 # -- members on a box, as one int ----------------------------------------------
@@ -258,112 +262,71 @@ def _repunit(rows: int, stride: int) -> int:
     return ((1 << rows * stride) - 1) // ((1 << stride) - 1)
 
 
-def lattice_span(basis, box) -> int:
+def lattice_span(basis, box, walls=()) -> int:
     """The cells of `box` on the lattice with echelon basis `basis` (of
-    ``hnf_rows``, in Z^2), as a comb: on row x the lattice is the cells
-    y = start (mod period), one shifted periodic row, or a single cell when
-    the lattice has no vector (0, c), or none."""
+    ``hnf_rows``, in Z^2) and on the kept side of every wall h
+    (h.v >= 0), as a comb.  The lattice meets row x when x = q p0 for its
+    first row (p0, b) (only x = 0 without one), in the cells
+    y = q b (mod period), one shifted periodic row, when it holds
+    (0, period), else in the one cell y = q b; the walls cut the row to
+    one run."""
     rows, cols, stride = box.rows, box.cols, box.stride
-    if len(basis) == 2 and basis[0][1][0] == basis[1][1][1] == 1:
+    if not walls and len(basis) == 2 and basis[0][1][0] == basis[1][1][1] == 1:
         return ((1 << cols) - 1) * _repunit(rows, stride)  # all of Z^2
+    p0, b = next((row for j, row in basis if j == 0), (0, 0))
     period = next((row[1] for j, row in basis if j == 1), 0)
     out = 0
     for i in range(rows):
-        r0, r1 = _residue(basis, (box.x0 + i, 0))
-        if r0:
+        x = box.x0 + i
+        if x % p0 if p0 else x:  # the lattice misses row x
             continue
-        first = -r1 - box.y0
+        lo, hi = 0, cols - 1  # the row's run, in columns
+        for h0, h1 in walls:
+            if h1 > 0:
+                lo = max(lo, -(h0 * x // h1) - box.y0)
+            elif h1 < 0:
+                hi = min(hi, h0 * x // -h1 - box.y0)
+            elif h0 * x < 0:
+                hi = -1
+        first = (x // p0 * b if p0 else 0) - box.y0
         if period:
-            first %= period
-            n = (cols - 1 - first) // period + 1
+            first = lo + (first - lo) % period
+            n = (hi - first) // period + 1
             if n > 0:
                 out |= _repunit(n, period) << first + i * stride
-        elif 0 <= first < cols:
+        elif lo <= first <= hi:
             out |= 1 << first + i * stride
     return out
 
 
-def _ray_fill(bits, step, rows, cols, full):
-    """`bits` on a region of `rows` rows of `cols` cells (stride cols)
-    closed under adding `step` inside the region: OR the mask moved by
-    2^j * step, j = 0, 1, 2, ..., each time dropping the cells that would
-    leave their row first.  A region meets each line in a run, so every
-    sum that ends in it passes only through it, and the doublings reach
-    it."""
-    dx, dy = step
-    rep = full // ((1 << cols) - 1)
-    while abs(dx) < rows and abs(dy) < cols:
-        keep = ((1 << min(cols, cols - dy)) - (1 << max(0, -dy))) * rep
-        k = dx * cols + dy
-        src = bits & keep
-        bits |= (src << k if k >= 0 else src >> -k) & full
-        dx, dy = 2 * dx, 2 * dy
-    return bits
-
-
-def submonoid_span(gens: tuple, box, cap: int):
+def submonoid_span(gens: tuple, box) -> int:
     """The members on `box` of the submonoid H of Z^2 generated by `gens`,
-    as one int, asking no point; None when the region the fills need
-    passes `cap` cells.
-
-    With ``_analysed``'s L, pointed part P and w: H = L when P is empty,
-    read as L's comb.  Otherwise the fills start from the cell of 0 and
-    run ``_ray_fill`` with each pointed generator, then with L's row both
-    ways, on a region that holds every partial sum of every member of the
-    box, and the box's rows are copied out of it.  A member m's pointed
-    part, in some order of its generators, has its partial sums in
-    C = cone(P) with w at most W, the box's largest w: the triangle of 0
-    and each p scaled to w = W bounds them.  With no units they also lie in
-    m - C, so the region is cut to the box's side of C on each axis where
-    C has one sign.  With units the region holds the box's cells with
-    w >= 0 too, which hold every member of the box, so each m - kl runs to
-    m through it; a cell with w < 0 is no member."""
-    basis, pointed, w, *_ = _analysed(gens)
-    if w is None:
-        return lattice_span(basis, box)
-    lo = (box.x0, box.y0)
-    hi = (box.x0 + box.rows - 1, box.y0 + box.cols - 1)
-    top = max(w[0] * x + w[1] * y for x in (lo[0], hi[0])
-              for y in (lo[1], hi[1]))
-    if top < 0:
+    as one int, asking no point: with ``_apery``'s H = A + M, the OR of M
+    moved by each a of A under the box, one with every wall kept at some
+    cell of the box moved back by a.  M is read once, by
+    ``lattice_span``, on the region that holds the box moved back by each
+    such a, and each move is one shift of it.  A region row is the box's
+    width plus the moves' spread in y, so a cell moved off its row lands
+    outside the box's columns and needs no guard bit; the box's rows are
+    then cut out of the result."""
+    basis, walls, apery = _apery(gens)
+    x1, y1 = box.x0 + box.rows - 1, box.y0 + box.cols - 1
+    tops = [(h0, h1, max(h0 * box.x0, h0 * x1) + max(h1 * box.y0, h1 * y1))
+            for h0, h1 in walls]
+    under = [a for coset in apery.values() for a in coset
+             if all(h0 * a[0] + h1 * a[1] <= top for h0, h1, top in tops)]
+    if not under:
         return 0
-    scaled = [(p, w[0] * p[0] + w[1] * p[1]) for p in pointed]
-    a = [min(0, *(-(-top * p[k] // s) for p, s in scaled)) for k in (0, 1)]
-    b = [max(0, *(top * p[k] // s for p, s in scaled)) for k in (0, 1)]
-    for k in (0, 1):
-        if basis:  # the box's cells with w >= 0 span [up, down] on axis k
-            w_k, most = w[k], max(w[1 - k] * lo[1 - k], w[1 - k] * hi[1 - k])
-            up = max(lo[k], -(most // w_k)) if w_k > 0 else lo[k]
-            down = min(hi[k], most // -w_k) if w_k < 0 else hi[k]
-            a[k], b[k] = min(a[k], up), max(b[k], down)
-        else:
-            if all(p[k] >= 0 for p in pointed):
-                b[k] = min(b[k], hi[k])
-            if all(p[k] <= 0 for p in pointed):
-                a[k] = max(a[k], lo[k])
-    if a[0] > 0 or a[1] > 0 or b[0] < 0 or b[1] < 0:
-        return 0  # the region misses 0: the box misses C
-    rows, cols = b[0] - a[0] + 1, b[1] - a[1] + 1
-    if rows * cols > cap:
-        return None
-    full = (1 << rows * cols) - 1
-    bits = 1 << -a[0] * cols - a[1]
-    steps = list(pointed)
-    if basis:
-        steps += [tuple(basis[0][1]), neg(basis[0][1])]
-    for g in steps:
-        bits = _ray_fill(bits, g, rows, cols, full)
-    # the box's rows, cut out of the region's
-    xa, xb = max(a[0], lo[0]), min(b[0], hi[0])
-    ya, yb = max(a[1], lo[1]), min(b[1], hi[1])
-    if xa > xb or ya > yb:
-        return 0
-    run = (1 << yb - ya + 1) - 1
-    out = 0
-    for x in range(xa, xb + 1):
-        out |= (bits >> (x - a[0]) * cols + ya - a[1] & run) << (
-            (x - lo[0]) * box.stride + ya - lo[1])
-    return out
+    (xa, xb), (ya, yb) = ((min(c), max(c)) for c in zip(*under))
+    cols = box.cols + yb - ya
+    region = Box(None, box.x0 - xb, box.y0 - yb, box.rows + xb - xa, cols,
+                 cols)
+    bits, moved = lattice_span(basis, region, walls), 0
+    for a in under:
+        moved |= bits >> (xb - a[0]) * cols + yb - a[1]
+    run = (1 << box.cols) - 1
+    return sum((moved >> i * cols & run) << i * box.stride
+               for i in range(box.rows))
 
 
 @lru_cache(maxsize=1 << 16)
@@ -371,23 +334,23 @@ def monoid_contains(gens: tuple, x: tuple) -> bool:
     """Exact membership of x in the submonoid of Z^d generated by `gens`.
 
     For d = 1 or 2, the dimensions a lattice carrier admits.  This is the
-    cached entry point: a miss asks the predicate `submonoid_1d` or
-    `submonoid_2d` built for `gens`, and the analysis of `gens` is done
-    once, by `submonoid_2d`'s cache, not once per point."""
+    cached entry point: a miss asks `submonoid_1d`'s predicate or
+    `submonoid_2d`, whose Apery set is built once per generating set, by
+    `_apery`'s cache, not once per point."""
     dim = len(x)
     if dim == 1:
         return submonoid_1d([g[0] for g in gens])(x[0])
-    return submonoid_2d(gens)(x)
+    return submonoid_2d(gens, x)
 
 
 def faces_2d(gens) -> list[frozenset]:
     """Faces of the cone of `gens`, each given as the frozenset of generators
-    lying on the face, the cone itself first, read from ``_analysed``.  A
+    lying on the face, the cone itself first, read from ``_cone_2d``.  A
     cone with no pointed generator is a linear subspace, its only face; a
     half plane has one proper face, the line of its invertible generators;
     a pointed cone has its extreme rays and the origin, a ray just the
     origin."""
-    _, pointed, _, invertible, rays = _analysed(tuple(map(tuple, gens)))
+    invertible, pointed, rays = _cone_2d(tuple(map(tuple, gens)))
     allg = frozenset(invertible + pointed)
     if not pointed:
         return [allg]

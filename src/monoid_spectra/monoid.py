@@ -135,11 +135,9 @@ class GroupoidContext:
 
     def span(self, gens, box):
         """The members on `box` of the submonoid generated by `gens`, by
-        ``intgeom.submonoid_span`` on their cells; None when its region
-        passes MAX_SPAN_BITS cells."""
+        ``intgeom.submonoid_span`` on their cells, asking no cell."""
         return intgeom.submonoid_span(
-            tuple(self._xy(g) for g in gens if g is not INF), box,
-            MAX_SPAN_BITS)
+            tuple(self._xy(g) for g in gens if g is not INF), box)
 
     def faces(self, gens):
         """The generators on each face of their cone, read at their cells."""
@@ -319,9 +317,8 @@ class LatticeCarrier(GroupoidContext):
         return out
 
 
-# Most bits of one pack of a window's slots, and most cells of the region an
-# overmonoid's generators' fills run on, past which it is read cell by cell.
-# MAX_WINDOW keeps below it every layout, laid out on points a window bounds
+# Most bits of one pack of a window's slots.  MAX_WINDOW keeps below it
+# every layout, laid out on points a window bounds
 # (``modsys.separating_masks`` asks the separating generators one by one).
 MAX_SPAN_BITS = 1 << 16
 

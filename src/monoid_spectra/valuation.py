@@ -12,9 +12,9 @@ descriptor is V(w, t) on the plane; V(N), V(Z) and the trivial valuation
 are overmonoids of their generators, which the carrier builds (``zar``).
 Each overmonoid is read once as a mask, asking no point: V(w, t) is one
 run of each box row plus at most one kernel cell, and a generator-backed
-one is filled from its generators (``intgeom.submonoid_span``).  No prime is
-asked either: its part of H's window part is its mask, the OR of H's
-translates by its generators (``idealsys.RIdeal.span_mask``), and m_V
+one is a comb moved by each Apery point (``intgeom.submonoid_span``).  No
+prime is asked either: its part of H's window part is its mask, the OR of
+H's translates by its generators (``idealsys.RIdeal.span_mask``), and m_V
 intersect H is H's part AND V's mask minus its inversion."""
 
 from __future__ import annotations

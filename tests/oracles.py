@@ -9,7 +9,9 @@ loop, the benchmark's workload module, the valuation test, the Zar
 carrier and its space, the Pruefer test, the domination map and its image
 law asked point by point through the validating ``contains``, the finite
 witnesses of intersection systems and of meets, the pair scans of the
-axiom checkers read one pair at a time, and their seeded subset draws.
+axiom checkers read one pair at a time, their seeded subset draws, and
+membership in a finitely generated submonoid of Z^2 by a depth-first walk
+down a functional.
 
 Open sets are ints, bit i set when point i lies in the set; materializing
 them is exponential, so a space may have at most ``CARRIER_GUARD`` points."""
@@ -22,6 +24,7 @@ import os
 import random
 from functools import lru_cache
 
+from monoid_spectra import intgeom
 from monoid_spectra.fintop import FiniteSpace
 from monoid_spectra.modsys import FAMILY_DEPTH, ModuleSystem, meet
 from monoid_spectra.monoid import (INF, Monoid, Overmonoid, fraction_ideal,
@@ -653,3 +656,58 @@ def all_pairs_is_prime(I, window):
             if I.contains(H.op(a, b)):
                 return False
     return True
+
+
+# -- plane membership by a walk ------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _walk(gens):
+    """The membership walk of the submonoid H of Z^2 generated by `gens`:
+    with L the lattice of the invertible generators (H's group of units),
+    a functional w vanishing on L and positive on the pointed generators,
+    and one reachability memo, unbounded, that every query of `gens`
+    shares; each step lowers w.v, so an entry is exact whoever wrote it."""
+    invertible, pointed, rays = intgeom._cone_2d(gens)
+    basis = intgeom.hnf_rows(invertible)
+    if not pointed:
+        return lambda x: intgeom.lattice_contains(basis, x)
+    if basis:  # rank 1: perpendicular to L's row, on the pointed side
+        r0, r1 = row = basis[0][1]
+        w = (-r1, r0) if intgeom.cross(row, pointed[0]) > 0 else (r1, -r0)
+    else:  # rank 0: between the extreme rays, or along the only ray
+        u_r, u_l = rays
+        w = u_r if intgeom.cross(u_r, u_l) == 0 else (
+            u_l[1] - u_r[1], u_r[0] - u_l[0])
+    memo = {}
+
+    def member(x) -> bool:
+        """Is x in L + N*pointed?  A depth-first walk on an explicit path
+        of (point, its untried steps), reduced modulo L: a point that
+        reaches 0 puts True on the whole path, and a point whose every
+        step fails is False."""
+        path, u = [], x
+        while True:
+            u = intgeom._residue(basis, u)
+            if u == (0, 0):
+                hit = True
+            else:
+                hit = memo.get(u) if intgeom.dot(w, u) > 0 else False
+            if hit:
+                memo.update((v, True) for v, _ in path)
+                return True
+            if hit is None:
+                path.append((u, iter(pointed)))
+            while path and (g := next(path[-1][1], None)) is None:
+                memo[path.pop()[0]] = False
+            if not path:
+                return False
+            v = path[-1][0]
+            u = (v[0] - g[0], v[1] - g[1])
+
+    return member
+
+
+def walk_contains(gens, x) -> bool:
+    """Membership of x in the submonoid of Z^2 generated by `gens`, by the
+    walk of ``_walk``."""
+    return _walk(tuple(map(tuple, gens)))(tuple(x))

@@ -271,6 +271,23 @@ def test_exit_code_3_when_an_oversemigroup_passes_the_size_guard(
         "unsupported: numerical semigroup too large: generators 300 and 89699")
 
 
+@pytest.mark.parametrize("suite", ["spec", "prop1", "axioms"])
+def test_exit_code_3_past_the_apery_size_guard(suite, tmp_path, capsys):
+    """<(1,0),(0,1),(-1,10^9)> has 10^9 Apery points over its extreme rays,
+    (0, j) for j < 10^9, one per coset; the walk that builds them is
+    refused past MAX_REACH points, at the first span or membership."""
+    big = tmp_path / "big.json"
+    big.write_text('{"kind": "affine", "dim": 2, '
+                   '"generators": [[1, 0], [0, 1], [-1, 1000000000]]}')
+    code = main(["verify", "--suite", suite, "--input", str(big)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith(
+        "unsupported: the submonoid generated by [(1, 0), (0, 1), "
+        "(-1, 1000000000)] has more than 100000 Apery points")
+    assert "Traceback" not in captured.err + captured.out
+
+
 @pytest.mark.parametrize("suite, digest", [
     ("main1", "74ffedc5924dbf260ea4ce79a89905459b4a4657"),
     ("prop1", "ab6ddb92b40aa305427a20a48294e4ebeb909d52")])

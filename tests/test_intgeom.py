@@ -3,12 +3,14 @@ import random
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from monoid_spectra import intgeom
 from monoid_spectra.intgeom import (cone_contains_2d, faces_2d, hnf_rows,
                                     lattice_contains, monoid_contains, neg)
+from monoid_spectra.layout import Box
+from oracles import walk_contains
 
 
 def brute_lattice_contains(gens, v):
@@ -174,10 +176,10 @@ def test_compiled_membership_matches_reachability():
     [0, x], so inside the radius-12 box for k >= 2: reachability inside that
     box is exact.  Each set is asked in a shuffled order and again through
     a permuted generator tuple, so no answer may depend on which query
-    filled the shared memo.  On every set whose invertible generators span
-    rank 2 it also checks the lemma that leaves `submonoid_2d` no coset
-    search: their cone is then the plane, so every generator is
-    invertible."""
+    came first or on the order the Apery walk takes the generators in.
+    On every set whose invertible generators span rank 2 it also checks
+    the lemma that makes H its group of units there: their cone is then
+    the plane, so every generator is invertible."""
     ranks = set()
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -199,46 +201,28 @@ def test_compiled_membership_matches_reachability():
 
 
 def test_far_points_need_no_recursion():
-    """The walk keeps its path on an explicit stack, so a point thousands of
-    steps from 0 is decided at rank 0 and at rank 1."""
+    """A point thousands of steps from 0 is decided by its coset and the
+    walls, at rank 0 and at rank 1, with no walk from it."""
     monoid_contains.cache_clear()
-    intgeom.submonoid_2d.cache_clear()
     assert monoid_contains(((1, 0), (0, 1)), (900, 900))
     assert monoid_contains(((1, 0), (0, 1), (0, -1)), (2500, 7))
     assert not monoid_contains(((2, 0), (0, 1), (0, -1)), (2501, 7))
 
 
-def reach_memos(pred):
-    """The dicts a compiled predicate closes over, directly or through the
-    functions it closes over."""
-    memos, seen, todo = [], set(), [pred]
-    while todo:
-        fn = todo.pop()
-        if id(fn) in seen:
-            continue
-        seen.add(id(fn))
-        for cell in fn.__closure__ or ():
-            value = cell.cell_contents
-            if isinstance(value, dict):
-                memos.append(value)
-            elif callable(value) and hasattr(value, "__closure__"):
-                todo.append(value)
-    return memos
-
-
 def test_bounded_caches_stay_exact(monkeypatch):
-    """With a 2-set compile cache and an 8-point reachability memo, answers
-    stay exact and no memo holds more than 8 points."""
-    assert intgeom.submonoid_2d.cache_info().maxsize == intgeom.MAX_SUBMONOIDS
-    compiled = []
-    build = intgeom.submonoid_2d.__wrapped__
+    """With a 2-set Apery cache, answers stay exact and each set's Apery
+    set is built again once it has left the cache; every cache of the
+    plane analysis is bounded."""
+    assert intgeom._apery.cache_info().maxsize == intgeom.MAX_SUBMONOIDS
+    assert intgeom._cone_2d.cache_info().maxsize == intgeom.MAX_SUBMONOIDS
+    built = []
+    build = intgeom._apery.__wrapped__
 
     def recording(gens):
-        compiled.append(build(gens))
-        return compiled[-1]
+        built.append(gens)
+        return build(gens)
 
-    monkeypatch.setattr(intgeom, "MAX_REACH_MEMO", 8)
-    monkeypatch.setattr(intgeom, "submonoid_2d", lru_cache(maxsize=2)(recording))
+    monkeypatch.setattr(intgeom, "_apery", lru_cache(maxsize=2)(recording))
     cases = [((1, 2), (2, 1)), ((2, 0), (0, 2), (1, 1)), ((1, 1), (1, -1)),
              ((1, 0), (0, 1), (0, -1)), ((2, -1), (-1, 2), (-1, -1))]
     rnd = random.Random(0)
@@ -249,13 +233,75 @@ def test_bounded_caches_stay_exact(monkeypatch):
                 reach = reachable_2d(gens, 12)
                 for x in rnd.sample(BOX4, len(BOX4)):
                     assert monoid_contains(gens, x) == (x in reach), (gens, x)
-                    assert all(len(m) <= 8 for p in compiled
-                               for m in reach_memos(p))
-        # each set went out of the 2-set cache and was compiled again
-        assert len(compiled) == 2 * len(cases)
-        assert any(reach_memos(p) for p in compiled)
+        # each set went out of the 2-set cache and was built again
+        assert built == 2 * cases
     finally:
         monoid_contains.cache_clear()
+
+
+def apery_size(gens):
+    return sum(map(len, intgeom._apery(gens)[2].values()))
+
+
+def index(basis):
+    """The index in Z^2 of a rank-2 lattice, from its echelon basis."""
+    return basis[0][1][0] * basis[1][1][1]
+
+
+SKEWED = [((4, 0), (0, 4), (1, 3), (3, 1)), ((7, 2), (2, 7), (5, 5), (3, 4)),
+          ((20, 1), (1, 20), (7, 9), (13, 5)), ((1, 0), (0, 1), (-1, 50))]
+THIN = ((1, 0), (-10000, 1))
+
+
+def test_membership_and_spans_match_the_walk():
+    """``monoid_contains`` and ``submonoid_span`` against the depth-first
+    walk of ``tests/oracles.py``, on [-15, 15]^2 for rank-2 sets of 1-4
+    generators in [-3, 3]^2 and for the skewed cones, and on [-4, 4]^2 for
+    the thin cone, where the walk is slow; spans also on boxes of every
+    offset and stride.  The Apery set A has a point in each coset of
+    Lambda in ZH, so at least their index, and on the skewed cones it is
+    known: 5 on <(4,0),(0,4),(1,3),(3,1)>, whose coset (2,2) holds (2,6)
+    and (6,2), against an index of 4; k on <(1,0),(0,1),(-1,k)>, the
+    points (0,j), j < k; and 1 on the thin cone, whose extreme rays span
+    Z^2."""
+    def check(gens, radius, boxes):
+        cells = [(x, y) for x in range(-radius, radius + 1)
+                 for y in range(-radius, radius + 1)]
+        monoid_contains.cache_clear()
+        assert {x: monoid_contains(gens, x) for x in cells} == \
+            {x: walk_contains(gens, x) for x in cells}, gens
+        side = 2 * radius + 1
+        for x0, y0, rows, cols, pad in [(-radius, -radius, side, side, 0),
+                                         *boxes]:
+            box = Box(None, x0, y0, rows, cols, cols + pad)
+            assert intgeom.submonoid_span(gens, box) == sum(
+                1 << i * box.stride + j for i in range(rows)
+                for j in range(cols)
+                if walk_contains(gens, (x0 + i, y0 + j))), (gens, box)
+        basis = intgeom._apery(gens)[0]
+        if len(hnf_rows(gens)) == len(basis) == 2:
+            assert apery_size(gens) >= index(basis) // index(hnf_rows(gens))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                    min_size=1, max_size=4),
+           st.lists(st.tuples(st.integers(-15, 15), st.integers(-15, 15),
+                              st.integers(1, 9), st.integers(1, 12),
+                              st.integers(0, 20)), max_size=3))
+    def random_sets(gens, boxes):
+        assume(len(hnf_rows(gens)) == 2)
+        check(tuple(gens), 15, boxes)
+
+    random_sets()
+    for gens in SKEWED:
+        check(gens, 15, [(-40, -40, 9, 30, 3), (20, 30, 5, 5, 0)])
+    check(THIN, 4, [(-2, 3, 3, 4, 2), (-10000, 1, 2, 3, 0)])
+    assert apery_size(SKEWED[0]) == 5
+    assert index(intgeom._apery(SKEWED[0])[0]) // index(
+        hnf_rows(SKEWED[0])) == 4
+    for k in (1, 2, 7, 50):
+        assert apery_size(((1, 0), (0, 1), (-1, k))) == k
+    assert apery_size(THIN) == 1
 
 
 def test_cone_shapes():

@@ -1,8 +1,8 @@
 """``layout.Read`` against pointwise ``has``: every read of a set, its
 translates by the planned moves, and inversion, on a numerical, two
-planar, the sublattice and a finite carrier, with the generators' fills
-and with a region cap of no cell, where every set with generators is
-asked cell by cell; a move off the planned ones is refused.  The sets
+planar, the sublattice and a finite carrier, with ``MAX_SPAN_BITS`` at its
+default and at no cell, which no read depends on, as no span of a set
+with generators is capped; a move off the planned ones is refused.  The sets
 are overmonoids, the primes and, on numerical and finite inputs, the
 listed s-ideals, which the layouts read as H's translates:
 ``Table.translate`` on the finite carrier, ``Box.translate`` on the

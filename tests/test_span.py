@@ -166,7 +166,7 @@ def negated(vs, k):
 
 
 # plane generators past `plane`: units of rank 1 and 2, and thin cones
-# whose long generator makes the fills' region pass the cap on most boxes
+# whose members lie far from 0 along a long generator
 units = st.builds(negated, st.lists(vectors, min_size=1, max_size=3),
                   st.integers(1, 2))
 thin = st.builds(lambda a, b, s: [(1, 0), (-a, b)] if s else [(1, a), (1, a + b)],
@@ -209,8 +209,7 @@ def descriptors(H):
 @example(spec=("plane", [(1, 0), (-10000, 1)], [(0, 0, 3, 4, 2)]), picks=[])
 def test_span_mask_matches_has(spec, picks):
     """Every overmonoid's mask, H and its localizations at every prime
-    among them, against its pointwise membership: read asking no cell
-    below the caps, and each cell asked past the fills' region cap."""
+    among them, against its pointwise membership."""
     kind, gens, boxes = spec
     H, overs = build(monoid_of(kind, gens))
     locs = [S for S in overs if S.name == "localization"]
@@ -282,29 +281,62 @@ def test_plane_masks_ask_no_cell():
         assert m == pointwise(lambda g: g is not INF and S.contains(g), wide)
 
 
-@pytest.mark.parametrize("gens, box, region", [
-    # N^2 fills [0, 5] x [0, 5] for a box off 0
-    ([[1, 0], [0, 1]], (3, 3, 3, 3, 5), 36),
-    # units of rank 1: the region holds the box's rows with w >= 0 and the
-    # generators' strip, rows 0 and 1 by 7 columns; rows -2 and -1 have
-    # w < 0 and hold no member
-    ([[1, 0], [0, 1], [0, -1]], (-2, 4, 4, 3, 3), 14),
+THIN = [[1, 0], [-10000, 1]]
+
+
+@pytest.mark.parametrize("gens, box", [
+    # N^2 on a box off 0, and far from it
+    ([[1, 0], [0, 1]], (3, 3, 3, 3, 5)),
+    ([[1, 0], [0, 1]], (900, 880, 4, 5, 5)),
+    # units of rank 1: rows -2 and -1 have w < 0 and hold no member
+    ([[1, 0], [0, 1], [0, -1]], (-2, 4, 4, 3, 3)),
+    ([[1, 0], [0, 1], [0, -1]], (2500, -3000, 3, 6, 9)),
+    # two Apery points in one coset, and k of them for <(1,0),(0,1),(-1,k)>
+    ([[4, 0], [0, 4], [1, 3], [3, 1]], (301, 297, 6, 7, 7)),
+    ([[1, 0], [0, 1], [-1, 50]], (-20, 990, 5, 30, 31)),
+    # the thin cone, along its long generator and past it
+    (THIN, (-30000, 2, 3, 8, 8)), (THIN, (-10003, 1, 7, 5, 6)),
 ])
-def test_a_region_past_the_cap_reads_each_cell(gens, box, region,
-                                               monkeypatch):
-    """A generator-backed overmonoid's fills run on a region that can be
-    larger than its box: at a cap of the region's cells no cell is asked,
-    one cell below it each cell of the box is asked once; both masks are
-    exact."""
+def test_plane_spans_ask_no_cell(gens, box):
+    """A generator-backed plane overmonoid's mask asks no cell, on boxes
+    far from 0 as on boxes around it, and matches the pointwise read."""
     H = Monoid.affine(gens)
     box = Box(H.context, *box)
     expected = pointwise(lambda g: g is not INF and H.contains(g), box)
-    for cap, asks in ((region, 0), (region - 1, box.rows * box.cols)):
-        monkeypatch.setattr(monoid, "MAX_SPAN_BITS", cap)
-        S = as_overmonoid(H)
-        asked = []
-        S.has = lambda g, S=S: asked.append(g) or Overmonoid.has(S, g)
-        assert S.span_mask(box) == expected and len(asked) == asks, cap
+    S = as_overmonoid(H)
+    asked = []
+    S.has = lambda g, S=S: asked.append(g) or Overmonoid.has(S, g)
+    assert S.span_mask(box) == expected and asked == []
+
+
+def test_thin_cone_masks_ask_no_cell(monkeypatch):
+    """main1 on the thin cone at bound 4 reads H and its localizations on
+    its wide layouts asking no cell (its separating generators are asked
+    through ``has``, outside any mask), and each mask is the pointwise
+    one."""
+    span_mask, has = Overmonoid.span_mask, Overmonoid.has
+    reading, asked, reads = [], [], []
+
+    def spy_span(self, box):
+        reading.append(self)
+        try:
+            bits = span_mask(self, box)
+        finally:
+            reading.pop()
+        if self.gens is not None:
+            reads.append((self, box, bits))
+        return bits
+
+    monkeypatch.setattr(Overmonoid, "span_mask", spy_span)
+    monkeypatch.setattr(Overmonoid, "has", lambda self, g: (
+        reading and reading[-1].gens is not None and asked.append(g))
+        or has(self, g))
+    report, _ = cli.run_suite("main1", Monoid.affine(THIN), bound=4, seed=0)
+    monkeypatch.undo()
+    assert report.ok and asked == [] and reads
+    for S, box, bits in reads:
+        assert bits == pointwise(
+            lambda g: g is not INF and S.contains(g), box), (S, box)
 
 
 def test_masks_need_a_box_layout():

@@ -30,7 +30,12 @@ formats, where Id4 reads each {c}_r on a reach box moved by every nonzero
 point of H's window, cells off the lattice included; and main1 on <11,12>
 at bound 1, in both formats, the one run whose system space is large
 (8 196 systems, one per oversemigroup and example16), its input written
-inline as the sweep's are; and axioms, main1, prop1 and corollaries on the
+inline as the sweep's are; spec, zar, axioms, main1 and prop1 on three
+skewed plane inputs (``SKEWED``), written inline too, at bounds 1 and 2,
+in both formats: the thin cone <(1,0),(-10000,1)>, whose members lie far
+from 0 along a long generator, <(4,0),(0,4),(1,3),(3,1)>, whose Apery set
+over its edge generators has two points in one coset, and <(3,1),(1,3)>,
+a sublattice of index 8; and axioms, main1, prop1 and corollaries on the
 proper subgroups <2> of Z/4 and <3> of Z/6 with a zero (``SUBGROUPS``), on
 the same bounds and formats, run through ``cli.run_suite`` and rendered as
 ``cli.main`` renders, as no input file names a finite H smaller than its
@@ -84,8 +89,13 @@ POOL_SUITES = ("corollaries", "axioms", "main1", "main2", "zar", "pruefer",
 POOL_SIZE = 20
 # (suite, bounds) of the large-bound runs on the affine pool
 POOL_LARGE = (("axioms", (8,)),)
-# (suite, description, bound) of the runs on inputs given inline
-INLINE = (("main1", {"kind": "numerical", "generators": [11, 12]}, 1),)
+# (suites, description, bounds) of the runs on inputs given inline
+SKEWED = ([[1, 0], [-10000, 1]], [[4, 0], [0, 4], [1, 3], [3, 1]],
+          [[3, 1], [1, 3]])
+INLINE = ((("main1",), {"kind": "numerical", "generators": [11, 12]}, (1,)),
+          *((("spec", "zar", "axioms", "main1", "prop1"),
+             {"kind": "affine", "dim": 2, "generators": gens}, (1, 2))
+            for gens in SKEWED))
 # Suites run on proper subgroups <d> of Z/n with a zero n adjoined, as
 # (n, d): <2> in Z/4, where aH = a^-1 H for every a, as 2a lies in H, and
 # <3> in Z/6, where 1 + H = {1, 4} and 5 + H = {5, 2} differ
@@ -159,13 +169,14 @@ def sweep_runs(tmp):
 def inline_runs(tmp):
     """(label, argv, bounds) of the runs on ``INLINE``'s inputs, each
     written to `tmp`."""
-    for i, (suite, desc, bound) in enumerate(INLINE):
+    for i, (suites, desc, bounds) in enumerate(INLINE):
         path = os.path.join(tmp, f"inline{i}.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(desc, fh)
-        gens = ",".join(map(str, desc["generators"]))
-        yield (f"{suite} <{gens}>", ["--suite", suite, "--input", path],
-               (bound,))
+        gens = ",".join(map(str, desc["generators"])).replace(" ", "")
+        for suite in suites:
+            yield (f"{suite} <{gens}>", ["--suite", suite, "--input", path],
+                   bounds)
 
 
 def subgroup_runs():
