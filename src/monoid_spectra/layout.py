@@ -91,14 +91,6 @@ class Box:
         width = 2 * self.bit(self.ctx.one) + 1
         return int(format(bits, f"0{width}b")[::-1], 2)
 
-    def cells(self):
-        """(bit, carrier point) of every cell; the point is None at a cell
-        off the carrier's lattice."""
-        at = self.ctx._at
-        for i in range(self.rows):
-            for j in range(self.cols):
-                yield i * self.stride + j, at(self.x0 + i, self.y0 + j)
-
 
 class Table:
     """The bit layout of a finite carrier: one row, with cell i for element
@@ -169,10 +161,6 @@ class Table:
         for m, d in lefts:
             out |= (bits & m) << d
         return out
-
-    def cells(self):
-        """(bit, element) of every cell."""
-        return ((i, i) for i in range(self.cols))
 
 
 class Read:

@@ -22,32 +22,32 @@ FAMILY_DEPTH = 6
 class ModuleSystem:
     """Closure operator A -> A_r on finite subsets of G.
 
-    ``closure(A)`` takes a finite subset of G, checked here (CarrierMismatch
-    otherwise), and returns an exact membership predicate for A_r, which
-    answers False off the carrier.  A system is its ``members``, the
-    overmonoids S of the product closure A -> intersection over S of SA,
-    with 0, where 0S is G for the members at the positions in ``filled``
-    and {0} for the others: g is in A_r iff for every S some nonzero a in
-    A has a^{-1} g in S, or A holds the zero and S is filled.  It is exact
-    for finite A, and an empty list gives all of G.  A ``window._Window``
+    A system is its ``members``, the overmonoids S of the product closure
+    A -> intersection over S of SA, with 0, where 0S is G for the members
+    at the positions in ``filled`` and {0} for the others: g is in A_r iff
+    for every S some nonzero a in A has a^{-1} g in S, or A holds the zero
+    and S is filled.  It is exact for finite A, and an empty list gives
+    all of G.  ``closure(A)`` takes a finite subset of G, checked here
+    (CarrierMismatch otherwise), and returns an exact membership predicate
+    for A_r, which answers False off the carrier.  A ``window._Window``
     reads A_r from the members' masks, trusting its sets, as they come
     from the carrier's window.  A system that names no members (``members``
-    None) is its ``rule``, A -> predicate, which a window asks per set."""
+    None) is its ``rule``: ``rule(A, layout)`` is A_r on the layout's
+    carrier cells and the zero's bit, one int, which a window asks once
+    per set; such a system has no ``closure``."""
 
     def __init__(self, name, context, members=None, filled=(), rule=None):
         self.name = name
         self.context = context
         self.members = members
         self.filled = filled
-        self._rule = rule
+        self.rule = rule
 
     def closure(self, A):
         A = frozenset(A)
         ctx = self.context
         for a in A:
             ctx.check(a)
-        if self.members is None:
-            return self._rule(A)
         zero = ctx.zero
         inverses = [ctx.inv(a) for a in sorted(
             (a for a in A if a != zero), key=sort_key)]
@@ -87,26 +87,18 @@ def iota(S: Overmonoid) -> ModuleSystem:
 
 
 def meet(systems) -> ModuleSystem:
-    """Pointwise intersection of closures; the infimum for the coarser-than
-    order.  A meet of product closures is the product closure of all their
-    members, with their filled members filled; a meet with a system that
-    names no members names none, and is the AND of the closures."""
+    """Pointwise intersection of product closures; the infimum for the
+    coarser-than order: the product closure of all their members, with
+    their filled members filled."""
     systems = list(systems)
     if not systems:
         raise ValueError("meet of an empty list")
-    ctx = systems[0].context
-    name = f"meet({'^'.join(r.name for r in systems)})"
-    if any(r.members is None for r in systems):
-        def rule(A):
-            preds = [r.closure(A) for r in systems]
-            return lambda g: all(p(g) for p in preds)
-
-        return ModuleSystem(name, ctx, rule=rule)
     members, filled = [], []
     for r in systems:
         filled += [len(members) + i for i in r.filled]
         members += r.members
-    return ModuleSystem(name, ctx, members, filled)
+    return ModuleSystem(f"meet({'^'.join(r.name for r in systems)})",
+                        systems[0].context, members, filled)
 
 
 # -- axiom checking ----------------------------------------------------------
@@ -140,7 +132,7 @@ def check_module_axioms(systems, H, bound: int = 4, seed: int = 0):
     its witness from its own bits of that item, the one a call of its own
     would find, and stops that system's scan.  Window sets and their images
     reach each system's ``members`` unchecked; a system that names none is
-    read from its ``rule``, in packs of its own."""
+    read from its ``rule``, once per set, in packs of its own."""
     ctx = H.context
     if any(r.context is not ctx for r in systems):
         raise CarrierMismatch("a module system off H's carrier")

@@ -89,8 +89,7 @@ class GroupoidContext:
     # a window of bound b holds up to (2b + 1)^dim points
     dim = 1
     # a carrier read in boxes defines _xy(g), the cell (x, y) of a point,
-    # _at(x, y), the point at a cell or None off it, and cell_basis, the
-    # echelon basis of its points' cells
+    # and cell_basis, the echelon basis of its points' cells
     default_bound = 10  # the bound a suite runs at when none is given
 
     def contains(self, g) -> bool:
@@ -133,11 +132,11 @@ class GroupoidContext:
         """The cells of `box` that are carrier points, as a mask."""
         return intgeom.lattice_span(self.cell_basis, box)
 
-    def span(self, gens, box):
-        """The members on `box` of the submonoid generated by `gens`, by
-        ``intgeom.submonoid_span`` on their cells, asking no cell."""
+    def span(self, S, box):
+        """The members on `box` of S, the submonoid its generators generate,
+        by ``intgeom.submonoid_span`` on their cells, asking no cell."""
         return intgeom.submonoid_span(
-            tuple(self._xy(g) for g in gens if g is not INF), box)
+            tuple(self._xy(g) for g in S.gens if g is not INF), box)
 
     def faces(self, gens):
         """The generators on each face of their cone, read at their cells."""
@@ -150,18 +149,15 @@ class GroupoidContext:
             raise CarrierMismatch(f"{g!r} is not in this carrier")
 
     def overmonoids(self, H):
-        """H and its localizations H_P at its primes, all distinct, each
-        kept when H misses one of its generators, so H_P != H.  H_P inverts
-        the generators of H outside P (``localize``), which by the face
-        lemma are those P is not generated by, so no prime is asked."""
+        """H and its localizations H_P at its primes (``localize``), all
+        distinct, each kept when H misses one of the generators it adds,
+        so H_P != H."""
         from .idealsys import enumerate_primes  # which builds on this module
         out = [as_overmonoid(H)]
         for P in enumerate_primes(H):
-            units = tuple(self.inv(g) for g in H.generators
-                          if g != self.zero and g not in P.generators)
-            if not all(map(H.has, units)):
-                out.append(Overmonoid(self, gens=H.generators + units,
-                                      name=f"H_{P.name}"))
+            L = localize(H, P, name=f"H_{P.name}")
+            if not all(map(H.has, L.gens[len(H.generators):])):
+                out.append(L)
         return out
 
     def ideal_generators(self, H, bound):
@@ -201,9 +197,6 @@ class IntCarrier(GroupoidContext):
 
     def _xy(self, g):
         return 0, g
-
-    def _at(self, x, y):
-        return y if x == 0 else None
 
     def overmonoids(self, H):
         """R(G|H): every oversemigroup of H, each read on an int box from
@@ -290,12 +283,6 @@ class LatticeCarrier(GroupoidContext):
     def _xy(self, g):
         return (0, g[0]) if self.dim == 1 else g
 
-    def _at(self, x, y):
-        if self.dim == 1 and x:
-            return None
-        p = (y,) if self.dim == 1 else (x, y)
-        return p if intgeom.lattice_contains(self.basis, p) else None
-
     def zar(self, read):
         """On the plane, V(w, t) for each candidate (w, t) that holds H's
         generators (``valuation.holds``), then G, the trivial valuation,
@@ -378,10 +365,11 @@ class FiniteCarrier(GroupoidContext):
     def _window(self, bound: int) -> list:
         return list(range(len(self.table)))
 
-    def span(self, gens, box):
-        """None: the ``Table`` row is read one cell at a time, as its n
-        asks cost less than the generators' closure."""
-        return None
+    def span(self, S, box):
+        """The members of S on the ``Table`` row: each of the n elements
+        asked once (``has``), which costs less than moving the row by each
+        generator until it closes."""
+        return sum(1 << g for g in range(len(self.table)) if S.has(g))
 
     def box(self, points):
         """The one ``Table`` row of the whole carrier."""
@@ -416,9 +404,11 @@ class Overmonoid:
     G, or both, the rule then deciding the generators' monoid; the
     predicate is fixed here, once.  The generators are trusted: they come
     from a checked ``Monoid``, ``adjoin`` or the carrier.  ``span_mask``
-    reads the members on a ``Box`` or ``Table`` as one int; no mask is
-    kept: a ``window._Window`` or a ``layout.Read`` keeps each one it reads
-    while it lives."""
+    reads the members on a ``Box`` or ``Table`` as one int: the carrier's
+    ``span``, which asks a box no cell and a table each of its n elements,
+    or a subclass's own read, so a set given by a rule alone has no mask
+    on a box; no mask is kept: a ``window._Window`` or a ``layout.Read``
+    keeps each one it reads while it lives."""
     sgp = None
 
     def __init__(self, context, gens=None, rule=None, name=""):
@@ -438,27 +428,14 @@ class Overmonoid:
         return g is INF or g == self.context.zero or bool(self._member(g))
 
     def span_mask(self, box):
-        """The members on `box`, in its layout: ``_span``, which asks no
-        cell, or, where it has no answer, each cell asked once; a cell off
-        the carrier is no member."""
-        bits = self._span(box)
-        if bits is None:
-            bits = sum(1 << i for i, g in box.cells()
-                       if g is not None and self.has(g))
-        return bits
-
-    def _span(self, box):
-        """The members on `box` read without asking a cell: on the row of
-        ``sgp`` (their NumericalSemigroup) where set, else by the carrier
-        from the generators; None for a rule alone, and where the carrier
-        has no such read."""
+        """The members on `box`, in its layout: on the row of ``sgp``
+        (their NumericalSemigroup) where set, else the carrier's span of
+        the generators (``span``)."""
         if self.sgp is not None:  # on the row x = 0
             if not box.x0 <= 0 < box.x0 + box.rows:
                 return 0
             return self.sgp.span(box.y0, box.cols) << -box.x0 * box.stride
-        if self.gens is None:
-            return None
-        return self.context.span(self.gens, box)
+        return self.context.span(self, box)
 
     def __repr__(self):
         return f"Overmonoid({self.name or self.gens})"
@@ -532,16 +509,24 @@ def adjoin(M: Overmonoid, x) -> Overmonoid:
     return Overmonoid(M.context, gens=M.gens + (x,), name=f"{M.name}[{x}]")
 
 
-def localize(H: Monoid, P) -> Overmonoid:
+def localize(H: Monoid, P, name="localization") -> Overmonoid:
     """Localization H_P at a prime s-ideal P: invert the generators of H that
     lie outside P.  Every element of H outside P is a product of such
-    generators, so this is exact."""
-    if P.contains(H.one):
-        raise ValueError("cannot localize at an improper ideal")
+    generators, so this is exact.  By the face lemma of
+    ``idealsys.enumerate_primes`` those are the generators P is not
+    generated by.  P is improper, and refused, when one of its generators
+    is a unit of H: the identity, or a point of H on every face of its
+    cone, which P's generators, points of H, leave as it is.  P is asked
+    nothing."""
     ctx = H.context
+    units = frozenset.intersection(*ctx.faces(
+        [g for g in dict.fromkeys((*H.generators, *P.generators))
+         if g not in (H.one, ctx.zero)])) | {H.one}
+    if any(g in units for g in P.generators):
+        raise ValueError("cannot localize at an improper ideal")
     extra = tuple(ctx.inv(g) for g in H.generators
-                  if g != ctx.zero and g is not INF and not P.contains(g))
-    return Overmonoid(ctx, gens=H.generators + extra, name="localization")
+                  if g != ctx.zero and g not in P.generators)
+    return Overmonoid(ctx, gens=H.generators + extra, name=name)
 
 
 def fraction_ideal(H: Monoid, x):

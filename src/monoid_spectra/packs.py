@@ -32,8 +32,9 @@ class _Pack:
     at the points c a, so cA is not formed to be read.  The member masks
     are built once per pack; a pack keeps MAX_COLUMN_BITS bits of columns,
     and past them a column is built for its read and dropped.  A pack of
-    systems that name no members reads A_r from each slot's ``rule``, as
-    ``closure(A)``, at every carrier point of the reach layout and the zero.
+    systems that name no members reads A_r from each slot's ``rule``, one
+    call per set, on the reach layout, where the rule sets the carrier's
+    cells and the zero's bit.
 
     A pack is built with its window and lives as long, so its reads,
     columns and member masks serve every scan of the window."""
@@ -60,8 +61,6 @@ class _Pack:
 
         self.masks = [rows(w.rows) << s * W for s in range(len(slots))]
         if not packed:
-            self._carrier = {b: g for b, g in reach.cells() if g is not None}
-            self._carrier[z] = zero
             return
         self._size = S = reach.rows * P
         self._keep = (1 << S) - 1
@@ -104,7 +103,7 @@ class _Pack:
     def reach(self, points):
         """Every slot's A_r on the window's reach layout, A the set of
         `points` (a set, or an image's points c a in any order): from the
-        columns, or from the closures, kept per set.  Every point has a
+        columns, or from the rules, kept per set.  Every point has a
         column: the wide layout lies around every window point and every
         Id3 image c a.  Bits off the layout's carrier points and its zero
         bit are unspecified."""
@@ -113,10 +112,8 @@ class _Pack:
             bits = self._reads.get(A)
             if bits is None:
                 bits = self._reads[A] = sum(
-                    sum(1 << b for b, g in self._carrier.items() if member(g))
-                    << s * self.width
-                    for s, member in enumerate(r.closure(A)
-                                               for r in self.systems))
+                    r.rule(A, self.w.reach) << s * self.width
+                    for s, r in enumerate(self.systems))
             return bits
         columns, any_a = self._columns, self._pad
         for p in points:

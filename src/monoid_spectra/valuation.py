@@ -77,7 +77,7 @@ class ValuationDescriptor(Overmonoid):
         """Membership of a nonzero element of G."""
         return holds(self.weight, self.tiebreak, g)
 
-    def _span(self, box):
+    def span_mask(self, box):
         """The members on `box` asking no cell: one run of each row,
         w.g > 0, with at most one kernel cell w.g = 0, which t decides; on
         the row x = 0 of w = (+-1, 0), the kernel line itself, t keeps the

@@ -137,13 +137,13 @@ class _Window:
     row is sized for every system of the window, and a pack holds as many
     slots as fit in MAX_SPAN_BITS bits on the wide layout.  The systems
     that name their members come first, then those read from a ``rule``,
-    each in packs of their own; the packs (``packs._Pack``) are read one
-    after the other, and each keeps its reads, its columns (up to
-    ``packs.MAX_COLUMN_BITS`` bits, past which none is kept) and member
-    masks for every scan of the window, so a window scanned with several
-    draws reads each set once and each column once.  A read keeps only
-    the reach layout's rows.  Id3 reads an image cA from the columns at
-    the points c a, without forming cA, and keeps no packed read of it.
+    one int per set, each in packs of their own; the packs (``packs._Pack``)
+    are read one after the other, and each keeps its reads, its columns
+    (up to ``packs.MAX_COLUMN_BITS`` bits, past which none is kept) and
+    member masks for every scan of the window, so a window scanned with
+    several draws reads each set once and each column once.  A read keeps
+    only the reach layout's rows.  Id3 reads an image cA from the columns
+    at the points c a, without forming cA, and keeps no packed read of it.
 
     The scans: each item of Id1, Id4 and M4, idempotence and finitariness
     is one subset or c; each item of Id3 is a group of one subset's

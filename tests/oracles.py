@@ -9,9 +9,11 @@ loop, the benchmark's workload module, the valuation test, the Zar
 carrier and its space, the Pruefer test, the domination map and its image
 law asked point by point through the validating ``contains``, the finite
 witnesses of intersection systems and of meets, the pair scans of the
-axiom checkers read one pair at a time, their seeded subset draws, and
+axiom checkers read one pair at a time, their seeded subset draws,
 membership in a finitely generated submonoid of Z^2 by a depth-first walk
-down a functional.
+down a functional, a localization that asks the prime about each
+generator, and the reads of a layout one carrier cell at a time: systems
+given by their closure predicates and sets given by a rule alone.
 
 Open sets are ints, bit i set when point i lies in the set; materializing
 them is exponential, so a space may have at most ``CARRIER_GUARD`` points."""
@@ -26,9 +28,10 @@ from functools import lru_cache
 
 from monoid_spectra import intgeom
 from monoid_spectra.fintop import FiniteSpace
+from monoid_spectra.layout import Table
 from monoid_spectra.modsys import FAMILY_DEPTH, ModuleSystem, meet
-from monoid_spectra.monoid import (INF, Monoid, Overmonoid, fraction_ideal,
-                                   localize, sort_key)
+from monoid_spectra.monoid import (INF, IntCarrier, Monoid, Overmonoid,
+                                   fraction_ideal, sort_key)
 from monoid_spectra.report import INFO, Check
 from monoid_spectra.valuation import ZAR_HEIGHT
 from monoid_spectra.window import _subsets
@@ -315,7 +318,7 @@ def is_s_pruefer_pointwise(H, primes, bound) -> Check:
     """Every localization at a listed prime passes the pointwise valuation
     test."""
     def outcome(P):
-        x = is_valuation_pointwise(localize(H, P), bound)
+        x = is_valuation_pointwise(localize_asking(H, P), bound)
         return None if x is None else {"x": repr(x), "P": P.name}
 
     return Check.scan("s-pruefer", map(outcome, primes), bound=bound)
@@ -711,3 +714,64 @@ def walk_contains(gens, x) -> bool:
     """Membership of x in the submonoid of Z^2 generated by `gens`, by the
     walk of ``_walk``."""
     return _walk(tuple(map(tuple, gens)))(tuple(x))
+
+
+# -- localization, asking the prime --------------------------------------------
+
+def localize_asking(H, P):
+    """H_P by its definition: P is asked whether it holds the identity
+    (improper, refused) and each generator of H, and the nonzero ones
+    outside P are inverted."""
+    if P.contains(H.one):
+        raise ValueError("cannot localize at an improper ideal")
+    ctx = H.context
+    extra = tuple(ctx.inv(g) for g in H.generators
+                  if g != ctx.zero and not P.contains(g))
+    return Overmonoid(ctx, gens=H.generators + extra, name="localization")
+
+
+# -- layouts read one carrier cell at a time -----------------------------------
+
+@lru_cache(maxsize=64)
+def carrier_cells(layout):
+    """(bit, point) of every cell of a ``Box`` or ``Table`` that is a point
+    of the carrier, each cell asked: every element of a table's row, the
+    zero among them; on a box each (x, y) the carrier's ``contains``
+    keeps, the integers and a line on the row x = 0 alone."""
+    if isinstance(layout, Table):
+        return [(g, g) for g in range(layout.cols)]
+    ctx, out = layout.ctx, []
+    for i in range(layout.rows):
+        for j in range(layout.cols):
+            x, y = layout.x0 + i, layout.y0 + j
+            g = (y if isinstance(ctx, IntCarrier) else
+                 (y,) if ctx.dim == 1 else (x, y))
+            if (x == 0 or ctx.dim == 2) and ctx.contains(g):
+                out.append((i * layout.stride + j, g))
+    return out
+
+
+def rule_system(cls, name, where, closure):
+    """A ``cls``, ModuleSystem or IdealSystem on `where` (its carrier, or
+    H), that names no members, from `closure`, A -> the predicate of A_r:
+    its rule asks the predicate at each carrier cell of the layout
+    (``carrier_cells``) and at the zero, and `closure` stays the system's
+    ``closure``, which the oracles ask."""
+    def rule(A, layout):
+        member, zero = closure(A), layout.ctx.zero
+        bits = sum(1 << b for b, g in carrier_cells(layout) if member(g))
+        return bits | (1 << layout.bit(zero) if member(zero) else 0)
+
+    r = cls(name, where, rule=rule)
+    r.closure = closure
+    return r
+
+
+class RuleSet(Overmonoid):
+    """A set given by a membership rule alone, read on a layout by asking
+    ``has`` at each carrier cell (``carrier_cells``): the pointwise
+    reference of the masks ``Overmonoid.span_mask`` reads without asking
+    a cell."""
+
+    def span_mask(self, layout):
+        return sum(1 << b for b, g in carrier_cells(layout) if self.has(g))

@@ -5,9 +5,10 @@ on which realization it runs on.  Every carrier reads in a layout, so none
 has a ``layout`` flag, and a lattice's dimension is read by the window
 guard, the lattice carrier and the family parser alone: a dimension past 2
 is refused where the carrier is built, not by each suite.  The axiom
-checkers read a closure in one place, a pack's reach read, so every scan
-compares ints and reads its witness from them.  Only ``monoid`` names the
-absorbing zero INF; every other module asks ``== ctx.zero``."""
+checkers, ``window`` and ``packs``, read no closure predicate: a pack
+reads a system from its members' masks or from its mask rule, so every
+scan compares ints and reads its witness from them.  Only ``monoid``
+names the absorbing zero INF; every other module asks ``== ctx.zero``."""
 
 import ast
 import os
@@ -70,14 +71,13 @@ def test_no_carrier_has_a_layout_attribute():
     assert not stray, stray
 
 
-def test_the_checkers_ask_closures_only_in_the_reach_read():
-    """In ``window`` and ``packs`` only ``_Pack.reach`` reads ``.closure``,
-    for the systems that name no members."""
+def test_window_and_packs_read_no_closure():
+    """Neither ``window`` nor ``packs`` reads ``.closure``: a system that
+    names no members is read from its ``rule``, one int per set."""
     trees = dict(package())
     stray = [f"{name}:{line} in {where or 'module'}"
              for name in ("window.py", "packs.py")
-             for where, line in attribute_reads(trees[name], "closure")
-             if where != "_Pack.reach"]
+             for where, line in attribute_reads(trees[name], "closure")]
     assert not stray, stray
 
 

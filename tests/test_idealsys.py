@@ -13,7 +13,7 @@ from monoid_spectra.idealsys import (IdealRead, RIdeal, check_ideal_axioms,
 from monoid_spectra.errors import UnsupportedRealization
 from monoid_spectra.monoid import INF, Monoid, monoid_from_file, sort_key
 from oracles import (all_pairs_is_prime, cyclic_group_with_zero, equals,
-                     is_prime)
+                     is_prime, rule_system)
 
 
 def o_set(a, b, ideals, H):
@@ -71,7 +71,7 @@ def test_axioms_catch_a_broken_system():
     def bad_closure(X):
         return lambda g: g in X  # drops the zero and all products
 
-    r = IdealSystem("bad", H, rule=bad_closure)
+    r = rule_system(IdealSystem, "bad", H, bad_closure)
     checks = check_ideal_axioms(r, H, bound=6)
     by_name = {c.name: c for c in checks}
     assert not by_name["Id1"].ok

@@ -2,9 +2,10 @@
 translates by the planned moves, and inversion, on a numerical, two
 planar, the sublattice and a finite carrier, with ``MAX_SPAN_BITS`` at its
 default and at no cell, which no read depends on, as no span of a set
-with generators is capped; a move off the planned ones is refused.  The sets
-are overmonoids, the primes and, on numerical and finite inputs, the
-listed s-ideals, which the layouts read as H's translates:
+with generators is capped; a move off the planned ones is refused.  The
+sets are overmonoids, sets given by a rule alone and read cell by cell
+(``oracles.RuleSet``), the primes and, on numerical and finite inputs,
+the listed s-ideals, which the layouts read as H's translates:
 ``Table.translate`` on the finite carrier, ``Box.translate`` on the
 others."""
 
@@ -22,7 +23,8 @@ from monoid_spectra.modsys import (SystemSpace, check_module_axioms,
 from monoid_spectra.monoid import (MAX_SPAN_BITS, MAX_WINDOW, Monoid,
                                    Overmonoid, localize)
 from monoid_spectra.valuation import WindowRead, enumerate_overmonoids
-from oracles import cyclic_group_with_zero, load_workloads
+from oracles import (RuleSet, carrier_cells, cyclic_group_with_zero,
+                     load_workloads, rule_system)
 
 
 def inputs():
@@ -48,12 +50,12 @@ def sets(H):
     primes = enumerate_primes(H)
     if H.kind == "finite":
         return [H, *primes, Overmonoid(ctx, gens=[ctx.one]),
-                Overmonoid(ctx, rule=lambda g: g in (1, 2)),
+                RuleSet(ctx, rule=lambda g: g in (1, 2)),
                 *enumerate_ideals(H, s_system(H), 3)]
     half = (lambda g: g > 1) if H.kind == "numerical" else (
         lambda g: 2 * g[0] + g[1] > 1)
     out = [H, *primes, *(localize(H, P) for P in primes),
-           Overmonoid(ctx, rule=half)]
+           RuleSet(ctx, rule=half)]
     if H.kind == "numerical":
         out += enumerate_ideals(H, s_system(H), 3)
     return out
@@ -111,10 +113,10 @@ def test_span_mask_reads_only_s_ideals():
     ctx = H.context
     box = ctx.box(range(-3, 8))
     I = RIdeal(s_system(H), (2,))
-    assert I.span_mask(box) == sum(1 << b for b, g in box.cells()
+    assert I.span_mask(box) == sum(1 << b for b, g in carrier_cells(box)
                                    if I.contains(g))
     others = [IdealSystem("filled", H, [H], filled=(0,)),
-              IdealSystem("rule", H, rule=s_system(H).closure),
+              rule_system(IdealSystem, "rule", H, s_system(H).closure),
               IdealSystem("N", H, [Overmonoid(ctx, gens=[1])])]
     for r in others:
         I = RIdeal(r, (2,))

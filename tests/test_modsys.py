@@ -19,8 +19,8 @@ from monoid_spectra.monoid import (INF, CarrierMismatch, FiniteCarrier,
 from monoid_spectra.valuation import enumerate_overmonoids
 from oracles import (check_family_pointwise, cyclic_group_with_zero,
                      extract_finite_witness, falsify_finitary_pointwise,
-                     meet_finite_witness, pool_space, specialization_matrix,
-                     subbasis_membership)
+                     meet_finite_witness, pool_space, rule_system,
+                     specialization_matrix, subbasis_membership)
 from test_monoid import MONOIDS, reachable
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -502,7 +502,8 @@ def test_system_space_reads_product_closures_from_their_members(name):
     overs = enumerate_overmonoids(H)
     ss = SystemSpace(H, overs, small)
     space = ss.space()
-    hidden = [ModuleSystem(r.name, ctx, rule=r.closure) for r in ss.systems]
+    hidden = [rule_system(ModuleSystem, r.name, ctx, r.closure)
+              for r in ss.systems]
     pool = singleton_pool(ctx, overs, small)
     pool += [S | T for S, T in zip(pool, pool[1:])]
     oracle = pool_space(hidden, pool)

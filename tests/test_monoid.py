@@ -18,7 +18,8 @@ from monoid_spectra.monoid import (INF, CarrierMismatch, IntCarrier,
                                    family_from_file, fraction_ideal, localize,
                                    monoid_from_file, monoid_from_json)
 from monoid_spectra.valuation import WindowRead
-from oracles import cyclic_group_with_zero, load_workloads, table_error
+from oracles import (cyclic_group_with_zero, load_workloads, localize_asking,
+                     table_error)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -204,6 +205,20 @@ def test_localize_rejects_improper():
     improper = RIdeal(s_system(H), [0])
     with pytest.raises(ValueError):
         localize(H, improper)
+    # an ideal generated by the identity, by one of H's generators or by
+    # its square is refused exactly when it holds the identity: on N x Z,
+    # whose units (0, +-k) lie on every face of its cone, and on Z/3 with a
+    # zero
+    for K in (Monoid.affine([[1, 0], [0, 1], [0, -1]]),
+              cyclic_group_with_zero(3)):
+        for g in {K.one, *K.generators,
+                  *(K.op(h, h) for h in K.generators)} - {K.zero}:
+            P = RIdeal(s_system(K), [g])
+            if P.contains(K.one):
+                with pytest.raises(ValueError):
+                    localize(K, P)
+            else:
+                assert localize(K, P).gens == localize_asking(K, P).gens
 
 
 def test_fraction_ideal_predicate():
@@ -405,11 +420,14 @@ def test_has_agrees_with_contains_on_the_carrier(H, rnd):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(MONOIDS)
 def test_localizations_are_read_from_the_primes_generators(H):
-    """The H_P of the overmonoid carrier, which invert the generators of H
-    that P is not generated by, against ``localize``, which asks P about
-    each generator of H, on every realization."""
+    """``localize``, which inverts the generators of H that P is not
+    generated by and asks P nothing, and the H_P of the overmonoid carrier
+    built through it, against ``oracles.localize_asking``, which asks P
+    about the identity and each generator of H, on every realization."""
     from monoid_spectra.idealsys import enumerate_primes
-    locs = [(f"H_{P.name}", localize(H, P).gens) for P in enumerate_primes(H)]
+    primes = enumerate_primes(H)
+    locs = [(f"H_{P.name}", localize_asking(H, P).gens) for P in primes]
+    assert [localize(H, P).gens for P in primes] == [g for _, g in locs]
     assert [(S.name, S.gens) for S in monoid.GroupoidContext.overmonoids(
         H.context, H)[1:]] == [(name, gens) for name, gens in locs
                                if not all(map(H.contains, gens))]

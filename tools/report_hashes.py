@@ -6,8 +6,10 @@ Runs ``cli.main`` in this process on every suite x every monoid input in
 formats; main1, axioms, pruefer and corollaries on n2 and nxz at bounds
 8, 10 and 12, in both formats, where the checkers draw from large windows
 and read every closure from member masks on wide boxes of up to 8 370
-cells, below the ``MAX_SPAN_BITS`` cap (the same reads from the closures,
-with every system's members hidden, are run by ``tests/test_span.py``'s
+cells, below the ``MAX_SPAN_BITS`` cap (the same reads with every
+system's members hidden, each system read from a mask rule that lays its
+closure predicates out cell by cell, ``tests/oracles.py``'s
+``rule_system``, are run by ``tests/test_span.py``'s
 ``test_plan_reads_agree_with_set_reads_and_the_predicate``); main1, axioms and corollaries on n579 and
 n71113 at bounds 20 and 40, in both formats, where the integer carrier's
 windows are large; pronconst and ideals on n469, n579 and n71113 at
@@ -17,8 +19,8 @@ drawing reads the covers of their order as int rows; and every job of
 the benchmark's seed-0 sweep plan,
 read from ``bench/workloads.py``, in text format with ``--seed 0`` and
 ``--dot``, whose 21 relabelled finite tables read every closure in the
-table layout (the same runs read from the closures, members hidden, are
-``tests/test_cli.py``'s
+table layout (the same runs read from such mask rules, members hidden,
+are ``tests/test_cli.py``'s
 ``test_finite_reports_are_the_same_read_point_by_point``); and
 corollaries, axioms, main1, main2, zar, pruefer, spec and prop1 on the
 20 generated monoids of ``bench/workloads.py``'s ``affine_pool(20)``, on
